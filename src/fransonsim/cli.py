@@ -22,7 +22,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -146,8 +146,8 @@ class TomographyConfig:
 class SweepConfig:
     """A parameter scan; values are stored in internal units (radians)."""
 
-    parameter: str
-    values: tuple[float, ...]
+    parameter: str = "p"
+    values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.parameter not in SWEEP_PARAMETERS:
@@ -186,6 +186,8 @@ class ExperimentConfig:
             )
         if int(self.workers) < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "workers", int(self.workers))
 
@@ -224,175 +226,123 @@ def derive_seed(base: int, *key: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Config file handling. Angles in files are degrees; internal units radians.
+# Config file handling. The dataclasses are the schema: a file key is the
+# field name, with ``_deg`` appended for angles, which files give in degrees
+# and the dataclasses hold in radians. Defaults and range checks live in the
+# dataclasses alone.
 
-def _read_number(raw, section, key, errors, default, lo=None, hi=None):
-    if key not in raw:
-        return default
-    val = raw[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{section}.{key}: expected a number, got {val!r}")
-        return default
-    val = float(val)
-    if lo is not None and val < lo or hi is not None and val > hi:
-        errors.append(f"{section}.{key}: {val} outside [{lo}, {hi}]")
-        return default
-    return val
+_ANGLES = frozenset({"sum_phase", "phase_a", "phase_b", "phase_jitter_sigma", "angle"})
+# Scalar field annotations (strings under ``from __future__ import annotations``).
+_TYPES = {"int": int, "float": float, "str": str}
+_STAGE_TYPES = {"coherent": CoherentStage, "rotating_plate": RotatingPlateStage}
 
 
-def _check_keys(raw, section, allowed, errors):
-    for key in raw:
-        if key not in allowed:
-            errors.append(f"{section}.{key}: unknown field")
+def _key(name: str) -> str:
+    return name + "_deg" if name in _ANGLES else name
 
 
-def _parse_source(raw: dict, errors: list[str]) -> SourceConfig:
-    _check_keys(
-        raw, "source",
-        {"balance_p", "franson_visibility", "sum_phase_deg", "pol_input"}, errors,
-    )
-    kwargs = {
-        "balance_p": _read_number(raw, "source", "balance_p", errors, 0.5),
-        "franson_visibility": _read_number(
-            raw, "source", "franson_visibility", errors, 1.0
-        ),
-        "sum_phase": math.radians(
-            _read_number(raw, "source", "sum_phase_deg", errors, 0.0)
-        ),
-        "pol_input": raw.get("pol_input", "bell_p"),
-    }
+def _value(val, kind, where, errors):
+    """``val`` as a ``kind`` field value, or None after recording a diagnostic."""
+    if kind is str:
+        if isinstance(val, str):
+            return val
+        want = "a string"
+    elif isinstance(val, bool) or not isinstance(val, (int, float)):
+        want = "a number"
+    elif isinstance(val, float) and not math.isfinite(val) or (
+        kind is float and abs(val) > sys.float_info.max
+    ):
+        want = "a finite number"
+    elif kind is int and isinstance(val, float) and not val.is_integer():
+        want = "an integer"
+    else:
+        return kind(val)
+    errors.append(f"{where}: expected {want}, got {val!r}")
+    return None
+
+
+def _parse(cls, raw, section, errors, **given):
+    """Build ``cls`` from one file section, or None after recording diagnostics.
+
+    Scalar fields are read from ``raw``; ``given`` supplies the already
+    parsed nested ones, whose keys ``raw`` may also carry.
+    """
+    if not isinstance(raw, dict):
+        errors.append(f"{section}: expected an object")
+        return None
+    kwargs = dict(given)
+    known = set(given)
+    for f in fields(cls):
+        if f.type not in _TYPES:
+            continue
+        key = _key(f.name)
+        known.add(key)
+        if key in raw:
+            val = _value(raw[key], _TYPES[f.type], f"{section}.{key}", errors)
+            if val is not None:
+                kwargs[f.name] = math.radians(val) if f.name in _ANGLES else val
+    errors.extend(f"{section}.{key}: unknown field" for key in raw if key not in known)
     try:
-        return SourceConfig(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        errors.append(f"source: {exc}")
-        return SourceConfig()
+        errors.append(f"{section}: {exc}")
+        return None
+
+
+def _echo(obj) -> dict:
+    """The scalar and wave-plate fields of a config dataclass, in file units."""
+    raw = {}
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if f.name in _ANGLES:
+            val = math.degrees(val)
+        elif isinstance(val, tuple):
+            val = [_echo(plate) for plate in val]
+        elif f.type not in _TYPES:
+            continue
+        raw[_key(f.name)] = val
+    return raw
 
 
 def _parse_plates(raw, section, errors) -> tuple[WaveplateSpec, ...]:
-    plates = []
     if not isinstance(raw, list):
         errors.append(f"{section}: expected a list of wave plates")
         return ()
-    for k, item in enumerate(raw):
-        if not isinstance(item, dict):
-            errors.append(f"{section}[{k}]: expected an object")
-            continue
-        _check_keys(item, f"{section}[{k}]", {"kind", "angle_deg"}, errors)
-        try:
-            plates.append(
-                WaveplateSpec(
-                    item.get("kind", "half"),
-                    math.radians(
-                        _read_number(item, f"{section}[{k}]", "angle_deg", errors, 0.0)
-                    ),
-                )
-            )
-        except ValueError as exc:
-            errors.append(f"{section}[{k}]: {exc}")
-    return tuple(plates)
+    plates = (
+        _parse(WaveplateSpec, item, f"{section}[{k}]", errors) for k, item in enumerate(raw)
+    )
+    return tuple(p for p in plates if p is not None)
 
 
-def _parse_channel(raw: dict, errors: list[str]) -> NoisyChannelSpec:
-    _check_keys(raw, "channel", {"stages"}, errors)
-    stages = []
-    items = raw.get("stages", [])
+def _parse_channel(raw, errors) -> NoisyChannelSpec | None:
+    items = raw.get("stages", []) if isinstance(raw, dict) else []
     if not isinstance(items, list):
         errors.append("channel.stages: expected a list")
         items = []
+    stages = []
     for k, item in enumerate(items):
         section = f"channel.stages[{k}]"
         if not isinstance(item, dict):
             errors.append(f"{section}: expected an object")
             continue
-        kind = item.get("type")
-        try:
-            if kind == "coherent":
-                _check_keys(item, section, {"type", "plates_a", "plates_b"}, errors)
-                stages.append(
-                    CoherentStage(
-                        _parse_plates(item.get("plates_a", []), section + ".plates_a", errors),
-                        _parse_plates(item.get("plates_b", []), section + ".plates_b", errors),
-                    )
-                )
-            elif kind == "rotating_plate":
-                _check_keys(item, section, {"type", "arm", "kind", "steps"}, errors)
-                stages.append(
-                    RotatingPlateStage(
-                        arm=item.get("arm", "A"),
-                        kind=item.get("kind", "half"),
-                        steps=int(
-                            _read_number(item, section, "steps", errors, 360)
-                        ),
-                    )
-                )
-            else:
-                errors.append(
-                    f"{section}.type: expected 'coherent' or 'rotating_plate', "
-                    f"got {kind!r}"
-                )
-        except ValueError as exc:
-            errors.append(f"{section}: {exc}")
-    try:
-        return NoisyChannelSpec(tuple(stages))
-    except ValueError as exc:
-        errors.append(f"channel: {exc}")
-        return NoisyChannelSpec()
-
-
-def _parse_interferometer(raw: dict, errors: list[str]) -> InterferometerConfig:
-    _check_keys(
-        raw, "interferometer",
-        {"phase_a_deg", "phase_b_deg", "delta_t_ns", "coincidence_window_ns",
-         "phase_jitter_sigma_deg"},
-        errors,
-    )
-    kwargs = {
-        "phase_a": math.radians(
-            _read_number(raw, "interferometer", "phase_a_deg", errors, 0.0)
-        ),
-        "phase_b": math.radians(
-            _read_number(raw, "interferometer", "phase_b_deg", errors, 0.0)
-        ),
-        "delta_t_ns": _read_number(raw, "interferometer", "delta_t_ns", errors, 2.6),
-        "coincidence_window_ns": _read_number(
-            raw, "interferometer", "coincidence_window_ns", errors, 1.0
-        ),
-        "phase_jitter_sigma": math.radians(
-            _read_number(raw, "interferometer", "phase_jitter_sigma_deg", errors, 0.0)
-        ),
-    }
-    try:
-        return InterferometerConfig(**kwargs)
-    except ValueError as exc:
-        errors.append(f"interferometer: {exc}")
-        return InterferometerConfig()
-
-
-def _parse_tomography(raw: dict, errors: list[str]) -> TomographyConfig:
-    _check_keys(
-        raw, "tomography",
-        {"pairs_per_setting", "method", "n_mc_samples", "mle_tol", "mle_max_iter"},
-        errors,
-    )
-    kwargs = {
-        "pairs_per_setting": int(
-            _read_number(raw, "tomography", "pairs_per_setting", errors,
-                         DEFAULT_PAIRS_PER_SETTING)
-        ),
-        "method": raw.get("method", "mle"),
-        "n_mc_samples": int(
-            _read_number(raw, "tomography", "n_mc_samples", errors, 100)
-        ),
-        "mle_tol": _read_number(raw, "tomography", "mle_tol", errors, 1e-10),
-        "mle_max_iter": int(
-            _read_number(raw, "tomography", "mle_max_iter", errors, 10_000)
-        ),
-    }
-    try:
-        return TomographyConfig(**kwargs)
-    except ValueError as exc:
-        errors.append(f"tomography: {exc}")
-        return TomographyConfig()
+        item = dict(item)
+        kind = item.pop("type", None)
+        cls = _STAGE_TYPES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            errors.append(
+                f"{section}.type: expected 'coherent' or 'rotating_plate', got {kind!r}"
+            )
+            continue
+        plates = {}
+        if cls is CoherentStage:
+            plates = {
+                arm: _parse_plates(item.get(arm, []), f"{section}.{arm}", errors)
+                for arm in ("plates_a", "plates_b")
+            }
+        stage = _parse(cls, item, section, errors, **plates)
+        if stage is not None:
+            stages.append(stage)
+    return _parse(NoisyChannelSpec, raw, "channel", errors, stages=tuple(stages))
 
 
 def _parse_sweep(raw, errors) -> SweepConfig | None:
@@ -401,57 +351,48 @@ def _parse_sweep(raw, errors) -> SweepConfig | None:
     if not isinstance(raw, dict):
         errors.append("sweep: expected an object or null")
         return None
-    _check_keys(raw, "sweep", {"parameter", "values"}, errors)
-    parameter = raw.get("parameter", "p")
     values = raw.get("values", [])
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
+    if not isinstance(values, list):
         errors.append("sweep.values: expected a list of numbers")
         return None
-    if parameter == "sum_phase":
-        values = [math.radians(float(v)) for v in values]
-    try:
-        return SweepConfig(parameter, tuple(float(v) for v in values))
-    except ValueError as exc:
-        errors.append(f"sweep: {exc}")
+    values = [_value(v, float, f"sweep.values[{k}]", errors) for k, v in enumerate(values)]
+    if None in values:
         return None
+    if raw.get("parameter") == "sum_phase":
+        values = [math.radians(v) for v in values]
+    return _parse(SweepConfig, raw, "sweep", errors, values=tuple(values))
 
 
-def _build_config(raw: dict, errors: list[str]) -> ExperimentConfig:
+def _build_config(raw, errors: list[str]) -> ExperimentConfig | None:
     if not isinstance(raw, dict):
         errors.append("config: top level must be an object")
-        raw = {}
-    _check_keys(
-        raw, "config",
-        {"source", "channel", "interferometer", "tomography", "sweep", "seed",
-         "output_dir", "count_mode", "workers"},
-        errors,
+        return None
+
+    def section(cls, name):
+        return _parse(cls, raw.get(name, {}), name, errors)
+
+    return _parse(
+        ExperimentConfig, raw, "config", errors,
+        source=section(SourceConfig, "source"),
+        channel=_parse_channel(raw.get("channel", {}), errors),
+        interferometer=section(InterferometerConfig, "interferometer"),
+        tomography=section(TomographyConfig, "tomography"),
+        sweep=_parse_sweep(raw.get("sweep"), errors),
     )
 
-    def section(name):
-        part = raw.get(name, {})
-        if not isinstance(part, dict):
-            errors.append(f"{name}: expected an object")
-            return {}
-        return part
 
-    kwargs = {
-        "source": _parse_source(section("source"), errors),
-        "channel": _parse_channel(section("channel"), errors),
-        "interferometer": _parse_interferometer(section("interferometer"), errors),
-        "tomography": _parse_tomography(section("tomography"), errors),
-        "sweep": _parse_sweep(raw.get("sweep"), errors),
-        "seed": int(_read_number(raw, "config", "seed", errors, 0)),
-        "output_dir": raw.get("output_dir", "."),
-        "count_mode": raw.get("count_mode", "sampled"),
-        "workers": int(_read_number(raw, "config", "workers", errors, 1)),
-    }
+def _read_json(path):
     try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        errors.append(f"config: {exc}")
-        return ExperimentConfig()
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError([f"config: cannot read file: {exc}"]) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            [f"config line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+        ) from exc
+    except ValueError as exc:  # undecodable bytes, oversized integer literals
+        raise ConfigError([f"config: cannot parse file: {exc}"]) from exc
 
 
 def validate(cfg) -> list[str]:
@@ -465,13 +406,9 @@ def validate(cfg) -> list[str]:
         return []
     if isinstance(cfg, (str, Path)):
         try:
-            with open(cfg, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            return [f"config: cannot read file: {exc}"]
-        except json.JSONDecodeError as exc:
-            return [f"config line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-        return validate(raw)
+            cfg = _read_json(cfg)
+        except ConfigError as exc:
+            return exc.diagnostics
     errors: list[str] = []
     _build_config(cfg, errors)
     return errors
@@ -479,17 +416,8 @@ def validate(cfg) -> list[str]:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON config file; raises ConfigError on problems."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError([f"config: cannot read file: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [f"config line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-        ) from exc
     errors: list[str] = []
-    cfg = _build_config(raw, errors)
+    cfg = _build_config(_read_json(path), errors)
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -526,67 +454,31 @@ def default_config(experiment: str = "purify") -> ExperimentConfig:
 
 def config_to_raw(cfg: ExperimentConfig) -> dict:
     """Config echo in file units (degrees), embedded in every report."""
-    stages = []
-    for stage in cfg.channel.stages:
-        if isinstance(stage, RotatingPlateStage):
-            stages.append(
-                {"type": "rotating_plate", "arm": stage.arm, "kind": stage.kind,
-                 "steps": stage.steps}
-            )
-        else:
-            stages.append(
-                {
-                    "type": "coherent",
-                    "plates_a": [
-                        {"kind": p.kind, "angle_deg": math.degrees(p.angle)}
-                        for p in stage.plates_a
-                    ],
-                    "plates_b": [
-                        {"kind": p.kind, "angle_deg": math.degrees(p.angle)}
-                        for p in stage.plates_b
-                    ],
-                }
-            )
     sweep = None
     if cfg.sweep is not None:
-        values = cfg.sweep.values
+        values = list(cfg.sweep.values)
         if cfg.sweep.parameter == "sum_phase":
-            values = tuple(math.degrees(v) for v in values)
-        sweep = {"parameter": cfg.sweep.parameter, "values": list(values)}
+            values = [math.degrees(v) for v in values]
+        sweep = {"parameter": cfg.sweep.parameter, "values": values}
+    stage_names = {cls: name for name, cls in _STAGE_TYPES.items()}
+    # Scalars first, then the sections: this order is part of the report bytes.
     return {
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "count_mode": cfg.count_mode,
-        "workers": cfg.workers,
-        "source": {
-            "balance_p": cfg.source.balance_p,
-            "franson_visibility": cfg.source.franson_visibility,
-            "sum_phase_deg": math.degrees(cfg.source.sum_phase),
-            "pol_input": cfg.source.pol_input,
+        **_echo(cfg),
+        "source": _echo(cfg.source),
+        "channel": {
+            "stages": [
+                {"type": stage_names[type(stage)], **_echo(stage)}
+                for stage in cfg.channel.stages
+            ]
         },
-        "channel": {"stages": stages},
-        "interferometer": {
-            "phase_a_deg": math.degrees(cfg.interferometer.phase_a),
-            "phase_b_deg": math.degrees(cfg.interferometer.phase_b),
-            "delta_t_ns": cfg.interferometer.delta_t_ns,
-            "coincidence_window_ns": cfg.interferometer.coincidence_window_ns,
-            "phase_jitter_sigma_deg": math.degrees(
-                cfg.interferometer.phase_jitter_sigma
-            ),
-        },
-        "tomography": {
-            "pairs_per_setting": cfg.tomography.pairs_per_setting,
-            "method": cfg.tomography.method,
-            "n_mc_samples": cfg.tomography.n_mc_samples,
-            "mle_tol": cfg.tomography.mle_tol,
-            "mle_max_iter": cfg.tomography.mle_max_iter,
-        },
+        "interferometer": _echo(cfg.interferometer),
+        "tomography": _echo(cfg.tomography),
         "sweep": sweep,
     }
 
 
 # ---------------------------------------------------------------------------
-# Pipeline pieces shared by the experiments.
+# The pipeline shared by the experiments.
 
 def _true_metrics(rho: DensityMatrix) -> dict:
     return {
@@ -607,15 +499,9 @@ def _tomography_branch(
         data = analytic_counts(rho, settings, tcfg.pairs_per_setting)
     else:
         data = simulate_counts(rho, settings, tcfg.pairs_per_setting, seed=seed)
-    mle_opts = (
-        {"tol": tcfg.mle_tol, "max_iter": tcfg.mle_max_iter}
-        if tcfg.method == "mle"
-        else {}
-    )
-    if tcfg.method == "mle":
-        recon = mle_reconstruct(data, **mle_opts)
-    else:
-        recon = linear_inversion(data)
+    mle = tcfg.method == "mle"
+    mle_opts = {"tol": tcfg.mle_tol, "max_iter": tcfg.mle_max_iter} if mle else {}
+    recon = mle_reconstruct(data, **mle_opts) if mle else linear_inversion(data)
     metrics = monte_carlo_metrics(
         data,
         n_samples=tcfg.n_mc_samples,
@@ -628,33 +514,73 @@ def _tomography_branch(
     return data, recon, metrics
 
 
-def _recon_summary(recon: ReconstructionResult) -> dict:
+def _run_point(cfg: ExperimentConfig, source: SourceConfig, *key: int):
+    """One pipeline evaluation: source, channel, blocked input and transfer.
+
+    Returns the source state, the blocked state, the transfer outcome, and
+    ``{"input" | "output": (rho, counts, reconstruction, metrics)}``. Branch
+    ``b`` (1 input, 2 output) draws from ``derive_seed(cfg.seed, b, *key)``.
+    """
+    src = make_source_state(source)
+    after = apply_noisy_channel(src, cfg.channel)
+    blocked = block_long_arms(after)
+    outcome = transfer(after, cfg.interferometer)
+    branches = {}
+    for b, name, rho in ((1, "input", blocked.pol_marginal()),
+                         (2, "output", outcome.pol_out)):
+        seed = derive_seed(cfg.seed, b, *key)
+        branches[name] = (rho, *_tomography_branch(rho, cfg, seed))
+    return src, blocked, outcome, branches
+
+
+def _branch_payload(
+    rho: DensityMatrix, recon: ReconstructionResult, metrics: MetricsReport, **extra
+) -> dict:
     return {
-        "method": recon.method,
-        "iterations": recon.iterations,
-        "converged": recon.converged,
-        "loglike": recon.loglike,
-        "floor_hits": recon.floor_hits,
+        "model_truth": _true_metrics(rho),
+        **extra,
+        "reconstruction": {
+            "method": recon.method,
+            "iterations": recon.iterations,
+            "converged": recon.converged,
+            "loglike": recon.loglike,
+            "floor_hits": recon.floor_hits,
+        },
+        "metrics": metrics.as_dict(),
     }
 
 
-def _versions() -> dict:
-    return {
-        "fransonsim": __version__,
-        "numpy": np.__version__,
-        "python": sys.version.split()[0],
-    }
+def _map_points(cfg: ExperimentConfig, point, values) -> list:
+    """``point(index, value)`` over the sweep, on ``cfg.workers`` threads; in order."""
+    indices = range(len(values))
+    if cfg.workers == 1:
+        return list(map(point, indices, values))
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return list(pool.map(point, indices, values))
 
 
-def _run_block(elapsed: float) -> dict:
-    return {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "elapsed_s": elapsed,
-    }
-
-
-def _csv_float(x: float) -> str:
-    return f"{x:.17g}"
+def _finish(experiment, cfg, stages, t0, out_dir, report_name) -> RunReport:
+    """The run report; written with its plot tables when ``out_dir`` is given."""
+    report = RunReport(
+        experiment=experiment,
+        config=config_to_raw(cfg),
+        stages=stages,
+        run={
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "elapsed_s": time.perf_counter() - t0,
+        },
+        versions={
+            "fransonsim": __version__,
+            "numpy": np.__version__,
+            "python": sys.version.split()[0],
+        },
+    )
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        report.write(out / report_name)
+        emit_plot_data(report, out)
+    return report
 
 
 def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
@@ -666,35 +592,18 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     counts, reconstructed matrices, and the report are written there.
     """
     t0 = time.perf_counter()
-    src = make_source_state(cfg.source)
-    after = apply_noisy_channel(src, cfg.channel)
-    blocked = block_long_arms(after)
-    rho_in = blocked.pol_marginal()
-    outcome = transfer(after, cfg.interferometer)
-
-    branches = {}
-    artifacts = {}
-    for name, rho, branch_key in (("input", rho_in, 1), ("output", outcome.pol_out, 2)):
-        data, recon, metrics = _tomography_branch(
-            rho, cfg, derive_seed(cfg.seed, branch_key)
-        )
-        payload = {
-            "model_truth": _true_metrics(rho),
-            "state_weight": rho.weight,
-            "reconstruction": _recon_summary(recon),
-            "metrics": metrics.as_dict(),
-        }
+    src, blocked, outcome, branches = _run_point(cfg, cfg.source)
+    tomography = {}
+    for name, (rho, data, recon, metrics) in branches.items():
+        payload = _branch_payload(rho, recon, metrics, state_weight=rho.weight)
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            counts_path = out / f"counts_{name}.csv"
-            dump_path = out / f"rho_{name}_reconstructed.txt"
-            counts_to_csv(data, counts_path)
-            dump_density_matrix(recon.rho, dump_path)
-            payload["counts_csv"] = counts_path.name
-            payload["dump"] = dump_path.name
-            artifacts[f"rho_{name}"] = str(dump_path)
-        branches[name] = payload
+            payload["counts_csv"] = f"counts_{name}.csv"
+            payload["dump"] = f"rho_{name}_reconstructed.txt"
+            counts_to_csv(data, out / payload["counts_csv"])
+            dump_density_matrix(recon.rho, out / payload["dump"])
+        tomography[name] = payload
 
     stages = {
         "source": {
@@ -708,20 +617,10 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
             "franson_postselection_fraction": outcome.franson_postselection_fraction,
             "joint_weight": outcome.joint_out.weight,
         },
-        "tomography": branches,
+        "tomography": tomography,
         "notes": [GAP_NOTE],
     }
-    report = RunReport(
-        experiment="purify",
-        config=config_to_raw(cfg),
-        stages=stages,
-        run=_run_block(time.perf_counter() - t0),
-        versions=_versions(),
-    )
-    if out_dir is not None:
-        report.write(Path(out_dir) / "report_purify.json")
-        emit_plot_data(report, out_dir)
-    return report
+    return _finish("purify", cfg, stages, t0, out_dir, "report_purify.json")
 
 
 def _sweep_source(cfg: ExperimentConfig, parameter: str, value: float) -> SourceConfig:
@@ -730,27 +629,6 @@ def _sweep_source(cfg: ExperimentConfig, parameter: str, value: float) -> Source
     if parameter == "visibility":
         return replace(cfg.source, franson_visibility=value)
     return replace(cfg.source, sum_phase=value)
-
-
-def _chsh_point(cfg: ExperimentConfig, index: int, p: float) -> dict:
-    src_cfg = _sweep_source(cfg, "p", p)
-    state = make_source_state(src_cfg)
-    after = apply_noisy_channel(state, cfg.channel)
-    rho_in = block_long_arms(after).pol_marginal()
-    rho_out = transfer(after, cfg.interferometer).pol_out
-    _, _, in_metrics = _tomography_branch(rho_in, cfg, derive_seed(cfg.seed, 1, index))
-    _, _, out_metrics = _tomography_branch(rho_out, cfg, derive_seed(cfg.seed, 2, index))
-    return {
-        "p": p,
-        "s_in": in_metrics.s_value,
-        "s_in_sigma": in_metrics.s_value_sigma,
-        "s_out": out_metrics.s_value,
-        "s_out_sigma": out_metrics.s_value_sigma,
-        "s_in_true": chsh_value(rho_in),
-        "s_out_true": chsh_value(rho_out),
-        "input_metrics": in_metrics.as_dict(),
-        "output_metrics": out_metrics.as_dict(),
-    }
 
 
 def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
@@ -765,103 +643,54 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
         raise ConfigError(
             [f"sweep.parameter: chsh-sweep scans 'p', got {cfg.sweep.parameter!r}"]
         )
+
+    def point(index: int, p: float) -> dict:
+        branches = _run_point(cfg, _sweep_source(cfg, "p", p), index)[3]
+        (rho_in, _, _, m_in), (rho_out, _, _, m_out) = branches["input"], branches["output"]
+        return {
+            "p": p,
+            "s_in": m_in.s_value,
+            "s_in_sigma": m_in.s_value_sigma,
+            "s_out": m_out.s_value,
+            "s_out_sigma": m_out.s_value_sigma,
+            "s_in_true": chsh_value(rho_in),
+            "s_out_true": chsh_value(rho_out),
+            "input_metrics": m_in.as_dict(),
+            "output_metrics": m_out.as_dict(),
+        }
+
     values = cfg.sweep.values if cfg.sweep is not None else DEFAULT_SWEEP_VALUES
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(
-                pool.map(lambda iv: _chsh_point(cfg, iv[0], iv[1]), enumerate(values))
-            )
-    else:
-        rows = [_chsh_point(cfg, i, v) for i, v in enumerate(values)]
-
+    rows = _map_points(cfg, point, values)
     stages = {"sweep_rows": rows, "notes": [GAP_NOTE]}
-    report = RunReport(
-        experiment="chsh-sweep",
-        config=config_to_raw(cfg),
-        stages=stages,
-        run=_run_block(time.perf_counter() - t0),
-        versions=_versions(),
-    )
+    report = _finish("chsh-sweep", cfg, stages, t0, out_dir, "report_chsh_sweep.json")
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["p,s_in,s_in_sigma,s_out,s_out_sigma"]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    _csv_float(row[k])
-                    for k in ("p", "s_in", "s_in_sigma", "s_out", "s_out_sigma")
-                )
-            )
-        (out / "chsh_sweep.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-        report.write(out / "report_chsh_sweep.json")
-        emit_plot_data(report, out_dir)
+        csv_path = Path(out_dir) / "chsh_sweep.csv"
+        csv_path.write_text(_chsh_table(rows, ","), encoding="ascii")
     return report
-
-
-def _custom_point(cfg: ExperimentConfig, index: int, parameter: str | None, value):
-    src_cfg = cfg.source if parameter is None else _sweep_source(cfg, parameter, value)
-    state = make_source_state(src_cfg)
-    after = apply_noisy_channel(state, cfg.channel)
-    blocked = block_long_arms(after)
-    outcome = transfer(after, cfg.interferometer)
-    rho_in = blocked.pol_marginal()
-    _, in_recon, in_metrics = _tomography_branch(
-        rho_in, cfg, derive_seed(cfg.seed, 1, index)
-    )
-    _, out_recon, out_metrics = _tomography_branch(
-        outcome.pol_out, cfg, derive_seed(cfg.seed, 2, index)
-    )
-    row = {
-        "input": {
-            "model_truth": _true_metrics(rho_in),
-            "reconstruction": _recon_summary(in_recon),
-            "metrics": in_metrics.as_dict(),
-        },
-        "output": {
-            "model_truth": _true_metrics(outcome.pol_out),
-            "reconstruction": _recon_summary(out_recon),
-            "metrics": out_metrics.as_dict(),
-        },
-        "port_probs": [float(p) for p in outcome.port_probs],
-        "blocked_input_weight": blocked.weight,
-    }
-    if parameter is not None:
-        row["parameter"] = parameter
-        row["value"] = float(value)
-    return row
 
 
 def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """Free-form pipeline: the purify stages over any configured sweep."""
     t0 = time.perf_counter()
-    if cfg.sweep is None:
-        points = [(None, None)]
-    else:
-        points = [(cfg.sweep.parameter, v) for v in cfg.sweep.values]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda ipv: _custom_point(cfg, ipv[0], ipv[1][0], ipv[1][1]),
-                    enumerate(points),
-                )
-            )
-    else:
-        rows = [_custom_point(cfg, i, par, val) for i, (par, val) in enumerate(points)]
+    sweep = cfg.sweep
+
+    def point(index: int, value) -> dict:
+        source = cfg.source if sweep is None else _sweep_source(cfg, sweep.parameter, value)
+        _, blocked, outcome, branches = _run_point(cfg, source, index)
+        row = {
+            name: _branch_payload(rho, recon, metrics)
+            for name, (rho, _, recon, metrics) in branches.items()
+        }
+        row["port_probs"] = [float(p) for p in outcome.port_probs]
+        row["blocked_input_weight"] = blocked.weight
+        if sweep is not None:
+            row["parameter"] = sweep.parameter
+            row["value"] = float(value)
+        return row
+
+    rows = _map_points(cfg, point, [None] if sweep is None else sweep.values)
     stages = {"points": rows, "notes": [GAP_NOTE]}
-    report = RunReport(
-        experiment="custom",
-        config=config_to_raw(cfg),
-        stages=stages,
-        run=_run_block(time.perf_counter() - t0),
-        versions=_versions(),
-    )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.write(out / "report_custom.json")
-    return report
+    return _finish("custom", cfg, stages, t0, out_dir, "report_custom.json")
 
 
 def run_fringe_scan(cfg: ExperimentConfig, out_dir=None, n_points: int = 25) -> RunReport:
@@ -882,31 +711,33 @@ def run_fringe_scan(cfg: ExperimentConfig, out_dir=None, n_points: int = 25) -> 
             "configured_visibility": cfg.source.franson_visibility,
         }
     }
-    report = RunReport(
-        experiment="fringe-scan",
-        config=config_to_raw(cfg),
-        stages=stages,
-        run=_run_block(time.perf_counter() - t0),
-        versions=_versions(),
-    )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.write(out / "report_fringe.json")
-        emit_plot_data(report, out_dir)
-    return report
+    return _finish("fringe-scan", cfg, stages, t0, out_dir, "report_fringe.json")
+
+
+# ---------------------------------------------------------------------------
+# Plot-ready text tables.
+
+_CHSH_COLUMNS = ("p", "s_in", "s_in_sigma", "s_out", "s_out_sigma")
+
+
+def _table(header: str, rows, sep: str = " ") -> str:
+    """A header line, then one line of 17-digit numbers per row."""
+    lines = [header] + [sep.join(f"{x:.17g}" for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _chsh_table(rows, sep: str) -> str:
+    """The CHSH sweep as CSV (``sep=","``) or as a gnuplot table (``sep=" "``)."""
+    header = sep.join(_CHSH_COLUMNS) if sep == "," else "# " + sep.join(_CHSH_COLUMNS)
+    return _table(header, ([row[k] for k in _CHSH_COLUMNS] for row in rows), sep)
 
 
 def density_matrix_bars(rho: DensityMatrix) -> str:
     """Gnuplot-style bar table of a matrix: row, col, magnitude, phase."""
-    lines = ["# row col magnitude phase_rad"]
-    for i in range(rho.dim):
-        for j in range(rho.dim):
-            z = rho.data[i, j]
-            lines.append(
-                f"{i} {j} {abs(z):.17g} {float(np.angle(z)):.17g}"
-            )
-    return "\n".join(lines) + "\n"
+    return _table(
+        "# row col magnitude phase_rad",
+        ((i, j, abs(z), float(np.angle(z))) for (i, j), z in np.ndenumerate(rho.data)),
+    )
 
 
 def emit_plot_data(report: RunReport | dict, out_dir) -> list[str]:
@@ -915,43 +746,26 @@ def emit_plot_data(report: RunReport | dict, out_dir) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    stages = rep.get("stages", {})
 
+    def write(name: str, text: str) -> None:
+        (out / name).write_text(text, encoding="ascii")
+        written.append(str(out / name))
+
+    stages = rep.get("stages", {})
     fringe = stages.get("fringe")
     if fringe:
-        lines = ["# sum_phase_rad probability"]
-        for p, q in zip(fringe["phases_rad"], fringe["probabilities"]):
-            lines.append(f"{p:.17g} {q:.17g}")
-        path = out / "fringe.dat"
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        written.append(str(path))
-
+        write("fringe.dat", _table(
+            "# sum_phase_rad probability",
+            zip(fringe["phases_rad"], fringe["probabilities"]),
+        ))
     rows = stages.get("sweep_rows")
     if rows:
-        lines = ["# p s_in s_in_sigma s_out s_out_sigma"]
-        for row in rows:
-            lines.append(
-                " ".join(
-                    _csv_float(row[k])
-                    for k in ("p", "s_in", "s_in_sigma", "s_out", "s_out_sigma")
-                )
-            )
-        path = out / "chsh_sweep.dat"
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        written.append(str(path))
-
-    tomo = stages.get("tomography", {})
-    for name, payload in tomo.items():
+        write("chsh_sweep.dat", _chsh_table(rows, " "))
+    for name, payload in stages.get("tomography", {}).items():
         dump = payload.get("dump")
-        if not dump:
-            continue
-        dump_path = out / dump
-        if not dump_path.exists():
-            continue
-        rho = load_density_matrix(dump_path)
-        path = out / f"rho_{name}_bars.dat"
-        path.write_text(density_matrix_bars(rho), encoding="ascii")
-        written.append(str(path))
+        if dump and (out / dump).exists():
+            rho = load_density_matrix(out / dump)
+            write(f"rho_{name}_bars.dat", density_matrix_bars(rho))
     return written
 
 

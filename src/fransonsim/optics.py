@@ -53,7 +53,7 @@ class WaveplateSpec:
     half turn of its fast axis.
     """
 
-    kind: str
+    kind: str = "half"
     angle: float = 0.0
 
     def __post_init__(self) -> None:

@@ -58,6 +58,48 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# Sets every config field, in file units.
+FULL_RAW = {
+    "seed": 11,
+    "output_dir": "runs/full",
+    "count_mode": "analytic",
+    "workers": 2,
+    "source": {
+        "balance_p": 0.2,
+        "franson_visibility": 0.9,
+        "sum_phase_deg": 30.0,
+        "pol_input": "bell_p",
+    },
+    "channel": {
+        "stages": [
+            {"type": "rotating_plate", "arm": "A", "kind": "half", "steps": 36},
+            {"type": "rotating_plate", "arm": "B", "kind": "quarter", "steps": 8},
+            {
+                "type": "coherent",
+                "plates_a": [{"kind": "half", "angle_deg": 22.5},
+                             {"kind": "quarter", "angle_deg": 10.0}],
+                "plates_b": [{"kind": "quarter", "angle_deg": 67.5}],
+            },
+        ]
+    },
+    "interferometer": {
+        "phase_a_deg": 45.0,
+        "phase_b_deg": -12.5,
+        "delta_t_ns": 3.1,
+        "coincidence_window_ns": 0.8,
+        "phase_jitter_sigma_deg": 5.0,
+    },
+    "tomography": {
+        "pairs_per_setting": 5000,
+        "method": "linear",
+        "n_mc_samples": 12,
+        "mle_tol": 1e-8,
+        "mle_max_iter": 500,
+    },
+    "sweep": {"parameter": "sum_phase", "values": [0.0, 90.0, 180.0, 270.0]},
+}
+
+
 FAST_ANALYTIC = TomographyConfig(
     pairs_per_setting=260_000, method="linear", n_mc_samples=10
 )
@@ -143,6 +185,79 @@ class TestConfigParsing:
         cfg = ExperimentConfig(sweep=SweepConfig("sum_phase", (0.0, math.pi)))
         echoed = config_to_raw(cfg)["sweep"]["values"]
         assert echoed[1] == pytest.approx(180.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "raw, field, want",
+        [
+            ({"source": {"sum_phase_deg": math.nan}}, "source.sum_phase_deg", "a finite number"),
+            ({"interferometer": {"phase_a_deg": math.inf}}, "interferometer.phase_a_deg",
+             "a finite number"),
+            ({"interferometer": {"phase_jitter_sigma_deg": math.nan}},
+             "interferometer.phase_jitter_sigma_deg", "a finite number"),
+            ({"tomography": {"mle_tol": math.inf}}, "tomography.mle_tol", "a finite number"),
+            ({"source": {"balance_p": 10**400}}, "source.balance_p", "a finite number"),
+            ({"channel": {"stages": [{"type": "coherent",
+                                      "plates_b": [{"angle_deg": -math.inf}]}]}},
+             "channel.stages[0].plates_b[0].angle_deg", "a finite number"),
+            ({"sweep": {"parameter": "p", "values": [0.1, math.nan]}}, "sweep.values[1]",
+             "a finite number"),
+            ({"seed": 3.7}, "config.seed", "an integer"),
+            ({"workers": 1.5}, "config.workers", "an integer"),
+            ({"tomography": {"pairs_per_setting": 1000.9}}, "tomography.pairs_per_setting",
+             "an integer"),
+            ({"tomography": {"n_mc_samples": 20.5}}, "tomography.n_mc_samples", "an integer"),
+            ({"tomography": {"mle_max_iter": 99.9}}, "tomography.mle_max_iter", "an integer"),
+            ({"channel": {"stages": [{"type": "rotating_plate", "steps": 7.9}]}},
+             "channel.stages[0].steps", "an integer"),
+            ({"seed": math.nan}, "config.seed", "a finite number"),
+            ({"output_dir": 5}, "config.output_dir", "a string"),
+            ({"count_mode": 1}, "config.count_mode", "a string"),
+            ({"source": {"pol_input": ["bell_p"]}}, "source.pol_input", "a string"),
+            ({"tomography": {"method": None}}, "tomography.method", "a string"),
+            ({"channel": {"stages": [{"type": "rotating_plate", "arm": 0}]}},
+             "channel.stages[0].arm", "a string"),
+            ({"channel": {"stages": [{"type": "coherent", "plates_a": [{"kind": 2}]}]}},
+             "channel.stages[0].plates_a[0].kind", "a string"),
+            ({"sweep": {"parameter": 1, "values": [0.1]}}, "sweep.parameter", "a string"),
+        ],
+    )
+    def test_validate_rejects_bad_values(self, tmp_path, raw, field, want):
+        """Non-finite numbers, fractional integers and non-strings are named."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        diags = validate(path)
+        assert len(diags) == 1, diags
+        assert diags[0].startswith(f"{field}: expected {want}, got ")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_integer_fields_stay_exact(self, tmp_path):
+        """Integral numbers are read without a detour through float."""
+        seed = 2**53 + 1
+        cfg = load_config(write_config(
+            tmp_path, seed=seed, tomography={"pairs_per_setting": 1000.0}
+        ))
+        assert cfg.seed == seed
+        assert cfg.tomography.pairs_per_setting == 1000
+        assert isinstance(cfg.tomography.pairs_per_setting, int)
+
+    @pytest.mark.parametrize(
+        "experiment", ["purify", "chsh-sweep", "custom", "fringe-scan", "every-field"]
+    )
+    def test_echo_round_trips(self, tmp_path, experiment):
+        """Loading a config's echo gives the config back; echoing again is stable."""
+        if experiment == "every-field":
+            path = tmp_path / "full.json"
+            path.write_text(json.dumps(FULL_RAW))
+            cfg = load_config(path)
+        else:
+            cfg = default_config(experiment)
+        echo = json.dumps(config_to_raw(cfg), indent=1)
+        path = tmp_path / "echo.json"
+        path.write_text(echo)
+        back = load_config(path)
+        assert back == cfg
+        assert json.dumps(config_to_raw(back), indent=1) == echo
 
     def test_derive_seed_is_stable_and_distinct(self):
         """Stage seeds are deterministic and separated by their path."""
@@ -390,6 +505,17 @@ class TestMainEntry:
         missing = tmp_path / "nope.json"
         assert main(["purify", "--config", str(missing)]) == 1
 
+    @pytest.mark.parametrize(
+        "text", [b'{"output_dir": "\xff"}', b'{"seed": 1' + b"1" * 5000 + b"}"]
+    )
+    def test_unparsable_file_is_config_error(self, tmp_path, capsys, text):
+        """Undecodable bytes and oversized integers are config errors too."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["purify", "--config", str(path)]) == 1
+        assert "cannot parse" in capsys.readouterr().err
+
     def test_purify_end_to_end(self, tmp_path, capsys):
         """The purify subcommand runs and writes its artifacts."""
         path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
@@ -418,6 +544,23 @@ class TestMainEntry:
         blocker.write_text("plain file")
         path = write_config(tmp_path, output_dir=str(blocker / "sub"))
         assert main(["purify", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides, argv, field",
+        [
+            ({"output_dir": 5}, [], "config.output_dir"),
+            ({"seed": -1}, [], "seed must be >= 0"),
+            ({}, ["--seed", "-1"], "seed must be >= 0"),
+        ],
+    )
+    def test_bad_field_exits_one(self, tmp_path, capsys, overrides, argv, field):
+        """Wrong types and a negative seed are config errors naming the field."""
+        path = write_config(tmp_path, **overrides)
+        assert main(["purify", "--config", str(path), *argv]) == 1
+        assert field in capsys.readouterr().err
+        if not argv:
+            assert main(["validate", "--config", str(path)]) == 1
+            assert field in capsys.readouterr().out
 
     def test_fringe_scan_command(self, tmp_path, capsys):
         """The fringe-scan subcommand prints the visibility."""
