@@ -133,7 +133,7 @@ class TomographyConfig:
             raise ValueError(f"method must be one of {RECON_METHODS}, got {self.method!r}")
         if int(self.n_mc_samples) < 10:
             raise ValueError(f"n_mc_samples must be >= 10, got {self.n_mc_samples}")
-        if self.mle_tol <= 0.0:
+        if not self.mle_tol > 0.0:
             raise ValueError(f"mle_tol must be positive, got {self.mle_tol}")
         if int(self.mle_max_iter) < 1:
             raise ValueError(f"mle_max_iter must be >= 1, got {self.mle_max_iter}")
@@ -158,6 +158,8 @@ class SweepConfig:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("sweep needs at least one value")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("sweep values must be finite")
         if self.parameter == "p" and not all(0.0 <= v <= 0.5 for v in values):
             raise ValueError("sweep values for p must lie in [0, 0.5]")
         if self.parameter == "visibility" and not all(0.0 <= v <= 1.0 for v in values):

@@ -59,6 +59,8 @@ class WaveplateSpec:
     def __post_init__(self) -> None:
         if self.kind not in WAVEPLATE_KINDS:
             raise ValueError(f"kind must be one of {WAVEPLATE_KINDS}, got {self.kind!r}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"angle must be finite, got {self.angle}")
         object.__setattr__(self, "angle", float(self.angle) % math.pi)
 
 
@@ -85,6 +87,8 @@ class SourceConfig:
             raise ValueError(
                 f"franson_visibility must be in [0, 1], got {self.franson_visibility}"
             )
+        if not math.isfinite(self.sum_phase):
+            raise ValueError(f"sum_phase must be finite, got {self.sum_phase}")
         if self.pol_input not in POL_INPUTS:
             raise ValueError(
                 f"pol_input must be one of {POL_INPUTS}, got {self.pol_input!r}"

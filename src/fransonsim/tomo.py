@@ -11,6 +11,7 @@ parametric bootstrap that resamples the counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -145,13 +146,39 @@ def setting_projectors(settings: Sequence[MeasurementSetting]) -> np.ndarray:
     return np.stack(mats)
 
 
+@dataclass(frozen=True)
+class _Design:
+    """The constant measurement design of one settings tuple.
+
+    ``projectors`` is the (n, 4, 4) stack of :func:`setting_projectors`;
+    row j of the (n, 16) ``matrix`` is vec(Pi_j^T), so that
+    ``matrix @ vec(rho)`` gives tr(rho Pi_j). ``spans`` says whether the
+    projectors span the two-qubit operator space (rank 16). Both arrays are
+    read-only because they are shared by every caller.
+    """
+
+    projectors: np.ndarray
+    matrix: np.ndarray
+    spans: bool
+
+
+@functools.lru_cache(maxsize=8)
+def _design(settings: tuple[MeasurementSetting, ...]) -> _Design:
+    """Build the design of ``settings`` on first use; later calls reuse it."""
+    pis = setting_projectors(settings)
+    matrix = pis.transpose(0, 2, 1).reshape(len(settings), 16)
+    pis.setflags(write=False)
+    matrix.setflags(write=False)
+    return _Design(pis, matrix, bool(np.linalg.matrix_rank(matrix) == 16))
+
+
 def expected_probabilities(
     rho: DensityMatrix, settings: Sequence[MeasurementSetting]
 ) -> np.ndarray:
     """tr(rho Pi_j) for every setting."""
     if rho.dim != 4:
         raise ValueError(f"tomography operates on two qubits, got dim {rho.dim}")
-    pis = setting_projectors(settings)
+    pis = _design(tuple(settings)).projectors
     probs = np.einsum("jab,ba->j", pis, rho.data).real
     # roundoff can leave probabilities a few ulp below zero
     return np.clip(probs, 0.0, None)
@@ -311,6 +338,52 @@ def _loglike(counts: np.ndarray, probs: np.ndarray) -> float:
     return float(np.sum(counts[mask] * np.log(p[mask])))
 
 
+def _linear_states(
+    settings: tuple[MeasurementSetting, ...], counts: np.ndarray, pairs_per_setting: int
+) -> list:
+    """Linear inversion of every row of ``counts`` (B, n) in one batched solve.
+
+    One least-squares solve with B right-hand sides and one stacked
+    eigendecomposition serve all rows; each row is then clipped,
+    renormalized and validated on its own. Returns one entry per row: the
+    :class:`DensityMatrix`, or the exception that rejected the row (an
+    underdetermined design, a collapse to the zero matrix, a failed
+    validation or a ``LinAlgError``).
+    """
+    design = _design(settings)
+    if not design.spans:
+        err = ValueError(
+            "settings do not span the operator space, reconstruction is "
+            "underdetermined"
+        )
+        return [err] * len(counts)
+    freqs = (counts / float(pairs_per_setting)).astype(complex)
+    try:
+        sol, *_ = np.linalg.lstsq(design.matrix, freqs.T, rcond=None)
+        raw = sol.T.reshape(-1, 4, 4)
+        raw = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+        eigvals, eigvecs = np.linalg.eigh(raw)
+    except np.linalg.LinAlgError as exc:
+        if len(counts) == 1:
+            return [exc]
+        # one bad row fails the whole batch, so solve the rows one by one
+        return [
+            state
+            for row in counts
+            for state in _linear_states(settings, row[None], pairs_per_setting)
+        ]
+    states = []
+    for vals, vecs in zip(np.clip(eigvals, 0.0, None), eigvecs):
+        total = vals.sum()
+        try:
+            if total <= 0.0:
+                raise ValueError("reconstruction collapsed to the zero matrix")
+            states.append(DensityMatrix((vecs * (vals / total)) @ vecs.conj().T))
+        except ValueError as exc:
+            states.append(exc)
+    return states
+
+
 def linear_inversion(data: CountData) -> ReconstructionResult:
     """Least-squares state estimate, projected back onto physical states.
 
@@ -319,22 +392,9 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
     on noiseless data; on sampled data the projection step is what keeps
     the estimate physical.
     """
-    pis = setting_projectors(data.settings)
-    design = pis.transpose(0, 2, 1).reshape(len(data.settings), 16)
-    if np.linalg.matrix_rank(design) < 16:
-        raise ValueError(
-            "settings do not span the operator space, reconstruction is "
-            "underdetermined"
-        )
-    sol, *_ = np.linalg.lstsq(design, data.frequencies.astype(complex), rcond=None)
-    raw = sol.reshape(4, 4)
-    raw = 0.5 * (raw + raw.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(raw)
-    eigvals = np.clip(eigvals, 0.0, None)
-    total = eigvals.sum()
-    if total <= 0.0:
-        raise ValueError("reconstruction collapsed to the zero matrix")
-    rho = DensityMatrix((eigvecs * (eigvals / total)) @ eigvecs.conj().T)
+    [rho] = _linear_states(data.settings, data.counts[None], data.pairs_per_setting)
+    if isinstance(rho, Exception):
+        raise rho
     probs = expected_probabilities(rho, data.settings)
     ll = _loglike(data.counts, probs)
     return ReconstructionResult(
@@ -361,11 +421,11 @@ def mle_reconstruct(
     ``tol`` or ``max_iter`` is reached. Probabilities are floored at
     PROBABILITY_FLOOR so empty settings cannot blow up the weights.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    pis = setting_projectors(data.settings)
+    pis = _design(data.settings).projectors
     freqs = data.frequencies
     counts = data.counts
     rho = np.eye(4, dtype=complex) / 4.0
@@ -430,21 +490,33 @@ def _analyzer(theta: float) -> np.ndarray:
     return math.cos(2 * theta) * PAULI_Z + math.sin(2 * theta) * PAULI_X
 
 
+@functools.lru_cache(maxsize=16)
+def _chsh_operators(angles: ChshAngles) -> tuple[np.ndarray, ...]:
+    """The correlator operators of E(a,b), E(a,b'), E(a',b), E(a',b')."""
+    ops = tuple(
+        np.kron(_analyzer(ta), _analyzer(tb))
+        for ta, tb in (
+            (angles.alpha, angles.beta),
+            (angles.alpha, angles.beta_prime),
+            (angles.alpha_prime, angles.beta),
+            (angles.alpha_prime, angles.beta_prime),
+        )
+    )
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 def chsh_value(rho: DensityMatrix, angles: ChshAngles = DEFAULT_CHSH_ANGLES) -> float:
     """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
     if rho.dim != 4:
         raise ValueError(f"CHSH needs a two-qubit state, got dim {rho.dim}")
 
-    def corr(ta: float, tb: float) -> float:
-        op = np.kron(_analyzer(ta), _analyzer(tb))
-        return float(np.einsum("ab,ba->", op, rho.data).real)
-
-    return (
-        corr(angles.alpha, angles.beta)
-        - corr(angles.alpha, angles.beta_prime)
-        + corr(angles.alpha_prime, angles.beta)
-        + corr(angles.alpha_prime, angles.beta_prime)
+    e_ab, e_abp, e_apb, e_apbp = (
+        float(np.einsum("ab,ba->", op, rho.data).real)
+        for op in _chsh_operators(angles)
     )
+    return e_ab - e_abp + e_apb + e_apbp
 
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -531,7 +603,9 @@ def monte_carlo_metrics(
     standard deviations over ``n_samples`` reconstructions of counts
     resampled as Poisson(observed). With ``resample=False`` (the analytic,
     zero-noise path) every sample is identical and all sigmas are exactly 0.
-    Samples whose reconstruction fails are dropped; more than 10% failures
+    Every resample is drawn first; linear inversion then reconstructs them
+    all in one batched solve, MLE fits them one at a time. Samples whose
+    counts or reconstruction fail are dropped; more than 10% failures
     aborts the report.
     """
     if n_samples < 10:
@@ -541,21 +615,37 @@ def monte_carlo_metrics(
     point = _metric_vector(point_result.rho, angles)
     failed = 0
     if resample:
-        rows = []
+        samples = []
         for s in range(n_samples):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(s,))
             )
             resampled = rng.poisson(data.counts).astype(float)
             try:
-                sample = CountData(
+                samples.append(CountData(
                     data.settings, resampled, data.pairs_per_setting, seed=data.seed
-                )
-                result = _reconstruct(sample, method, **mle_opts)
-            except (ValueError, np.linalg.LinAlgError):
+                ))
+            except ValueError:
                 failed += 1
-                continue
-            rows.append(_metric_vector(result.rho, angles))
+        if method == "linear" and samples:
+            states = _linear_states(
+                data.settings,
+                np.stack([sample.counts for sample in samples]),
+                data.pairs_per_setting,
+            )
+        else:
+            states = []
+            for sample in samples:
+                try:
+                    states.append(_reconstruct(sample, method, **mle_opts).rho)
+                except (ValueError, np.linalg.LinAlgError) as exc:
+                    states.append(exc)
+        rows = [
+            _metric_vector(rho, angles)
+            for rho in states
+            if not isinstance(rho, Exception)
+        ]
+        failed += len(states) - len(rows)
         if failed > 0.1 * n_samples:
             raise RuntimeError(
                 f"{failed}/{n_samples} bootstrap reconstructions failed"

@@ -70,18 +70,22 @@ class InterferometerConfig:
     phase_jitter_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delta_t_ns <= 0.0:
+        for name in ("phase_a", "phase_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # written as "not (ok)" so that NaN, which fails every comparison, is refused
+        if not self.delta_t_ns > 0.0:
             raise ValueError(f"delta_t_ns must be positive, got {self.delta_t_ns}")
-        if self.coincidence_window_ns <= 0.0:
+        if not self.coincidence_window_ns > 0.0:
             raise ValueError(
                 f"coincidence_window_ns must be positive, got {self.coincidence_window_ns}"
             )
-        if self.coincidence_window_ns >= self.delta_t_ns:
+        if not self.coincidence_window_ns < self.delta_t_ns:
             raise ValueError(
                 f"coincidence_window_ns ({self.coincidence_window_ns}) must be "
                 f"smaller than delta_t_ns ({self.delta_t_ns}) to resolve the arms"
             )
-        if self.phase_jitter_sigma < 0.0:
+        if not self.phase_jitter_sigma >= 0.0:
             raise ValueError(
                 f"phase_jitter_sigma must be nonnegative, got {self.phase_jitter_sigma}"
             )

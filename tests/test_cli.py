@@ -24,7 +24,12 @@ from fransonsim.cli import (
     run_purification,
     validate,
 )
-from fransonsim.optics import RotatingPlateStage, SourceConfig, NoisyChannelSpec
+from fransonsim.optics import (
+    NoisyChannelSpec,
+    RotatingPlateStage,
+    SourceConfig,
+    WaveplateSpec,
+)
 from fransonsim.qcore import PHI_PLUS_KET, load_density_matrix, fidelity_to
 from fransonsim.transfer import InterferometerConfig
 
@@ -264,6 +269,28 @@ class TestConfigParsing:
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
         assert derive_seed(7, 1) != derive_seed(8, 1)
+
+    @pytest.mark.parametrize(
+        "cls, field, extra",
+        [
+            (SourceConfig, "balance_p", {}),
+            (SourceConfig, "franson_visibility", {}),
+            (SourceConfig, "sum_phase", {}),
+            (WaveplateSpec, "angle", {}),
+            (InterferometerConfig, "phase_a", {}),
+            (InterferometerConfig, "phase_b", {}),
+            (InterferometerConfig, "delta_t_ns", {}),
+            (InterferometerConfig, "coincidence_window_ns", {}),
+            (InterferometerConfig, "phase_jitter_sigma", {}),
+            (TomographyConfig, "mle_tol", {}),
+            (SweepConfig, "values", {"parameter": "sum_phase"}),
+        ],
+    )
+    def test_python_configs_reject_nan(self, cls, field, extra):
+        """NaN in a float field built in Python is refused with the field named."""
+        value = (0.1, math.nan) if field == "values" else math.nan
+        with pytest.raises(ValueError, match=field):
+            cls(**extra, **{field: value})
 
 
 class TestPurifyPipeline:

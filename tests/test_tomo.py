@@ -1,12 +1,18 @@
 """Measurement simulation, reconstruction, metrics, and CHSH checks."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from fransonsim import tomo
 from fransonsim.qcore import (
     DensityMatrix,
     PHI_PLUS_KET,
+    concurrence,
     fidelity_to,
+    purity,
     random_state,
     trace_distance,
 )
@@ -42,6 +48,57 @@ def s_formula(p):
 def tilted_bell(p):
     ket = np.array([np.sqrt(p), 0.0, 0.0, np.sqrt(1.0 - p)])
     return DensityMatrix.pure(ket)
+
+
+def chsh_uncached(rho, angles=DEFAULT_CHSH_ANGLES):
+    """CHSH value with the correlator operators rebuilt on every call."""
+
+    def corr(ta, tb):
+        op = np.kron(tomo._analyzer(ta), tomo._analyzer(tb))
+        return float(np.einsum("ab,ba->", op, rho.data).real)
+
+    return (
+        corr(angles.alpha, angles.beta)
+        - corr(angles.alpha, angles.beta_prime)
+        + corr(angles.alpha_prime, angles.beta)
+        + corr(angles.alpha_prime, angles.beta_prime)
+    )
+
+
+def linear_state_oracle(data):
+    """Linear inversion of one count set, with the design rebuilt per call."""
+    pis = setting_projectors(data.settings)
+    design = pis.transpose(0, 2, 1).reshape(len(data.settings), 16)
+    sol, *_ = np.linalg.lstsq(design, data.frequencies.astype(complex), rcond=None)
+    raw = sol.reshape(4, 4)
+    raw = 0.5 * (raw + raw.conj().T)
+    eigvals, eigvecs = np.linalg.eigh(raw)
+    eigvals = np.clip(eigvals, 0.0, None)
+    return DensityMatrix((eigvecs * (eigvals / eigvals.sum())) @ eigvecs.conj().T)
+
+
+def linear_sigmas_oracle(data, n_samples, seed, skip=()):
+    """Bootstrap sigmas from one linear inversion per resample, in sample order."""
+    rows = []
+    for s in range(n_samples):
+        if s in skip:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+        sample = CountData(
+            data.settings, rng.poisson(data.counts).astype(float), data.pairs_per_setting
+        )
+        rho = linear_state_oracle(sample)
+        rows.append(
+            [fidelity_to(rho, PHI_PLUS_KET), concurrence(rho), purity(rho), chsh_uncached(rho)]
+        )
+    return np.std(np.stack(rows), axis=0, ddof=1)
+
+
+def sigmas(report):
+    return np.array([
+        report.fidelity_sigma, report.concurrence_sigma,
+        report.purity_sigma, report.s_value_sigma,
+    ])
 
 
 class TestProjectors:
@@ -90,6 +147,33 @@ class TestProjectors:
         pis = setting_projectors(SETTINGS)
         design = pis.reshape(36, 16)
         assert np.linalg.matrix_rank(design, tol=1e-10) == 16
+
+    def test_cached_design_matches_a_fresh_build(self):
+        """The memoised projector stack equals a fresh build and is read-only."""
+        design = tomo._design(tuple(SETTINGS))
+        fresh = setting_projectors(SETTINGS)
+        np.testing.assert_array_equal(design.projectors, fresh)
+        np.testing.assert_array_equal(
+            design.matrix, fresh.transpose(0, 2, 1).reshape(36, 16)
+        )
+        assert design.spans
+        # memoised by value: a rebuilt settings tuple finds the same design
+        assert tomo._design(tuple(standard_settings())) is design
+        for arr in (design.projectors, design.matrix):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_design_is_not_built_at_import(self):
+        """Importing the package builds no projectors."""
+        code = (
+            "import fransonsim.tomo as t; "
+            "print(t._design.cache_info().currsize, t._chsh_operators.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["0", "0"]
 
     def test_expected_probabilities_sum_within_bases(self):
         """The four projectors of one local basis pair resolve identity."""
@@ -152,6 +236,33 @@ class TestCounting:
             assert s1.party_b.qwp_in == s2.party_b.qwp_in
 
 
+    def test_nonstandard_settings_from_csv_reconstruct(self, tmp_path):
+        """Counts for a rotated analyzer frame read back from CSV still invert."""
+        # every analyzer turned by 10 deg: still six balanced basis states per photon
+        turn = np.radians(10.0)
+        singles = [
+            PartySetting(ps.polarizer_angle + turn, ps.qwp_in, ps.qwp_angle + turn)
+            for ps in tomo._eigenstate_settings()
+        ]
+        settings = [MeasurementSetting(a, b) for a in singles for b in singles]
+        rho = random_state(2, kind="mixed", seed=8)
+        path = tmp_path / "counts.csv"
+        counts_to_csv(analytic_counts(rho, settings, 100_000), path)
+        data = counts_from_csv(path, pairs_per_setting=100_000)
+        # the degree round trip moves the angles by an ulp, so they are new cache keys
+        assert data.settings != tuple(settings)
+        design = tomo._design(data.settings)
+        np.testing.assert_array_equal(design.projectors, setting_projectors(data.settings))
+        assert trace_distance(linear_inversion(data).rho, rho) < 1e-6
+        assert trace_distance(mle_reconstruct(data).rho, rho) < 1e-4
+        sampled = simulate_counts(rho, data.settings, 5_000, seed=2)
+        report = monte_carlo_metrics(sampled, n_samples=20, seed=3, method="linear")
+        assert report.n_failed == 0
+        np.testing.assert_array_equal(
+            sigmas(report), linear_sigmas_oracle(sampled, 20, 3)
+        )
+
+
 class TestLinearInversion:
     def test_exact_on_noiseless_data(self):
         """Linear inversion inverts analytic counts exactly, 100 seeds."""
@@ -170,6 +281,26 @@ class TestLinearInversion:
             eigs = np.linalg.eigvalsh(recon.rho.data)
             assert eigs.min() > -1e-10
             assert np.trace(recon.rho.data).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_matches_the_per_call_oracle_bitwise(self):
+        """The batched helper at B=1 gives the per-call state bit for bit."""
+        rho = tilted_bell(0.3)
+        for seed in range(10):
+            data = simulate_counts(rho, SETTINGS, 1_000, seed=seed)
+            np.testing.assert_array_equal(
+                linear_inversion(data).rho.data, linear_state_oracle(data).data
+            )
+
+    def test_batch_keeps_failed_rows_in_place(self):
+        """A row that collapses to zero is reported as its error; others still fit."""
+        good = simulate_counts(tilted_bell(0.5), SETTINGS, 1_000, seed=1).counts
+        counts = np.stack([good, np.zeros(36), good])
+        states = tomo._linear_states(tuple(SETTINGS), counts, 1_000)
+        assert isinstance(states[1], ValueError)
+        assert "collapsed" in str(states[1])
+        for k in (0, 2):
+            assert isinstance(states[k], DensityMatrix)
+        np.testing.assert_array_equal(states[0].data, states[2].data)
 
     def test_rejects_rank_deficient_designs(self):
         """A degenerate setting list cannot be inverted."""
@@ -285,6 +416,16 @@ class TestChsh:
         assert chsh_value(rho, angles) == pytest.approx(chsh_value(rho), abs=1e-12)
         assert DEFAULT_CHSH_ANGLES.alpha == pytest.approx(0.0)
 
+    @pytest.mark.parametrize(
+        "angles", [DEFAULT_CHSH_ANGLES, ChshAngles(0.1, 0.7, 0.3, 1.1)]
+    )
+    def test_cached_operators_match_uncached_value(self, angles):
+        """The cached correlators give the rebuilt-per-call value bit for bit."""
+        for seed in range(50):
+            rho = random_state(2, kind="mixed" if seed % 2 else "pure", seed=seed)
+            assert chsh_value(rho, angles) == chsh_uncached(rho, angles)
+            assert chsh_value(rho, angles) == chsh_uncached(rho, angles)
+
     def test_misaligned_angles_lose_violation(self):
         """Measuring along a single shared axis cannot violate the bound."""
         rho = tilted_bell(0.5)
@@ -356,6 +497,67 @@ class TestMonteCarloMetrics:
             monte_carlo_metrics(
                 data, n_samples=10, seed=0, method="linear", point_result=point
             )
+
+    @pytest.mark.parametrize("n_samples", [10, 23, 100])
+    def test_batched_sigmas_match_per_sample_loop(self, n_samples):
+        """The batched linear bootstrap equals one inversion per resample, bitwise."""
+        for seed in (0, 1, 17):
+            data = simulate_counts(tilted_bell(0.4), SETTINGS, 3_000, seed=seed + 5)
+            report = monte_carlo_metrics(data, n_samples=n_samples, seed=seed, method="linear")
+            assert report.n_failed == 0
+            np.testing.assert_array_equal(
+                sigmas(report), linear_sigmas_oracle(data, n_samples, seed)
+            )
+
+    def test_batch_solver_failure_falls_back_per_sample(self, monkeypatch):
+        """A LinAlgError from the batched solve retries the samples one by one."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        want = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
+        real = np.linalg.lstsq
+
+        def batch_fails(a, b, rcond=None):
+            if b.ndim == 2 and b.shape[1] > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", batch_fails)
+        got = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
+        assert got == want
+
+    def test_solver_failures_are_counted_not_raised(self, monkeypatch):
+        """If every solve fails, the report aborts on the failure count."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        point = linear_inversion(data)
+
+        def always_fails(a, b, rcond=None):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "lstsq", always_fails)
+        with pytest.raises(RuntimeError, match="20/20"):
+            monte_carlo_metrics(
+                data, n_samples=20, seed=2, method="linear", point_result=point
+            )
+
+    def test_invalid_sample_state_is_dropped_and_counted(self, monkeypatch):
+        """A resample whose state fails validation counts in n_failed."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        point = linear_inversion(data)
+        calls = []
+
+        def reject_first(matrix, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("not a density matrix")
+            return DensityMatrix(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(tomo, "DensityMatrix", reject_first)
+        report = monte_carlo_metrics(
+            data, n_samples=20, seed=2, method="linear", point_result=point
+        )
+        assert report.n_failed == 1
+        np.testing.assert_array_equal(
+            sigmas(report), linear_sigmas_oracle(data, 20, 2, skip=(0,))
+        )
 
     def test_report_validation(self):
         """Out-of-range metric values are refused."""
