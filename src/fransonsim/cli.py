@@ -114,6 +114,23 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.diagnostics))
 
 
+def _integer_fields(obj, *names: str) -> None:
+    """Store each named field of a frozen config as an int.
+
+    A value that is not integral (a fraction, NaN, infinity, a string) is
+    refused with the field named instead of being truncated.
+    """
+    for name in names:
+        val = getattr(obj, name)
+        try:
+            exact = int(val) == val
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"{name} must be an integer, got {val!r}")
+        object.__setattr__(obj, name, int(val))
+
+
 @dataclass(frozen=True)
 class TomographyConfig:
     """Counting statistics and estimator choices for both tomography arms."""
@@ -125,21 +142,19 @@ class TomographyConfig:
     mle_max_iter: int = 10_000
 
     def __post_init__(self) -> None:
-        if int(self.pairs_per_setting) < 1:
+        _integer_fields(self, "pairs_per_setting", "n_mc_samples", "mle_max_iter")
+        if self.pairs_per_setting < 1:
             raise ValueError(
                 f"pairs_per_setting must be positive, got {self.pairs_per_setting}"
             )
         if self.method not in RECON_METHODS:
             raise ValueError(f"method must be one of {RECON_METHODS}, got {self.method!r}")
-        if int(self.n_mc_samples) < 10:
+        if self.n_mc_samples < 10:
             raise ValueError(f"n_mc_samples must be >= 10, got {self.n_mc_samples}")
         if not self.mle_tol > 0.0:
             raise ValueError(f"mle_tol must be positive, got {self.mle_tol}")
-        if int(self.mle_max_iter) < 1:
+        if self.mle_max_iter < 1:
             raise ValueError(f"mle_max_iter must be >= 1, got {self.mle_max_iter}")
-        object.__setattr__(self, "pairs_per_setting", int(self.pairs_per_setting))
-        object.__setattr__(self, "n_mc_samples", int(self.n_mc_samples))
-        object.__setattr__(self, "mle_max_iter", int(self.mle_max_iter))
 
 
 @dataclass(frozen=True)
@@ -186,12 +201,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"count_mode must be one of {COUNT_MODES}, got {self.count_mode!r}"
             )
-        if int(self.workers) < 1:
+        _integer_fields(self, "seed", "workers")
+        if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "workers", int(self.workers))
 
 
 @dataclass(frozen=True)

@@ -153,13 +153,17 @@ class _Design:
     ``projectors`` is the (n, 4, 4) stack of :func:`setting_projectors`;
     row j of the (n, 16) ``matrix`` is vec(Pi_j^T), so that
     ``matrix @ vec(rho)`` gives tr(rho Pi_j). ``spans`` says whether the
-    projectors span the two-qubit operator space (rank 16). Both arrays are
-    read-only because they are shared by every caller.
+    projectors span the two-qubit operator space (rank 16). Row j of the
+    (n, 16) ``normalised`` is vec(H^-1/2 Pi_j H^-1/2) with H = sum_j Pi_j,
+    the operators the maximum-likelihood iteration weighs; it is None when
+    H is singular. The arrays are read-only because they are shared by
+    every caller.
     """
 
     projectors: np.ndarray
     matrix: np.ndarray
     spans: bool
+    normalised: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=8)
@@ -167,9 +171,15 @@ def _design(settings: tuple[MeasurementSetting, ...]) -> _Design:
     """Build the design of ``settings`` on first use; later calls reuse it."""
     pis = setting_projectors(settings)
     matrix = pis.transpose(0, 2, 1).reshape(len(settings), 16)
+    eigvals, eigvecs = np.linalg.eigh(pis.sum(axis=0))
+    normalised = None
+    if eigvals[0] > 1e-12 * eigvals[-1]:
+        h_inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
+        normalised = (h_inv_sqrt @ pis @ h_inv_sqrt).reshape(len(settings), 16)
+        normalised.setflags(write=False)
     pis.setflags(write=False)
     matrix.setflags(write=False)
-    return _Design(pis, matrix, bool(np.linalg.matrix_rank(matrix) == 16))
+    return _Design(pis, matrix, bool(np.linalg.matrix_rank(matrix) == 16), normalised)
 
 
 def expected_probabilities(
@@ -408,6 +418,100 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
     )
 
 
+def _mle_fits(
+    settings: tuple[MeasurementSetting, ...],
+    counts: np.ndarray,
+    pairs_per_setting: int,
+    tol: float = MLE_DEFAULT_TOL,
+    max_iter: int = MLE_DEFAULT_MAX_ITER,
+    history: bool = False,
+) -> list:
+    """Maximum-likelihood fits of every row of ``counts`` (B, n) in one batch.
+
+    All rows iterate rho -> N[R rho R] together as one (B, 4, 4) stack, with
+    R = sum_j (f_j / p_j) H^-1/2 Pi_j H^-1/2 and H = sum_j Pi_j (Rehacek,
+    Hradil, Knill and Lvovsky, PRA 75, 042108 (2007)), so the true state is
+    a fixed point for any settings. Each row starts from the maximally mixed
+    state and stops on its own step: when the trace distance between its
+    successive iterates drops to ``tol``, or after ``max_iter`` iterations;
+    a stopped row leaves the batch. Probabilities are floored at
+    PROBABILITY_FLOOR so empty settings cannot blow up the weights.
+    Probabilities and R are one matrix product each on the cached design.
+
+    Returns one entry per row: the :class:`ReconstructionResult`, or the
+    exception that rejected the row (a singular H, a failed validation or a
+    ``LinAlgError``). Only with ``history`` does a result carry the
+    log-likelihood of every iterate.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    design = _design(settings)
+    if design.normalised is None:
+        err = ValueError(
+            "the setting projectors sum to a singular operator, the likelihood "
+            "fit is undetermined"
+        )
+        return [err] * len(counts)
+    fits = [None] * len(counts)
+    rows = np.arange(len(counts))  # input row of each batch row
+    freqs = counts / float(pairs_per_setting)
+    rho = np.tile(np.eye(4, dtype=complex) / 4.0, (len(counts), 1, 1))
+    floor_hits = np.zeros(len(counts), dtype=int)
+    probs = (rho.reshape(-1, 16) @ design.matrix.T).real
+    logs = [[_loglike(c, p)] for c, p in zip(counts, probs)] if history else None
+    for iteration in range(1, max_iter + 1):
+        floor_hits += (probs < PROBABILITY_FLOOR).sum(axis=1)
+        weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
+        r_op = (weights @ design.normalised).reshape(-1, 4, 4)
+        new = r_op @ rho @ r_op
+        new = 0.5 * (new + new.conj().transpose(0, 2, 1))
+        new /= np.trace(new, axis1=1, axis2=2).real[:, None, None]
+        try:
+            delta = 0.5 * np.abs(np.linalg.eigvalsh(new - rho)).sum(axis=1)
+        except np.linalg.LinAlgError as exc:
+            if len(counts) == 1:
+                return [exc]
+            # one bad row fails the whole batch, so fit the rows one by one
+            return [
+                fit
+                for row in counts
+                for fit in _mle_fits(
+                    settings, row[None], pairs_per_setting, tol, max_iter, history
+                )
+            ]
+        rho = new
+        probs = (rho.reshape(-1, 16) @ design.matrix.T).real
+        if history:
+            for i, p in zip(rows, probs):
+                logs[i].append(_loglike(counts[i], p))
+        converged = delta <= tol
+        stopped = converged if iteration < max_iter else np.ones_like(converged)
+        for k in np.flatnonzero(stopped):
+            i = rows[k]
+            try:
+                fits[i] = ReconstructionResult(
+                    rho=DensityMatrix(rho[k]),
+                    method="mle",
+                    iterations=iteration,
+                    loglike=_loglike(counts[i], probs[k]),
+                    converged=bool(converged[k]),
+                    floor_hits=int(floor_hits[k]),
+                    loglike_history=tuple(logs[i]) if history else (),
+                )
+            except ValueError as exc:
+                fits[i] = exc
+        if stopped.any():
+            keep = ~stopped
+            if not keep.any():
+                break
+            rows, freqs, rho, probs, floor_hits = (
+                a[keep] for a in (rows, freqs, rho, probs, floor_hits)
+            )
+    return fits
+
+
 def mle_reconstruct(
     data: CountData,
     tol: float = MLE_DEFAULT_TOL,
@@ -415,57 +519,19 @@ def mle_reconstruct(
 ) -> ReconstructionResult:
     """Iterative maximum-likelihood reconstruction.
 
-    Fixed-point iteration rho -> N[R rho R] with
-    R = sum_j (f_j / p_j) Pi_j, started from the maximally mixed state and
-    stopped when the trace distance between successive iterates drops to
-    ``tol`` or ``max_iter`` is reached. Probabilities are floored at
-    PROBABILITY_FLOOR so empty settings cannot blow up the weights.
+    The fit of :func:`_mle_fits` for one count set: the fixed point
+    rho -> N[R rho R], started from the maximally mixed state and stopped
+    when the trace distance between successive iterates drops to ``tol``
+    or ``max_iter`` is reached. ``loglike_history`` holds the
+    log-likelihood of every iterate, starting point included.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    pis = _design(data.settings).projectors
-    freqs = data.frequencies
-    counts = data.counts
-    rho = np.eye(4, dtype=complex) / 4.0
-    floor_hits = 0
-    history = []
-    converged = False
-    iterations = 0
-    probs = np.einsum("jab,ba->j", pis, rho).real
-    history.append(_loglike(counts, probs))
-    for iterations in range(1, max_iter + 1):
-        floored = np.clip(probs, PROBABILITY_FLOOR, None)
-        floor_hits += int(np.sum(probs < PROBABILITY_FLOOR))
-        r_op = np.einsum("j,jab->ab", freqs / floored, pis)
-        new = r_op @ rho @ r_op
-        new = 0.5 * (new + new.conj().T)
-        new /= new.trace().real
-        delta = 0.5 * np.abs(np.linalg.eigvalsh(new - rho)).sum()
-        rho = new
-        probs = np.einsum("jab,ba->j", pis, rho).real
-        history.append(_loglike(counts, probs))
-        if delta <= tol:
-            converged = True
-            break
-    return ReconstructionResult(
-        rho=DensityMatrix(rho),
-        method="mle",
-        iterations=iterations,
-        loglike=history[-1],
-        converged=converged,
-        floor_hits=floor_hits,
-        loglike_history=tuple(history),
+    [fit] = _mle_fits(
+        data.settings, data.counts[None], data.pairs_per_setting, tol, max_iter,
+        history=True,
     )
-
-
-def _reconstruct(data: CountData, method: str, **mle_opts) -> ReconstructionResult:
-    if method == "mle":
-        return mle_reconstruct(data, **mle_opts)
-    if method == "linear":
-        return linear_inversion(data)
-    raise ValueError(f"method must be 'mle' or 'linear', got {method!r}")
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 @dataclass(frozen=True)
@@ -540,6 +606,7 @@ class MetricsReport:
     s_value_sigma: float
     n_samples: int
     n_failed: int = 0
+    n_nonconverged: int = 0
 
     def __post_init__(self) -> None:
         for name in ("fidelity", "concurrence", "purity"):
@@ -573,6 +640,7 @@ class MetricsReport:
             "s_value_sigma": self.s_value_sigma,
             "n_samples": self.n_samples,
             "n_failed": self.n_failed,
+            "n_nonconverged": self.n_nonconverged,
         }
 
 
@@ -603,17 +671,23 @@ def monte_carlo_metrics(
     standard deviations over ``n_samples`` reconstructions of counts
     resampled as Poisson(observed). With ``resample=False`` (the analytic,
     zero-noise path) every sample is identical and all sigmas are exactly 0.
-    Every resample is drawn first; linear inversion then reconstructs them
-    all in one batched solve, MLE fits them one at a time. Samples whose
-    counts or reconstruction fail are dropped; more than 10% failures
-    aborts the report.
+    Every resample is drawn first and all of them are reconstructed in one
+    batch: one linear solve, or one stacked likelihood iteration.
+    Samples whose counts or reconstruction fail are dropped and counted in
+    ``n_failed``; more than 10% failures aborts the report. MLE fits that
+    stop at ``max_iter`` stay in the sigmas and are counted in
+    ``n_nonconverged``.
     """
     if n_samples < 10:
         raise ValueError(f"n_samples must be at least 10, got {n_samples}")
+    if method not in ("mle", "linear"):
+        raise ValueError(f"method must be 'mle' or 'linear', got {method!r}")
     if point_result is None:
-        point_result = _reconstruct(data, method, **mle_opts)
+        point_result = (
+            mle_reconstruct(data, **mle_opts) if method == "mle" else linear_inversion(data)
+        )
     point = _metric_vector(point_result.rho, angles)
-    failed = 0
+    failed = nonconverged = 0
     if resample:
         samples = []
         for s in range(n_samples):
@@ -627,19 +701,17 @@ def monte_carlo_metrics(
                 ))
             except ValueError:
                 failed += 1
-        if method == "linear" and samples:
-            states = _linear_states(
-                data.settings,
-                np.stack([sample.counts for sample in samples]),
-                data.pairs_per_setting,
-            )
-        else:
-            states = []
-            for sample in samples:
-                try:
-                    states.append(_reconstruct(sample, method, **mle_opts).rho)
-                except (ValueError, np.linalg.LinAlgError) as exc:
-                    states.append(exc)
+        states = []
+        if samples:
+            counts = np.stack([sample.counts for sample in samples])
+            if method == "linear":
+                states = _linear_states(data.settings, counts, data.pairs_per_setting)
+            else:
+                fits = _mle_fits(data.settings, counts, data.pairs_per_setting, **mle_opts)
+                states = [fit if isinstance(fit, Exception) else fit.rho for fit in fits]
+                nonconverged = sum(
+                    not fit.converged for fit in fits if not isinstance(fit, Exception)
+                )
         rows = [
             _metric_vector(rho, angles)
             for rho in states
@@ -664,4 +736,5 @@ def monte_carlo_metrics(
         s_value_sigma=float(sigmas[3]),
         n_samples=n_samples if resample else 0,
         n_failed=failed,
+        n_nonconverged=nonconverged,
     )

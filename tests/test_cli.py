@@ -284,13 +284,42 @@ class TestConfigParsing:
             (InterferometerConfig, "phase_jitter_sigma", {}),
             (TomographyConfig, "mle_tol", {}),
             (SweepConfig, "values", {"parameter": "sum_phase"}),
+            (TomographyConfig, "pairs_per_setting", {}),
+            (TomographyConfig, "n_mc_samples", {}),
+            (TomographyConfig, "mle_max_iter", {}),
+            (ExperimentConfig, "seed", {}),
+            (ExperimentConfig, "workers", {}),
         ],
     )
     def test_python_configs_reject_nan(self, cls, field, extra):
-        """NaN in a float field built in Python is refused with the field named."""
+        """NaN in a numeric field built in Python is refused with the field named."""
         value = (0.1, math.nan) if field == "values" else math.nan
         with pytest.raises(ValueError, match=field):
             cls(**extra, **{field: value})
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (TomographyConfig, "pairs_per_setting", 1000.9),
+            (TomographyConfig, "n_mc_samples", 100.5),
+            (TomographyConfig, "mle_max_iter", math.inf),
+            (ExperimentConfig, "seed", 3.7),
+            (ExperimentConfig, "workers", 2.7),
+            (ExperimentConfig, "workers", "2"),
+        ],
+    )
+    def test_python_configs_reject_fractional_integers(self, cls, field, value):
+        """Integer fields built in Python refuse non-integral values, naming the field."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            cls(**{field: value})
+
+    def test_python_configs_store_integral_values_as_int(self):
+        """An integral float is accepted and stored as an int."""
+        tcfg = TomographyConfig(pairs_per_setting=1000.0, mle_max_iter=np.int64(50))
+        cfg = ExperimentConfig(workers=2.0, seed=7.0, tomography=tcfg)
+        for val, want in ((tcfg.pairs_per_setting, 1000), (tcfg.mle_max_iter, 50),
+                          (cfg.workers, 2), (cfg.seed, 7)):
+            assert val == want and type(val) is int
 
 
 class TestPurifyPipeline:

@@ -1,7 +1,9 @@
 """Measurement simulation, reconstruction, metrics, and CHSH checks."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,21 +79,64 @@ def linear_state_oracle(data):
     return DensityMatrix((eigvecs * (eigvals / eigvals.sum())) @ eigvecs.conj().T)
 
 
+def mle_oracle(data, tol=tomo.MLE_DEFAULT_TOL, max_iter=tomo.MLE_DEFAULT_MAX_ITER):
+    """One RrhoR fit iterated alone with per-setting einsums: (rho, iterations, converged).
+
+    The projectors enter unnormalised, which is the same map as the
+    H^-1/2-normalised one up to rounding for settings with sum_j Pi_j
+    proportional to the identity, such as the standard 36.
+    """
+    pis = setting_projectors(data.settings)
+    rho = np.eye(4, dtype=complex) / 4.0
+    probs = np.einsum("jab,ba->j", pis, rho).real
+    for iterations in range(1, max_iter + 1):
+        floored = np.clip(probs, tomo.PROBABILITY_FLOOR, None)
+        r_op = np.einsum("j,jab->ab", data.frequencies / floored, pis)
+        new = r_op @ rho @ r_op
+        new = 0.5 * (new + new.conj().T)
+        new /= new.trace().real
+        delta = 0.5 * np.abs(np.linalg.eigvalsh(new - rho)).sum()
+        rho = new
+        probs = np.einsum("jab,ba->j", pis, rho).real
+        if delta <= tol:
+            return rho, iterations, True
+    return rho, max_iter, False
+
+
+def resamples(data, n_samples, seed):
+    """The bootstrap's Poisson resamples of ``data``, in sample order."""
+    out = []
+    for s in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+        out.append(CountData(
+            data.settings, rng.poisson(data.counts).astype(float), data.pairs_per_setting
+        ))
+    return out
+
+
+def metric_row(rho):
+    return [fidelity_to(rho, PHI_PLUS_KET), concurrence(rho), purity(rho), chsh_uncached(rho)]
+
+
 def linear_sigmas_oracle(data, n_samples, seed, skip=()):
     """Bootstrap sigmas from one linear inversion per resample, in sample order."""
-    rows = []
-    for s in range(n_samples):
-        if s in skip:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-        sample = CountData(
-            data.settings, rng.poisson(data.counts).astype(float), data.pairs_per_setting
-        )
-        rho = linear_state_oracle(sample)
-        rows.append(
-            [fidelity_to(rho, PHI_PLUS_KET), concurrence(rho), purity(rho), chsh_uncached(rho)]
-        )
+    rows = [
+        metric_row(linear_state_oracle(sample))
+        for s, sample in enumerate(resamples(data, n_samples, seed))
+        if s not in skip
+    ]
     return np.std(np.stack(rows), axis=0, ddof=1)
+
+
+def mle_sigmas_oracle(data, n_samples, seed, max_iter, skip=()):
+    """Bootstrap sigmas and non-converged count from one MLE oracle fit per resample."""
+    fits = [
+        mle_oracle(sample, max_iter=max_iter)
+        for s, sample in enumerate(resamples(data, n_samples, seed))
+        if s not in skip
+    ]
+    rows = [metric_row(DensityMatrix(rho)) for rho, _, _ in fits]
+    return np.std(np.stack(rows), axis=0, ddof=1), [ok for _, _, ok in fits].count(False)
 
 
 def sigmas(report):
@@ -170,8 +215,12 @@ class TestProjectors:
             "import fransonsim.tomo as t; "
             "print(t._design.cache_info().currsize, t._chsh_operators.cache_info().currsize)"
         )
+        # the child imports this checkout's package, not an installed one
+        src = str(Path(tomo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.stdout.split() == ["0", "0"]
 
@@ -359,6 +408,57 @@ class TestMle:
         recon = mle_reconstruct(data, max_iter=3)
         assert recon.iterations == 3
         assert not recon.converged
+
+    def test_nonstandard_settings_reach_the_truth(self):
+        """Projectors summing to H != c*I still lead the fit to the state."""
+        rng = np.random.default_rng(0)
+        singles_a, singles_b = (
+            [PartySetting(rng.uniform(0, np.pi), True, rng.uniform(0, np.pi)) for _ in range(6)]
+            for _ in range(2)
+        )
+        settings = [MeasurementSetting(a, b) for a in singles_a for b in singles_b]
+        eigs = np.linalg.eigvalsh(setting_projectors(settings).sum(axis=0))
+        assert eigs[-1] > 4.0 * eigs[0]
+        rho = random_state(2, kind="mixed", seed=3)
+        data = analytic_counts(rho, settings, 100_000)
+        assert trace_distance(mle_reconstruct(data).rho, rho) < 1e-3
+        # a fit that reports convergence is as close as that
+        recon = mle_reconstruct(data, tol=1e-8)
+        assert recon.converged
+        assert trace_distance(recon.rho, rho) < 1e-3
+
+    def test_standard_normalised_operators_are_scaled_projectors(self):
+        """For the 36 standard settings H = 9 I, so the normalised stack is Pi_j / 9."""
+        design = tomo._design(tuple(SETTINGS))
+        np.testing.assert_allclose(
+            design.normalised, design.projectors.reshape(36, 16) / 9.0, rtol=0, atol=1e-15
+        )
+        assert not design.normalised.flags.writeable
+
+    def test_singular_projector_sum_is_refused(self):
+        """Settings that never probe part of the state space cannot be fitted."""
+        data = CountData(tuple(SETTINGS[:1]) * 36, np.ones(36), 100)
+        with pytest.raises(ValueError, match="singular"):
+            mle_reconstruct(data)
+
+    def test_batched_fits_match_the_per_sample_oracle(self):
+        """Each batch row stops on its own step, as if it were fitted alone."""
+        rows = [simulate_counts(tilted_bell(0.5), SETTINGS, 3_000, seed=s) for s in (0, 1)]
+        rows += [simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=s) for s in (0, 1, 3)]
+        fits = tomo._mle_fits(
+            tuple(SETTINGS), np.stack([d.counts for d in rows]), 3_000, max_iter=1_000
+        )
+        iterations = []
+        for data, fit in zip(rows, fits):
+            rho, its, converged = mle_oracle(data, max_iter=1_000)
+            assert (fit.iterations, fit.converged) == (its, converged)
+            np.testing.assert_allclose(fit.rho.data, rho, rtol=0, atol=1e-12)
+            assert fit.loglike_history == ()
+            iterations.append(its)
+        # rows stop at different steps, and one of them at the budget
+        assert len(set(iterations)) >= 4
+        assert [fit.converged for fit in fits].count(False) >= 1
+        assert 1_000 in iterations
 
     def test_parameter_validation(self):
         """Non-positive tolerances and budgets are refused."""
@@ -559,6 +659,93 @@ class TestMonteCarloMetrics:
             sigmas(report), linear_sigmas_oracle(data, 20, 2, skip=(0,))
         )
 
+    def test_mle_bootstrap_matches_the_per_sample_oracle(self):
+        """The batched MLE bootstrap equals one fit per resample."""
+        data = simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=4)
+        point = mle_reconstruct(data)
+        report = monte_carlo_metrics(
+            data, n_samples=12, seed=2, method="mle", point_result=point, max_iter=800
+        )
+        want, nonconverged = mle_sigmas_oracle(data, 12, 2, max_iter=800)
+        # the states agree to about 1e-15; concurrence takes square roots of
+        # near-zero eigenvalues, which lifts that to about 1e-8 in its sigma
+        np.testing.assert_allclose(sigmas(report), want, rtol=1e-6)
+        assert report.n_failed == 0
+        assert report.n_nonconverged == nonconverged
+        assert 0 < nonconverged < 12
+
+    def test_nonconverged_fits_are_counted_apart_from_failures(self):
+        """Fits stopped by max_iter stay in the sigmas and count in n_nonconverged."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        report = monte_carlo_metrics(data, n_samples=10, seed=1, method="mle", max_iter=3)
+        assert report.n_nonconverged == 10
+        assert report.n_failed == 0
+        assert report.as_dict()["n_nonconverged"] == 10
+        want, _ = mle_sigmas_oracle(data, 10, 1, max_iter=3)
+        np.testing.assert_allclose(sigmas(report), want, rtol=1e-6)
+
+    def test_invalid_mle_sample_state_is_dropped_and_counted(self, monkeypatch):
+        """An MLE row failing validation counts in n_failed, not n_nonconverged."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        point = mle_reconstruct(data)
+        calls = []
+
+        def reject_first(matrix, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("not a density matrix")
+            return DensityMatrix(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(tomo, "DensityMatrix", reject_first)
+        report = monte_carlo_metrics(
+            data, n_samples=20, seed=2, method="mle", point_result=point, max_iter=3
+        )
+        assert (report.n_failed, report.n_nonconverged) == (1, 19)
+        want, _ = mle_sigmas_oracle(data, 20, 2, max_iter=3, skip=(0,))
+        np.testing.assert_allclose(sigmas(report), want, rtol=1e-6)
+
+    def test_mle_batch_failure_falls_back_per_row(self, monkeypatch):
+        """A LinAlgError in the stacked iteration refits the rows one by one."""
+        data = simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=4)
+        point = mle_reconstruct(data)
+        opts = dict(n_samples=12, seed=2, method="mle", point_result=point, max_iter=800)
+        want = monte_carlo_metrics(data, **opts)
+        real = np.linalg.eigvalsh
+
+        def batch_fails(a, *args, **kwargs):
+            if a.ndim == 3 and a.shape[0] > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", batch_fails)
+        got = monte_carlo_metrics(data, **opts)
+        np.testing.assert_allclose(sigmas(got), sigmas(want), rtol=1e-6)
+        assert (got.n_failed, got.n_nonconverged) == (want.n_failed, want.n_nonconverged)
+
+    def test_mle_iteration_failures_are_counted_not_raised(self, monkeypatch):
+        """If every row's iteration fails, the report aborts on the failure count."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        point = mle_reconstruct(data)
+        real = np.linalg.eigvalsh
+
+        def stack_fails(a, *args, **kwargs):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", stack_fails)
+        with pytest.raises(RuntimeError, match="20/20"):
+            monte_carlo_metrics(
+                data, n_samples=20, seed=2, method="mle", point_result=point
+            )
+
+    def test_unknown_method_is_refused(self):
+        """A method name other than mle or linear is a ValueError, not a failed bootstrap."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        point = linear_inversion(data)
+        with pytest.raises(ValueError, match="method"):
+            monte_carlo_metrics(data, n_samples=10, method="lsq", point_result=point)
+
     def test_report_validation(self):
         """Out-of-range metric values are refused."""
         with pytest.raises(ValueError, match="fidelity"):
@@ -583,3 +770,4 @@ class TestMonteCarloMetrics:
         # analytic mode runs no bootstrap samples at all
         assert d["n_samples"] == 0
         assert d["n_failed"] == 0
+        assert d["n_nonconverged"] == 0
