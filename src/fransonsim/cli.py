@@ -106,6 +106,18 @@ GAP_NOTE = (
 )
 
 
+def _count_nonconverged(node) -> int:
+    """Sum of every ``n_nonconverged`` in a report's nested stages."""
+    if isinstance(node, dict):
+        return sum(
+            v if k == "n_nonconverged" else _count_nonconverged(v)
+            for k, v in node.items()
+        )
+    if isinstance(node, list):
+        return sum(map(_count_nonconverged, node))
+    return 0
+
+
 class ConfigError(Exception):
     """Invalid configuration; carries one diagnostic per violated field."""
 
@@ -576,7 +588,17 @@ def _map_points(cfg: ExperimentConfig, point, values) -> list:
 
 
 def _finish(experiment, cfg, stages, t0, out_dir, report_name) -> RunReport:
-    """The run report; written with its plot tables when ``out_dir`` is given."""
+    """The run report; written with its plot tables when ``out_dir`` is given.
+
+    A report with notes gains one more when any bootstrap fit did not converge.
+    """
+    nonconverged = _count_nonconverged(stages)
+    if nonconverged and "notes" in stages:
+        stages["notes"].append(
+            f"Non-converged fits: {nonconverged} bootstrap MLE fit(s) stopped at "
+            "mle_max_iter without converging; they are kept in the sigmas "
+            "(see n_nonconverged in each metrics block)."
+        )
     report = RunReport(
         experiment=experiment,
         config=config_to_raw(cfg),

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
 from .qcore import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Z,
     DensityMatrix,
     PhotonPairState,
     QuantumChannel,
-    SubsystemLayout,
-    lift_unitary,
-    permute_qubits,
-    tensor,
+    kraus_map,
 )
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "hyperentangled_input",
     "rotating_plate_channel",
     "apply_noisy_channel",
-    "pbs_cnot",
 ]
 
 POL_INPUTS = ("bell_p", "pure_HV", "pure_VH")
@@ -188,9 +188,11 @@ def hyperentangled_input(pol: DensityMatrix, et: DensityMatrix) -> PhotonPairSta
     """Assemble pol (pol_A, pol_B) x et (et_A, et_B) on the canonical register."""
     if pol.dim != 4 or et.dim != 4:
         raise ValueError("pol and et parts must each cover two qubits")
-    grouped = tensor(pol, et)  # order (pol_A, pol_B, et_A, et_B)
-    interleaved = permute_qubits(grouped, (0, 2, 1, 3))
-    return PhotonPairState(interleaved)
+    grouped = np.kron(pol.data, et.data)  # order (pol_A, pol_B, et_A, et_B)
+    interleaved = grouped.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    return PhotonPairState(
+        DensityMatrix(interleaved.reshape(16, 16), weight=pol.weight * et.weight)
+    )
 
 
 def make_source_state(cfg: SourceConfig) -> PhotonPairState:
@@ -201,27 +203,33 @@ def make_source_state(cfg: SourceConfig) -> PhotonPairState:
 def rotating_plate_channel(kind: str = "half", steps: int = 360) -> QuantumChannel:
     """Uniform average of one wave plate over a revolution of its fast axis.
 
-    Kraus operators are jones(kind, k pi / steps) / sqrt(steps) for
-    k = 0 .. steps-1; the plate period is pi, so this covers a full
-    revolution. The average over the grid is exactly the continuous-average
-    channel for every even steps >= 4. A spinning half-wave plate takes any
-    linear polarization to the maximally mixed state; circular components
-    survive with flipped handedness, which is why the purification scenarios
-    drive it with linearly polarized light.
+    The Jones matrices of the plates are affine in (cos 2t, sin 2t):
+    half wave J = cos 2t Z + sin 2t X, quarter wave
+    J = exp(-i pi/4) [(1+i)/2 I + (1-i)/2 (cos 2t Z + sin 2t X)]. Averaging
+    J rho J^dag over ``steps`` equally spaced angles k pi / steps, a full
+    revolution since the plate period is pi, cancels every term linear in
+    cos 2t or sin 2t and the cross term cos 2t sin 2t, and leaves cos^2 and
+    sin^2 at 1/2 each, for every even ``steps`` >= 4. The average is thus
+    the continuous one, and its minimal Kraus form has Choi rank 2 (half:
+    Z/sqrt 2, X/sqrt 2) or 3 (quarter: I/sqrt 2, Z/2, X/2); ``steps`` is
+    only validated and changes neither the cost nor the result.
+
+    A spinning half-wave plate takes any linear polarization to the
+    maximally mixed state; circular components survive with flipped
+    handedness, which is why the purification scenarios drive it with
+    linearly polarized light.
     """
-    probe = RotatingPlateStage(arm="A", kind=kind, steps=steps)  # reuse validation
-    scale = 1.0 / math.sqrt(probe.steps)
-    ops = tuple(
-        scale * jones(WaveplateSpec(kind, k * math.pi / probe.steps))
-        for k in range(probe.steps)
-    )
+    RotatingPlateStage(arm="A", kind=kind, steps=steps)  # reuse validation
+    return _plate_channel(kind)
+
+
+@lru_cache(maxsize=None)
+def _plate_channel(kind: str) -> QuantumChannel:
+    if kind == "half":
+        ops = (PAULI_Z / math.sqrt(2.0), PAULI_X / math.sqrt(2.0))
+    else:
+        ops = (PAULI_I / math.sqrt(2.0), PAULI_Z / 2.0, PAULI_X / 2.0)
     return QuantumChannel(ops, trace_preserving=True)
-
-
-def _arm_labels(layout: SubsystemLayout, arm: str) -> tuple[str, str]:
-    if arm not in ARMS:
-        raise ValueError(f"arm must be one of {ARMS}, got {arm!r}")
-    return f"pol_{arm}", f"et_{arm}"
 
 
 def apply_noisy_channel(state: PhotonPairState, spec: NoisyChannelSpec) -> PhotonPairState:
@@ -229,8 +237,12 @@ def apply_noisy_channel(state: PhotonPairState, spec: NoisyChannelSpec) -> Photo
 
     Stages act on polarization qubits only, in order; energy-time qubits are
     untouched, which is the operational premise of the purification scheme.
+    Each plate or plate stack is one contraction on the target axes of the
+    state; the state is validated once, on return.
     """
-    out = state
+    if not spec.stages:
+        return state
+    data, layout = state.rho.data, state.layout
     for stage in spec.stages:
         if isinstance(stage, CoherentStage):
             for arm, plates in (("A", stage.plates_a), ("B", stage.plates_b)):
@@ -239,22 +251,8 @@ def apply_noisy_channel(state: PhotonPairState, spec: NoisyChannelSpec) -> Photo
                 u = np.eye(2, dtype=complex)
                 for plate in plates:
                     u = jones(plate) @ u
-                out = out.with_unitary(u, (f"pol_{arm}",))
+                data = kraus_map(data, (u,), (f"pol_{arm}",), layout)
         else:
             channel = rotating_plate_channel(stage.kind, stage.steps)
-            out = out.with_channel(channel, (f"pol_{stage.arm}",))
-    return out
-
-
-def pbs_cnot(layout: SubsystemLayout, photon: str) -> np.ndarray:
-    """Polarizing beam splitter as a CNOT, embedded on the full register.
-
-    The polarization qubit of the chosen photon is the control (V flips)
-    and its path qubit is the target; H transmits, V reflects into the
-    other output port.
-    """
-    pol_label, et_label = _arm_labels(layout, photon)
-    gate = np.zeros((4, 4), dtype=complex)  # basis |pol, et>, pol msb
-    gate[0, 0] = gate[1, 1] = 1.0  # H keeps its port
-    gate[3, 2] = gate[2, 3] = 1.0  # V swaps ports
-    return lift_unitary(gate, (pol_label, et_label), layout)
+            data = kraus_map(data, channel.kraus, (f"pol_{stage.arm}",), layout)
+    return PhotonPairState(DensityMatrix(data, weight=state.weight), layout=layout)

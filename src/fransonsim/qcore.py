@@ -50,6 +50,7 @@ __all__ = [
     "partial_trace",
     "permute_qubits",
     "lift_unitary",
+    "kraus_map",
     "apply_unitary",
     "apply_channel",
     "concurrence",
@@ -294,20 +295,29 @@ def permute_qubits(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(data, weight=rho.weight)
 
 
-def lift_unitary(
-    u: np.ndarray, targets: Sequence[str], layout: SubsystemLayout
-) -> np.ndarray:
-    """Embed a unitary acting on ``targets`` (in that order) into the register."""
-    u = np.asarray(u, dtype=complex)
+def _positions(
+    op: np.ndarray, targets: Sequence[str], layout: SubsystemLayout
+) -> list[int]:
+    """Register positions of ``targets``, checked against the operator shape."""
     targets = list(targets)
     positions = [layout.index(t) for t in targets]
     if len(set(positions)) != len(positions):
         raise ValueError(f"duplicate targets: {targets}")
     t = len(positions)
-    if u.shape != (2**t, 2**t):
+    if op.shape != (2**t, 2**t):
         raise ValueError(
-            f"operator shape {u.shape} does not match {t} target qubit(s)"
+            f"operator shape {op.shape} does not match {t} target qubit(s)"
         )
+    return positions
+
+
+def lift_unitary(
+    u: np.ndarray, targets: Sequence[str], layout: SubsystemLayout
+) -> np.ndarray:
+    """Embed a unitary acting on ``targets`` (in that order) into the register."""
+    u = np.asarray(u, dtype=complex)
+    positions = _positions(u, targets, layout)
+    t = len(positions)
     n = layout.n_qubits
     if t == n and positions == list(range(n)):
         return u
@@ -317,6 +327,34 @@ def lift_unitary(
     perm = [order.index(q) for q in range(n)]
     axes = perm + [n + p for p in perm]
     return full.reshape((2,) * (2 * n)).transpose(axes).reshape(2**n, 2**n)
+
+
+def kraus_map(
+    data: np.ndarray,
+    kraus: Sequence[np.ndarray],
+    targets: Sequence[str],
+    layout: SubsystemLayout,
+) -> np.ndarray:
+    """Sum of K rho K^dag over ``kraus``, each K acting on ``targets``.
+
+    The operators share one shape. Works on the raw matrix and returns one;
+    nothing is validated or renormalized. The target axes of the
+    ``(2,)*2n`` tensor of ``data`` are moved to the front, every operator
+    is contracted with them by one stacked matmul per side, and the axes
+    are moved back, so no register-sized operator is ever built.
+    """
+    ops = np.asarray(kraus, dtype=complex)
+    positions = _positions(ops[0], targets, layout)
+    n, dim = layout.n_qubits, layout.dim
+    t = 2 ** len(positions)
+    rest = dim // t
+    order = positions + [q for q in range(n) if q not in positions]
+    axes = order + [n + q for q in order]
+    front = np.asarray(data).reshape((2,) * (2 * n)).transpose(axes).reshape(t, -1)
+    left = np.matmul(ops, front).reshape(len(ops), t * rest, t, rest)
+    both = np.matmul(ops.conj()[:, None], left).sum(axis=0)
+    back = [axes.index(k) for k in range(2 * n)]
+    return both.reshape((2,) * (2 * n)).transpose(back).reshape(dim, dim)
 
 
 def apply_unitary(
@@ -334,8 +372,7 @@ def apply_unitary(
     resid = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
     if resid > UNITARITY_ATOL:
         raise ValueError(f"operator is not unitary (residual {resid:.3e})")
-    big = lift_unitary(u, targets, layout)
-    return DensityMatrix(big @ rho.data @ big.conj().T, weight=rho.weight)
+    return DensityMatrix(kraus_map(rho.data, (u,), targets, layout), weight=rho.weight)
 
 
 def apply_channel(
@@ -352,10 +389,7 @@ def apply_channel(
     """
     if rho.dim != layout.dim:
         raise ValueError(f"state dim {rho.dim} does not match layout dim {layout.dim}")
-    out = np.zeros_like(rho.data)
-    for k in channel.kraus:
-        big = lift_unitary(k, targets, layout)
-        out += big @ rho.data @ big.conj().T
+    out = kraus_map(rho.data, channel.kraus, targets, layout)
     tr = float(out.trace().real)
     if tr < EMPTY_POSTSELECTION_TRACE:
         raise PostselectionError(
@@ -433,7 +467,7 @@ class PhotonPairState:
     """Joint photon-pair state over the canonical register.
 
     Pairs a 16-dimensional :class:`DensityMatrix` with its layout and adds
-    the marginal and gate conveniences the optical stages lean on.
+    the marginals the optical stages lean on.
     """
 
     rho: DensityMatrix
@@ -462,18 +496,6 @@ class PhotonPairState:
     def et_marginal(self) -> DensityMatrix:
         """Reduced state of the two energy-time (path) qubits."""
         return partial_trace(self.rho, self.layout, self._labels_with_prefix("et"))
-
-    def with_unitary(self, u: np.ndarray, targets: Sequence[str]) -> "PhotonPairState":
-        return PhotonPairState(
-            apply_unitary(self.rho, u, targets, self.layout), layout=self.layout
-        )
-
-    def with_channel(
-        self, channel: QuantumChannel, targets: Sequence[str]
-    ) -> "PhotonPairState":
-        return PhotonPairState(
-            apply_channel(self.rho, channel, targets, self.layout), layout=self.layout
-        )
 
 
 def _format_complex(z: complex) -> str:

@@ -21,15 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import pbs_cnot
 from .qcore import (
     EMPTY_POSTSELECTION_TRACE,
+    PAIR_LAYOUT,
     DensityMatrix,
     PhotonPairState,
     PostselectionError,
     QuantumChannel,
     apply_channel,
-    apply_unitary,
 )
 
 __all__ = [
@@ -118,41 +117,20 @@ class TransferOutcome:
         object.__setattr__(self, "port_probs", probs)
 
 
-def _phase_gate(phi: float) -> np.ndarray:
-    return np.diag([1.0, np.exp(1.0j * phi)]).astype(complex)
-
-
-# X on the polarization qubit when the same photon's path qubit is L.
-# Basis |pol, et> with pol most significant: swaps |H,L> and |V,L>.
-_LONG_ARM_FLIP = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
-
-
-def _parity_correction(layout) -> np.ndarray:
-    """X on pol_B for basis states whose two path qubits disagree."""
-    dim = layout.dim
-    pos_et_a = layout.index("et_A")
-    pos_et_b = layout.index("et_B")
-    pos_pol_b = layout.index("pol_B")
-    n = layout.n_qubits
-    gate = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        bit = lambda pos: (i >> (n - 1 - pos)) & 1
-        if bit(pos_et_a) ^ bit(pos_et_b):
-            j = i ^ (1 << (n - 1 - pos_pol_b))
-        else:
-            j = i
-        gate[j, i] = 1.0
-    return gate
-
-
-def _jitter_channel(sigma: float) -> QuantumChannel:
-    """Phase damping equal to averaging a Gaussian phase of width sigma."""
-    lam = 1.0 - math.exp(-sigma * sigma)
-    k0 = np.diag([1.0, math.sqrt(1.0 - lam)]).astype(complex)
-    k1 = np.diag([0.0, math.sqrt(lam)]).astype(complex)
-    return QuantumChannel((k0, k1), trace_preserving=True)
+# Bits (a, x, b, y) of each index of the canonical register
+# |pol_A, et_A, pol_B, et_B>, pol_A most significant.
+_BITS = [(i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(16)]
+# The circuit after its phases permutes the basis: the long-arm flips
+# (pol ^= et per photon), the PBS CNOTs (et ^= pol per photon) and the parity
+# correction (pol_B ^= et_A ^ et_B) take |a, x, b, y> to |a^x, a, a^y, b>.
+# _SOURCE[k] is the input index that lands on output index k.
+_TARGET = [(a ^ x) << 3 | a << 2 | (a ^ y) << 1 | b for a, x, b, y in _BITS]
+_SOURCE = np.array([_TARGET.index(k) for k in range(16)])
+_ET_A = np.array([x for _, x, _, _ in _BITS], dtype=float)
+_ET_B = np.array([y for _, _, _, y in _BITS], dtype=float)
+# _FLIPS[i, j] counts the path qubits on which basis states i and j differ:
+# the power of the jitter damping on that coherence.
+_FLIPS = np.array([[(x ^ u) + (y ^ v) for _, u, _, v in _BITS] for _, x, _, y in _BITS])
 
 
 def transfer(
@@ -169,31 +147,24 @@ def transfer(
     phase offset per interferometer is drawn for this call; without ``rng``
     the jitter is applied as its ensemble average, a phase-damping factor
     exp(-sigma^2/2) on each long-arm coherence.
-    """
-    layout = state.layout
-    phases = {"A": cfg.phase_a, "B": cfg.phase_b}
-    if cfg.phase_jitter_sigma > 0.0 and rng is not None:
-        for arm in phases:
-            phases[arm] += rng.normal(0.0, cfg.phase_jitter_sigma)
 
-    out = state
-    for arm in ("A", "B"):
-        out = out.with_unitary(_phase_gate(phases[arm]), (f"et_{arm}",))
+    The phases and the damping act on the state as one elementwise
+    (Hadamard-product) mask; the rest of the circuit is one fixed
+    permutation of the 16 basis states.
+    """
+    if state.layout != PAIR_LAYOUT:
+        raise ValueError(f"transfer needs the layout {PAIR_LAYOUT.labels}")
+    phase_a, phase_b = cfg.phase_a, cfg.phase_b
+    if cfg.phase_jitter_sigma > 0.0 and rng is not None:
+        phase_a += rng.normal(0.0, cfg.phase_jitter_sigma)
+        phase_b += rng.normal(0.0, cfg.phase_jitter_sigma)
+
+    amp = np.exp(1.0j * (phase_a * _ET_A + phase_b * _ET_B))
+    mask = np.outer(amp, amp.conj())
     if cfg.phase_jitter_sigma > 0.0 and rng is None:
-        channel = _jitter_channel(cfg.phase_jitter_sigma)
-        for arm in ("A", "B"):
-            out = out.with_channel(channel, (f"et_{arm}",))
-    for arm in ("A", "B"):
-        out = out.with_unitary(_LONG_ARM_FLIP, (f"pol_{arm}", f"et_{arm}"))
-    for arm in ("A", "B"):
-        out = PhotonPairState(
-            apply_unitary(out.rho, pbs_cnot(layout, arm), layout.labels, layout),
-            layout=layout,
-        )
-    out = PhotonPairState(
-        apply_unitary(out.rho, _parity_correction(layout), layout.labels, layout),
-        layout=layout,
-    )
+        mask = mask * math.exp(-0.5 * cfg.phase_jitter_sigma**2) ** _FLIPS
+    data = (state.rho.data * mask)[_SOURCE[:, None], _SOURCE]
+    out = PhotonPairState(DensityMatrix(data, weight=state.weight))
 
     pol_out = out.pol_marginal()
     path_out = out.et_marginal()

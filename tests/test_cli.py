@@ -342,6 +342,35 @@ class TestPurifyPipeline:
         notes = report.stages["notes"]
         assert any("0.976" in note for note in notes)
 
+    def test_nonconverged_fits_get_a_note(self, tmp_path):
+        """A run whose bootstrap fits stop at mle_max_iter says so in its notes."""
+        cfg = analytic_cfg(
+            count_mode="sampled",
+            tomography=TomographyConfig(
+                pairs_per_setting=20_000, n_mc_samples=10, mle_max_iter=3
+            ),
+        )
+        report = run_purification(cfg, tmp_path)
+        blocks = [report.stages["tomography"][b]["metrics"] for b in ("input", "output")]
+        count = sum(m["n_nonconverged"] for m in blocks)
+        assert count == 20
+        notes = report.stages["notes"]
+        assert len(notes) == 2
+        assert notes[1].startswith("Non-converged fits: 20 bootstrap MLE fit(s)")
+        assert "kept in the sigmas" in notes[1]
+        saved = json.loads((tmp_path / "report_purify.json").read_text())
+        assert saved["stages"]["notes"] == notes
+
+    def test_converged_runs_keep_one_note(self, tmp_path):
+        """Without non-converged fits the notes hold only the gap note."""
+        cfg = analytic_cfg(
+            count_mode="sampled",
+            tomography=TomographyConfig(pairs_per_setting=20_000, n_mc_samples=10),
+        )
+        report = run_purification(cfg, tmp_path)
+        assert report.stages["tomography"]["output"]["metrics"]["n_nonconverged"] == 0
+        assert len(report.stages["notes"]) == 1
+
     def test_artifacts_are_written(self, tmp_path):
         """Counts, reconstructions, bar tables, and the report land on disk."""
         run_purification(analytic_cfg(), tmp_path)
@@ -415,6 +444,19 @@ class TestSweepPipelines:
         csv = (tmp_path / "chsh_sweep.csv").read_text().strip().splitlines()
         assert csv[0] == "p,s_in,s_in_sigma,s_out,s_out_sigma"
         assert len(csv) == 1 + len(rows)
+
+    def test_sweep_note_counts_every_point(self):
+        """The note sums n_nonconverged over every metrics block of a sweep."""
+        cfg = analytic_cfg(
+            count_mode="sampled",
+            channel=NoisyChannelSpec(()),
+            tomography=TomographyConfig(
+                pairs_per_setting=20_000, n_mc_samples=10, mle_max_iter=3
+            ),
+            sweep=SweepConfig("p", (0.1, 0.5)),
+        )
+        report = run_chsh_sweep(cfg)
+        assert report.stages["notes"][1].startswith("Non-converged fits: 40 ")
 
     def test_chsh_sweep_rejects_other_parameters(self):
         """The balance sweep is the only supported chsh-sweep scan."""

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from fransonsim import optics
 from fransonsim.qcore import (
     DensityMatrix,
+    PhotonPairState,
     SubsystemLayout,
     concurrence,
     partial_trace,
     purity,
+    random_state,
 )
 from fransonsim.optics import (
     CoherentStage,
@@ -203,6 +206,30 @@ class TestNoisyChannelPipeline:
             full = np.kron(np.kron(u, np.eye(2)), np.eye(4))
             acc += full @ state.rho.data @ full.conj().T / steps
         np.testing.assert_allclose(out.rho.data, acc, atol=1e-12)
+
+    def test_step_count_changes_neither_cost_nor_result(self, monkeypatch):
+        """steps = 10**9 gives the steps = 4 state without visiting plate positions."""
+        calls = []
+
+        def counting_jones(spec):
+            calls.append(spec)
+            if len(calls) > 64:
+                raise AssertionError("the rotating plate enumerates its positions")
+            return jones(spec)
+
+        monkeypatch.setattr(optics, "jones", counting_jones)
+        state = PhotonPairState(random_state(4, "mixed", seed=3))
+        outs = [
+            apply_noisy_channel(
+                state,
+                NoisyChannelSpec(
+                    (RotatingPlateStage("A", "half", steps),
+                     RotatingPlateStage("B", "quarter", steps))
+                ),
+            )
+            for steps in (4, 10**9)
+        ]
+        np.testing.assert_allclose(outs[1].rho.data, outs[0].rho.data, atol=1e-15)
 
     def test_untouched_arm_is_preserved(self):
         """Scrambling arm A leaves the arm-B polarization marginal intact."""

@@ -6,7 +6,9 @@ import pytest
 from fransonsim.qcore import (
     DensityMatrix,
     PHI_PLUS_KET,
+    PhotonPairState,
     PostselectionError,
+    SubsystemLayout,
     concurrence,
     fidelity_to,
     purity,
@@ -88,6 +90,14 @@ class TestBasisAction:
         assert rho[0, 3] == pytest.approx(
             0.5 * np.exp(-1j * (phase_a + phase_b)), abs=1e-12
         )
+
+
+    def test_rejects_other_layouts(self):
+        """The fixed basis permutation is written for the canonical register."""
+        swapped = SubsystemLayout(("et_A", "pol_A", "pol_B", "et_B"))
+        state = PhotonPairState(random_state(4, kind="mixed", seed=1), layout=swapped)
+        with pytest.raises(ValueError, match="layout"):
+            transfer(state, InterferometerConfig())
 
 
 class TestSwapAction:
