@@ -14,17 +14,13 @@ from .qcore import (
     PhotonPairState,
     PostselectionError,
     QuantumChannel,
-    SubsystemLayout,
-    PAIR_LAYOUT,
     PHI_PLUS_KET,
     apply_channel,
     apply_unitary,
     concurrence,
     fidelity_to,
-    partial_trace,
     purity,
     random_state,
-    tensor,
     trace_distance,
 )
 from .optics import (
@@ -85,9 +81,8 @@ __all__ = [
     "__version__",
     # qcore
     "DensityMatrix", "PhotonPairState", "PostselectionError", "QuantumChannel",
-    "SubsystemLayout", "PAIR_LAYOUT", "PHI_PLUS_KET", "apply_channel",
-    "apply_unitary", "concurrence", "fidelity_to", "partial_trace", "purity",
-    "random_state", "tensor", "trace_distance",
+    "PHI_PLUS_KET", "apply_channel", "apply_unitary", "concurrence",
+    "fidelity_to", "purity", "random_state", "trace_distance",
     # optics
     "CoherentStage", "NoisyChannelSpec", "RotatingPlateStage", "SourceConfig",
     "WaveplateSpec", "apply_noisy_channel", "hyperentangled_input", "jones",

@@ -185,7 +185,7 @@ def _et_part(cfg: SourceConfig) -> DensityMatrix:
 
 
 def hyperentangled_input(pol: DensityMatrix, et: DensityMatrix) -> PhotonPairState:
-    """Assemble pol (pol_A, pol_B) x et (et_A, et_B) on the canonical register."""
+    """Assemble pol (pol_A, pol_B) x et (et_A, et_B) on the pair register."""
     if pol.dim != 4 or et.dim != 4:
         raise ValueError("pol and et parts must each cover two qubits")
     grouped = np.kron(pol.data, et.data)  # order (pol_A, pol_B, et_A, et_B)
@@ -242,7 +242,7 @@ def apply_noisy_channel(state: PhotonPairState, spec: NoisyChannelSpec) -> Photo
     """
     if not spec.stages:
         return state
-    data, layout = state.rho.data, state.layout
+    data = state.rho.data
     for stage in spec.stages:
         if isinstance(stage, CoherentStage):
             for arm, plates in (("A", stage.plates_a), ("B", stage.plates_b)):
@@ -251,8 +251,8 @@ def apply_noisy_channel(state: PhotonPairState, spec: NoisyChannelSpec) -> Photo
                 u = np.eye(2, dtype=complex)
                 for plate in plates:
                     u = jones(plate) @ u
-                data = kraus_map(data, (u,), (f"pol_{arm}",), layout)
+                data = kraus_map(data, (u,), (f"pol_{arm}",))
         else:
             channel = rotating_plate_channel(stage.kind, stage.steps)
-            data = kraus_map(data, channel.kraus, (f"pol_{stage.arm}",), layout)
-    return PhotonPairState(DensityMatrix(data, weight=state.weight), layout=layout)
+            data = kraus_map(data, channel.kraus, (f"pol_{stage.arm}",))
+    return PhotonPairState(DensityMatrix(data, weight=state.weight))

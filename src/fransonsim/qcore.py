@@ -1,25 +1,25 @@
-"""Dense density-matrix primitives for small multi-qubit registers.
+"""Dense density-matrix primitives for the photon-pair register.
 
-States are explicit complex matrices over a handful of qubits, kept
-normalized to unit trace. Probability mass retained through postselecting
-operations is tracked separately in a scalar ``weight``, so a state after
-one or more postselections is always the pair (normalized matrix, weight).
+States are explicit complex matrices over at most the four qubits of the
+pair register, kept normalized to unit trace. Probability mass retained
+through postselecting operations is tracked separately in a scalar
+``weight``, so a state after one or more postselections is always the pair
+(normalized matrix, weight).
 
 Every container is a frozen dataclass and every operation returns a new
 value; nothing here mutates, so values can be shared freely across threads.
 
-Basis conventions: the tensor factor of a register is named by a
-:class:`SubsystemLayout` label, most significant qubit first. Polarization
-qubits order their basis as {H = 0, V = 1}; energy-time (equivalently path)
-qubits order theirs as {S = 0, L = 1}. The canonical photon-pair register is
-``(pol_A, et_A, pol_B, et_B)``, giving 16-dimensional joint states.
+Basis conventions: the pair register is the fixed qubit tuple
+:data:`PAIR_LABELS`, ``(pol_A, et_A, pol_B, et_B)``, most significant qubit
+first, giving 16-dimensional joint states; operators name the qubits they act
+on by these labels. Polarization qubits order their basis as {H = 0, V = 1};
+energy-time (equivalently path) qubits order theirs as {S = 0, L = 1}.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,27 +29,16 @@ __all__ = [
     "PSD_EIGEN_FLOOR",
     "UNITARITY_ATOL",
     "EMPTY_POSTSELECTION_TRACE",
-    "MAX_QUBITS",
     "PAULI_I",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "KET_H",
-    "KET_V",
-    "KET_S",
-    "KET_L",
     "PHI_PLUS_KET",
     "PAIR_LABELS",
-    "PAIR_LAYOUT",
     "PostselectionError",
-    "SubsystemLayout",
     "DensityMatrix",
     "QuantumChannel",
     "PhotonPairState",
-    "tensor",
-    "partial_trace",
-    "permute_qubits",
-    "lift_unitary",
     "kraus_map",
     "apply_unitary",
     "apply_channel",
@@ -71,67 +60,21 @@ PSD_EIGEN_FLOOR = -1e-10
 UNITARITY_ATOL = 1e-12
 EMPTY_POSTSELECTION_TRACE = 1e-14
 
-# Register size cap; everything in this package lives in at most 2**6 dims.
-MAX_QUBITS = 6
-
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-KET_H = np.array([1.0, 0.0], dtype=complex)
-KET_V = np.array([0.0, 1.0], dtype=complex)
-KET_S = np.array([1.0, 0.0], dtype=complex)
-KET_L = np.array([0.0, 1.0], dtype=complex)
 
 # (|00> + |11>)/sqrt(2) on any two-qubit register: |HH>+|VV> for a
 # polarization pair, |SS>+|LL> for an energy-time pair.
 PHI_PLUS_KET = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 PAIR_LABELS = ("pol_A", "et_A", "pol_B", "et_B")
+_PAIR_DIM = 16
 
 
 class PostselectionError(RuntimeError):
     """Raised when a postselecting operation retains no probability mass."""
-
-
-@dataclass(frozen=True)
-class SubsystemLayout:
-    """Ordered qubit labels of a register, most significant factor first."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        if not labels:
-            raise ValueError("layout needs at least one label")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate labels in layout: {labels}")
-        if len(labels) > MAX_QUBITS:
-            raise ValueError(
-                f"layout has {len(labels)} qubits, maximum is {MAX_QUBITS}"
-            )
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.labels)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** len(self.labels)
-
-    def index(self, label: str) -> int:
-        """Position of ``label`` in the register (0 = most significant)."""
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(
-                f"unknown label {label!r}, layout has {self.labels}"
-            ) from None
-
-
-PAIR_LAYOUT = SubsystemLayout(PAIR_LABELS)
 
 
 def _as_state_array(data: np.ndarray) -> np.ndarray:
@@ -139,8 +82,8 @@ def _as_state_array(data: np.ndarray) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"state must be a square matrix, got shape {arr.shape}")
     dim = arr.shape[0]
-    if dim < 2 or dim & (dim - 1) != 0 or dim > 2**MAX_QUBITS:
-        raise ValueError(f"state dimension must be a power of 2 in [2, 64], got {dim}")
+    if dim < 2 or dim & (dim - 1) != 0 or dim > _PAIR_DIM:
+        raise ValueError(f"state dimension must be a power of 2 in [2, 16], got {dim}")
     return arr
 
 
@@ -180,10 +123,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
 
     @classmethod
     def pure(cls, ket: np.ndarray, weight: float = 1.0) -> "DensityMatrix":
@@ -243,153 +182,77 @@ class QuantumChannel:
                 )
         object.__setattr__(self, "kraus", tuple(ops))
 
-    @property
-    def dim(self) -> int:
-        return self.kraus[0].shape[0]
-
-
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product of two states; weights multiply."""
-    if a.dim * b.dim > 2**MAX_QUBITS:
-        raise ValueError(
-            f"tensor product dimension {a.dim * b.dim} exceeds 2**{MAX_QUBITS}"
-        )
-    return DensityMatrix(np.kron(a.data, b.data), weight=a.weight * b.weight)
-
-
-def partial_trace(
-    rho: DensityMatrix, layout: SubsystemLayout, keep: Iterable[str]
-) -> DensityMatrix:
-    """Reduced state on the ``keep`` labels, ordered as in ``layout``.
-
-    The traced-out qubits are summed away; the weight is unchanged since
-    a partial trace discards information, not probability mass.
-    """
-    if rho.dim != layout.dim:
-        raise ValueError(f"state dim {rho.dim} does not match layout dim {layout.dim}")
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("keep must name at least one qubit")
-    for label in keep_set:
-        layout.index(label)
-    n = layout.n_qubits
-    keep_pos = [i for i, lab in enumerate(layout.labels) if lab in keep_set]
-    letters = string.ascii_lowercase
-    row = list(letters[:n])
-    col = [letters[n + i] if i in keep_pos else row[i] for i in range(n)]
-    out = "".join(row[i] for i in keep_pos) + "".join(col[i] for i in keep_pos)
-    sub = "".join(row) + "".join(col) + "->" + out
-    reduced = np.einsum(sub, rho.data.reshape((2,) * (2 * n)))
-    dim = 2 ** len(keep_pos)
-    return DensityMatrix(reduced.reshape(dim, dim), weight=rho.weight)
-
-
-def permute_qubits(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
-    """Reorder tensor factors so new slot ``k`` holds old qubit ``order[k]``."""
-    n = rho.n_qubits
-    order = list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order must be a permutation of range({n}), got {order}")
-    axes = order + [n + q for q in order]
-    data = rho.data.reshape((2,) * (2 * n)).transpose(axes).reshape(rho.dim, rho.dim)
-    return DensityMatrix(data, weight=rho.weight)
-
-
-def _positions(
-    op: np.ndarray, targets: Sequence[str], layout: SubsystemLayout
-) -> list[int]:
-    """Register positions of ``targets``, checked against the operator shape."""
-    targets = list(targets)
-    positions = [layout.index(t) for t in targets]
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"duplicate targets: {targets}")
-    t = len(positions)
-    if op.shape != (2**t, 2**t):
-        raise ValueError(
-            f"operator shape {op.shape} does not match {t} target qubit(s)"
-        )
-    return positions
-
-
-def lift_unitary(
-    u: np.ndarray, targets: Sequence[str], layout: SubsystemLayout
-) -> np.ndarray:
-    """Embed a unitary acting on ``targets`` (in that order) into the register."""
-    u = np.asarray(u, dtype=complex)
-    positions = _positions(u, targets, layout)
-    t = len(positions)
-    n = layout.n_qubits
-    if t == n and positions == list(range(n)):
-        return u
-    full = np.kron(u, np.eye(2 ** (n - t), dtype=complex))
-    # Axis k of `full` belongs to qubit order[k]; permute into layout order.
-    order = positions + [q for q in range(n) if q not in positions]
-    perm = [order.index(q) for q in range(n)]
-    axes = perm + [n + p for p in perm]
-    return full.reshape((2,) * (2 * n)).transpose(axes).reshape(2**n, 2**n)
-
 
 def kraus_map(
-    data: np.ndarray,
-    kraus: Sequence[np.ndarray],
-    targets: Sequence[str],
-    layout: SubsystemLayout,
+    data: np.ndarray, kraus: Sequence[np.ndarray], targets: Sequence[str]
 ) -> np.ndarray:
     """Sum of K rho K^dag over ``kraus``, each K acting on ``targets``.
 
-    The operators share one shape. Works on the raw matrix and returns one;
-    nothing is validated or renormalized. The target axes of the
-    ``(2,)*2n`` tensor of ``data`` are moved to the front, every operator
-    is contracted with them by one stacked matmul per side, and the axes
-    are moved back, so no register-sized operator is ever built.
+    ``data`` is a 16x16 pair-register matrix and ``targets`` are labels from
+    :data:`PAIR_LABELS`, in the order the operators see them; the operators
+    share one shape. Works on the raw matrix and returns one; nothing is
+    validated or renormalized. The target axes of the ``(2,)*8`` tensor of
+    ``data`` are moved to the front, every operator is contracted with them
+    by one stacked matmul per side, and the axes are moved back, so no
+    16x16 operator is ever built.
     """
     ops = np.asarray(kraus, dtype=complex)
-    positions = _positions(ops[0], targets, layout)
-    n, dim = layout.n_qubits, layout.dim
-    t = 2 ** len(positions)
-    rest = dim // t
-    order = positions + [q for q in range(n) if q not in positions]
-    axes = order + [n + q for q in order]
-    front = np.asarray(data).reshape((2,) * (2 * n)).transpose(axes).reshape(t, -1)
+    targets = tuple(targets)
+    for label in targets:
+        if label not in PAIR_LABELS:
+            raise ValueError(f"unknown label {label!r}, the register is {PAIR_LABELS}")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate targets: {targets}")
+    t = 2 ** len(targets)
+    if ops.shape[1:] != (t, t):
+        raise ValueError(
+            f"operator shape {ops.shape[1:]} does not match {len(targets)} target qubit(s)"
+        )
+    rest = _PAIR_DIM // t
+    positions = [PAIR_LABELS.index(label) for label in targets]
+    order = positions + [q for q in range(4) if q not in positions]
+    axes = order + [4 + q for q in order]
+    front = np.asarray(data).reshape((2,) * 8).transpose(axes).reshape(t, -1)
     left = np.matmul(ops, front).reshape(len(ops), t * rest, t, rest)
     both = np.matmul(ops.conj()[:, None], left).sum(axis=0)
-    back = [axes.index(k) for k in range(2 * n)]
-    return both.reshape((2,) * (2 * n)).transpose(back).reshape(dim, dim)
+    back = [axes.index(k) for k in range(8)]
+    return both.reshape((2,) * 8).transpose(back).reshape(_PAIR_DIM, _PAIR_DIM)
+
+
+def _check_pair(rho: DensityMatrix) -> None:
+    if rho.dim != _PAIR_DIM:
+        raise ValueError(f"state dim {rho.dim} is not the pair register's {_PAIR_DIM}")
 
 
 def apply_unitary(
     rho: DensityMatrix,
     u: np.ndarray,
     targets: Sequence[str],
-    layout: SubsystemLayout,
 ) -> DensityMatrix:
-    """Conjugate the state by a unitary on the target qubits."""
-    if rho.dim != layout.dim:
-        raise ValueError(f"state dim {rho.dim} does not match layout dim {layout.dim}")
+    """Conjugate the pair state by a unitary on the labelled target qubits."""
+    _check_pair(rho)
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"operator must be square, got shape {u.shape}")
     resid = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
     if resid > UNITARITY_ATOL:
         raise ValueError(f"operator is not unitary (residual {resid:.3e})")
-    return DensityMatrix(kraus_map(rho.data, (u,), targets, layout), weight=rho.weight)
+    return DensityMatrix(kraus_map(rho.data, (u,), targets), weight=rho.weight)
 
 
 def apply_channel(
     rho: DensityMatrix,
     channel: QuantumChannel,
     targets: Sequence[str],
-    layout: SubsystemLayout,
 ) -> DensityMatrix:
-    """Apply a Kraus channel on the target qubits.
+    """Apply a Kraus channel on the labelled target qubits of the pair state.
 
     The output is renormalized and the weight is multiplied by the
     pre-normalization trace, which is 1 for trace-preserving channels.
     Raises :class:`PostselectionError` if the state is postselected away.
     """
-    if rho.dim != layout.dim:
-        raise ValueError(f"state dim {rho.dim} does not match layout dim {layout.dim}")
-    out = kraus_map(rho.data, channel.kraus, targets, layout)
+    _check_pair(rho)
+    out = kraus_map(rho.data, channel.kraus, targets)
     tr = float(out.trace().real)
     if tr < EMPTY_POSTSELECTION_TRACE:
         raise PostselectionError(
@@ -446,8 +309,8 @@ def _haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_state(n_qubits: int, kind: str = "pure", seed: int = 0) -> DensityMatrix:
     """Deterministic random state: Haar pure, or a mixture of Haar pures."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    if not 1 <= n_qubits <= len(PAIR_LABELS):
+        raise ValueError(f"n_qubits must be in [1, {len(PAIR_LABELS)}], got {n_qubits}")
     rng = np.random.default_rng(seed)
     dim = 2**n_qubits
     if kind == "pure":
@@ -464,38 +327,32 @@ def random_state(n_qubits: int, kind: str = "pure", seed: int = 0) -> DensityMat
 
 @dataclass(frozen=True)
 class PhotonPairState:
-    """Joint photon-pair state over the canonical register.
+    """Joint photon-pair state over the register :data:`PAIR_LABELS`.
 
-    Pairs a 16-dimensional :class:`DensityMatrix` with its layout and adds
-    the marginals the optical stages lean on.
+    Wraps a 16-dimensional :class:`DensityMatrix` and adds the marginals the
+    optical stages lean on.
     """
 
     rho: DensityMatrix
-    layout: SubsystemLayout = PAIR_LAYOUT
 
     def __post_init__(self) -> None:
-        if self.rho.dim != self.layout.dim:
-            raise ValueError(
-                f"state dim {self.rho.dim} does not match layout dim {self.layout.dim}"
-            )
+        _check_pair(self.rho)
 
     @property
     def weight(self) -> float:
         return self.rho.weight
 
-    def _labels_with_prefix(self, prefix: str) -> tuple[str, ...]:
-        labels = tuple(l for l in self.layout.labels if l.startswith(prefix))
-        if not labels:
-            raise ValueError(f"layout has no {prefix!r} qubits: {self.layout.labels}")
-        return labels
+    def _marginal(self, subscripts: str) -> DensityMatrix:
+        reduced = np.einsum(subscripts, self.rho.data.reshape((2,) * 8))
+        return DensityMatrix(reduced.reshape(4, 4), weight=self.rho.weight)
 
     def pol_marginal(self) -> DensityMatrix:
-        """Reduced state of the two polarization qubits."""
-        return partial_trace(self.rho, self.layout, self._labels_with_prefix("pol"))
+        """Reduced state of the two polarization qubits (pol_A, pol_B)."""
+        return self._marginal("abcdebgd->aceg")
 
     def et_marginal(self) -> DensityMatrix:
-        """Reduced state of the two energy-time (path) qubits."""
-        return partial_trace(self.rho, self.layout, self._labels_with_prefix("et"))
+        """Reduced state of the two energy-time (path) qubits (et_A, et_B)."""
+        return self._marginal("abcdafch->bdfh")
 
 
 def _format_complex(z: complex) -> str:

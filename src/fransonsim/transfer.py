@@ -16,19 +16,16 @@ visibility it arrived with, reappears in polarization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .qcore import (
     EMPTY_POSTSELECTION_TRACE,
-    PAIR_LAYOUT,
     DensityMatrix,
     PhotonPairState,
     PostselectionError,
-    QuantumChannel,
-    apply_channel,
 )
 
 __all__ = [
@@ -117,7 +114,7 @@ class TransferOutcome:
         object.__setattr__(self, "port_probs", probs)
 
 
-# Bits (a, x, b, y) of each index of the canonical register
+# Bits (a, x, b, y) of each index of the pair register
 # |pol_A, et_A, pol_B, et_B>, pol_A most significant.
 _BITS = [(i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(16)]
 # The circuit after its phases permutes the basis: the long-arm flips
@@ -131,6 +128,16 @@ _ET_B = np.array([y for _, _, _, y in _BITS], dtype=float)
 # _FLIPS[i, j] counts the path qubits on which basis states i and j differ:
 # the power of the jitter damping on that coherence.
 _FLIPS = np.array([[(x ^ u) + (y ^ v) for _, u, _, v in _BITS] for _, x, _, y in _BITS])
+# _STEP_A[i, j] = x_i - x_j: the power of exp(i phase_a) on that coherence.
+_STEP_A = _ET_A[:, None] - _ET_A
+# The block of both photons in the short arm (x = y = 0): indices 0, 2, 8, 10.
+_SHORT = [i for i, (_, x, _, y) in enumerate(_BITS) if x == y == 0]
+_SHORT_ARMS = np.ix_(_SHORT, _SHORT)
+
+
+def _damping(cfg: InterferometerConfig) -> np.ndarray:
+    """Ensemble-averaged jitter: exp(-sigma^2/2) per differing path qubit."""
+    return math.exp(-0.5 * cfg.phase_jitter_sigma**2) ** _FLIPS
 
 
 def transfer(
@@ -152,8 +159,6 @@ def transfer(
     (Hadamard-product) mask; the rest of the circuit is one fixed
     permutation of the 16 basis states.
     """
-    if state.layout != PAIR_LAYOUT:
-        raise ValueError(f"transfer needs the layout {PAIR_LAYOUT.labels}")
     phase_a, phase_b = cfg.phase_a, cfg.phase_b
     if cfg.phase_jitter_sigma > 0.0 and rng is not None:
         phase_a += rng.normal(0.0, cfg.phase_jitter_sigma)
@@ -162,7 +167,7 @@ def transfer(
     amp = np.exp(1.0j * (phase_a * _ET_A + phase_b * _ET_B))
     mask = np.outer(amp, amp.conj())
     if cfg.phase_jitter_sigma > 0.0 and rng is None:
-        mask = mask * math.exp(-0.5 * cfg.phase_jitter_sigma**2) ** _FLIPS
+        mask = mask * _damping(cfg)
     data = (state.rho.data * mask)[_SOURCE[:, None], _SOURCE]
     out = PhotonPairState(DensityMatrix(data, weight=state.weight))
 
@@ -179,22 +184,19 @@ def block_long_arms(state: PhotonPairState) -> PhotonPairState:
 
     Physically: beam blocks in both long arms, used to characterize the
     polarization input without interference. Projects both energy-time
-    qubits onto |S>, renormalizes, and folds the success probability into
-    the weight. Raises :class:`PostselectionError` when nothing survives.
+    qubits onto |S> by keeping the x = y = 0 block of the state,
+    renormalizes, and folds the success probability into the weight.
+    Raises :class:`PostselectionError` when nothing survives.
     """
-    project_s = np.diag([1.0, 0.0]).astype(complex)
-    blocker = QuantumChannel(
-        (np.kron(project_s, project_s),), trace_preserving=False
-    )
-    et_labels = tuple(l for l in state.layout.labels if l.startswith("et"))
-    try:
-        rho = apply_channel(state.rho, blocker, et_labels, state.layout)
-    except PostselectionError:
+    data = np.zeros((16, 16), dtype=complex)
+    data[_SHORT_ARMS] = state.rho.data[_SHORT_ARMS]
+    tr = float(data.trace().real)
+    if tr < EMPTY_POSTSELECTION_TRACE:
         raise PostselectionError(
             f"no population left in the short arms (trace below "
             f"{EMPTY_POSTSELECTION_TRACE})"
-        ) from None
-    return PhotonPairState(rho, layout=state.layout)
+        )
+    return PhotonPairState(DensityMatrix(data / tr, weight=state.weight * tr))
 
 
 # Diagonal-basis coincidence parity: projector onto both photons giving the
@@ -217,20 +219,31 @@ def sum_phase_scan(
     """Interference fringe versus the interferometer sum phase.
 
     For each phase the pair is transferred with that sum phase loaded on
-    interferometer A (only the sum matters) and the probability of
-    correlated diagonal-basis outcomes is recorded. For a source of
-    visibility V the fringe is (1 + V cos(phase + source phase)) / 2, so a
-    scan covering the extrema recovers V via :func:`fringe_visibility`.
+    interferometer A (only the sum matters; ``cfg.phase_a`` and
+    ``cfg.phase_b`` are ignored) and the probability of correlated
+    diagonal-basis outcomes is recorded. For a source of visibility V the
+    fringe is (1 + V cos(phase + source phase)) / 2, so a scan covering the
+    extrema recovers V via :func:`fringe_visibility`.
+
+    The probability is linear in the state, and the phase enters only as
+    exp(i phase (x_i - x_j)) on each coherence, so the fringe is
+    c0 + 2 Re(c1 exp(i phase)): c0 and c1 are the fringe observable on the
+    jitter-damped state masked to coherences of et_A step 0 and 1, each
+    taken through the transfer permutation once.
     """
-    points: list[tuple[float, float]] = []
-    for phi in phases:
-        scan_cfg = replace(cfg, phase_a=float(phi), phase_b=0.0)
-        outcome = transfer(state, scan_cfg)
-        prob = float(
-            np.einsum("ab,ba->", outcome.pol_out.data, _EVEN_PARITY).real
-        )
-        points.append((float(phi), prob))
-    return points
+    phis = np.array([float(phi) for phi in phases])
+    bad = phis[~np.isfinite(phis)]
+    if bad.size:
+        raise ValueError(f"scan phase must be finite, got {bad[0]}")
+    data = state.rho.data
+    if cfg.phase_jitter_sigma > 0.0:
+        data = data * _damping(cfg)
+    steps = np.stack([data * (_STEP_A == 0), data * (_STEP_A == 1)])
+    permuted = steps[:, _SOURCE[:, None], _SOURCE].reshape((2,) + (2,) * 8)
+    # polarization marginal of the output, then its overlap with the parity
+    c0, c1 = np.einsum("nabcdebgd,egac->n", permuted, _EVEN_PARITY.reshape(2, 2, 2, 2))
+    probs = c0.real + 2.0 * (c1 * np.exp(1.0j * phis)).real
+    return [(float(phi), float(prob)) for phi, prob in zip(phis, probs)]
 
 
 def fringe_visibility(points: Sequence[tuple[float, float]]) -> float:

@@ -1,0 +1,72 @@
+"""The public surface: exported names, traced benchmark targets, README example."""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import fransonsim
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    f"fransonsim.{info.name}" for info in pkgutil.iter_modules(fransonsim.__path__)
+)
+
+
+def resolve(module_name, dotted):
+    obj = importlib.import_module(module_name)
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_package_exports_resolve():
+    """Every name in fransonsim.__all__ is an attribute of the package."""
+    missing = [name for name in fransonsim.__all__ if not hasattr(fransonsim, name)]
+    assert not missing
+    assert len(set(fransonsim.__all__)) == len(fransonsim.__all__)
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_module_exports_resolve(module_name):
+    """Every name in a module's __all__ is defined in that module."""
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+
+
+def test_generic_layout_machinery_is_gone():
+    """The register is fixed: no layout type, layout-driven helper or qubit cap."""
+    from fransonsim import qcore
+
+    for name in ("SubsystemLayout", "PAIR_LAYOUT", "MAX_QUBITS", "partial_trace",
+                 "tensor", "permute_qubits", "lift_unitary"):
+        assert not hasattr(qcore, name), name
+        assert name not in fransonsim.__all__
+
+
+def test_benchmark_trace_targets_exist():
+    """Every (module, attribute) the benchmark tracer wraps exists in the package."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for _layer, module_name, attribute in spans.TARGETS:
+        assert callable(resolve(module_name, attribute)), (module_name, attribute)
+
+
+def test_readme_python_api_example_runs():
+    """The README example runs and prints concurrences 0.0 before and 0.979 after."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Python API\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    c_in, c_out = (float(tok) for tok in out.getvalue().splitlines()[0].split())
+    assert c_in == pytest.approx(0.0, abs=1e-9)
+    assert c_out == pytest.approx(0.979, abs=1e-9)

@@ -1,12 +1,14 @@
 """Physics stages against a generic gate-by-gate oracle.
 
 The oracle lifts every operator to the full register with ``lift_unitary``
-and applies it as a dense 16x16 conjugation: one Kraus operator per plate
-position for the rotating plates, and the seven-gate transfer circuit
-(phase gates, phase-damping jitter channel, long-arm flips, both PBS CNOTs
-and the parity correction). The stages under test contract small operators
-on the state's target axes and fold the transfer into masks and one basis
-permutation; both must agree on random mixed inputs.
+(checked here against explicit kron products) and applies it as a dense
+16x16 conjugation: one Kraus operator per plate position for the rotating
+plates, and the seven-gate transfer circuit (phase gates, phase-damping
+jitter channel, long-arm flips, both PBS CNOTs and the parity correction).
+The stages under test contract small operators on the state's target axes
+and fold the transfer into masks and one basis permutation; both must agree
+on random mixed inputs. The closed-form fringe scan is checked against a
+loop of full transfers, one per phase.
 """
 
 import math
@@ -23,26 +25,42 @@ from fransonsim.optics import (
     jones,
 )
 from fransonsim.qcore import (
-    PAIR_LAYOUT,
+    PAIR_LABELS,
     DensityMatrix,
     PhotonPairState,
     QuantumChannel,
     apply_channel,
     apply_unitary,
-    lift_unitary,
     random_state,
 )
-from fransonsim.transfer import InterferometerConfig, block_long_arms, transfer
+from fransonsim.transfer import (
+    _EVEN_PARITY,
+    InterferometerConfig,
+    block_long_arms,
+    sum_phase_scan,
+    transfer,
+)
 
 TOL = 1e-12
 SEEDS = range(8)
+
+
+def lift_unitary(u, targets):
+    """Embed an operator acting on ``targets`` (in that order) into the register."""
+    positions = [PAIR_LABELS.index(t) for t in targets]
+    order = positions + [q for q in range(4) if q not in positions]
+    full = np.kron(np.asarray(u, dtype=complex), np.eye(2 ** (4 - len(positions))))
+    # Axis k of `full` belongs to qubit order[k]; permute into register order.
+    perm = [order.index(q) for q in range(4)]
+    axes = perm + [4 + p for p in perm]
+    return full.reshape((2,) * 8).transpose(axes).reshape(16, 16)
 
 
 def lifted(data, kraus, targets):
     """Sum of K rho K^dag with each K lifted to the full register."""
     out = np.zeros_like(data)
     for k in kraus:
-        big = lift_unitary(k, targets, PAIR_LAYOUT)
+        big = lift_unitary(k, targets)
         out += big @ data @ big.conj().T
     return out
 
@@ -101,7 +119,7 @@ def oracle_transfer(data, cfg, rng=None):
         data = lifted(data, [LONG_ARM_FLIP], (f"pol_{arm}", f"et_{arm}"))
     for arm in ("A", "B"):
         data = lifted(data, [PBS_CNOT], (f"pol_{arm}", f"et_{arm}"))
-    return lifted(data, [parity_correction()], PAIR_LAYOUT.labels)
+    return lifted(data, [parity_correction()], PAIR_LABELS)
 
 
 def random_pair(seed):
@@ -116,17 +134,67 @@ def random_plates(rng, count):
     )
 
 
+def oracle_scan(state, cfg, phases):
+    """The fringe as one full transfer per phase, sum phase on arm A."""
+    points = []
+    for phi in phases:
+        scan_cfg = InterferometerConfig(
+            phase_a=phi, phase_jitter_sigma=cfg.phase_jitter_sigma
+        )
+        pol = transfer(state, scan_cfg).pol_out.data
+        points.append((phi, float(np.einsum("ab,ba->", pol, _EVEN_PARITY).real)))
+    return points
+
+
+def random_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestLiftOracle:
+    def test_lift_unitary_matches_kron_oracle(self):
+        """Lifting onto adjacent targets equals an explicit kron product."""
+        rng = np.random.default_rng(13)
+        u = random_unitary(rng, 2)
+        np.testing.assert_allclose(
+            lift_unitary(u, ("pol_A",)), np.kron(u, np.eye(8)), atol=1e-13
+        )
+        np.testing.assert_allclose(
+            lift_unitary(u, ("et_A",)),
+            np.kron(np.eye(2), np.kron(u, np.eye(4))),
+            atol=1e-13,
+        )
+        v = random_unitary(rng, 4)
+        np.testing.assert_allclose(
+            lift_unitary(v, ("pol_B", "et_B")), np.kron(np.eye(4), v), atol=1e-13
+        )
+
+    def test_lift_unitary_reordered_targets(self):
+        """Target order matters: (et_B, pol_A) applies u with et_B as its first qubit."""
+        cnot = np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        )
+        lifted_cnot = lift_unitary(cnot, ("et_B", "pol_A"))
+        # control on et_B, target pol_A: |0001> -> |1001>
+        ket = np.zeros(16)
+        ket[0b0001] = 1.0
+        want = np.zeros(16)
+        want[0b1001] = 1.0
+        np.testing.assert_allclose(lifted_cnot @ ket, want, atol=1e-14)
+
+
 class TestKernelAgainstLift:
     def test_unitaries_on_reordered_targets(self):
         """apply_unitary equals the lifted conjugation on any target tuple."""
         rng = np.random.default_rng(5)
         for seed in SEEDS:
             rho = random_state(4, "mixed", seed)
-            targets = tuple(str(t) for t in rng.permutation(PAIR_LAYOUT.labels))
+            targets = tuple(str(t) for t in rng.permutation(PAIR_LABELS))
             targets = targets[: 1 + seed % 4]
             dim = 2 ** len(targets)
             u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-            out = apply_unitary(rho, u, targets, PAIR_LAYOUT)
+            out = apply_unitary(rho, u, targets)
             np.testing.assert_allclose(out.data, lifted(rho.data, [u], targets), atol=TOL)
 
     def test_channels_on_reordered_targets(self):
@@ -139,7 +207,7 @@ class TestKernelAgainstLift:
             q, _ = np.linalg.qr(g)
             # the first two of three Kraus operators: a postselecting channel
             channel = QuantumChannel((q[:4], q[4:8]), trace_preserving=False)
-            out = apply_channel(rho, channel, targets, PAIR_LAYOUT)
+            out = apply_channel(rho, channel, targets)
             want = lifted(rho.data, channel.kraus, targets)
             tr = want.trace().real
             np.testing.assert_allclose(out.data, want / tr, atol=TOL)
@@ -243,3 +311,32 @@ class TestBlockingAgainstOracle:
             out = block_long_arms(state)
             np.testing.assert_allclose(out.rho.data, want / tr, atol=TOL)
             assert out.weight == pytest.approx(tr, abs=TOL)
+
+    def test_block_long_arms_is_the_projector_channel_bitwise(self):
+        """The index selection equals apply_channel with the short-arm projector."""
+        project_s = np.diag([1.0, 0.0]).astype(complex)
+        blocker = QuantumChannel((np.kron(project_s, project_s),), trace_preserving=False)
+        for seed in SEEDS:
+            state = random_pair(seed)
+            want = apply_channel(state.rho, blocker, ("et_A", "et_B"))
+            out = block_long_arms(state)
+            np.testing.assert_array_equal(out.rho.data, want.data)
+            assert out.weight == want.weight
+
+
+class TestScanAgainstOracle:
+    @pytest.mark.parametrize("sigma", [0.0, 0.35])
+    def test_closed_form_equals_transfer_loop(self, sigma):
+        """c0 + 2 Re(c1 exp(i phase)) equals one transfer per phase, off the grid."""
+        rng = np.random.default_rng(17)
+        for seed in SEEDS:
+            state = random_pair(seed)
+            # phases on the scan's own axis are ignored, as in the loop
+            cfg = InterferometerConfig(phase_a=1.3, phase_b=-0.4, phase_jitter_sigma=sigma)
+            phases = list(rng.uniform(-3 * math.pi, 3 * math.pi, size=25))
+            got = sum_phase_scan(state, cfg, phases)
+            want = oracle_scan(state, cfg, phases)
+            assert [phi for phi, _ in got] == [phi for phi, _ in want]
+            np.testing.assert_allclose(
+                [p for _, p in got], [p for _, p in want], rtol=0, atol=1e-15
+            )

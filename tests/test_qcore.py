@@ -5,24 +5,19 @@ import pytest
 
 from fransonsim.qcore import (
     DensityMatrix,
-    PAIR_LAYOUT,
+    PAIR_LABELS,
     PHI_PLUS_KET,
     PhotonPairState,
     PostselectionError,
     QuantumChannel,
-    SubsystemLayout,
     apply_channel,
     apply_unitary,
     concurrence,
     dumps_density_matrix,
     fidelity_to,
-    lift_unitary,
     loads_density_matrix,
-    partial_trace,
-    permute_qubits,
     purity,
     random_state,
-    tensor,
     trace_distance,
 )
 
@@ -66,6 +61,12 @@ def brute_partial_trace(rho, n_qubits, keep):
     return out
 
 
+def interleave(pol, et):
+    """Kron of the pol (pol_A, pol_B) and et (et_A, et_B) parts, in register order."""
+    grouped = np.kron(pol, et).reshape((2,) * 8)
+    return grouped.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+
+
 class TestDensityMatrixValidation:
     def test_rejects_non_hermitian(self):
         """A visibly non-Hermitian matrix is refused."""
@@ -93,9 +94,11 @@ class TestDensityMatrixValidation:
             DensityMatrix(rho, weight=-0.2)
 
     def test_rejects_non_power_of_two(self):
-        """Dimension must be a power of two between 2 and 64."""
+        """Dimension must be a power of two between 2 and 16, the pair register."""
         with pytest.raises(ValueError, match="dimension"):
             DensityMatrix(np.eye(3, dtype=complex) / 3)
+        with pytest.raises(ValueError, match="dimension"):
+            DensityMatrix(np.eye(32, dtype=complex) / 32)
 
     def test_data_is_frozen(self):
         """The stored array cannot be mutated in place."""
@@ -124,123 +127,62 @@ class TestDensityMatrixValidation:
 
 
 class TestTensorAndPermutation:
-    def test_tensor_matches_kron(self):
-        """tensor() is np.kron on the data with multiplied weights."""
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = random_density(rng, 2)
-            b = random_density(rng, 4)
-            a = DensityMatrix(a.data, weight=0.7)
-            c = tensor(a, b)
-            np.testing.assert_allclose(c.data, np.kron(a.data, b.data), atol=1e-14)
-            assert c.weight == pytest.approx(0.7, abs=1e-15)
-
-    def test_tensor_rejects_oversized_register(self):
-        """Products beyond the register cap are refused."""
-        big = DensityMatrix.maximally_mixed(4)
-        with pytest.raises(ValueError, match="exceeds"):
-            tensor(big, big)
+    """The register's tensor factors: its two fixed marginals are partial traces."""
 
     def test_partial_trace_against_brute_force(self):
-        """einsum partial trace agrees with the index-loop oracle."""
+        """Both marginals agree with the index-loop partial trace."""
         rng = np.random.default_rng(11)
-        layout = SubsystemLayout(("a", "b", "c", "d"))
         for _ in range(40):
             rho = random_density(rng, 16)
-            for keep in (("a",), ("b", "d"), ("a", "c"), ("a", "b", "c")):
-                got = partial_trace(rho, layout, keep)
-                want = brute_partial_trace(
-                    rho.data, 4, [layout.index(k) for k in keep]
-                )
-                np.testing.assert_allclose(got.data, want, atol=1e-12)
+            state = PhotonPairState(rho)
+            np.testing.assert_allclose(
+                state.pol_marginal().data,
+                brute_partial_trace(rho.data, 4, [0, 2]),
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                state.et_marginal().data,
+                brute_partial_trace(rho.data, 4, [1, 3]),
+                atol=1e-12,
+            )
 
     def test_partial_trace_keeps_weight(self):
         """Tracing out subsystems does not change the weight."""
-        rho = DensityMatrix(np.eye(4, dtype=complex) / 4, weight=0.25)
-        out = partial_trace(rho, SubsystemLayout(("x", "y")), ("y",))
-        assert out.weight == pytest.approx(0.25, abs=1e-15)
-
-    def test_permute_qubits_on_basis_states(self):
-        """Permutation moves basis-ket bits to the requested slots."""
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            order = tuple(rng.permutation(3))
-            bits = rng.integers(0, 2, size=3)
-            idx = int(bits[0]) * 4 + int(bits[1]) * 2 + int(bits[2])
-            ket = np.zeros(8)
-            ket[idx] = 1.0
-            out = permute_qubits(DensityMatrix.pure(ket), order)
-            new_bits = [bits[order[k]] for k in range(3)]
-            new_idx = new_bits[0] * 4 + new_bits[1] * 2 + new_bits[2]
-            want = np.zeros(8)
-            want[new_idx] = 1.0
-            np.testing.assert_allclose(
-                out.data, np.outer(want, want), atol=1e-14
-            )
-
-    def test_permute_round_trip(self):
-        """Applying a permutation then its inverse restores the state."""
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            rho = random_density(rng, 8)
-            order = tuple(int(x) for x in rng.permutation(3))
-            inverse = tuple(order.index(k) for k in range(3))
-            back = permute_qubits(permute_qubits(rho, order), inverse)
-            np.testing.assert_allclose(back.data, rho.data, atol=1e-13)
+        state = PhotonPairState(DensityMatrix(np.eye(16, dtype=complex) / 16, weight=0.25))
+        assert state.pol_marginal().weight == pytest.approx(0.25, abs=1e-15)
+        assert state.et_marginal().weight == pytest.approx(0.25, abs=1e-15)
 
 
 class TestUnitaries:
-    def test_lift_unitary_matches_kron_oracle(self):
-        """Lifting onto adjacent targets equals an explicit kron product."""
-        rng = np.random.default_rng(13)
-        layout = SubsystemLayout(("q0", "q1", "q2"))
-        u = random_unitary(rng, 2)
-        np.testing.assert_allclose(
-            lift_unitary(u, ("q0",), layout), np.kron(u, np.eye(4)), atol=1e-13
-        )
-        np.testing.assert_allclose(
-            lift_unitary(u, ("q1",), layout),
-            np.kron(np.eye(2), np.kron(u, np.eye(2))),
-            atol=1e-13,
-        )
-        v = random_unitary(rng, 4)
-        np.testing.assert_allclose(
-            lift_unitary(v, ("q1", "q2"), layout), np.kron(np.eye(2), v), atol=1e-13
-        )
-
-    def test_lift_unitary_reordered_targets(self):
-        """Target order matters: (q2, q0) applies u with q2 as its first qubit."""
-        layout = SubsystemLayout(("q0", "q1", "q2"))
-        cnot = np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-        lifted = lift_unitary(cnot, ("q2", "q0"), layout)
-        # control on q2, target q0: |001> -> |101>
-        ket = np.zeros(8)
-        ket[0b001] = 1.0
-        out = lifted @ ket
-        want = np.zeros(8)
-        want[0b101] = 1.0
-        np.testing.assert_allclose(out, want, atol=1e-14)
-
     def test_apply_unitary_preserves_invariants(self):
         """Conjugation keeps Hermiticity, unit trace, and positivity."""
         rng = np.random.default_rng(17)
-        layout = SubsystemLayout(("q0", "q1"))
         for _ in range(100):
-            rho = random_density(rng, 4)
-            u = random_unitary(rng, 2)
-            out = apply_unitary(rho, u, ("q1",), layout)
+            rho = random_density(rng, 16)
+            targets = tuple(rng.choice(PAIR_LABELS, size=rng.integers(1, 5), replace=False))
+            u = random_unitary(rng, 2 ** len(targets))
+            out = apply_unitary(rho, u, targets)
             assert abs(np.trace(out.data) - 1.0) < 1e-12
             np.testing.assert_allclose(out.data, out.data.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(out.data).min() > -1e-10
 
     def test_apply_unitary_rejects_non_unitary(self):
         """A matrix failing u u+ = 1 is refused."""
-        rho = DensityMatrix.maximally_mixed(1)
-        layout = SubsystemLayout(("q",))
+        rho = DensityMatrix.maximally_mixed(4)
         with pytest.raises(ValueError, match="unitary"):
-            apply_unitary(rho, np.array([[1.0, 0.0], [0.0, 0.5]]), ("q",), layout)
+            apply_unitary(rho, np.array([[1.0, 0.0], [0.0, 0.5]]), ("pol_A",))
+
+    def test_targets_are_register_labels(self):
+        """Targets resolve in PAIR_LABELS; unknown, repeated or mis-sized ones fail."""
+        rho = DensityMatrix.maximally_mixed(4)
+        with pytest.raises(ValueError, match="unknown label"):
+            apply_unitary(rho, np.eye(2), ("pol_C",))
+        with pytest.raises(ValueError, match="duplicate"):
+            apply_unitary(rho, np.eye(4), ("et_A", "et_A"))
+        with pytest.raises(ValueError, match="shape"):
+            apply_unitary(rho, np.eye(4), ("et_A",))
+        with pytest.raises(ValueError, match="pair register"):
+            apply_unitary(DensityMatrix.maximally_mixed(2), np.eye(2), ("pol_A",))
 
 
 class TestChannels:
@@ -252,14 +194,13 @@ class TestChannels:
     def test_random_channels_preserve_invariants(self):
         """1000 random channel applications keep valid density matrices."""
         rng = np.random.default_rng(23)
-        layout = SubsystemLayout(("q0", "q1"))
         for _ in range(1000):
-            rho = random_density(rng, 4)
+            rho = random_density(rng, 16)
             # random 2-outcome TP channel on one qubit via a 4x2 isometry
             g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
             q, _ = np.linalg.qr(g)
             channel = QuantumChannel((q[:2, :], q[2:, :]))
-            out = apply_channel(rho, channel, ("q0",), layout)
+            out = apply_channel(rho, channel, (PAIR_LABELS[rng.integers(4)],))
             assert abs(np.trace(out.data) - 1.0) < 1e-12
             np.testing.assert_allclose(out.data, out.data.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(out.data).min() > -1e-10
@@ -267,8 +208,7 @@ class TestChannels:
 
     def test_postselection_weights_multiply(self):
         """Chained lossy channels multiply their survival probabilities."""
-        rho = DensityMatrix.maximally_mixed(1)
-        layout = SubsystemLayout(("q",))
+        rho = DensityMatrix.maximally_mixed(4)
         keep_h = QuantumChannel(
             (np.diag([1.0, 0.0]).astype(complex),), trace_preserving=False
         )
@@ -276,20 +216,21 @@ class TestChannels:
             (np.diag([np.sqrt(0.5), np.sqrt(0.5)]).astype(complex),),
             trace_preserving=False,
         )
-        once = apply_channel(rho, keep_h, ("q",), layout)
+        once = apply_channel(rho, keep_h, ("pol_B",))
         assert once.weight == pytest.approx(0.5, abs=1e-12)
-        twice = apply_channel(once, damp, ("q",), layout)
+        twice = apply_channel(once, damp, ("et_A",))
         assert twice.weight == pytest.approx(0.25, abs=1e-12)
 
     def test_empty_postselection_raises(self):
         """Selecting a branch with no support raises PostselectionError."""
-        rho = DensityMatrix.pure(np.array([0.0, 1.0]))
-        layout = SubsystemLayout(("q",))
+        ket = np.zeros(16)
+        ket[0b0010] = 1.0  # pol_B = V
+        rho = DensityMatrix.pure(ket)
         keep_h = QuantumChannel(
             (np.diag([1.0, 0.0]).astype(complex),), trace_preserving=False
         )
         with pytest.raises(PostselectionError):
-            apply_channel(rho, keep_h, ("q",), layout)
+            apply_channel(rho, keep_h, ("pol_B",))
 
 
 class TestMetrics:
@@ -331,18 +272,17 @@ class TestMetrics:
             assert concurrence(DensityMatrix.pure(ket)) == pytest.approx(0.0, abs=1e-8)
 
     def test_concurrence_local_unitary_invariance(self):
-        """Local rotations cannot change the entanglement."""
+        """Local rotations of each photon cannot change its polarization entanglement."""
         rng = np.random.default_rng(37)
-        layout = SubsystemLayout(("a", "b"))
         for _ in range(100):
-            rho = random_density(rng, 4)
-            base = concurrence(rho)
-            rotated = apply_unitary(
-                apply_unitary(rho, random_unitary(rng, 2), ("a",), layout),
-                random_unitary(rng, 2),
-                ("b",),
-                layout,
-            )
+            pol = random_density(rng, 4)
+            et = random_density(rng, 4)
+            state = PhotonPairState(DensityMatrix(interleave(pol.data, et.data)))
+            base = concurrence(state.pol_marginal())
+            rho = state.rho
+            for label in PAIR_LABELS:
+                rho = apply_unitary(rho, random_unitary(rng, 2), (label,))
+            rotated = PhotonPairState(rho).pol_marginal()
             assert concurrence(rotated) == pytest.approx(base, abs=1e-9)
 
     def test_fidelity_pure_state_overlap(self):
@@ -408,15 +348,18 @@ class TestPairState:
         rng = np.random.default_rng(47)
         pol = random_density(rng, 4)
         et = random_density(rng, 4)
-        # interleave to the canonical order (pol_A, et_A, pol_B, et_B)
-        joint = permute_qubits(tensor(pol, et), (0, 2, 1, 3))
-        state = PhotonPairState(joint)
+        state = PhotonPairState(DensityMatrix(interleave(pol.data, et.data)))
         np.testing.assert_allclose(state.pol_marginal().data, pol.data, atol=1e-12)
         np.testing.assert_allclose(state.et_marginal().data, et.data, atol=1e-12)
 
     def test_layout_labels(self):
-        """The canonical layout interleaves arms A and B."""
-        assert PAIR_LAYOUT.labels == ("pol_A", "et_A", "pol_B", "et_B")
+        """The pair register interleaves arms A and B."""
+        assert PAIR_LABELS == ("pol_A", "et_A", "pol_B", "et_B")
+
+    def test_rejects_other_dimensions(self):
+        """A pair state covers exactly the 16-dimensional register."""
+        with pytest.raises(ValueError, match="pair register"):
+            PhotonPairState(DensityMatrix.maximally_mixed(3))
 
 
 class TestDumpFormat:

@@ -6,9 +6,7 @@ import pytest
 from fransonsim.qcore import (
     DensityMatrix,
     PHI_PLUS_KET,
-    PhotonPairState,
     PostselectionError,
-    SubsystemLayout,
     concurrence,
     fidelity_to,
     purity,
@@ -90,14 +88,6 @@ class TestBasisAction:
         assert rho[0, 3] == pytest.approx(
             0.5 * np.exp(-1j * (phase_a + phase_b)), abs=1e-12
         )
-
-
-    def test_rejects_other_layouts(self):
-        """The fixed basis permutation is written for the canonical register."""
-        swapped = SubsystemLayout(("et_A", "pol_A", "pol_B", "et_B"))
-        state = PhotonPairState(random_state(4, kind="mixed", seed=1), layout=swapped)
-        with pytest.raises(ValueError, match="layout"):
-            transfer(state, InterferometerConfig())
 
 
 class TestSwapAction:
@@ -328,6 +318,13 @@ class TestFringe:
         np.testing.assert_allclose(
             [p for _, p in pts_clean], [p for _, p in pts_noisy], atol=1e-12
         )
+
+    def test_scan_refuses_non_finite_phases(self):
+        """A NaN or infinite scan phase is refused by name, not returned as NaN."""
+        state = make_source_state(SourceConfig())
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="phase must be finite"):
+                sum_phase_scan(state, InterferometerConfig(), [0.0, bad, 1.0])
 
     def test_visibility_input_validation(self):
         """Empty scans and dark scans are rejected."""
