@@ -106,16 +106,23 @@ GAP_NOTE = (
 )
 
 
-def _count_nonconverged(node) -> int:
-    """Sum of every ``n_nonconverged`` in a report's nested stages."""
+def _count_nonconverged(node) -> tuple[int, int]:
+    """Non-converged (bootstrap, point) MLE fits in a report's nested stages.
+
+    Bootstrap fits are the sum of every ``n_nonconverged``; a point fit is a
+    reconstruction block whose ``converged`` is false.
+    """
+    bootstrap = point = 0
     if isinstance(node, dict):
-        return sum(
-            v if k == "n_nonconverged" else _count_nonconverged(v)
-            for k, v in node.items()
-        )
+        bootstrap = node.get("n_nonconverged", 0)
+        point = int(node.get("converged") is False)
+        node = list(node.values())
     if isinstance(node, list):
-        return sum(map(_count_nonconverged, node))
-    return 0
+        for child in node:
+            more_bootstrap, more_point = _count_nonconverged(child)
+            bootstrap += more_bootstrap
+            point += more_point
+    return bootstrap, point
 
 
 class ConfigError(Exception):
@@ -567,14 +574,19 @@ def _branch_payload(
     return {
         "model_truth": _true_metrics(rho),
         **extra,
-        "reconstruction": {
-            "method": recon.method,
-            "iterations": recon.iterations,
-            "converged": recon.converged,
-            "loglike": recon.loglike,
-            "floor_hits": recon.floor_hits,
-        },
+        "reconstruction": _reconstruction_block(recon),
         "metrics": metrics.as_dict(),
+    }
+
+
+def _reconstruction_block(recon: ReconstructionResult) -> dict:
+    return {
+        "method": recon.method,
+        "iterations": recon.iterations,
+        "converged": recon.converged,
+        "gap": recon.gap,
+        "loglike": recon.loglike,
+        "floor_hits": recon.floor_hits,
     }
 
 
@@ -590,14 +602,16 @@ def _map_points(cfg: ExperimentConfig, point, values) -> list:
 def _finish(experiment, cfg, stages, t0, out_dir, report_name) -> RunReport:
     """The run report; written with its plot tables when ``out_dir`` is given.
 
-    A report with notes gains one more when any bootstrap fit did not converge.
+    A report with notes gains one more when any bootstrap or point MLE fit
+    did not converge.
     """
-    nonconverged = _count_nonconverged(stages)
-    if nonconverged and "notes" in stages:
+    bootstrap, point = _count_nonconverged(stages)
+    if (bootstrap or point) and "notes" in stages:
         stages["notes"].append(
-            f"Non-converged fits: {nonconverged} bootstrap MLE fit(s) stopped at "
-            "mle_max_iter without converging; they are kept in the sigmas "
-            "(see n_nonconverged in each metrics block)."
+            f"Non-converged fits: {bootstrap} bootstrap MLE fit(s) and {point} "
+            "point fit(s) stopped at mle_max_iter without converging; the "
+            "bootstrap fits are kept in the sigmas (see n_nonconverged in each "
+            "metrics block and converged in each reconstruction block)."
         )
     report = RunReport(
         experiment=experiment,
@@ -684,7 +698,9 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
 
     def point(index: int, p: float) -> dict:
         branches = _run_point(cfg, _sweep_source(cfg, "p", p), index)[3]
-        (rho_in, _, _, m_in), (rho_out, _, _, m_out) = branches["input"], branches["output"]
+        (rho_in, _, r_in, m_in), (rho_out, _, r_out, m_out) = (
+            branches["input"], branches["output"]
+        )
         return {
             "p": p,
             "s_in": m_in.s_value,
@@ -693,6 +709,8 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
             "s_out_sigma": m_out.s_value_sigma,
             "s_in_true": chsh_value(rho_in),
             "s_out_true": chsh_value(rho_out),
+            "input_reconstruction": _reconstruction_block(r_in),
+            "output_reconstruction": _reconstruction_block(r_out),
             "input_metrics": m_in.as_dict(),
             "output_metrics": m_out.as_dict(),
         }

@@ -19,7 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import (
+    PAULI_I,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     PHI_PLUS_KET,
     DensityMatrix,
@@ -153,17 +155,24 @@ class _Design:
     ``projectors`` is the (n, 4, 4) stack of :func:`setting_projectors`;
     row j of the (n, 16) ``matrix`` is vec(Pi_j^T), so that
     ``matrix @ vec(rho)`` gives tr(rho Pi_j). ``spans`` says whether the
-    projectors span the two-qubit operator space (rank 16). Row j of the
-    (n, 16) ``normalised`` is vec(H^-1/2 Pi_j H^-1/2) with H = sum_j Pi_j,
-    the operators the maximum-likelihood iteration weighs; it is None when
-    H is singular. The arrays are read-only because they are shared by
-    every caller.
+    projectors span the two-qubit operator space (rank 16).
+
+    The maximum-likelihood fit works in the frame whitened by H = sum_j Pi_j.
+    ``whitening`` is H^-1/2, and row j of the (n, 16) ``normalised`` is
+    vec(H^-1/2 Pi_j H^-1/2), the operators the fit weighs. ``basis`` is the
+    (15, 4, 4) orthonormal traceless Pauli basis E_k, and ``tangent`` the
+    real (n, 15) matrix tr(H^-1/2 Pi_j H^-1/2 E_k), the derivative of the
+    whitened probabilities along E_k. The four are None when H is singular.
+    The arrays are read-only because they are shared by every caller.
     """
 
     projectors: np.ndarray
     matrix: np.ndarray
     spans: bool
+    whitening: np.ndarray | None
     normalised: np.ndarray | None
+    basis: np.ndarray | None
+    tangent: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=8)
@@ -172,14 +181,22 @@ def _design(settings: tuple[MeasurementSetting, ...]) -> _Design:
     pis = setting_projectors(settings)
     matrix = pis.transpose(0, 2, 1).reshape(len(settings), 16)
     eigvals, eigvecs = np.linalg.eigh(pis.sum(axis=0))
-    normalised = None
+    whitening = normalised = basis = tangent = None
     if eigvals[0] > 1e-12 * eigvals[-1]:
-        h_inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
-        normalised = (h_inv_sqrt @ pis @ h_inv_sqrt).reshape(len(settings), 16)
-        normalised.setflags(write=False)
+        whitening = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
+        whitened = whitening @ pis @ whitening
+        normalised = whitened.reshape(len(settings), 16)
+        paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+        basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
+        tangent = np.einsum("jab,kba->jk", whitened, basis).real
+        for arr in (whitening, normalised, basis, tangent):
+            arr.setflags(write=False)
     pis.setflags(write=False)
     matrix.setflags(write=False)
-    return _Design(pis, matrix, bool(np.linalg.matrix_rank(matrix) == 16), normalised)
+    return _Design(
+        pis, matrix, bool(np.linalg.matrix_rank(matrix) == 16),
+        whitening, normalised, basis, tangent,
+    )
 
 
 def expected_probabilities(
@@ -330,7 +347,10 @@ class ReconstructionResult:
     constant terms dropped); ``loglike_history`` tracks it across the
     iterations for the iterative method and has a single entry for linear
     inversion. ``floor_hits`` counts probability evaluations caught by the
-    floor that keeps the likelihood finite.
+    floor that keeps the likelihood finite. ``gap`` is the certified
+    optimality gap of the likelihood fit at the returned state (see
+    :func:`mle_reconstruct`); it is 0.0 for linear inversion, which
+    solves its own problem exactly.
     """
 
     rho: DensityMatrix
@@ -340,6 +360,7 @@ class ReconstructionResult:
     converged: bool
     floor_hits: int = 0
     loglike_history: tuple[float, ...] = ()
+    gap: float = 0.0
 
 
 def _loglike(counts: np.ndarray, probs: np.ndarray) -> float:
@@ -418,6 +439,84 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
     )
 
 
+# RrhoR iterations after which a fit still open switches to Newton steps.
+# The fits of a default purify run certify within about 110; RrhoR slows
+# to a sublinear crawl only near rank-deficient states, where Newton steps
+# take over.
+_RRR_ITERATIONS = 200
+
+
+def _whitened_probabilities(design: _Design, y: np.ndarray) -> np.ndarray:
+    """tr(H^-1/2 Pi_j H^-1/2 Y) for every setting j and every Y of the stack.
+
+    For Hermitian operators the trace is the real dot product of the
+    matrices' entries, so one real matrix product gives it.
+    """
+    return y.reshape(-1, 16).view(float) @ design.normalised.view(float).T
+
+
+def _r_operator(
+    design: _Design, freqs: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """R = sum_j (f_j / p_j) Pi~_j of every row, and which p_j the floor caught."""
+    probs = _whitened_probabilities(design, y)
+    weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
+    return (weights @ design.normalised).reshape(-1, 4, 4), probs < PROBABILITY_FLOOR
+
+
+def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho = N[H^-1/2 Y H^-1/2] of every row, and its probabilities tr(rho Pi_j)."""
+    rho = design.whitening @ y @ design.whitening
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return rho, (rho.reshape(-1, 16) @ design.matrix.T).real
+
+
+def _positive_definite(a: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix of the (B, 4, 4) stack has a Cholesky factor.
+
+    Eliminates column by column; a matrix is positive definite exactly when
+    every pivot is positive.
+    """
+    a = a.copy()
+    ok = np.ones(len(a), dtype=bool)
+    for k in range(4):
+        pivot = a[:, k, k].real
+        ok &= pivot > 0.0
+        col = a[:, k + 1:, k] / np.where(ok, pivot, 1.0)[:, None]
+        a[:, k + 1:, k + 1:] -= col[:, :, None] * a[:, None, k, k + 1:]
+    return ok
+
+
+def _newton_step(
+    design: _Design, freqs: np.ndarray, y: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One damped Newton step per row on -sum_j f_j log p_j - mu log det Y.
+
+    p_j = tr(Pi~_j Y) are the whitened probabilities. The step moves Y along
+    the 15 traceless Pauli directions, so Y keeps unit trace; the Hessian is
+    T^T diag(f / p^2) T for the likelihood plus mu tr(Y^-1 E_k Y^-1 E_l)
+    for the barrier. Each row's step is halved until Y + t dY passes the
+    Cholesky test. Returns the new stack and each row's Newton decrement.
+    """
+    probs = np.maximum(_whitened_probabilities(design, y), PROBABILITY_FLOOR)
+    weights = freqs / probs
+    y_inv_e = np.linalg.inv(y)[:, None] @ design.basis
+    grad = -(weights @ design.tangent) - mu[:, None] * np.trace(
+        y_inv_e, axis1=2, axis2=3
+    ).real
+    hess = (design.tangent.T * (weights / probs)[:, None, :]) @ design.tangent
+    hess += mu[:, None, None] * np.einsum("bkij,blji->bkl", y_inv_e, y_inv_e).real
+    step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+    dy = (step @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
+    t = np.ones(len(y))
+    for _ in range(60):
+        inside = _positive_definite(y + t[:, None, None] * dy)
+        if inside.all():
+            break
+        t[~inside] *= 0.5
+    return y + t[:, None, None] * dy, -np.einsum("bk,bk->b", grad, step)
+
+
 def _mle_fits(
     settings: tuple[MeasurementSetting, ...],
     counts: np.ndarray,
@@ -428,19 +527,35 @@ def _mle_fits(
 ) -> list:
     """Maximum-likelihood fits of every row of ``counts`` (B, n) in one batch.
 
-    All rows iterate rho -> N[R rho R] together as one (B, 4, 4) stack, with
-    R = sum_j (f_j / p_j) H^-1/2 Pi_j H^-1/2 and H = sum_j Pi_j (Rehacek,
-    Hradil, Knill and Lvovsky, PRA 75, 042108 (2007)), so the true state is
-    a fixed point for any settings. Each row starts from the maximally mixed
-    state and stops on its own step: when the trace distance between its
-    successive iterates drops to ``tol``, or after ``max_iter`` iterations;
-    a stopped row leaves the batch. Probabilities are floored at
-    PROBABILITY_FLOOR so empty settings cannot blow up the weights.
-    Probabilities and R are one matrix product each on the cached design.
+    Each row fits the unit-trace Y = H^1/2 rho H^1/2 / tr(H rho), with
+    H = sum_j Pi_j, against the whitened operators Pi~_j = H^-1/2 Pi_j H^-1/2
+    of the cached design. It minimises -sum_j f_j log p_j, with
+    p_j = tr(Pi~_j Y) and f_j = counts_j / pairs_per_setting, which is the
+    Poisson likelihood with the flux fitted too, and returns rho
+    proportional to H^-1/2 Y H^-1/2. For the standard settings H = 9 I and
+    Y = rho.
+
+    All rows start from the maximally mixed state and iterate
+    Y -> N[R Y R], R = sum_j (f_j / p_j) Pi~_j (Rehacek, Hradil, Knill and
+    Lvovsky, PRA 75, 042108 (2007)), as one (B, 4, 4) stack. A row stops
+    when its convexity gap g = lambda_max(R) - sum_j f_j drops to ``tol``.
+    The gap bounds how far -sum_j f_j log p_j is above its minimum, so
+    ``converged`` is a certificate. Rows still open after _RRR_ITERATIONS
+    switch to damped Newton steps on the log-barrier problem (see
+    :func:`_newton_step`), started from their iterate mixed with a share
+    g / sum_j f_j of I/4. The barrier weight mu starts at
+    max(g / 10, tol / 16). It is cut tenfold only once a step's Newton
+    decrement is below mu / 4, and never below max(g / 10, tol / 16) for
+    the current g; on the central path g is at most 3 mu. Iterations of
+    both phases count against ``max_iter``; a row stopped by it reports
+    ``converged=False``. Stopped rows leave the batch. Probabilities are
+    floored at PROBABILITY_FLOOR so empty settings cannot blow up the
+    weights.
 
     Returns one entry per row: the :class:`ReconstructionResult`, or the
     exception that rejected the row (a singular H, a failed validation or a
-    ``LinAlgError``). Only with ``history`` does a result carry the
+    ``LinAlgError``; the latter fails the whole batch, which is then refitted
+    row by row). Only with ``history`` does a result carry the
     log-likelihood of every iterate.
     """
     if not tol > 0.0:
@@ -454,61 +569,86 @@ def _mle_fits(
             "fit is undetermined"
         )
         return [err] * len(counts)
+    try:
+        return _fit_batch(design, counts, pairs_per_setting, tol, max_iter, history)
+    except np.linalg.LinAlgError as exc:
+        if len(counts) == 1:
+            return [exc]
+        return [
+            fit
+            for row in counts
+            for fit in _mle_fits(
+                settings, row[None], pairs_per_setting, tol, max_iter, history
+            )
+        ]
+
+
+def _fit_batch(
+    design: _Design,
+    counts: np.ndarray,
+    pairs_per_setting: int,
+    tol: float,
+    max_iter: int,
+    history: bool,
+) -> list:
+    """The iteration of :func:`_mle_fits` on a design with a regular H."""
     fits = [None] * len(counts)
     rows = np.arange(len(counts))  # input row of each batch row
     freqs = counts / float(pairs_per_setting)
-    rho = np.tile(np.eye(4, dtype=complex) / 4.0, (len(counts), 1, 1))
+    total = freqs.sum(axis=1)
+    y = np.tile(np.eye(4, dtype=complex) / 4.0, (len(counts), 1, 1))
+    mu = np.zeros(len(counts))
     floor_hits = np.zeros(len(counts), dtype=int)
-    probs = (rho.reshape(-1, 16) @ design.matrix.T).real
-    logs = [[_loglike(c, p)] for c, p in zip(counts, probs)] if history else None
+    r_op, _ = _r_operator(design, freqs, y)
+    logs = None
+    if history:
+        logs = [[_loglike(c, p)] for c, p in zip(counts, _states(design, y)[1])]
     for iteration in range(1, max_iter + 1):
-        floor_hits += (probs < PROBABILITY_FLOOR).sum(axis=1)
-        weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
-        r_op = (weights @ design.normalised).reshape(-1, 4, 4)
-        new = r_op @ rho @ r_op
-        new = 0.5 * (new + new.conj().transpose(0, 2, 1))
-        new /= np.trace(new, axis1=1, axis2=2).real[:, None, None]
-        try:
-            delta = 0.5 * np.abs(np.linalg.eigvalsh(new - rho)).sum(axis=1)
-        except np.linalg.LinAlgError as exc:
-            if len(counts) == 1:
-                return [exc]
-            # one bad row fails the whole batch, so fit the rows one by one
-            return [
-                fit
-                for row in counts
-                for fit in _mle_fits(
-                    settings, row[None], pairs_per_setting, tol, max_iter, history
-                )
-            ]
-        rho = new
-        probs = (rho.reshape(-1, 16) @ design.matrix.T).real
+        if iteration <= _RRR_ITERATIONS:
+            y = r_op @ y @ r_op
+            y = 0.5 * (y + y.conj().transpose(0, 2, 1))
+            y /= np.trace(y, axis1=1, axis2=2).real[:, None, None]
+        else:
+            if iteration == _RRR_ITERATIONS + 1:
+                share = np.minimum(gap / total, 1.0)[:, None, None]
+                y = (1.0 - share) * y + share * np.eye(4) / 4.0
+                mu = np.maximum(0.1 * gap, tol / 16.0)
+            y, decrement = _newton_step(design, freqs, y, mu)
+        r_op, floored = _r_operator(design, freqs, y)
+        floor_hits += floored.sum(axis=1)
+        gap = np.linalg.eigvalsh(r_op)[:, -1] - total
+        if iteration > _RRR_ITERATIONS:
+            lowest = np.maximum(0.1 * gap, tol / 16.0)
+            mu = np.where(decrement < mu / 4.0, np.maximum(mu / 10.0, lowest), mu)
         if history:
-            for i, p in zip(rows, probs):
+            for i, p in zip(rows, _states(design, y)[1]):
                 logs[i].append(_loglike(counts[i], p))
-        converged = delta <= tol
+        converged = gap <= tol
         stopped = converged if iteration < max_iter else np.ones_like(converged)
-        for k in np.flatnonzero(stopped):
+        if not stopped.any():
+            continue
+        done = np.flatnonzero(stopped)
+        for k, rho, probs in zip(done, *_states(design, y[done])):
             i = rows[k]
             try:
                 fits[i] = ReconstructionResult(
-                    rho=DensityMatrix(rho[k]),
+                    rho=DensityMatrix(rho),
                     method="mle",
                     iterations=iteration,
-                    loglike=_loglike(counts[i], probs[k]),
+                    loglike=_loglike(counts[i], probs),
                     converged=bool(converged[k]),
                     floor_hits=int(floor_hits[k]),
                     loglike_history=tuple(logs[i]) if history else (),
+                    gap=float(gap[k]),
                 )
             except ValueError as exc:
                 fits[i] = exc
-        if stopped.any():
-            keep = ~stopped
-            if not keep.any():
-                break
-            rows, freqs, rho, probs, floor_hits = (
-                a[keep] for a in (rows, freqs, rho, probs, floor_hits)
-            )
+        keep = ~stopped
+        if not keep.any():
+            break
+        rows, freqs, total, y, r_op, gap, mu, floor_hits = (
+            a[keep] for a in (rows, freqs, total, y, r_op, gap, mu, floor_hits)
+        )
     return fits
 
 
@@ -519,10 +659,13 @@ def mle_reconstruct(
 ) -> ReconstructionResult:
     """Iterative maximum-likelihood reconstruction.
 
-    The fit of :func:`_mle_fits` for one count set: the fixed point
-    rho -> N[R rho R], started from the maximally mixed state and stopped
-    when the trace distance between successive iterates drops to ``tol``
-    or ``max_iter`` is reached. ``loglike_history`` holds the
+    The fit of :func:`_mle_fits` for one count set: RrhoR iterations in the
+    whitened frame from the maximally mixed state, then Newton steps on the
+    log-barrier problem if the fit is still open after 200 iterations. It
+    stops once the certified gap between -sum_j f_j log p_j and its minimum,
+    in frequencies f_j = counts_j / pairs_per_setting, is at most ``tol``
+    (``converged=True``, ``gap`` the certificate), or after ``max_iter``
+    iterations of both phases together. ``loglike_history`` holds the
     log-likelihood of every iterate, starting point included.
     """
     [fit] = _mle_fits(
@@ -672,11 +815,12 @@ def monte_carlo_metrics(
     resampled as Poisson(observed). With ``resample=False`` (the analytic,
     zero-noise path) every sample is identical and all sigmas are exactly 0.
     Every resample is drawn first and all of them are reconstructed in one
-    batch: one linear solve, or one stacked likelihood iteration.
+    batch: one linear solve, or one stacked likelihood fit (see
+    :func:`_mle_fits`; ``mle_opts`` are its ``tol`` and ``max_iter``).
     Samples whose counts or reconstruction fail are dropped and counted in
-    ``n_failed``; more than 10% failures aborts the report. MLE fits that
-    stop at ``max_iter`` stay in the sigmas and are counted in
-    ``n_nonconverged``.
+    ``n_failed``; more than 10% failures aborts the report. MLE fits whose
+    certified gap is still above ``tol`` at ``max_iter`` stay in the sigmas
+    and are counted in ``n_nonconverged``.
     """
     if n_samples < 10:
         raise ValueError(f"n_samples must be at least 10, got {n_samples}")

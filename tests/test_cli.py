@@ -370,6 +370,24 @@ class TestPurifyPipeline:
         report = run_purification(cfg, tmp_path)
         assert report.stages["tomography"]["output"]["metrics"]["n_nonconverged"] == 0
         assert len(report.stages["notes"]) == 1
+        for branch in ("input", "output"):
+            recon = report.stages["tomography"][branch]["reconstruction"]
+            assert recon["converged"]
+            assert 0.0 < recon["gap"] <= cfg.tomography.mle_tol
+
+    def test_nonconverged_point_fits_get_a_note(self, tmp_path):
+        """Point fits stopped by mle_max_iter are counted even with no bootstrap fit."""
+        cfg = analytic_cfg(tomography=TomographyConfig(n_mc_samples=10, mle_max_iter=3))
+        report = run_purification(cfg, tmp_path)
+        branches = [report.stages["tomography"][b] for b in ("input", "output")]
+        assert [b["reconstruction"]["converged"] for b in branches] == [False, False]
+        assert all(b["reconstruction"]["gap"] > 1e-10 for b in branches)
+        assert [b["metrics"]["n_nonconverged"] for b in branches] == [0, 0]
+        notes = report.stages["notes"]
+        assert len(notes) == 2
+        assert notes[1].startswith(
+            "Non-converged fits: 0 bootstrap MLE fit(s) and 2 point fit(s)"
+        )
 
     def test_artifacts_are_written(self, tmp_path):
         """Counts, reconstructions, bar tables, and the report land on disk."""
@@ -456,7 +474,13 @@ class TestSweepPipelines:
             sweep=SweepConfig("p", (0.1, 0.5)),
         )
         report = run_chsh_sweep(cfg)
-        assert report.stages["notes"][1].startswith("Non-converged fits: 40 ")
+        assert report.stages["notes"][1].startswith(
+            "Non-converged fits: 40 bootstrap MLE fit(s) and 4 point fit(s)"
+        )
+        for row in report.stages["sweep_rows"]:
+            for branch in ("input", "output"):
+                recon = row[f"{branch}_reconstruction"]
+                assert (recon["iterations"], recon["converged"]) == (3, False)
 
     def test_chsh_sweep_rejects_other_parameters(self):
         """The balance sweep is the only supported chsh-sweep scan."""

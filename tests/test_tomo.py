@@ -83,8 +83,11 @@ def mle_oracle(data, tol=tomo.MLE_DEFAULT_TOL, max_iter=tomo.MLE_DEFAULT_MAX_ITE
     """One RrhoR fit iterated alone with per-setting einsums: (rho, iterations, converged).
 
     The projectors enter unnormalised, which is the same map as the
-    H^-1/2-normalised one up to rounding for settings with sum_j Pi_j
-    proportional to the identity, such as the standard 36.
+    whitened one up to rounding for settings with sum_j Pi_j proportional
+    to the identity, such as the standard 36. It stops when the trace
+    distance between successive iterates drops to ``tol``. Within the
+    first 200 iterations it is the iteration of ``tomo._mle_fits``; run
+    long, it is the likelihood reference.
     """
     pis = setting_projectors(data.settings)
     rho = np.eye(4, dtype=complex) / 4.0
@@ -137,6 +140,13 @@ def mle_sigmas_oracle(data, n_samples, seed, max_iter, skip=()):
     ]
     rows = [metric_row(DensityMatrix(rho)) for rho, _, _ in fits]
     return np.std(np.stack(rows), axis=0, ddof=1), [ok for _, _, ok in fits].count(False)
+
+
+def neg_loglike(data, rho):
+    """-sum_j f_j log p_j over the settings with counts, f_j the frequencies."""
+    probs = expected_probabilities(rho, data.settings)
+    seen = data.counts > 0
+    return -np.sum(data.frequencies[seen] * np.log(probs[seen]))
 
 
 def sigmas(report):
@@ -426,6 +436,10 @@ class TestMle:
         recon = mle_reconstruct(data, tol=1e-8)
         assert recon.converged
         assert trace_distance(recon.rho, rho) < 1e-3
+        # a certified gap of 1e-6 must also put the fit close to the truth
+        recon = mle_reconstruct(data, tol=1e-6)
+        assert recon.converged
+        assert trace_distance(recon.rho, rho) < 2e-4
 
     def test_standard_normalised_operators_are_scaled_projectors(self):
         """For the 36 standard settings H = 9 I, so the normalised stack is Pi_j / 9."""
@@ -445,20 +459,56 @@ class TestMle:
         """Each batch row stops on its own step, as if it were fitted alone."""
         rows = [simulate_counts(tilted_bell(0.5), SETTINGS, 3_000, seed=s) for s in (0, 1)]
         rows += [simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=s) for s in (0, 1, 3)]
-        fits = tomo._mle_fits(
-            tuple(SETTINGS), np.stack([d.counts for d in rows]), 3_000, max_iter=1_000
+        counts = np.stack([d.counts for d in rows])
+        short, full = (
+            tomo._mle_fits(tuple(SETTINGS), counts, 3_000, max_iter=budget)
+            for budget in (220, 1_000)
         )
-        iterations = []
-        for data, fit in zip(rows, fits):
-            rho, its, converged = mle_oracle(data, max_iter=1_000)
-            assert (fit.iterations, fit.converged) == (its, converged)
-            np.testing.assert_allclose(fit.rho.data, rho, rtol=0, atol=1e-12)
-            assert fit.loglike_history == ()
-            iterations.append(its)
-        # rows stop at different steps, and one of them at the budget
-        assert len(set(iterations)) >= 4
-        assert [fit.converged for fit in fits].count(False) >= 1
-        assert 1_000 in iterations
+        for budget, fits in ((220, short), (1_000, full)):
+            for row, fit in zip(counts, fits):
+                [alone] = tomo._mle_fits(tuple(SETTINGS), row[None], 3_000, max_iter=budget)
+                assert (fit.iterations, fit.converged) == (alone.iterations, alone.converged)
+                np.testing.assert_allclose(fit.rho.data, alone.rho.data, rtol=0, atol=1e-12)
+                assert fit.loglike_history == ()
+        # two rows certify in the RrhoR phase; three need Newton steps, and
+        # stop at the shorter budget without a certificate
+        assert [f.iterations for f in short[:2]] == [f.iterations for f in full[:2]]
+        assert all(f.iterations < 200 for f in full[:2])
+        assert [(f.iterations, f.converged) for f in short[2:]] == [(220, False)] * 3
+        assert all(f.converged and 220 < f.iterations < 1_000 for f in full[2:])
+
+    def test_fits_reach_the_likelihood_of_a_long_oracle_run(self):
+        """No fit's -log L exceeds the RrhoR oracle's after 50 000 iterations by more than tol."""
+        rows = [simulate_counts(tilted_bell(0.5), SETTINGS, 3_000, seed=s) for s in (0, 1)]
+        rows += [simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=s) for s in (0, 1, 3)]
+        rows += [simulate_counts(tilted_bell(0.1), SETTINGS, 260_000, seed=1)]
+        for data in rows:
+            fit = mle_reconstruct(data)
+            rho, _, _ = mle_oracle(data, max_iter=50_000)
+            assert fit.converged
+            assert neg_loglike(data, fit.rho) <= (
+                neg_loglike(data, DensityMatrix(rho)) + tomo.MLE_DEFAULT_TOL
+            )
+
+    def test_nearly_pure_states_converge(self):
+        """Tilted Bell p = 0.1 at 2.6e7 pairs per setting certifies within 400 iterations."""
+        for seed in range(3):
+            data = simulate_counts(tilted_bell(0.1), SETTINGS, 26_000_000, seed=seed)
+            fit = mle_reconstruct(data)
+            assert fit.converged
+            assert fit.iterations <= 400
+
+    def test_converged_exactly_when_the_gap_is_within_tol(self):
+        """The convergence flag is the certificate gap <= tol, at any budget."""
+        rows = [simulate_counts(tilted_bell(p), SETTINGS, 3_000, seed=1) for p in (0.5, 0.3)]
+        counts = np.stack([d.counts for d in rows])
+        flags = []
+        for tol, budget in ((1e-10, 3), (1e-10, 220), (1e-10, 10_000), (1e-6, 10_000)):
+            for fit in tomo._mle_fits(tuple(SETTINGS), counts, 3_000, tol=tol, max_iter=budget):
+                assert fit.converged == (fit.gap <= tol)
+                flags.append(fit.converged)
+        assert True in flags and False in flags
+        assert linear_inversion(rows[0]).gap == 0.0
 
     def test_parameter_validation(self):
         """Non-positive tolerances and budgets are refused."""
@@ -660,17 +710,19 @@ class TestMonteCarloMetrics:
         )
 
     def test_mle_bootstrap_matches_the_per_sample_oracle(self):
-        """The batched MLE bootstrap equals one fit per resample."""
+        """The batched MLE bootstrap equals one fit per resample, each fitted alone."""
         data = simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=4)
         point = mle_reconstruct(data)
         report = monte_carlo_metrics(
-            data, n_samples=12, seed=2, method="mle", point_result=point, max_iter=800
+            data, n_samples=12, seed=2, method="mle", point_result=point, max_iter=220
         )
-        want, nonconverged = mle_sigmas_oracle(data, 12, 2, max_iter=800)
-        # the states agree to about 1e-15; concurrence takes square roots of
-        # near-zero eigenvalues, which lifts that to about 1e-8 in its sigma
+        fits = [mle_reconstruct(sample, max_iter=220) for sample in resamples(data, 12, 2)]
+        want = np.std(np.stack([metric_row(fit.rho) for fit in fits]), axis=0, ddof=1)
+        # the states agree to about 1e-13; concurrence takes square roots of
+        # near-zero eigenvalues, which lifts that in its sigma
         np.testing.assert_allclose(sigmas(report), want, rtol=1e-6)
         assert report.n_failed == 0
+        nonconverged = [fit.converged for fit in fits].count(False)
         assert report.n_nonconverged == nonconverged
         assert 0 < nonconverged < 12
 
