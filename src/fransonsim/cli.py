@@ -11,7 +11,7 @@ checks a config without running anything.
 Config files are JSON trees; every angle in a file is degrees and is
 converted to radians at the boundary. All randomness is derived from the
 single config seed through counter-based substreams, so outputs are
-byte-identical for one (config, seed) regardless of worker count.
+byte-identical for one (config, seed).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,23 +40,20 @@ from .optics import (
 from .qcore import (
     DensityMatrix,
     PostselectionError,
-    concurrence,
     dump_density_matrix,
-    fidelity_to,
     load_density_matrix,
     purity,
-    PHI_PLUS_KET,
 )
 from .tomo import (
+    DEFAULT_CHSH_ANGLES,
     DEFAULT_PAIRS_PER_SETTING,
     CountData,
     MetricsReport,
     ReconstructionResult,
+    _metric_vector,
     analytic_counts,
     chsh_value,
     counts_to_csv,
-    mle_reconstruct,
-    linear_inversion,
     monte_carlo_metrics,
     simulate_counts,
     standard_settings,
@@ -213,7 +209,7 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "."
     count_mode: str = "sampled"
-    workers: int = 1
+    workers: int = 1  # accepted and validated; sweep points always run serially
 
     def __post_init__(self) -> None:
         if self.count_mode not in COUNT_MODES:
@@ -515,45 +511,33 @@ def config_to_raw(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # The pipeline shared by the experiments.
 
-def _true_metrics(rho: DensityMatrix) -> dict:
-    return {
-        "fidelity": fidelity_to(rho, PHI_PLUS_KET),
-        "concurrence": concurrence(rho),
-        "purity": purity(rho),
-        "s_value": chsh_value(rho),
-    }
-
-
 def _tomography_branch(
     rho: DensityMatrix, cfg: ExperimentConfig, seed: int
-) -> tuple[CountData, ReconstructionResult, MetricsReport]:
-    """Counts, reconstruction, and bootstrapped metrics for one state."""
+) -> tuple[CountData, MetricsReport]:
+    """Counts, and the metrics of their one batched fit, for one state."""
     tcfg = cfg.tomography
     settings = standard_settings()
     if cfg.count_mode == "analytic":
         data = analytic_counts(rho, settings, tcfg.pairs_per_setting)
     else:
         data = simulate_counts(rho, settings, tcfg.pairs_per_setting, seed=seed)
-    mle = tcfg.method == "mle"
-    mle_opts = {"tol": tcfg.mle_tol, "max_iter": tcfg.mle_max_iter} if mle else {}
-    recon = mle_reconstruct(data, **mle_opts) if mle else linear_inversion(data)
     metrics = monte_carlo_metrics(
         data,
         n_samples=tcfg.n_mc_samples,
         seed=derive_seed(seed, 1),
         method=tcfg.method,
         resample=(cfg.count_mode == "sampled"),
-        point_result=recon,
-        **mle_opts,
+        tol=tcfg.mle_tol,
+        max_iter=tcfg.mle_max_iter,
     )
-    return data, recon, metrics
+    return data, metrics
 
 
 def _run_point(cfg: ExperimentConfig, source: SourceConfig, *key: int):
     """One pipeline evaluation: source, channel, blocked input and transfer.
 
     Returns the source state, the blocked state, the transfer outcome, and
-    ``{"input" | "output": (rho, counts, reconstruction, metrics)}``. Branch
+    ``{"input" | "output": (rho, counts, metrics)}``. Branch
     ``b`` (1 input, 2 output) draws from ``derive_seed(cfg.seed, b, *key)``.
     """
     src = make_source_state(source)
@@ -568,13 +552,12 @@ def _run_point(cfg: ExperimentConfig, source: SourceConfig, *key: int):
     return src, blocked, outcome, branches
 
 
-def _branch_payload(
-    rho: DensityMatrix, recon: ReconstructionResult, metrics: MetricsReport, **extra
-) -> dict:
+def _branch_payload(rho: DensityMatrix, metrics: MetricsReport, **extra) -> dict:
+    truth = _metric_vector(rho, DEFAULT_CHSH_ANGLES).tolist()
     return {
-        "model_truth": _true_metrics(rho),
+        "model_truth": dict(zip(("fidelity", "concurrence", "purity", "s_value"), truth)),
         **extra,
-        "reconstruction": _reconstruction_block(recon),
+        "reconstruction": _reconstruction_block(metrics.point_fit),
         "metrics": metrics.as_dict(),
     }
 
@@ -588,15 +571,6 @@ def _reconstruction_block(recon: ReconstructionResult) -> dict:
         "loglike": recon.loglike,
         "floor_hits": recon.floor_hits,
     }
-
-
-def _map_points(cfg: ExperimentConfig, point, values) -> list:
-    """``point(index, value)`` over the sweep, on ``cfg.workers`` threads; in order."""
-    indices = range(len(values))
-    if cfg.workers == 1:
-        return list(map(point, indices, values))
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(point, indices, values))
 
 
 def _finish(experiment, cfg, stages, t0, out_dir, report_name) -> RunReport:
@@ -646,15 +620,15 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     t0 = time.perf_counter()
     src, blocked, outcome, branches = _run_point(cfg, cfg.source)
     tomography = {}
-    for name, (rho, data, recon, metrics) in branches.items():
-        payload = _branch_payload(rho, recon, metrics, state_weight=rho.weight)
+    for name, (rho, data, metrics) in branches.items():
+        payload = _branch_payload(rho, metrics, state_weight=rho.weight)
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             payload["counts_csv"] = f"counts_{name}.csv"
             payload["dump"] = f"rho_{name}_reconstructed.txt"
             counts_to_csv(data, out / payload["counts_csv"])
-            dump_density_matrix(recon.rho, out / payload["dump"])
+            dump_density_matrix(metrics.point_fit.rho, out / payload["dump"])
         tomography[name] = payload
 
     stages = {
@@ -686,9 +660,9 @@ def _sweep_source(cfg: ExperimentConfig, parameter: str, value: float) -> Source
 def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """Experiment B: CHSH of input and output across the balance parameter.
 
-    Sweep points may run on a thread pool (``workers`` in the config); the
-    seed substream of a point depends only on its index, so the CSV and the
-    report are byte-identical for any worker count.
+    Sweep points run one after another; ``workers`` is accepted and
+    validated but changes nothing. The seed substream of a point depends
+    only on its index.
     """
     t0 = time.perf_counter()
     if cfg.sweep is not None and cfg.sweep.parameter != "p":
@@ -698,9 +672,7 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
 
     def point(index: int, p: float) -> dict:
         branches = _run_point(cfg, _sweep_source(cfg, "p", p), index)[3]
-        (rho_in, _, r_in, m_in), (rho_out, _, r_out, m_out) = (
-            branches["input"], branches["output"]
-        )
+        (rho_in, _, m_in), (rho_out, _, m_out) = branches["input"], branches["output"]
         return {
             "p": p,
             "s_in": m_in.s_value,
@@ -709,14 +681,14 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
             "s_out_sigma": m_out.s_value_sigma,
             "s_in_true": chsh_value(rho_in),
             "s_out_true": chsh_value(rho_out),
-            "input_reconstruction": _reconstruction_block(r_in),
-            "output_reconstruction": _reconstruction_block(r_out),
+            "input_reconstruction": _reconstruction_block(m_in.point_fit),
+            "output_reconstruction": _reconstruction_block(m_out.point_fit),
             "input_metrics": m_in.as_dict(),
             "output_metrics": m_out.as_dict(),
         }
 
     values = cfg.sweep.values if cfg.sweep is not None else DEFAULT_SWEEP_VALUES
-    rows = _map_points(cfg, point, values)
+    rows = list(map(point, range(len(values)), values))
     stages = {"sweep_rows": rows, "notes": [GAP_NOTE]}
     report = _finish("chsh-sweep", cfg, stages, t0, out_dir, "report_chsh_sweep.json")
     if out_dir is not None:
@@ -734,8 +706,8 @@ def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
         source = cfg.source if sweep is None else _sweep_source(cfg, sweep.parameter, value)
         _, blocked, outcome, branches = _run_point(cfg, source, index)
         row = {
-            name: _branch_payload(rho, recon, metrics)
-            for name, (rho, _, recon, metrics) in branches.items()
+            name: _branch_payload(rho, metrics)
+            for name, (rho, _, metrics) in branches.items()
         }
         row["port_probs"] = [float(p) for p in outcome.port_probs]
         row["blocked_input_weight"] = blocked.weight
@@ -744,7 +716,8 @@ def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
             row["value"] = float(value)
         return row
 
-    rows = _map_points(cfg, point, [None] if sweep is None else sweep.values)
+    values = [None] if sweep is None else sweep.values
+    rows = list(map(point, range(len(values)), values))
     stages = {"points": rows, "notes": [GAP_NOTE]}
     return _finish("custom", cfg, stages, t0, out_dir, "report_custom.json")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -363,23 +363,23 @@ class ReconstructionResult:
     gap: float = 0.0
 
 
-def _loglike(counts: np.ndarray, probs: np.ndarray) -> float:
-    p = np.clip(probs, PROBABILITY_FLOOR, None)
-    mask = counts > 0.0
-    return float(np.sum(counts[mask] * np.log(p[mask])))
+def _loglike(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """sum_j n_j log p_j of every row, each p_j floored at PROBABILITY_FLOOR."""
+    return np.sum(counts * np.log(np.maximum(probs, PROBABILITY_FLOOR)), axis=-1)
 
 
-def _linear_states(
+def _linear_fits(
     settings: tuple[MeasurementSetting, ...], counts: np.ndarray, pairs_per_setting: int
 ) -> list:
     """Linear inversion of every row of ``counts`` (B, n) in one batched solve.
 
     One least-squares solve with B right-hand sides and one stacked
     eigendecomposition serve all rows; each row is then clipped,
-    renormalized and validated on its own. Returns one entry per row: the
-    :class:`DensityMatrix`, or the exception that rejected the row (an
-    underdetermined design, a collapse to the zero matrix, a failed
-    validation or a ``LinAlgError``).
+    renormalized and validated on its own. The log-likelihoods and floor
+    hits of all rows come from one stacked pass over their probabilities.
+    Returns one entry per row: the :class:`ReconstructionResult`, or the
+    exception that rejected the row (an underdetermined design, a collapse
+    to the zero matrix, a failed validation or a ``LinAlgError``).
     """
     design = _design(settings)
     if not design.spans:
@@ -399,20 +399,36 @@ def _linear_states(
             return [exc]
         # one bad row fails the whole batch, so solve the rows one by one
         return [
-            state
+            fit
             for row in counts
-            for state in _linear_states(settings, row[None], pairs_per_setting)
+            for fit in _linear_fits(settings, row[None], pairs_per_setting)
         ]
-    states = []
-    for vals, vecs in zip(np.clip(eigvals, 0.0, None), eigvecs):
-        total = vals.sum()
+    vals = np.clip(eigvals, 0.0, None)
+    totals = vals.sum(axis=1)
+    shares = np.divide(
+        vals, totals[:, None], out=np.zeros_like(vals), where=totals[:, None] > 0.0
+    )
+    rhos = np.stack([(vecs * w) @ vecs.conj().T for vecs, w in zip(eigvecs, shares)])
+    probs = (rhos.reshape(-1, 16) @ design.matrix.T).real
+    fits = []
+    for rho, total, ll, hits in zip(
+        rhos, totals, _loglike(counts, probs), (probs < PROBABILITY_FLOOR).sum(axis=1)
+    ):
         try:
             if total <= 0.0:
                 raise ValueError("reconstruction collapsed to the zero matrix")
-            states.append(DensityMatrix((vecs * (vals / total)) @ vecs.conj().T))
+            fits.append(ReconstructionResult(
+                rho=DensityMatrix(rho),
+                method="linear",
+                iterations=1,
+                loglike=float(ll),
+                converged=True,
+                floor_hits=int(hits),
+                loglike_history=(float(ll),),
+            ))
         except ValueError as exc:
-            states.append(exc)
-    return states
+            fits.append(exc)
+    return fits
 
 
 def linear_inversion(data: CountData) -> ReconstructionResult:
@@ -421,22 +437,13 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
     Solves min ||A vec(rho) - f||_2 over all matrices, then Hermitizes,
     clips negative eigenvalues to zero, and renormalizes the trace. Exact
     on noiseless data; on sampled data the projection step is what keeps
-    the estimate physical.
+    the estimate physical. This is the one-row call of the batched fit
+    that :func:`monte_carlo_metrics` runs.
     """
-    [rho] = _linear_states(data.settings, data.counts[None], data.pairs_per_setting)
-    if isinstance(rho, Exception):
-        raise rho
-    probs = expected_probabilities(rho, data.settings)
-    ll = _loglike(data.counts, probs)
-    return ReconstructionResult(
-        rho=rho,
-        method="linear",
-        iterations=1,
-        loglike=ll,
-        converged=True,
-        floor_hits=int(np.sum(probs < PROBABILITY_FLOOR)),
-        loglike_history=(ll,),
-    )
+    [fit] = _linear_fits(data.settings, data.counts[None], data.pairs_per_setting)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 # RrhoR iterations after which a fit still open switches to Newton steps.
@@ -553,10 +560,12 @@ def _mle_fits(
     weights.
 
     Returns one entry per row: the :class:`ReconstructionResult`, or the
-    exception that rejected the row (a singular H, a failed validation or a
-    ``LinAlgError``; the latter fails the whole batch, which is then refitted
-    row by row). Only with ``history`` does a result carry the
-    log-likelihood of every iterate.
+    exception that rejected the row (a singular H, counts that are all
+    zero, a failed validation or a ``LinAlgError``; the latter fails the
+    whole batch, which is then refitted row by row). Rows of zeros are
+    refused before the iteration, so the other rows stay one batch. Only
+    with ``history`` does a result carry the log-likelihood of every
+    iterate.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -569,18 +578,23 @@ def _mle_fits(
             "fit is undetermined"
         )
         return [err] * len(counts)
+    fits = [ValueError("the counts are all zero, there is nothing to fit")] * len(counts)
+    rows = np.flatnonzero(counts.any(axis=1))
+    if len(rows) == 0:
+        return fits
     try:
-        return _fit_batch(design, counts, pairs_per_setting, tol, max_iter, history)
+        found = _fit_batch(design, counts[rows], pairs_per_setting, tol, max_iter, history)
     except np.linalg.LinAlgError as exc:
-        if len(counts) == 1:
-            return [exc]
-        return [
+        found = [exc] if len(rows) == 1 else [
             fit
-            for row in counts
+            for row in counts[rows]
             for fit in _mle_fits(
                 settings, row[None], pairs_per_setting, tol, max_iter, history
             )
         ]
+    for i, fit in zip(rows, found):
+        fits[i] = fit
+    return fits
 
 
 def _fit_batch(
@@ -602,7 +616,7 @@ def _fit_batch(
     r_op, _ = _r_operator(design, freqs, y)
     logs = None
     if history:
-        logs = [[_loglike(c, p)] for c, p in zip(counts, _states(design, y)[1])]
+        logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])]
     for iteration in range(1, max_iter + 1):
         if iteration <= _RRR_ITERATIONS:
             y = r_op @ y @ r_op
@@ -621,21 +635,22 @@ def _fit_batch(
             lowest = np.maximum(0.1 * gap, tol / 16.0)
             mu = np.where(decrement < mu / 4.0, np.maximum(mu / 10.0, lowest), mu)
         if history:
-            for i, p in zip(rows, _states(design, y)[1]):
-                logs[i].append(_loglike(counts[i], p))
+            for i, ll in zip(rows, _loglike(counts[rows], _states(design, y)[1])):
+                logs[i].append(float(ll))
         converged = gap <= tol
         stopped = converged if iteration < max_iter else np.ones_like(converged)
         if not stopped.any():
             continue
         done = np.flatnonzero(stopped)
-        for k, rho, probs in zip(done, *_states(design, y[done])):
+        rhos, probs = _states(design, y[done])
+        for k, rho, ll in zip(done, rhos, _loglike(counts[rows[done]], probs)):
             i = rows[k]
             try:
                 fits[i] = ReconstructionResult(
                     rho=DensityMatrix(rho),
                     method="mle",
                     iterations=iteration,
-                    loglike=_loglike(counts[i], probs),
+                    loglike=float(ll),
                     converged=bool(converged[k]),
                     floor_hits=int(floor_hits[k]),
                     loglike_history=tuple(logs[i]) if history else (),
@@ -666,7 +681,9 @@ def mle_reconstruct(
     in frequencies f_j = counts_j / pairs_per_setting, is at most ``tol``
     (``converged=True``, ``gap`` the certificate), or after ``max_iter``
     iterations of both phases together. ``loglike_history`` holds the
-    log-likelihood of every iterate, starting point included.
+    log-likelihood of every iterate, starting point included; the batched
+    fit that :func:`monte_carlo_metrics` runs does not record it. Counts
+    that are all zero are refused with a ``ValueError``.
     """
     [fit] = _mle_fits(
         data.settings, data.counts[None], data.pairs_per_setting, tol, max_iter,
@@ -737,6 +754,8 @@ class MetricsReport:
 
     Fidelity is against the |HH>+|VV> Bell target; the CHSH value uses the
     angles the report was built with (defaults unless stated otherwise).
+    ``point_fit`` is the reconstruction the point values come from; it is
+    not part of :meth:`as_dict` or of equality.
     """
 
     fidelity: float
@@ -750,6 +769,7 @@ class MetricsReport:
     n_samples: int
     n_failed: int = 0
     n_nonconverged: int = 0
+    point_fit: ReconstructionResult | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("fidelity", "concurrence", "purity"):
@@ -805,70 +825,57 @@ def monte_carlo_metrics(
     method: str = "mle",
     angles: ChshAngles = DEFAULT_CHSH_ANGLES,
     resample: bool = True,
-    point_result: ReconstructionResult | None = None,
     **mle_opts,
 ) -> MetricsReport:
-    """Metrics with parametric-bootstrap error bars.
+    """Metrics with parametric-bootstrap error bars, from one batched fit.
 
-    Point values come from reconstructing the original counts; sigmas are
-    standard deviations over ``n_samples`` reconstructions of counts
-    resampled as Poisson(observed). With ``resample=False`` (the analytic,
-    zero-noise path) every sample is identical and all sigmas are exactly 0.
-    Every resample is drawn first and all of them are reconstructed in one
-    batch: one linear solve, or one stacked likelihood fit (see
-    :func:`_mle_fits`; ``mle_opts`` are its ``tol`` and ``max_iter``).
-    Samples whose counts or reconstruction fail are dropped and counted in
-    ``n_failed``; more than 10% failures aborts the report. MLE fits whose
-    certified gap is still above ``tol`` at ``max_iter`` stay in the sigmas
-    and are counted in ``n_nonconverged``.
+    The observed counts are row 0 of the batch and the ``n_samples``
+    resamples, drawn as Poisson(observed), are the rows after it. One call
+    of the chosen fitter reconstructs every row the same way: one linear
+    solve, or one stacked likelihood fit (see :func:`_mle_fits`;
+    ``mle_opts`` are its ``tol`` and ``max_iter``, and linear inversion
+    ignores them). Row 0 is the point estimate: the point values come from
+    it, it is returned as ``point_fit``, and its failure is raised. Sigmas
+    are the standard deviations over the resamples. With ``resample=False``
+    (the analytic, zero-noise path) only row 0 is fitted and all sigmas are
+    exactly 0. Samples whose counts or reconstruction fail are dropped and
+    counted in ``n_failed``; more than 10% failures aborts the report. MLE
+    fits whose certified gap is still above ``tol`` at ``max_iter`` stay in
+    the sigmas and are counted in ``n_nonconverged``.
     """
     if n_samples < 10:
         raise ValueError(f"n_samples must be at least 10, got {n_samples}")
-    if method not in ("mle", "linear"):
-        raise ValueError(f"method must be 'mle' or 'linear', got {method!r}")
-    if point_result is None:
-        point_result = (
-            mle_reconstruct(data, **mle_opts) if method == "mle" else linear_inversion(data)
-        )
-    point = _metric_vector(point_result.rho, angles)
-    failed = nonconverged = 0
-    if resample:
-        samples = []
-        for s in range(n_samples):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(s,))
-            )
-            resampled = rng.poisson(data.counts).astype(float)
-            try:
-                samples.append(CountData(
-                    data.settings, resampled, data.pairs_per_setting, seed=data.seed
-                ))
-            except ValueError:
-                failed += 1
-        states = []
-        if samples:
-            counts = np.stack([sample.counts for sample in samples])
-            if method == "linear":
-                states = _linear_states(data.settings, counts, data.pairs_per_setting)
-            else:
-                fits = _mle_fits(data.settings, counts, data.pairs_per_setting, **mle_opts)
-                states = [fit if isinstance(fit, Exception) else fit.rho for fit in fits]
-                nonconverged = sum(
-                    not fit.converged for fit in fits if not isinstance(fit, Exception)
-                )
-        rows = [
-            _metric_vector(rho, angles)
-            for rho in states
-            if not isinstance(rho, Exception)
-        ]
-        failed += len(states) - len(rows)
-        if failed > 0.1 * n_samples:
-            raise RuntimeError(
-                f"{failed}/{n_samples} bootstrap reconstructions failed"
-            )
-        sigmas = np.std(np.stack(rows), axis=0, ddof=1)
+    if method == "mle":
+        fitter = functools.partial(_mle_fits, **mle_opts)
+    elif method == "linear":
+        fitter = _linear_fits
     else:
-        sigmas = np.zeros(4)
+        raise ValueError(f"method must be 'mle' or 'linear', got {method!r}")
+    counts = [data.counts]
+    failed = 0
+    for s in range(n_samples if resample else 0):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+        try:
+            sample = CountData(
+                data.settings, rng.poisson(data.counts).astype(float),
+                data.pairs_per_setting, seed=data.seed,
+            )
+        except ValueError:
+            failed += 1
+        else:
+            counts.append(sample.counts)
+    point_fit, *fits = fitter(data.settings, np.stack(counts), data.pairs_per_setting)
+    if isinstance(point_fit, Exception):
+        raise point_fit
+    fits = [fit for fit in fits if not isinstance(fit, Exception)]
+    failed += len(counts) - 1 - len(fits)
+    if failed > 0.1 * n_samples:
+        raise RuntimeError(f"{failed}/{n_samples} bootstrap reconstructions failed")
+    sigmas = np.zeros(4)
+    if resample:
+        rows = np.stack([_metric_vector(fit.rho, angles) for fit in fits])
+        sigmas = np.std(rows, axis=0, ddof=1)
+    point = _metric_vector(point_fit.rho, angles)
     return MetricsReport(
         fidelity=float(point[0]),
         fidelity_sigma=float(sigmas[0]),
@@ -880,5 +887,6 @@ def monte_carlo_metrics(
         s_value_sigma=float(sigmas[3]),
         n_samples=n_samples if resample else 0,
         n_failed=failed,
-        n_nonconverged=nonconverged,
+        n_nonconverged=sum(not fit.converged for fit in fits),
+        point_fit=point_fit,
     )

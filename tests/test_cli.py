@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fransonsim import tomo
 from fransonsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -389,6 +390,29 @@ class TestPurifyPipeline:
             "Non-converged fits: 0 bootstrap MLE fit(s) and 2 point fit(s)"
         )
 
+    @pytest.mark.parametrize("count_mode", ["sampled", "analytic"])
+    @pytest.mark.parametrize("method", ["mle", "linear"])
+    def test_one_fitter_call_per_branch(self, monkeypatch, method, count_mode):
+        """Each branch fits its counts and every resample in one batch."""
+        calls = []
+        for name in ("_mle_fits", "_linear_fits"):
+            real = getattr(tomo, name)
+
+            def spy(settings, counts, *args, _real=real, _name=name, **kwargs):
+                calls.append((_name, len(counts)))
+                return _real(settings, counts, *args, **kwargs)
+
+            monkeypatch.setattr(tomo, name, spy)
+        cfg = analytic_cfg(
+            count_mode=count_mode,
+            tomography=TomographyConfig(
+                pairs_per_setting=20_000, method=method, n_mc_samples=10
+            ),
+        )
+        run_purification(cfg)
+        rows = 11 if count_mode == "sampled" else 1
+        assert calls == [(f"_{method}_fits", rows)] * 2
+
     def test_artifacts_are_written(self, tmp_path):
         """Counts, reconstructions, bar tables, and the report land on disk."""
         run_purification(analytic_cfg(), tmp_path)
@@ -551,7 +575,7 @@ class TestDeterminism:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_worker_count_does_not_change_outputs(self, tmp_path):
-        """Thread parallelism must not leak into results."""
+        """The workers setting must not leak into results."""
         base = dict(
             source=SourceConfig(pol_input="bell_p"),
             channel=NoisyChannelSpec(()),

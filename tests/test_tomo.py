@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,23 @@ def resamples(data, n_samples, seed):
             data.settings, rng.poisson(data.counts).astype(float), data.pairs_per_setting
         ))
     return out
+
+
+def reject_second():
+    """A DensityMatrix stand-in that refuses its second construction.
+
+    In the bootstrap batch the first state built is row 0, the point fit,
+    and the second is resample 0.
+    """
+    calls = []
+
+    def build(matrix, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("not a density matrix")
+        return DensityMatrix(matrix, *args, **kwargs)
+
+    return build
 
 
 def metric_row(rho):
@@ -350,16 +368,29 @@ class TestLinearInversion:
                 linear_inversion(data).rho.data, linear_state_oracle(data).data
             )
 
+    def test_batch_rows_match_one_row_fits(self):
+        """Each batch row is its one-row fit: the state bit for bit, log L to rounding."""
+        datas = [simulate_counts(tilted_bell(0.3), SETTINGS, 1_000, seed=s) for s in range(5)]
+        fits = tomo._linear_fits(tuple(SETTINGS), np.stack([d.counts for d in datas]), 1_000)
+        for data, fit in zip(datas, fits):
+            alone = linear_inversion(data)
+            np.testing.assert_array_equal(fit.rho.data, alone.rho.data)
+            assert (fit.floor_hits, fit.loglike_history) == (0, (fit.loglike,))
+            want = -data.pairs_per_setting * neg_loglike(data, fit.rho)
+            assert fit.loglike == pytest.approx(want, rel=1e-12)
+            assert alone.loglike == pytest.approx(want, rel=1e-12)
+
     def test_batch_keeps_failed_rows_in_place(self):
         """A row that collapses to zero is reported as its error; others still fit."""
         good = simulate_counts(tilted_bell(0.5), SETTINGS, 1_000, seed=1).counts
         counts = np.stack([good, np.zeros(36), good])
-        states = tomo._linear_states(tuple(SETTINGS), counts, 1_000)
-        assert isinstance(states[1], ValueError)
-        assert "collapsed" in str(states[1])
+        fits = tomo._linear_fits(tuple(SETTINGS), counts, 1_000)
+        assert isinstance(fits[1], ValueError)
+        assert "collapsed" in str(fits[1])
         for k in (0, 2):
-            assert isinstance(states[k], DensityMatrix)
-        np.testing.assert_array_equal(states[0].data, states[2].data)
+            assert isinstance(fits[k], tomo.ReconstructionResult)
+        np.testing.assert_array_equal(fits[0].rho.data, fits[2].rho.data)
+        assert fits[0].loglike == fits[2].loglike
 
     def test_rejects_rank_deficient_designs(self):
         """A degenerate setting list cannot be inverted."""
@@ -510,6 +541,35 @@ class TestMle:
         assert True in flags and False in flags
         assert linear_inversion(rows[0]).gap == 0.0
 
+    def test_zero_rows_are_refused_before_the_batch(self, monkeypatch):
+        """A row of zeros is refused by name; the other rows stay one batch."""
+        good = simulate_counts(tilted_bell(0.5), SETTINGS, 3_000, seed=1).counts
+        [alone] = tomo._mle_fits(tuple(SETTINGS), good[None], 3_000)
+        batches = []
+        real = tomo._fit_batch
+
+        def spy(design, counts, *args):
+            batches.append(len(counts))
+            return real(design, counts, *args)
+
+        monkeypatch.setattr(tomo, "_fit_batch", spy)
+        empty, fit = tomo._mle_fits(tuple(SETTINGS), np.stack([np.zeros(36), good]), 3_000)
+        assert batches == [1]
+        assert isinstance(empty, ValueError) and "all zero" in str(empty)
+        assert (fit.iterations, fit.converged, fit.loglike) == (
+            alone.iterations, alone.converged, alone.loglike
+        )
+        np.testing.assert_array_equal(fit.rho.data, alone.rho.data)
+
+    def test_all_zero_counts_are_refused(self):
+        """Both MLE entry points say why they cannot fit counts that are all zero."""
+        data = CountData(tuple(SETTINGS), np.zeros(36), 100)
+        with pytest.raises(ValueError, match="all zero"):
+            mle_reconstruct(data)
+        # a failed point fit (row 0 of the batch) is raised, not counted
+        with pytest.raises(ValueError, match="all zero"):
+            monte_carlo_metrics(data, n_samples=10, method="mle")
+
     def test_parameter_validation(self):
         """Non-positive tolerances and budgets are refused."""
         rho = tilted_bell(0.5)
@@ -608,16 +668,23 @@ class TestMonteCarloMetrics:
         assert report.n_failed == 0
 
     def test_point_values_come_from_original_counts(self):
-        """Reported point metrics are the original-data reconstruction."""
-        rho = tilted_bell(0.5)
-        data = simulate_counts(rho, SETTINGS, 2_000, seed=9)
+        """The point fit is row 0 of the batch: the one-row fit of the original counts."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=9)
+        report = monte_carlo_metrics(data, n_samples=20, seed=1, method="linear")
         recon = linear_inversion(data)
-        report = monte_carlo_metrics(
-            data, n_samples=20, seed=1, method="linear", point_result=recon
-        )
+        np.testing.assert_array_equal(report.point_fit.rho.data, recon.rho.data)
+        assert report.fidelity == fidelity_to(recon.rho, PHI_PLUS_KET)
+        report = monte_carlo_metrics(data, n_samples=20, seed=1, method="mle")
+        recon = mle_reconstruct(data)
+        fit = report.point_fit
+        assert (fit.iterations, fit.converged) == (recon.iterations, recon.converged)
+        np.testing.assert_allclose(fit.rho.data, recon.rho.data, rtol=0, atol=1e-12)
         assert report.fidelity == pytest.approx(
             fidelity_to(recon.rho, PHI_PLUS_KET), abs=1e-12
         )
+        # the point fit stays out of the serialized report and of equality
+        assert "point_fit" not in report.as_dict()
+        assert report == replace(report, point_fit=None)
 
     def test_seed_determinism(self):
         """The bootstrap is reproducible from its seed."""
@@ -637,16 +704,12 @@ class TestMonteCarloMetrics:
 
     def test_pervasive_failures_raise(self):
         """If most bootstrap samples fail, the run aborts loudly."""
-        # valid point estimate, but every resampled reconstruction is
-        # underdetermined because the setting list is degenerate
-        good = analytic_counts(tilted_bell(0.5), SETTINGS, 100)
-        point = linear_inversion(good)
-        settings = tuple(SETTINGS[:1]) * 36
-        data = CountData(settings, np.full(36, 50.0), 100)
-        with pytest.raises(RuntimeError, match="fail"):
-            monte_carlo_metrics(
-                data, n_samples=10, seed=0, method="linear", point_result=point
-            )
+        # valid point estimate at the 50 * pairs_per_setting count ceiling,
+        # but nearly every Poisson resample exceeds it somewhere
+        data = CountData(tuple(SETTINGS), np.full(36, 50.0), 1)
+        linear_inversion(data)
+        with pytest.raises(RuntimeError, match="10/10"):
+            monte_carlo_metrics(data, n_samples=10, seed=0, method="linear")
 
     @pytest.mark.parametrize("n_samples", [10, 23, 100])
     def test_batched_sigmas_match_per_sample_loop(self, n_samples):
@@ -675,35 +738,24 @@ class TestMonteCarloMetrics:
         assert got == want
 
     def test_solver_failures_are_counted_not_raised(self, monkeypatch):
-        """If every solve fails, the report aborts on the failure count."""
+        """If every resample's solve fails, the report aborts on the failure count."""
         data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
-        point = linear_inversion(data)
+        real = np.linalg.lstsq
 
-        def always_fails(a, b, rcond=None):
+        def fails_but_the_point(a, b, rcond=None):
+            if b.shape[1] == 1 and np.array_equal(b[:, 0], data.frequencies):
+                return real(a, b, rcond=rcond)
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "lstsq", always_fails)
+        monkeypatch.setattr(np.linalg, "lstsq", fails_but_the_point)
         with pytest.raises(RuntimeError, match="20/20"):
-            monte_carlo_metrics(
-                data, n_samples=20, seed=2, method="linear", point_result=point
-            )
+            monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
 
     def test_invalid_sample_state_is_dropped_and_counted(self, monkeypatch):
         """A resample whose state fails validation counts in n_failed."""
         data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
-        point = linear_inversion(data)
-        calls = []
-
-        def reject_first(matrix, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise ValueError("not a density matrix")
-            return DensityMatrix(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(tomo, "DensityMatrix", reject_first)
-        report = monte_carlo_metrics(
-            data, n_samples=20, seed=2, method="linear", point_result=point
-        )
+        monkeypatch.setattr(tomo, "DensityMatrix", reject_second())
+        report = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
         assert report.n_failed == 1
         np.testing.assert_array_equal(
             sigmas(report), linear_sigmas_oracle(data, 20, 2, skip=(0,))
@@ -712,10 +764,7 @@ class TestMonteCarloMetrics:
     def test_mle_bootstrap_matches_the_per_sample_oracle(self):
         """The batched MLE bootstrap equals one fit per resample, each fitted alone."""
         data = simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=4)
-        point = mle_reconstruct(data)
-        report = monte_carlo_metrics(
-            data, n_samples=12, seed=2, method="mle", point_result=point, max_iter=220
-        )
+        report = monte_carlo_metrics(data, n_samples=12, seed=2, method="mle", max_iter=220)
         fits = [mle_reconstruct(sample, max_iter=220) for sample in resamples(data, 12, 2)]
         want = np.std(np.stack([metric_row(fit.rho) for fit in fits]), axis=0, ddof=1)
         # the states agree to about 1e-13; concurrence takes square roots of
@@ -739,28 +788,26 @@ class TestMonteCarloMetrics:
     def test_invalid_mle_sample_state_is_dropped_and_counted(self, monkeypatch):
         """An MLE row failing validation counts in n_failed, not n_nonconverged."""
         data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
-        point = mle_reconstruct(data)
-        calls = []
-
-        def reject_first(matrix, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise ValueError("not a density matrix")
-            return DensityMatrix(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(tomo, "DensityMatrix", reject_first)
-        report = monte_carlo_metrics(
-            data, n_samples=20, seed=2, method="mle", point_result=point, max_iter=3
-        )
+        monkeypatch.setattr(tomo, "DensityMatrix", reject_second())
+        report = monte_carlo_metrics(data, n_samples=20, seed=2, method="mle", max_iter=3)
         assert (report.n_failed, report.n_nonconverged) == (1, 19)
         want, _ = mle_sigmas_oracle(data, 20, 2, max_iter=3, skip=(0,))
         np.testing.assert_allclose(sigmas(report), want, rtol=1e-6)
 
+    def test_all_zero_resamples_are_counted_as_failed(self):
+        """A resample with no counts at all is dropped and counted in n_failed."""
+        counts = np.zeros(36)
+        counts[[0, 7]] = 1.0  # one HH and one VV coincidence
+        data = CountData(tuple(SETTINGS), counts, 1)
+        empty = [not s.counts.any() for s in resamples(data, 20, 2)].count(True)
+        assert empty == 2
+        report = monte_carlo_metrics(data, n_samples=20, seed=2, method="mle")
+        assert (report.n_failed, report.n_nonconverged) == (empty, 0)
+
     def test_mle_batch_failure_falls_back_per_row(self, monkeypatch):
         """A LinAlgError in the stacked iteration refits the rows one by one."""
         data = simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=4)
-        point = mle_reconstruct(data)
-        opts = dict(n_samples=12, seed=2, method="mle", point_result=point, max_iter=800)
+        opts = dict(n_samples=12, seed=2, method="mle", max_iter=800)
         want = monte_carlo_metrics(data, **opts)
         real = np.linalg.eigvalsh
 
@@ -775,28 +822,24 @@ class TestMonteCarloMetrics:
         assert (got.n_failed, got.n_nonconverged) == (want.n_failed, want.n_nonconverged)
 
     def test_mle_iteration_failures_are_counted_not_raised(self, monkeypatch):
-        """If every row's iteration fails, the report aborts on the failure count."""
+        """If every resample's iteration fails, the report aborts on the failure count."""
         data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
-        point = mle_reconstruct(data)
-        real = np.linalg.eigvalsh
+        real = tomo._fit_batch
 
-        def stack_fails(a, *args, **kwargs):
-            if a.ndim == 3:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(a, *args, **kwargs)
+        def fails_but_the_point(design, counts, *args):
+            if len(counts) == 1 and np.array_equal(counts[0], data.counts):
+                return real(design, counts, *args)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", stack_fails)
+        monkeypatch.setattr(tomo, "_fit_batch", fails_but_the_point)
         with pytest.raises(RuntimeError, match="20/20"):
-            monte_carlo_metrics(
-                data, n_samples=20, seed=2, method="mle", point_result=point
-            )
+            monte_carlo_metrics(data, n_samples=20, seed=2, method="mle")
 
     def test_unknown_method_is_refused(self):
         """A method name other than mle or linear is a ValueError, not a failed bootstrap."""
         data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
-        point = linear_inversion(data)
         with pytest.raises(ValueError, match="method"):
-            monte_carlo_metrics(data, n_samples=10, method="lsq", point_result=point)
+            monte_carlo_metrics(data, n_samples=10, method="lsq")
 
     def test_report_validation(self):
         """Out-of-range metric values are refused."""
