@@ -47,6 +47,9 @@ from .qcore import (
 from .tomo import (
     DEFAULT_CHSH_ANGLES,
     DEFAULT_PAIRS_PER_SETTING,
+    METRIC_NAMES,
+    MLE_DEFAULT_MAX_ITER,
+    MLE_DEFAULT_TOL,
     CountData,
     MetricsReport,
     ReconstructionResult,
@@ -153,8 +156,8 @@ class TomographyConfig:
     pairs_per_setting: int = DEFAULT_PAIRS_PER_SETTING
     method: str = "mle"
     n_mc_samples: int = 100
-    mle_tol: float = 1e-10
-    mle_max_iter: int = 10_000
+    mle_tol: float = MLE_DEFAULT_TOL
+    mle_max_iter: int = MLE_DEFAULT_MAX_ITER
 
     def __post_init__(self) -> None:
         _integer_fields(self, "pairs_per_setting", "n_mc_samples", "mle_max_iter")
@@ -555,7 +558,7 @@ def _run_point(cfg: ExperimentConfig, source: SourceConfig, *key: int):
 def _branch_payload(rho: DensityMatrix, metrics: MetricsReport, **extra) -> dict:
     truth = _metric_vector(rho, DEFAULT_CHSH_ANGLES).tolist()
     return {
-        "model_truth": dict(zip(("fidelity", "concurrence", "purity", "s_value"), truth)),
+        "model_truth": dict(zip(METRIC_NAMES, truth)),
         **extra,
         "reconstruction": _reconstruction_block(metrics.point_fit),
         "metrics": metrics.as_dict(),

@@ -102,14 +102,17 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_state_array(self.data)
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has non-finite entries")
+        # written as "not (ok)" so that NaN, which fails every comparison, is refused
         herm = np.abs(arr - arr.conj().T).max()
-        if herm > HERMITICITY_ATOL:
+        if not herm <= HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
         tr = arr.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"matrix trace is {tr:.15g}, expected 1")
         eigmin = float(np.linalg.eigvalsh(arr).min())
-        if eigmin < PSD_EIGEN_FLOOR:
+        if not eigmin >= PSD_EIGEN_FLOOR:
             raise ValueError(f"matrix has negative eigenvalue {eigmin:.3e}")
         weight = float(self.weight)
         # Allow a whisker of float drift from chained trace products.

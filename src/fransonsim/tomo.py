@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -77,9 +77,12 @@ class PartySetting:
     qwp_angle: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "polarizer_angle", float(self.polarizer_angle) % math.pi)
+        for name in ("polarizer_angle", "qwp_angle"):
+            angle = float(getattr(self, name))
+            if not math.isfinite(angle):
+                raise ValueError(f"{name} must be finite, got {angle}")
+            object.__setattr__(self, name, angle % math.pi)
         object.__setattr__(self, "qwp_in", bool(self.qwp_in))
-        object.__setattr__(self, "qwp_angle", float(self.qwp_angle) % math.pi)
 
 
 @dataclass(frozen=True)
@@ -235,17 +238,21 @@ class CountData:
             )
         if not settings:
             raise ValueError("count data needs at least one setting")
-        if counts.min() < 0.0:
-            raise ValueError(f"negative count: {counts.min()}")
+        # min and max are both finite exactly when every count is
+        lo, hi = counts.min(), counts.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"non-finite count: {counts[~np.isfinite(counts)][0]}")
+        if lo < 0.0:
+            raise ValueError(f"negative count: {lo}")
         if int(self.pairs_per_setting) <= 0:
             raise ValueError(
                 f"pairs_per_setting must be positive, got {self.pairs_per_setting}"
             )
         # A coincidence rate 50x above the per-setting flux means the
         # simulation inputs are inconsistent, not just unlucky.
-        if counts.max() > 50.0 * self.pairs_per_setting:
+        if hi > 50.0 * self.pairs_per_setting:
             raise ValueError(
-                f"count {counts.max()} exceeds 50 * pairs_per_setting, "
+                f"count {hi} exceeds 50 * pairs_per_setting, "
                 "inputs are inconsistent"
             )
         counts.setflags(write=False)
@@ -368,6 +375,41 @@ def _loglike(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.sum(counts * np.log(np.maximum(probs, PROBABILITY_FLOOR)), axis=-1)
 
 
+def _result(rho: np.ndarray, **bookkeeping) -> ReconstructionResult | ValueError:
+    """The result of one fitted row, or the ``ValueError`` its state raised.
+
+    Both estimators build every row they fit here: ``rho`` becomes a
+    validated :class:`DensityMatrix`, and ``bookkeeping`` are the other
+    :class:`ReconstructionResult` fields.
+    """
+    try:
+        return ReconstructionResult(rho=DensityMatrix(rho), **bookkeeping)
+    except ValueError as exc:
+        return exc
+
+
+def _batch_or_rows(fit, design: _Design, counts: np.ndarray, *args) -> list:
+    """``fit(design, counts, *args)``, or each row alone if the batch raises.
+
+    A ``LinAlgError`` in one row fails the whole stacked solve, so the rows
+    are then fitted one by one; a row that raises on its own gets the error
+    as its entry.
+    """
+    try:
+        return fit(design, counts, *args)
+    except np.linalg.LinAlgError as exc:
+        if len(counts) == 1:
+            return [exc]
+    return [_batch_or_rows(fit, design, row[None], *args)[0] for row in counts]
+
+
+def _unwrap(fit: ReconstructionResult | Exception) -> ReconstructionResult:
+    """The fit of one row; a row that was refused raises its error."""
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
 def _linear_fits(
     settings: tuple[MeasurementSetting, ...], counts: np.ndarray, pairs_per_setting: int
 ) -> list:
@@ -377,32 +419,27 @@ def _linear_fits(
     eigendecomposition serve all rows; each row is then clipped,
     renormalized and validated on its own. The log-likelihoods and floor
     hits of all rows come from one stacked pass over their probabilities.
-    Returns one entry per row: the :class:`ReconstructionResult`, or the
-    exception that rejected the row (an underdetermined design, a collapse
-    to the zero matrix, a failed validation or a ``LinAlgError``).
+    Settings that do not span the operator space raise a ``ValueError``.
+    Otherwise failures are per row: the result is one entry per row, the
+    :class:`ReconstructionResult` or the exception that rejected the row (a
+    collapse to the zero matrix, a failed validation or a ``LinAlgError``).
     """
     design = _design(settings)
     if not design.spans:
-        err = ValueError(
+        raise ValueError(
             "settings do not span the operator space, reconstruction is "
             "underdetermined"
         )
-        return [err] * len(counts)
+    return _batch_or_rows(_linear_batch, design, counts, pairs_per_setting)
+
+
+def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -> list:
+    """The solve of :func:`_linear_fits` on a design that spans."""
     freqs = (counts / float(pairs_per_setting)).astype(complex)
-    try:
-        sol, *_ = np.linalg.lstsq(design.matrix, freqs.T, rcond=None)
-        raw = sol.T.reshape(-1, 4, 4)
-        raw = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-        eigvals, eigvecs = np.linalg.eigh(raw)
-    except np.linalg.LinAlgError as exc:
-        if len(counts) == 1:
-            return [exc]
-        # one bad row fails the whole batch, so solve the rows one by one
-        return [
-            fit
-            for row in counts
-            for fit in _linear_fits(settings, row[None], pairs_per_setting)
-        ]
+    sol, *_ = np.linalg.lstsq(design.matrix, freqs.T, rcond=None)
+    raw = sol.T.reshape(-1, 4, 4)
+    raw = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+    eigvals, eigvecs = np.linalg.eigh(raw)
     vals = np.clip(eigvals, 0.0, None)
     totals = vals.sum(axis=1)
     shares = np.divide(
@@ -410,25 +447,16 @@ def _linear_fits(
     )
     rhos = np.stack([(vecs * w) @ vecs.conj().T for vecs, w in zip(eigvecs, shares)])
     probs = (rhos.reshape(-1, 16) @ design.matrix.T).real
-    fits = []
-    for rho, total, ll, hits in zip(
-        rhos, totals, _loglike(counts, probs), (probs < PROBABILITY_FLOOR).sum(axis=1)
-    ):
-        try:
-            if total <= 0.0:
-                raise ValueError("reconstruction collapsed to the zero matrix")
-            fits.append(ReconstructionResult(
-                rho=DensityMatrix(rho),
-                method="linear",
-                iterations=1,
-                loglike=float(ll),
-                converged=True,
-                floor_hits=int(hits),
-                loglike_history=(float(ll),),
-            ))
-        except ValueError as exc:
-            fits.append(exc)
-    return fits
+    return [
+        ValueError("reconstruction collapsed to the zero matrix") if total <= 0.0
+        else _result(
+            rho, method="linear", iterations=1, loglike=float(ll), converged=True,
+            floor_hits=int(hits), loglike_history=(float(ll),),
+        )
+        for rho, total, ll, hits in zip(
+            rhos, totals, _loglike(counts, probs), (probs < PROBABILITY_FLOOR).sum(axis=1)
+        )
+    ]
 
 
 def linear_inversion(data: CountData) -> ReconstructionResult:
@@ -438,12 +466,11 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
     clips negative eigenvalues to zero, and renormalizes the trace. Exact
     on noiseless data; on sampled data the projection step is what keeps
     the estimate physical. This is the one-row call of the batched fit
-    that :func:`monte_carlo_metrics` runs.
+    that :func:`monte_carlo_metrics` runs; settings that do not span, a
+    collapse to the zero matrix and a failed validation raise.
     """
     [fit] = _linear_fits(data.settings, data.counts[None], data.pairs_per_setting)
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
+    return _unwrap(fit)
 
 
 # RrhoR iterations after which a fit still open switches to Newton steps.
@@ -478,22 +505,6 @@ def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, (rho.reshape(-1, 16) @ design.matrix.T).real
 
 
-def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Whether each Hermitian matrix of the (B, 4, 4) stack has a Cholesky factor.
-
-    Eliminates column by column; a matrix is positive definite exactly when
-    every pivot is positive.
-    """
-    a = a.copy()
-    ok = np.ones(len(a), dtype=bool)
-    for k in range(4):
-        pivot = a[:, k, k].real
-        ok &= pivot > 0.0
-        col = a[:, k + 1:, k] / np.where(ok, pivot, 1.0)[:, None]
-        a[:, k + 1:, k + 1:] -= col[:, :, None] * a[:, None, k, k + 1:]
-    return ok
-
-
 def _newton_step(
     design: _Design, freqs: np.ndarray, y: np.ndarray, mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +514,8 @@ def _newton_step(
     the 15 traceless Pauli directions, so Y keeps unit trace; the Hessian is
     T^T diag(f / p^2) T for the likelihood plus mu tr(Y^-1 E_k Y^-1 E_l)
     for the barrier. Each row's step is halved until Y + t dY passes the
-    Cholesky test. Returns the new stack and each row's Newton decrement.
+    test that its smallest eigenvalue is positive. Returns the new stack
+    and each row's Newton decrement.
     """
     probs = np.maximum(_whitened_probabilities(design, y), PROBABILITY_FLOOR)
     weights = freqs / probs
@@ -517,7 +529,7 @@ def _newton_step(
     dy = (step @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
     t = np.ones(len(y))
     for _ in range(60):
-        inside = _positive_definite(y + t[:, None, None] * dy)
+        inside = np.linalg.eigvalsh(y + t[:, None, None] * dy)[:, 0] > 0.0
         if inside.all():
             break
         t[~inside] *= 0.5
@@ -559,13 +571,13 @@ def _mle_fits(
     floored at PROBABILITY_FLOOR so empty settings cannot blow up the
     weights.
 
-    Returns one entry per row: the :class:`ReconstructionResult`, or the
-    exception that rejected the row (a singular H, counts that are all
-    zero, a failed validation or a ``LinAlgError``; the latter fails the
-    whole batch, which is then refitted row by row). Rows of zeros are
-    refused before the iteration, so the other rows stay one batch. Only
-    with ``history`` does a result carry the log-likelihood of every
-    iterate.
+    A singular H raises a ``ValueError``. Otherwise failures are per row:
+    the result is one entry per row, the :class:`ReconstructionResult` or
+    the exception that rejected the row (counts that are all zero, a failed
+    validation or a ``LinAlgError``; the latter fails the whole batch, which
+    is then refitted row by row). Rows of zeros are refused before the
+    iteration, so the other rows stay one batch. Only with ``history`` does
+    a result carry the log-likelihood of every iterate.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -573,25 +585,17 @@ def _mle_fits(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     design = _design(settings)
     if design.normalised is None:
-        err = ValueError(
+        raise ValueError(
             "the setting projectors sum to a singular operator, the likelihood "
             "fit is undetermined"
         )
-        return [err] * len(counts)
     fits = [ValueError("the counts are all zero, there is nothing to fit")] * len(counts)
     rows = np.flatnonzero(counts.any(axis=1))
     if len(rows) == 0:
         return fits
-    try:
-        found = _fit_batch(design, counts[rows], pairs_per_setting, tol, max_iter, history)
-    except np.linalg.LinAlgError as exc:
-        found = [exc] if len(rows) == 1 else [
-            fit
-            for row in counts[rows]
-            for fit in _mle_fits(
-                settings, row[None], pairs_per_setting, tol, max_iter, history
-            )
-        ]
+    found = _batch_or_rows(
+        _fit_batch, design, counts[rows], pairs_per_setting, tol, max_iter, history
+    )
     for i, fit in zip(rows, found):
         fits[i] = fit
     return fits
@@ -644,20 +648,12 @@ def _fit_batch(
         done = np.flatnonzero(stopped)
         rhos, probs = _states(design, y[done])
         for k, rho, ll in zip(done, rhos, _loglike(counts[rows[done]], probs)):
-            i = rows[k]
-            try:
-                fits[i] = ReconstructionResult(
-                    rho=DensityMatrix(rho),
-                    method="mle",
-                    iterations=iteration,
-                    loglike=float(ll),
-                    converged=bool(converged[k]),
-                    floor_hits=int(floor_hits[k]),
-                    loglike_history=tuple(logs[i]) if history else (),
-                    gap=float(gap[k]),
-                )
-            except ValueError as exc:
-                fits[i] = exc
+            fits[rows[k]] = _result(
+                rho, method="mle", iterations=iteration, loglike=float(ll),
+                converged=bool(converged[k]), floor_hits=int(floor_hits[k]),
+                loglike_history=tuple(logs[rows[k]]) if history else (),
+                gap=float(gap[k]),
+            )
         keep = ~stopped
         if not keep.any():
             break
@@ -683,15 +679,14 @@ def mle_reconstruct(
     iterations of both phases together. ``loglike_history`` holds the
     log-likelihood of every iterate, starting point included; the batched
     fit that :func:`monte_carlo_metrics` runs does not record it. Counts
-    that are all zero are refused with a ``ValueError``.
+    that are all zero, settings whose projectors sum to a singular operator
+    and a failed validation are refused with a ``ValueError``.
     """
     [fit] = _mle_fits(
         data.settings, data.counts[None], data.pairs_per_setting, tol, max_iter,
         history=True,
     )
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
+    return _unwrap(fit)
 
 
 @dataclass(frozen=True)
@@ -747,6 +742,15 @@ def chsh_value(rho: DensityMatrix, angles: ChshAngles = DEFAULT_CHSH_ANGLES) -> 
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
 
+# The headline metrics in report order, each a function of (rho, CHSH angles).
+_METRICS = {
+    "fidelity": lambda rho, angles: fidelity_to(rho, PHI_PLUS_KET),
+    "concurrence": lambda rho, angles: concurrence(rho),
+    "purity": lambda rho, angles: purity(rho),
+    "s_value": lambda rho, angles: chsh_value(rho, angles),
+}
+METRIC_NAMES = tuple(_METRICS)
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -776,12 +780,7 @@ class MetricsReport:
             val = getattr(self, name)
             if not -1e-9 <= val <= 1.0 + 1e-9:
                 raise ValueError(f"{name} = {val} outside [0, 1]")
-        for name in (
-            "fidelity_sigma",
-            "concurrence_sigma",
-            "purity_sigma",
-            "s_value_sigma",
-        ):
+        for name in (m + "_sigma" for m in METRIC_NAMES):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         slack = 3.0 * self.s_value_sigma + 1e-9
@@ -792,30 +791,12 @@ class MetricsReport:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "fidelity_sigma": self.fidelity_sigma,
-            "concurrence": self.concurrence,
-            "concurrence_sigma": self.concurrence_sigma,
-            "purity": self.purity,
-            "purity_sigma": self.purity_sigma,
-            "s_value": self.s_value,
-            "s_value_sigma": self.s_value_sigma,
-            "n_samples": self.n_samples,
-            "n_failed": self.n_failed,
-            "n_nonconverged": self.n_nonconverged,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 def _metric_vector(rho: DensityMatrix, angles: ChshAngles) -> np.ndarray:
-    return np.array(
-        [
-            fidelity_to(rho, PHI_PLUS_KET),
-            concurrence(rho),
-            purity(rho),
-            chsh_value(rho, angles),
-        ]
-    )
+    """The metrics of ``rho`` in METRIC_NAMES order."""
+    return np.array([metric(rho, angles) for metric in _METRICS.values()])
 
 
 def monte_carlo_metrics(
@@ -865,8 +846,7 @@ def monte_carlo_metrics(
         else:
             counts.append(sample.counts)
     point_fit, *fits = fitter(data.settings, np.stack(counts), data.pairs_per_setting)
-    if isinstance(point_fit, Exception):
-        raise point_fit
+    point_fit = _unwrap(point_fit)
     fits = [fit for fit in fits if not isinstance(fit, Exception)]
     failed += len(counts) - 1 - len(fits)
     if failed > 0.1 * n_samples:
@@ -877,14 +857,8 @@ def monte_carlo_metrics(
         sigmas = np.std(rows, axis=0, ddof=1)
     point = _metric_vector(point_fit.rho, angles)
     return MetricsReport(
-        fidelity=float(point[0]),
-        fidelity_sigma=float(sigmas[0]),
-        concurrence=float(point[1]),
-        concurrence_sigma=float(sigmas[1]),
-        purity=float(point[2]),
-        purity_sigma=float(sigmas[2]),
-        s_value=float(point[3]),
-        s_value_sigma=float(sigmas[3]),
+        **{name: float(value) for name, value in zip(METRIC_NAMES, point)},
+        **{name + "_sigma": float(sd) for name, sd in zip(METRIC_NAMES, sigmas)},
         n_samples=n_samples if resample else 0,
         n_failed=failed,
         n_nonconverged=sum(not fit.converged for fit in fits),

@@ -85,6 +85,15 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="negative"):
             DensityMatrix(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        """NaN or infinite entries are refused before any other check."""
+        off = np.eye(2, dtype=complex) / 2
+        off[0, 1] = off[1, 0] = bad
+        for matrix in (off, np.full((2, 2), bad, dtype=complex)):
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityMatrix(matrix)
+
     def test_rejects_bad_weight(self):
         """Postselection weight lives in [0, 1]."""
         rho = np.eye(2, dtype=complex) / 2
@@ -375,3 +384,10 @@ class TestDumpFormat:
         """The dim header is mandatory."""
         with pytest.raises(ValueError, match="dim"):
             loads_density_matrix("2\n1 0\n0 1\n")
+
+    @pytest.mark.parametrize("token", ["nan+0j", "inf+0j", "-inf+0j"])
+    def test_rejects_non_finite_entries(self, token):
+        """A dump whose off-diagonal entries are NaN or infinite is refused."""
+        text = f"dim 2\n0.5+0j {token}\n{token} 0.5+0j\n"
+        with pytest.raises(ValueError, match="non-finite"):
+            loads_density_matrix(text)

@@ -296,6 +296,38 @@ class TestCounting:
         with pytest.raises(ValueError, match="36"):
             CountData(SETTINGS, np.ones(35), 100)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_are_refused(self, bad, tmp_path):
+        """A NaN or infinite count is refused by name, directly or from CSV."""
+        counts = np.ones(36)
+        counts[5] = bad
+        with pytest.raises(ValueError, match="non-finite count"):
+            CountData(SETTINGS, counts, 100)
+        path = tmp_path / "counts.csv"
+        counts_to_csv(CountData(SETTINGS, np.ones(36), 100), path)
+        lines = path.read_text().splitlines()
+        lines[6] = lines[6].rsplit(",", 1)[0] + f",{bad}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite count"):
+            counts_from_csv(path, pairs_per_setting=100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angles_are_refused(self, bad, tmp_path):
+        """A NaN or infinite analyzer angle is refused by name, directly or from CSV."""
+        with pytest.raises(ValueError, match="polarizer_angle must be finite"):
+            PartySetting(bad)
+        with pytest.raises(ValueError, match="qwp_angle must be finite"):
+            PartySetting(0.0, qwp_in=True, qwp_angle=bad)
+        path = tmp_path / "counts.csv"
+        counts_to_csv(CountData(SETTINGS, np.ones(36), 100), path)
+        lines = path.read_text().splitlines()
+        cols = lines[3].split(",")
+        cols[1] = f"{bad}"  # theta_a
+        lines[3] = ",".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="polarizer_angle must be finite"):
+            counts_from_csv(path, pairs_per_setting=100)
+
     def test_csv_round_trip(self):
         """Counts and settings survive the CSV format."""
         rho = tilted_bell(0.2)
@@ -398,6 +430,14 @@ class TestLinearInversion:
         data = CountData(settings, np.ones(36), 100)
         with pytest.raises(ValueError, match="span"):
             linear_inversion(data)
+
+    def test_degenerate_designs_refuse_the_whole_batch(self):
+        """Settings that cannot determine a state raise at once, for every row together."""
+        settings = tuple(SETTINGS[:1]) * 36
+        with pytest.raises(ValueError, match="span"):
+            tomo._linear_fits(settings, np.ones((3, 36)), 100)
+        with pytest.raises(ValueError, match="singular"):
+            tomo._mle_fits(settings, np.ones((3, 36)), 100)
 
 
 class TestMle:
@@ -761,6 +801,29 @@ class TestMonteCarloMetrics:
             sigmas(report), linear_sigmas_oracle(data, 20, 2, skip=(0,))
         )
 
+    @pytest.mark.parametrize("method", ["linear", "mle"])
+    def test_nan_fitted_state_is_dropped_and_counted(self, monkeypatch, method):
+        """A resample whose fitted state has NaN entries is refused and counted in n_failed."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        opts = dict(n_samples=20, seed=2, method=method)
+        monkeypatch.setattr(tomo, "DensityMatrix", reject_second())
+        want = monte_carlo_metrics(data, **opts)
+        calls = []
+
+        def nan_second(matrix, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                # eigvalsh returns on this matrix instead of failing, so only
+                # an explicit finiteness check can refuse it
+                matrix = np.eye(4, dtype=complex) / 4.0
+                matrix[0, 1] = matrix[1, 0] = np.nan
+            return DensityMatrix(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(tomo, "DensityMatrix", nan_second)
+        got = monte_carlo_metrics(data, **opts)
+        assert got.n_failed == 1
+        assert got == want
+
     def test_mle_bootstrap_matches_the_per_sample_oracle(self):
         """The batched MLE bootstrap equals one fit per resample, each fitted alone."""
         data = simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=4)
@@ -866,3 +929,13 @@ class TestMonteCarloMetrics:
         assert d["n_samples"] == 0
         assert d["n_failed"] == 0
         assert d["n_nonconverged"] == 0
+
+    def test_as_dict_keeps_the_report_key_order(self):
+        """The report keys come in a fixed order, which fixes the bytes of every report."""
+        data = analytic_counts(tilted_bell(0.5), SETTINGS, 100)
+        report = monte_carlo_metrics(data, n_samples=10, method="linear", resample=False)
+        assert list(report.as_dict()) == [
+            "fidelity", "fidelity_sigma", "concurrence", "concurrence_sigma",
+            "purity", "purity_sigma", "s_value", "s_value_sigma",
+            "n_samples", "n_failed", "n_nonconverged",
+        ]
