@@ -87,6 +87,42 @@ def _as_state_array(data: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _state_errors(stack: np.ndarray) -> list[ValueError | None]:
+    """Why each matrix of a complex (B, d, d) stack is not a state, or None.
+
+    The checks, in order: finite entries, Hermitian within HERMITICITY_ATOL,
+    unit trace within TRACE_ATOL, smallest eigenvalue at least
+    PSD_EIGEN_FLOOR. A row's entry is the ``ValueError`` of the first check
+    it fails. The Hermiticity residual, the trace and the eigenvalues are
+    each one pass over the stack. A non-finite entry makes its row's
+    residual NaN or infinite, so the row fails there and its entries then
+    tell which message it gets. Only rows that pass the first three checks
+    reach the eigensolver. :class:`DensityMatrix` runs this on a stack of
+    one.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf, in rows refused as non-finite
+        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)).tolist()
+        trace = stack.trace(axis1=1, axis2=2).tolist()
+    errors = [None] * len(stack)
+    rows = []  # the rows that reach the eigensolver
+    # written as "ok" and "not (ok)" so that NaN, which fails every comparison, is refused
+    for i, (res, tr) in enumerate(zip(herm, trace)):
+        if res <= HERMITICITY_ATOL and abs(tr - 1.0) <= TRACE_ATOL:
+            rows.append(i)
+        elif not np.isfinite(stack[i]).all():
+            errors[i] = ValueError("matrix has non-finite entries")
+        elif not res <= HERMITICITY_ATOL:
+            errors[i] = ValueError(f"matrix is not Hermitian (residual {res:.3e})")
+        else:
+            errors[i] = ValueError(f"matrix trace is {tr:.15g}, expected 1")
+    if rows:
+        checked = stack if len(rows) == len(stack) else stack[rows]
+        for i, eigmin in zip(rows, np.linalg.eigvalsh(checked)[:, 0].tolist()):
+            if not eigmin >= PSD_EIGEN_FLOOR:
+                errors[i] = ValueError(f"matrix has negative eigenvalue {eigmin:.3e}")
+    return errors
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Normalized density matrix plus the postselection weight behind it.
@@ -102,18 +138,9 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_state_array(self.data)
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix has non-finite entries")
-        # written as "not (ok)" so that NaN, which fails every comparison, is refused
-        herm = np.abs(arr - arr.conj().T).max()
-        if not herm <= HERMITICITY_ATOL:
-            raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
-        tr = arr.trace()
-        if not abs(tr - 1.0) <= TRACE_ATOL:
-            raise ValueError(f"matrix trace is {tr:.15g}, expected 1")
-        eigmin = float(np.linalg.eigvalsh(arr).min())
-        if not eigmin >= PSD_EIGEN_FLOOR:
-            raise ValueError(f"matrix has negative eigenvalue {eigmin:.3e}")
+        [error] = _state_errors(arr[None])
+        if error is not None:
+            raise error
         weight = float(self.weight)
         # Allow a whisker of float drift from chained trace products.
         if not (-1e-9 <= weight <= 1.0 + 1e-9):
@@ -122,6 +149,20 @@ class DensityMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "weight", weight)
+
+    @classmethod
+    def _checked(cls, data: np.ndarray) -> "DensityMatrix":
+        """Unit-weight state of a row that :func:`_state_errors` passed.
+
+        The batched fits check their whole stack in one call; this builds
+        each passing row without checking it a second time.
+        """
+        arr = np.array(data, dtype=complex, copy=True)
+        arr.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "data", arr)
+        object.__setattr__(state, "weight", 1.0)
+        return state
 
     @property
     def dim(self) -> int:
@@ -264,21 +305,40 @@ def apply_channel(
     return DensityMatrix(out / tr, weight=rho.weight * tr)
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence.
+# sigma_y x sigma_y, the spin flip of a two-qubit state
+_YY = np.kron(PAULI_Y, PAULI_Y)
+
+
+def _concurrences(stack: np.ndarray) -> np.ndarray:
+    """Concurrence of every state of a (B, 4, 4) stack (Wootters, PRL 80, 2245, 1998).
 
     Uses the spin-flipped product rho (sy x sy) rho* (sy x sy): with its
     eigenvalues' square roots sorted descending, the concurrence is
     max(0, l1 - l2 - l3 - l4).
     """
+    flipped = stack @ _YY @ stack.conj() @ _YY
+    lams = np.sqrt(np.clip(np.linalg.eigvals(flipped).real, 0.0, None))
+    lams.sort(axis=1)
+    excess = lams[:, -1] - lams[:, -2] - lams[:, -3] - lams[:, -4]
+    return np.where(excess > 0.0, excess, 0.0)
+
+
+def _fidelities(stack: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """<ket|rho|ket> of every state of a (B, d, d) stack, for a normalized ket."""
+    bra_rho = np.matmul(ket.conj()[None, None, :], stack)
+    return np.matmul(bra_rho, ket[None, :, None])[:, 0, 0].real
+
+
+def _purities(stack: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of every state of a (B, d, d) stack."""
+    return (stack @ stack).trace(axis1=1, axis2=2).real
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence, the one-state call of :func:`_concurrences`."""
     if rho.dim != 4:
         raise ValueError(f"concurrence is defined for two qubits, got dim {rho.dim}")
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    flipped = rho.data @ yy @ rho.data.conj() @ yy
-    lams = np.linalg.eigvals(flipped).real
-    lams = np.sqrt(np.clip(lams, 0.0, None))
-    lams.sort()
-    return float(max(0.0, lams[-1] - lams[-2] - lams[-3] - lams[-4]))
+    return float(_concurrences(rho.data[None])[0])
 
 
 def fidelity_to(rho: DensityMatrix, psi: np.ndarray) -> float:
@@ -289,12 +349,12 @@ def fidelity_to(rho: DensityMatrix, psi: np.ndarray) -> float:
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"target ket is not normalized (norm {norm:.15g})")
-    return float((vec.conj() @ rho.data @ vec).real)
+    return float(_fidelities(rho.data[None], vec)[0])
 
 
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2), 1 for pure states down to 1/dim for maximally mixed."""
-    return float((rho.data @ rho.data).trace().real)
+    return float(_purities(rho.data[None])[0])
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -25,9 +25,10 @@ from .qcore import (
     PAULI_Z,
     PHI_PLUS_KET,
     DensityMatrix,
-    concurrence,
-    fidelity_to,
-    purity,
+    _concurrences,
+    _fidelities,
+    _purities,
+    _state_errors,
 )
 from .optics import WaveplateSpec, jones
 
@@ -214,6 +215,35 @@ def expected_probabilities(
     return np.clip(probs, 0.0, None)
 
 
+def _count_errors(counts: np.ndarray, pairs_per_setting: int) -> list[ValueError | None]:
+    """Why each row of a (B, n) count stack is not a count set, or None.
+
+    A count set is finite and nonnegative, and no count exceeds
+    50 * ``pairs_per_setting``: a coincidence rate 50x above the per-setting
+    flux means the simulation inputs are inconsistent, not just unlucky.
+    The row minima and maxima are one pass over the stack; they are both
+    finite exactly when every count of the row is. :class:`CountData` runs
+    this on a stack of one.
+    """
+    ceiling = 50.0 * pairs_per_setting
+    errors = [None] * len(counts)
+    lows, highs = counts.min(axis=1).tolist(), counts.max(axis=1).tolist()
+    # written as "ok" so that NaN, which fails every comparison, is refused
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        if lo >= 0.0 and hi <= ceiling:
+            continue
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            row = counts[i]
+            errors[i] = ValueError(f"non-finite count: {row[~np.isfinite(row)][0]}")
+        elif lo < 0.0:
+            errors[i] = ValueError(f"negative count: {lo}")
+        else:
+            errors[i] = ValueError(
+                f"count {hi} exceeds 50 * pairs_per_setting, inputs are inconsistent"
+            )
+    return errors
+
+
 @dataclass(frozen=True)
 class CountData:
     """Coincidence counts for a list of settings.
@@ -238,23 +268,13 @@ class CountData:
             )
         if not settings:
             raise ValueError("count data needs at least one setting")
-        # min and max are both finite exactly when every count is
-        lo, hi = counts.min(), counts.max()
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"non-finite count: {counts[~np.isfinite(counts)][0]}")
-        if lo < 0.0:
-            raise ValueError(f"negative count: {lo}")
         if int(self.pairs_per_setting) <= 0:
             raise ValueError(
                 f"pairs_per_setting must be positive, got {self.pairs_per_setting}"
             )
-        # A coincidence rate 50x above the per-setting flux means the
-        # simulation inputs are inconsistent, not just unlucky.
-        if hi > 50.0 * self.pairs_per_setting:
-            raise ValueError(
-                f"count {hi} exceeds 50 * pairs_per_setting, "
-                "inputs are inconsistent"
-            )
+        [error] = _count_errors(counts[None], int(self.pairs_per_setting))
+        if error is not None:
+            raise error
         counts.setflags(write=False)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
@@ -319,6 +339,7 @@ def counts_from_csv(path, pairs_per_setting: int, seed: int = 0) -> CountData:
     """Read counts written by :func:`counts_to_csv`.
 
     The flux and seed are not part of the CSV payload and must be supplied.
+    The plate flags ``qwp_a`` and ``qwp_b`` must read 0 or 1.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -326,18 +347,21 @@ def counts_from_csv(path, pairs_per_setting: int, seed: int = 0) -> CountData:
         raise ValueError(f"unexpected CSV header: {lines[0] if lines else ''!r}")
     settings = []
     counts = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         cols = ln.split(",")
         if len(cols) != 8:
             raise ValueError(f"expected 8 columns, got {len(cols)}: {ln!r}")
+        for name, col in (("qwp_a", cols[2]), ("qwp_b", cols[5])):
+            if col.strip() not in ("0", "1"):
+                raise ValueError(f"{name} must be 0 or 1, got {col!r} in data row {row}")
         settings.append(
             MeasurementSetting(
                 PartySetting(
-                    math.radians(float(cols[1])), bool(int(cols[2])),
+                    math.radians(float(cols[1])), cols[2].strip() == "1",
                     math.radians(float(cols[3])),
                 ),
                 PartySetting(
-                    math.radians(float(cols[4])), bool(int(cols[5])),
+                    math.radians(float(cols[4])), cols[5].strip() == "1",
                     math.radians(float(cols[6])),
                 ),
             )
@@ -375,17 +399,20 @@ def _loglike(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.sum(counts * np.log(np.maximum(probs, PROBABILITY_FLOOR)), axis=-1)
 
 
-def _result(rho: np.ndarray, **bookkeeping) -> ReconstructionResult | ValueError:
-    """The result of one fitted row, or the ``ValueError`` its state raised.
+def _result(
+    rho: np.ndarray, error: ValueError | None, **bookkeeping
+) -> ReconstructionResult | ValueError:
+    """The result of one fitted row, or ``error``, the refusal of its state.
 
-    Both estimators build every row they fit here: ``rho`` becomes a
-    validated :class:`DensityMatrix`, and ``bookkeeping`` are the other
-    :class:`ReconstructionResult` fields.
+    Both estimators check each stack of fitted rows with one call of
+    :func:`~fransonsim.qcore._state_errors` and build every row here:
+    ``error`` is the row's entry of that check, ``rho`` becomes a
+    :class:`DensityMatrix` without a second check, and ``bookkeeping`` are
+    the other :class:`ReconstructionResult` fields.
     """
-    try:
-        return ReconstructionResult(rho=DensityMatrix(rho), **bookkeeping)
-    except ValueError as exc:
-        return exc
+    if error is not None:
+        return error
+    return ReconstructionResult(rho=DensityMatrix._checked(rho), **bookkeeping)
 
 
 def _batch_or_rows(fit, design: _Design, counts: np.ndarray, *args) -> list:
@@ -416,9 +443,9 @@ def _linear_fits(
     """Linear inversion of every row of ``counts`` (B, n) in one batched solve.
 
     One least-squares solve with B right-hand sides and one stacked
-    eigendecomposition serve all rows; each row is then clipped,
-    renormalized and validated on its own. The log-likelihoods and floor
-    hits of all rows come from one stacked pass over their probabilities.
+    eigendecomposition serve all rows; the clipping, renormalization and
+    validation of the rows, and their log-likelihoods and floor hits, are
+    each one stacked pass as well.
     Settings that do not span the operator space raise a ``ValueError``.
     Otherwise failures are per row: the result is one entry per row, the
     :class:`ReconstructionResult` or the exception that rejected the row (a
@@ -445,16 +472,17 @@ def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -
     shares = np.divide(
         vals, totals[:, None], out=np.zeros_like(vals), where=totals[:, None] > 0.0
     )
-    rhos = np.stack([(vecs * w) @ vecs.conj().T for vecs, w in zip(eigvecs, shares)])
+    rhos = (eigvecs * shares[:, None, :]) @ eigvecs.conj().transpose(0, 2, 1)
     probs = (rhos.reshape(-1, 16) @ design.matrix.T).real
     return [
         ValueError("reconstruction collapsed to the zero matrix") if total <= 0.0
         else _result(
-            rho, method="linear", iterations=1, loglike=float(ll), converged=True,
+            rho, error, method="linear", iterations=1, loglike=float(ll), converged=True,
             floor_hits=int(hits), loglike_history=(float(ll),),
         )
-        for rho, total, ll, hits in zip(
-            rhos, totals, _loglike(counts, probs), (probs < PROBABILITY_FLOOR).sum(axis=1)
+        for rho, error, total, ll, hits in zip(
+            rhos, _state_errors(rhos), totals, _loglike(counts, probs),
+            (probs < PROBABILITY_FLOOR).sum(axis=1),
         )
     ]
 
@@ -647,9 +675,11 @@ def _fit_batch(
             continue
         done = np.flatnonzero(stopped)
         rhos, probs = _states(design, y[done])
-        for k, rho, ll in zip(done, rhos, _loglike(counts[rows[done]], probs)):
+        for k, rho, error, ll in zip(
+            done, rhos, _state_errors(rhos), _loglike(counts[rows[done]], probs)
+        ):
             fits[rows[k]] = _result(
-                rho, method="mle", iterations=iteration, loglike=float(ll),
+                rho, error, method="mle", iterations=iteration, loglike=float(ll),
                 converged=bool(converged[k]), floor_hits=int(floor_hits[k]),
                 loglike_history=tuple(logs[rows[k]]) if history else (),
                 gap=float(gap[k]),
@@ -728,28 +758,25 @@ def _chsh_operators(angles: ChshAngles) -> tuple[np.ndarray, ...]:
     return ops
 
 
-def chsh_value(rho: DensityMatrix, angles: ChshAngles = DEFAULT_CHSH_ANGLES) -> float:
-    """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    if rho.dim != 4:
-        raise ValueError(f"CHSH needs a two-qubit state, got dim {rho.dim}")
-
+def _chsh_values(stack: np.ndarray, angles: ChshAngles) -> np.ndarray:
+    """E(a,b) - E(a,b') + E(a',b) + E(a',b') of every state of a (B, 4, 4) stack."""
     e_ab, e_abp, e_apb, e_apbp = (
-        float(np.einsum("ab,ba->", op, rho.data).real)
-        for op in _chsh_operators(angles)
+        np.einsum("ab,nba->n", op, stack).real for op in _chsh_operators(angles)
     )
     return e_ab - e_abp + e_apb + e_apbp
 
 
+def chsh_value(rho: DensityMatrix, angles: ChshAngles = DEFAULT_CHSH_ANGLES) -> float:
+    """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
+    if rho.dim != 4:
+        raise ValueError(f"CHSH needs a two-qubit state, got dim {rho.dim}")
+    return float(_chsh_values(rho.data[None], angles)[0])
+
+
 _TSIRELSON = 2.0 * math.sqrt(2.0)
 
-# The headline metrics in report order, each a function of (rho, CHSH angles).
-_METRICS = {
-    "fidelity": lambda rho, angles: fidelity_to(rho, PHI_PLUS_KET),
-    "concurrence": lambda rho, angles: concurrence(rho),
-    "purity": lambda rho, angles: purity(rho),
-    "s_value": lambda rho, angles: chsh_value(rho, angles),
-}
-METRIC_NAMES = tuple(_METRICS)
+# The headline metrics in report order.
+METRIC_NAMES = ("fidelity", "concurrence", "purity", "s_value")
 
 
 @dataclass(frozen=True)
@@ -780,9 +807,13 @@ class MetricsReport:
             val = getattr(self, name)
             if not -1e-9 <= val <= 1.0 + 1e-9:
                 raise ValueError(f"{name} = {val} outside [0, 1]")
+        # written as "not (ok)" so that NaN, which fails every comparison, is refused
         for name in (m + "_sigma" for m in METRIC_NAMES):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            val = getattr(self, name)
+            if not 0.0 <= val < math.inf:
+                raise ValueError(f"{name} = {val} must be finite and nonnegative")
+        if not math.isfinite(self.s_value):
+            raise ValueError(f"s_value = {self.s_value} must be finite")
         slack = 3.0 * self.s_value_sigma + 1e-9
         if abs(self.s_value) > _TSIRELSON + slack:
             raise ValueError(
@@ -794,9 +825,24 @@ class MetricsReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
+def _metric_rows(stack: np.ndarray, angles: ChshAngles) -> np.ndarray:
+    """The metrics of every state of a (B, 4, 4) stack, one row each in METRIC_NAMES order.
+
+    Fidelity is against the |HH>+|VV> Bell target and the CHSH value uses
+    ``angles``; each metric is one stacked pass over the states.
+    """
+    columns = {
+        "fidelity": _fidelities(stack, PHI_PLUS_KET),
+        "concurrence": _concurrences(stack),
+        "purity": _purities(stack),
+        "s_value": _chsh_values(stack, angles),
+    }
+    return np.stack([columns[name] for name in METRIC_NAMES], axis=1)
+
+
 def _metric_vector(rho: DensityMatrix, angles: ChshAngles) -> np.ndarray:
     """The metrics of ``rho`` in METRIC_NAMES order."""
-    return np.array([metric(rho, angles) for metric in _METRICS.values()])
+    return _metric_rows(rho.data[None], angles)[0]
 
 
 def monte_carlo_metrics(
@@ -811,11 +857,15 @@ def monte_carlo_metrics(
     """Metrics with parametric-bootstrap error bars, from one batched fit.
 
     The observed counts are row 0 of the batch and the ``n_samples``
-    resamples, drawn as Poisson(observed), are the rows after it. One call
-    of the chosen fitter reconstructs every row the same way: one linear
-    solve, or one stacked likelihood fit (see :func:`_mle_fits`;
-    ``mle_opts`` are its ``tol`` and ``max_iter``, and linear inversion
-    ignores them). Row 0 is the point estimate: the point values come from
+    resamples, drawn as Poisson(observed) from one ``SeedSequence`` stream
+    per sample, are the rows after it. The resamples are checked as one
+    stack (:func:`_count_errors`). One call of the chosen fitter
+    reconstructs every row the same way: one linear solve, or one stacked
+    likelihood fit (see :func:`_mle_fits`; ``mle_opts`` are its ``tol``
+    and ``max_iter``, and linear inversion ignores them). The fitter
+    validates its fitted states once per stack, and the four metrics of
+    every row are one stacked pass (:func:`_metric_rows`). Row 0 is the
+    point estimate: the point values come from
     it, it is returned as ``point_fit``, and its failure is raised. Sigmas
     are the standard deviations over the resamples. With ``resample=False``
     (the analytic, zero-noise path) only row 0 is fitted and all sigmas are
@@ -832,30 +882,25 @@ def monte_carlo_metrics(
         fitter = _linear_fits
     else:
         raise ValueError(f"method must be 'mle' or 'linear', got {method!r}")
-    counts = [data.counts]
-    failed = 0
-    for s in range(n_samples if resample else 0):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-        try:
-            sample = CountData(
-                data.settings, rng.poisson(data.counts).astype(float),
-                data.pairs_per_setting, seed=data.seed,
-            )
-        except ValueError:
-            failed += 1
-        else:
-            counts.append(sample.counts)
-    point_fit, *fits = fitter(data.settings, np.stack(counts), data.pairs_per_setting)
+    counts = data.counts[None]
+    if resample:
+        draws = np.stack([
+            np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(s,))
+            ).poisson(data.counts)
+            for s in range(n_samples)
+        ]).astype(float)
+        kept = [error is None for error in _count_errors(draws, data.pairs_per_setting)]
+        counts = np.concatenate([counts, draws[kept]])
+    point_fit, *fits = fitter(data.settings, counts, data.pairs_per_setting)
     point_fit = _unwrap(point_fit)
     fits = [fit for fit in fits if not isinstance(fit, Exception)]
-    failed += len(counts) - 1 - len(fits)
+    failed = (n_samples if resample else 0) - len(fits)
     if failed > 0.1 * n_samples:
         raise RuntimeError(f"{failed}/{n_samples} bootstrap reconstructions failed")
-    sigmas = np.zeros(4)
-    if resample:
-        rows = np.stack([_metric_vector(fit.rho, angles) for fit in fits])
-        sigmas = np.std(rows, axis=0, ddof=1)
-    point = _metric_vector(point_fit.rho, angles)
+    rows = _metric_rows(np.stack([fit.rho.data for fit in (point_fit, *fits)]), angles)
+    point = rows[0]
+    sigmas = np.std(rows[1:], axis=0, ddof=1) if resample else np.zeros(4)
     return MetricsReport(
         **{name: float(value) for name, value in zip(METRIC_NAMES, point)},
         **{name + "_sigma": float(sd) for name, sd in zip(METRIC_NAMES, sigmas)},

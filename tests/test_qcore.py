@@ -6,6 +6,7 @@ import pytest
 from fransonsim.qcore import (
     DensityMatrix,
     PAIR_LABELS,
+    PAULI_Y,
     PHI_PLUS_KET,
     PhotonPairState,
     PostselectionError,
@@ -19,6 +20,10 @@ from fransonsim.qcore import (
     purity,
     random_state,
     trace_distance,
+    _concurrences,
+    _fidelities,
+    _purities,
+    _state_errors,
 )
 
 
@@ -133,6 +138,83 @@ class TestDensityMatrixValidation:
         np.testing.assert_allclose(
             DensityMatrix.maximally_mixed(2).data, np.eye(4) / 4, atol=1e-15
         )
+
+
+class TestBatchedStateCheck:
+    def test_refuses_exactly_what_density_matrix_refuses(self):
+        """One check of a mixed stack gives each row the refusal it gets alone."""
+        good = random_state(2, "mixed", seed=3).data
+        nan = good.copy()
+        nan[0, 1] = nan[1, 0] = np.nan
+        inf = good.copy()
+        inf[2, 2] = np.inf
+        skew = good.copy()
+        skew[0, 1] += 1e-3
+        heavy = good * 1.01
+        negative = np.diag([1.1, 0.0, 0.0, -0.1]).astype(complex)
+        bell = DensityMatrix.pure(PHI_PLUS_KET).data
+        stack = np.stack([good, nan, skew, bell, heavy, negative, inf, good])
+        errors = _state_errors(stack)
+        for matrix, error in zip(stack, errors):
+            try:
+                DensityMatrix(matrix)
+            except ValueError as exc:
+                assert str(error) == str(exc)
+            else:
+                assert error is None
+        kinds = ["non-finite", "Hermitian", "trace", "negative eigenvalue", "non-finite"]
+        refused = [e for e in errors if e is not None]
+        assert len(refused) == len(kinds)
+        for error, kind in zip(refused, kinds):
+            assert kind in str(error)
+        assert [e is None for e in errors] == [True, False, False, True, False, False, False, True]
+
+    def test_a_stack_of_good_states_passes(self):
+        """Every row of a stack of valid states, of any size, passes the check."""
+        stack = np.stack([random_state(4, "mixed", seed=k).data for k in range(5)])
+        assert _state_errors(stack) == [None] * 5
+        assert _state_errors(stack[:1]) == [None]
+
+
+def metric_stack():
+    """Two-qubit states of every rank: pure, full rank, rank 2 and products."""
+    rng = np.random.default_rng(5)
+    rhos = []
+    for k in range(25):
+        rhos.append(random_state(2, "pure", seed=k).data)
+        rhos.append(random_state(2, "mixed", seed=k).data)
+        g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        rhos.append(DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2).data)
+        product = np.kron(random_state(1, "mixed", seed=k).data, random_state(1, seed=k).data)
+        rhos.append(DensityMatrix(product).data)
+    return np.stack(rhos)
+
+
+def concurrence_oracle(rho):
+    """The one-matrix Wootters concurrence, as written before the stacked kernel."""
+    yy = np.kron(PAULI_Y, PAULI_Y)
+    lams = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy).real
+    lams = np.sqrt(np.clip(lams, 0.0, None))
+    lams.sort()
+    return float(max(0.0, lams[-1] - lams[-2] - lams[-3] - lams[-4]))
+
+
+class TestStackedMetrics:
+    def test_kernels_match_the_one_state_forms_bitwise(self):
+        """Each stacked metric equals, bit for bit, its one-state call and one-matrix form."""
+        stack = metric_stack()
+        fid = _fidelities(stack, PHI_PLUS_KET)
+        con = _concurrences(stack)
+        pur = _purities(stack)
+        for k, rho in enumerate(stack):
+            state = DensityMatrix(rho)
+            assert fid[k] == fidelity_to(state, PHI_PLUS_KET)
+            assert fid[k] == float((PHI_PLUS_KET.conj() @ rho @ PHI_PLUS_KET).real)
+            assert con[k] == concurrence(state) == concurrence_oracle(rho)
+            assert pur[k] == purity(state) == float((rho @ rho).trace().real)
+        # the product states sit at concurrence 0, some of them at the clip itself
+        assert con[3::4].max() < 1e-8
+        assert np.count_nonzero(con == 0.0) > 0
 
 
 class TestTensorAndPermutation:

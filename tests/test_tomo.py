@@ -1,6 +1,7 @@
 """Measurement simulation, reconstruction, metrics, and CHSH checks."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fransonsim import tomo
+from fransonsim import qcore, tomo
 from fransonsim.qcore import (
     DensityMatrix,
     PHI_PLUS_KET,
@@ -118,21 +119,31 @@ def resamples(data, n_samples, seed):
     return out
 
 
-def reject_second():
-    """A DensityMatrix stand-in that refuses its second construction.
+def reject_second(replacement=None):
+    """A stand-in for the batched state check that refuses the second row it checks.
 
-    In the bootstrap batch the first state built is row 0, the point fit,
-    and the second is resample 0.
+    The fits check each stack of fitted rows with one call, in the order
+    they build the rows: in the bootstrap batch the first row checked is
+    row 0, the point fit, and the second is resample 0. Without
+    ``replacement`` that row is refused outright; with it, the row is
+    swapped for ``replacement`` before the real check runs.
     """
-    calls = []
+    checked = [0]  # rows checked so far
 
-    def build(matrix, *args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise ValueError("not a density matrix")
-        return DensityMatrix(matrix, *args, **kwargs)
+    def check(stack):
+        second = 1 - checked[0]  # index of the second row overall in this stack
+        checked[0] += len(stack)
+        if not 0 <= second < len(stack):
+            return qcore._state_errors(stack)
+        if replacement is not None:
+            stack = stack.copy()
+            stack[second] = replacement
+            return qcore._state_errors(stack)
+        errors = qcore._state_errors(stack)
+        errors[second] = ValueError("not a density matrix")
+        return errors
 
-    return build
+    return check
 
 
 def metric_row(rho):
@@ -296,6 +307,24 @@ class TestCounting:
         with pytest.raises(ValueError, match="36"):
             CountData(SETTINGS, np.ones(35), 100)
 
+    def test_stacked_count_check_refuses_what_count_data_refuses(self):
+        """One check of a count stack gives each row the refusal CountData gives it."""
+        rows = np.ones((6, 36))
+        rows[1, 3] = np.nan
+        rows[2, 4] = -2.0
+        rows[3, 5] = 5000.5
+        rows[4, 0] = 5000.0  # exactly at the ceiling of 50 * pairs_per_setting
+        rows[5, 7] = np.inf
+        errors = tomo._count_errors(rows, 100)
+        for row, error in zip(rows, errors):
+            try:
+                CountData(SETTINGS, row, 100)
+            except ValueError as exc:
+                assert str(error) == str(exc)
+            else:
+                assert error is None
+        assert [e is None for e in errors] == [True, False, False, False, True, False]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_counts_are_refused(self, bad, tmp_path):
         """A NaN or infinite count is refused by name, directly or from CSV."""
@@ -326,6 +355,21 @@ class TestCounting:
         lines[3] = ",".join(cols)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="polarizer_angle must be finite"):
+            counts_from_csv(path, pairs_per_setting=100)
+
+    @pytest.mark.parametrize("column, name", [(2, "qwp_a"), (5, "qwp_b")])
+    @pytest.mark.parametrize("flag", ["7", "0.5"])
+    def test_plate_flags_must_read_0_or_1(self, tmp_path, column, name, flag):
+        """A plate flag other than 0 or 1 is refused with its column and row named."""
+        path = tmp_path / "counts.csv"
+        counts_to_csv(CountData(SETTINGS, np.ones(36), 100), path)
+        lines = path.read_text().splitlines()
+        cols = lines[4].split(",")
+        cols[column] = flag
+        lines[4] = ",".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        want = f"{name} must be 0 or 1, got '{flag}' in data row 4"
+        with pytest.raises(ValueError, match=re.escape(want)):
             counts_from_csv(path, pairs_per_setting=100)
 
     def test_csv_round_trip(self):
@@ -676,6 +720,24 @@ class TestChsh:
             assert chsh_value(rho, angles) == chsh_uncached(rho, angles)
             assert chsh_value(rho, angles) == chsh_uncached(rho, angles)
 
+    @pytest.mark.parametrize(
+        "angles", [DEFAULT_CHSH_ANGLES, ChshAngles(0.1, 0.7, 0.3, 1.1)]
+    )
+    def test_stacked_metric_rows_match_the_one_state_metrics(self, angles):
+        """One stacked metric pass gives every state its one-state metrics bit for bit."""
+        states = [
+            random_state(2, kind="mixed" if seed % 2 else "pure", seed=seed)
+            for seed in range(40)
+        ] + [DensityMatrix(np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex))]
+        rows = tomo._metric_rows(np.stack([rho.data for rho in states]), angles)
+        assert rows.shape == (len(states), len(tomo.METRIC_NAMES))
+        for row, rho in zip(rows, states):
+            assert row.tolist() == [
+                fidelity_to(rho, PHI_PLUS_KET), concurrence(rho), purity(rho),
+                chsh_uncached(rho, angles),
+            ]
+            assert chsh_value(rho, angles) == row[3]
+
     def test_misaligned_angles_lose_violation(self):
         """Measuring along a single shared axis cannot violate the bound."""
         rho = tilted_bell(0.5)
@@ -794,7 +856,7 @@ class TestMonteCarloMetrics:
     def test_invalid_sample_state_is_dropped_and_counted(self, monkeypatch):
         """A resample whose state fails validation counts in n_failed."""
         data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
-        monkeypatch.setattr(tomo, "DensityMatrix", reject_second())
+        monkeypatch.setattr(tomo, "_state_errors", reject_second())
         report = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
         assert report.n_failed == 1
         np.testing.assert_array_equal(
@@ -806,20 +868,13 @@ class TestMonteCarloMetrics:
         """A resample whose fitted state has NaN entries is refused and counted in n_failed."""
         data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
         opts = dict(n_samples=20, seed=2, method=method)
-        monkeypatch.setattr(tomo, "DensityMatrix", reject_second())
+        monkeypatch.setattr(tomo, "_state_errors", reject_second())
         want = monte_carlo_metrics(data, **opts)
-        calls = []
-
-        def nan_second(matrix, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                # eigvalsh returns on this matrix instead of failing, so only
-                # an explicit finiteness check can refuse it
-                matrix = np.eye(4, dtype=complex) / 4.0
-                matrix[0, 1] = matrix[1, 0] = np.nan
-            return DensityMatrix(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(tomo, "DensityMatrix", nan_second)
+        # eigvalsh returns on this matrix instead of failing, so only an
+        # explicit finiteness check can refuse it
+        nan_state = np.eye(4, dtype=complex) / 4.0
+        nan_state[0, 1] = nan_state[1, 0] = np.nan
+        monkeypatch.setattr(tomo, "_state_errors", reject_second(nan_state))
         got = monte_carlo_metrics(data, **opts)
         assert got.n_failed == 1
         assert got == want
@@ -851,7 +906,7 @@ class TestMonteCarloMetrics:
     def test_invalid_mle_sample_state_is_dropped_and_counted(self, monkeypatch):
         """An MLE row failing validation counts in n_failed, not n_nonconverged."""
         data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
-        monkeypatch.setattr(tomo, "DensityMatrix", reject_second())
+        monkeypatch.setattr(tomo, "_state_errors", reject_second())
         report = monte_carlo_metrics(data, n_samples=20, seed=2, method="mle", max_iter=3)
         assert (report.n_failed, report.n_nonconverged) == (1, 19)
         want, _ = mle_sigmas_oracle(data, 20, 2, max_iter=3, skip=(0,))
@@ -914,6 +969,21 @@ class TestMonteCarloMetrics:
                 s_value=2.0, s_value_sigma=0.0,
                 n_samples=10, n_failed=0,
             )
+
+    @pytest.mark.parametrize(
+        "name",
+        ["fidelity_sigma", "concurrence_sigma", "purity_sigma", "s_value_sigma", "s_value"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_report_refuses_non_finite_values(self, name, bad):
+        """A NaN or infinite CHSH value or sigma is refused, with the field named."""
+        values = dict(
+            fidelity=0.5, fidelity_sigma=0.0, concurrence=0.0, concurrence_sigma=0.0,
+            purity=0.5, purity_sigma=0.0, s_value=2.0, s_value_sigma=0.0, n_samples=10,
+        )
+        values[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            MetricsReport(**values)
 
     def test_as_dict_round_trip(self):
         """Report serialization carries every metric and spread."""
