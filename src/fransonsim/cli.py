@@ -10,8 +10,9 @@ checks a config without running anything.
 
 Config files are JSON trees; every angle in a file is degrees and is
 converted to radians at the boundary. All randomness is derived from the
-single config seed through counter-based substreams, so outputs are
-byte-identical for one (config, seed).
+single config seed: each branch of each point gets its own seed from
+:func:`derive_seed`, and its counts and its bootstrap resamples are one
+Poisson draw each, so outputs are byte-identical for one (config, seed).
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ class RunReport:
 
 
 def derive_seed(base: int, *key: int) -> int:
-    """Stable substream seed for a pipeline stage, independent of run order."""
+    """Stable seed for one pipeline stage, independent of run order."""
     ss = np.random.SeedSequence(entropy=int(base), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(2, np.uint64)[0])
 
@@ -664,8 +665,8 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """Experiment B: CHSH of input and output across the balance parameter.
 
     Sweep points run one after another; ``workers`` is accepted and
-    validated but changes nothing. The seed substream of a point depends
-    only on its index.
+    validated but changes nothing. The seeds of a point depend only on its
+    index.
     """
     t0 = time.perf_counter()
     if cfg.sweep is not None and cfg.sweep.parameter != "p":

@@ -3,10 +3,10 @@
 Measurement settings model the physical analyzer chain per photon: an
 optional quarter-wave plate followed by a linear polarizer. Counts are
 Poissonian with per-setting mean pairs_per_setting * tr(rho Pi_A x Pi_B),
-simulated on counter-based substreams of one seed so results do not depend
-on evaluation order. Reconstruction is either constrained linear inversion
-or an iterative maximum-likelihood fit; uncertainties come from a
-parametric bootstrap that resamples the counts.
+all drawn in one call from a generator seeded by one int, so one seed gives
+one count set. Reconstruction is either constrained linear inversion or an
+iterative maximum-likelihood fit; uncertainties come from a parametric
+bootstrap that resamples the counts, again in one draw from one seed.
 """
 
 from __future__ import annotations
@@ -250,14 +250,12 @@ class CountData:
 
     ``counts`` are nonnegative; Poisson-sampled data is integer valued while
     the analytic mode stores exact expected counts, which are generally not
-    integers. ``seed`` records the stream that generated sampled data (0
-    for analytic data).
+    integers.
     """
 
     settings: tuple[MeasurementSetting, ...]
     counts: np.ndarray
     pairs_per_setting: int
-    seed: int = 0
 
     def __post_init__(self) -> None:
         settings = tuple(self.settings)
@@ -279,16 +277,10 @@ class CountData:
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "pairs_per_setting", int(self.pairs_per_setting))
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def frequencies(self) -> np.ndarray:
         return self.counts / float(self.pairs_per_setting)
-
-
-def _setting_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for one setting, stable under reordering."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 def simulate_counts(
@@ -297,15 +289,13 @@ def simulate_counts(
     pairs_per_setting: int = DEFAULT_PAIRS_PER_SETTING,
     seed: int = 0,
 ) -> CountData:
-    """Poisson coincidence counts, one counter-based substream per setting."""
+    """Poisson coincidence counts, all settings in one draw of ``default_rng(seed)``.
+
+    The count of setting j is entry j of that one ``poisson`` call.
+    """
     probs = expected_probabilities(rho, settings)
-    counts = np.array(
-        [
-            float(_setting_stream(seed, j).poisson(pairs_per_setting * p))
-            for j, p in enumerate(probs)
-        ]
-    )
-    return CountData(tuple(settings), counts, pairs_per_setting, seed=seed)
+    counts = np.random.default_rng(seed).poisson(pairs_per_setting * probs)
+    return CountData(tuple(settings), counts, pairs_per_setting)
 
 
 def analytic_counts(
@@ -315,9 +305,7 @@ def analytic_counts(
 ) -> CountData:
     """Exact expected counts, the zero-noise limit of :func:`simulate_counts`."""
     probs = expected_probabilities(rho, settings)
-    return CountData(
-        tuple(settings), pairs_per_setting * probs, pairs_per_setting, seed=0
-    )
+    return CountData(tuple(settings), pairs_per_setting * probs, pairs_per_setting)
 
 
 def counts_to_csv(data: CountData, path) -> None:
@@ -335,10 +323,10 @@ def counts_to_csv(data: CountData, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def counts_from_csv(path, pairs_per_setting: int, seed: int = 0) -> CountData:
+def counts_from_csv(path, pairs_per_setting: int) -> CountData:
     """Read counts written by :func:`counts_to_csv`.
 
-    The flux and seed are not part of the CSV payload and must be supplied.
+    The flux is not part of the CSV payload and must be supplied.
     The plate flags ``qwp_a`` and ``qwp_b`` must read 0 or 1.
     """
     with open(path, "r", encoding="ascii") as fh:
@@ -367,7 +355,7 @@ def counts_from_csv(path, pairs_per_setting: int, seed: int = 0) -> CountData:
             )
         )
         counts.append(float(cols[7]))
-    return CountData(tuple(settings), np.array(counts), pairs_per_setting, seed=seed)
+    return CountData(tuple(settings), np.array(counts), pairs_per_setting)
 
 
 @dataclass(frozen=True)
@@ -857,22 +845,24 @@ def monte_carlo_metrics(
     """Metrics with parametric-bootstrap error bars, from one batched fit.
 
     The observed counts are row 0 of the batch and the ``n_samples``
-    resamples, drawn as Poisson(observed) from one ``SeedSequence`` stream
-    per sample, are the rows after it. The resamples are checked as one
-    stack (:func:`_count_errors`). One call of the chosen fitter
-    reconstructs every row the same way: one linear solve, or one stacked
-    likelihood fit (see :func:`_mle_fits`; ``mle_opts`` are its ``tol``
-    and ``max_iter``, and linear inversion ignores them). The fitter
-    validates its fitted states once per stack, and the four metrics of
-    every row are one stacked pass (:func:`_metric_rows`). Row 0 is the
-    point estimate: the point values come from
-    it, it is returned as ``point_fit``, and its failure is raised. Sigmas
-    are the standard deviations over the resamples. With ``resample=False``
-    (the analytic, zero-noise path) only row 0 is fitted and all sigmas are
-    exactly 0. Samples whose counts or reconstruction fail are dropped and
-    counted in ``n_failed``; more than 10% failures aborts the report. MLE
-    fits whose certified gap is still above ``tol`` at ``max_iter`` stay in
-    the sigmas and are counted in ``n_nonconverged``.
+    resamples, drawn as Poisson(observed) in one (n_samples, n) call of
+    ``default_rng(seed)``, are the rows after it. The generator fills the
+    stack row by row, so resample k does not depend on ``n_samples``. The
+    resamples are checked as one stack (:func:`_count_errors`). One call of
+    the chosen fitter reconstructs every row the same way: one linear
+    solve, or one stacked likelihood fit (see :func:`_mle_fits`;
+    ``mle_opts`` are its ``tol`` and ``max_iter``, and linear inversion
+    ignores them). The fitter validates its fitted states once per stack,
+    and the four metrics of every row are one stacked pass
+    (:func:`_metric_rows`). Row 0 is the point estimate: the point values
+    come from it, it is returned as ``point_fit``, and its failure is
+    raised. Sigmas are the standard deviations over the resamples. With
+    ``resample=False`` (the analytic, zero-noise path) only row 0 is fitted
+    and all sigmas are exactly 0. Samples whose counts or reconstruction
+    fail are dropped and counted in ``n_failed``; more than 10% failures
+    aborts the report. MLE fits whose certified gap is still above ``tol``
+    at ``max_iter`` stay in the sigmas and are counted in
+    ``n_nonconverged``.
     """
     if n_samples < 10:
         raise ValueError(f"n_samples must be at least 10, got {n_samples}")
@@ -884,12 +874,9 @@ def monte_carlo_metrics(
         raise ValueError(f"method must be 'mle' or 'linear', got {method!r}")
     counts = data.counts[None]
     if resample:
-        draws = np.stack([
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(s,))
-            ).poisson(data.counts)
-            for s in range(n_samples)
-        ]).astype(float)
+        draws = np.random.default_rng(seed).poisson(
+            data.counts, size=(n_samples, len(data.counts))
+        ).astype(float)
         kept = [error is None for error in _count_errors(draws, data.pairs_per_setting)]
         counts = np.concatenate([counts, draws[kept]])
     point_fit, *fits = fitter(data.settings, counts, data.pairs_per_setting)

@@ -137,7 +137,9 @@ _SHORT_ARMS = np.ix_(_SHORT, _SHORT)
 
 def _damping(cfg: InterferometerConfig) -> np.ndarray:
     """Ensemble-averaged jitter: exp(-sigma^2/2) per differing path qubit."""
-    return math.exp(-0.5 * cfg.phase_jitter_sigma**2) ** _FLIPS
+    sigma = cfg.phase_jitter_sigma
+    # sigma * sigma overflows to inf (damping 0) where sigma**2 would raise
+    return math.exp(-0.5 * sigma * sigma) ** _FLIPS
 
 
 def transfer(

@@ -719,6 +719,24 @@ class TestMainEntry:
         assert main(["fringe-scan", "--config", str(path)]) == 0
         assert "visibility = 0.5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, report",
+        [(["purify", "--analytic"], "report_purify.json"),
+         (["fringe-scan"], "report_fringe.json")],
+    )
+    def test_huge_phase_jitter_runs_with_finite_reports(self, tmp_path, argv, report):
+        """A jitter whose square overflows a float damps to zero instead of raising."""
+        path = write_config(tmp_path, interferometer={"phase_jitter_sigma_deg": 1e300})
+        dest = tmp_path / "out"
+        assert main([*argv, "--config", str(path), "--out", str(dest)]) == 0
+        floats = []  # every float token of the report, NaN and Infinity included
+
+        def keep(token):
+            floats.append(float(token))
+
+        json.loads((dest / report).read_text(), parse_float=keep, parse_constant=keep)
+        assert floats and all(math.isfinite(x) for x in floats)
+
     def test_seed_flag_changes_sampled_counts(self, tmp_path):
         """--seed reaches the counting stage."""
         path = write_config(
