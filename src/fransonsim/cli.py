@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -515,44 +516,63 @@ def config_to_raw(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # The pipeline shared by the experiments.
 
+# The timed pipeline stages; a report's run block gives the seconds spent in
+# each, summed over points, as ``stage_s``.
+STAGE_NAMES = ("source", "channel", "transfer", "counts", "fit")
+
+
+@contextmanager
+def _stage(stage_s: dict, name: str):
+    """Add the wall time of the ``with`` body to ``stage_s[name]``."""
+    start = time.perf_counter()
+    yield
+    stage_s[name] += time.perf_counter() - start
+
+
 def _tomography_branch(
-    rho: DensityMatrix, cfg: ExperimentConfig, seed: int
+    rho: DensityMatrix, cfg: ExperimentConfig, seed: int, stage_s: dict
 ) -> tuple[CountData, MetricsReport]:
     """Counts, and the metrics of their one batched fit, for one state."""
     tcfg = cfg.tomography
     settings = standard_settings()
-    if cfg.count_mode == "analytic":
-        data = analytic_counts(rho, settings, tcfg.pairs_per_setting)
-    else:
-        data = simulate_counts(rho, settings, tcfg.pairs_per_setting, seed=seed)
-    metrics = monte_carlo_metrics(
-        data,
-        n_samples=tcfg.n_mc_samples,
-        seed=derive_seed(seed, 1),
-        method=tcfg.method,
-        resample=(cfg.count_mode == "sampled"),
-        tol=tcfg.mle_tol,
-        max_iter=tcfg.mle_max_iter,
-    )
+    with _stage(stage_s, "counts"):
+        if cfg.count_mode == "analytic":
+            data = analytic_counts(rho, settings, tcfg.pairs_per_setting)
+        else:
+            data = simulate_counts(rho, settings, tcfg.pairs_per_setting, seed=seed)
+    with _stage(stage_s, "fit"):
+        metrics = monte_carlo_metrics(
+            data,
+            n_samples=tcfg.n_mc_samples,
+            seed=derive_seed(seed, 1),
+            method=tcfg.method,
+            resample=(cfg.count_mode == "sampled"),
+            tol=tcfg.mle_tol,
+            max_iter=tcfg.mle_max_iter,
+        )
     return data, metrics
 
 
-def _run_point(cfg: ExperimentConfig, source: SourceConfig, *key: int):
+def _run_point(cfg: ExperimentConfig, source: SourceConfig, stage_s: dict, *key: int):
     """One pipeline evaluation: source, channel, blocked input and transfer.
 
     Returns the source state, the blocked state, the transfer outcome, and
     ``{"input" | "output": (rho, counts, metrics)}``. Branch
     ``b`` (1 input, 2 output) draws from ``derive_seed(cfg.seed, b, *key)``.
+    The time of each of the STAGE_NAMES is added to ``stage_s``.
     """
-    src = make_source_state(source)
-    after = apply_noisy_channel(src, cfg.channel)
-    blocked = block_long_arms(after)
-    outcome = transfer(after, cfg.interferometer)
+    with _stage(stage_s, "source"):
+        src = make_source_state(source)
+    with _stage(stage_s, "channel"):
+        after = apply_noisy_channel(src, cfg.channel)
+    with _stage(stage_s, "transfer"):
+        blocked = block_long_arms(after)
+        outcome = transfer(after, cfg.interferometer)
     branches = {}
     for b, name, rho in ((1, "input", blocked.pol_marginal()),
                          (2, "output", outcome.pol_out)):
         seed = derive_seed(cfg.seed, b, *key)
-        branches[name] = (rho, *_tomography_branch(rho, cfg, seed))
+        branches[name] = (rho, *_tomography_branch(rho, cfg, seed, stage_s))
     return src, blocked, outcome, branches
 
 
@@ -577,11 +597,12 @@ def _reconstruction_block(recon: ReconstructionResult) -> dict:
     }
 
 
-def _finish(experiment, cfg, stages, t0, out_dir, report_name) -> RunReport:
+def _finish(experiment, cfg, stages, t0, out_dir, report_name, stage_s=None) -> RunReport:
     """The run report; written with its plot tables when ``out_dir`` is given.
 
     A report with notes gains one more when any bootstrap or point MLE fit
-    did not converge.
+    did not converge. ``stage_s``, the pipeline's seconds per stage, goes
+    into the run block.
     """
     bootstrap, point = _count_nonconverged(stages)
     if (bootstrap or point) and "notes" in stages:
@@ -598,6 +619,7 @@ def _finish(experiment, cfg, stages, t0, out_dir, report_name) -> RunReport:
         run={
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "elapsed_s": time.perf_counter() - t0,
+            **({} if stage_s is None else {"stage_s": stage_s}),
         },
         versions={
             "fransonsim": __version__,
@@ -622,7 +644,8 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     counts, reconstructed matrices, and the report are written there.
     """
     t0 = time.perf_counter()
-    src, blocked, outcome, branches = _run_point(cfg, cfg.source)
+    stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
+    src, blocked, outcome, branches = _run_point(cfg, cfg.source, stage_s)
     tomography = {}
     for name, (rho, data, metrics) in branches.items():
         payload = _branch_payload(rho, metrics, state_weight=rho.weight)
@@ -650,7 +673,7 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
         "tomography": tomography,
         "notes": [GAP_NOTE],
     }
-    return _finish("purify", cfg, stages, t0, out_dir, "report_purify.json")
+    return _finish("purify", cfg, stages, t0, out_dir, "report_purify.json", stage_s)
 
 
 def _sweep_source(cfg: ExperimentConfig, parameter: str, value: float) -> SourceConfig:
@@ -673,9 +696,10 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
         raise ConfigError(
             [f"sweep.parameter: chsh-sweep scans 'p', got {cfg.sweep.parameter!r}"]
         )
+    stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
 
     def point(index: int, p: float) -> dict:
-        branches = _run_point(cfg, _sweep_source(cfg, "p", p), index)[3]
+        branches = _run_point(cfg, _sweep_source(cfg, "p", p), stage_s, index)[3]
         (rho_in, _, m_in), (rho_out, _, m_out) = branches["input"], branches["output"]
         return {
             "p": p,
@@ -694,7 +718,9 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     values = cfg.sweep.values if cfg.sweep is not None else DEFAULT_SWEEP_VALUES
     rows = list(map(point, range(len(values)), values))
     stages = {"sweep_rows": rows, "notes": [GAP_NOTE]}
-    report = _finish("chsh-sweep", cfg, stages, t0, out_dir, "report_chsh_sweep.json")
+    report = _finish(
+        "chsh-sweep", cfg, stages, t0, out_dir, "report_chsh_sweep.json", stage_s
+    )
     if out_dir is not None:
         csv_path = Path(out_dir) / "chsh_sweep.csv"
         csv_path.write_text(_chsh_table(rows, ","), encoding="ascii")
@@ -705,10 +731,11 @@ def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """Free-form pipeline: the purify stages over any configured sweep."""
     t0 = time.perf_counter()
     sweep = cfg.sweep
+    stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
 
     def point(index: int, value) -> dict:
         source = cfg.source if sweep is None else _sweep_source(cfg, sweep.parameter, value)
-        _, blocked, outcome, branches = _run_point(cfg, source, index)
+        _, blocked, outcome, branches = _run_point(cfg, source, stage_s, index)
         row = {
             name: _branch_payload(rho, metrics)
             for name, (rho, _, metrics) in branches.items()
@@ -723,7 +750,7 @@ def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     values = [None] if sweep is None else sweep.values
     rows = list(map(point, range(len(values)), values))
     stages = {"points": rows, "notes": [GAP_NOTE]}
-    return _finish("custom", cfg, stages, t0, out_dir, "report_custom.json")
+    return _finish("custom", cfg, stages, t0, out_dir, "report_custom.json", stage_s)
 
 
 def run_fringe_scan(cfg: ExperimentConfig, out_dir=None, n_points: int = 25) -> RunReport:

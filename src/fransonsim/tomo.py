@@ -514,6 +514,13 @@ def _r_operator(
     return (weights @ design.normalised).reshape(-1, 4, 4), probs < PROBABILITY_FLOOR
 
 
+def _rrr_step(r_op: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next RrhoR iterate before its normalisation, herm(R Y R), and its trace."""
+    step = r_op @ y @ r_op
+    step = 0.5 * (step + step.conj().transpose(0, 2, 1))
+    return step, np.trace(step, axis1=1, axis2=2).real
+
+
 def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho = N[H^-1/2 Y H^-1/2] of every row, and its probabilities tr(rho Pi_j)."""
     rho = design.whitening @ y @ design.whitening
@@ -575,10 +582,15 @@ def _mle_fits(
     Lvovsky, PRA 75, 042108 (2007)), as one (B, 4, 4) stack. A row stops
     when its convexity gap g = lambda_max(R) - sum_j f_j drops to ``tol``.
     The gap bounds how far -sum_j f_j log p_j is above its minimum, so
-    ``converged`` is a certificate. Rows still open after _RRR_ITERATIONS
-    switch to damped Newton steps on the log-barrier problem (see
-    :func:`_newton_step`), started from their iterate mixed with a share
-    g / sum_j f_j of I/4. The barrier weight mu starts at
+    ``converged`` is a certificate. R and Y are PSD and Y has unit trace,
+    so lambda_max(R) >= tr(RYR) / tr(RY) >= tr(RYR) / sum_j f_j, and
+    tr(RYR) is the normaliser of the next RrhoR step: an RrhoR row whose
+    bound already exceeds sum_j f_j + ``tol`` skips the eigensolve, which
+    leaves the certificate and the iterates unchanged. Every row gets the
+    exact gap at the last RrhoR iteration and in every Newton iteration.
+    Rows still open after _RRR_ITERATIONS switch to damped Newton steps on
+    the log-barrier problem (see :func:`_newton_step`), started from their
+    iterate mixed with a share g / sum_j f_j of I/4. The barrier weight mu starts at
     max(g / 10, tol / 16). It is cut tenfold only once a step's Newton
     decrement is below mu / 4, and never below max(g / 10, tol / 16) for
     the current g; on the central path g is at most 3 mu. Iterations of
@@ -634,14 +646,13 @@ def _fit_batch(
     mu = np.zeros(len(counts))
     floor_hits = np.zeros(len(counts), dtype=int)
     r_op, _ = _r_operator(design, freqs, y)
+    step, norm = _rrr_step(r_op, y)
     logs = None
     if history:
         logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])]
     for iteration in range(1, max_iter + 1):
         if iteration <= _RRR_ITERATIONS:
-            y = r_op @ y @ r_op
-            y = 0.5 * (y + y.conj().transpose(0, 2, 1))
-            y /= np.trace(y, axis1=1, axis2=2).real[:, None, None]
+            y = step / norm[:, None, None]
         else:
             if iteration == _RRR_ITERATIONS + 1:
                 share = np.minimum(gap / total, 1.0)[:, None, None]
@@ -650,7 +661,15 @@ def _fit_batch(
             y, decrement = _newton_step(design, freqs, y, mu)
         r_op, floored = _r_operator(design, freqs, y)
         floor_hits += floored.sum(axis=1)
-        gap = np.linalg.eigvalsh(r_op)[:, -1] - total
+        exact = np.ones(len(rows), dtype=bool)
+        if iteration < min(_RRR_ITERATIONS, max_iter):
+            step, norm = _rrr_step(r_op, y)
+            # lambda_max(R) >= norm / total, so rows above the bound cannot
+            # stop yet. The margin covers rounding; a NaN row fails the test
+            # and reaches eigvalsh, whose LinAlgError refits the rows alone.
+            exact = ~(norm > total * (total + tol) * (1.0 + 1e-12))
+        gap = np.full(len(rows), np.inf)
+        gap[exact] = np.linalg.eigvalsh(r_op[exact])[:, -1] - total[exact]
         if iteration > _RRR_ITERATIONS:
             lowest = np.maximum(0.1 * gap, tol / 16.0)
             mu = np.where(decrement < mu / 4.0, np.maximum(mu / 10.0, lowest), mu)
@@ -675,8 +694,8 @@ def _fit_batch(
         keep = ~stopped
         if not keep.any():
             break
-        rows, freqs, total, y, r_op, gap, mu, floor_hits = (
-            a[keep] for a in (rows, freqs, total, y, r_op, gap, mu, floor_hits)
+        rows, freqs, total, y, step, norm, gap, mu, floor_hits = (
+            a[keep] for a in (rows, freqs, total, y, step, norm, gap, mu, floor_hits)
         )
     return fits
 

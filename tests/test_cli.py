@@ -8,6 +8,7 @@ import pytest
 
 from fransonsim import tomo
 from fransonsim.cli import (
+    STAGE_NAMES,
     ConfigError,
     ExperimentConfig,
     SweepConfig,
@@ -530,6 +531,24 @@ class TestSweepPipelines:
         """No sweep block means one pipeline evaluation."""
         report = run_custom(analytic_cfg())
         assert len(report.stages["points"]) == 1
+
+
+class TestStageTimes:
+    @pytest.mark.parametrize("run", [run_purification, run_chsh_sweep, run_custom])
+    def test_run_block_times_every_stage(self, run):
+        """The run block gives each stage's seconds; together they fit in elapsed_s."""
+        cfg = analytic_cfg(
+            count_mode="sampled",
+            source=SourceConfig(pol_input="bell_p"),
+            tomography=TomographyConfig(pairs_per_setting=2_000, n_mc_samples=10),
+            sweep=SweepConfig("p", (0.1, 0.5)),
+        )
+        block = run(cfg).as_dict()["run"]
+        stage_s = block["stage_s"]
+        assert tuple(stage_s) == STAGE_NAMES
+        assert all(seconds >= 0.0 for seconds in stage_s.values())
+        assert stage_s["fit"] > 0.0
+        assert sum(stage_s.values()) <= block["elapsed_s"]
 
 
 class TestFringePipeline:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fransonsim import qcore, tomo
+from fransonsim import cli, qcore, tomo
 from fransonsim.qcore import (
     DensityMatrix,
     PHI_PLUS_KET,
@@ -106,6 +106,60 @@ def mle_oracle(data, tol=tomo.MLE_DEFAULT_TOL, max_iter=tomo.MLE_DEFAULT_MAX_ITE
         if delta <= tol:
             return rho, iterations, True
     return rho, max_iter, False
+
+
+def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, history):
+    """``tomo._fit_batch`` with the exact gap, one eigvalsh, on every row at every iteration.
+
+    The fit loop as it stood before the gap screen, used as the oracle the
+    screened loop must match bit for bit. It records no ``history``.
+    """
+    fits = [None] * len(counts)
+    rows = np.arange(len(counts))
+    freqs = counts / float(pairs_per_setting)
+    total = freqs.sum(axis=1)
+    y = np.tile(np.eye(4, dtype=complex) / 4.0, (len(counts), 1, 1))
+    mu = np.zeros(len(counts))
+    floor_hits = np.zeros(len(counts), dtype=int)
+    r_op, _ = tomo._r_operator(design, freqs, y)
+    for iteration in range(1, max_iter + 1):
+        if iteration <= tomo._RRR_ITERATIONS:
+            y = r_op @ y @ r_op
+            y = 0.5 * (y + y.conj().transpose(0, 2, 1))
+            y /= np.trace(y, axis1=1, axis2=2).real[:, None, None]
+        else:
+            if iteration == tomo._RRR_ITERATIONS + 1:
+                share = np.minimum(gap / total, 1.0)[:, None, None]
+                y = (1.0 - share) * y + share * np.eye(4) / 4.0
+                mu = np.maximum(0.1 * gap, tol / 16.0)
+            y, decrement = tomo._newton_step(design, freqs, y, mu)
+        r_op, floored = tomo._r_operator(design, freqs, y)
+        floor_hits += floored.sum(axis=1)
+        gap = np.linalg.eigvalsh(r_op)[:, -1] - total
+        if iteration > tomo._RRR_ITERATIONS:
+            lowest = np.maximum(0.1 * gap, tol / 16.0)
+            mu = np.where(decrement < mu / 4.0, np.maximum(mu / 10.0, lowest), mu)
+        converged = gap <= tol
+        stopped = converged if iteration < max_iter else np.ones_like(converged)
+        if not stopped.any():
+            continue
+        done = np.flatnonzero(stopped)
+        rhos, probs = tomo._states(design, y[done])
+        for k, rho, error, ll in zip(
+            done, rhos, qcore._state_errors(rhos), tomo._loglike(counts[rows[done]], probs)
+        ):
+            fits[rows[k]] = tomo._result(
+                rho, error, method="mle", iterations=iteration, loglike=float(ll),
+                converged=bool(converged[k]), floor_hits=int(floor_hits[k]),
+                gap=float(gap[k]),
+            )
+        keep = ~stopped
+        if not keep.any():
+            break
+        rows, freqs, total, y, r_op, gap, mu, floor_hits = (
+            a[keep] for a in (rows, freqs, total, y, r_op, gap, mu, floor_hits)
+        )
+    return fits
 
 
 def resamples(data, n_samples, seed):
@@ -639,6 +693,86 @@ class TestMle:
                 flags.append(fit.converged)
         assert True in flags and False in flags
         assert linear_inversion(rows[0]).gap == 0.0
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 199, 200, 201, 220])
+    @pytest.mark.parametrize("tol", [1e-2, 1e-10])
+    def test_screened_fits_match_the_unscreened_loop_bitwise(self, monkeypatch, tol, max_iter):
+        """Skipping eigvalsh where the tr(RYR) bound rules a stop out changes no bit of a fit."""
+        rng = np.random.default_rng(0)
+        singles_a, singles_b = (
+            [PartySetting(rng.uniform(0, np.pi), True, rng.uniform(0, np.pi)) for _ in range(6)]
+            for _ in range(2)
+        )
+        skewed = tuple(MeasurementSetting(a, b) for a in singles_a for b in singles_b)
+        horizontal = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
+        batches = [
+            (tuple(SETTINGS), 3_000, [
+                simulate_counts(tilted_bell(p), SETTINGS, 3_000, seed=s).counts
+                for p in (0.5, 0.3, 0.1) for s in range(3)
+            ]),
+            # exact zeros in the counts of pure states drive probabilities
+            # below PROBABILITY_FLOOR
+            (tuple(SETTINGS), 3, [
+                analytic_counts(horizontal, SETTINGS, 3).counts,
+                analytic_counts(tilted_bell(0.1), SETTINGS, 3).counts,
+                simulate_counts(tilted_bell(0.5), SETTINGS, 3, seed=0).counts,
+            ]),
+            (skewed, 3_000, [
+                simulate_counts(random_state(2, kind="mixed", seed=s), skewed, 3_000, seed=s).counts
+                for s in range(3)
+            ]),
+        ]
+        fields = ("iterations", "converged", "gap", "floor_hits", "loglike")
+        floor_hits = 0
+        for settings, pairs, rows in batches:
+            counts = np.stack(rows)
+            screened = tomo._mle_fits(settings, counts, pairs, tol, max_iter)
+            with monkeypatch.context() as patch:
+                patch.setattr(tomo, "_fit_batch", unscreened_fit_batch)
+                want = tomo._mle_fits(settings, counts, pairs, tol, max_iter)
+            for got, ref in zip(screened, want):
+                assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
+                np.testing.assert_array_equal(got.rho.data, ref.rho.data)
+                floor_hits += got.floor_hits
+        # the pure rows reach the floor once the fit runs long and tight
+        assert floor_hits > 0 or tol > 1e-6 or max_iter < 199
+
+    def test_the_screen_skips_most_eigensolves(self, monkeypatch):
+        """On the default purify output batch at most 35% of row-iterations reach eigvalsh.
+
+        Without the screen every open row goes through eigvalsh at every
+        iteration, which is the sum of the rows' iterations.
+        """
+        batches = []
+        screened = tomo._fit_batch
+
+        def keep(design, counts, *args):
+            batches.append((design, counts, args))
+            return screened(design, counts, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tomo, "_fit_batch", keep)
+            cli.run_purification(cli.default_config("purify"))
+        design, counts, args = batches[1]  # the input branch runs first
+        assert len(counts) == 101
+        fitters = (screened.__code__, unscreened_fit_batch.__code__)
+        solved = [0]  # rows the fitters passed to eigvalsh
+        real = np.linalg.eigvalsh
+
+        def spy(a, *rest, **kwargs):
+            if sys._getframe(1).f_code in fitters:
+                solved[0] += len(a)
+            return real(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        counted = []
+        for fit in (unscreened_fit_batch, screened):
+            solved[0] = 0
+            iterations = sum(f.iterations for f in fit(design, counts, *args))
+            counted.append((solved[0], iterations))
+        (plain, plain_iterations), (rows, iterations) = counted
+        assert plain == plain_iterations == iterations
+        assert rows <= 0.35 * iterations
 
     def test_zero_rows_are_refused_before_the_batch(self, monkeypatch):
         """A row of zeros is refused by name; the other rows stay one batch."""
