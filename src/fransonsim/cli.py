@@ -52,14 +52,12 @@ from .tomo import (
     METRIC_NAMES,
     MLE_DEFAULT_MAX_ITER,
     MLE_DEFAULT_TOL,
-    CountData,
     MetricsReport,
     ReconstructionResult,
-    _metric_vector,
+    _bootstrap_reports,
+    _metric_rows,
     analytic_counts,
-    chsh_value,
     counts_to_csv,
-    monte_carlo_metrics,
     simulate_counts,
     standard_settings,
 )
@@ -95,6 +93,9 @@ SWEEP_PARAMETERS = ("p", "visibility", "sum_phase")
 COUNT_MODES = ("sampled", "analytic")
 RECON_METHODS = ("mle", "linear")
 DEFAULT_SWEEP_VALUES = (0.0, 0.1, 0.25, 0.4, 0.5)
+# numpy draws Poisson counts only for means below about 2**63 (9.2e18); the
+# counts and their bootstrap resamples stay far below that up to this flux.
+MAX_PAIRS_PER_SETTING = 10**18
 
 # The simulation models ideal optics; measured realizations of the same
 # scheme top out below the model because of alignment and accidentals.
@@ -163,9 +164,10 @@ class TomographyConfig:
 
     def __post_init__(self) -> None:
         _integer_fields(self, "pairs_per_setting", "n_mc_samples", "mle_max_iter")
-        if self.pairs_per_setting < 1:
+        if not 1 <= self.pairs_per_setting <= MAX_PAIRS_PER_SETTING:
             raise ValueError(
-                f"pairs_per_setting must be positive, got {self.pairs_per_setting}"
+                f"pairs_per_setting must be in [1, {MAX_PAIRS_PER_SETTING:.0e}], "
+                f"got {self.pairs_per_setting}"
             )
         if self.method not in RECON_METHODS:
             raise ValueError(f"method must be one of {RECON_METHODS}, got {self.method!r}")
@@ -529,57 +531,67 @@ def _stage(stage_s: dict, name: str):
     stage_s[name] += time.perf_counter() - start
 
 
-def _tomography_branch(
-    rho: DensityMatrix, cfg: ExperimentConfig, seed: int, stage_s: dict
-) -> tuple[CountData, MetricsReport]:
-    """Counts, and the metrics of their one batched fit, for one state."""
+def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> list:
+    """The physics of every point, then one tomography pass over all their branches.
+
+    ``points`` gives each point's source config and seed key. Each point runs
+    source, channel, blocked input and transfer. Its branch ``b`` (1 input,
+    2 output) counts from ``derive_seed(cfg.seed, b, *key)``, with the
+    settings built once per run, and draws its bootstrap resamples from
+    ``derive_seed`` of that seed and 1. The counts of every branch of every
+    point are fitted in one batch (:func:`~fransonsim.tomo._bootstrap_reports`),
+    and the model-truth metrics of every branch state are one stacked pass.
+    Returns, per point, the source state, the blocked state, the transfer
+    outcome, and ``{"input" | "output": (rho, counts, metrics, truth)}``, with
+    ``truth`` the metrics of ``rho`` by name. The time of each of the
+    STAGE_NAMES is added to ``stage_s``.
+    """
     tcfg = cfg.tomography
+    physics, states, seeds = [], [], []
+    for source, key in points:
+        with _stage(stage_s, "source"):
+            src = make_source_state(source)
+        with _stage(stage_s, "channel"):
+            after = apply_noisy_channel(src, cfg.channel)
+        with _stage(stage_s, "transfer"):
+            blocked = block_long_arms(after)
+            outcome = transfer(after, cfg.interferometer)
+        physics.append((src, blocked, outcome))
+        states += [blocked.pol_marginal(), outcome.pol_out]
+        seeds += [derive_seed(cfg.seed, b, *key) for b in (1, 2)]
     settings = standard_settings()
     with _stage(stage_s, "counts"):
         if cfg.count_mode == "analytic":
-            data = analytic_counts(rho, settings, tcfg.pairs_per_setting)
+            datas = [analytic_counts(rho, settings, tcfg.pairs_per_setting) for rho in states]
         else:
-            data = simulate_counts(rho, settings, tcfg.pairs_per_setting, seed=seed)
+            datas = [
+                simulate_counts(rho, settings, tcfg.pairs_per_setting, seed=seed)
+                for rho, seed in zip(states, seeds)
+            ]
     with _stage(stage_s, "fit"):
-        metrics = monte_carlo_metrics(
-            data,
+        reports = _bootstrap_reports(
+            datas,
+            [derive_seed(seed, 1) for seed in seeds],
             n_samples=tcfg.n_mc_samples,
-            seed=derive_seed(seed, 1),
             method=tcfg.method,
             resample=(cfg.count_mode == "sampled"),
             tol=tcfg.mle_tol,
             max_iter=tcfg.mle_max_iter,
         )
-    return data, metrics
+    truths = _metric_rows(np.stack([rho.data for rho in states]), DEFAULT_CHSH_ANGLES)
+    branches = [
+        (rho, data, metrics, dict(zip(METRIC_NAMES, truth.tolist())))
+        for rho, data, metrics, truth in zip(states, datas, reports, truths)
+    ]
+    return [
+        (*point, {"input": branches[2 * i], "output": branches[2 * i + 1]})
+        for i, point in enumerate(physics)
+    ]
 
 
-def _run_point(cfg: ExperimentConfig, source: SourceConfig, stage_s: dict, *key: int):
-    """One pipeline evaluation: source, channel, blocked input and transfer.
-
-    Returns the source state, the blocked state, the transfer outcome, and
-    ``{"input" | "output": (rho, counts, metrics)}``. Branch
-    ``b`` (1 input, 2 output) draws from ``derive_seed(cfg.seed, b, *key)``.
-    The time of each of the STAGE_NAMES is added to ``stage_s``.
-    """
-    with _stage(stage_s, "source"):
-        src = make_source_state(source)
-    with _stage(stage_s, "channel"):
-        after = apply_noisy_channel(src, cfg.channel)
-    with _stage(stage_s, "transfer"):
-        blocked = block_long_arms(after)
-        outcome = transfer(after, cfg.interferometer)
-    branches = {}
-    for b, name, rho in ((1, "input", blocked.pol_marginal()),
-                         (2, "output", outcome.pol_out)):
-        seed = derive_seed(cfg.seed, b, *key)
-        branches[name] = (rho, *_tomography_branch(rho, cfg, seed, stage_s))
-    return src, blocked, outcome, branches
-
-
-def _branch_payload(rho: DensityMatrix, metrics: MetricsReport, **extra) -> dict:
-    truth = _metric_vector(rho, DEFAULT_CHSH_ANGLES).tolist()
+def _branch_payload(metrics: MetricsReport, truth: dict, **extra) -> dict:
     return {
-        "model_truth": dict(zip(METRIC_NAMES, truth)),
+        "model_truth": truth,
         **extra,
         "reconstruction": _reconstruction_block(metrics.point_fit),
         "metrics": metrics.as_dict(),
@@ -645,10 +657,10 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """
     t0 = time.perf_counter()
     stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
-    src, blocked, outcome, branches = _run_point(cfg, cfg.source, stage_s)
+    [(src, blocked, outcome, branches)] = _run_points(cfg, [(cfg.source, ())], stage_s)
     tomography = {}
-    for name, (rho, data, metrics) in branches.items():
-        payload = _branch_payload(rho, metrics, state_weight=rho.weight)
+    for name, (rho, data, metrics, truth) in branches.items():
+        payload = _branch_payload(metrics, truth, state_weight=rho.weight)
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -687,9 +699,11 @@ def _sweep_source(cfg: ExperimentConfig, parameter: str, value: float) -> Source
 def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """Experiment B: CHSH of input and output across the balance parameter.
 
-    Sweep points run one after another; ``workers`` is accepted and
-    validated but changes nothing. The seeds of a point depend only on its
-    index.
+    The physics of the sweep points runs one point after another, then the
+    counts of all their branches are fitted in one batch (see
+    :func:`_run_points`); ``workers`` is accepted and validated but changes
+    nothing. The seeds of a point depend only on its index. ``s_in_true``
+    and ``s_out_true`` are the CHSH values of the model states.
     """
     t0 = time.perf_counter()
     if cfg.sweep is not None and cfg.sweep.parameter != "p":
@@ -697,26 +711,24 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
             [f"sweep.parameter: chsh-sweep scans 'p', got {cfg.sweep.parameter!r}"]
         )
     stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
-
-    def point(index: int, p: float) -> dict:
-        branches = _run_point(cfg, _sweep_source(cfg, "p", p), stage_s, index)[3]
-        (rho_in, _, m_in), (rho_out, _, m_out) = branches["input"], branches["output"]
-        return {
+    values = cfg.sweep.values if cfg.sweep is not None else DEFAULT_SWEEP_VALUES
+    points = [(_sweep_source(cfg, "p", p), (index,)) for index, p in enumerate(values)]
+    rows = []
+    for p, (*_, branches) in zip(values, _run_points(cfg, points, stage_s)):
+        (_, _, m_in, t_in), (_, _, m_out, t_out) = branches["input"], branches["output"]
+        rows.append({
             "p": p,
             "s_in": m_in.s_value,
             "s_in_sigma": m_in.s_value_sigma,
             "s_out": m_out.s_value,
             "s_out_sigma": m_out.s_value_sigma,
-            "s_in_true": chsh_value(rho_in),
-            "s_out_true": chsh_value(rho_out),
+            "s_in_true": t_in["s_value"],
+            "s_out_true": t_out["s_value"],
             "input_reconstruction": _reconstruction_block(m_in.point_fit),
             "output_reconstruction": _reconstruction_block(m_out.point_fit),
             "input_metrics": m_in.as_dict(),
             "output_metrics": m_out.as_dict(),
-        }
-
-    values = cfg.sweep.values if cfg.sweep is not None else DEFAULT_SWEEP_VALUES
-    rows = list(map(point, range(len(values)), values))
+        })
     stages = {"sweep_rows": rows, "notes": [GAP_NOTE]}
     report = _finish(
         "chsh-sweep", cfg, stages, t0, out_dir, "report_chsh_sweep.json", stage_s
@@ -728,27 +740,31 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
 
 
 def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
-    """Free-form pipeline: the purify stages over any configured sweep."""
+    """Free-form pipeline: the purify stages over any configured sweep.
+
+    As in :func:`run_chsh_sweep`, every point's physics runs first and one
+    batched fit serves the branches of all points.
+    """
     t0 = time.perf_counter()
     sweep = cfg.sweep
     stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
-
-    def point(index: int, value) -> dict:
-        source = cfg.source if sweep is None else _sweep_source(cfg, sweep.parameter, value)
-        _, blocked, outcome, branches = _run_point(cfg, source, stage_s, index)
+    values = [None] if sweep is None else sweep.values
+    points = [
+        (cfg.source if sweep is None else _sweep_source(cfg, sweep.parameter, value), (index,))
+        for index, value in enumerate(values)
+    ]
+    rows = []
+    for value, (_, blocked, outcome, branches) in zip(values, _run_points(cfg, points, stage_s)):
         row = {
-            name: _branch_payload(rho, metrics)
-            for name, (rho, _, metrics) in branches.items()
+            name: _branch_payload(metrics, truth)
+            for name, (_, _, metrics, truth) in branches.items()
         }
         row["port_probs"] = [float(p) for p in outcome.port_probs]
         row["blocked_input_weight"] = blocked.weight
         if sweep is not None:
             row["parameter"] = sweep.parameter
             row["value"] = float(value)
-        return row
-
-    values = [None] if sweep is None else sweep.values
-    rows = list(map(point, range(len(values)), values))
+        rows.append(row)
     stages = {"points": rows, "notes": [GAP_NOTE]}
     return _finish("custom", cfg, stages, t0, out_dir, "report_custom.json", stage_s)
 

@@ -667,7 +667,10 @@ def _fit_batch(
             # lambda_max(R) >= norm / total, so rows above the bound cannot
             # stop yet. The margin covers rounding; a NaN row fails the test
             # and reaches eigvalsh, whose LinAlgError refits the rows alone.
-            exact = ~(norm > total * (total + tol) * (1.0 + 1e-12))
+            # A tol near the float maximum overflows the bound to inf, which
+            # rules no row out.
+            with np.errstate(over="ignore"):
+                exact = ~(norm > total * (total + tol) * (1.0 + 1e-12))
         gap = np.full(len(rows), np.inf)
         gap[exact] = np.linalg.eigvalsh(r_op[exact])[:, -1] - total[exact]
         if iteration > _RRR_ITERATIONS:
@@ -847,11 +850,6 @@ def _metric_rows(stack: np.ndarray, angles: ChshAngles) -> np.ndarray:
     return np.stack([columns[name] for name in METRIC_NAMES], axis=1)
 
 
-def _metric_vector(rho: DensityMatrix, angles: ChshAngles) -> np.ndarray:
-    """The metrics of ``rho`` in METRIC_NAMES order."""
-    return _metric_rows(rho.data[None], angles)[0]
-
-
 def monte_carlo_metrics(
     data: CountData,
     n_samples: int = 100,
@@ -881,7 +879,37 @@ def monte_carlo_metrics(
     fail are dropped and counted in ``n_failed``; more than 10% failures
     aborts the report. MLE fits whose certified gap is still above ``tol``
     at ``max_iter`` stay in the sigmas and are counted in
-    ``n_nonconverged``.
+    ``n_nonconverged``. This is the one-branch call of
+    :func:`_bootstrap_reports`, which fits many count sets in one batch.
+    """
+    [report] = _bootstrap_reports(
+        [data], [seed], n_samples, method, angles, resample, **mle_opts
+    )
+    return report
+
+
+def _bootstrap_reports(
+    datas: Sequence[CountData],
+    seeds: Sequence[int],
+    n_samples: int = 100,
+    method: str = "mle",
+    angles: ChshAngles = DEFAULT_CHSH_ANGLES,
+    resample: bool = True,
+    **mle_opts,
+) -> list[MetricsReport]:
+    """The :func:`monte_carlo_metrics` report of every count set, from one fit call.
+
+    Count set i is one branch: its block of rows is its observed counts,
+    then the resamples drawn from ``default_rng(seeds[i])`` that pass the
+    count check, exactly the rows :func:`monte_carlo_metrics` would fit for
+    it alone. The blocks are stacked in branch order, one call of the
+    fitter reconstructs them all, and one :func:`_metric_rows` pass scores
+    every kept fit. Everything else is per block: row 0 is the branch's
+    point fit, whose failure is raised in branch order; ``n_failed``, the
+    10% abort and ``n_nonconverged`` count the block's resamples; the
+    sigmas are the block's standard deviations. The count sets must share
+    their settings and ``pairs_per_setting``, or a ``ValueError`` says
+    which differs.
     """
     if n_samples < 10:
         raise ValueError(f"n_samples must be at least 10, got {n_samples}")
@@ -891,27 +919,58 @@ def monte_carlo_metrics(
         fitter = _linear_fits
     else:
         raise ValueError(f"method must be 'mle' or 'linear', got {method!r}")
-    counts = data.counts[None]
+    if not datas:
+        raise ValueError("the batch needs at least one count set")
+    if len(seeds) != len(datas):
+        raise ValueError(f"{len(datas)} count sets need as many seeds, got {len(seeds)}")
+    settings, pairs = datas[0].settings, datas[0].pairs_per_setting
+    for i, data in enumerate(datas):
+        if data.settings != settings:
+            raise ValueError(f"count set {i} has other settings than count set 0")
+        if data.pairs_per_setting != pairs:
+            raise ValueError(
+                f"count set {i} has pairs_per_setting {data.pairs_per_setting}, "
+                f"count set 0 has {pairs}"
+            )
+    n = len(settings)
+    draws = n_samples if resample else 0
+    batch = np.empty((len(datas), 1 + draws, n))  # per branch: observed, then resamples
+    for block, data, seed in zip(batch, datas, seeds):
+        block[0] = data.counts
+        if resample:
+            block[1:] = np.random.default_rng(seed).poisson(data.counts, size=(draws, n))
+    keep = np.ones(batch.shape[:2], dtype=bool)
     if resample:
-        draws = np.random.default_rng(seed).poisson(
-            data.counts, size=(n_samples, len(data.counts))
-        ).astype(float)
-        kept = [error is None for error in _count_errors(draws, data.pairs_per_setting)]
-        counts = np.concatenate([counts, draws[kept]])
-    point_fit, *fits = fitter(data.settings, counts, data.pairs_per_setting)
-    point_fit = _unwrap(point_fit)
-    fits = [fit for fit in fits if not isinstance(fit, Exception)]
-    failed = (n_samples if resample else 0) - len(fits)
-    if failed > 0.1 * n_samples:
-        raise RuntimeError(f"{failed}/{n_samples} bootstrap reconstructions failed")
-    rows = _metric_rows(np.stack([fit.rho.data for fit in (point_fit, *fits)]), angles)
-    point = rows[0]
-    sigmas = np.std(rows[1:], axis=0, ddof=1) if resample else np.zeros(4)
-    return MetricsReport(
-        **{name: float(value) for name, value in zip(METRIC_NAMES, point)},
-        **{name + "_sigma": float(sd) for name, sd in zip(METRIC_NAMES, sigmas)},
-        n_samples=n_samples if resample else 0,
-        n_failed=failed,
-        n_nonconverged=sum(not fit.converged for fit in fits),
-        point_fit=point_fit,
+        errors = _count_errors(batch[:, 1:].reshape(-1, n), pairs)
+        keep[:, 1:] = np.reshape([error is None for error in errors], (len(datas), draws))
+    fits = fitter(settings, batch[keep], pairs)
+    branches = []  # (point fit, kept resample fits, failed) of each block
+    start = 0
+    for size in keep.sum(axis=1).tolist():
+        point_fit, *sample_fits = fits[start:start + size]
+        start += size
+        point_fit = _unwrap(point_fit)
+        sample_fits = [fit for fit in sample_fits if not isinstance(fit, Exception)]
+        failed = draws - len(sample_fits)
+        if failed > 0.1 * n_samples:
+            raise RuntimeError(f"{failed}/{n_samples} bootstrap reconstructions failed")
+        branches.append((point_fit, sample_fits, failed))
+    rows = _metric_rows(
+        np.stack([fit.rho.data for point, samples, _ in branches for fit in (point, *samples)]),
+        angles,
     )
+    reports = []
+    start = 0
+    for point_fit, sample_fits, failed in branches:
+        block = rows[start:start + 1 + len(sample_fits)]
+        start += len(block)
+        sigmas = np.std(block[1:], axis=0, ddof=1) if resample else np.zeros(4)
+        reports.append(MetricsReport(
+            **{name: float(value) for name, value in zip(METRIC_NAMES, block[0])},
+            **{name + "_sigma": float(sd) for name, sd in zip(METRIC_NAMES, sigmas)},
+            n_samples=draws,
+            n_failed=failed,
+            n_nonconverged=sum(not fit.converged for fit in sample_fits),
+            point_fit=point_fit,
+        ))
+    return reports

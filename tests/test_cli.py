@@ -2,13 +2,20 @@
 
 import json
 import math
+import random
+import shutil
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from fransonsim import tomo
+from fransonsim import cli, tomo
 from fransonsim.cli import (
+    COUNT_MODES,
+    RECON_METHODS,
     STAGE_NAMES,
+    SWEEP_PARAMETERS,
     ConfigError,
     ExperimentConfig,
     SweepConfig,
@@ -27,6 +34,9 @@ from fransonsim.cli import (
     validate,
 )
 from fransonsim.optics import (
+    ARMS,
+    POL_INPUTS,
+    WAVEPLATE_KINDS,
     NoisyChannelSpec,
     RotatingPlateStage,
     SourceConfig,
@@ -324,6 +334,19 @@ class TestConfigParsing:
             assert val == want and type(val) is int
 
 
+    def test_pairs_beyond_the_poisson_range_are_refused(self, tmp_path, capsys):
+        """A flux whose counts numpy cannot draw is refused by name, not at run time."""
+        assert validate({"tomography": {"pairs_per_setting": 10**18}}) == []
+        [diag] = validate({"tomography": {"pairs_per_setting": 2**63}})
+        assert diag.startswith("tomography: pairs_per_setting must be in [1, 1e+18]")
+        path = write_config(
+            tmp_path, count_mode="sampled",
+            tomography={"pairs_per_setting": 2**63, "method": "linear", "n_mc_samples": 10},
+        )
+        assert main(["purify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "pairs_per_setting" in capsys.readouterr().err
+
+
 class TestPurifyPipeline:
     def test_analytic_flagship_numbers(self, tmp_path):
         """Scrambled input reads ~I/4; the output reads the dephased Bell."""
@@ -394,7 +417,11 @@ class TestPurifyPipeline:
     @pytest.mark.parametrize("count_mode", ["sampled", "analytic"])
     @pytest.mark.parametrize("method", ["mle", "linear"])
     def test_one_fitter_call_per_branch(self, monkeypatch, method, count_mode):
-        """Each branch fits its counts and every resample in one batch."""
+        """All branches of a run, with every resample, share one fitter call.
+
+        The call fits 2 x points x (1 + n_mc_samples) rows when sampled and
+        2 x points when analytic: purify has one point, the custom sweep three.
+        """
         calls = []
         for name in ("_mle_fits", "_linear_fits"):
             real = getattr(tomo, name)
@@ -410,9 +437,12 @@ class TestPurifyPipeline:
                 pairs_per_setting=20_000, method=method, n_mc_samples=10
             ),
         )
-        run_purification(cfg)
+        sweep = replace(cfg, sweep=SweepConfig("visibility", (0.5, 0.7, 0.9)))
         rows = 11 if count_mode == "sampled" else 1
-        assert calls == [(f"_{method}_fits", rows)] * 2
+        for run, run_cfg, points in ((run_purification, cfg, 1), (run_custom, sweep, 3)):
+            calls.clear()
+            run(run_cfg)
+            assert calls == [(f"_{method}_fits", 2 * points * rows)]
 
     def test_artifacts_are_written(self, tmp_path):
         """Counts, reconstructions, bar tables, and the report land on disk."""
@@ -773,3 +803,122 @@ class TestMainEntry:
         assert (a / "counts_output.csv").read_bytes() != (
             b / "counts_output.csv"
         ).read_bytes()
+
+
+# Edge values of the config fields, in file units. The budget fields stay
+# small, so that each accepted config runs in milliseconds.
+FUZZ_FLOATS = (
+    0.0, -0.0, 5e-324, 1e-300, 1e-9, 0.5, 0.5000000000000001, 0.9999999999999999, 1.0,
+    1.0000000001, 2.6, 360.0, -1.0, 1e300, -1e300, sys.float_info.max,
+)
+FUZZ_INTS = {
+    "pairs_per_setting": (-1, 0, 1, 2, 1000, 10**18, 10**18 + 1, 2**63),
+    "n_mc_samples": (-1, 9, 10, 11),
+    "mle_max_iter": (-1, 0, 1, 2, 30),
+    "steps": (-2, 0, 3, 4, 6, 360, 10**18),
+    "seed": (-1, 0, 2**63, 10**30),
+    "workers": (-1, 0, 1, 2),
+}
+FUZZ_CHOICES = {
+    "pol_input": POL_INPUTS, "kind": WAVEPLATE_KINDS, "arm": ARMS, "method": RECON_METHODS,
+    "count_mode": COUNT_MODES, "parameter": SWEEP_PARAMETERS,
+}
+FUZZ_WRONG_TYPES = (True, "1", None, [])
+
+
+def fuzz_value(rng, name):
+    """An edge value of the field ``name``: in range, just outside it, or of the wrong type."""
+    if rng.random() < 0.05:
+        return rng.choice(FUZZ_WRONG_TYPES)
+    if name in FUZZ_INTS:
+        return rng.choice(FUZZ_INTS[name])
+    if name in FUZZ_CHOICES:
+        return rng.choice((*FUZZ_CHOICES[name], "", "bogus"))
+    return rng.choice(FUZZ_FLOATS)
+
+
+def fuzz_fill(rng, section: dict, cls, names, touched: set) -> dict:
+    """Set the scalar fields ``names`` of ``cls`` in ``section`` to edge values."""
+    for name in names:
+        section[cli._key(name)] = fuzz_value(rng, name)
+        touched.add(name)
+    return section
+
+
+def scalar_fields(cls) -> list[str]:
+    return [f.name for f in fields(cls) if f.type in cli._TYPES and f.name != "output_dir"]
+
+
+def fuzz_config(rng):
+    """A default config with edge values in one to three fields, its stages or its sweep.
+
+    Returns the command, the raw config in file units and the names of the
+    fields it set.
+    """
+    command = rng.choice(("purify", "chsh-sweep", "custom", "fringe-scan"))
+    raw = config_to_raw(default_config(command))
+    raw["tomography"].update(pairs_per_setting=1000, n_mc_samples=10, mle_max_iter=30)
+    touched = set()
+    sections = [(raw, ExperimentConfig), (raw["source"], SourceConfig),
+                (raw["interferometer"], InterferometerConfig),
+                (raw["tomography"], TomographyConfig)]
+    for _ in range(rng.randrange(1, 4)):
+        section, cls = rng.choice(sections)
+        fuzz_fill(rng, section, cls, [rng.choice(scalar_fields(cls))], touched)
+    if rng.random() < 0.3:
+        stages = []
+        for _ in range(rng.randrange(3)):
+            if rng.random() < 0.5:
+                stages.append(fuzz_fill(rng, {"type": "rotating_plate"}, RotatingPlateStage,
+                                        scalar_fields(RotatingPlateStage), touched))
+                continue
+            stage = {"type": "coherent"}
+            for arm in ("plates_a", "plates_b"):
+                stage[arm] = [
+                    fuzz_fill(rng, {}, WaveplateSpec, scalar_fields(WaveplateSpec), touched)
+                    for _ in range(rng.randrange(3))
+                ]
+            stages.append(stage)
+        raw["channel"]["stages"] = stages
+    if rng.random() < 0.3:
+        raw["sweep"] = {
+            "parameter": fuzz_value(rng, "parameter"),
+            "values": [fuzz_value(rng, "values") for _ in range(rng.randrange(1, 4))],
+        }
+        touched |= {"parameter", "values"}
+    return command, raw, touched
+
+
+class TestConfigFuzz:
+    def test_every_config_is_refused_by_name_or_runs(self, tmp_path, capsys):
+        """Edge configs: validate names a field they set, or main runs them to finite reports.
+
+        The one refusal left to run time is chsh-sweep's, of a sweep over
+        another parameter than p, which names sweep.parameter.
+        """
+        rng = random.Random(20211008)
+        outcomes = {"refused": 0, "ran": 0}
+        for i in range(400):
+            command, raw, touched = fuzz_config(rng)
+            diagnostics = validate(raw)
+            for diag in diagnostics:
+                assert any(name in diag for name in touched), (diag, raw)
+            if diagnostics:
+                outcomes["refused"] += 1
+                continue
+            path, out = tmp_path / "config.json", tmp_path / "out"
+            path.write_text(json.dumps(raw))
+            code = main([command, "--config", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            if code == 1 and command == "chsh-sweep" and raw["sweep"]["parameter"] != "p":
+                assert err.startswith("sweep.parameter: chsh-sweep scans 'p'"), err
+                continue
+            assert code == 0, (err, raw)
+            floats = []  # every float token of the reports, NaN and Infinity included
+            for report in out.glob("report_*.json"):
+                json.loads(report.read_text(), parse_float=floats.append,
+                           parse_constant=floats.append)
+            assert floats and all(math.isfinite(float(x)) for x in floats), raw
+            shutil.rmtree(out)
+            outcomes["ran"] += 1
+        assert min(outcomes.values()) >= 50, outcomes

@@ -21,6 +21,7 @@ from fransonsim.qcore import (
     trace_distance,
 )
 from fransonsim.tomo import (
+    METRIC_NAMES,
     ChshAngles,
     CountData,
     DEFAULT_CHSH_ANGLES,
@@ -753,8 +754,9 @@ class TestMle:
         with monkeypatch.context() as patch:
             patch.setattr(tomo, "_fit_batch", keep)
             cli.run_purification(cli.default_config("purify"))
-        design, counts, args = batches[1]  # the input branch runs first
-        assert len(counts) == 101
+        [(design, counts, args)] = batches  # one batch: input rows, then output rows
+        assert len(counts) == 202
+        counts = counts[101:]
         fitters = (screened.__code__, unscreened_fit_batch.__code__)
         solved = [0]  # rows the fitters passed to eigvalsh
         real = np.linalg.eigvalsh
@@ -1158,3 +1160,100 @@ class TestMonteCarloMetrics:
             "purity", "purity_sigma", "s_value", "s_value_sigma",
             "n_samples", "n_failed", "n_nonconverged",
         ]
+
+
+class _Captured(Exception):
+    pass
+
+
+def sweep_branches(seed, count_mode, method):
+    """The count sets, bootstrap seeds and options of every branch of the default chsh-sweep.
+
+    The run stops at its one tomography pass, before any fit.
+    """
+    captured = {}
+
+    def capture(datas, seeds, **options):
+        captured.update(datas=datas, seeds=seeds, options=options)
+        raise _Captured
+
+    cfg = cli.default_config("chsh-sweep")
+    cfg = replace(cfg, seed=seed, count_mode=count_mode,
+                  tomography=replace(cfg.tomography, method=method))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_bootstrap_reports", capture)
+        with pytest.raises(_Captured):
+            cli.run_chsh_sweep(cfg)
+    return captured["datas"], captured["seeds"], captured["options"]
+
+
+def assert_reports_match(got, want):
+    """Stacked and per-branch reports agree: counts and flags exactly, metrics to rounding.
+
+    The batch shape changes the rounding of the stacked solves and products.
+    Concurrence takes square roots of eigenvalues near zero, which turns that
+    rounding into differences of up to about 1e-8 in its rows and 1e-9 in
+    its sigma, so it gets 1e-7; the other metrics and sigmas get 1e-10.
+    """
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.n_samples, g.n_failed, g.n_nonconverged) == (
+            w.n_samples, w.n_failed, w.n_nonconverged
+        )
+        assert (g.point_fit.iterations, g.point_fit.converged) == (
+            w.point_fit.iterations, w.point_fit.converged
+        )
+        for name in METRIC_NAMES:
+            tol = 1e-7 if name == "concurrence" else 1e-10
+            for key in (name, name + "_sigma"):
+                assert getattr(g, key) == pytest.approx(getattr(w, key), rel=0, abs=tol), key
+
+
+class TestBootstrapReports:
+    @pytest.mark.parametrize("method", ["mle", "linear"])
+    @pytest.mark.parametrize("seed, count_mode", [(0, "sampled"), (1, "sampled"), (0, "analytic")])
+    def test_stacked_batch_matches_one_call_per_branch(self, seed, count_mode, method):
+        """All ten branches of the default chsh-sweep in one batch equal ten separate reports."""
+        datas, seeds, options = sweep_branches(seed, count_mode, method)
+        assert len(datas) == 10
+        got = tomo._bootstrap_reports(datas, seeds, **options)
+        want = [monte_carlo_metrics(d, seed=s, **options) for d, s in zip(datas, seeds)]
+        assert_reports_match(got, want)
+
+    @pytest.mark.parametrize("method", ["mle", "linear"])
+    def test_a_dropped_resample_shifts_the_later_blocks(self, method):
+        """A middle branch whose resamples exceed the count ceiling keeps the others aligned."""
+
+        def branches(seed):
+            datas = [simulate_counts(tilted_bell(p), SETTINGS, 100, seed=seed + k)
+                     for k, p in enumerate((0.5, 0.3, 0.1))]
+            # 4 900 counts against a ceiling of 50 * 100: about 8% of the
+            # Poisson resamples of the middle branch exceed it and are dropped
+            counts = datas[1].counts.copy()
+            counts[0] = 4_900
+            datas[1] = CountData(tuple(SETTINGS), counts, 100)
+            return datas, [seed, seed + 1, seed + 2]
+
+        datas, seeds = branches(1)
+        got = tomo._bootstrap_reports(datas, seeds, n_samples=20, method=method)
+        want = [monte_carlo_metrics(d, 20, s, method) for d, s in zip(datas, seeds)]
+        assert [r.n_failed for r in got] == [0, 2, 0]
+        assert_reports_match(got, want)
+        # three of twenty dropped aborts, as the middle branch alone does
+        datas, seeds = branches(0)
+        with pytest.raises(RuntimeError, match="3/20"):
+            monte_carlo_metrics(datas[1], 20, seeds[1], method)
+        with pytest.raises(RuntimeError, match="3/20"):
+            tomo._bootstrap_reports(datas, seeds, n_samples=20, method=method)
+
+    def test_branches_must_share_settings_and_flux(self):
+        """Count sets of other settings or another pairs_per_setting are refused by name."""
+        data = simulate_counts(tilted_bell(0.5), SETTINGS, 1_000, seed=0)
+        reordered = CountData(tuple(SETTINGS[::-1]), data.counts, 1_000)
+        fainter = CountData(data.settings, data.counts, 2_000)
+        with pytest.raises(ValueError, match="count set 1 has other settings"):
+            tomo._bootstrap_reports([data, reordered], [0, 1], n_samples=10)
+        with pytest.raises(ValueError, match="count set 2 has pairs_per_setting 2000"):
+            tomo._bootstrap_reports([data, data, fainter], [0, 1, 2], n_samples=10)
+        with pytest.raises(ValueError, match="as many seeds"):
+            tomo._bootstrap_reports([data, data], [0], n_samples=10)
