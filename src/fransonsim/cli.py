@@ -49,6 +49,7 @@ from .qcore import (
 from .tomo import (
     DEFAULT_CHSH_ANGLES,
     DEFAULT_PAIRS_PER_SETTING,
+    MAX_PAIRS_PER_SETTING,
     METRIC_NAMES,
     MLE_DEFAULT_MAX_ITER,
     MLE_DEFAULT_TOL,
@@ -59,7 +60,6 @@ from .tomo import (
     analytic_counts,
     counts_to_csv,
     simulate_counts,
-    standard_settings,
 )
 from .transfer import (
     InterferometerConfig,
@@ -93,9 +93,6 @@ SWEEP_PARAMETERS = ("p", "visibility", "sum_phase")
 COUNT_MODES = ("sampled", "analytic")
 RECON_METHODS = ("mle", "linear")
 DEFAULT_SWEEP_VALUES = (0.0, 0.1, 0.25, 0.4, 0.5)
-# numpy draws Poisson counts only for means below about 2**63 (9.2e18); the
-# counts and their bootstrap resamples stay far below that up to this flux.
-MAX_PAIRS_PER_SETTING = 10**18
 
 # The simulation models ideal optics; measured realizations of the same
 # scheme top out below the model because of alignment and accidentals.
@@ -536,8 +533,8 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> list:
 
     ``points`` gives each point's source config and seed key. Each point runs
     source, channel, blocked input and transfer. Its branch ``b`` (1 input,
-    2 output) counts from ``derive_seed(cfg.seed, b, *key)``, with the
-    settings built once per run, and draws its bootstrap resamples from
+    2 output) counts the 36 standard settings from
+    ``derive_seed(cfg.seed, b, *key)`` and draws its bootstrap resamples from
     ``derive_seed`` of that seed and 1. The counts of every branch of every
     point are fitted in one batch (:func:`~fransonsim.tomo._bootstrap_reports`),
     and the model-truth metrics of every branch state are one stacked pass.
@@ -559,13 +556,12 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> list:
         physics.append((src, blocked, outcome))
         states += [blocked.pol_marginal(), outcome.pol_out]
         seeds += [derive_seed(cfg.seed, b, *key) for b in (1, 2)]
-    settings = standard_settings()
     with _stage(stage_s, "counts"):
         if cfg.count_mode == "analytic":
-            datas = [analytic_counts(rho, settings, tcfg.pairs_per_setting) for rho in states]
+            datas = [analytic_counts(rho, tcfg.pairs_per_setting) for rho in states]
         else:
             datas = [
-                simulate_counts(rho, settings, tcfg.pairs_per_setting, seed=seed)
+                simulate_counts(rho, tcfg.pairs_per_setting, seed=seed)
                 for rho, seed in zip(states, seeds)
             ]
     with _stage(stage_s, "fit"):

@@ -1,12 +1,16 @@
 """Two-qubit polarization tomography, entanglement metrics, and CHSH tests.
 
 Measurement settings model the physical analyzer chain per photon: an
-optional quarter-wave plate followed by a linear polarizer. Counts are
-Poissonian with per-setting mean pairs_per_setting * tr(rho Pi_A x Pi_B),
-all drawn in one call from a generator seeded by one int, so one seed gives
-one count set. Reconstruction is either constrained linear inversion or an
-iterative maximum-likelihood fit; uncertainties come from a parametric
-bootstrap that resamples the counts, again in one draw from one seed.
+optional quarter-wave plate followed by a linear polarizer. The design is
+fixed: the 36 settings of :func:`standard_settings`, which pair the six
+basis states H, V, D, A, R, L of each photon (James, Kwiat, Munro and
+White, PRA 64, 052312 (2001)). A count set is one count per setting, in
+that order. Counts are Poissonian with per-setting mean
+pairs_per_setting * tr(rho Pi_A x Pi_B), all drawn in one call from a
+generator seeded by one int, so one seed gives one count set.
+Reconstruction is either constrained linear inversion or an iterative
+maximum-likelihood fit; uncertainties come from a parametric bootstrap that
+resamples the counts, again in one draw from one seed.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "MetricsReport",
     "DEFAULT_CHSH_ANGLES",
     "DEFAULT_PAIRS_PER_SETTING",
+    "MAX_PAIRS_PER_SETTING",
     "projector",
     "standard_settings",
     "setting_projectors",
@@ -57,6 +62,12 @@ __all__ = [
 
 # 10.3 kcps of coincidences integrated for 25 s per analyzer setting.
 DEFAULT_PAIRS_PER_SETTING = 260_000
+# numpy draws Poisson counts only for means below about 2**63 (9.2e18); the
+# counts and their bootstrap resamples stay far below that up to this flux.
+MAX_PAIRS_PER_SETTING = 10**18
+
+# Settings in the standard design, and so the length of every count set.
+_N_SETTINGS = 36
 
 PROBABILITY_FLOOR = 1e-12
 MLE_DEFAULT_TOL = 1e-10
@@ -136,7 +147,8 @@ def standard_settings() -> list[MeasurementSetting]:
     """The 36 coincidence settings pairing the six basis states per photon.
 
     Overcomplete on purpose: the 36 product projectors span the full
-    two-qubit operator space, so both estimators below are well posed.
+    two-qubit operator space, so both estimators below are well posed, and
+    they sum to 9 I, which the likelihood fit relies on.
     """
     singles = _eigenstate_settings()
     return [
@@ -154,65 +166,61 @@ def setting_projectors(settings: Sequence[MeasurementSetting]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Design:
-    """The constant measurement design of one settings tuple.
+    """The constant measurement design of the standard settings.
 
-    ``projectors`` is the (n, 4, 4) stack of :func:`setting_projectors`;
-    row j of the (n, 16) ``matrix`` is vec(Pi_j^T), so that
-    ``matrix @ vec(rho)`` gives tr(rho Pi_j). ``spans`` says whether the
-    projectors span the two-qubit operator space (rank 16).
-
-    The maximum-likelihood fit works in the frame whitened by H = sum_j Pi_j.
-    ``whitening`` is H^-1/2, and row j of the (n, 16) ``normalised`` is
-    vec(H^-1/2 Pi_j H^-1/2), the operators the fit weighs. ``basis`` is the
-    (15, 4, 4) orthonormal traceless Pauli basis E_k, and ``tangent`` the
-    real (n, 15) matrix tr(H^-1/2 Pi_j H^-1/2 E_k), the derivative of the
-    whitened probabilities along E_k. The four are None when H is singular.
-    The arrays are read-only because they are shared by every caller.
+    ``projectors`` is the (36, 4, 4) stack of :func:`setting_projectors`;
+    row j of the (36, 16) ``matrix`` is vec(Pi_j^T), so that
+    ``matrix @ vec(rho)`` gives tr(rho Pi_j). The 36 projectors sum to 9 I,
+    so the maximum-likelihood fit weighs Pi_j / 9: row j of the (36, 16)
+    ``normalised`` is vec(Pi_j / 9). ``basis`` is the (15, 4, 4)
+    orthonormal traceless Pauli basis E_k, and ``tangent`` the real
+    (36, 15) matrix tr(Pi_j E_k) / 9, the derivative of the fitted
+    probabilities along E_k. The arrays are read-only because they are
+    shared by every caller.
     """
 
     projectors: np.ndarray
     matrix: np.ndarray
-    spans: bool
-    whitening: np.ndarray | None
-    normalised: np.ndarray | None
-    basis: np.ndarray | None
-    tangent: np.ndarray | None
+    normalised: np.ndarray
+    basis: np.ndarray
+    tangent: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
-def _design(settings: tuple[MeasurementSetting, ...]) -> _Design:
-    """Build the design of ``settings`` on first use; later calls reuse it."""
-    pis = setting_projectors(settings)
-    matrix = pis.transpose(0, 2, 1).reshape(len(settings), 16)
-    eigvals, eigvecs = np.linalg.eigh(pis.sum(axis=0))
-    whitening = normalised = basis = tangent = None
-    if eigvals[0] > 1e-12 * eigvals[-1]:
-        whitening = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
-        whitened = whitening @ pis @ whitening
-        normalised = whitened.reshape(len(settings), 16)
-        paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-        basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
-        tangent = np.einsum("jab,kba->jk", whitened, basis).real
-        for arr in (whitening, normalised, basis, tangent):
-            arr.setflags(write=False)
-    pis.setflags(write=False)
-    matrix.setflags(write=False)
-    return _Design(
-        pis, matrix, bool(np.linalg.matrix_rank(matrix) == 16),
-        whitening, normalised, basis, tangent,
+@functools.cache
+def _design() -> _Design:
+    """Build the design on first use; later calls reuse it."""
+    pis = setting_projectors(standard_settings())
+    frame = pis / 9.0
+    paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+    basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
+    design = _Design(
+        projectors=pis,
+        matrix=pis.transpose(0, 2, 1).reshape(_N_SETTINGS, 16),
+        normalised=frame.reshape(_N_SETTINGS, 16),
+        basis=basis,
+        tangent=np.einsum("jab,kba->jk", frame, basis).real,
     )
+    for arr in vars(design).values():
+        arr.setflags(write=False)
+    return design
 
 
-def expected_probabilities(
-    rho: DensityMatrix, settings: Sequence[MeasurementSetting]
-) -> np.ndarray:
-    """tr(rho Pi_j) for every setting."""
+def expected_probabilities(rho: DensityMatrix) -> np.ndarray:
+    """tr(rho Pi_j) for every standard setting j."""
     if rho.dim != 4:
         raise ValueError(f"tomography operates on two qubits, got dim {rho.dim}")
-    pis = _design(tuple(settings)).projectors
-    probs = np.einsum("jab,ba->j", pis, rho.data).real
+    probs = np.einsum("jab,ba->j", _design().projectors, rho.data).real
     # roundoff can leave probabilities a few ulp below zero
     return np.clip(probs, 0.0, None)
+
+
+def _check_pairs(pairs_per_setting: int) -> None:
+    """Refuse a flux outside [1, MAX_PAIRS_PER_SETTING], by name."""
+    if not 1 <= pairs_per_setting <= MAX_PAIRS_PER_SETTING:
+        raise ValueError(
+            f"pairs_per_setting must be in [1, {MAX_PAIRS_PER_SETTING:.0e}], "
+            f"got {pairs_per_setting}"
+        )
 
 
 def _count_errors(counts: np.ndarray, pairs_per_setting: int) -> list[ValueError | None]:
@@ -246,37 +254,30 @@ def _count_errors(counts: np.ndarray, pairs_per_setting: int) -> list[ValueError
 
 @dataclass(frozen=True)
 class CountData:
-    """Coincidence counts for a list of settings.
+    """Coincidence counts of the 36 standard settings, in their order.
 
     ``counts`` are nonnegative; Poisson-sampled data is integer valued while
     the analytic mode stores exact expected counts, which are generally not
-    integers.
+    integers. ``pairs_per_setting`` must lie in [1, MAX_PAIRS_PER_SETTING].
     """
 
-    settings: tuple[MeasurementSetting, ...]
     counts: np.ndarray
     pairs_per_setting: int
 
     def __post_init__(self) -> None:
-        settings = tuple(self.settings)
         counts = np.array(self.counts, dtype=float, copy=True)
-        if counts.ndim != 1 or counts.shape[0] != len(settings):
+        if counts.shape != (_N_SETTINGS,):
             raise ValueError(
-                f"counts shape {counts.shape} does not match {len(settings)} settings"
+                f"counts shape {counts.shape} does not match the {_N_SETTINGS} settings"
             )
-        if not settings:
-            raise ValueError("count data needs at least one setting")
-        if int(self.pairs_per_setting) <= 0:
-            raise ValueError(
-                f"pairs_per_setting must be positive, got {self.pairs_per_setting}"
-            )
-        [error] = _count_errors(counts[None], int(self.pairs_per_setting))
+        pairs = int(self.pairs_per_setting)
+        _check_pairs(pairs)
+        [error] = _count_errors(counts[None], pairs)
         if error is not None:
             raise error
         counts.setflags(write=False)
-        object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "pairs_per_setting", int(self.pairs_per_setting))
+        object.__setattr__(self, "pairs_per_setting", pairs)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -285,40 +286,44 @@ class CountData:
 
 def simulate_counts(
     rho: DensityMatrix,
-    settings: Sequence[MeasurementSetting],
     pairs_per_setting: int = DEFAULT_PAIRS_PER_SETTING,
     seed: int = 0,
 ) -> CountData:
     """Poisson coincidence counts, all settings in one draw of ``default_rng(seed)``.
 
-    The count of setting j is entry j of that one ``poisson`` call.
+    The count of setting j is entry j of that one ``poisson`` call. A flux
+    above MAX_PAIRS_PER_SETTING, which numpy cannot draw, is refused by name
+    before the draw.
     """
-    probs = expected_probabilities(rho, settings)
+    _check_pairs(pairs_per_setting)
+    probs = expected_probabilities(rho)
     counts = np.random.default_rng(seed).poisson(pairs_per_setting * probs)
-    return CountData(tuple(settings), counts, pairs_per_setting)
+    return CountData(counts, pairs_per_setting)
 
 
 def analytic_counts(
-    rho: DensityMatrix,
-    settings: Sequence[MeasurementSetting],
-    pairs_per_setting: int = DEFAULT_PAIRS_PER_SETTING,
+    rho: DensityMatrix, pairs_per_setting: int = DEFAULT_PAIRS_PER_SETTING
 ) -> CountData:
     """Exact expected counts, the zero-noise limit of :func:`simulate_counts`."""
-    probs = expected_probabilities(rho, settings)
-    return CountData(tuple(settings), pairs_per_setting * probs, pairs_per_setting)
+    return CountData(pairs_per_setting * expected_probabilities(rho), pairs_per_setting)
+
+
+def _csv_columns(setting: MeasurementSetting) -> list[str]:
+    """The six analyzer columns of one CSV row, angles in degrees with six decimals."""
+    a, b = setting.party_a, setting.party_b
+    return [
+        f"{math.degrees(a.polarizer_angle):.6f}", f"{int(a.qwp_in)}",
+        f"{math.degrees(a.qwp_angle):.6f}", f"{math.degrees(b.polarizer_angle):.6f}",
+        f"{int(b.qwp_in)}", f"{math.degrees(b.qwp_angle):.6f}",
+    ]
 
 
 def counts_to_csv(data: CountData, path) -> None:
-    """Write counts as CSV; angles in degrees with six decimals."""
+    """Write counts as CSV, one row per standard setting with its analyzer columns."""
     lines = [_CSV_HEADER]
-    for j, (setting, count) in enumerate(zip(data.settings, data.counts)):
-        a, b = setting.party_a, setting.party_b
+    for j, (setting, count) in enumerate(zip(standard_settings(), data.counts)):
         cnt = f"{int(count)}" if float(count).is_integer() else f"{count:.17g}"
-        lines.append(
-            f"{j},{math.degrees(a.polarizer_angle):.6f},{int(a.qwp_in)},"
-            f"{math.degrees(a.qwp_angle):.6f},{math.degrees(b.polarizer_angle):.6f},"
-            f"{int(b.qwp_in)},{math.degrees(b.qwp_angle):.6f},{cnt}"
-        )
+        lines.append(f"{j},{','.join(_csv_columns(setting))},{cnt}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -326,36 +331,47 @@ def counts_to_csv(data: CountData, path) -> None:
 def counts_from_csv(path, pairs_per_setting: int) -> CountData:
     """Read counts written by :func:`counts_to_csv`.
 
-    The flux is not part of the CSV payload and must be supplied.
-    The plate flags ``qwp_a`` and ``qwp_b`` must read 0 or 1.
+    The flux is not part of the CSV payload and must be supplied. The file
+    must hold one row per standard setting. The plate flags ``qwp_a`` and
+    ``qwp_b`` must read 0 or 1 and the angles must be finite. Each row must
+    be the standard setting at its index: the same plate flags, and angles
+    within half a unit of the sixth written decimal of the standard angle,
+    modulo 180 deg. A row that differs is refused, naming the data row and
+    the column.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {lines[0] if lines else ''!r}")
-    settings = []
+    if len(lines) - 1 != _N_SETTINGS:
+        raise ValueError(f"expected {_N_SETTINGS} data rows, got {len(lines) - 1}")
+    names = _CSV_HEADER.split(",")
     counts = []
-    for row, ln in enumerate(lines[1:], start=1):
+    for row, (ln, setting) in enumerate(zip(lines[1:], standard_settings()), start=1):
         cols = ln.split(",")
         if len(cols) != 8:
             raise ValueError(f"expected 8 columns, got {len(cols)}: {ln!r}")
-        for name, col in (("qwp_a", cols[2]), ("qwp_b", cols[5])):
-            if col.strip() not in ("0", "1"):
-                raise ValueError(f"{name} must be 0 or 1, got {col!r} in data row {row}")
-        settings.append(
-            MeasurementSetting(
-                PartySetting(
-                    math.radians(float(cols[1])), cols[2].strip() == "1",
-                    math.radians(float(cols[3])),
-                ),
-                PartySetting(
-                    math.radians(float(cols[4])), cols[5].strip() == "1",
-                    math.radians(float(cols[6])),
-                ),
-            )
-        )
+        for k, want in enumerate(_csv_columns(setting), start=1):
+            got = cols[k].strip()
+            if k in (2, 5):
+                if got not in ("0", "1"):
+                    raise ValueError(
+                        f"{names[k]} must be 0 or 1, got {cols[k]!r} in data row {row}"
+                    )
+                same = got == want
+            else:
+                angle = float(got)
+                if not math.isfinite(angle):
+                    name = "qwp_angle" if k in (3, 6) else "polarizer_angle"
+                    raise ValueError(f"{name} must be finite, got {angle}")
+                same = abs(math.remainder(angle - float(want), 180.0)) <= 5e-7
+            if not same:
+                raise ValueError(
+                    f"{names[k]} reads {got} in data row {row}, the standard "
+                    f"setting there has {want}"
+                )
         counts.append(float(cols[7]))
-    return CountData(tuple(settings), np.array(counts), pairs_per_setting)
+    return CountData(np.array(counts), pairs_per_setting)
 
 
 @dataclass(frozen=True)
@@ -425,31 +441,22 @@ def _unwrap(fit: ReconstructionResult | Exception) -> ReconstructionResult:
     return fit
 
 
-def _linear_fits(
-    settings: tuple[MeasurementSetting, ...], counts: np.ndarray, pairs_per_setting: int
-) -> list:
-    """Linear inversion of every row of ``counts`` (B, n) in one batched solve.
+def _linear_fits(counts: np.ndarray, pairs_per_setting: int) -> list:
+    """Linear inversion of every row of ``counts`` (B, 36) in one batched solve.
 
     One least-squares solve with B right-hand sides and one stacked
     eigendecomposition serve all rows; the clipping, renormalization and
     validation of the rows, and their log-likelihoods and floor hits, are
-    each one stacked pass as well.
-    Settings that do not span the operator space raise a ``ValueError``.
-    Otherwise failures are per row: the result is one entry per row, the
-    :class:`ReconstructionResult` or the exception that rejected the row (a
-    collapse to the zero matrix, a failed validation or a ``LinAlgError``).
+    each one stacked pass as well. Failures are per row: the result is one
+    entry per row, the :class:`ReconstructionResult` or the exception that
+    rejected the row (a collapse to the zero matrix, a failed validation or
+    a ``LinAlgError``).
     """
-    design = _design(settings)
-    if not design.spans:
-        raise ValueError(
-            "settings do not span the operator space, reconstruction is "
-            "underdetermined"
-        )
-    return _batch_or_rows(_linear_batch, design, counts, pairs_per_setting)
+    return _batch_or_rows(_linear_batch, _design(), counts, pairs_per_setting)
 
 
 def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -> list:
-    """The solve of :func:`_linear_fits` on a design that spans."""
+    """The solve of :func:`_linear_fits`."""
     freqs = (counts / float(pairs_per_setting)).astype(complex)
     sol, *_ = np.linalg.lstsq(design.matrix, freqs.T, rcond=None)
     raw = sol.T.reshape(-1, 4, 4)
@@ -482,10 +489,10 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
     clips negative eigenvalues to zero, and renormalizes the trace. Exact
     on noiseless data; on sampled data the projection step is what keeps
     the estimate physical. This is the one-row call of the batched fit
-    that :func:`monte_carlo_metrics` runs; settings that do not span, a
-    collapse to the zero matrix and a failed validation raise.
+    that :func:`monte_carlo_metrics` runs; a collapse to the zero matrix
+    and a failed validation raise.
     """
-    [fit] = _linear_fits(data.settings, data.counts[None], data.pairs_per_setting)
+    [fit] = _linear_fits(data.counts[None], data.pairs_per_setting)
     return _unwrap(fit)
 
 
@@ -496,8 +503,8 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
 _RRR_ITERATIONS = 200
 
 
-def _whitened_probabilities(design: _Design, y: np.ndarray) -> np.ndarray:
-    """tr(H^-1/2 Pi_j H^-1/2 Y) for every setting j and every Y of the stack.
+def _frame_probabilities(design: _Design, y: np.ndarray) -> np.ndarray:
+    """tr(Pi_j Y) / 9 for every setting j and every Y of the stack.
 
     For Hermitian operators the trace is the real dot product of the
     matrices' entries, so one real matrix product gives it.
@@ -508,8 +515,8 @@ def _whitened_probabilities(design: _Design, y: np.ndarray) -> np.ndarray:
 def _r_operator(
     design: _Design, freqs: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R = sum_j (f_j / p_j) Pi~_j of every row, and which p_j the floor caught."""
-    probs = _whitened_probabilities(design, y)
+    """R = sum_j (f_j / p_j) Pi_j / 9 of every row, and which p_j the floor caught."""
+    probs = _frame_probabilities(design, y)
     weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
     return (weights @ design.normalised).reshape(-1, 4, 4), probs < PROBABILITY_FLOOR
 
@@ -522,9 +529,8 @@ def _rrr_step(r_op: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho = N[H^-1/2 Y H^-1/2] of every row, and its probabilities tr(rho Pi_j)."""
-    rho = design.whitening @ y @ design.whitening
-    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    """rho = Y / tr(Y) of every row, and its probabilities tr(rho Pi_j)."""
+    rho = y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
     return rho, (rho.reshape(-1, 16) @ design.matrix.T).real
 
 
@@ -533,14 +539,14 @@ def _newton_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One damped Newton step per row on -sum_j f_j log p_j - mu log det Y.
 
-    p_j = tr(Pi~_j Y) are the whitened probabilities. The step moves Y along
+    p_j = tr(Pi_j Y) / 9 are the fitted probabilities. The step moves Y along
     the 15 traceless Pauli directions, so Y keeps unit trace; the Hessian is
     T^T diag(f / p^2) T for the likelihood plus mu tr(Y^-1 E_k Y^-1 E_l)
     for the barrier. Each row's step is halved until Y + t dY passes the
     test that its smallest eigenvalue is positive. Returns the new stack
     and each row's Newton decrement.
     """
-    probs = np.maximum(_whitened_probabilities(design, y), PROBABILITY_FLOOR)
+    probs = np.maximum(_frame_probabilities(design, y), PROBABILITY_FLOOR)
     weights = freqs / probs
     y_inv_e = np.linalg.inv(y)[:, None] @ design.basis
     grad = -(weights @ design.tangent) - mu[:, None] * np.trace(
@@ -560,26 +566,23 @@ def _newton_step(
 
 
 def _mle_fits(
-    settings: tuple[MeasurementSetting, ...],
     counts: np.ndarray,
     pairs_per_setting: int,
     tol: float = MLE_DEFAULT_TOL,
     max_iter: int = MLE_DEFAULT_MAX_ITER,
     history: bool = False,
 ) -> list:
-    """Maximum-likelihood fits of every row of ``counts`` (B, n) in one batch.
+    """Maximum-likelihood fits of every row of ``counts`` (B, 36) in one batch.
 
-    Each row fits the unit-trace Y = H^1/2 rho H^1/2 / tr(H rho), with
-    H = sum_j Pi_j, against the whitened operators Pi~_j = H^-1/2 Pi_j H^-1/2
-    of the cached design. It minimises -sum_j f_j log p_j, with
-    p_j = tr(Pi~_j Y) and f_j = counts_j / pairs_per_setting, which is the
-    Poisson likelihood with the flux fitted too, and returns rho
-    proportional to H^-1/2 Y H^-1/2. For the standard settings H = 9 I and
-    Y = rho.
+    The 36 standard projectors sum to 9 I, so each row fits the unit-trace
+    state Y = rho itself against the operators Pi_j / 9 of the cached
+    design. It minimises -sum_j f_j log p_j, with p_j = tr(Pi_j Y) / 9 and
+    f_j = counts_j / pairs_per_setting, which is the Poisson likelihood
+    with the flux fitted too.
 
     All rows start from the maximally mixed state and iterate
-    Y -> N[R Y R], R = sum_j (f_j / p_j) Pi~_j (Rehacek, Hradil, Knill and
-    Lvovsky, PRA 75, 042108 (2007)), as one (B, 4, 4) stack. A row stops
+    Y -> N[R Y R], R = sum_j (f_j / p_j) Pi_j / 9 (Rehacek, Hradil, Knill
+    and Lvovsky, PRA 75, 042108 (2007)), as one (B, 4, 4) stack. A row stops
     when its convexity gap g = lambda_max(R) - sum_j f_j drops to ``tol``.
     The gap bounds how far -sum_j f_j log p_j is above its minimum, so
     ``converged`` is a certificate. R and Y are PSD and Y has unit trace,
@@ -599,30 +602,24 @@ def _mle_fits(
     floored at PROBABILITY_FLOOR so empty settings cannot blow up the
     weights.
 
-    A singular H raises a ``ValueError``. Otherwise failures are per row:
-    the result is one entry per row, the :class:`ReconstructionResult` or
-    the exception that rejected the row (counts that are all zero, a failed
-    validation or a ``LinAlgError``; the latter fails the whole batch, which
-    is then refitted row by row). Rows of zeros are refused before the
-    iteration, so the other rows stay one batch. Only with ``history`` does
-    a result carry the log-likelihood of every iterate.
+    Failures are per row: the result is one entry per row, the
+    :class:`ReconstructionResult` or the exception that rejected the row
+    (counts that are all zero, a failed validation or a ``LinAlgError``;
+    the latter fails the whole batch, which is then refitted row by row).
+    Rows of zeros are refused before the iteration, so the other rows stay
+    one batch. Only with ``history`` does a result carry the log-likelihood
+    of every iterate.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    design = _design(settings)
-    if design.normalised is None:
-        raise ValueError(
-            "the setting projectors sum to a singular operator, the likelihood "
-            "fit is undetermined"
-        )
     fits = [ValueError("the counts are all zero, there is nothing to fit")] * len(counts)
     rows = np.flatnonzero(counts.any(axis=1))
     if len(rows) == 0:
         return fits
     found = _batch_or_rows(
-        _fit_batch, design, counts[rows], pairs_per_setting, tol, max_iter, history
+        _fit_batch, _design(), counts[rows], pairs_per_setting, tol, max_iter, history
     )
     for i, fit in zip(rows, found):
         fits[i] = fit
@@ -637,7 +634,7 @@ def _fit_batch(
     max_iter: int,
     history: bool,
 ) -> list:
-    """The iteration of :func:`_mle_fits` on a design with a regular H."""
+    """The iteration of :func:`_mle_fits`."""
     fits = [None] * len(counts)
     rows = np.arange(len(counts))  # input row of each batch row
     freqs = counts / float(pairs_per_setting)
@@ -710,8 +707,8 @@ def mle_reconstruct(
 ) -> ReconstructionResult:
     """Iterative maximum-likelihood reconstruction.
 
-    The fit of :func:`_mle_fits` for one count set: RrhoR iterations in the
-    whitened frame from the maximally mixed state, then Newton steps on the
+    The fit of :func:`_mle_fits` for one count set: RrhoR iterations on rho
+    against Pi_j / 9 from the maximally mixed state, then Newton steps on the
     log-barrier problem if the fit is still open after 200 iterations. It
     stops once the certified gap between -sum_j f_j log p_j and its minimum,
     in frequencies f_j = counts_j / pairs_per_setting, is at most ``tol``
@@ -719,12 +716,11 @@ def mle_reconstruct(
     iterations of both phases together. ``loglike_history`` holds the
     log-likelihood of every iterate, starting point included; the batched
     fit that :func:`monte_carlo_metrics` runs does not record it. Counts
-    that are all zero, settings whose projectors sum to a singular operator
-    and a failed validation are refused with a ``ValueError``.
+    that are all zero and a failed validation are refused with a
+    ``ValueError``.
     """
     [fit] = _mle_fits(
-        data.settings, data.counts[None], data.pairs_per_setting, tol, max_iter,
-        history=True,
+        data.counts[None], data.pairs_per_setting, tol, max_iter, history=True
     )
     return _unwrap(fit)
 
@@ -908,8 +904,7 @@ def _bootstrap_reports(
     point fit, whose failure is raised in branch order; ``n_failed``, the
     10% abort and ``n_nonconverged`` count the block's resamples; the
     sigmas are the block's standard deviations. The count sets must share
-    their settings and ``pairs_per_setting``, or a ``ValueError`` says
-    which differs.
+    their ``pairs_per_setting``, or a ``ValueError`` says which differs.
     """
     if n_samples < 10:
         raise ValueError(f"n_samples must be at least 10, got {n_samples}")
@@ -923,27 +918,25 @@ def _bootstrap_reports(
         raise ValueError("the batch needs at least one count set")
     if len(seeds) != len(datas):
         raise ValueError(f"{len(datas)} count sets need as many seeds, got {len(seeds)}")
-    settings, pairs = datas[0].settings, datas[0].pairs_per_setting
+    pairs = datas[0].pairs_per_setting
     for i, data in enumerate(datas):
-        if data.settings != settings:
-            raise ValueError(f"count set {i} has other settings than count set 0")
         if data.pairs_per_setting != pairs:
             raise ValueError(
                 f"count set {i} has pairs_per_setting {data.pairs_per_setting}, "
                 f"count set 0 has {pairs}"
             )
-    n = len(settings)
     draws = n_samples if resample else 0
-    batch = np.empty((len(datas), 1 + draws, n))  # per branch: observed, then resamples
+    # per branch: observed, then resamples
+    batch = np.empty((len(datas), 1 + draws, _N_SETTINGS))
     for block, data, seed in zip(batch, datas, seeds):
         block[0] = data.counts
         if resample:
-            block[1:] = np.random.default_rng(seed).poisson(data.counts, size=(draws, n))
+            block[1:] = np.random.default_rng(seed).poisson(data.counts, size=block[1:].shape)
     keep = np.ones(batch.shape[:2], dtype=bool)
     if resample:
-        errors = _count_errors(batch[:, 1:].reshape(-1, n), pairs)
+        errors = _count_errors(batch[:, 1:].reshape(-1, _N_SETTINGS), pairs)
         keep[:, 1:] = np.reshape([error is None for error in errors], (len(datas), draws))
-    fits = fitter(settings, batch[keep], pairs)
+    fits = fitter(batch[keep], pairs)
     branches = []  # (point fit, kept resample fits, failed) of each block
     start = 0
     for size in keep.sum(axis=1).tolist():

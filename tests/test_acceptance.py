@@ -40,7 +40,6 @@ from fransonsim.tomo import (
     mle_reconstruct,
     monte_carlo_metrics,
     simulate_counts,
-    standard_settings,
 )
 from fransonsim.transfer import (
     InterferometerConfig,
@@ -51,7 +50,6 @@ from fransonsim.transfer import (
 )
 
 V_CAL = 0.979
-SETTINGS = standard_settings()
 IDEAL_ET = DensityMatrix.pure(PHI_PLUS_KET)
 
 
@@ -127,7 +125,7 @@ class TestAcceptance:
             apply_noisy_channel(make_source_state(cfg.source), cfg.channel),
             InterferometerConfig(),
         ).pol_out
-        data = simulate_counts(truth, SETTINGS, 260_000, seed=2)
+        data = simulate_counts(truth, 260_000, seed=2)
         recon = mle_reconstruct(data)
         assert abs(fidelity_to(recon.rho, PHI_PLUS_KET) - 0.9895) < 0.005
         assert abs(concurrence(recon.rho) - 0.979) < 0.005
@@ -201,7 +199,7 @@ class TestAcceptance:
         truth = DensityMatrix.pure(PHI_PLUS_KET)
         good = 0
         for seed in range(100):
-            data = simulate_counts(truth, SETTINGS, 10_000, seed=seed)
+            data = simulate_counts(truth, 10_000, seed=seed)
             recon = mle_reconstruct(data)
             hist = np.asarray(recon.loglike_history)
             assert np.all(np.diff(hist) >= -1e-6 * np.abs(hist[:-1]))
@@ -228,7 +226,7 @@ class TestAcceptance:
         sigmas = {pairs: [], 4 * pairs: []}
         for seed in range(20):
             for n in sigmas:
-                data = simulate_counts(truth, SETTINGS, n, seed=seed)
+                data = simulate_counts(truth, n, seed=seed)
                 report = monte_carlo_metrics(
                     data, n_samples=60, seed=seed + 500, method="linear"
                 )

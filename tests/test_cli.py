@@ -426,9 +426,9 @@ class TestPurifyPipeline:
         for name in ("_mle_fits", "_linear_fits"):
             real = getattr(tomo, name)
 
-            def spy(settings, counts, *args, _real=real, _name=name, **kwargs):
+            def spy(counts, *args, _real=real, _name=name, **kwargs):
                 calls.append((_name, len(counts)))
-                return _real(settings, counts, *args, **kwargs)
+                return _real(counts, *args, **kwargs)
 
             monkeypatch.setattr(tomo, name, spy)
         cfg = analytic_cfg(

@@ -72,8 +72,8 @@ def chsh_uncached(rho, angles=DEFAULT_CHSH_ANGLES):
 
 def linear_state_oracle(data):
     """Linear inversion of one count set, with the design rebuilt per call."""
-    pis = setting_projectors(data.settings)
-    design = pis.transpose(0, 2, 1).reshape(len(data.settings), 16)
+    pis = setting_projectors(SETTINGS)
+    design = pis.transpose(0, 2, 1).reshape(36, 16)
     sol, *_ = np.linalg.lstsq(design, data.frequencies.astype(complex), rcond=None)
     raw = sol.reshape(4, 4)
     raw = 0.5 * (raw + raw.conj().T)
@@ -85,14 +85,12 @@ def linear_state_oracle(data):
 def mle_oracle(data, tol=tomo.MLE_DEFAULT_TOL, max_iter=tomo.MLE_DEFAULT_MAX_ITER):
     """One RrhoR fit iterated alone with per-setting einsums: (rho, iterations, converged).
 
-    The projectors enter unnormalised, which is the same map as the
-    whitened one up to rounding for settings with sum_j Pi_j proportional
-    to the identity, such as the standard 36. It stops when the trace
-    distance between successive iterates drops to ``tol``. Within the
-    first 200 iterations it is the iteration of ``tomo._mle_fits``; run
-    long, it is the likelihood reference.
+    It weighs Pi_j / 9, rebuilt per call, as ``tomo._mle_fits`` does. It
+    stops when the trace distance between successive iterates drops to
+    ``tol``. Within the first 200 iterations it is the iteration of
+    ``tomo._mle_fits``; run long, it is the likelihood reference.
     """
-    pis = setting_projectors(data.settings)
+    pis = setting_projectors(SETTINGS) / 9.0
     rho = np.eye(4, dtype=complex) / 4.0
     probs = np.einsum("jab,ba->j", pis, rho).real
     for iterations in range(1, max_iter + 1):
@@ -173,8 +171,7 @@ def resamples(data, n_samples, seed):
     """
     rng = np.random.default_rng(seed)
     return [
-        CountData(data.settings, rng.poisson(data.counts).astype(float),
-                  data.pairs_per_setting)
+        CountData(rng.poisson(data.counts).astype(float), data.pairs_per_setting)
         for _ in range(n_samples)
     ]
 
@@ -233,9 +230,18 @@ def mle_sigmas_oracle(data, n_samples, seed, max_iter, skip=()):
 
 def neg_loglike(data, rho):
     """-sum_j f_j log p_j over the settings with counts, f_j the frequencies."""
-    probs = expected_probabilities(rho, data.settings)
+    probs = expected_probabilities(rho)
     seen = data.counts > 0
     return -np.sum(data.frequencies[seen] * np.log(probs[seen]))
+
+
+def edit_csv(path, row, column, value):
+    """Write ``value`` into one cell of a counts CSV: data row ``row``, column index ``column``."""
+    lines = path.read_text().splitlines()
+    cols = lines[row].split(",")
+    cols[column] = value
+    lines[row] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def sigmas(report):
@@ -293,17 +299,16 @@ class TestProjectors:
         assert np.linalg.matrix_rank(design, tol=1e-10) == 16
 
     def test_cached_design_matches_a_fresh_build(self):
-        """The memoised projector stack equals a fresh build and is read-only."""
-        design = tomo._design(tuple(SETTINGS))
-        fresh = setting_projectors(SETTINGS)
+        """The memoised design equals a fresh build of the standard settings and is read-only."""
+        design = tomo._design()
+        fresh = setting_projectors(standard_settings())
         np.testing.assert_array_equal(design.projectors, fresh)
         np.testing.assert_array_equal(
             design.matrix, fresh.transpose(0, 2, 1).reshape(36, 16)
         )
-        assert design.spans
-        # memoised by value: a rebuilt settings tuple finds the same design
-        assert tomo._design(tuple(standard_settings())) is design
-        for arr in (design.projectors, design.matrix):
+        np.testing.assert_array_equal(design.normalised, fresh.reshape(36, 16) / 9.0)
+        assert tomo._design() is design
+        for arr in vars(design).values():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
@@ -326,7 +331,7 @@ class TestProjectors:
     def test_expected_probabilities_sum_within_bases(self):
         """The four projectors of one local basis pair resolve identity."""
         rho = random_state(2, kind="mixed", seed=5)
-        probs = expected_probabilities(rho, SETTINGS)
+        probs = expected_probabilities(rho)
         # H/V x H/V: settings (H,H), (H,V), (V,H), (V,V)
         idx = [0, 1, 6, 7]
         assert sum(probs[i] for i in idx) == pytest.approx(1.0, abs=1e-10)
@@ -336,17 +341,17 @@ class TestCounting:
     def test_analytic_counts_are_exact_expectations(self):
         """Analytic mode stores pairs x probability with no rounding."""
         rho = tilted_bell(0.3)
-        data = analytic_counts(rho, SETTINGS, 1000)
+        data = analytic_counts(rho, 1000)
         np.testing.assert_allclose(
-            data.counts, 1000.0 * expected_probabilities(rho, SETTINGS), atol=1e-12
+            data.counts, 1000.0 * expected_probabilities(rho), atol=1e-12
         )
 
     def test_sampled_counts_match_poisson_moments(self):
         """Sampled counts track the expected mean within five sigma."""
         rho = tilted_bell(0.5)
         pairs = 1_000_000
-        data = simulate_counts(rho, SETTINGS, pairs, seed=3)
-        means = pairs * expected_probabilities(rho, SETTINGS)
+        data = simulate_counts(rho, pairs, seed=3)
+        means = pairs * expected_probabilities(rho)
         for count, mean in zip(data.counts, means):
             if mean > 0:
                 assert abs(count - mean) < 5.0 * np.sqrt(mean) + 5.0
@@ -354,9 +359,9 @@ class TestCounting:
     def test_same_seed_reproduces_counts(self):
         """Counting is deterministic in the seed."""
         rho = tilted_bell(0.4)
-        a = simulate_counts(rho, SETTINGS, 10_000, seed=11)
-        b = simulate_counts(rho, SETTINGS, 10_000, seed=11)
-        c = simulate_counts(rho, SETTINGS, 10_000, seed=12)
+        a = simulate_counts(rho, 10_000, seed=11)
+        b = simulate_counts(rho, 10_000, seed=11)
+        c = simulate_counts(rho, 10_000, seed=12)
         np.testing.assert_array_equal(a.counts, b.counts)
         assert not np.array_equal(a.counts, c.counts)
 
@@ -364,18 +369,18 @@ class TestCounting:
         """All 36 counts are one poisson call of default_rng(seed), in setting order."""
         rho = tilted_bell(0.4)
         for seed in (0, 11):
-            data = simulate_counts(rho, SETTINGS, 10_000, seed=seed)
+            data = simulate_counts(rho, 10_000, seed=seed)
             want = np.random.default_rng(seed).poisson(
-                10_000 * expected_probabilities(rho, SETTINGS)
+                10_000 * expected_probabilities(rho)
             )
             np.testing.assert_array_equal(data.counts, want)
 
     def test_count_data_validation(self):
         """Negative counts and length mismatches are refused."""
         with pytest.raises(ValueError, match="negative"):
-            CountData(SETTINGS, np.full(36, -1.0), 100)
+            CountData(np.full(36, -1.0), 100)
         with pytest.raises(ValueError, match="36"):
-            CountData(SETTINGS, np.ones(35), 100)
+            CountData(np.ones(35), 100)
 
     def test_stacked_count_check_refuses_what_count_data_refuses(self):
         """One check of a count stack gives each row the refusal CountData gives it."""
@@ -388,7 +393,7 @@ class TestCounting:
         errors = tomo._count_errors(rows, 100)
         for row, error in zip(rows, errors):
             try:
-                CountData(SETTINGS, row, 100)
+                CountData(row, 100)
             except ValueError as exc:
                 assert str(error) == str(exc)
             else:
@@ -401,12 +406,10 @@ class TestCounting:
         counts = np.ones(36)
         counts[5] = bad
         with pytest.raises(ValueError, match="non-finite count"):
-            CountData(SETTINGS, counts, 100)
+            CountData(counts, 100)
         path = tmp_path / "counts.csv"
-        counts_to_csv(CountData(SETTINGS, np.ones(36), 100), path)
-        lines = path.read_text().splitlines()
-        lines[6] = lines[6].rsplit(",", 1)[0] + f",{bad}"
-        path.write_text("\n".join(lines) + "\n")
+        counts_to_csv(CountData(np.ones(36), 100), path)
+        edit_csv(path, 6, 7, f"{bad}")
         with pytest.raises(ValueError, match="non-finite count"):
             counts_from_csv(path, pairs_per_setting=100)
 
@@ -418,12 +421,8 @@ class TestCounting:
         with pytest.raises(ValueError, match="qwp_angle must be finite"):
             PartySetting(0.0, qwp_in=True, qwp_angle=bad)
         path = tmp_path / "counts.csv"
-        counts_to_csv(CountData(SETTINGS, np.ones(36), 100), path)
-        lines = path.read_text().splitlines()
-        cols = lines[3].split(",")
-        cols[1] = f"{bad}"  # theta_a
-        lines[3] = ",".join(cols)
-        path.write_text("\n".join(lines) + "\n")
+        counts_to_csv(CountData(np.ones(36), 100), path)
+        edit_csv(path, 3, 1, f"{bad}")  # theta_a
         with pytest.raises(ValueError, match="polarizer_angle must be finite"):
             counts_from_csv(path, pairs_per_setting=100)
 
@@ -432,58 +431,67 @@ class TestCounting:
     def test_plate_flags_must_read_0_or_1(self, tmp_path, column, name, flag):
         """A plate flag other than 0 or 1 is refused with its column and row named."""
         path = tmp_path / "counts.csv"
-        counts_to_csv(CountData(SETTINGS, np.ones(36), 100), path)
-        lines = path.read_text().splitlines()
-        cols = lines[4].split(",")
-        cols[column] = flag
-        lines[4] = ",".join(cols)
-        path.write_text("\n".join(lines) + "\n")
+        counts_to_csv(CountData(np.ones(36), 100), path)
+        edit_csv(path, 4, column, flag)
         want = f"{name} must be 0 or 1, got '{flag}' in data row 4"
         with pytest.raises(ValueError, match=re.escape(want)):
             counts_from_csv(path, pairs_per_setting=100)
 
     def test_csv_round_trip(self, tmp_path):
-        """Counts and settings survive the CSV format."""
-        rho = tilted_bell(0.2)
-        data = simulate_counts(rho, SETTINGS, 5_000, seed=17)
-        path = tmp_path / "counts.csv"
+        """Counts survive the CSV format bit for bit, and a rewrite gives the same bytes."""
+        data = simulate_counts(tilted_bell(0.2), 5_000, seed=17)
+        path, again = tmp_path / "counts.csv", tmp_path / "again.csv"
         counts_to_csv(data, path)
-        again = counts_from_csv(path, pairs_per_setting=5_000)
-        np.testing.assert_array_equal(again.counts, data.counts)
-        # angles are stored in degrees to six decimals
-        for s1, s2 in zip(data.settings, again.settings):
-            assert s1.party_a.polarizer_angle == pytest.approx(
-                s2.party_a.polarizer_angle, abs=1e-7
-            )
-            assert s1.party_a.qwp_in == s2.party_a.qwp_in
-            assert s1.party_b.qwp_in == s2.party_b.qwp_in
+        read = counts_from_csv(path, pairs_per_setting=5_000)
+        np.testing.assert_array_equal(read.counts, data.counts)
+        counts_to_csv(read, again)
+        assert again.read_bytes() == path.read_bytes()
 
+    def test_nonstandard_rows_are_refused_by_row_and_column(self, tmp_path):
+        """A row whose analyzer differs from the standard setting at its index is refused.
 
-    def test_nonstandard_settings_from_csv_reconstruct(self, tmp_path):
-        """Counts for a rotated analyzer frame read back from CSV still invert."""
-        # every analyzer turned by 10 deg: still six balanced basis states per photon
-        turn = np.radians(10.0)
-        singles = [
-            PartySetting(ps.polarizer_angle + turn, ps.qwp_in, ps.qwp_angle + turn)
-            for ps in tomo._eigenstate_settings()
-        ]
-        settings = [MeasurementSetting(a, b) for a in singles for b in singles]
-        rho = random_state(2, kind="mixed", seed=8)
+        The design is fixed, so a turned analyzer or a moved plate is not
+        another design but a file that does not match it. Angles compare
+        modulo 180 deg.
+        """
         path = tmp_path / "counts.csv"
-        counts_to_csv(analytic_counts(rho, settings, 100_000), path)
-        data = counts_from_csv(path, pairs_per_setting=100_000)
-        # the degree round trip moves the angles by an ulp, so they are new cache keys
-        assert data.settings != tuple(settings)
-        design = tomo._design(data.settings)
-        np.testing.assert_array_equal(design.projectors, setting_projectors(data.settings))
-        assert trace_distance(linear_inversion(data).rho, rho) < 1e-6
-        assert trace_distance(mle_reconstruct(data).rho, rho) < 1e-4
-        sampled = simulate_counts(rho, data.settings, 5_000, seed=2)
-        report = monte_carlo_metrics(sampled, n_samples=20, seed=3, method="linear")
-        assert report.n_failed == 0
-        np.testing.assert_array_equal(
-            sigmas(report), linear_sigmas_oracle(sampled, 20, 3)
-        )
+        cases = [
+            # the analyzer of photon A turned by 10 deg in setting (H, A)
+            (4, 1, "10.000000", "theta_a reads 10.000000 in data row 4, the standard "
+             "setting there has 0.000000"),
+            (10, 6, "10.000000", "qwp_theta_b reads 10.000000 in data row 10"),
+            # the plate of photon B pulled from setting (H, R), put into (H, H)
+            (5, 5, "0", "qwp_b reads 0 in data row 5, the standard setting there has 1"),
+            (1, 2, "1", "qwp_a reads 1 in data row 1"),
+        ]
+        for row, column, value, want in cases:
+            counts_to_csv(CountData(np.ones(36), 100), path)
+            edit_csv(path, row, column, value)
+            with pytest.raises(ValueError, match=re.escape(want)):
+                counts_from_csv(path, pairs_per_setting=100)
+        # 180 deg is the same polarizer as 0 deg
+        counts_to_csv(CountData(np.ones(36), 100), path)
+        edit_csv(path, 1, 1, "180.000000")
+        np.testing.assert_array_equal(counts_from_csv(path, 100).counts, np.ones(36))
+        # one row per standard setting, no more and no fewer
+        lines = path.read_text().splitlines()
+        for kept in (lines[:-1], lines + lines[-1:]):
+            path.write_text("\n".join(kept) + "\n")
+            with pytest.raises(ValueError, match="expected 36 data rows"):
+                counts_from_csv(path, 100)
+
+    @pytest.mark.parametrize("pairs", [0, tomo.MAX_PAIRS_PER_SETTING + 1, 10**19])
+    def test_flux_outside_the_bound_is_refused_by_name(self, pairs):
+        """A flux numpy cannot draw is refused before the draw, naming pairs_per_setting."""
+        horizontal = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
+        want = "pairs_per_setting must be in [1, 1e+18]"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            simulate_counts(horizontal, pairs)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            analytic_counts(horizontal, pairs)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            CountData(np.zeros(36), pairs)
+        assert cli.MAX_PAIRS_PER_SETTING is tomo.MAX_PAIRS_PER_SETTING
 
 
 class TestLinearInversion:
@@ -491,7 +499,7 @@ class TestLinearInversion:
         """Linear inversion inverts analytic counts exactly, 100 seeds."""
         for seed in range(100):
             rho = random_state(2, kind="mixed", seed=seed)
-            data = analytic_counts(rho, SETTINGS, 10_000)
+            data = analytic_counts(rho, 10_000)
             recon = linear_inversion(data)
             assert trace_distance(recon.rho, rho) < 1e-9
 
@@ -499,7 +507,7 @@ class TestLinearInversion:
         """Sampled-count reconstructions remain valid density matrices."""
         rho = tilted_bell(0.5)
         for seed in range(20):
-            data = simulate_counts(rho, SETTINGS, 500, seed=seed)
+            data = simulate_counts(rho, 500, seed=seed)
             recon = linear_inversion(data)
             eigs = np.linalg.eigvalsh(recon.rho.data)
             assert eigs.min() > -1e-10
@@ -509,15 +517,15 @@ class TestLinearInversion:
         """The batched helper at B=1 gives the per-call state bit for bit."""
         rho = tilted_bell(0.3)
         for seed in range(10):
-            data = simulate_counts(rho, SETTINGS, 1_000, seed=seed)
+            data = simulate_counts(rho, 1_000, seed=seed)
             np.testing.assert_array_equal(
                 linear_inversion(data).rho.data, linear_state_oracle(data).data
             )
 
     def test_batch_rows_match_one_row_fits(self):
         """Each batch row is its one-row fit: the state bit for bit, log L to rounding."""
-        datas = [simulate_counts(tilted_bell(0.3), SETTINGS, 1_000, seed=s) for s in range(5)]
-        fits = tomo._linear_fits(tuple(SETTINGS), np.stack([d.counts for d in datas]), 1_000)
+        datas = [simulate_counts(tilted_bell(0.3), 1_000, seed=s) for s in range(5)]
+        fits = tomo._linear_fits(np.stack([d.counts for d in datas]), 1_000)
         for data, fit in zip(datas, fits):
             alone = linear_inversion(data)
             np.testing.assert_array_equal(fit.rho.data, alone.rho.data)
@@ -528,9 +536,9 @@ class TestLinearInversion:
 
     def test_batch_keeps_failed_rows_in_place(self):
         """A row that collapses to zero is reported as its error; others still fit."""
-        good = simulate_counts(tilted_bell(0.5), SETTINGS, 1_000, seed=1).counts
+        good = simulate_counts(tilted_bell(0.5), 1_000, seed=1).counts
         counts = np.stack([good, np.zeros(36), good])
-        fits = tomo._linear_fits(tuple(SETTINGS), counts, 1_000)
+        fits = tomo._linear_fits(counts, 1_000)
         assert isinstance(fits[1], ValueError)
         assert "collapsed" in str(fits[1])
         for k in (0, 2):
@@ -538,28 +546,12 @@ class TestLinearInversion:
         np.testing.assert_array_equal(fits[0].rho.data, fits[2].rho.data)
         assert fits[0].loglike == fits[2].loglike
 
-    def test_rejects_rank_deficient_designs(self):
-        """A degenerate setting list cannot be inverted."""
-        settings = tuple(SETTINGS[:1]) * 36
-        data = CountData(settings, np.ones(36), 100)
-        with pytest.raises(ValueError, match="span"):
-            linear_inversion(data)
-
-    def test_degenerate_designs_refuse_the_whole_batch(self):
-        """Settings that cannot determine a state raise at once, for every row together."""
-        settings = tuple(SETTINGS[:1]) * 36
-        with pytest.raises(ValueError, match="span"):
-            tomo._linear_fits(settings, np.ones((3, 36)), 100)
-        with pytest.raises(ValueError, match="singular"):
-            tomo._mle_fits(settings, np.ones((3, 36)), 100)
-
-
 class TestMle:
     def test_loglike_never_decreases(self):
         """Fixed-point iterations monotonically improve the likelihood."""
         rho = tilted_bell(0.5)
         for seed in range(20):
-            data = simulate_counts(rho, SETTINGS, 2_000, seed=seed)
+            data = simulate_counts(rho, 2_000, seed=seed)
             recon = mle_reconstruct(data)
             hist = np.asarray(recon.loglike_history)
             assert hist.size >= 2
@@ -569,7 +561,7 @@ class TestMle:
     def test_converges_on_well_conditioned_data(self):
         """Convergence flag and iteration budget behave as documented."""
         rho = tilted_bell(0.5)
-        data = simulate_counts(rho, SETTINGS, 10_000, seed=2)
+        data = simulate_counts(rho, 10_000, seed=2)
         recon = mle_reconstruct(data)
         assert recon.converged
         assert 0 < recon.iterations <= 10_000
@@ -582,7 +574,7 @@ class TestMle:
         for pairs in (1_000, 10_000, 100_000):
             dists = []
             for seed in range(9):
-                data = simulate_counts(rho, SETTINGS, pairs, seed=seed)
+                data = simulate_counts(rho, pairs, seed=seed)
                 dists.append(trace_distance(mle_reconstruct(data).rho, rho))
             medians.append(np.median(dists))
         assert medians[0] > medians[1] > medians[2]
@@ -591,7 +583,7 @@ class TestMle:
         """MLE output is PSD with unit trace."""
         rho = tilted_bell(0.3)
         for seed in range(10):
-            data = simulate_counts(rho, SETTINGS, 3_000, seed=seed)
+            data = simulate_counts(rho, 3_000, seed=seed)
             recon = mle_reconstruct(data)
             assert np.linalg.eigvalsh(recon.rho.data).min() > -1e-10
             assert np.trace(recon.rho.data).real == pytest.approx(1.0, abs=1e-10)
@@ -599,59 +591,28 @@ class TestMle:
     def test_iteration_budget_is_respected(self):
         """A tiny budget stops early and reports non-convergence."""
         rho = tilted_bell(0.5)
-        data = simulate_counts(rho, SETTINGS, 2_000, seed=1)
+        data = simulate_counts(rho, 2_000, seed=1)
         recon = mle_reconstruct(data, max_iter=3)
         assert recon.iterations == 3
         assert not recon.converged
 
-    def test_nonstandard_settings_reach_the_truth(self):
-        """Projectors summing to H != c*I still lead the fit to the state."""
-        rng = np.random.default_rng(0)
-        singles_a, singles_b = (
-            [PartySetting(rng.uniform(0, np.pi), True, rng.uniform(0, np.pi)) for _ in range(6)]
-            for _ in range(2)
-        )
-        settings = [MeasurementSetting(a, b) for a in singles_a for b in singles_b]
-        eigs = np.linalg.eigvalsh(setting_projectors(settings).sum(axis=0))
-        assert eigs[-1] > 4.0 * eigs[0]
-        rho = random_state(2, kind="mixed", seed=3)
-        data = analytic_counts(rho, settings, 100_000)
-        assert trace_distance(mle_reconstruct(data).rho, rho) < 1e-3
-        # a fit that reports convergence is as close as that
-        recon = mle_reconstruct(data, tol=1e-8)
-        assert recon.converged
-        assert trace_distance(recon.rho, rho) < 1e-3
-        # a certified gap of 1e-6 must also put the fit close to the truth
-        recon = mle_reconstruct(data, tol=1e-6)
-        assert recon.converged
-        assert trace_distance(recon.rho, rho) < 2e-4
-
-    def test_standard_normalised_operators_are_scaled_projectors(self):
-        """For the 36 standard settings H = 9 I, so the normalised stack is Pi_j / 9."""
-        design = tomo._design(tuple(SETTINGS))
-        np.testing.assert_allclose(
-            design.normalised, design.projectors.reshape(36, 16) / 9.0, rtol=0, atol=1e-15
-        )
-        assert not design.normalised.flags.writeable
-
-    def test_singular_projector_sum_is_refused(self):
-        """Settings that never probe part of the state space cannot be fitted."""
-        data = CountData(tuple(SETTINGS[:1]) * 36, np.ones(36), 100)
-        with pytest.raises(ValueError, match="singular"):
-            mle_reconstruct(data)
+    def test_standard_projectors_sum_to_nine_identity(self):
+        """The 36 standard projectors sum to 9 I, so the fit weighs Pi_j / 9 and fits rho itself."""
+        total = setting_projectors(SETTINGS).sum(axis=0)
+        np.testing.assert_allclose(total, 9.0 * np.eye(4), rtol=0, atol=1e-15)
 
     def test_batched_fits_match_the_per_sample_oracle(self):
         """Each batch row stops on its own step, as if it were fitted alone."""
-        rows = [simulate_counts(tilted_bell(0.5), SETTINGS, 3_000, seed=s) for s in (0, 1)]
-        rows += [simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=s) for s in (0, 1, 2)]
+        rows = [simulate_counts(tilted_bell(0.5), 3_000, seed=s) for s in (0, 1)]
+        rows += [simulate_counts(tilted_bell(0.3), 3_000, seed=s) for s in (0, 1, 2)]
         counts = np.stack([d.counts for d in rows])
         short, full = (
-            tomo._mle_fits(tuple(SETTINGS), counts, 3_000, max_iter=budget)
+            tomo._mle_fits(counts, 3_000, max_iter=budget)
             for budget in (220, 1_000)
         )
         for budget, fits in ((220, short), (1_000, full)):
             for row, fit in zip(counts, fits):
-                [alone] = tomo._mle_fits(tuple(SETTINGS), row[None], 3_000, max_iter=budget)
+                [alone] = tomo._mle_fits(row[None], 3_000, max_iter=budget)
                 assert (fit.iterations, fit.converged) == (alone.iterations, alone.converged)
                 np.testing.assert_allclose(fit.rho.data, alone.rho.data, rtol=0, atol=1e-12)
                 assert fit.loglike_history == ()
@@ -664,9 +625,9 @@ class TestMle:
 
     def test_fits_reach_the_likelihood_of_a_long_oracle_run(self):
         """No fit's -log L exceeds the RrhoR oracle's after 50 000 iterations by more than tol."""
-        rows = [simulate_counts(tilted_bell(0.5), SETTINGS, 3_000, seed=s) for s in (0, 1)]
-        rows += [simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=s) for s in (0, 1, 3)]
-        rows += [simulate_counts(tilted_bell(0.1), SETTINGS, 260_000, seed=1)]
+        rows = [simulate_counts(tilted_bell(0.5), 3_000, seed=s) for s in (0, 1)]
+        rows += [simulate_counts(tilted_bell(0.3), 3_000, seed=s) for s in (0, 1, 3)]
+        rows += [simulate_counts(tilted_bell(0.1), 260_000, seed=1)]
         for data in rows:
             fit = mle_reconstruct(data)
             rho, _, _ = mle_oracle(data, max_iter=50_000)
@@ -678,18 +639,18 @@ class TestMle:
     def test_nearly_pure_states_converge(self):
         """Tilted Bell p = 0.1 at 2.6e7 pairs per setting certifies within 400 iterations."""
         for seed in range(3):
-            data = simulate_counts(tilted_bell(0.1), SETTINGS, 26_000_000, seed=seed)
+            data = simulate_counts(tilted_bell(0.1), 26_000_000, seed=seed)
             fit = mle_reconstruct(data)
             assert fit.converged
             assert fit.iterations <= 400
 
     def test_converged_exactly_when_the_gap_is_within_tol(self):
         """The convergence flag is the certificate gap <= tol, at any budget."""
-        rows = [simulate_counts(tilted_bell(p), SETTINGS, 3_000, seed=1) for p in (0.5, 0.3)]
+        rows = [simulate_counts(tilted_bell(p), 3_000, seed=1) for p in (0.5, 0.3)]
         counts = np.stack([d.counts for d in rows])
         flags = []
         for tol, budget in ((1e-10, 3), (1e-10, 220), (1e-10, 10_000), (1e-6, 10_000)):
-            for fit in tomo._mle_fits(tuple(SETTINGS), counts, 3_000, tol=tol, max_iter=budget):
+            for fit in tomo._mle_fits(counts, 3_000, tol=tol, max_iter=budget):
                 assert fit.converged == (fit.gap <= tol)
                 flags.append(fit.converged)
         assert True in flags and False in flags
@@ -699,38 +660,28 @@ class TestMle:
     @pytest.mark.parametrize("tol", [1e-2, 1e-10])
     def test_screened_fits_match_the_unscreened_loop_bitwise(self, monkeypatch, tol, max_iter):
         """Skipping eigvalsh where the tr(RYR) bound rules a stop out changes no bit of a fit."""
-        rng = np.random.default_rng(0)
-        singles_a, singles_b = (
-            [PartySetting(rng.uniform(0, np.pi), True, rng.uniform(0, np.pi)) for _ in range(6)]
-            for _ in range(2)
-        )
-        skewed = tuple(MeasurementSetting(a, b) for a in singles_a for b in singles_b)
         horizontal = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
         batches = [
-            (tuple(SETTINGS), 3_000, [
-                simulate_counts(tilted_bell(p), SETTINGS, 3_000, seed=s).counts
+            (3_000, [
+                simulate_counts(tilted_bell(p), 3_000, seed=s).counts
                 for p in (0.5, 0.3, 0.1) for s in range(3)
             ]),
             # exact zeros in the counts of pure states drive probabilities
             # below PROBABILITY_FLOOR
-            (tuple(SETTINGS), 3, [
-                analytic_counts(horizontal, SETTINGS, 3).counts,
-                analytic_counts(tilted_bell(0.1), SETTINGS, 3).counts,
-                simulate_counts(tilted_bell(0.5), SETTINGS, 3, seed=0).counts,
-            ]),
-            (skewed, 3_000, [
-                simulate_counts(random_state(2, kind="mixed", seed=s), skewed, 3_000, seed=s).counts
-                for s in range(3)
+            (3, [
+                analytic_counts(horizontal, 3).counts,
+                analytic_counts(tilted_bell(0.1), 3).counts,
+                simulate_counts(tilted_bell(0.5), 3, seed=0).counts,
             ]),
         ]
         fields = ("iterations", "converged", "gap", "floor_hits", "loglike")
         floor_hits = 0
-        for settings, pairs, rows in batches:
+        for pairs, rows in batches:
             counts = np.stack(rows)
-            screened = tomo._mle_fits(settings, counts, pairs, tol, max_iter)
+            screened = tomo._mle_fits(counts, pairs, tol, max_iter)
             with monkeypatch.context() as patch:
                 patch.setattr(tomo, "_fit_batch", unscreened_fit_batch)
-                want = tomo._mle_fits(settings, counts, pairs, tol, max_iter)
+                want = tomo._mle_fits(counts, pairs, tol, max_iter)
             for got, ref in zip(screened, want):
                 assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
                 np.testing.assert_array_equal(got.rho.data, ref.rho.data)
@@ -778,8 +729,8 @@ class TestMle:
 
     def test_zero_rows_are_refused_before_the_batch(self, monkeypatch):
         """A row of zeros is refused by name; the other rows stay one batch."""
-        good = simulate_counts(tilted_bell(0.5), SETTINGS, 3_000, seed=1).counts
-        [alone] = tomo._mle_fits(tuple(SETTINGS), good[None], 3_000)
+        good = simulate_counts(tilted_bell(0.5), 3_000, seed=1).counts
+        [alone] = tomo._mle_fits(good[None], 3_000)
         batches = []
         real = tomo._fit_batch
 
@@ -788,7 +739,7 @@ class TestMle:
             return real(design, counts, *args)
 
         monkeypatch.setattr(tomo, "_fit_batch", spy)
-        empty, fit = tomo._mle_fits(tuple(SETTINGS), np.stack([np.zeros(36), good]), 3_000)
+        empty, fit = tomo._mle_fits(np.stack([np.zeros(36), good]), 3_000)
         assert batches == [1]
         assert isinstance(empty, ValueError) and "all zero" in str(empty)
         assert (fit.iterations, fit.converged, fit.loglike) == (
@@ -798,7 +749,7 @@ class TestMle:
 
     def test_all_zero_counts_are_refused(self):
         """Both MLE entry points say why they cannot fit counts that are all zero."""
-        data = CountData(tuple(SETTINGS), np.zeros(36), 100)
+        data = CountData(np.zeros(36), 100)
         with pytest.raises(ValueError, match="all zero"):
             mle_reconstruct(data)
         # a failed point fit (row 0 of the batch) is raised, not counted
@@ -808,7 +759,7 @@ class TestMle:
     def test_parameter_validation(self):
         """Non-positive tolerances and budgets are refused."""
         rho = tilted_bell(0.5)
-        data = analytic_counts(rho, SETTINGS, 100)
+        data = analytic_counts(rho, 100)
         with pytest.raises(ValueError, match="tol"):
             mle_reconstruct(data, tol=0.0)
         with pytest.raises(ValueError, match="max_iter"):
@@ -900,7 +851,7 @@ class TestMonteCarloMetrics:
     def test_analytic_mode_has_zero_sigma(self):
         """Without resampling the spread collapses to exactly zero."""
         rho = tilted_bell(0.5)
-        data = analytic_counts(rho, SETTINGS, 10_000)
+        data = analytic_counts(rho, 10_000)
         report = monte_carlo_metrics(
             data, n_samples=10, seed=0, method="linear", resample=False
         )
@@ -913,7 +864,7 @@ class TestMonteCarloMetrics:
     def test_sampled_mode_reports_spread(self):
         """Poisson resampling produces a nonzero, finite spread."""
         rho = tilted_bell(0.5)
-        data = simulate_counts(rho, SETTINGS, 2_000, seed=7)
+        data = simulate_counts(rho, 2_000, seed=7)
         report = monte_carlo_metrics(data, n_samples=40, seed=1, method="linear")
         assert report.fidelity_sigma > 0.0
         assert report.s_value_sigma > 0.0
@@ -922,7 +873,7 @@ class TestMonteCarloMetrics:
 
     def test_point_values_come_from_original_counts(self):
         """The point fit is row 0 of the batch: the one-row fit of the original counts."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=9)
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=9)
         report = monte_carlo_metrics(data, n_samples=20, seed=1, method="linear")
         recon = linear_inversion(data)
         np.testing.assert_array_equal(report.point_fit.rho.data, recon.rho.data)
@@ -942,7 +893,7 @@ class TestMonteCarloMetrics:
     def test_seed_determinism(self):
         """The bootstrap is reproducible from its seed."""
         rho = tilted_bell(0.5)
-        data = simulate_counts(rho, SETTINGS, 2_000, seed=5)
+        data = simulate_counts(rho, 2_000, seed=5)
         a = monte_carlo_metrics(data, n_samples=20, seed=4, method="linear")
         b = monte_carlo_metrics(data, n_samples=20, seed=4, method="linear")
         assert a.fidelity_sigma == b.fidelity_sigma
@@ -951,7 +902,7 @@ class TestMonteCarloMetrics:
     def test_too_few_samples_rejected(self):
         """Fewer than 10 bootstrap samples is a configuration error."""
         rho = tilted_bell(0.5)
-        data = analytic_counts(rho, SETTINGS, 100)
+        data = analytic_counts(rho, 100)
         with pytest.raises(ValueError, match="n_samples"):
             monte_carlo_metrics(data, n_samples=5, seed=0, method="linear")
 
@@ -959,7 +910,7 @@ class TestMonteCarloMetrics:
         """If most bootstrap samples fail, the run aborts loudly."""
         # valid point estimate at the 50 * pairs_per_setting count ceiling,
         # but nearly every Poisson resample exceeds it somewhere
-        data = CountData(tuple(SETTINGS), np.full(36, 50.0), 1)
+        data = CountData(np.full(36, 50.0), 1)
         linear_inversion(data)
         with pytest.raises(RuntimeError, match="10/10"):
             monte_carlo_metrics(data, n_samples=10, seed=0, method="linear")
@@ -968,7 +919,7 @@ class TestMonteCarloMetrics:
     def test_batched_sigmas_match_per_sample_loop(self, n_samples):
         """The batched linear bootstrap equals one inversion per resample, bitwise."""
         for seed in (0, 1, 17):
-            data = simulate_counts(tilted_bell(0.4), SETTINGS, 3_000, seed=seed + 5)
+            data = simulate_counts(tilted_bell(0.4), 3_000, seed=seed + 5)
             report = monte_carlo_metrics(data, n_samples=n_samples, seed=seed, method="linear")
             assert report.n_failed == 0
             np.testing.assert_array_equal(
@@ -977,7 +928,7 @@ class TestMonteCarloMetrics:
 
     def test_batch_solver_failure_falls_back_per_sample(self, monkeypatch):
         """A LinAlgError from the batched solve retries the samples one by one."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         want = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
         real = np.linalg.lstsq
 
@@ -992,7 +943,7 @@ class TestMonteCarloMetrics:
 
     def test_solver_failures_are_counted_not_raised(self, monkeypatch):
         """If every resample's solve fails, the report aborts on the failure count."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         real = np.linalg.lstsq
 
         def fails_but_the_point(a, b, rcond=None):
@@ -1006,7 +957,7 @@ class TestMonteCarloMetrics:
 
     def test_invalid_sample_state_is_dropped_and_counted(self, monkeypatch):
         """A resample whose state fails validation counts in n_failed."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         monkeypatch.setattr(tomo, "_state_errors", reject_second())
         report = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
         assert report.n_failed == 1
@@ -1017,7 +968,7 @@ class TestMonteCarloMetrics:
     @pytest.mark.parametrize("method", ["linear", "mle"])
     def test_nan_fitted_state_is_dropped_and_counted(self, monkeypatch, method):
         """A resample whose fitted state has NaN entries is refused and counted in n_failed."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         opts = dict(n_samples=20, seed=2, method=method)
         monkeypatch.setattr(tomo, "_state_errors", reject_second())
         want = monte_carlo_metrics(data, **opts)
@@ -1032,7 +983,7 @@ class TestMonteCarloMetrics:
 
     def test_mle_bootstrap_matches_the_per_sample_oracle(self):
         """The batched MLE bootstrap equals one fit per resample, each fitted alone."""
-        data = simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=4)
+        data = simulate_counts(tilted_bell(0.3), 3_000, seed=4)
         report = monte_carlo_metrics(data, n_samples=12, seed=1, method="mle", max_iter=220)
         fits = [mle_reconstruct(sample, max_iter=220) for sample in resamples(data, 12, 1)]
         want = np.std(np.stack([metric_row(fit.rho) for fit in fits]), axis=0, ddof=1)
@@ -1046,7 +997,7 @@ class TestMonteCarloMetrics:
 
     def test_nonconverged_fits_are_counted_apart_from_failures(self):
         """Fits stopped by max_iter stay in the sigmas and count in n_nonconverged."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         report = monte_carlo_metrics(data, n_samples=10, seed=1, method="mle", max_iter=3)
         assert report.n_nonconverged == 10
         assert report.n_failed == 0
@@ -1056,7 +1007,7 @@ class TestMonteCarloMetrics:
 
     def test_invalid_mle_sample_state_is_dropped_and_counted(self, monkeypatch):
         """An MLE row failing validation counts in n_failed, not n_nonconverged."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         monkeypatch.setattr(tomo, "_state_errors", reject_second())
         report = monte_carlo_metrics(data, n_samples=20, seed=2, method="mle", max_iter=3)
         assert (report.n_failed, report.n_nonconverged) == (1, 19)
@@ -1067,7 +1018,7 @@ class TestMonteCarloMetrics:
         """A resample with no counts at all is dropped and counted in n_failed."""
         counts = np.zeros(36)
         counts[[0, 7]] = 1.0  # one HH and one VV coincidence
-        data = CountData(tuple(SETTINGS), counts, 1)
+        data = CountData(counts, 1)
         empty = [not s.counts.any() for s in resamples(data, 20, 3)].count(True)
         assert empty == 2  # some, but within the 10% the report tolerates
         report = monte_carlo_metrics(data, n_samples=20, seed=3, method="mle")
@@ -1075,7 +1026,7 @@ class TestMonteCarloMetrics:
 
     def test_mle_batch_failure_falls_back_per_row(self, monkeypatch):
         """A LinAlgError in the stacked iteration refits the rows one by one."""
-        data = simulate_counts(tilted_bell(0.3), SETTINGS, 3_000, seed=4)
+        data = simulate_counts(tilted_bell(0.3), 3_000, seed=4)
         opts = dict(n_samples=12, seed=2, method="mle", max_iter=800)
         want = monte_carlo_metrics(data, **opts)
         real = np.linalg.eigvalsh
@@ -1092,7 +1043,7 @@ class TestMonteCarloMetrics:
 
     def test_mle_iteration_failures_are_counted_not_raised(self, monkeypatch):
         """If every resample's iteration fails, the report aborts on the failure count."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         real = tomo._fit_batch
 
         def fails_but_the_point(design, counts, *args):
@@ -1106,7 +1057,7 @@ class TestMonteCarloMetrics:
 
     def test_unknown_method_is_refused(self):
         """A method name other than mle or linear is a ValueError, not a failed bootstrap."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 2_000, seed=3)
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         with pytest.raises(ValueError, match="method"):
             monte_carlo_metrics(data, n_samples=10, method="lsq")
 
@@ -1139,7 +1090,7 @@ class TestMonteCarloMetrics:
     def test_as_dict_round_trip(self):
         """Report serialization carries every metric and spread."""
         rho = tilted_bell(0.5)
-        data = analytic_counts(rho, SETTINGS, 100)
+        data = analytic_counts(rho, 100)
         report = monte_carlo_metrics(
             data, n_samples=10, seed=0, method="linear", resample=False
         )
@@ -1153,7 +1104,7 @@ class TestMonteCarloMetrics:
 
     def test_as_dict_keeps_the_report_key_order(self):
         """The report keys come in a fixed order, which fixes the bytes of every report."""
-        data = analytic_counts(tilted_bell(0.5), SETTINGS, 100)
+        data = analytic_counts(tilted_bell(0.5), 100)
         report = monte_carlo_metrics(data, n_samples=10, method="linear", resample=False)
         assert list(report.as_dict()) == [
             "fidelity", "fidelity_sigma", "concurrence", "concurrence_sigma",
@@ -1225,13 +1176,13 @@ class TestBootstrapReports:
         """A middle branch whose resamples exceed the count ceiling keeps the others aligned."""
 
         def branches(seed):
-            datas = [simulate_counts(tilted_bell(p), SETTINGS, 100, seed=seed + k)
+            datas = [simulate_counts(tilted_bell(p), 100, seed=seed + k)
                      for k, p in enumerate((0.5, 0.3, 0.1))]
             # 4 900 counts against a ceiling of 50 * 100: about 8% of the
             # Poisson resamples of the middle branch exceed it and are dropped
             counts = datas[1].counts.copy()
             counts[0] = 4_900
-            datas[1] = CountData(tuple(SETTINGS), counts, 100)
+            datas[1] = CountData(counts, 100)
             return datas, [seed, seed + 1, seed + 2]
 
         datas, seeds = branches(1)
@@ -1246,13 +1197,10 @@ class TestBootstrapReports:
         with pytest.raises(RuntimeError, match="3/20"):
             tomo._bootstrap_reports(datas, seeds, n_samples=20, method=method)
 
-    def test_branches_must_share_settings_and_flux(self):
-        """Count sets of other settings or another pairs_per_setting are refused by name."""
-        data = simulate_counts(tilted_bell(0.5), SETTINGS, 1_000, seed=0)
-        reordered = CountData(tuple(SETTINGS[::-1]), data.counts, 1_000)
-        fainter = CountData(data.settings, data.counts, 2_000)
-        with pytest.raises(ValueError, match="count set 1 has other settings"):
-            tomo._bootstrap_reports([data, reordered], [0, 1], n_samples=10)
+    def test_branches_must_share_flux(self):
+        """Count sets of another pairs_per_setting are refused by name."""
+        data = simulate_counts(tilted_bell(0.5), 1_000, seed=0)
+        fainter = CountData(data.counts, 2_000)
         with pytest.raises(ValueError, match="count set 2 has pairs_per_setting 2000"):
             tomo._bootstrap_reports([data, data, fainter], [0, 1, 2], n_samples=10)
         with pytest.raises(ValueError, match="as many seeds"):
