@@ -36,12 +36,19 @@ from .optics import (
     RotatingPlateStage,
     SourceConfig,
     WaveplateSpec,
+    _channel_stack,
+    _source_stack,
     apply_noisy_channel,
     make_source_state,
 )
 from .qcore import (
+    _ET_MARGINAL,
+    _POL_MARGINAL,
     DensityMatrix,
+    PhotonPairState,
     PostselectionError,
+    _check_states,
+    _marginals,
     dump_density_matrix,
     load_density_matrix,
     purity,
@@ -56,6 +63,8 @@ from .tomo import (
     MetricsReport,
     ReconstructionResult,
     _bootstrap_reports,
+    _check_pairs,
+    _integer_fields,
     _metric_rows,
     analytic_counts,
     counts_to_csv,
@@ -63,10 +72,12 @@ from .tomo import (
 )
 from .transfer import (
     InterferometerConfig,
-    block_long_arms,
+    TransferOutcome,
+    _blocked,
+    _transfer_mask,
+    _transferred,
     fringe_visibility,
     sum_phase_scan,
-    transfer,
 )
 
 __all__ = [
@@ -132,23 +143,6 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.diagnostics))
 
 
-def _integer_fields(obj, *names: str) -> None:
-    """Store each named field of a frozen config as an int.
-
-    A value that is not integral (a fraction, NaN, infinity, a string) is
-    refused with the field named instead of being truncated.
-    """
-    for name in names:
-        val = getattr(obj, name)
-        try:
-            exact = int(val) == val
-        except (TypeError, ValueError, OverflowError):
-            exact = False
-        if not exact:
-            raise ValueError(f"{name} must be an integer, got {val!r}")
-        object.__setattr__(obj, name, int(val))
-
-
 @dataclass(frozen=True)
 class TomographyConfig:
     """Counting statistics and estimator choices for both tomography arms."""
@@ -161,11 +155,7 @@ class TomographyConfig:
 
     def __post_init__(self) -> None:
         _integer_fields(self, "pairs_per_setting", "n_mc_samples", "mle_max_iter")
-        if not 1 <= self.pairs_per_setting <= MAX_PAIRS_PER_SETTING:
-            raise ValueError(
-                f"pairs_per_setting must be in [1, {MAX_PAIRS_PER_SETTING:.0e}], "
-                f"got {self.pairs_per_setting}"
-            )
+        _check_pairs(self.pairs_per_setting)
         if self.method not in RECON_METHODS:
             raise ValueError(f"method must be one of {RECON_METHODS}, got {self.method!r}")
         if self.n_mc_samples < 10:
@@ -516,7 +506,7 @@ def config_to_raw(cfg: ExperimentConfig) -> dict:
 # The pipeline shared by the experiments.
 
 # The timed pipeline stages; a report's run block gives the seconds spent in
-# each, summed over points, as ``stage_s``.
+# each, over all points, as ``stage_s``.
 STAGE_NAMES = ("source", "channel", "transfer", "counts", "fit")
 
 
@@ -528,46 +518,75 @@ def _stage(stage_s: dict, name: str):
     stage_s[name] += time.perf_counter() - start
 
 
-def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> list:
-    """The physics of every point, then one tomography pass over all their branches.
+def _physics(cfg: ExperimentConfig, source_cfgs, stage_s: dict) -> tuple[list, list]:
+    """Source, channel, blocked input and transfer of all points, as one stack.
 
-    ``points`` gives each point's source config and seed key. Each point runs
-    source, channel, blocked input and transfer. Its branch ``b`` (1 input,
-    2 output) counts the 36 standard settings from
-    ``derive_seed(cfg.seed, b, *key)`` and draws its bootstrap resamples from
-    ``derive_seed`` of that seed and 1. The counts of every branch of every
-    point are fitted in one batch (:func:`~fransonsim.tomo._bootstrap_reports`),
-    and the model-truth metrics of every branch state are one stacked pass.
-    Returns, per point, the source state, the blocked state, the transfer
-    outcome, and ``{"input" | "output": (rho, counts, metrics, truth)}``, with
-    ``truth`` the metrics of ``rho`` by name. The time of each of the
-    STAGE_NAMES is added to ``stage_s``.
+    Each stage acts on the (B, 16, 16) stack of the B ``source_cfgs``, and
+    its stack, then all marginals, are checked by one
+    :func:`~fransonsim.qcore._state_errors` call, which raises the first
+    failing row's error. Returns per point the source state, the blocked
+    state and the transfer outcome, and the branch states: per point, the
+    polarization of the blocked input, then that of the output. Their
+    matrices are rows of the checked stacks.
+    """
+    n, checked = len(source_cfgs), DensityMatrix._checked
+    with _stage(stage_s, "source"):
+        sources = _check_states(_source_stack(source_cfgs))
+    with _stage(stage_s, "channel"):
+        after = _channel_stack(sources, cfg.channel)
+        if cfg.channel.stages:
+            _check_states(after)
+    with _stage(stage_s, "transfer"):
+        blocked, kept = _blocked(after)
+        joints = _transferred(after, _transfer_mask(cfg.interferometer))
+        del after  # no state keeps a row of it
+        _check_states(blocked)
+        _check_states(joints)
+        marginals = _check_states(np.concatenate([
+            _marginals(blocked, _POL_MARGINAL),
+            _marginals(joints, _POL_MARGINAL),
+            _marginals(joints, _ET_MARGINAL),
+        ]))
+    physics, states = [], []
+    for i, (pol_in, pol_out, path_out) in enumerate(zip(*marginals.reshape(3, n, 4, 4))):
+        pol_out, path_out = checked(pol_out), checked(path_out)
+        outcome = TransferOutcome(PhotonPairState(checked(joints[i])), pol_out, path_out,
+                                  np.diag(path_out.data).real.copy())
+        physics.append((PhotonPairState(checked(sources[i])),
+                        PhotonPairState(checked(blocked[i], kept[i])), outcome))
+        states += [checked(pol_in, kept[i]), pol_out]
+    return physics, states
+
+
+def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> list:
+    """The physics of all points as one stack, then one tomography pass over their branches.
+
+    ``points`` gives each point's source config and seed key. Sampled counts
+    of branch ``b`` (1 input, 2 output) are drawn from
+    ``derive_seed(cfg.seed, b, *key)`` and its resamples from ``derive_seed``
+    of that seed and 1; analytic counts derive no seed. One batch fits every
+    branch (:func:`~fransonsim.tomo._bootstrap_reports`). Returns, per point,
+    the three :func:`_physics` states and ``{"input" | "output": (rho,
+    counts, metrics, truth)}``, with ``truth`` the metrics of ``rho`` by
+    name. The time of each of the STAGE_NAMES is added to ``stage_s``.
     """
     tcfg = cfg.tomography
-    physics, states, seeds = [], [], []
-    for source, key in points:
-        with _stage(stage_s, "source"):
-            src = make_source_state(source)
-        with _stage(stage_s, "channel"):
-            after = apply_noisy_channel(src, cfg.channel)
-        with _stage(stage_s, "transfer"):
-            blocked = block_long_arms(after)
-            outcome = transfer(after, cfg.interferometer)
-        physics.append((src, blocked, outcome))
-        states += [blocked.pol_marginal(), outcome.pol_out]
-        seeds += [derive_seed(cfg.seed, b, *key) for b in (1, 2)]
+    physics, states = _physics(cfg, [source for source, _ in points], stage_s)
     with _stage(stage_s, "counts"):
         if cfg.count_mode == "analytic":
             datas = [analytic_counts(rho, tcfg.pairs_per_setting) for rho in states]
+            seeds = [None] * len(states)  # nothing is drawn
         else:
+            seeds = [derive_seed(cfg.seed, b, *key) for _, key in points for b in (1, 2)]
             datas = [
                 simulate_counts(rho, tcfg.pairs_per_setting, seed=seed)
                 for rho, seed in zip(states, seeds)
             ]
+            seeds = [derive_seed(seed, 1) for seed in seeds]
     with _stage(stage_s, "fit"):
         reports = _bootstrap_reports(
             datas,
-            [derive_seed(seed, 1) for seed in seeds],
+            seeds,
             n_samples=tcfg.n_mc_samples,
             method=tcfg.method,
             resample=(cfg.count_mode == "sampled"),
@@ -695,11 +714,11 @@ def _sweep_source(cfg: ExperimentConfig, parameter: str, value: float) -> Source
 def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """Experiment B: CHSH of input and output across the balance parameter.
 
-    The physics of the sweep points runs one point after another, then the
-    counts of all their branches are fitted in one batch (see
-    :func:`_run_points`); ``workers`` is accepted and validated but changes
-    nothing. The seeds of a point depend only on its index. ``s_in_true``
-    and ``s_out_true`` are the CHSH values of the model states.
+    The physics of all sweep points runs as one stack, then the counts of
+    all their branches are fitted in one batch (see :func:`_run_points`);
+    ``workers`` is accepted and validated but changes nothing. The seeds of
+    a point depend only on its index. ``s_in_true`` and ``s_out_true`` are
+    the CHSH values of the model states.
     """
     t0 = time.perf_counter()
     if cfg.sweep is not None and cfg.sweep.parameter != "p":
@@ -738,8 +757,8 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
 def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """Free-form pipeline: the purify stages over any configured sweep.
 
-    As in :func:`run_chsh_sweep`, every point's physics runs first and one
-    batched fit serves the branches of all points.
+    As in :func:`run_chsh_sweep`, the physics of all points is one stack
+    and one batched fit serves the branches of all points.
     """
     t0 = time.perf_counter()
     sweep = cfg.sweep

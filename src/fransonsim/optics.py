@@ -161,43 +161,55 @@ def jones(spec: WaveplateSpec) -> np.ndarray:
     return np.exp(-1.0j * math.pi / 4.0) * mat
 
 
-def _pol_part(cfg: SourceConfig) -> DensityMatrix:
-    if cfg.pol_input == "bell_p":
-        ket = np.array(
-            [math.sqrt(cfg.balance_p), 0.0, 0.0, math.sqrt(1.0 - cfg.balance_p)],
-            dtype=complex,
-        )
-        return DensityMatrix.pure(ket)
-    if cfg.pol_input == "pure_HV":
-        return DensityMatrix.pure(np.array([0, 1, 0, 0], dtype=complex))
-    return DensityMatrix.pure(np.array([0, 0, 1, 0], dtype=complex))
+# The product kets of pol_input, and the SS/LL mixture of visibility 0.
+_PRODUCT_KETS = {"pure_HV": (0, 1, 0, 0), "pure_VH": (0, 0, 1, 0)}
+_ET_DIAGONAL = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
 
 
-def _et_part(cfg: SourceConfig) -> DensityMatrix:
-    """|SS>/|LL> Bell state dephased down to the configured visibility."""
-    vis = cfg.franson_visibility
-    bell = np.array(
-        [1.0, 0.0, 0.0, np.exp(1.0j * cfg.sum_phase)], dtype=complex
-    ) / math.sqrt(2.0)
-    coherent = np.outer(bell, bell.conj())
-    diagonal = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    return DensityMatrix(vis * coherent + (1.0 - vis) * diagonal)
+def _interleaved(pol: np.ndarray, et: np.ndarray) -> np.ndarray:
+    """pol (pol_A, pol_B) x et (et_A, et_B) on the pair register, per row of two (B, 4, 4) stacks."""
+    grouped = pol[:, :, None, :, None] * et[:, None, :, None, :]  # kron per row
+    # qubit order (pol_A, pol_B, et_A, et_B) on both sides, to (pol_A, et_A, pol_B, et_B)
+    interleaved = grouped.reshape((-1,) + (2,) * 8).transpose(0, 1, 3, 2, 4, 5, 7, 6, 8)
+    return interleaved.reshape(-1, 16, 16)
+
+
+def _source_stack(cfgs) -> np.ndarray:
+    """The (B, 16, 16) source states of a sequence of source configs, unchecked.
+
+    Each is the projector on its normalized polarization ket times the
+    |SS>/|LL> Bell state of phase ``sum_phase`` dephased to visibility V,
+    V |Bell><Bell| + (1 - V) diag(1/2, 0, 0, 1/2).
+    """
+    kets = np.array([
+        (math.sqrt(cfg.balance_p), 0.0, 0.0, math.sqrt(1.0 - cfg.balance_p))
+        if cfg.pol_input == "bell_p" else _PRODUCT_KETS[cfg.pol_input]
+        for cfg in cfgs
+    ], dtype=complex)
+    kets = kets / np.linalg.norm(kets, axis=1, keepdims=True)
+    bells = np.zeros((len(kets), 4), dtype=complex)
+    bells[:, 0] = 1.0
+    bells[:, 3] = np.exp(1.0j * np.array([cfg.sum_phase for cfg in cfgs]))
+    bells = bells / math.sqrt(2.0)
+    vis = np.array([cfg.franson_visibility for cfg in cfgs])[:, None, None]
+    et = vis * (bells[:, :, None] * bells.conj()[:, None, :]) + (1.0 - vis) * _ET_DIAGONAL
+    return _interleaved(kets[:, :, None] * kets.conj()[:, None, :], et)
 
 
 def hyperentangled_input(pol: DensityMatrix, et: DensityMatrix) -> PhotonPairState:
     """Assemble pol (pol_A, pol_B) x et (et_A, et_B) on the pair register."""
     if pol.dim != 4 or et.dim != 4:
         raise ValueError("pol and et parts must each cover two qubits")
-    grouped = np.kron(pol.data, et.data)  # order (pol_A, pol_B, et_A, et_B)
-    interleaved = grouped.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    return PhotonPairState(
-        DensityMatrix(interleaved.reshape(16, 16), weight=pol.weight * et.weight)
-    )
+    data = _interleaved(pol.data[None], et.data[None])[0]
+    return PhotonPairState(DensityMatrix(data, weight=pol.weight * et.weight))
 
 
 def make_source_state(cfg: SourceConfig) -> PhotonPairState:
-    """Hyperentangled two-photon state emitted by the source."""
-    return hyperentangled_input(_pol_part(cfg), _et_part(cfg))
+    """Hyperentangled two-photon state emitted by the source.
+
+    The one-state call of the stacked source builder the pipeline runs.
+    """
+    return PhotonPairState(DensityMatrix(_source_stack([cfg])[0]))
 
 
 def rotating_plate_channel(kind: str = "half", steps: int = 360) -> QuantumChannel:
@@ -232,17 +244,12 @@ def _plate_channel(kind: str) -> QuantumChannel:
     return QuantumChannel(ops, trace_preserving=True)
 
 
-def apply_noisy_channel(state: PhotonPairState, spec: NoisyChannelSpec) -> PhotonPairState:
-    """Send the pair through the polarization-noise pipeline.
+def _channel_stack(stack: np.ndarray, spec: NoisyChannelSpec) -> np.ndarray:
+    """The noise pipeline on every state of a (B, 16, 16) stack, unchecked.
 
-    Stages act on polarization qubits only, in order; energy-time qubits are
-    untouched, which is the operational premise of the purification scheme.
-    Each plate or plate stack is one contraction on the target axes of the
-    state; the state is validated once, on return.
+    Each plate or plate stack is one :func:`~fransonsim.qcore.kraus_map`
+    contraction over the whole stack.
     """
-    if not spec.stages:
-        return state
-    data = state.rho.data
     for stage in spec.stages:
         if isinstance(stage, CoherentStage):
             for arm, plates in (("A", stage.plates_a), ("B", stage.plates_b)):
@@ -251,8 +258,21 @@ def apply_noisy_channel(state: PhotonPairState, spec: NoisyChannelSpec) -> Photo
                 u = np.eye(2, dtype=complex)
                 for plate in plates:
                     u = jones(plate) @ u
-                data = kraus_map(data, (u,), (f"pol_{arm}",))
+                stack = kraus_map(stack, (u,), (f"pol_{arm}",))
         else:
             channel = rotating_plate_channel(stage.kind, stage.steps)
-            data = kraus_map(data, channel.kraus, (f"pol_{stage.arm}",))
+            stack = kraus_map(stack, channel.kraus, (f"pol_{stage.arm}",))
+    return stack
+
+
+def apply_noisy_channel(state: PhotonPairState, spec: NoisyChannelSpec) -> PhotonPairState:
+    """Send the pair through the polarization-noise pipeline.
+
+    Stages act on polarization qubits only, in order; energy-time qubits are
+    untouched, which is the operational premise of the purification scheme.
+    The one-state call of the stacked channel; validated once, on return.
+    """
+    if not spec.stages:
+        return state
+    data = _channel_stack(state.rho.data[None], spec)[0]
     return PhotonPairState(DensityMatrix(data, weight=state.weight))

@@ -123,6 +123,14 @@ def _state_errors(stack: np.ndarray) -> list[ValueError | None]:
     return errors
 
 
+def _check_states(stack: np.ndarray) -> np.ndarray:
+    """``stack`` after one :func:`_state_errors` call; raises its first row's error."""
+    for error in _state_errors(stack):
+        if error is not None:
+            raise error
+    return stack
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Normalized density matrix plus the postselection weight behind it.
@@ -138,30 +146,30 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_state_array(self.data)
-        [error] = _state_errors(arr[None])
-        if error is not None:
-            raise error
-        weight = float(self.weight)
+        _check_states(arr[None])
+        self._freeze(arr, self.weight)
+
+    def _freeze(self, arr: np.ndarray, weight: float) -> None:
+        weight = float(weight)
         # Allow a whisker of float drift from chained trace products.
         if not (-1e-9 <= weight <= 1.0 + 1e-9):
             raise ValueError(f"weight {weight} outside [0, 1]")
-        weight = min(max(weight, 0.0), 1.0)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weight", min(max(weight, 0.0), 1.0))
 
     @classmethod
-    def _checked(cls, data: np.ndarray) -> "DensityMatrix":
-        """Unit-weight state of a row that :func:`_state_errors` passed.
+    def _checked(cls, data: np.ndarray, weight: float = 1.0) -> "DensityMatrix":
+        """State of a row that :func:`_state_errors` passed, with its weight.
 
-        The batched fits check their whole stack in one call; this builds
-        each passing row without checking it a second time.
+        The batched fits and the stacked physics check their whole stack in
+        one call; this builds each passing row without checking it a second
+        time. The row is not copied but made read-only, so a caller that
+        keeps writing to its stack passes a copy. The weight is checked and
+        clamped as at construction.
         """
-        arr = np.array(data, dtype=complex, copy=True)
-        arr.setflags(write=False)
         state = object.__new__(cls)
-        object.__setattr__(state, "data", arr)
-        object.__setattr__(state, "weight", 1.0)
+        state._freeze(np.asarray(data, dtype=complex), weight)
         return state
 
     @property
@@ -232,13 +240,14 @@ def kraus_map(
 ) -> np.ndarray:
     """Sum of K rho K^dag over ``kraus``, each K acting on ``targets``.
 
-    ``data`` is a 16x16 pair-register matrix and ``targets`` are labels from
-    :data:`PAIR_LABELS`, in the order the operators see them; the operators
-    share one shape. Works on the raw matrix and returns one; nothing is
-    validated or renormalized. The target axes of the ``(2,)*8`` tensor of
-    ``data`` are moved to the front, every operator is contracted with them
-    by one stacked matmul per side, and the axes are moved back, so no
-    16x16 operator is ever built.
+    ``data`` is a 16x16 pair-register matrix or a (B, 16, 16) stack of them,
+    and ``targets`` are labels from :data:`PAIR_LABELS`, in the order the
+    operators see them; the operators share one shape. Works on the raw
+    matrices and returns the same shape; nothing is validated or
+    renormalized. The target axes of every ``(2,)*8`` tensor are moved to
+    the front, each operator is contracted with them by one stacked matmul
+    per side over the whole stack, and the axes are moved back, so no 16x16
+    operator is ever built.
     """
     ops = np.asarray(kraus, dtype=complex)
     targets = tuple(targets)
@@ -252,15 +261,17 @@ def kraus_map(
         raise ValueError(
             f"operator shape {ops.shape[1:]} does not match {len(targets)} target qubit(s)"
         )
-    rest = _PAIR_DIM // t
+    data = np.asarray(data)
+    n, rest = data.size // _PAIR_DIM**2, _PAIR_DIM // t
     positions = [PAIR_LABELS.index(label) for label in targets]
     order = positions + [q for q in range(4) if q not in positions]
-    axes = order + [4 + q for q in order]
-    front = np.asarray(data).reshape((2,) * 8).transpose(axes).reshape(t, -1)
-    left = np.matmul(ops, front).reshape(len(ops), t * rest, t, rest)
-    both = np.matmul(ops.conj()[:, None], left).sum(axis=0)
-    back = [axes.index(k) for k in range(8)]
-    return both.reshape((2,) * 8).transpose(back).reshape(_PAIR_DIM, _PAIR_DIM)
+    axes = [0] + [1 + q for q in order] + [5 + q for q in order]
+    front = data.reshape((n,) + (2,) * 8).transpose(axes).reshape(n, t, -1)
+    # one operator at a time, added in order to the +0 that a numpy sum starts from
+    out = np.zeros((n, t * rest, t, rest), dtype=complex)
+    for op in ops:
+        out += np.matmul(op.conj(), np.matmul(op, front).reshape(n, t * rest, t, rest))
+    return out.reshape((n,) + (2,) * 8).transpose(np.argsort(axes)).reshape(data.shape)
 
 
 def _check_pair(rho: DensityMatrix) -> None:
@@ -406,16 +417,27 @@ class PhotonPairState:
         return self.rho.weight
 
     def _marginal(self, subscripts: str) -> DensityMatrix:
-        reduced = np.einsum(subscripts, self.rho.data.reshape((2,) * 8))
-        return DensityMatrix(reduced.reshape(4, 4), weight=self.rho.weight)
+        reduced = _marginals(self.rho.data[None], subscripts)[0]
+        return DensityMatrix(reduced, weight=self.rho.weight)
 
     def pol_marginal(self) -> DensityMatrix:
         """Reduced state of the two polarization qubits (pol_A, pol_B)."""
-        return self._marginal("abcdebgd->aceg")
+        return self._marginal(_POL_MARGINAL)
 
     def et_marginal(self) -> DensityMatrix:
         """Reduced state of the two energy-time (path) qubits (et_A, et_B)."""
-        return self._marginal("abcdafch->bdfh")
+        return self._marginal(_ET_MARGINAL)
+
+
+# einsum subscripts of the (pol_A, pol_B) and (et_A, et_B) marginals of a
+# (B,) + (2,)*8 stack of pair-register states
+_POL_MARGINAL = "nabcdebgd->naceg"
+_ET_MARGINAL = "nabcdafch->nbdfh"
+
+
+def _marginals(stack: np.ndarray, subscripts: str) -> np.ndarray:
+    """The (B, 4, 4) marginals of a (B, 16, 16) stack, one ``einsum`` for all."""
+    return np.einsum(subscripts, stack.reshape((-1,) + (2,) * 8)).reshape(-1, 4, 4)
 
 
 def _format_complex(z: complex) -> str:

@@ -214,6 +214,23 @@ def expected_probabilities(rho: DensityMatrix) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+def _integer_fields(obj, *names: str) -> None:
+    """Store each named field of a frozen dataclass as an int.
+
+    A value that is not integral (a fraction, NaN, infinity, a string) is
+    refused with the field named instead of being truncated.
+    """
+    for name in names:
+        val = getattr(obj, name)
+        try:
+            exact = int(val) == val
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"{name} must be an integer, got {val!r}")
+        object.__setattr__(obj, name, int(val))
+
+
 def _check_pairs(pairs_per_setting: int) -> None:
     """Refuse a flux outside [1, MAX_PAIRS_PER_SETTING], by name."""
     if not 1 <= pairs_per_setting <= MAX_PAIRS_PER_SETTING:
@@ -270,14 +287,13 @@ class CountData:
             raise ValueError(
                 f"counts shape {counts.shape} does not match the {_N_SETTINGS} settings"
             )
-        pairs = int(self.pairs_per_setting)
-        _check_pairs(pairs)
-        [error] = _count_errors(counts[None], pairs)
+        _integer_fields(self, "pairs_per_setting")
+        _check_pairs(self.pairs_per_setting)
+        [error] = _count_errors(counts[None], self.pairs_per_setting)
         if error is not None:
             raise error
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "pairs_per_setting", pairs)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -334,10 +350,10 @@ def counts_from_csv(path, pairs_per_setting: int) -> CountData:
     The flux is not part of the CSV payload and must be supplied. The file
     must hold one row per standard setting. The plate flags ``qwp_a`` and
     ``qwp_b`` must read 0 or 1 and the angles must be finite. Each row must
-    be the standard setting at its index: the same plate flags, and angles
-    within half a unit of the sixth written decimal of the standard angle,
-    modulo 180 deg. A row that differs is refused, naming the data row and
-    the column.
+    be the standard setting at its index: its ``setting_index`` the row's
+    position from 0, the same plate flags, and angles within half a unit of
+    the sixth written decimal of the standard angle, modulo 180 deg. A row
+    that differs is refused, naming the data row and the column.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -351,13 +367,13 @@ def counts_from_csv(path, pairs_per_setting: int) -> CountData:
         cols = ln.split(",")
         if len(cols) != 8:
             raise ValueError(f"expected 8 columns, got {len(cols)}: {ln!r}")
-        for k, want in enumerate(_csv_columns(setting), start=1):
+        for k, want in enumerate([str(row - 1), *_csv_columns(setting)]):
             got = cols[k].strip()
-            if k in (2, 5):
-                if got not in ("0", "1"):
-                    raise ValueError(
-                        f"{names[k]} must be 0 or 1, got {cols[k]!r} in data row {row}"
-                    )
+            if k in (2, 5) and got not in ("0", "1"):
+                raise ValueError(
+                    f"{names[k]} must be 0 or 1, got {cols[k]!r} in data row {row}"
+                )
+            if k in (0, 2, 5):
                 same = got == want
             else:
                 angle = float(got)
@@ -416,7 +432,8 @@ def _result(
     """
     if error is not None:
         return error
-    return ReconstructionResult(rho=DensityMatrix._checked(rho), **bookkeeping)
+    # a copy, so that a kept fit does not hold its whole batch
+    return ReconstructionResult(rho=DensityMatrix._checked(rho.copy()), **bookkeeping)
 
 
 def _batch_or_rows(fit, design: _Design, counts: np.ndarray, *args) -> list:

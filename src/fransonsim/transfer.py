@@ -131,8 +131,7 @@ _FLIPS = np.array([[(x ^ u) + (y ^ v) for _, u, _, v in _BITS] for _, x, _, y in
 # _STEP_A[i, j] = x_i - x_j: the power of exp(i phase_a) on that coherence.
 _STEP_A = _ET_A[:, None] - _ET_A
 # The block of both photons in the short arm (x = y = 0): indices 0, 2, 8, 10.
-_SHORT = [i for i, (_, x, _, y) in enumerate(_BITS) if x == y == 0]
-_SHORT_ARMS = np.ix_(_SHORT, _SHORT)
+_SHORT = np.array([i for i, (_, x, _, y) in enumerate(_BITS) if x == y == 0])
 
 
 def _damping(cfg: InterferometerConfig) -> np.ndarray:
@@ -140,6 +139,41 @@ def _damping(cfg: InterferometerConfig) -> np.ndarray:
     sigma = cfg.phase_jitter_sigma
     # sigma * sigma overflows to inf (damping 0) where sigma**2 would raise
     return math.exp(-0.5 * sigma * sigma) ** _FLIPS
+
+
+def _transfer_mask(cfg: InterferometerConfig, rng: np.random.Generator | None = None):
+    """The phases and the jitter of the circuit, as one elementwise 16x16 mask."""
+    phase_a, phase_b = cfg.phase_a, cfg.phase_b
+    if cfg.phase_jitter_sigma > 0.0 and rng is not None:
+        phase_a += rng.normal(0.0, cfg.phase_jitter_sigma)
+        phase_b += rng.normal(0.0, cfg.phase_jitter_sigma)
+    amp = np.exp(1.0j * (phase_a * _ET_A + phase_b * _ET_B))
+    mask = np.outer(amp, amp.conj())
+    if cfg.phase_jitter_sigma > 0.0 and rng is None:
+        mask = mask * _damping(cfg)
+    return mask
+
+
+def _transferred(stack: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The circuit on every state of a (B, 16, 16) stack: the mask, then the permutation."""
+    return (stack * mask)[:, _SOURCE[:, None], _SOURCE]
+
+
+def _blocked(stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The renormalized short-arm block of a (B, 16, 16) stack, and each row's trace.
+
+    Raises :class:`PostselectionError` for the first row where nothing survives.
+    """
+    data = np.zeros_like(stack)
+    data[:, _SHORT[:, None], _SHORT] = stack[:, _SHORT[:, None], _SHORT]
+    kept = data.trace(axis1=1, axis2=2).real.tolist()
+    if any(tr < EMPTY_POSTSELECTION_TRACE for tr in kept):
+        raise PostselectionError(
+            f"no population left in the short arms (trace below "
+            f"{EMPTY_POSTSELECTION_TRACE})"
+        )
+    data /= np.array(kept)[:, None, None]
+    return data, kept
 
 
 def transfer(
@@ -159,26 +193,13 @@ def transfer(
 
     The phases and the damping act on the state as one elementwise
     (Hadamard-product) mask; the rest of the circuit is one fixed
-    permutation of the 16 basis states.
+    permutation of the 16 basis states. This is the one-state call of the
+    stacked kernels that the pipeline runs on all sweep points at once.
     """
-    phase_a, phase_b = cfg.phase_a, cfg.phase_b
-    if cfg.phase_jitter_sigma > 0.0 and rng is not None:
-        phase_a += rng.normal(0.0, cfg.phase_jitter_sigma)
-        phase_b += rng.normal(0.0, cfg.phase_jitter_sigma)
-
-    amp = np.exp(1.0j * (phase_a * _ET_A + phase_b * _ET_B))
-    mask = np.outer(amp, amp.conj())
-    if cfg.phase_jitter_sigma > 0.0 and rng is None:
-        mask = mask * _damping(cfg)
-    data = (state.rho.data * mask)[_SOURCE[:, None], _SOURCE]
+    data = _transferred(state.rho.data[None], _transfer_mask(cfg, rng))[0]
     out = PhotonPairState(DensityMatrix(data, weight=state.weight))
-
-    pol_out = out.pol_marginal()
-    path_out = out.et_marginal()
-    port_probs = np.diag(path_out.data).real.copy()
-    return TransferOutcome(
-        joint_out=out, pol_out=pol_out, path_out=path_out, port_probs=port_probs
-    )
+    pol_out, path_out = out.pol_marginal(), out.et_marginal()
+    return TransferOutcome(out, pol_out, path_out, np.diag(path_out.data).real.copy())
 
 
 def block_long_arms(state: PhotonPairState) -> PhotonPairState:
@@ -190,15 +211,8 @@ def block_long_arms(state: PhotonPairState) -> PhotonPairState:
     renormalizes, and folds the success probability into the weight.
     Raises :class:`PostselectionError` when nothing survives.
     """
-    data = np.zeros((16, 16), dtype=complex)
-    data[_SHORT_ARMS] = state.rho.data[_SHORT_ARMS]
-    tr = float(data.trace().real)
-    if tr < EMPTY_POSTSELECTION_TRACE:
-        raise PostselectionError(
-            f"no population left in the short arms (trace below "
-            f"{EMPTY_POSTSELECTION_TRACE})"
-        )
-    return PhotonPairState(DensityMatrix(data / tr, weight=state.weight * tr))
+    [data], [kept] = _blocked(state.rho.data[None])
+    return PhotonPairState(DensityMatrix(data, weight=state.weight * kept))
 
 
 # Diagonal-basis coincidence parity: projector onto both photons giving the

@@ -1,0 +1,140 @@
+"""The stacked physics of ``cli._run_points`` against the one-state public calls.
+
+``_run_points`` runs source, channel, blocked input and transfer once on the
+stack of all sweep points. Every per-point state, weight and port
+probability it returns must be bitwise what ``make_source_state``,
+``apply_noisy_channel``, ``block_long_arms``, ``transfer`` and the
+marginals give for that point alone, and its number of state validations
+must not depend on the number of points.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from fransonsim import cli, qcore, tomo
+from fransonsim.optics import (
+    CoherentStage,
+    NoisyChannelSpec,
+    RotatingPlateStage,
+    WaveplateSpec,
+    apply_noisy_channel,
+    make_source_state,
+)
+from fransonsim.qcore import DensityMatrix
+from fransonsim.transfer import InterferometerConfig, block_long_arms, transfer
+
+# rotating plates on both arms, then coherent plates on both arms
+CHANNEL = NoisyChannelSpec((
+    RotatingPlateStage("A", "half", 360),
+    RotatingPlateStage("B", "quarter", 8),
+    CoherentStage(
+        (WaveplateSpec("half", 0.3), WaveplateSpec("quarter", 1.1)),
+        (WaveplateSpec("quarter", 2.0),),
+    ),
+))
+SWEEPS = {
+    "p": lambda n: np.linspace(0.0, 0.5, n) if n > 1 else [0.15],
+    "visibility": lambda n: np.linspace(0.0, 1.0, n) if n > 1 else [0.979],
+    "sum_phase": lambda n: np.arange(n) * 2.0 * math.pi / n + 0.2,
+}
+
+
+def config(jitter_deg=0.0, channel=CHANNEL):
+    return replace(
+        cli.default_config("custom"),
+        count_mode="analytic",
+        channel=channel,
+        interferometer=InterferometerConfig(
+            phase_a=0.4, phase_b=-1.3, phase_jitter_sigma=math.radians(jitter_deg)
+        ),
+        tomography=cli.TomographyConfig(method="linear", n_mc_samples=10),
+    )
+
+
+def points(cfg, parameter, n):
+    return [
+        (cli._sweep_source(cfg, parameter, float(value)), (index,))
+        for index, value in enumerate(SWEEPS[parameter](n))
+    ]
+
+
+def run(cfg, pts):
+    return cli._run_points(cfg, pts, dict.fromkeys(cli.STAGE_NAMES, 0.0))
+
+
+def same(got: DensityMatrix, want: DensityMatrix) -> bool:
+    """Bitwise equal matrices (signed zeros included) and equal weights."""
+    return (got.data.tobytes() == want.data.tobytes()
+            and got.data.shape == want.data.shape and got.weight == want.weight)
+
+
+@pytest.mark.parametrize("n", [1, 24])
+@pytest.mark.parametrize("jitter_deg", [0.0, 10.0])
+@pytest.mark.parametrize("parameter", sorted(SWEEPS))
+def test_stacked_points_match_the_one_state_calls_bitwise(parameter, jitter_deg, n):
+    cfg = config(jitter_deg)
+    pts = points(cfg, parameter, n)
+    results = run(cfg, pts)
+    assert len(results) == n
+    for (source_cfg, _), (src, blocked, outcome, branches) in zip(pts, results):
+        want_src = make_source_state(source_cfg)
+        after = apply_noisy_channel(want_src, cfg.channel)
+        want_blocked = block_long_arms(after)
+        want = transfer(after, cfg.interferometer)
+        assert same(src.rho, want_src.rho)
+        assert same(blocked.rho, want_blocked.rho)
+        assert same(outcome.joint_out.rho, want.joint_out.rho)
+        assert same(outcome.pol_out, want.pol_out)
+        assert same(outcome.path_out, want.path_out)
+        assert outcome.port_probs.tobytes() == want.port_probs.tobytes()
+        assert same(branches["input"][0], want_blocked.pol_marginal())
+        assert same(branches["output"][0], want.pol_out)
+        assert want_blocked.weight < 1.0  # the blocked weight is carried, not reset
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Counts of ``_state_errors`` calls and of checked ``DensityMatrix`` constructions."""
+    counts = {"_state_errors": 0, "__post_init__": 0}
+    state_errors, post_init = qcore._state_errors, DensityMatrix.__post_init__
+
+    def spy_state_errors(stack):
+        counts["_state_errors"] += 1
+        return state_errors(stack)
+
+    def spy_post_init(self):
+        counts["__post_init__"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(qcore, "_state_errors", spy_state_errors)
+    monkeypatch.setattr(tomo, "_state_errors", spy_state_errors)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", spy_post_init)
+    return counts
+
+
+@pytest.mark.parametrize("channel, stacks", [
+    # source, channel, blocked states, transferred states, marginals; the fit
+    (CHANNEL, 6),
+    # no channel stage: the source stack passes through unchanged
+    (NoisyChannelSpec(), 5),
+])
+def test_validations_do_not_depend_on_the_number_of_points(validations, channel, stacks):
+    cfg = config(10.0, channel)
+    for n in (1, 6, 24):
+        validations.update(dict.fromkeys(validations, 0))
+        run(cfg, points(cfg, "sum_phase", n))
+        assert validations == {"_state_errors": stacks, "__post_init__": 0}, n
+
+
+def test_a_failing_row_raises_its_error(monkeypatch):
+    """A stage stack with a bad row raises that row's ValueError, as one state would."""
+    cfg = config()
+    pts = points(cfg, "p", 3)
+    bad = cli._source_stack([source for source, _ in pts])
+    bad[1, 0, 0] += 1e-6  # breaks the trace of point 1 only
+    monkeypatch.setattr(cli, "_source_stack", lambda cfgs: bad)
+    with pytest.raises(ValueError, match="matrix trace is 1.000001"):
+        run(cfg, pts)

@@ -463,6 +463,10 @@ class TestCounting:
             # the plate of photon B pulled from setting (H, R), put into (H, H)
             (5, 5, "0", "qwp_b reads 0 in data row 5, the standard setting there has 1"),
             (1, 2, "1", "qwp_a reads 1 in data row 1"),
+            # an index that is not the row's position
+            (5, 0, "99", "setting_index reads 99 in data row 5, the standard "
+             "setting there has 4"),
+            (1, 0, "1", "setting_index reads 1 in data row 1"),
         ]
         for row, column, value, want in cases:
             counts_to_csv(CountData(np.ones(36), 100), path)
@@ -492,6 +496,15 @@ class TestCounting:
         with pytest.raises(ValueError, match=re.escape(want)):
             CountData(np.zeros(36), pairs)
         assert cli.MAX_PAIRS_PER_SETTING is tomo.MAX_PAIRS_PER_SETTING
+
+    @pytest.mark.parametrize("pairs", [1000.9, float("nan"), float("inf"), "1000"])
+    def test_non_integral_flux_is_refused_by_name(self, pairs):
+        """A fractional, NaN, infinite or string flux is refused, not truncated."""
+        want = f"pairs_per_setting must be an integer, got {pairs!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            CountData(np.ones(36), pairs)
+        data = CountData(np.ones(36), 1000.0)
+        assert data.pairs_per_setting == 1000 and type(data.pairs_per_setting) is int
 
 
 class TestLinearInversion:
