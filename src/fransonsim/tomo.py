@@ -175,8 +175,9 @@ class _Design:
     ``normalised`` is vec(Pi_j / 9). ``basis`` is the (15, 4, 4)
     orthonormal traceless Pauli basis E_k, and ``tangent`` the real
     (36, 15) matrix tr(Pi_j E_k) / 9, the derivative of the fitted
-    probabilities along E_k. The arrays are read-only because they are
-    shared by every caller.
+    probabilities along E_k; ``frame8`` holds the real forms of Pi_j / 9 and
+    f @ ``pinv`` the least-squares vec(rho) of frequencies f, both as reals.
+    The arrays are read-only because they are shared by every caller.
     """
 
     projectors: np.ndarray
@@ -184,6 +185,8 @@ class _Design:
     normalised: np.ndarray
     basis: np.ndarray
     tangent: np.ndarray
+    frame8: np.ndarray
+    pinv: np.ndarray
 
 
 @functools.cache
@@ -193,12 +196,15 @@ def _design() -> _Design:
     frame = pis / 9.0
     paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
     basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
+    matrix = pis.transpose(0, 2, 1).reshape(_N_SETTINGS, 16)
     design = _Design(
         projectors=pis,
-        matrix=pis.transpose(0, 2, 1).reshape(_N_SETTINGS, 16),
+        matrix=matrix,
         normalised=frame.reshape(_N_SETTINGS, 16),
         basis=basis,
         tangent=np.einsum("jab,kba->jk", frame, basis).real,
+        frame8=_embed(frame).reshape(_N_SETTINGS, 64),
+        pinv=np.ascontiguousarray(np.linalg.pinv(matrix).T).view(float),
     )
     for arr in vars(design).values():
         arr.setflags(write=False)
@@ -461,22 +467,20 @@ def _unwrap(fit: ReconstructionResult | Exception) -> ReconstructionResult:
 def _linear_fits(counts: np.ndarray, pairs_per_setting: int) -> list:
     """Linear inversion of every row of ``counts`` (B, 36) in one batched solve.
 
-    One least-squares solve with B right-hand sides and one stacked
-    eigendecomposition serve all rows; the clipping, renormalization and
-    validation of the rows, and their log-likelihoods and floor hits, are
-    each one stacked pass as well. Failures are per row: the result is one
-    entry per row, the :class:`ReconstructionResult` or the exception that
-    rejected the row (a collapse to the zero matrix, a failed validation or
-    a ``LinAlgError``).
+    The cached pseudo-inverse solves each row, and every later step is a
+    stacked pass that acts on each row alone, so a row's fit does not
+    depend on its batch. Failures are per row: the result is one entry per
+    row, the :class:`ReconstructionResult` or the exception that rejected
+    the row (a collapse to the zero matrix, a failed validation or a
+    ``LinAlgError``).
     """
     return _batch_or_rows(_linear_batch, _design(), counts, pairs_per_setting)
 
 
 def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -> list:
-    """The solve of :func:`_linear_fits`."""
-    freqs = (counts / float(pairs_per_setting)).astype(complex)
-    sol, *_ = np.linalg.lstsq(design.matrix, freqs.T, rcond=None)
-    raw = sol.T.reshape(-1, 4, 4)
+    """The solve of :func:`_linear_fits`, row by row in real arithmetic."""
+    freqs = counts / float(pairs_per_setting)
+    raw = np.matmul(freqs[:, None, :], design.pinv).view(complex).reshape(-1, 4, 4)
     raw = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
     eigvals, eigvecs = np.linalg.eigh(raw)
     vals = np.clip(eigvals, 0.0, None)
@@ -485,7 +489,8 @@ def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -
         vals, totals[:, None], out=np.zeros_like(vals), where=totals[:, None] > 0.0
     )
     rhos = (eigvecs * shares[:, None, :]) @ eigvecs.conj().transpose(0, 2, 1)
-    probs = (rhos.reshape(-1, 16) @ design.matrix.T).real
+    frame = design.projectors.reshape(_N_SETTINGS, 16).view(float).T
+    probs = np.matmul(rhos.reshape(-1, 1, 16).view(float), frame)[:, 0]
     return [
         ValueError("reconstruction collapsed to the zero matrix") if total <= 0.0
         else _result(
@@ -521,32 +526,49 @@ _RRR_ITERATIONS = 200
 
 
 def _frame_probabilities(design: _Design, y: np.ndarray) -> np.ndarray:
-    """tr(Pi_j Y) / 9 for every setting j and every Y of the stack.
-
-    For Hermitian operators the trace is the real dot product of the
-    matrices' entries, so one real matrix product gives it.
-    """
+    """tr(Pi_j Y) / 9 of every Y of the stack: for Hermitian Y, a real dot product."""
     return y.reshape(-1, 16).view(float) @ design.normalised.view(float).T
 
 
 def _r_operator(
     design: _Design, freqs: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R = sum_j (f_j / p_j) Pi_j / 9 of every row, and which p_j the floor caught."""
+    """R = sum_j (f_j / p_j) Pi_j / 9 of every complex Y, and which p_j the floor caught."""
     probs = _frame_probabilities(design, y)
     weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
     return (weights @ design.normalised).reshape(-1, 4, 4), probs < PROBABILITY_FLOOR
 
 
-def _rrr_step(r_op: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The next RrhoR iterate before its normalisation, herm(R Y R), and its trace."""
-    step = r_op @ y @ r_op
-    step = 0.5 * (step + step.conj().transpose(0, 2, 1))
-    return step, np.trace(step, axis1=1, axis2=2).real
+def _embed(y: np.ndarray) -> np.ndarray:
+    """The real 8x8 form [[Re Y, -Im Y], [Im Y, Re Y]] of every Y of a (..., 4, 4) stack."""
+    return np.block([[y.real, -y.imag], [y.imag, y.real]])
+
+
+def _unembed(y8: np.ndarray) -> np.ndarray:
+    """Y of every real form of a (B, 8, 8) stack, each block the mean of its two copies."""
+    return 0.5 * (y8[:, :4, :4] + y8[:, 4:, 4:]) + 0.5j * (y8[:, 4:, :4] - y8[:, :4, 4:])
+
+
+def _real_r_operator(design: _Design, freqs: np.ndarray, y8: np.ndarray) -> tuple:
+    """:func:`_r_operator` in real form; p_j is half the dot product of the real forms."""
+    probs = 0.5 * (y8.reshape(-1, 64) @ design.frame8.T)
+    weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
+    return (weights @ design.frame8).reshape(-1, 8, 8), probs < PROBABILITY_FLOOR
+
+
+def _rrr_step(r8: np.ndarray, y8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next real-form iterate, sym(R8 Y8 R8) over half its trace, and tr(R Y R)."""
+    step = r8 @ y8 @ r8
+    step = step + step.transpose(0, 2, 1)
+    trace = np.trace(step, axis1=1, axis2=2)
+    step /= 0.5 * trace[:, None, None]
+    return step, 0.25 * trace
 
 
 def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho = Y / tr(Y) of every row, and its probabilities tr(rho Pi_j)."""
+    """rho = Y / tr(Y) of every Y, complex or in real form, and its tr(rho Pi_j)."""
+    if not np.iscomplexobj(y):
+        y = _unembed(y)
     rho = y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
     return rho, (rho.reshape(-1, 16) @ design.matrix.T).real
 
@@ -599,11 +621,16 @@ def _mle_fits(
 
     All rows start from the maximally mixed state and iterate
     Y -> N[R Y R], R = sum_j (f_j / p_j) Pi_j / 9 (Rehacek, Hradil, Knill
-    and Lvovsky, PRA 75, 042108 (2007)), as one (B, 4, 4) stack. A row stops
-    when its convexity gap g = lambda_max(R) - sum_j f_j drops to ``tol``.
-    The gap bounds how far -sum_j f_j log p_j is above its minimum, so
-    ``converged`` is a certificate. R and Y are PSD and Y has unit trace,
-    so lambda_max(R) >= tr(RYR) / tr(RY) >= tr(RYR) / sum_j f_j, and
+    and Lvovsky, PRA 75, 042108 (2007)) on one stack of the real 8x8 forms
+    [[Re, -Im], [Im, Re]] of Y and R, so a step is two real stacked matrix
+    products; only the certificate's eigensolve, stopped rows, ``history``
+    and Newton steps unembed them. A row stops when its convexity gap
+    g = lambda_max(R) - sum_j f_j drops to ``tol``. The gap bounds how far
+    -sum_j f_j log p_j is above its minimum, so ``converged`` is a
+    certificate. ``tol`` is absolute: counts that pass :class:`CountData`
+    give f_j <= 50, so the rounding of g stays far below it (this function
+    does not check that bound). R and Y are PSD and Y has unit trace, so
+    lambda_max(R) >= tr(RYR) / tr(RY) >= tr(RYR) / sum_j f_j, and
     tr(RYR) is the normaliser of the next RrhoR step: an RrhoR row whose
     bound already exceeds sum_j f_j + ``tol`` skips the eigensolve, which
     leaves the certificate and the iterates unchanged. Every row gets the
@@ -651,42 +678,42 @@ def _fit_batch(
     max_iter: int,
     history: bool,
 ) -> list:
-    """The iteration of :func:`_mle_fits`."""
+    """The iteration of :func:`_mle_fits`; ``y``, the one stack carried, is real until Newton."""
     fits = [None] * len(counts)
     rows = np.arange(len(counts))  # input row of each batch row
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
-    y = np.tile(np.eye(4, dtype=complex) / 4.0, (len(counts), 1, 1))
+    y = np.tile(np.eye(8) / 4.0, (len(counts), 1, 1))
     mu = np.zeros(len(counts))
     floor_hits = np.zeros(len(counts), dtype=int)
-    r_op, _ = _r_operator(design, freqs, y)
-    step, norm = _rrr_step(r_op, y)
     logs = None
     if history:
         logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])]
+    y, _ = _rrr_step(_real_r_operator(design, freqs, y)[0], y)
     for iteration in range(1, max_iter + 1):
+        exact = np.ones(len(rows), dtype=bool)
         if iteration <= _RRR_ITERATIONS:
-            y = step / norm[:, None, None]
+            r_op, floored = _real_r_operator(design, freqs, y)
+            if iteration < min(_RRR_ITERATIONS, max_iter):
+                y_next, norm = _rrr_step(r_op, y)
+                # lambda_max(R) >= norm / total, so rows above the bound cannot
+                # stop yet. The margin covers rounding; a NaN row fails the test
+                # and reaches eigvalsh, whose LinAlgError refits the rows alone.
+                # A tol near the float maximum overflows the bound to inf, which
+                # rules no row out.
+                with np.errstate(over="ignore"):
+                    exact = ~(norm > total * (total + tol) * (1.0 + 1e-12))
+            r_exact = _unembed(r_op[exact])
         else:
             if iteration == _RRR_ITERATIONS + 1:
                 share = np.minimum(gap / total, 1.0)[:, None, None]
-                y = (1.0 - share) * y + share * np.eye(4) / 4.0
+                y = (1.0 - share) * _unembed(y) + share * np.eye(4) / 4.0
                 mu = np.maximum(0.1 * gap, tol / 16.0)
             y, decrement = _newton_step(design, freqs, y, mu)
-        r_op, floored = _r_operator(design, freqs, y)
+            r_exact, floored = _r_operator(design, freqs, y)
         floor_hits += floored.sum(axis=1)
-        exact = np.ones(len(rows), dtype=bool)
-        if iteration < min(_RRR_ITERATIONS, max_iter):
-            step, norm = _rrr_step(r_op, y)
-            # lambda_max(R) >= norm / total, so rows above the bound cannot
-            # stop yet. The margin covers rounding; a NaN row fails the test
-            # and reaches eigvalsh, whose LinAlgError refits the rows alone.
-            # A tol near the float maximum overflows the bound to inf, which
-            # rules no row out.
-            with np.errstate(over="ignore"):
-                exact = ~(norm > total * (total + tol) * (1.0 + 1e-12))
         gap = np.full(len(rows), np.inf)
-        gap[exact] = np.linalg.eigvalsh(r_op[exact])[:, -1] - total[exact]
+        gap[exact] = np.linalg.eigvalsh(r_exact)[:, -1] - total[exact]
         if iteration > _RRR_ITERATIONS:
             lowest = np.maximum(0.1 * gap, tol / 16.0)
             mu = np.where(decrement < mu / 4.0, np.maximum(mu / 10.0, lowest), mu)
@@ -695,10 +722,13 @@ def _fit_batch(
                 logs[i].append(float(ll))
         converged = gap <= tol
         stopped = converged if iteration < max_iter else np.ones_like(converged)
-        if not stopped.any():
-            continue
         done = np.flatnonzero(stopped)
-        rhos, probs = _states(design, y[done])
+        finished = y[done]
+        if iteration < min(_RRR_ITERATIONS, max_iter):
+            y = y_next
+        if len(done) == 0:
+            continue
+        rhos, probs = _states(design, finished)
         for k, rho, error, ll in zip(
             done, rhos, _state_errors(rhos), _loglike(counts[rows[done]], probs)
         ):
@@ -711,8 +741,8 @@ def _fit_batch(
         keep = ~stopped
         if not keep.any():
             break
-        rows, freqs, total, y, step, norm, gap, mu, floor_hits = (
-            a[keep] for a in (rows, freqs, total, y, step, norm, gap, mu, floor_hits)
+        rows, freqs, total, y, gap, mu, floor_hits = (
+            a[keep] for a in (rows, freqs, total, y, gap, mu, floor_hits)
         )
     return fits
 

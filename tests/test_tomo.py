@@ -71,11 +71,17 @@ def chsh_uncached(rho, angles=DEFAULT_CHSH_ANGLES):
 
 
 def linear_state_oracle(data):
-    """Linear inversion of one count set, with the design rebuilt per call."""
+    """Linear inversion of one count set, with the design and its pseudo-inverse rebuilt per call.
+
+    The least-squares solution is the pseudo-inverse applied to the
+    frequencies, in real arithmetic: the frequencies are real, so the real
+    and imaginary parts of the solution are two real products.
+    """
     pis = setting_projectors(SETTINGS)
     design = pis.transpose(0, 2, 1).reshape(36, 16)
-    sol, *_ = np.linalg.lstsq(design, data.frequencies.astype(complex), rcond=None)
-    raw = sol.reshape(4, 4)
+    pinv = np.linalg.pinv(design)
+    sol = data.frequencies @ np.ascontiguousarray(pinv.T).view(float)
+    raw = sol.view(complex).reshape(4, 4)
     raw = 0.5 * (raw + raw.conj().T)
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.clip(eigvals, 0.0, None)
@@ -110,31 +116,35 @@ def mle_oracle(data, tol=tomo.MLE_DEFAULT_TOL, max_iter=tomo.MLE_DEFAULT_MAX_ITE
 def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, history):
     """``tomo._fit_batch`` with the exact gap, one eigvalsh, on every row at every iteration.
 
-    The fit loop as it stood before the gap screen, used as the oracle the
-    screened loop must match bit for bit. It records no ``history``.
+    The fit loop without the gap screen, used as the oracle the screened
+    loop must match bit for bit: RrhoR steps on the real 8x8 form of the
+    iterate, then complex Newton steps. It records no ``history``.
     """
     fits = [None] * len(counts)
     rows = np.arange(len(counts))
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
-    y = np.tile(np.eye(4, dtype=complex) / 4.0, (len(counts), 1, 1))
+    y = np.tile(np.eye(8) / 4.0, (len(counts), 1, 1))
     mu = np.zeros(len(counts))
     floor_hits = np.zeros(len(counts), dtype=int)
-    r_op, _ = tomo._r_operator(design, freqs, y)
+    r_op, _ = tomo._real_r_operator(design, freqs, y)
     for iteration in range(1, max_iter + 1):
         if iteration <= tomo._RRR_ITERATIONS:
             y = r_op @ y @ r_op
-            y = 0.5 * (y + y.conj().transpose(0, 2, 1))
-            y /= np.trace(y, axis1=1, axis2=2).real[:, None, None]
+            y += y.transpose(0, 2, 1)
+            y *= 0.5
+            y /= 0.5 * np.trace(y, axis1=1, axis2=2)[:, None, None]
+            r_op, floored = tomo._real_r_operator(design, freqs, y)
+            r_plain = tomo._unembed(r_op)
         else:
             if iteration == tomo._RRR_ITERATIONS + 1:
                 share = np.minimum(gap / total, 1.0)[:, None, None]
-                y = (1.0 - share) * y + share * np.eye(4) / 4.0
+                y = (1.0 - share) * tomo._unembed(y) + share * np.eye(4) / 4.0
                 mu = np.maximum(0.1 * gap, tol / 16.0)
             y, decrement = tomo._newton_step(design, freqs, y, mu)
-        r_op, floored = tomo._r_operator(design, freqs, y)
+            r_plain, floored = tomo._r_operator(design, freqs, y)
         floor_hits += floored.sum(axis=1)
-        gap = np.linalg.eigvalsh(r_op)[:, -1] - total
+        gap = np.linalg.eigvalsh(r_plain)[:, -1] - total
         if iteration > tomo._RRR_ITERATIONS:
             lowest = np.maximum(0.1 * gap, tol / 16.0)
             mu = np.where(decrement < mu / 4.0, np.maximum(mu / 10.0, lowest), mu)
@@ -497,6 +507,25 @@ class TestCounting:
             CountData(np.zeros(36), pairs)
         assert cli.MAX_PAIRS_PER_SETTING is tomo.MAX_PAIRS_PER_SETTING
 
+    @pytest.mark.parametrize("pairs", [1_000, tomo.MAX_PAIRS_PER_SETTING])
+    def test_a_huge_count_never_reaches_a_fit(self, tmp_path, pairs):
+        """A count of 1e150 is refused directly and from CSV, at any flux.
+
+        The MLE certificate is absolute in frequency units; the count
+        ceiling of 50 * pairs_per_setting keeps every frequency of a
+        fitted count set at most 50, so its rounding stays below ``tol``.
+        """
+        counts = np.ones(36)
+        counts[3] = 1e150
+        want = "count 1e+150 exceeds 50 * pairs_per_setting"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            CountData(counts, pairs)
+        path = tmp_path / "counts.csv"
+        counts_to_csv(CountData(np.ones(36), pairs), path)
+        edit_csv(path, 4, 7, "1e150")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            counts_from_csv(path, pairs)
+
     @pytest.mark.parametrize("pairs", [1000.9, float("nan"), float("inf"), "1000"])
     def test_non_integral_flux_is_refused_by_name(self, pairs):
         """A fractional, NaN, infinite or string flux is refused, not truncated."""
@@ -547,6 +576,21 @@ class TestLinearInversion:
             assert fit.loglike == pytest.approx(want, rel=1e-12)
             assert alone.loglike == pytest.approx(want, rel=1e-12)
 
+    def test_a_row_fits_the_same_alone_and_in_a_batch(self):
+        """A one-row linear fit equals its row of a batch bit for bit: rho, log L, floor hits."""
+        horizontal = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
+        counts = np.stack([
+            analytic_counts(horizontal, 1_000).counts,  # fitted probabilities at zero
+            *(simulate_counts(tilted_bell(p), 1_000, seed=s).counts
+              for p in (0.5, 0.1) for s in range(4)),
+        ])
+        fits = tomo._linear_fits(counts, 1_000)
+        assert fits[0].floor_hits > 0
+        for row, fit in zip(counts, fits):
+            [alone] = tomo._linear_fits(row[None], 1_000)
+            np.testing.assert_array_equal(alone.rho.data, fit.rho.data)
+            assert (alone.loglike, alone.floor_hits) == (fit.loglike, fit.floor_hits)
+
     def test_batch_keeps_failed_rows_in_place(self):
         """A row that collapses to zero is reported as its error; others still fit."""
         good = simulate_counts(tilted_bell(0.5), 1_000, seed=1).counts
@@ -560,6 +604,64 @@ class TestLinearInversion:
         assert fits[0].loglike == fits[2].loglike
 
 class TestMle:
+    def test_real_form_round_trips_a_hermitian_stack_exactly(self):
+        """_unembed(_embed(Y)) is Y bit for bit, and _embed maps products to products."""
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+        y = 0.5 * (a + a.conj().transpose(0, 2, 1))
+        y8 = tomo._embed(y)
+        assert y8.shape == (7, 8, 8) and y8.dtype == float
+        np.testing.assert_array_equal(y8, y8.transpose(0, 2, 1))
+        np.testing.assert_array_equal(tomo._unembed(y8), y)
+        np.testing.assert_array_equal(tomo._embed(tomo._unembed(y8)), y8)
+        np.testing.assert_allclose(y8 @ y8, tomo._embed(y @ y), rtol=0, atol=1e-13)
+
+    def test_real_form_step_is_the_complex_step(self):
+        """One real-form RrhoR step equals herm(R Y R) / tr(R Y R) to 1e-15 relative."""
+        design = tomo._design()
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        y = a @ a.conj().transpose(0, 2, 1)
+        y /= np.trace(y, axis1=1, axis2=2).real[:, None, None]
+        freqs = np.stack([
+            simulate_counts(tilted_bell(p), 3_000, seed=s).frequencies
+            for p in (0.5, 0.1) for s in range(3)
+        ])
+        r_op, floored = tomo._r_operator(design, freqs, y)
+        want = r_op @ y @ r_op
+        want = 0.5 * (want + want.conj().transpose(0, 2, 1))
+        norm = np.trace(want, axis1=1, axis2=2).real
+        r8, floored8 = tomo._real_r_operator(design, freqs, tomo._embed(y))
+        step, norm8 = tomo._rrr_step(r8, tomo._embed(y))
+        np.testing.assert_array_equal(floored8, floored)
+        np.testing.assert_allclose(norm8, norm, rtol=1e-15, atol=0)
+        scale = np.abs(want / norm[:, None, None]).max()
+        got = tomo._unembed(step)
+        assert np.abs(got - want / norm[:, None, None]).max() <= 1e-15 * scale
+        assert np.abs(tomo._unembed(r8) - r_op).max() <= 1e-15 * np.abs(r_op).max()
+
+    def test_a_long_real_form_fit_unembeds_to_an_exactly_hermitian_state(self):
+        """After 200 RrhoR steps on a nearly rank-1 row, rho is exactly Hermitian.
+
+        The two copies of Re Y and of Im Y in the real form drift apart by
+        rounding; the unembedding averages them, so the fitted state has
+        an exactly real diagonal all the same.
+        """
+        design = tomo._design()
+        counts = simulate_counts(tilted_bell(0.1), 2_600_000, seed=4).counts
+        freqs = counts[None] / 2_600_000
+        y8 = np.eye(8)[None] / 4.0
+        for _ in range(200):
+            y8, _ = tomo._rrr_step(tomo._real_r_operator(design, freqs, y8)[0], y8)
+        assert np.abs(y8[:, :4, :4] - y8[:, 4:, 4:]).max() < 1e-13
+        assert np.abs(y8[:, 4:, :4] + y8[:, :4, 4:]).max() < 1e-13
+        [fit] = tomo._mle_fits(counts[None], 2_600_000, tol=1e-14, max_iter=200)
+        assert (fit.iterations, fit.converged) == (200, False)
+        assert np.linalg.eigvalsh(fit.rho.data)[:-1].max() < 1e-3  # nearly rank 1
+        for rho in (fit.rho.data, tomo._states(design, y8)[0][0]):
+            np.testing.assert_array_equal(rho, rho.conj().T)
+            assert not np.diag(rho).imag.any()
+
     def test_loglike_never_decreases(self):
         """Fixed-point iterations monotonically improve the likelihood."""
         rho = tilted_bell(0.5)
@@ -940,31 +1042,34 @@ class TestMonteCarloMetrics:
             )
 
     def test_batch_solver_failure_falls_back_per_sample(self, monkeypatch):
-        """A LinAlgError from the batched solve retries the samples one by one."""
+        """A LinAlgError from the batched eigensolve retries the samples one by one."""
         data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         want = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
-        real = np.linalg.lstsq
+        real = np.linalg.eigh
 
-        def batch_fails(a, b, rcond=None):
-            if b.ndim == 2 and b.shape[1] > 1:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real(a, b, rcond=rcond)
+        def batch_fails(a, *args, **kwargs):
+            if len(a) > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "lstsq", batch_fails)
+        monkeypatch.setattr(np.linalg, "eigh", batch_fails)
         got = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
         assert got == want
 
     def test_solver_failures_are_counted_not_raised(self, monkeypatch):
         """If every resample's solve fails, the report aborts on the failure count."""
         data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
-        real = np.linalg.lstsq
+        real = np.linalg.eigh
+        alone = []  # one-row eigensolves; the row-by-row refit starts with the point
 
-        def fails_but_the_point(a, b, rcond=None):
-            if b.shape[1] == 1 and np.array_equal(b[:, 0], data.frequencies):
-                return real(a, b, rcond=rcond)
-            raise np.linalg.LinAlgError("SVD did not converge")
+        def fails_but_the_point(a, *args, **kwargs):
+            if len(a) == 1:
+                alone.append(a)
+                if len(alone) == 1:
+                    return real(a, *args, **kwargs)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "lstsq", fails_but_the_point)
+        monkeypatch.setattr(np.linalg, "eigh", fails_but_the_point)
         with pytest.raises(RuntimeError, match="20/20"):
             monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
 
