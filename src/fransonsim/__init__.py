@@ -13,15 +13,12 @@ from .qcore import (
     DensityMatrix,
     PhotonPairState,
     PostselectionError,
-    QuantumChannel,
     PHI_PLUS_KET,
     apply_channel,
     apply_unitary,
     concurrence,
     fidelity_to,
     purity,
-    random_state,
-    trace_distance,
 )
 from .optics import (
     CoherentStage,
@@ -30,10 +27,8 @@ from .optics import (
     SourceConfig,
     WaveplateSpec,
     apply_noisy_channel,
-    hyperentangled_input,
     jones,
     make_source_state,
-    rotating_plate_channel,
 )
 from .transfer import (
     InterferometerConfig,
@@ -47,9 +42,7 @@ from .tomo import (
     ChshAngles,
     CountData,
     DEFAULT_CHSH_ANGLES,
-    MeasurementSetting,
     MetricsReport,
-    PartySetting,
     ReconstructionResult,
     analytic_counts,
     chsh_value,
@@ -60,7 +53,6 @@ from .tomo import (
     mle_reconstruct,
     monte_carlo_metrics,
     simulate_counts,
-    standard_settings,
 )
 from .cli import (
     ConfigError,
@@ -80,22 +72,19 @@ from .cli import (
 __all__ = [
     "__version__",
     # qcore
-    "DensityMatrix", "PhotonPairState", "PostselectionError", "QuantumChannel",
-    "PHI_PLUS_KET", "apply_channel", "apply_unitary", "concurrence",
-    "fidelity_to", "purity", "random_state", "trace_distance",
+    "DensityMatrix", "PhotonPairState", "PostselectionError", "PHI_PLUS_KET",
+    "apply_channel", "apply_unitary", "concurrence", "fidelity_to", "purity",
     # optics
     "CoherentStage", "NoisyChannelSpec", "RotatingPlateStage", "SourceConfig",
-    "WaveplateSpec", "apply_noisy_channel", "hyperentangled_input", "jones",
-    "make_source_state", "rotating_plate_channel",
+    "WaveplateSpec", "apply_noisy_channel", "jones", "make_source_state",
     # transfer
     "InterferometerConfig", "TransferOutcome", "block_long_arms",
     "fringe_visibility", "sum_phase_scan", "transfer",
     # tomo
-    "ChshAngles", "CountData", "DEFAULT_CHSH_ANGLES", "MeasurementSetting",
-    "MetricsReport", "PartySetting", "ReconstructionResult", "analytic_counts",
-    "chsh_value", "counts_from_csv", "counts_to_csv", "expected_probabilities",
-    "linear_inversion", "mle_reconstruct", "monte_carlo_metrics",
-    "simulate_counts", "standard_settings",
+    "ChshAngles", "CountData", "DEFAULT_CHSH_ANGLES", "MetricsReport",
+    "ReconstructionResult", "analytic_counts", "chsh_value", "counts_from_csv",
+    "counts_to_csv", "expected_probabilities", "linear_inversion",
+    "mle_reconstruct", "monte_carlo_metrics", "simulate_counts",
     # cli
     "ConfigError", "ExperimentConfig", "RunReport", "SweepConfig",
     "TomographyConfig", "default_config", "load_config", "run_chsh_sweep",

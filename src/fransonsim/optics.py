@@ -23,7 +23,6 @@ from .qcore import (
     PAULI_Z,
     DensityMatrix,
     PhotonPairState,
-    QuantumChannel,
     kraus_map,
 )
 
@@ -35,8 +34,6 @@ __all__ = [
     "NoisyChannelSpec",
     "jones",
     "make_source_state",
-    "hyperentangled_input",
-    "rotating_plate_channel",
     "apply_noisy_channel",
 ]
 
@@ -196,14 +193,6 @@ def _source_stack(cfgs) -> np.ndarray:
     return _interleaved(kets[:, :, None] * kets.conj()[:, None, :], et)
 
 
-def hyperentangled_input(pol: DensityMatrix, et: DensityMatrix) -> PhotonPairState:
-    """Assemble pol (pol_A, pol_B) x et (et_A, et_B) on the pair register."""
-    if pol.dim != 4 or et.dim != 4:
-        raise ValueError("pol and et parts must each cover two qubits")
-    data = _interleaved(pol.data[None], et.data[None])[0]
-    return PhotonPairState(DensityMatrix(data, weight=pol.weight * et.weight))
-
-
 def make_source_state(cfg: SourceConfig) -> PhotonPairState:
     """Hyperentangled two-photon state emitted by the source.
 
@@ -212,8 +201,9 @@ def make_source_state(cfg: SourceConfig) -> PhotonPairState:
     return PhotonPairState(DensityMatrix(_source_stack([cfg])[0]))
 
 
-def rotating_plate_channel(kind: str = "half", steps: int = 360) -> QuantumChannel:
-    """Uniform average of one wave plate over a revolution of its fast axis.
+@lru_cache(maxsize=None)
+def _plate_channel(kind: str) -> tuple[np.ndarray, ...]:
+    """Kraus operators of one wave plate averaged over a revolution of its fast axis.
 
     The Jones matrices of the plates are affine in (cos 2t, sin 2t):
     half wave J = cos 2t Z + sin 2t X, quarter wave
@@ -223,25 +213,17 @@ def rotating_plate_channel(kind: str = "half", steps: int = 360) -> QuantumChann
     cos 2t or sin 2t and the cross term cos 2t sin 2t, and leaves cos^2 and
     sin^2 at 1/2 each, for every even ``steps`` >= 4. The average is thus
     the continuous one, and its minimal Kraus form has Choi rank 2 (half:
-    Z/sqrt 2, X/sqrt 2) or 3 (quarter: I/sqrt 2, Z/2, X/2); ``steps`` is
-    only validated and changes neither the cost nor the result.
+    Z/sqrt 2, X/sqrt 2) or 3 (quarter: I/sqrt 2, Z/2, X/2); a stage's
+    ``steps`` is only validated and changes neither the cost nor the result.
 
     A spinning half-wave plate takes any linear polarization to the
     maximally mixed state; circular components survive with flipped
     handedness, which is why the purification scenarios drive it with
     linearly polarized light.
     """
-    RotatingPlateStage(arm="A", kind=kind, steps=steps)  # reuse validation
-    return _plate_channel(kind)
-
-
-@lru_cache(maxsize=None)
-def _plate_channel(kind: str) -> QuantumChannel:
     if kind == "half":
-        ops = (PAULI_Z / math.sqrt(2.0), PAULI_X / math.sqrt(2.0))
-    else:
-        ops = (PAULI_I / math.sqrt(2.0), PAULI_Z / 2.0, PAULI_X / 2.0)
-    return QuantumChannel(ops, trace_preserving=True)
+        return (PAULI_Z / math.sqrt(2.0), PAULI_X / math.sqrt(2.0))
+    return (PAULI_I / math.sqrt(2.0), PAULI_Z / 2.0, PAULI_X / 2.0)
 
 
 def _channel_stack(stack: np.ndarray, spec: NoisyChannelSpec) -> np.ndarray:
@@ -260,8 +242,7 @@ def _channel_stack(stack: np.ndarray, spec: NoisyChannelSpec) -> np.ndarray:
                     u = jones(plate) @ u
                 stack = kraus_map(stack, (u,), (f"pol_{arm}",))
         else:
-            channel = rotating_plate_channel(stage.kind, stage.steps)
-            stack = kraus_map(stack, channel.kraus, (f"pol_{stage.arm}",))
+            stack = kraus_map(stack, _plate_channel(stage.kind), (f"pol_{stage.arm}",))
     return stack
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "PAIR_LABELS",
     "PostselectionError",
     "DensityMatrix",
-    "QuantumChannel",
     "PhotonPairState",
     "kraus_map",
     "apply_unitary",
@@ -45,8 +44,6 @@ __all__ = [
     "concurrence",
     "fidelity_to",
     "purity",
-    "trace_distance",
-    "random_state",
     "dumps_density_matrix",
     "loads_density_matrix",
     "dump_density_matrix",
@@ -192,49 +189,6 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim, weight=weight)
 
 
-@dataclass(frozen=True)
-class QuantumChannel:
-    """Kraus family, either trace preserving or postselecting.
-
-    Trace-preserving channels satisfy sum(K^dag K) = I; postselecting
-    ones only need sum(K^dag K) <= I, and applying them shrinks the
-    state weight by the discarded probability.
-    """
-
-    kraus: tuple[np.ndarray, ...]
-    trace_preserving: bool = True
-
-    def __post_init__(self) -> None:
-        ops = []
-        for k in self.kraus:
-            op = np.array(k, dtype=complex, copy=True)
-            if op.ndim != 2 or op.shape[0] != op.shape[1]:
-                raise ValueError("Kraus operators must be square matrices")
-            op.setflags(write=False)
-            ops.append(op)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        if any(op.shape[0] != dim for op in ops):
-            raise ValueError("Kraus operators must share one dimension")
-        total = sum(op.conj().T @ op for op in ops)
-        if self.trace_preserving:
-            resid = np.abs(total - np.eye(dim)).max()
-            if resid > HERMITICITY_ATOL:
-                raise ValueError(
-                    f"trace-preserving channel violates sum(K^H K) = I "
-                    f"(residual {resid:.3e})"
-                )
-        else:
-            top = float(np.linalg.eigvalsh(total).max())
-            if top > 1.0 + HERMITICITY_ATOL:
-                raise ValueError(
-                    f"postselecting channel has sum(K^H K) > I "
-                    f"(largest eigenvalue {top:.15g})"
-                )
-        object.__setattr__(self, "kraus", tuple(ops))
-
-
 def kraus_map(
     data: np.ndarray, kraus: Sequence[np.ndarray], targets: Sequence[str]
 ) -> np.ndarray:
@@ -285,6 +239,7 @@ def apply_unitary(
     targets: Sequence[str],
 ) -> DensityMatrix:
     """Conjugate the pair state by a unitary on the labelled target qubits."""
+    # No pipeline calls this; it stays because bench/spans.py traces it.
     _check_pair(rho)
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -297,17 +252,24 @@ def apply_unitary(
 
 def apply_channel(
     rho: DensityMatrix,
-    channel: QuantumChannel,
+    kraus: Sequence[np.ndarray],
     targets: Sequence[str],
 ) -> DensityMatrix:
-    """Apply a Kraus channel on the labelled target qubits of the pair state.
+    """Apply Kraus operators on the labelled target qubits of the pair state.
 
-    The output is renormalized and the weight is multiplied by the
-    pre-normalization trace, which is 1 for trace-preserving channels.
+    The operators may postselect: they need only sum(K^dag K) <= I, and a set
+    whose sum has an eigenvalue above 1 + HERMITICITY_ATOL is refused. The
+    output is renormalized and the weight is multiplied by the
+    pre-normalization trace, which is 1 for a trace-preserving set.
     Raises :class:`PostselectionError` if the state is postselected away.
     """
+    # No pipeline calls this; it stays because bench/spans.py traces it.
     _check_pair(rho)
-    out = kraus_map(rho.data, channel.kraus, targets)
+    ops = np.asarray(kraus, dtype=complex)
+    out = kraus_map(rho.data, ops, targets)
+    top = float(np.linalg.eigvalsh((ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)).max())
+    if top > 1.0 + HERMITICITY_ATOL:
+        raise ValueError(f"Kraus operators have sum(K^H K) > I (largest eigenvalue {top:.15g})")
     tr = float(out.trace().real)
     if tr < EMPTY_POSTSELECTION_TRACE:
         raise PostselectionError(
@@ -366,37 +328,6 @@ def fidelity_to(rho: DensityMatrix, psi: np.ndarray) -> float:
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2), 1 for pure states down to 1/dim for maximally mixed."""
     return float(_purities(rho.data[None])[0])
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference of two states."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    eigs = np.linalg.eigvalsh(a.data - b.data)
-    return float(0.5 * np.abs(eigs).sum())
-
-
-def _haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return vec / np.linalg.norm(vec)
-
-
-def random_state(n_qubits: int, kind: str = "pure", seed: int = 0) -> DensityMatrix:
-    """Deterministic random state: Haar pure, or a mixture of Haar pures."""
-    if not 1 <= n_qubits <= len(PAIR_LABELS):
-        raise ValueError(f"n_qubits must be in [1, {len(PAIR_LABELS)}], got {n_qubits}")
-    rng = np.random.default_rng(seed)
-    dim = 2**n_qubits
-    if kind == "pure":
-        return DensityMatrix.pure(_haar_ket(dim, rng))
-    if kind == "mixed":
-        weights = rng.dirichlet(np.ones(dim))
-        data = np.zeros((dim, dim), dtype=complex)
-        for w in weights:
-            ket = _haar_ket(dim, rng)
-            data += w * np.outer(ket, ket.conj())
-        return DensityMatrix(data)
-    raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
 
 
 @dataclass(frozen=True)

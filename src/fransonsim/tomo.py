@@ -1,11 +1,10 @@
 """Two-qubit polarization tomography, entanglement metrics, and CHSH tests.
 
-Measurement settings model the physical analyzer chain per photon: an
-optional quarter-wave plate followed by a linear polarizer. The design is
-fixed: the 36 settings of :func:`standard_settings`, which pair the six
+Each photon's analyzer is an optional quarter-wave plate followed by a
+linear polarizer. The design is fixed: the 36 settings that pair the six
 basis states H, V, D, A, R, L of each photon (James, Kwiat, Munro and
-White, PRA 64, 052312 (2001)). A count set is one count per setting, in
-that order. Counts are Poissonian with per-setting mean
+White, PRA 64, 052312 (2001)), photon B fastest. A count set is one count
+per setting, in that order. Counts are Poissonian with per-setting mean
 pairs_per_setting * tr(rho Pi_A x Pi_B), all drawn in one call from a
 generator seeded by one int, so one seed gives one count set.
 Reconstruction is either constrained linear inversion or an iterative
@@ -37,8 +36,6 @@ from .qcore import (
 from .optics import WaveplateSpec, jones
 
 __all__ = [
-    "PartySetting",
-    "MeasurementSetting",
     "CountData",
     "ReconstructionResult",
     "ChshAngles",
@@ -46,8 +43,6 @@ __all__ = [
     "DEFAULT_CHSH_ANGLES",
     "DEFAULT_PAIRS_PER_SETTING",
     "MAX_PAIRS_PER_SETTING",
-    "projector",
-    "standard_settings",
     "setting_projectors",
     "expected_probabilities",
     "simulate_counts",
@@ -76,92 +71,34 @@ MLE_DEFAULT_MAX_ITER = 10_000
 _CSV_HEADER = "setting_index,theta_a,qwp_a,qwp_theta_a,theta_b,qwp_b,qwp_theta_b,count"
 
 
-@dataclass(frozen=True)
-class PartySetting:
-    """One analyzer: polarizer angle plus an optional quarter-wave plate.
+# The analyzer of one photon for each basis state, in the order H, V, D, A,
+# R, L: (polarizer angle in radians, quarter-wave plate in). The plate
+# always sits at 0 deg; with the polarizer at 45 / 135 deg it gives R / L.
+_ANALYZERS = (
+    (0.0, False), (math.pi / 2, False), (math.pi / 4, False),
+    (3 * math.pi / 4, False), (math.pi / 4, True), (3 * math.pi / 4, True),
+)
 
-    Angles are radians and reduced to [0, pi); ``qwp_angle`` is meaningful
-    only when ``qwp_in`` is true but is stored regardless.
+
+def setting_projectors() -> np.ndarray:
+    """The coincidence projectors Pi_A x Pi_B of the 36 settings, shape (36, 4, 4).
+
+    Setting 6 i + k pairs analyzer i of :data:`_ANALYZERS` on photon A with
+    analyzer k on photon B. An analyzer transmits the polarizer's linear ket
+    pulled back through the plate, psi = QWP(0)^dag (cos t, sin t).
+    Overcomplete on purpose: the 36 projectors span the full two-qubit
+    operator space, so both estimators below are well posed, and they sum
+    to 9 I, which the likelihood fit relies on.
     """
-
-    polarizer_angle: float
-    qwp_in: bool = False
-    qwp_angle: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("polarizer_angle", "qwp_angle"):
-            angle = float(getattr(self, name))
-            if not math.isfinite(angle):
-                raise ValueError(f"{name} must be finite, got {angle}")
-            object.__setattr__(self, name, angle % math.pi)
-        object.__setattr__(self, "qwp_in", bool(self.qwp_in))
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Analyzer settings for both photons of one coincidence measurement."""
-
-    party_a: PartySetting
-    party_b: PartySetting
-
-
-def projector(setting: MeasurementSetting, party: str) -> np.ndarray:
-    """Rank-1 polarization projector realized by one party's analyzer.
-
-    The transmitted state is the polarizer's linear ket pulled back through
-    the quarter-wave plate: psi = QWP(angle)^dag (cos t, sin t). Without the
-    plate this is the linear projector itself; with the plate at 0 deg and
-    the polarizer at +/-45 deg it is a circular projector.
-    """
-    if party == "A":
-        ps = setting.party_a
-    elif party == "B":
-        ps = setting.party_b
-    else:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    ket = np.array(
-        [math.cos(ps.polarizer_angle), math.sin(ps.polarizer_angle)], dtype=complex
-    )
-    if ps.qwp_in:
-        ket = jones(WaveplateSpec("quarter", ps.qwp_angle)).conj().T @ ket
-    return np.outer(ket, ket.conj())
-
-
-def _eigenstate_settings() -> list[PartySetting]:
-    """Analyzer positions for the six single-photon basis states.
-
-    Order: H, V, D, A, R, L. The circular pair uses the quarter-wave plate
-    at 0 deg with the polarizer at 45 deg / 135 deg.
-    """
-    return [
-        PartySetting(0.0),
-        PartySetting(math.pi / 2),
-        PartySetting(math.pi / 4),
-        PartySetting(3 * math.pi / 4),
-        PartySetting(math.pi / 4, qwp_in=True, qwp_angle=0.0),
-        PartySetting(3 * math.pi / 4, qwp_in=True, qwp_angle=0.0),
-    ]
-
-
-def standard_settings() -> list[MeasurementSetting]:
-    """The 36 coincidence settings pairing the six basis states per photon.
-
-    Overcomplete on purpose: the 36 product projectors span the full
-    two-qubit operator space, so both estimators below are well posed, and
-    they sum to 9 I, which the likelihood fit relies on.
-    """
-    singles = _eigenstate_settings()
-    return [
-        MeasurementSetting(a, b) for a in singles for b in singles
-    ]
-
-
-def setting_projectors(settings: Sequence[MeasurementSetting]) -> np.ndarray:
-    """Stacked coincidence projectors Pi_A x Pi_B, shape (n, 4, 4)."""
-    mats = [
-        np.kron(projector(s, "A"), projector(s, "B")) for s in settings
-    ]
-    return np.stack(mats)
+    # Only _design calls this; it stays public because bench/spans.py traces it.
+    plate = jones(WaveplateSpec("quarter", 0.0)).conj().T
+    singles = []
+    for angle, plate_in in _ANALYZERS:
+        ket = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
+        if plate_in:
+            ket = plate @ ket
+        singles.append(np.outer(ket, ket.conj()))
+    return np.stack([np.kron(a, b) for a in singles for b in singles])
 
 
 @dataclass(frozen=True)
@@ -192,7 +129,7 @@ class _Design:
 @functools.cache
 def _design() -> _Design:
     """Build the design on first use; later calls reuse it."""
-    pis = setting_projectors(standard_settings())
+    pis = setting_projectors()
     frame = pis / 9.0
     paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
     basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
@@ -330,24 +267,31 @@ def analytic_counts(
     return CountData(pairs_per_setting * expected_probabilities(rho), pairs_per_setting)
 
 
-def _csv_columns(setting: MeasurementSetting) -> list[str]:
-    """The six analyzer columns of one CSV row, angles in degrees with six decimals."""
-    a, b = setting.party_a, setting.party_b
-    return [
-        f"{math.degrees(a.polarizer_angle):.6f}", f"{int(a.qwp_in)}",
-        f"{math.degrees(a.qwp_angle):.6f}", f"{math.degrees(b.polarizer_angle):.6f}",
-        f"{int(b.qwp_in)}", f"{math.degrees(b.qwp_angle):.6f}",
-    ]
+def _csv_columns(j: int) -> list[str]:
+    """The six analyzer columns of CSV row j, angles in degrees with six decimals."""
+    cols = []
+    for angle, plate_in in (_ANALYZERS[j // 6], _ANALYZERS[j % 6]):
+        # polarizer angle, plate flag, plate angle (always 0 deg)
+        cols += [f"{math.degrees(angle):.6f}", f"{int(plate_in)}", "0.000000"]
+    return cols
 
 
 def counts_to_csv(data: CountData, path) -> None:
     """Write counts as CSV, one row per standard setting with its analyzer columns."""
     lines = [_CSV_HEADER]
-    for j, (setting, count) in enumerate(zip(standard_settings(), data.counts)):
+    for j, count in enumerate(data.counts):
         cnt = f"{int(count)}" if float(count).is_integer() else f"{count:.17g}"
-        lines.append(f"{j},{','.join(_csv_columns(setting))},{cnt}")
+        lines.append(f"{j},{','.join(_csv_columns(j))},{cnt}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _csv_number(text: str, name: str, row: int) -> float:
+    """``text`` read as a float; text that is not a number is refused by column and row."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {text!r} in data row {row}") from None
 
 
 def counts_from_csv(path, pairs_per_setting: int) -> CountData:
@@ -355,11 +299,12 @@ def counts_from_csv(path, pairs_per_setting: int) -> CountData:
 
     The flux is not part of the CSV payload and must be supplied. The file
     must hold one row per standard setting. The plate flags ``qwp_a`` and
-    ``qwp_b`` must read 0 or 1 and the angles must be finite. Each row must
-    be the standard setting at its index: its ``setting_index`` the row's
-    position from 0, the same plate flags, and angles within half a unit of
-    the sixth written decimal of the standard angle, modulo 180 deg. A row
-    that differs is refused, naming the data row and the column.
+    ``qwp_b`` must read 0 or 1, the angles must be finite numbers and the
+    count a number. Each row must be the standard setting at its index: its
+    ``setting_index`` the row's position from 0, the same plate flags, and
+    angles within half a unit of the sixth written decimal of the standard
+    angle, modulo 180 deg. A row that breaks any of these is refused, naming
+    the data row and the column.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -369,11 +314,11 @@ def counts_from_csv(path, pairs_per_setting: int) -> CountData:
         raise ValueError(f"expected {_N_SETTINGS} data rows, got {len(lines) - 1}")
     names = _CSV_HEADER.split(",")
     counts = []
-    for row, (ln, setting) in enumerate(zip(lines[1:], standard_settings()), start=1):
+    for row, ln in enumerate(lines[1:], start=1):
         cols = ln.split(",")
         if len(cols) != 8:
             raise ValueError(f"expected 8 columns, got {len(cols)}: {ln!r}")
-        for k, want in enumerate([str(row - 1), *_csv_columns(setting)]):
+        for k, want in enumerate([str(row - 1), *_csv_columns(row - 1)]):
             got = cols[k].strip()
             if k in (2, 5) and got not in ("0", "1"):
                 raise ValueError(
@@ -382,17 +327,16 @@ def counts_from_csv(path, pairs_per_setting: int) -> CountData:
             if k in (0, 2, 5):
                 same = got == want
             else:
-                angle = float(got)
+                angle = _csv_number(got, names[k], row)
                 if not math.isfinite(angle):
-                    name = "qwp_angle" if k in (3, 6) else "polarizer_angle"
-                    raise ValueError(f"{name} must be finite, got {angle}")
+                    raise ValueError(f"{names[k]} must be finite, got {angle} in data row {row}")
                 same = abs(math.remainder(angle - float(want), 180.0)) <= 5e-7
             if not same:
                 raise ValueError(
                     f"{names[k]} reads {got} in data row {row}, the standard "
                     f"setting there has {want}"
                 )
-        counts.append(float(cols[7]))
+        counts.append(_csv_number(cols[7].strip(), names[7], row))
     return CountData(np.array(counts), pairs_per_setting)
 
 

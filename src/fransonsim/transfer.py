@@ -54,9 +54,8 @@ class InterferometerConfig:
     ``delta_t_ns`` is the long-short arm delay and must exceed the
     coincidence window so the cross terms are resolvable; both are
     nanoseconds. ``phase_jitter_sigma`` (radians) adds Gaussian phase noise
-    per interferometer: sampled per call when a random generator is passed
-    to :func:`transfer`, otherwise applied as the ensemble-averaged
-    dephasing exp(-sigma^2 / 2) on each long-arm coherence.
+    per interferometer, applied as the ensemble-averaged dephasing
+    exp(-sigma^2 / 2) on each long-arm coherence.
     """
 
     phase_a: float = 0.0
@@ -141,15 +140,11 @@ def _damping(cfg: InterferometerConfig) -> np.ndarray:
     return math.exp(-0.5 * sigma * sigma) ** _FLIPS
 
 
-def _transfer_mask(cfg: InterferometerConfig, rng: np.random.Generator | None = None):
+def _transfer_mask(cfg: InterferometerConfig) -> np.ndarray:
     """The phases and the jitter of the circuit, as one elementwise 16x16 mask."""
-    phase_a, phase_b = cfg.phase_a, cfg.phase_b
-    if cfg.phase_jitter_sigma > 0.0 and rng is not None:
-        phase_a += rng.normal(0.0, cfg.phase_jitter_sigma)
-        phase_b += rng.normal(0.0, cfg.phase_jitter_sigma)
-    amp = np.exp(1.0j * (phase_a * _ET_A + phase_b * _ET_B))
+    amp = np.exp(1.0j * (cfg.phase_a * _ET_A + cfg.phase_b * _ET_B))
     mask = np.outer(amp, amp.conj())
-    if cfg.phase_jitter_sigma > 0.0 and rng is None:
+    if cfg.phase_jitter_sigma > 0.0:
         mask = mask * _damping(cfg)
     return mask
 
@@ -176,27 +171,21 @@ def _blocked(stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
     return data, kept
 
 
-def transfer(
-    state: PhotonPairState,
-    cfg: InterferometerConfig,
-    rng: np.random.Generator | None = None,
-) -> TransferOutcome:
+def transfer(state: PhotonPairState, cfg: InterferometerConfig) -> TransferOutcome:
     """Run the photon pair through both interferometers.
 
     Circuit, in order: long-arm phases (with optional jitter), long-arm
     polarization flips, the polarizing beam splitters (path becomes a
     function of polarization), and the deterministic parity correction on
-    photon B. When ``rng`` is given and jitter is configured, one Gaussian
-    phase offset per interferometer is drawn for this call; without ``rng``
-    the jitter is applied as its ensemble average, a phase-damping factor
-    exp(-sigma^2/2) on each long-arm coherence.
+    photon B. The jitter is applied as its ensemble average, a
+    phase-damping factor exp(-sigma^2/2) on each long-arm coherence.
 
     The phases and the damping act on the state as one elementwise
     (Hadamard-product) mask; the rest of the circuit is one fixed
     permutation of the 16 basis states. This is the one-state call of the
     stacked kernels that the pipeline runs on all sweep points at once.
     """
-    data = _transferred(state.rho.data[None], _transfer_mask(cfg, rng))[0]
+    data = _transferred(state.rho.data[None], _transfer_mask(cfg))[0]
     out = PhotonPairState(DensityMatrix(data, weight=state.weight))
     pol_out, path_out = out.pol_marginal(), out.et_marginal()
     return TransferOutcome(out, pol_out, path_out, np.diag(path_out.data).real.copy())

@@ -23,7 +23,6 @@ from fransonsim.optics import (
     RotatingPlateStage,
     SourceConfig,
     apply_noisy_channel,
-    hyperentangled_input,
     make_source_state,
 )
 from fransonsim.qcore import (
@@ -32,8 +31,6 @@ from fransonsim.qcore import (
     concurrence,
     fidelity_to,
     purity,
-    random_state,
-    trace_distance,
 )
 from fransonsim.tomo import (
     chsh_value,
@@ -48,6 +45,8 @@ from fransonsim.transfer import (
     sum_phase_scan,
     transfer,
 )
+
+from oracle_states import hyperentangled_input, random_state, trace_distance
 
 V_CAL = 0.979
 IDEAL_ET = DensityMatrix.pure(PHI_PLUS_KET)

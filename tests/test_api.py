@@ -3,6 +3,7 @@
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import pkgutil
 import re
@@ -40,14 +41,31 @@ def test_module_exports_resolve(module_name):
     assert not missing
 
 
-def test_generic_layout_machinery_is_gone():
-    """The register is fixed: no layout type, layout-driven helper or qubit cap."""
-    from fransonsim import qcore
+REMOVED_NAMES = (
+    # the register is fixed: no layout type, layout-driven helper or qubit cap
+    "SubsystemLayout", "PAIR_LAYOUT", "MAX_QUBITS", "partial_trace", "tensor",
+    "permute_qubits", "lift_unitary",
+    # Kraus operators are passed directly; random states live with the tests
+    "QuantumChannel", "random_state", "trace_distance", "hyperentangled_input",
+    "rotating_plate_channel",
+    # the 36 settings are one fixed table
+    "PartySetting", "MeasurementSetting", "projector", "standard_settings",
+)
 
-    for name in ("SubsystemLayout", "PAIR_LAYOUT", "MAX_QUBITS", "partial_trace",
-                 "tensor", "permute_qubits", "lift_unitary"):
-        assert not hasattr(qcore, name), name
-        assert name not in fransonsim.__all__
+
+def test_generic_layout_machinery_is_gone():
+    """No removed generic name resolves in any package module or in __all__."""
+    for module_name in ["fransonsim", *MODULES]:
+        module = importlib.import_module(module_name)
+        for name in REMOVED_NAMES:
+            assert not hasattr(module, name), (module_name, name)
+    assert not set(REMOVED_NAMES) & set(fransonsim.__all__)
+
+
+def test_transfer_takes_no_rng():
+    """Jitter is always the ensemble average: transfer has no random generator."""
+    params = inspect.signature(fransonsim.transfer).parameters
+    assert list(params) == ["state", "cfg"]
 
 
 def test_benchmark_trace_targets_exist():

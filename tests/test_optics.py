@@ -9,7 +9,6 @@ from fransonsim.qcore import (
     PhotonPairState,
     concurrence,
     purity,
-    random_state,
 )
 from fransonsim.optics import (
     CoherentStage,
@@ -18,11 +17,11 @@ from fransonsim.optics import (
     SourceConfig,
     WaveplateSpec,
     apply_noisy_channel,
-    hyperentangled_input,
     jones,
     make_source_state,
-    rotating_plate_channel,
 )
+
+from oracle_states import hyperentangled_input, random_state
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -151,18 +150,23 @@ class TestSourceState:
 class TestRotatingPlateChannel:
     def test_trace_preserving_for_all_step_counts(self):
         """The uniform plate mixture is trace preserving for any step count."""
+        for kind in ("half", "quarter"):
+            acc = sum(k.conj().T @ k for k in optics._plate_channel(kind))
+            np.testing.assert_allclose(acc, np.eye(2), atol=1e-12)
+        state = PhotonPairState(random_state(4, "mixed", seed=5))
         for steps in (4, 8, 90, 360):
             for kind in ("half", "quarter"):
-                channel = rotating_plate_channel(kind, steps)
-                acc = sum(k.conj().T @ k for k in channel.kraus)
-                np.testing.assert_allclose(acc, np.eye(2), atol=1e-12)
+                spec = NoisyChannelSpec((RotatingPlateStage("B", kind, steps),))
+                out = apply_noisy_channel(state, spec)
+                assert np.trace(out.rho.data).real == pytest.approx(1.0, abs=1e-12)
+                assert out.weight == 1.0
 
     def test_half_plate_scrambles_linear_inputs(self):
         """Linearly polarized light averages to the fully mixed state."""
-        channel = rotating_plate_channel("half", 360)
+        channel = optics._plate_channel("half")
         for theta in np.linspace(0.0, np.pi, 13):
             ket = np.array([np.cos(theta), np.sin(theta)])
-            out = sum(k @ np.outer(ket, ket) @ k.conj().T for k in channel.kraus)
+            out = sum(k @ np.outer(ket, ket) @ k.conj().T for k in channel)
             np.testing.assert_allclose(out, np.eye(2) / 2.0, atol=1e-12)
 
     def test_half_plate_flips_circular_input(self):
@@ -171,15 +175,15 @@ class TestRotatingPlateChannel:
         # a scrambler for linear but not for circular polarization
         right = np.array([1.0, -1j]) / np.sqrt(2.0)
         left = np.array([1.0, 1j]) / np.sqrt(2.0)
-        channel = rotating_plate_channel("half", 360)
-        out = sum(k @ np.outer(right, right.conj()) @ k.conj().T for k in channel.kraus)
+        channel = optics._plate_channel("half")
+        out = sum(k @ np.outer(right, right.conj()) @ k.conj().T for k in channel)
         np.testing.assert_allclose(out, np.outer(left, left.conj()), atol=1e-12)
 
     def test_quarter_plate_partial_scramble(self):
         """A rotating quarter plate leaves residual polarization on H input."""
-        channel = rotating_plate_channel("quarter", 360)
+        channel = optics._plate_channel("quarter")
         ket = np.array([1.0, 0.0])
-        out = sum(k @ np.outer(ket, ket) @ k.conj().T for k in channel.kraus)
+        out = sum(k @ np.outer(ket, ket) @ k.conj().T for k in channel)
         np.testing.assert_allclose(out, np.diag([0.75, 0.25]), atol=1e-12)
 
     def test_step_count_validation(self):

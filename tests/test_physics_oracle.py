@@ -12,6 +12,7 @@ loop of full transfers, one per phase.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +29,8 @@ from fransonsim.qcore import (
     PAIR_LABELS,
     DensityMatrix,
     PhotonPairState,
-    QuantumChannel,
     apply_channel,
     apply_unitary,
-    random_state,
 )
 from fransonsim.transfer import (
     _EVEN_PARITY,
@@ -40,6 +39,8 @@ from fransonsim.transfer import (
     sum_phase_scan,
     transfer,
 )
+
+from oracle_states import random_state
 
 TOL = 1e-12
 SEEDS = range(8)
@@ -206,9 +207,9 @@ class TestKernelAgainstLift:
             g = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
             q, _ = np.linalg.qr(g)
             # the first two of three Kraus operators: a postselecting channel
-            channel = QuantumChannel((q[:4], q[4:8]), trace_preserving=False)
-            out = apply_channel(rho, channel, targets)
-            want = lifted(rho.data, channel.kraus, targets)
+            kraus = (q[:4], q[4:8])
+            out = apply_channel(rho, kraus, targets)
+            want = lifted(rho.data, kraus, targets)
             tr = want.trace().real
             np.testing.assert_allclose(out.data, want / tr, atol=TOL)
             assert out.weight == pytest.approx(tr, abs=TOL)
@@ -286,15 +287,22 @@ class TestTransferAgainstOracle:
             self.check(state, transfer(state, cfg), oracle_transfer(state.rho.data, cfg))
 
     def test_sampled_jitter_keeps_draw_order(self):
-        """A seeded rng draws arm A then arm B, as the gate-by-gate oracle does."""
+        """The oracle's sampled jitter draws arm A then arm B, one offset each per call.
+
+        ``transfer`` has no sampled mode; run without jitter at the phases
+        drawn in that order, it gives the oracle's state of each call.
+        """
         cfg = InterferometerConfig(phase_a=0.4, phase_b=1.1, phase_jitter_sigma=0.7)
         for seed in SEEDS:
             state = random_pair(seed)
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
+                phase_a = cfg.phase_a + rng.normal(0.0, cfg.phase_jitter_sigma)
+                phase_b = cfg.phase_b + rng.normal(0.0, cfg.phase_jitter_sigma)
+                drawn = replace(cfg, phase_a=phase_a, phase_b=phase_b, phase_jitter_sigma=0.0)
                 self.check(
                     state,
-                    transfer(state, cfg, rng=rng),
+                    transfer(state, drawn),
                     oracle_transfer(state.rho.data, cfg, rng=oracle_rng),
                 )
             assert rng.random() == oracle_rng.random()
@@ -315,7 +323,7 @@ class TestBlockingAgainstOracle:
     def test_block_long_arms_is_the_projector_channel_bitwise(self):
         """The index selection equals apply_channel with the short-arm projector."""
         project_s = np.diag([1.0, 0.0]).astype(complex)
-        blocker = QuantumChannel((np.kron(project_s, project_s),), trace_preserving=False)
+        blocker = (np.kron(project_s, project_s),)
         for seed in SEEDS:
             state = random_pair(seed)
             want = apply_channel(state.rho, blocker, ("et_A", "et_B"))

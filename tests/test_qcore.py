@@ -10,7 +10,6 @@ from fransonsim.qcore import (
     PHI_PLUS_KET,
     PhotonPairState,
     PostselectionError,
-    QuantumChannel,
     apply_channel,
     apply_unitary,
     concurrence,
@@ -18,13 +17,13 @@ from fransonsim.qcore import (
     fidelity_to,
     loads_density_matrix,
     purity,
-    random_state,
-    trace_distance,
     _concurrences,
     _fidelities,
     _purities,
     _state_errors,
 )
+
+from oracle_states import random_state, trace_distance
 
 
 def random_density(rng, dim):
@@ -277,10 +276,25 @@ class TestUnitaries:
 
 
 class TestChannels:
-    def test_trace_preserving_validation(self):
-        """Kraus sets must resolve the identity when trace preserving."""
-        with pytest.raises(ValueError, match="trace-preserving"):
-            QuantumChannel((np.diag([1.0, 0.5]).astype(complex),))
+    def test_kraus_completeness_validation(self):
+        """Kraus sets with sum(K^dag K) > I are refused; postselecting sets are taken.
+
+        The refusal names the largest eigenvalue of the sum. A set whose sum
+        stays below the identity postselects: the state is renormalized and
+        the weight multiplied by the kept probability.
+        """
+        rho = DensityMatrix.maximally_mixed(4)
+        with pytest.raises(ValueError, match=r"sum\(K\^H K\) > I \(largest eigenvalue 1\.25\)"):
+            apply_channel(rho, (np.diag([1.0, 0.5]), np.diag([0.0, 1.0])), ("pol_A",))
+        with pytest.raises(ValueError, match="largest eigenvalue 1.0000000001"):
+            apply_channel(rho, (np.sqrt(1.0 + 1e-10) * np.eye(2),), ("et_B",))
+        # the identity plus rounding is a complete set, not a refused one
+        apply_channel(rho, (np.sqrt(1.0 + 1e-13) * np.eye(2),), ("et_B",))
+        half = DensityMatrix.maximally_mixed(4, weight=0.5)
+        out = apply_channel(half, (np.diag([1.0, 0.5]),), ("pol_A",))
+        assert out.weight == pytest.approx(0.5 * 0.625, abs=1e-15)
+        assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-12)
+        assert out.data[0, 0].real == pytest.approx(0.1, abs=1e-15)
 
     def test_random_channels_preserve_invariants(self):
         """1000 random channel applications keep valid density matrices."""
@@ -290,8 +304,7 @@ class TestChannels:
             # random 2-outcome TP channel on one qubit via a 4x2 isometry
             g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
             q, _ = np.linalg.qr(g)
-            channel = QuantumChannel((q[:2, :], q[2:, :]))
-            out = apply_channel(rho, channel, (PAIR_LABELS[rng.integers(4)],))
+            out = apply_channel(rho, (q[:2, :], q[2:, :]), (PAIR_LABELS[rng.integers(4)],))
             assert abs(np.trace(out.data) - 1.0) < 1e-12
             np.testing.assert_allclose(out.data, out.data.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(out.data).min() > -1e-10
@@ -300,13 +313,8 @@ class TestChannels:
     def test_postselection_weights_multiply(self):
         """Chained lossy channels multiply their survival probabilities."""
         rho = DensityMatrix.maximally_mixed(4)
-        keep_h = QuantumChannel(
-            (np.diag([1.0, 0.0]).astype(complex),), trace_preserving=False
-        )
-        damp = QuantumChannel(
-            (np.diag([np.sqrt(0.5), np.sqrt(0.5)]).astype(complex),),
-            trace_preserving=False,
-        )
+        keep_h = (np.diag([1.0, 0.0]),)
+        damp = (np.diag([np.sqrt(0.5), np.sqrt(0.5)]),)
         once = apply_channel(rho, keep_h, ("pol_B",))
         assert once.weight == pytest.approx(0.5, abs=1e-12)
         twice = apply_channel(once, damp, ("et_A",))
@@ -317,9 +325,7 @@ class TestChannels:
         ket = np.zeros(16)
         ket[0b0010] = 1.0  # pol_B = V
         rho = DensityMatrix.pure(ket)
-        keep_h = QuantumChannel(
-            (np.diag([1.0, 0.0]).astype(complex),), trace_preserving=False
-        )
+        keep_h = (np.diag([1.0, 0.0]),)
         with pytest.raises(PostselectionError):
             apply_channel(rho, keep_h, ("pol_B",))
 

@@ -17,17 +17,13 @@ from fransonsim.qcore import (
     concurrence,
     fidelity_to,
     purity,
-    random_state,
-    trace_distance,
 )
 from fransonsim.tomo import (
     METRIC_NAMES,
     ChshAngles,
     CountData,
     DEFAULT_CHSH_ANGLES,
-    MeasurementSetting,
     MetricsReport,
-    PartySetting,
     analytic_counts,
     chsh_value,
     counts_from_csv,
@@ -36,13 +32,21 @@ from fransonsim.tomo import (
     linear_inversion,
     mle_reconstruct,
     monte_carlo_metrics,
-    projector,
     setting_projectors,
     simulate_counts,
-    standard_settings,
 )
 
-SETTINGS = standard_settings()
+from oracle_states import random_state, trace_distance
+
+# The analyzer projectors of the basis states H, V, D, A, R, L, in that order.
+ANALYZER_PROJECTORS = [
+    np.diag([1.0, 0.0]),
+    np.diag([0.0, 1.0]),
+    np.full((2, 2), 0.5),
+    np.array([[0.5, -0.5], [-0.5, 0.5]]),
+    np.array([[0.5, 0.5j], [-0.5j, 0.5]]),
+    np.array([[0.5, -0.5j], [0.5j, 0.5]]),
+]
 
 
 def s_formula(p):
@@ -77,7 +81,7 @@ def linear_state_oracle(data):
     frequencies, in real arithmetic: the frequencies are real, so the real
     and imaginary parts of the solution are two real products.
     """
-    pis = setting_projectors(SETTINGS)
+    pis = setting_projectors()
     design = pis.transpose(0, 2, 1).reshape(36, 16)
     pinv = np.linalg.pinv(design)
     sol = data.frequencies @ np.ascontiguousarray(pinv.T).view(float)
@@ -96,7 +100,7 @@ def mle_oracle(data, tol=tomo.MLE_DEFAULT_TOL, max_iter=tomo.MLE_DEFAULT_MAX_ITE
     ``tol``. Within the first 200 iterations it is the iteration of
     ``tomo._mle_fits``; run long, it is the likelihood reference.
     """
-    pis = setting_projectors(SETTINGS) / 9.0
+    pis = setting_projectors() / 9.0
     rho = np.eye(4, dtype=complex) / 4.0
     probs = np.einsum("jab,ba->j", pis, rho).real
     for iterations in range(1, max_iter + 1):
@@ -263,55 +267,44 @@ def sigmas(report):
 
 class TestProjectors:
     def test_single_party_eigenstates(self):
-        """The six analyzer settings project onto the expected states."""
-        cases = {
-            (0.0, False): np.diag([1.0, 0.0]),
-            (np.pi / 2, False): np.diag([0.0, 1.0]),
-            (np.pi / 4, False): np.full((2, 2), 0.5),
-            (3 * np.pi / 4, False): np.array([[0.5, -0.5], [-0.5, 0.5]]),
-            (np.pi / 4, True): np.array([[0.5, 0.5j], [-0.5j, 0.5]]),
-            (3 * np.pi / 4, True): np.array([[0.5, -0.5j], [0.5j, 0.5]]),
-        }
-        for (theta, qwp), want in cases.items():
-            setting = MeasurementSetting(
-                PartySetting(theta, qwp_in=qwp), PartySetting(0.0)
-            )
-            np.testing.assert_allclose(projector(setting, "A"), want, atol=1e-12)
+        """The six analyzers of either photon project onto the expected states."""
+        pis = setting_projectors()
+        horizontal = ANALYZER_PROJECTORS[0]
+        for i, want in enumerate(ANALYZER_PROJECTORS):
+            np.testing.assert_allclose(pis[6 * i], np.kron(want, horizontal), atol=1e-12)
+            np.testing.assert_allclose(pis[i], np.kron(horizontal, want), atol=1e-12)
 
     def test_projectors_are_rank_one(self):
-        """Each analyzer projector is idempotent with unit trace."""
-        rng = np.random.default_rng(79)
-        for _ in range(100):
-            setting = MeasurementSetting(
-                PartySetting(rng.uniform(0, np.pi), rng.uniform() < 0.5,
-                             rng.uniform(0, np.pi)),
-                PartySetting(0.0),
-            )
-            pi = projector(setting, "A")
+        """Each coincidence projector is idempotent with unit trace."""
+        for pi in setting_projectors():
             np.testing.assert_allclose(pi @ pi, pi, atol=1e-12)
             assert np.trace(pi).real == pytest.approx(1.0, abs=1e-12)
 
     def test_standard_settings_layout(self):
-        """36 pairwise settings, ordered with party B fastest."""
-        assert len(SETTINGS) == 36
-        first = SETTINGS[0]
-        assert first.party_a.polarizer_angle == pytest.approx(0.0)
-        assert first.party_b.polarizer_angle == pytest.approx(0.0)
-        # setting 1 changes party B only
-        second = SETTINGS[1]
-        assert second.party_a.polarizer_angle == pytest.approx(0.0)
-        assert second.party_b.polarizer_angle != pytest.approx(0.0)
+        """36 pairwise settings, ordered with party B fastest, in projectors and CSV columns."""
+        pis = setting_projectors()
+        assert pis.shape == (36, 4, 4)
+        for j, pi in enumerate(pis):
+            want = np.kron(ANALYZER_PROJECTORS[j // 6], ANALYZER_PROJECTORS[j % 6])
+            np.testing.assert_allclose(pi, want, atol=1e-12)
+        # setting 1 changes party B only, setting 6 party A only, setting 4 puts in B's plate
+        zero = ["0.000000", "0", "0.000000"]
+        assert tomo._csv_columns(0) == zero + zero
+        assert tomo._csv_columns(1) == zero + ["90.000000", "0", "0.000000"]
+        assert tomo._csv_columns(6) == ["90.000000", "0", "0.000000"] + zero
+        assert tomo._csv_columns(4) == zero + ["45.000000", "1", "0.000000"]
+        assert tomo._csv_columns(35) == ["135.000000", "1", "0.000000"] * 2
 
     def test_design_matrix_has_full_rank(self):
         """The 36 joint projectors span the full operator space."""
-        pis = setting_projectors(SETTINGS)
+        pis = setting_projectors()
         design = pis.reshape(36, 16)
         assert np.linalg.matrix_rank(design, tol=1e-10) == 16
 
     def test_cached_design_matches_a_fresh_build(self):
         """The memoised design equals a fresh build of the standard settings and is read-only."""
         design = tomo._design()
-        fresh = setting_projectors(standard_settings())
+        fresh = setting_projectors()
         np.testing.assert_array_equal(design.projectors, fresh)
         np.testing.assert_array_equal(
             design.matrix, fresh.transpose(0, 2, 1).reshape(36, 16)
@@ -425,19 +418,28 @@ class TestCounting:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_angles_are_refused(self, bad, tmp_path):
-        """A NaN or infinite analyzer angle is refused by name, directly or from CSV."""
-        with pytest.raises(ValueError, match="polarizer_angle must be finite"):
-            PartySetting(bad)
-        with pytest.raises(ValueError, match="qwp_angle must be finite"):
-            PartySetting(0.0, qwp_in=True, qwp_angle=bad)
+        """A NaN or infinite analyzer angle in a CSV is refused with its column and row named."""
         path = tmp_path / "counts.csv"
         counts_to_csv(CountData(np.ones(36), 100), path)
         edit_csv(path, 3, 1, f"{bad}")  # theta_a
-        with pytest.raises(ValueError, match="polarizer_angle must be finite"):
+        with pytest.raises(ValueError, match=f"theta_a must be finite, got {bad} in data row 3"):
+            counts_from_csv(path, pairs_per_setting=100)
+
+    @pytest.mark.parametrize("column, name", [
+        (1, "theta_a"), (3, "qwp_theta_a"), (4, "theta_b"), (6, "qwp_theta_b"), (7, "count"),
+    ])
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_non_numeric_fields_are_refused_by_column_and_row(self, tmp_path, column, name, value):
+        """An angle or count that is not a number is refused, naming its column and data row."""
+        path = tmp_path / "counts.csv"
+        counts_to_csv(CountData(np.ones(36), 100), path)
+        edit_csv(path, 7, column, value)
+        want = f"{name} must be a number, got {value!r} in data row 7"
+        with pytest.raises(ValueError, match=re.escape(want)):
             counts_from_csv(path, pairs_per_setting=100)
 
     @pytest.mark.parametrize("column, name", [(2, "qwp_a"), (5, "qwp_b")])
-    @pytest.mark.parametrize("flag", ["7", "0.5"])
+    @pytest.mark.parametrize("flag", ["7", "0.5", "abc", ""])
     def test_plate_flags_must_read_0_or_1(self, tmp_path, column, name, flag):
         """A plate flag other than 0 or 1 is refused with its column and row named."""
         path = tmp_path / "counts.csv"
@@ -713,7 +715,7 @@ class TestMle:
 
     def test_standard_projectors_sum_to_nine_identity(self):
         """The 36 standard projectors sum to 9 I, so the fit weighs Pi_j / 9 and fits rho itself."""
-        total = setting_projectors(SETTINGS).sum(axis=0)
+        total = setting_projectors().sum(axis=0)
         np.testing.assert_allclose(total, 9.0 * np.eye(4), rtol=0, atol=1e-15)
 
     def test_batched_fits_match_the_per_sample_oracle(self):
