@@ -351,7 +351,9 @@ class ReconstructionResult:
     floor that keeps the likelihood finite. ``gap`` is the certified
     optimality gap of the likelihood fit at the returned state (see
     :func:`mle_reconstruct`); it is 0.0 for linear inversion, which
-    solves its own problem exactly.
+    solves its own problem exactly. The fitters keep a whole stack of fits
+    as one record of arrays; a result is built only for a fit that is
+    handed out: the one-row calls and each bootstrap branch's point fit.
     """
 
     rho: DensityMatrix
@@ -369,59 +371,96 @@ def _loglike(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.sum(counts * np.log(np.maximum(probs, PROBABILITY_FLOOR)), axis=-1)
 
 
-def _result(
-    rho: np.ndarray, error: ValueError | None, **bookkeeping
-) -> ReconstructionResult | ValueError:
-    """The result of one fitted row, or ``error``, the refusal of its state.
+@dataclass
+class _Fits:
+    """The fits of a (B, 36) count stack, one entry per row in every field.
 
-    Both estimators check each stack of fitted rows with one call of
-    :func:`~fransonsim.qcore._state_errors` and build every row here:
-    ``error`` is the row's entry of that check, ``rho`` becomes a
-    :class:`DensityMatrix` without a second check, and ``bookkeeping`` are
-    the other :class:`ReconstructionResult` fields.
+    ``rho`` is the (B, 4, 4) stack of fitted states and ``iterations``,
+    ``loglike``, ``converged``, ``floor_hits`` and ``gap`` are (B,) arrays
+    of the :class:`ReconstructionResult` fields of the same names.
+    ``errors`` holds, per row, None or the exception that refused the row;
+    the arrays of a refused row hold no fit. ``history`` holds each row's
+    log-likelihood per iterate, recorded only by the one-row MLE call and
+    empty otherwise. Both estimators fill one record per stack, and only
+    :meth:`result` builds an object for a row.
     """
-    if error is not None:
-        return error
-    # a copy, so that a kept fit does not hold its whole batch
-    return ReconstructionResult(rho=DensityMatrix._checked(rho.copy()), **bookkeeping)
+
+    rho: np.ndarray
+    iterations: np.ndarray
+    loglike: np.ndarray
+    converged: np.ndarray
+    floor_hits: np.ndarray
+    gap: np.ndarray
+    errors: list
+    history: list
+
+    @classmethod
+    def blank(cls, n: int, error: Exception | None = None) -> "_Fits":
+        """``n`` rows with no fit, each refused with ``error``."""
+        return cls(
+            np.zeros((n, 4, 4), dtype=complex), np.zeros(n, dtype=int), np.zeros(n),
+            np.zeros(n, dtype=bool), np.zeros(n, dtype=int), np.zeros(n), [error] * n, [()] * n,
+        )
+
+    def put(self, rows, fits: "_Fits") -> None:
+        """Write every row of ``fits`` into the rows ``rows`` of this record."""
+        for name in ("rho", "iterations", "loglike", "converged", "floor_hits", "gap"):
+            getattr(self, name)[rows] = getattr(fits, name)
+        for i, error, history in zip(rows, fits.errors, fits.history):
+            self.errors[i], self.history[i] = error, history
+
+    def result(self, i: int, method: str) -> ReconstructionResult:
+        """Row ``i`` as a :class:`ReconstructionResult`; a refused row raises its error.
+
+        The state is a copy, so that a kept fit does not hold its batch. A
+        linear fit's log-likelihood history is its one log-likelihood.
+        """
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        loglike = float(self.loglike[i])
+        return ReconstructionResult(
+            rho=DensityMatrix._checked(self.rho[i].copy()),
+            method=method,
+            iterations=int(self.iterations[i]),
+            loglike=loglike,
+            converged=bool(self.converged[i]),
+            floor_hits=int(self.floor_hits[i]),
+            loglike_history=(loglike,) if method == "linear" else self.history[i],
+            gap=float(self.gap[i]),
+        )
 
 
-def _batch_or_rows(fit, design: _Design, counts: np.ndarray, *args) -> list:
+def _batch_or_rows(fit, design: _Design, counts: np.ndarray, *args) -> _Fits:
     """``fit(design, counts, *args)``, or each row alone if the batch raises.
 
     A ``LinAlgError`` in one row fails the whole stacked solve, so the rows
-    are then fitted one by one; a row that raises on its own gets the error
-    as its entry.
+    are then fitted one by one and their one-row records joined; a row that
+    raises on its own is refused with that error.
     """
     try:
         return fit(design, counts, *args)
     except np.linalg.LinAlgError as exc:
         if len(counts) == 1:
-            return [exc]
-    return [_batch_or_rows(fit, design, row[None], *args)[0] for row in counts]
+            return _Fits.blank(1, exc)
+    fits = _Fits.blank(len(counts))
+    for i, row in enumerate(counts):
+        fits.put([i], _batch_or_rows(fit, design, row[None], *args))
+    return fits
 
 
-def _unwrap(fit: ReconstructionResult | Exception) -> ReconstructionResult:
-    """The fit of one row; a row that was refused raises its error."""
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
-
-
-def _linear_fits(counts: np.ndarray, pairs_per_setting: int) -> list:
+def _linear_fits(counts: np.ndarray, pairs_per_setting: int) -> _Fits:
     """Linear inversion of every row of ``counts`` (B, 36) in one batched solve.
 
     The cached pseudo-inverse solves each row, and every later step is a
     stacked pass that acts on each row alone, so a row's fit does not
-    depend on its batch. Failures are per row: the result is one entry per
-    row, the :class:`ReconstructionResult` or the exception that rejected
-    the row (a collapse to the zero matrix, a failed validation or a
-    ``LinAlgError``).
+    depend on its batch. Failures are per row: a row's entry of
+    ``errors`` is the exception that rejected it (a collapse to the zero
+    matrix, a failed validation or a ``LinAlgError``).
     """
     return _batch_or_rows(_linear_batch, _design(), counts, pairs_per_setting)
 
 
-def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -> list:
+def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -> _Fits:
     """The solve of :func:`_linear_fits`, row by row in real arithmetic."""
     freqs = counts / float(pairs_per_setting)
     raw = np.matmul(freqs[:, None, :], design.pinv).view(complex).reshape(-1, 4, 4)
@@ -435,17 +474,21 @@ def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -
     rhos = (eigvecs * shares[:, None, :]) @ eigvecs.conj().transpose(0, 2, 1)
     frame = design.projectors.reshape(_N_SETTINGS, 16).view(float).T
     probs = np.matmul(rhos.reshape(-1, 1, 16).view(float), frame)[:, 0]
-    return [
-        ValueError("reconstruction collapsed to the zero matrix") if total <= 0.0
-        else _result(
-            rho, error, method="linear", iterations=1, loglike=float(ll), converged=True,
-            floor_hits=int(hits), loglike_history=(float(ll),),
-        )
-        for rho, error, total, ll, hits in zip(
-            rhos, _state_errors(rhos), totals, _loglike(counts, probs),
-            (probs < PROBABILITY_FLOOR).sum(axis=1),
-        )
-    ]
+    n = len(counts)
+    collapsed = ValueError("reconstruction collapsed to the zero matrix")
+    return _Fits(
+        rho=rhos,
+        iterations=np.ones(n, dtype=int),
+        loglike=_loglike(counts, probs),
+        converged=np.ones(n, dtype=bool),
+        floor_hits=(probs < PROBABILITY_FLOOR).sum(axis=1),
+        gap=np.zeros(n),
+        errors=[
+            collapsed if total <= 0.0 else error
+            for total, error in zip(totals.tolist(), _state_errors(rhos))
+        ],
+        history=[()] * n,
+    )
 
 
 def linear_inversion(data: CountData) -> ReconstructionResult:
@@ -458,8 +501,7 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
     that :func:`monte_carlo_metrics` runs; a collapse to the zero matrix
     and a failed validation raise.
     """
-    [fit] = _linear_fits(data.counts[None], data.pairs_per_setting)
-    return _unwrap(fit)
+    return _linear_fits(data.counts[None], data.pairs_per_setting).result(0, "linear")
 
 
 # RrhoR iterations after which a fit still open switches to Newton steps.
@@ -554,7 +596,7 @@ def _mle_fits(
     tol: float = MLE_DEFAULT_TOL,
     max_iter: int = MLE_DEFAULT_MAX_ITER,
     history: bool = False,
-) -> list:
+) -> _Fits:
     """Maximum-likelihood fits of every row of ``counts`` (B, 36) in one batch.
 
     The 36 standard projectors sum to 9 I, so each row fits the unit-trace
@@ -590,27 +632,25 @@ def _mle_fits(
     floored at PROBABILITY_FLOOR so empty settings cannot blow up the
     weights.
 
-    Failures are per row: the result is one entry per row, the
-    :class:`ReconstructionResult` or the exception that rejected the row
-    (counts that are all zero, a failed validation or a ``LinAlgError``;
-    the latter fails the whole batch, which is then refitted row by row).
-    Rows of zeros are refused before the iteration, so the other rows stay
-    one batch. Only with ``history`` does a result carry the log-likelihood
-    of every iterate.
+    Failures are per row: a row's entry of ``errors`` is the exception
+    that rejected it (counts that are all zero, a failed validation or a
+    ``LinAlgError``; the latter fails the whole batch, which is then
+    refitted row by row). Rows of zeros are refused before the iteration,
+    so the other rows stay one batch. Only with ``history`` does the record
+    carry the log-likelihood of every iterate.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    fits = [ValueError("the counts are all zero, there is nothing to fit")] * len(counts)
-    rows = np.flatnonzero(counts.any(axis=1))
-    if len(rows) == 0:
-        return fits
-    found = _batch_or_rows(
-        _fit_batch, _design(), counts[rows], pairs_per_setting, tol, max_iter, history
+    fits = _Fits.blank(
+        len(counts), ValueError("the counts are all zero, there is nothing to fit")
     )
-    for i, fit in zip(rows, found):
-        fits[i] = fit
+    rows = np.flatnonzero(counts.any(axis=1))
+    if len(rows) > 0:
+        fits.put(rows, _batch_or_rows(
+            _fit_batch, _design(), counts[rows], pairs_per_setting, tol, max_iter, history
+        ))
     return fits
 
 
@@ -621,9 +661,12 @@ def _fit_batch(
     tol: float,
     max_iter: int,
     history: bool,
-) -> list:
-    """The iteration of :func:`_mle_fits`; ``y``, the one stack carried, is real until Newton."""
-    fits = [None] * len(counts)
+) -> _Fits:
+    """The iteration of :func:`_mle_fits`; ``y``, the one stack carried, is real until Newton.
+
+    Each row is written into the preallocated record when it stops.
+    """
+    fits = _Fits.blank(len(counts))
     rows = np.arange(len(counts))  # input row of each batch row
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
@@ -673,15 +716,13 @@ def _fit_batch(
         if len(done) == 0:
             continue
         rhos, probs = _states(design, finished)
-        for k, rho, error, ll in zip(
-            done, rhos, _state_errors(rhos), _loglike(counts[rows[done]], probs)
-        ):
-            fits[rows[k]] = _result(
-                rho, error, method="mle", iterations=iteration, loglike=float(ll),
-                converged=bool(converged[k]), floor_hits=int(floor_hits[k]),
-                loglike_history=tuple(logs[rows[k]]) if history else (),
-                gap=float(gap[k]),
-            )
+        stop = rows[done]
+        fits.put(stop, _Fits(
+            rho=rhos, iterations=np.full(len(done), iteration),
+            loglike=_loglike(counts[stop], probs), converged=converged[done],
+            floor_hits=floor_hits[done], gap=gap[done], errors=_state_errors(rhos),
+            history=[tuple(logs[i]) for i in stop] if history else [()] * len(done),
+        ))
         keep = ~stopped
         if not keep.any():
             break
@@ -710,10 +751,8 @@ def mle_reconstruct(
     that are all zero and a failed validation are refused with a
     ``ValueError``.
     """
-    [fit] = _mle_fits(
-        data.counts[None], data.pairs_per_setting, tol, max_iter, history=True
-    )
-    return _unwrap(fit)
+    fits = _mle_fits(data.counts[None], data.pairs_per_setting, tol, max_iter, history=True)
+    return fits.result(0, "mle")
 
 
 @dataclass(frozen=True)
@@ -856,10 +895,12 @@ def monte_carlo_metrics(
     the chosen fitter reconstructs every row the same way: one linear
     solve, or one stacked likelihood fit (see :func:`_mle_fits`;
     ``mle_opts`` are its ``tol`` and ``max_iter``, and linear inversion
-    ignores them). The fitter validates its fitted states once per stack,
-    and the four metrics of every row are one stacked pass
-    (:func:`_metric_rows`). Row 0 is the point estimate: the point values
-    come from it, it is returned as ``point_fit``, and its failure is
+    ignores them). The fitter validates its fitted states once per stack
+    and returns them as one stacked record, and the four metrics of every
+    kept row are one stacked pass over it (:func:`_metric_rows`); no
+    resample becomes an object of its own. Row 0 is the point estimate:
+    the point values come from it, it alone is returned as a
+    :class:`ReconstructionResult` (``point_fit``), and its failure is
     raised. Sigmas are the standard deviations over the resamples. With
     ``resample=False`` (the analytic, zero-noise path) only row 0 is fitted
     and all sigmas are exactly 0. Samples whose counts or reconstruction
@@ -890,11 +931,14 @@ def _bootstrap_reports(
     then the resamples drawn from ``default_rng(seeds[i])`` that pass the
     count check, exactly the rows :func:`monte_carlo_metrics` would fit for
     it alone. The blocks are stacked in branch order, one call of the
-    fitter reconstructs them all, and one :func:`_metric_rows` pass scores
-    every kept fit. Everything else is per block: row 0 is the branch's
-    point fit, whose failure is raised in branch order; ``n_failed``, the
-    10% abort and ``n_nonconverged`` count the block's resamples; the
-    sigmas are the block's standard deviations. The count sets must share
+    fitter reconstructs them all into one stacked record, and one
+    :func:`_metric_rows` pass scores the fitted states of every row that
+    was not refused. Everything else is per block: row 0 is the branch's
+    point fit, the only row that becomes a :class:`ReconstructionResult`,
+    and its failure is raised in branch order; ``n_failed``, the 10% abort
+    and ``n_nonconverged`` are counts over the ``errors`` and ``converged``
+    entries of the block's resamples; the sigmas are the block's standard
+    deviations. The count sets must share
     their ``pairs_per_setting``, or a ``ValueError`` says which differs.
     """
     if n_samples < 10:
@@ -928,33 +972,27 @@ def _bootstrap_reports(
         errors = _count_errors(batch[:, 1:].reshape(-1, _N_SETTINGS), pairs)
         keep[:, 1:] = np.reshape([error is None for error in errors], (len(datas), draws))
     fits = fitter(batch[keep], pairs)
-    branches = []  # (point fit, kept resample fits, failed) of each block
-    start = 0
+    ok = np.array([error is None for error in fits.errors])
+    rows = _metric_rows(fits.rho[ok], angles)
+    reports = []
+    start = first = 0  # the block's first fitted row and its first metric row
     for size in keep.sum(axis=1).tolist():
-        point_fit, *sample_fits = fits[start:start + size]
-        start += size
-        point_fit = _unwrap(point_fit)
-        sample_fits = [fit for fit in sample_fits if not isinstance(fit, Exception)]
-        failed = draws - len(sample_fits)
+        point_fit = fits.result(start, method)
+        samples = slice(start + 1, start + size)
+        kept = int(np.count_nonzero(ok[samples]))
+        failed = draws - kept
         if failed > 0.1 * n_samples:
             raise RuntimeError(f"{failed}/{n_samples} bootstrap reconstructions failed")
-        branches.append((point_fit, sample_fits, failed))
-    rows = _metric_rows(
-        np.stack([fit.rho.data for point, samples, _ in branches for fit in (point, *samples)]),
-        angles,
-    )
-    reports = []
-    start = 0
-    for point_fit, sample_fits, failed in branches:
-        block = rows[start:start + 1 + len(sample_fits)]
-        start += len(block)
+        block = rows[first:first + 1 + kept]
         sigmas = np.std(block[1:], axis=0, ddof=1) if resample else np.zeros(4)
         reports.append(MetricsReport(
             **{name: float(value) for name, value in zip(METRIC_NAMES, block[0])},
             **{name + "_sigma": float(sd) for name, sd in zip(METRIC_NAMES, sigmas)},
             n_samples=draws,
             n_failed=failed,
-            n_nonconverged=sum(not fit.converged for fit in sample_fits),
+            n_nonconverged=int(np.count_nonzero(ok[samples] & ~fits.converged[samples])),
             point_fit=point_fit,
         ))
+        start += size
+        first += len(block)
     return reports

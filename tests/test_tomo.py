@@ -124,7 +124,7 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
     loop must match bit for bit: RrhoR steps on the real 8x8 form of the
     iterate, then complex Newton steps. It records no ``history``.
     """
-    fits = [None] * len(counts)
+    fits = tomo._Fits.blank(len(counts))
     rows = np.arange(len(counts))
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
@@ -158,14 +158,12 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
             continue
         done = np.flatnonzero(stopped)
         rhos, probs = tomo._states(design, y[done])
-        for k, rho, error, ll in zip(
-            done, rhos, qcore._state_errors(rhos), tomo._loglike(counts[rows[done]], probs)
-        ):
-            fits[rows[k]] = tomo._result(
-                rho, error, method="mle", iterations=iteration, loglike=float(ll),
-                converged=bool(converged[k]), floor_hits=int(floor_hits[k]),
-                gap=float(gap[k]),
-            )
+        fits.put(rows[done], tomo._Fits(
+            rho=rhos, iterations=np.full(len(done), iteration),
+            loglike=tomo._loglike(counts[rows[done]], probs), converged=converged[done],
+            floor_hits=floor_hits[done], gap=gap[done], errors=qcore._state_errors(rhos),
+            history=[()] * len(done),
+        ))
         keep = ~stopped
         if not keep.any():
             break
@@ -173,6 +171,14 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
             a[keep] for a in (rows, freqs, total, y, r_op, gap, mu, floor_hits)
         )
     return fits
+
+
+def fit_rows(fits, method):
+    """Each row of a stacked fit record: its ReconstructionResult, or the error that refused it."""
+    return [
+        fits.result(i, method) if error is None else error
+        for i, error in enumerate(fits.errors)
+    ]
 
 
 def resamples(data, n_samples, seed):
@@ -569,7 +575,7 @@ class TestLinearInversion:
     def test_batch_rows_match_one_row_fits(self):
         """Each batch row is its one-row fit: the state bit for bit, log L to rounding."""
         datas = [simulate_counts(tilted_bell(0.3), 1_000, seed=s) for s in range(5)]
-        fits = tomo._linear_fits(np.stack([d.counts for d in datas]), 1_000)
+        fits = fit_rows(tomo._linear_fits(np.stack([d.counts for d in datas]), 1_000), "linear")
         for data, fit in zip(datas, fits):
             alone = linear_inversion(data)
             np.testing.assert_array_equal(fit.rho.data, alone.rho.data)
@@ -586,10 +592,10 @@ class TestLinearInversion:
             *(simulate_counts(tilted_bell(p), 1_000, seed=s).counts
               for p in (0.5, 0.1) for s in range(4)),
         ])
-        fits = tomo._linear_fits(counts, 1_000)
+        fits = fit_rows(tomo._linear_fits(counts, 1_000), "linear")
         assert fits[0].floor_hits > 0
         for row, fit in zip(counts, fits):
-            [alone] = tomo._linear_fits(row[None], 1_000)
+            [alone] = fit_rows(tomo._linear_fits(row[None], 1_000), "linear")
             np.testing.assert_array_equal(alone.rho.data, fit.rho.data)
             assert (alone.loglike, alone.floor_hits) == (fit.loglike, fit.floor_hits)
 
@@ -597,7 +603,7 @@ class TestLinearInversion:
         """A row that collapses to zero is reported as its error; others still fit."""
         good = simulate_counts(tilted_bell(0.5), 1_000, seed=1).counts
         counts = np.stack([good, np.zeros(36), good])
-        fits = tomo._linear_fits(counts, 1_000)
+        fits = fit_rows(tomo._linear_fits(counts, 1_000), "linear")
         assert isinstance(fits[1], ValueError)
         assert "collapsed" in str(fits[1])
         for k in (0, 2):
@@ -657,7 +663,7 @@ class TestMle:
             y8, _ = tomo._rrr_step(tomo._real_r_operator(design, freqs, y8)[0], y8)
         assert np.abs(y8[:, :4, :4] - y8[:, 4:, 4:]).max() < 1e-13
         assert np.abs(y8[:, 4:, :4] + y8[:, :4, 4:]).max() < 1e-13
-        [fit] = tomo._mle_fits(counts[None], 2_600_000, tol=1e-14, max_iter=200)
+        [fit] = fit_rows(tomo._mle_fits(counts[None], 2_600_000, tol=1e-14, max_iter=200), "mle")
         assert (fit.iterations, fit.converged) == (200, False)
         assert np.linalg.eigvalsh(fit.rho.data)[:-1].max() < 1e-3  # nearly rank 1
         for rho in (fit.rho.data, tomo._states(design, y8)[0][0]):
@@ -724,12 +730,12 @@ class TestMle:
         rows += [simulate_counts(tilted_bell(0.3), 3_000, seed=s) for s in (0, 1, 2)]
         counts = np.stack([d.counts for d in rows])
         short, full = (
-            tomo._mle_fits(counts, 3_000, max_iter=budget)
+            fit_rows(tomo._mle_fits(counts, 3_000, max_iter=budget), "mle")
             for budget in (220, 1_000)
         )
         for budget, fits in ((220, short), (1_000, full)):
             for row, fit in zip(counts, fits):
-                [alone] = tomo._mle_fits(row[None], 3_000, max_iter=budget)
+                [alone] = fit_rows(tomo._mle_fits(row[None], 3_000, max_iter=budget), "mle")
                 assert (fit.iterations, fit.converged) == (alone.iterations, alone.converged)
                 np.testing.assert_allclose(fit.rho.data, alone.rho.data, rtol=0, atol=1e-12)
                 assert fit.loglike_history == ()
@@ -767,7 +773,7 @@ class TestMle:
         counts = np.stack([d.counts for d in rows])
         flags = []
         for tol, budget in ((1e-10, 3), (1e-10, 220), (1e-10, 10_000), (1e-6, 10_000)):
-            for fit in tomo._mle_fits(counts, 3_000, tol=tol, max_iter=budget):
+            for fit in fit_rows(tomo._mle_fits(counts, 3_000, tol=tol, max_iter=budget), "mle"):
                 assert fit.converged == (fit.gap <= tol)
                 flags.append(fit.converged)
         assert True in flags and False in flags
@@ -791,7 +797,7 @@ class TestMle:
                 simulate_counts(tilted_bell(0.5), 3, seed=0).counts,
             ]),
         ]
-        fields = ("iterations", "converged", "gap", "floor_hits", "loglike")
+        fields = ("iterations", "converged", "gap", "floor_hits", "loglike", "rho")
         floor_hits = 0
         for pairs, rows in batches:
             counts = np.stack(rows)
@@ -799,10 +805,10 @@ class TestMle:
             with monkeypatch.context() as patch:
                 patch.setattr(tomo, "_fit_batch", unscreened_fit_batch)
                 want = tomo._mle_fits(counts, pairs, tol, max_iter)
-            for got, ref in zip(screened, want):
-                assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
-                np.testing.assert_array_equal(got.rho.data, ref.rho.data)
-                floor_hits += got.floor_hits
+            assert screened.errors == want.errors == [None] * len(counts)
+            for name in fields:
+                np.testing.assert_array_equal(getattr(screened, name), getattr(want, name))
+            floor_hits += screened.floor_hits.sum()
         # the pure rows reach the floor once the fit runs long and tight
         assert floor_hits > 0 or tol > 1e-6 or max_iter < 199
 
@@ -838,7 +844,7 @@ class TestMle:
         counted = []
         for fit in (unscreened_fit_batch, screened):
             solved[0] = 0
-            iterations = sum(f.iterations for f in fit(design, counts, *args))
+            iterations = int(fit(design, counts, *args).iterations.sum())
             counted.append((solved[0], iterations))
         (plain, plain_iterations), (rows, iterations) = counted
         assert plain == plain_iterations == iterations
@@ -847,7 +853,7 @@ class TestMle:
     def test_zero_rows_are_refused_before_the_batch(self, monkeypatch):
         """A row of zeros is refused by name; the other rows stay one batch."""
         good = simulate_counts(tilted_bell(0.5), 3_000, seed=1).counts
-        [alone] = tomo._mle_fits(good[None], 3_000)
+        [alone] = fit_rows(tomo._mle_fits(good[None], 3_000), "mle")
         batches = []
         real = tomo._fit_batch
 
@@ -856,7 +862,7 @@ class TestMle:
             return real(design, counts, *args)
 
         monkeypatch.setattr(tomo, "_fit_batch", spy)
-        empty, fit = tomo._mle_fits(np.stack([np.zeros(36), good]), 3_000)
+        empty, fit = fit_rows(tomo._mle_fits(np.stack([np.zeros(36), good]), 3_000), "mle")
         assert batches == [1]
         assert isinstance(empty, ValueError) and "all zero" in str(empty)
         assert (fit.iterations, fit.converged, fit.loglike) == (
@@ -1316,6 +1322,29 @@ class TestBootstrapReports:
             monte_carlo_metrics(datas[1], 20, seeds[1], method)
         with pytest.raises(RuntimeError, match="3/20"):
             tomo._bootstrap_reports(datas, seeds, n_samples=20, method=method)
+
+    @pytest.mark.parametrize("method", ["mle", "linear"])
+    def test_only_the_point_fits_become_results(self, monkeypatch, method):
+        """Three branches of 21 fitted rows each build exactly three ReconstructionResults.
+
+        The resamples stay rows of the stacked fit record; each branch's point
+        fit is a copy of its row, so it does not hold the batch.
+        """
+        datas = [simulate_counts(tilted_bell(p), 2_000, seed=3) for p in (0.5, 0.3, 0.1)]
+        built = []
+        real = tomo.ReconstructionResult
+
+        def counted(**fields):
+            built.append(fields["rho"])
+            return real(**fields)
+
+        monkeypatch.setattr(tomo, "ReconstructionResult", counted)
+        reports = tomo._bootstrap_reports(datas, [0, 1, 2], n_samples=20, method=method)
+        assert [(r.n_samples, r.n_failed) for r in reports] == [(20, 0)] * 3
+        assert len(built) == 3
+        for report, rho in zip(reports, built):
+            assert report.point_fit.rho is rho
+            assert rho.data.base is None and rho.data.shape == (4, 4)
 
     def test_branches_must_share_flux(self):
         """Count sets of another pairs_per_setting are refused by name."""
