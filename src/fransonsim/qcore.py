@@ -285,14 +285,18 @@ _YY = np.kron(PAULI_Y, PAULI_Y)
 def _concurrences(stack: np.ndarray) -> np.ndarray:
     """Concurrence of every state of a (B, 4, 4) stack (Wootters, PRL 80, 2245, 1998).
 
-    Uses the spin-flipped product rho (sy x sy) rho* (sy x sy): with its
-    eigenvalues' square roots sorted descending, the concurrence is
-    max(0, l1 - l2 - l3 - l4).
+    The Wootters values l1 >= l2 >= l3 >= l4 are the square roots of the
+    eigenvalues of rho (sy x sy) rho* (sy x sy), and the concurrence is
+    max(0, l1 - l2 - l3 - l4). With rho = A A^dag, A = V sqrt(w) from the
+    eigendecomposition rho = V diag(w) V^dag (w clipped at 0), they are the
+    singular values of A^T (sy x sy) A, which this reads directly: no
+    square root of a rounded near-zero eigenvalue, so a rank-deficient
+    state keeps full precision.
     """
-    flipped = stack @ _YY @ stack.conj() @ _YY
-    lams = np.sqrt(np.clip(np.linalg.eigvals(flipped).real, 0.0, None))
-    lams.sort(axis=1)
-    excess = lams[:, -1] - lams[:, -2] - lams[:, -3] - lams[:, -4]
+    eigvals, eigvecs = np.linalg.eigh(stack)
+    roots = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    lams = np.linalg.svd(roots.transpose(0, 2, 1) @ _YY @ roots, compute_uv=False)
+    excess = lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3]
     return np.where(excess > 0.0, excess, 0.0)
 
 

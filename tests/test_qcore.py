@@ -190,12 +190,12 @@ def metric_stack():
 
 
 def concurrence_oracle(rho):
-    """The one-matrix Wootters concurrence, as written before the stacked kernel."""
+    """The one-matrix Wootters concurrence: singular values of A^T (sy x sy) A, rho = A A^dag."""
     yy = np.kron(PAULI_Y, PAULI_Y)
-    lams = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy).real
-    lams = np.sqrt(np.clip(lams, 0.0, None))
-    lams.sort()
-    return float(max(0.0, lams[-1] - lams[-2] - lams[-3] - lams[-4]))
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    roots = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    lams = np.linalg.svd(roots.T @ yy @ roots, compute_uv=False)
+    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
 class TestStackedMetrics:
@@ -214,6 +214,37 @@ class TestStackedMetrics:
         # the product states sit at concurrence 0, some of them at the clip itself
         assert con[3::4].max() < 1e-8
         assert np.count_nonzero(con == 0.0) > 0
+
+    def test_concurrence_matches_closed_forms(self):
+        """Pure, Werner and rank-deficient linear-inversion states give their closed forms to 1e-13.
+
+        A pure ket (a, b, c, d) has C = 2 |ad - bc|; a Werner state
+        p |Phi+><Phi+| + (1 - p) I / 4 has C = max(0, (3p - 1) / 2). Linear
+        inversion of the exact counts of a pure tilted Bell state leaves a
+        state of rank 1 up to eigenvalues of order 1e-16, whose concurrence
+        is that of the ket. Square roots of those rounded eigenvalues put
+        the spin-flip eigenvalue form off by up to about 1e-8 here.
+        """
+        from fransonsim.tomo import analytic_counts, linear_inversion
+
+        rng = np.random.default_rng(8)
+        kets = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        got = _concurrences(kets[:, :, None] * kets.conj()[:, None, :])
+        want = 2.0 * np.abs(kets[:, 0] * kets[:, 3] - kets[:, 1] * kets[:, 2])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+        weights = np.linspace(0.0, 1.0, 21)
+        bell = np.outer(PHI_PLUS_KET, PHI_PLUS_KET.conj())
+        werner = weights[:, None, None] * bell + (1.0 - weights[:, None, None]) * np.eye(4) / 4
+        want = np.maximum(0.0, (3.0 * weights - 1.0) / 2.0)
+        np.testing.assert_allclose(_concurrences(werner), want, rtol=0, atol=1e-13)
+
+        for p in (0.5, 0.3, 0.1, 0.02):
+            ket = np.array([np.sqrt(p), 0.0, 0.0, np.sqrt(1.0 - p)])
+            fit = linear_inversion(analytic_counts(DensityMatrix.pure(ket), 260_000))
+            assert np.linalg.eigvalsh(fit.rho.data)[:3].max() < 1e-15
+            assert concurrence(fit.rho) == pytest.approx(2.0 * np.sqrt(p * (1.0 - p)), abs=1e-13)
 
 
 class TestTensorAndPermutation:
