@@ -143,6 +143,11 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.diagnostics))
 
 
+# Each resample of each branch is a row of the run's one stacked fit, about
+# 8 KB per row in the MLE: a default purify run at this bound needs 1.6 GB.
+MAX_MC_SAMPLES = 100_000
+
+
 @dataclass(frozen=True)
 class TomographyConfig:
     """Counting statistics and estimator choices for both tomography arms."""
@@ -158,8 +163,10 @@ class TomographyConfig:
         _check_pairs(self.pairs_per_setting)
         if self.method not in RECON_METHODS:
             raise ValueError(f"method must be one of {RECON_METHODS}, got {self.method!r}")
-        if self.n_mc_samples < 10:
-            raise ValueError(f"n_mc_samples must be >= 10, got {self.n_mc_samples}")
+        if not 10 <= self.n_mc_samples <= MAX_MC_SAMPLES:
+            raise ValueError(
+                f"n_mc_samples must be in [10, {MAX_MC_SAMPLES}], got {self.n_mc_samples}"
+            )
         if not self.mle_tol > 0.0:
             raise ValueError(f"mle_tol must be positive, got {self.mle_tol}")
         if self.mle_max_iter < 1:

@@ -285,13 +285,11 @@ _YY = np.kron(PAULI_Y, PAULI_Y)
 def _concurrences(stack: np.ndarray) -> np.ndarray:
     """Concurrence of every state of a (B, 4, 4) stack (Wootters, PRL 80, 2245, 1998).
 
-    The Wootters values l1 >= l2 >= l3 >= l4 are the square roots of the
-    eigenvalues of rho (sy x sy) rho* (sy x sy), and the concurrence is
-    max(0, l1 - l2 - l3 - l4). With rho = A A^dag, A = V sqrt(w) from the
-    eigendecomposition rho = V diag(w) V^dag (w clipped at 0), they are the
-    singular values of A^T (sy x sy) A, which this reads directly: no
-    square root of a rounded near-zero eigenvalue, so a rank-deficient
-    state keeps full precision.
+    max(0, l1 - l2 - l3 - l4) for the Wootters values l1 >= ... >= l4, read
+    as the singular values of A^T (sy x sy) A, with rho = A A^dag and
+    A = V sqrt(w) from eigh(rho) (w clipped at 0). Unlike square roots of
+    the eigenvalues of rho (sy x sy) rho* (sy x sy), this keeps full
+    precision on rank-deficient states.
     """
     eigvals, eigvecs = np.linalg.eigh(stack)
     roots = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
@@ -387,23 +385,39 @@ def dumps_density_matrix(rho: DensityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dump_field(kind, token: str, line: int, column: int):
+    """``kind(token)``, or a refusal naming the line and the column of ``token``."""
+    try:
+        return kind(token)
+    except ValueError:
+        want = "an integer" if kind is int else "a complex number"
+        raise ValueError(
+            f"density-matrix dump line {line}, column {column}: expected {want}, got {token!r}"
+        ) from None
+
+
 def loads_density_matrix(text: str, weight: float = 1.0) -> DensityMatrix:
-    """Inverse of :func:`dumps_density_matrix`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Inverse of :func:`dumps_density_matrix`.
+
+    A field that does not parse is refused by its line of ``text`` and its
+    place among the whitespace-separated fields of that line, both from 1.
+    """
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty density-matrix dump")
-    head = lines[0].split()
+    (at, header), rows = lines[0], lines[1:]
+    head = header.split()
     if len(head) != 2 or head[0] != "dim":
-        raise ValueError(f"bad header line {lines[0]!r}, expected 'dim N'")
-    dim = int(head[1])
-    if len(lines) != dim + 1:
-        raise ValueError(f"expected {dim} rows, found {len(lines) - 1}")
+        raise ValueError(f"bad header line {header!r}, expected 'dim N'")
+    dim = _dump_field(int, head[1], at, 2)
+    if len(rows) != dim:
+        raise ValueError(f"expected {dim} rows, found {len(rows)}")
     data = np.zeros((dim, dim), dtype=complex)
-    for i, line in enumerate(lines[1:]):
+    for i, (at, line) in enumerate(rows):
         entries = line.split()
         if len(entries) != dim:
             raise ValueError(f"row {i} has {len(entries)} entries, expected {dim}")
-        data[i] = [complex(tok) for tok in entries]
+        data[i] = [_dump_field(complex, tok, at, k) for k, tok in enumerate(entries, start=1)]
     return DensityMatrix(data, weight=weight)
 
 

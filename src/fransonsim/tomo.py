@@ -206,9 +206,7 @@ def _count_errors(counts: np.ndarray, pairs_per_setting: int) -> list[ValueError
         elif lo < 0.0:
             errors[i] = ValueError(f"negative count: {lo}")
         else:
-            errors[i] = ValueError(
-                f"count {hi} exceeds 50 * pairs_per_setting, inputs are inconsistent"
-            )
+            errors[i] = ValueError(f"count {hi} exceeds 50 * pairs_per_setting = {ceiling:g}")
     return errors
 
 
@@ -303,7 +301,8 @@ def counts_from_csv(path, pairs_per_setting: int) -> CountData:
     count a number. Each row must be the standard setting at its index: its
     ``setting_index`` the row's position from 0, the same plate flags, and
     angles within half a unit of the sixth written decimal of the standard
-    angle, modulo 180 deg. A row that breaks any of these is refused, naming
+    angle, modulo 180 deg. Its count must pass the checks of
+    :class:`CountData`. A row that breaks any of these is refused, naming
     the data row and the column.
     """
     with open(path, "r", encoding="ascii") as fh:
@@ -337,7 +336,13 @@ def counts_from_csv(path, pairs_per_setting: int) -> CountData:
                     f"setting there has {want}"
                 )
         counts.append(_csv_number(cols[7].strip(), names[7], row))
-    return CountData(np.array(counts), pairs_per_setting)
+    # the flux first, checked as CountData checks it, then each count alone
+    pairs_per_setting = CountData(np.zeros(_N_SETTINGS), pairs_per_setting).pairs_per_setting
+    counts = np.array(counts)
+    for row, error in enumerate(_count_errors(counts[:, None], pairs_per_setting), start=1):
+        if error is not None:
+            raise ValueError(f"{error} in data row {row}")
+    return CountData(counts, pairs_per_setting)
 
 
 @dataclass(frozen=True)
@@ -351,9 +356,8 @@ class ReconstructionResult:
     floor that keeps the likelihood finite. ``gap`` is the certified
     optimality gap of the likelihood fit at the returned state (see
     :func:`mle_reconstruct`); it is 0.0 for linear inversion, which
-    solves its own problem exactly. The fitters keep a whole stack of fits
-    as one record of arrays; a result is built only for a fit that is
-    handed out: the one-row calls and each bootstrap branch's point fit.
+    solves its own problem exactly. The fitters keep a stack of fits as one
+    record of arrays and build a result only for a fit they hand out.
     """
 
     rho: DensityMatrix
@@ -373,16 +377,14 @@ def _loglike(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Fits:
-    """The fits of a (B, 36) count stack, one entry per row in every field.
+    """The fits of a (B, 36) count stack as one record: row i of every field is row i's.
 
-    ``rho`` is the (B, 4, 4) stack of fitted states and ``iterations``,
-    ``loglike``, ``converged``, ``floor_hits`` and ``gap`` are (B,) arrays
-    of the :class:`ReconstructionResult` fields of the same names.
-    ``errors`` holds, per row, None or the exception that refused the row;
-    the arrays of a refused row hold no fit. ``history`` holds each row's
-    log-likelihood per iterate, recorded only by the one-row MLE call and
-    empty otherwise. Both estimators fill one record per stack, and only
-    :meth:`result` builds an object for a row.
+    ``rho`` is (B, 4, 4); ``iterations``, ``loglike``, ``converged``,
+    ``floor_hits`` and ``gap`` are (B,) arrays of the
+    :class:`ReconstructionResult` fields; ``errors`` holds None or the
+    exception that refused the row, whose arrays then hold no fit.
+    ``history`` is each row's log-likelihood per iterate, recorded only by
+    :func:`mle_reconstruct`.
     """
 
     rho: np.ndarray
@@ -397,10 +399,9 @@ class _Fits:
     @classmethod
     def blank(cls, n: int, error: Exception | None = None) -> "_Fits":
         """``n`` rows with no fit, each refused with ``error``."""
-        return cls(
-            np.zeros((n, 4, 4), dtype=complex), np.zeros(n, dtype=int), np.zeros(n),
-            np.zeros(n, dtype=bool), np.zeros(n, dtype=int), np.zeros(n), [error] * n, [()] * n,
-        )
+        ints, floats = np.zeros(n, dtype=int), np.zeros(n)
+        return cls(np.zeros((n, 4, 4), dtype=complex), ints, floats, ints.astype(bool),
+                   ints.copy(), floats.copy(), [error] * n, [()] * n)
 
     def put(self, rows, fits: "_Fits") -> None:
         """Write every row of ``fits`` into the rows ``rows`` of this record."""
@@ -410,23 +411,14 @@ class _Fits:
             self.errors[i], self.history[i] = error, history
 
     def result(self, i: int, method: str) -> ReconstructionResult:
-        """Row ``i`` as a :class:`ReconstructionResult`; a refused row raises its error.
-
-        The state is a copy, so that a kept fit does not hold its batch. A
-        linear fit's log-likelihood history is its one log-likelihood.
-        """
+        """Row ``i`` as a result holding a copy of its state; a refused row raises its error."""
         if self.errors[i] is not None:
             raise self.errors[i]
         loglike = float(self.loglike[i])
         return ReconstructionResult(
-            rho=DensityMatrix._checked(self.rho[i].copy()),
-            method=method,
-            iterations=int(self.iterations[i]),
-            loglike=loglike,
-            converged=bool(self.converged[i]),
-            floor_hits=int(self.floor_hits[i]),
-            loglike_history=(loglike,) if method == "linear" else self.history[i],
-            gap=float(self.gap[i]),
+            DensityMatrix._checked(self.rho[i].copy()), method, int(self.iterations[i]),
+            loglike, bool(self.converged[i]), int(self.floor_hits[i]),
+            (loglike,) if method == "linear" else self.history[i], float(self.gap[i]),
         )
 
 
@@ -475,20 +467,11 @@ def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -
     frame = design.projectors.reshape(_N_SETTINGS, 16).view(float).T
     probs = np.matmul(rhos.reshape(-1, 1, 16).view(float), frame)[:, 0]
     n = len(counts)
-    collapsed = ValueError("reconstruction collapsed to the zero matrix")
-    return _Fits(
-        rho=rhos,
-        iterations=np.ones(n, dtype=int),
-        loglike=_loglike(counts, probs),
-        converged=np.ones(n, dtype=bool),
-        floor_hits=(probs < PROBABILITY_FLOOR).sum(axis=1),
-        gap=np.zeros(n),
-        errors=[
-            collapsed if total <= 0.0 else error
-            for total, error in zip(totals.tolist(), _state_errors(rhos))
-        ],
-        history=[()] * n,
-    )
+    errors = _state_errors(rhos)
+    for i in np.flatnonzero(totals <= 0.0):
+        errors[i] = ValueError("reconstruction collapsed to the zero matrix")
+    return _Fits(rhos, np.ones(n, dtype=int), _loglike(counts, probs), np.ones(n, dtype=bool),
+                 (probs < PROBABILITY_FLOOR).sum(axis=1), np.zeros(n), errors, [()] * n)
 
 
 def linear_inversion(data: CountData) -> ReconstructionResult:
@@ -718,10 +701,9 @@ def _fit_batch(
         rhos, probs = _states(design, finished)
         stop = rows[done]
         fits.put(stop, _Fits(
-            rho=rhos, iterations=np.full(len(done), iteration),
-            loglike=_loglike(counts[stop], probs), converged=converged[done],
-            floor_hits=floor_hits[done], gap=gap[done], errors=_state_errors(rhos),
-            history=[tuple(logs[i]) for i in stop] if history else [()] * len(done),
+            rhos, np.full(len(done), iteration), _loglike(counts[stop], probs),
+            converged[done], floor_hits[done], gap[done], _state_errors(rhos),
+            [tuple(logs[i]) for i in stop] if history else [()] * len(done),
         ))
         keep = ~stopped
         if not keep.any():
@@ -895,12 +877,10 @@ def monte_carlo_metrics(
     the chosen fitter reconstructs every row the same way: one linear
     solve, or one stacked likelihood fit (see :func:`_mle_fits`;
     ``mle_opts`` are its ``tol`` and ``max_iter``, and linear inversion
-    ignores them). The fitter validates its fitted states once per stack
-    and returns them as one stacked record, and the four metrics of every
-    kept row are one stacked pass over it (:func:`_metric_rows`); no
-    resample becomes an object of its own. Row 0 is the point estimate:
-    the point values come from it, it alone is returned as a
-    :class:`ReconstructionResult` (``point_fit``), and its failure is
+    ignores them) into one stacked record, and the four metrics of every
+    kept row are one stacked pass over it (:func:`_metric_rows`). Row 0 is
+    the point estimate: the point values come from it, it alone becomes a
+    :class:`ReconstructionResult`, ``point_fit``, and its failure is
     raised. Sigmas are the standard deviations over the resamples. With
     ``resample=False`` (the analytic, zero-noise path) only row 0 is fitted
     and all sigmas are exactly 0. Samples whose counts or reconstruction
@@ -931,14 +911,13 @@ def _bootstrap_reports(
     then the resamples drawn from ``default_rng(seeds[i])`` that pass the
     count check, exactly the rows :func:`monte_carlo_metrics` would fit for
     it alone. The blocks are stacked in branch order, one call of the
-    fitter reconstructs them all into one stacked record, and one
-    :func:`_metric_rows` pass scores the fitted states of every row that
-    was not refused. Everything else is per block: row 0 is the branch's
-    point fit, the only row that becomes a :class:`ReconstructionResult`,
-    and its failure is raised in branch order; ``n_failed``, the 10% abort
-    and ``n_nonconverged`` are counts over the ``errors`` and ``converged``
-    entries of the block's resamples; the sigmas are the block's standard
-    deviations. The count sets must share
+    fitter reconstructs them all into one record (:class:`_Fits`), and one
+    :func:`_metric_rows` pass scores every row it did not refuse. The rest
+    is per block: row 0 is the branch's point fit, the only row that
+    becomes a :class:`ReconstructionResult`, and its failure is raised in
+    branch order; ``n_failed``, the 10% abort and ``n_nonconverged`` count
+    the ``errors`` and ``converged`` entries of the block's resamples; the
+    sigmas are the block's standard deviations. The count sets must share
     their ``pairs_per_setting``, or a ``ValueError`` says which differs.
     """
     if n_samples < 10:

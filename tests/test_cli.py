@@ -334,6 +334,17 @@ class TestConfigParsing:
             assert val == want and type(val) is int
 
 
+    def test_a_bootstrap_budget_beyond_the_bound_is_refused_by_name(self):
+        """n_mc_samples above MAX_MC_SAMPLES is refused by validate, before anything runs."""
+        assert validate({"tomography": {"n_mc_samples": cli.MAX_MC_SAMPLES}}) == []
+        for budget in (cli.MAX_MC_SAMPLES + 1, 10**12):
+            [diag] = validate({"tomography": {"n_mc_samples": budget}})
+            assert diag == (
+                f"tomography: n_mc_samples must be in [10, {cli.MAX_MC_SAMPLES}], got {budget}"
+            )
+        [diag] = validate({"tomography": {"n_mc_samples": 9}})
+        assert diag.startswith("tomography: n_mc_samples must be in [10, ")
+
     def test_pairs_beyond_the_poisson_range_are_refused(self, tmp_path, capsys):
         """A flux whose counts numpy cannot draw is refused by name, not at run time."""
         assert validate({"tomography": {"pairs_per_setting": 10**18}}) == []

@@ -1,5 +1,7 @@
 """State, channel, and metric algebra checked against brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -503,6 +505,22 @@ class TestDumpFormat:
         """The dim header is mandatory."""
         with pytest.raises(ValueError, match="dim"):
             loads_density_matrix("2\n1 0\n0 1\n")
+
+    def test_a_malformed_field_is_refused_by_line_and_column(self):
+        """An entry or a dimension that does not parse names its line and column.
+
+        Lines count every line of the text, blank ones too, from 1.
+        """
+        dump = dumps_density_matrix(DensityMatrix.maximally_mixed(1))
+        lines = dump.splitlines()
+        entry = "\n".join([lines[0], "", lines[1], lines[2].split()[0] + " abc"])
+        want = "density-matrix dump line 4, column 2: expected a complex number, got 'abc'"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            loads_density_matrix(entry)
+        header = "\n".join(["dim x", *lines[1:]])
+        want = "density-matrix dump line 1, column 2: expected an integer, got 'x'"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            loads_density_matrix(header)
 
     @pytest.mark.parametrize("token", ["nan+0j", "inf+0j", "-inf+0j"])
     def test_rejects_non_finite_entries(self, token):

@@ -444,6 +444,19 @@ class TestCounting:
         with pytest.raises(ValueError, match=re.escape(want)):
             counts_from_csv(path, pairs_per_setting=100)
 
+    @pytest.mark.parametrize("value, want", [
+        ("-3", "negative count: -3.0"),
+        ("nan", "non-finite count: nan"),
+        ("1e12", "count 1000000000000.0 exceeds 50 * pairs_per_setting = 5000"),
+    ])
+    def test_bad_counts_are_refused_by_row(self, tmp_path, value, want):
+        """A negative, NaN or over-ceiling count is refused with its data row named."""
+        path = tmp_path / "counts.csv"
+        counts_to_csv(CountData(np.ones(36), 100), path)
+        edit_csv(path, 7, 7, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)} in data row 7$"):
+            counts_from_csv(path, pairs_per_setting=100)
+
     @pytest.mark.parametrize("column, name", [(2, "qwp_a"), (5, "qwp_b")])
     @pytest.mark.parametrize("flag", ["7", "0.5", "abc", ""])
     def test_plate_flags_must_read_0_or_1(self, tmp_path, column, name, flag):
@@ -1272,10 +1285,8 @@ def sweep_branches(seed, count_mode, method):
 def assert_reports_match(got, want):
     """Stacked and per-branch reports agree: counts and flags exactly, metrics to rounding.
 
-    The batch shape changes the rounding of the stacked solves and products.
-    Concurrence takes square roots of eigenvalues near zero, which turns that
-    rounding into differences of up to about 1e-8 in its rows and 1e-9 in
-    its sigma, so it gets 1e-7; the other metrics and sigmas get 1e-10.
+    The batch shape changes the rounding of the stacked solves and products,
+    by well under 1e-10 in every metric and sigma, concurrence included.
     """
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -1286,9 +1297,8 @@ def assert_reports_match(got, want):
             w.point_fit.iterations, w.point_fit.converged
         )
         for name in METRIC_NAMES:
-            tol = 1e-7 if name == "concurrence" else 1e-10
             for key in (name, name + "_sigma"):
-                assert getattr(g, key) == pytest.approx(getattr(w, key), rel=0, abs=tol), key
+                assert getattr(g, key) == pytest.approx(getattr(w, key), rel=0, abs=1e-10), key
 
 
 class TestBootstrapReports:
@@ -1339,9 +1349,9 @@ class TestBootstrapReports:
         built = []
         real = tomo.ReconstructionResult
 
-        def counted(**fields):
-            built.append(fields["rho"])
-            return real(**fields)
+        def counted(rho, *fields, **named):
+            built.append(rho)
+            return real(rho, *fields, **named)
 
         monkeypatch.setattr(tomo, "ReconstructionResult", counted)
         reports = tomo._bootstrap_reports(datas, [0, 1, 2], n_samples=20, method=method)
