@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -66,6 +65,7 @@ from .tomo import (
     _check_pairs,
     _integer_fields,
     _metric_rows,
+    _stage,
     analytic_counts,
     counts_to_csv,
     simulate_counts,
@@ -513,16 +513,8 @@ def config_to_raw(cfg: ExperimentConfig) -> dict:
 # The pipeline shared by the experiments.
 
 # The timed pipeline stages; a report's run block gives the seconds spent in
-# each, over all points, as ``stage_s``.
-STAGE_NAMES = ("source", "channel", "transfer", "counts", "fit")
-
-
-@contextmanager
-def _stage(stage_s: dict, name: str):
-    """Add the wall time of the ``with`` body to ``stage_s[name]``."""
-    start = time.perf_counter()
-    yield
-    stage_s[name] += time.perf_counter() - start
+# each, over all points, as ``stage_s``. The fringe scan has its own three.
+STAGE_NAMES = ("source", "channel", "transfer", "counts", "resample", "fit", "metrics")
 
 
 def _physics(cfg: ExperimentConfig, source_cfgs, stage_s: dict) -> tuple[list, list]:
@@ -590,16 +582,11 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> list:
                 for rho, seed in zip(states, seeds)
             ]
             seeds = [derive_seed(seed, 1) for seed in seeds]
-    with _stage(stage_s, "fit"):
-        reports = _bootstrap_reports(
-            datas,
-            seeds,
-            n_samples=tcfg.n_mc_samples,
-            method=tcfg.method,
-            resample=(cfg.count_mode == "sampled"),
-            tol=tcfg.mle_tol,
-            max_iter=tcfg.mle_max_iter,
-        )
+    reports = _bootstrap_reports(
+        datas, seeds, n_samples=tcfg.n_mc_samples, method=tcfg.method,
+        resample=(cfg.count_mode == "sampled"), stage_s=stage_s,
+        tol=tcfg.mle_tol, max_iter=tcfg.mle_max_iter,
+    )
     truths = _metric_rows(np.stack([rho.data for rho in states]), DEFAULT_CHSH_ANGLES)
     branches = [
         (rho, data, metrics, dict(zip(METRIC_NAMES, truth.tolist())))
@@ -798,9 +785,14 @@ def run_fringe_scan(cfg: ExperimentConfig, out_dir=None, n_points: int = 25) -> 
         phases = list(cfg.sweep.values)
     else:
         phases = list(np.linspace(0.0, 2.0 * math.pi, n_points))
-    state = apply_noisy_channel(make_source_state(cfg.source), cfg.channel)
-    points = sum_phase_scan(state, cfg.interferometer, phases)
-    vis = fringe_visibility(points)
+    stage_s = dict.fromkeys(("source", "channel", "scan"), 0.0)
+    with _stage(stage_s, "source"):
+        state = make_source_state(cfg.source)
+    with _stage(stage_s, "channel"):
+        state = apply_noisy_channel(state, cfg.channel)
+    with _stage(stage_s, "scan"):
+        points = sum_phase_scan(state, cfg.interferometer, phases)
+        vis = fringe_visibility(points)
     stages = {
         "fringe": {
             "phases_rad": [p for p, _ in points],
@@ -809,7 +801,7 @@ def run_fringe_scan(cfg: ExperimentConfig, out_dir=None, n_points: int = 25) -> 
             "configured_visibility": cfg.source.franson_visibility,
         }
     }
-    return _finish("fringe-scan", cfg, stages, t0, out_dir, "report_fringe.json")
+    return _finish("fringe-scan", cfg, stages, t0, out_dir, "report_fringe.json", stage_s)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -110,18 +112,21 @@ class _Design:
     ``matrix @ vec(rho)`` gives tr(rho Pi_j). The 36 projectors sum to 9 I,
     so the maximum-likelihood fit weighs Pi_j / 9: row j of the (36, 16)
     ``normalised`` is vec(Pi_j / 9). ``basis`` is the (15, 4, 4)
-    orthonormal traceless Pauli basis E_k, and ``tangent`` the real
-    (36, 15) matrix tr(Pi_j E_k) / 9, the derivative of the fitted
-    probabilities along E_k; ``frame8`` holds the real forms of Pi_j / 9 and
-    f @ ``pinv`` the least-squares vec(rho) of frequencies f, both as reals.
-    The arrays are read-only because they are shared by every caller.
+    orthonormal traceless Pauli basis E_k and ``basis_row`` the (4, 60)
+    [E_1 ... E_15]. ``tangent`` is the real (36, 15) tr(Pi_j E_k) / 9, the
+    derivative of the fitted probabilities along E_k, and row j of the
+    (36, 225) ``tangent_outer`` is tangent_j x tangent_j; ``frame8`` holds the
+    real forms of Pi_j / 9 and f @ ``pinv`` the least-squares vec(rho) of
+    frequencies f, both as reals. The arrays are read-only and shared.
     """
 
     projectors: np.ndarray
     matrix: np.ndarray
     normalised: np.ndarray
     basis: np.ndarray
+    basis_row: np.ndarray
     tangent: np.ndarray
+    tangent_outer: np.ndarray
     frame8: np.ndarray
     pinv: np.ndarray
 
@@ -134,12 +139,15 @@ def _design() -> _Design:
     paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
     basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
     matrix = pis.transpose(0, 2, 1).reshape(_N_SETTINGS, 16)
+    tangent = np.einsum("jab,kba->jk", frame, basis).real
     design = _Design(
         projectors=pis,
         matrix=matrix,
         normalised=frame.reshape(_N_SETTINGS, 16),
         basis=basis,
-        tangent=np.einsum("jab,kba->jk", frame, basis).real,
+        basis_row=np.concatenate(basis, axis=1),
+        tangent=tangent,
+        tangent_outer=(tangent[:, :, None] * tangent[:, None, :]).reshape(_N_SETTINGS, 225),
         frame8=_embed(frame).reshape(_N_SETTINGS, 64),
         pinv=np.ascontiguousarray(np.linalg.pinv(matrix).T).view(float),
     )
@@ -542,26 +550,36 @@ def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, (rho.reshape(-1, 16) @ design.matrix.T).real
 
 
-def _newton_step(
-    design: _Design, freqs: np.ndarray, y: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One damped Newton step per row on -sum_j f_j log p_j - mu log det Y.
+def _newton_system(design: _Design, freqs: np.ndarray, y: np.ndarray, mu: np.ndarray) -> tuple:
+    """Gradient and Hessian of -sum_j f_j log p_j - mu log det Y along the E_k, per row.
 
-    p_j = tr(Pi_j Y) / 9 are the fitted probabilities. The step moves Y along
-    the 15 traceless Pauli directions, so Y keeps unit trace; the Hessian is
-    T^T diag(f / p^2) T for the likelihood plus mu tr(Y^-1 E_k Y^-1 E_l)
-    for the barrier. Each row's step is halved until Y + t dY passes the
-    test that its smallest eigenvalue is positive. Returns the new stack
-    and each row's Newton decrement.
+    The likelihood Hessian T^T diag(f / p^2) T is f / p^2 times ``tangent_outer``.
+    One product of Y^-1 with ``basis_row`` gives every W_k = Y^-1 E_k; the barrier
+    adds -mu tr(W_k) to the gradient and mu tr(W_k W_l) to the Hessian. The Hessian's
+    products are stacked or row by row, so their rounding does not depend on the batch.
     """
     probs = np.maximum(_frame_probabilities(design, y), PROBABILITY_FLOOR)
     weights = freqs / probs
-    y_inv_e = np.linalg.inv(y)[:, None] @ design.basis
-    grad = -(weights @ design.tangent) - mu[:, None] * np.trace(
-        y_inv_e, axis1=2, axis2=3
-    ).real
-    hess = (design.tangent.T * (weights / probs)[:, None, :]) @ design.tangent
-    hess += mu[:, None, None] * np.einsum("bkij,blji->bkl", y_inv_e, y_inv_e).real
+    w = (np.linalg.inv(y) @ design.basis_row).reshape(-1, 4, 15, 4)  # W_k[a, c] at [a, k, c]
+    w_rows = w.transpose(0, 2, 1, 3).reshape(-1, 15, 16)  # row k: W_k[a, c] at 4 a + c
+    grad = -(weights @ design.tangent) - mu[:, None] * w_rows[:, :, ::5].sum(axis=2).real
+    hess = np.matmul((weights / probs)[:, None, :], design.tangent_outer)[:, 0]
+    # column l of the transposed stack holds W_l[c, a] at 4 a + c
+    barrier = (w_rows @ w.transpose(0, 3, 1, 2).reshape(-1, 16, 15)).real
+    return grad, hess.reshape(-1, 15, 15) + mu[:, None, None] * barrier
+
+
+def _newton_step(
+    design: _Design, freqs: np.ndarray, y: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One damped Newton step per row on the problem of :func:`_newton_system`.
+
+    Y moves along the 15 traceless Pauli directions E_k, so it keeps unit
+    trace; each row's step is halved until Y + t dY passes the test that its
+    smallest eigenvalue is positive. Returns the new stack and each row's
+    Newton decrement.
+    """
+    grad, hess = _newton_system(design, freqs, y, mu)
     step = np.linalg.solve(hess, -grad[..., None])[..., 0]
     dy = (step @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
     t = np.ones(len(y))
@@ -602,8 +620,9 @@ def _mle_fits(
     lambda_max(R) >= tr(RYR) / tr(RY) >= tr(RYR) / sum_j f_j, and
     tr(RYR) is the normaliser of the next RrhoR step: an RrhoR row whose
     bound already exceeds sum_j f_j + ``tol`` skips the eigensolve, which
-    leaves the certificate and the iterates unchanged. Every row gets the
-    exact gap at the last RrhoR iteration and in every Newton iteration.
+    leaves the certificate and the iterates unchanged; when every row skips
+    it, no eigensolve runs. Every row gets the exact gap at the last RrhoR
+    iteration and in every Newton iteration.
     Rows still open after _RRR_ITERATIONS switch to damped Newton steps on
     the log-barrier problem (see :func:`_newton_step`), started from their
     iterate mixed with a share g / sum_j f_j of I/4. The barrier weight mu starts at
@@ -660,45 +679,44 @@ def _fit_batch(
     if history:
         logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])]
     y, _ = _rrr_step(_real_r_operator(design, freqs, y)[0], y)
+    # lambda_max(R) >= tr(RYR) / total: an RrhoR row whose tr(RYR) is above this
+    # bound cannot stop yet. The margin covers rounding; a NaN row fails the test
+    # and reaches eigvalsh, whose LinAlgError refits the rows alone. A huge tol
+    # overflows the bound to inf, which rules no row out.
+    with np.errstate(over="ignore"):
+        bound = total * (total + tol) * (1.0 + 1e-12)
     for iteration in range(1, max_iter + 1):
-        exact = np.ones(len(rows), dtype=bool)
+        exact, y_now = np.ones(len(rows), dtype=bool), y  # y_now: the iterate gap certifies
         if iteration <= _RRR_ITERATIONS:
             r_op, floored = _real_r_operator(design, freqs, y)
             if iteration < min(_RRR_ITERATIONS, max_iter):
-                y_next, norm = _rrr_step(r_op, y)
-                # lambda_max(R) >= norm / total, so rows above the bound cannot
-                # stop yet. The margin covers rounding; a NaN row fails the test
-                # and reaches eigvalsh, whose LinAlgError refits the rows alone.
-                # A tol near the float maximum overflows the bound to inf, which
-                # rules no row out.
-                with np.errstate(over="ignore"):
-                    exact = ~(norm > total * (total + tol) * (1.0 + 1e-12))
-            r_exact = _unembed(r_op[exact])
+                y, norm = _rrr_step(r_op, y)
+                exact = ~(norm > bound)
         else:
             if iteration == _RRR_ITERATIONS + 1:
                 share = np.minimum(gap / total, 1.0)[:, None, None]
                 y = (1.0 - share) * _unembed(y) + share * np.eye(4) / 4.0
                 mu = np.maximum(0.1 * gap, tol / 16.0)
             y, decrement = _newton_step(design, freqs, y, mu)
-            r_exact, floored = _r_operator(design, freqs, y)
+            y_now, (r_op, floored) = y, _r_operator(design, freqs, y)
         floor_hits += floored.sum(axis=1)
+        if history:
+            for i, ll in zip(rows, _loglike(counts[rows], _states(design, y_now)[1])):
+                logs[i].append(float(ll))
+        if not exact.any():  # no row can stop, so no certificate is needed
+            continue
         gap = np.full(len(rows), np.inf)
+        r_exact = _unembed(r_op[exact]) if iteration <= _RRR_ITERATIONS else r_op
         gap[exact] = np.linalg.eigvalsh(r_exact)[:, -1] - total[exact]
         if iteration > _RRR_ITERATIONS:
             lowest = np.maximum(0.1 * gap, tol / 16.0)
             mu = np.where(decrement < mu / 4.0, np.maximum(mu / 10.0, lowest), mu)
-        if history:
-            for i, ll in zip(rows, _loglike(counts[rows], _states(design, y)[1])):
-                logs[i].append(float(ll))
         converged = gap <= tol
         stopped = converged if iteration < max_iter else np.ones_like(converged)
         done = np.flatnonzero(stopped)
-        finished = y[done]
-        if iteration < min(_RRR_ITERATIONS, max_iter):
-            y = y_next
         if len(done) == 0:
             continue
-        rhos, probs = _states(design, finished)
+        rhos, probs = _states(design, y_now[done])
         stop = rows[done]
         fits.put(stop, _Fits(
             rhos, np.full(len(done), iteration), _loglike(counts[stop], probs),
@@ -708,8 +726,8 @@ def _fit_batch(
         keep = ~stopped
         if not keep.any():
             break
-        rows, freqs, total, y, gap, mu, floor_hits = (
-            a[keep] for a in (rows, freqs, total, y, gap, mu, floor_hits)
+        rows, freqs, total, bound, y, gap, mu, floor_hits = (
+            a[keep] for a in (rows, freqs, total, bound, y, gap, mu, floor_hits)
         )
     return fits
 
@@ -896,6 +914,14 @@ def monte_carlo_metrics(
     return report
 
 
+@contextmanager
+def _stage(stage_s: dict, name: str):
+    """Add the wall time of the ``with`` body to ``stage_s[name]``."""
+    start = time.perf_counter()
+    yield
+    stage_s[name] = stage_s.get(name, 0.0) + time.perf_counter() - start
+
+
 def _bootstrap_reports(
     datas: Sequence[CountData],
     seeds: Sequence[int],
@@ -903,6 +929,7 @@ def _bootstrap_reports(
     method: str = "mle",
     angles: ChshAngles = DEFAULT_CHSH_ANGLES,
     resample: bool = True,
+    stage_s: dict | None = None,
     **mle_opts,
 ) -> list[MetricsReport]:
     """The :func:`monte_carlo_metrics` report of every count set, from one fit call.
@@ -919,7 +946,10 @@ def _bootstrap_reports(
     the ``errors`` and ``converged`` entries of the block's resamples; the
     sigmas are the block's standard deviations. The count sets must share
     their ``pairs_per_setting``, or a ``ValueError`` says which differs.
+    The seconds of the ``resample`` (draw and count check), ``fit`` and
+    ``metrics`` stages are added to ``stage_s`` when it is given.
     """
+    stage_s = {} if stage_s is None else stage_s
     if n_samples < 10:
         raise ValueError(f"n_samples must be at least 10, got {n_samples}")
     if method == "mle":
@@ -940,38 +970,41 @@ def _bootstrap_reports(
                 f"count set 0 has {pairs}"
             )
     draws = n_samples if resample else 0
-    # per branch: observed, then resamples
-    batch = np.empty((len(datas), 1 + draws, _N_SETTINGS))
-    for block, data, seed in zip(batch, datas, seeds):
-        block[0] = data.counts
+    with _stage(stage_s, "resample"):
+        # per branch: observed, then resamples
+        batch = np.empty((len(datas), 1 + draws, _N_SETTINGS))
+        for block, data, seed in zip(batch, datas, seeds):
+            block[0] = data.counts
+            if resample:
+                block[1:] = np.random.default_rng(seed).poisson(data.counts, size=block[1:].shape)
+        keep = np.ones(batch.shape[:2], dtype=bool)
         if resample:
-            block[1:] = np.random.default_rng(seed).poisson(data.counts, size=block[1:].shape)
-    keep = np.ones(batch.shape[:2], dtype=bool)
-    if resample:
-        errors = _count_errors(batch[:, 1:].reshape(-1, _N_SETTINGS), pairs)
-        keep[:, 1:] = np.reshape([error is None for error in errors], (len(datas), draws))
-    fits = fitter(batch[keep], pairs)
-    ok = np.array([error is None for error in fits.errors])
-    rows = _metric_rows(fits.rho[ok], angles)
-    reports = []
-    start = first = 0  # the block's first fitted row and its first metric row
-    for size in keep.sum(axis=1).tolist():
-        point_fit = fits.result(start, method)
-        samples = slice(start + 1, start + size)
-        kept = int(np.count_nonzero(ok[samples]))
-        failed = draws - kept
-        if failed > 0.1 * n_samples:
-            raise RuntimeError(f"{failed}/{n_samples} bootstrap reconstructions failed")
-        block = rows[first:first + 1 + kept]
-        sigmas = np.std(block[1:], axis=0, ddof=1) if resample else np.zeros(4)
-        reports.append(MetricsReport(
-            **{name: float(value) for name, value in zip(METRIC_NAMES, block[0])},
-            **{name + "_sigma": float(sd) for name, sd in zip(METRIC_NAMES, sigmas)},
-            n_samples=draws,
-            n_failed=failed,
-            n_nonconverged=int(np.count_nonzero(ok[samples] & ~fits.converged[samples])),
-            point_fit=point_fit,
-        ))
-        start += size
-        first += len(block)
+            errors = _count_errors(batch[:, 1:].reshape(-1, _N_SETTINGS), pairs)
+            keep[:, 1:] = np.reshape([error is None for error in errors], (len(datas), draws))
+    with _stage(stage_s, "fit"):
+        fits = fitter(batch[keep], pairs)
+    with _stage(stage_s, "metrics"):
+        ok = np.array([error is None for error in fits.errors])
+        rows = _metric_rows(fits.rho[ok], angles)
+        reports = []
+        start = first = 0  # the block's first fitted row and its first metric row
+        for size in keep.sum(axis=1).tolist():
+            point_fit = fits.result(start, method)
+            samples = slice(start + 1, start + size)
+            kept = int(np.count_nonzero(ok[samples]))
+            failed = draws - kept
+            if failed > 0.1 * n_samples:
+                raise RuntimeError(f"{failed}/{n_samples} bootstrap reconstructions failed")
+            block = rows[first:first + 1 + kept]
+            sigmas = np.std(block[1:], axis=0, ddof=1) if resample else np.zeros(4)
+            reports.append(MetricsReport(
+                **{name: float(value) for name, value in zip(METRIC_NAMES, block[0])},
+                **{name + "_sigma": float(sd) for name, sd in zip(METRIC_NAMES, sigmas)},
+                n_samples=draws,
+                n_failed=failed,
+                n_nonconverged=int(np.count_nonzero(ok[samples] & ~fits.converged[samples])),
+                point_fit=point_fit,
+            ))
+            start += size
+            first += len(block)
     return reports

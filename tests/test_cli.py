@@ -42,7 +42,7 @@ from fransonsim.optics import (
     SourceConfig,
     WaveplateSpec,
 )
-from fransonsim.qcore import PHI_PLUS_KET, load_density_matrix, fidelity_to
+from fransonsim.qcore import PHI_PLUS_KET, DensityMatrix, load_density_matrix, fidelity_to
 from fransonsim.transfer import InterferometerConfig
 
 
@@ -588,8 +588,25 @@ class TestStageTimes:
         stage_s = block["stage_s"]
         assert tuple(stage_s) == STAGE_NAMES
         assert all(seconds >= 0.0 for seconds in stage_s.values())
-        assert stage_s["fit"] > 0.0
+        assert min(stage_s["resample"], stage_s["fit"], stage_s["metrics"]) > 0.0
         assert sum(stage_s.values()) <= block["elapsed_s"]
+
+    def test_fringe_scan_times_its_three_stages(self):
+        """The fringe scan's run block gives the seconds of its source, channel and scan."""
+        block = run_fringe_scan(analytic_cfg()).as_dict()["run"]
+        stage_s = block["stage_s"]
+        assert tuple(stage_s) == ("source", "channel", "scan")
+        assert all(seconds >= 0.0 for seconds in stage_s.values())
+        assert stage_s["scan"] > 0.0
+        assert sum(stage_s.values()) <= block["elapsed_s"]
+
+    def test_the_bootstrap_adds_its_stages_to_a_given_accumulator(self):
+        """The resample, fit and metrics seconds add to what the accumulator holds."""
+        data = tomo.analytic_counts(DensityMatrix.pure(PHI_PLUS_KET), 2_000)
+        stage_s = {"fit": 1.0}
+        tomo._bootstrap_reports([data], [0], n_samples=10, method="linear", stage_s=stage_s)
+        assert tuple(stage_s) == ("fit", "resample", "metrics")
+        assert stage_s["fit"] > 1.0
 
 
 class TestFringePipeline:
@@ -681,8 +698,6 @@ class TestEmitPlotData:
 
     def test_bars_text_format(self):
         """Bar tables carry row, column, magnitude, and phase columns."""
-        from fransonsim.qcore import DensityMatrix
-
         text = density_matrix_bars(DensityMatrix.pure(PHI_PLUS_KET))
         lines = text.strip().splitlines()
         assert len(lines) == 17

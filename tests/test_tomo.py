@@ -173,6 +173,36 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
     return fits
 
 
+def newton_system_oracle(freqs, y, mu):
+    """Gradient and Hessian of -sum_j f_j log p_j - mu log det Y along the E_k, by einsum.
+
+    The basis E_k and the tangents tr(Pi_j E_k) / 9 are rebuilt here from
+    the Pauli matrices and the projectors, and the barrier terms come from
+    the (B, 15, 4, 4) stack of Y^-1 E_k: tr(Y^-1 E_k) for the gradient and
+    tr(Y^-1 E_k Y^-1 E_l) for the Hessian, to which the likelihood adds
+    T^T diag(f / p^2) T. p_j is floored at PROBABILITY_FLOOR.
+    """
+    paulis = (qcore.PAULI_I, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z)
+    basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
+    frame = setting_projectors() / 9.0
+    tangent = np.einsum("jab,kba->jk", frame, basis).real
+    probs = np.maximum(np.einsum("jab,nba->nj", frame, y).real, tomo.PROBABILITY_FLOOR)
+    weights = freqs / probs
+    y_inv_e = np.linalg.inv(y)[:, None] @ basis
+    grad = -(weights @ tangent) - mu[:, None] * np.trace(y_inv_e, axis1=2, axis2=3).real
+    hess = (tangent.T * (weights / probs)[:, None, :]) @ tangent
+    hess += mu[:, None, None] * np.einsum("bkij,blji->bkl", y_inv_e, y_inv_e).real
+    return grad, hess
+
+
+def full_rank_states(n, seed):
+    """``n`` seeded random full-rank two-qubit states as a (n, 4, 4) stack."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    y = a @ a.conj().transpose(0, 2, 1)
+    return y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
+
+
 def fit_rows(fits, method):
     """Each row of a stacked fit record: its ReconstructionResult, or the error that refused it."""
     return [
@@ -862,6 +892,91 @@ class TestMle:
         (plain, plain_iterations), (rows, iterations) = counted
         assert plain == plain_iterations == iterations
         assert rows <= 0.35 * iterations
+
+    def test_no_certificate_eigensolve_gets_an_empty_stack(self, monkeypatch):
+        """An iteration whose screen rules out every open row calls no eigvalsh at all.
+
+        The batch mixes rows that certify in the RrhoR phase with a nearly
+        pure row that needs Newton steps, so both phases reach the
+        certificate.
+        """
+        counts = np.stack([
+            simulate_counts(tilted_bell(p), 3_000, seed=s).counts
+            for p in (0.5, 0.3) for s in range(3)
+        ] + [analytic_counts(tilted_bell(0.1), 3_000).counts])
+        code = tomo._fit_batch.__code__
+        sizes = []  # stack sizes of the eigvalsh calls made by the fit loop
+        real = np.linalg.eigvalsh
+
+        def spy(a, *rest, **kwargs):
+            if sys._getframe(1).f_code is code:
+                sizes.append(len(a))
+            return real(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        fits = tomo._mle_fits(counts, 3_000)
+        assert fits.converged.all()
+        assert fits.iterations.min() < tomo._RRR_ITERATIONS < fits.iterations.max()
+        assert 0 < len(sizes) < fits.iterations.max()
+        assert min(sizes) > 0
+
+    def test_newton_system_matches_the_einsum_oracle(self):
+        """The tabled gradient and Hessian equal the einsum forms to 1e-10, per row.
+
+        Rows are random full-rank states and nearly pure ones, Y = (1 - e) P
+        + e I / 4 with e = 1e-12, whose settings orthogonal to the ket have
+        p_j below PROBABILITY_FLOOR. Each row is compared relative to its
+        largest entry.
+        """
+        design = tomo._design()
+        kets = [np.array([1.0, 0.0, 0.0, 0.0]), tilted_bell(0.1).data[:, 0] / np.sqrt(0.1)]
+        pure = np.stack([
+            (1.0 - 1e-12) * np.outer(ket, ket.conj()) + 1e-12 * np.eye(4) / 4.0 for ket in kets
+        ]).astype(complex)
+        y = np.concatenate([full_rank_states(6, seed=3), pure])
+        freqs = np.stack([
+            simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
+            for k, rho in enumerate(full_rank_states(len(y), seed=4))
+        ])
+        mu = 10.0 ** np.random.default_rng(5).uniform(-10.0, -1.0, size=len(y))
+        floored = tomo._frame_probabilities(design, y) < tomo.PROBABILITY_FLOOR
+        assert not floored[:6].any() and floored[6:].any(axis=1).all()
+        got = tomo._newton_system(design, freqs, y, mu)
+        for new, old in zip(got, newton_system_oracle(freqs, y, mu)):
+            assert new.shape == old.shape
+            scale = np.abs(old).reshape(len(y), -1).max(axis=1)
+            assert (np.abs(new - old).reshape(len(y), -1).max(axis=1) <= 1e-10 * scale).all()
+
+    def test_newton_system_is_the_derivative_of_the_barrier_problem(self):
+        """Central differences along each E_k give the gradient, and of it the Hessian.
+
+        The objective is -sum_j f_j log p_j - mu log det Y on full-rank
+        states, where no p_j reaches the floor.
+        """
+        design = tomo._design()
+        y = full_rank_states(4, seed=6)
+        freqs = np.stack([
+            simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
+            for k, rho in enumerate(full_rank_states(4, seed=7))
+        ])
+        mu = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+
+        def objective(y):
+            probs = tomo._frame_probabilities(design, y)
+            return -(freqs * np.log(probs)).sum(axis=1) - mu * np.linalg.slogdet(y)[1]
+
+        grad, hess = tomo._newton_system(design, freqs, y, mu)
+        # each row against its largest entry; the steps keep the truncation
+        # and rounding errors of the differences near 5e-8 of it
+        g_scale, h_scale = np.abs(grad).max(axis=1), np.abs(hess).max(axis=(1, 2))[:, None]
+        for k, direction in enumerate(design.basis):
+            h = 1e-6
+            fd = (objective(y + h * direction) - objective(y - h * direction)) / (2.0 * h)
+            assert (np.abs(grad[:, k] - fd) <= 1e-6 * g_scale).all()
+            h = 1e-7
+            up, down = (tomo._newton_system(design, freqs, y + s * h * direction, mu)[0]
+                        for s in (1.0, -1.0))
+            assert (np.abs(hess[:, :, k] - (up - down) / (2.0 * h)) <= 1e-6 * h_scale).all()
 
     def test_zero_rows_are_refused_before_the_batch(self, monkeypatch):
         """A row of zeros is refused by name; the other rows stay one batch."""
