@@ -44,13 +44,11 @@ from .qcore import (
     _ET_MARGINAL,
     _POL_MARGINAL,
     DensityMatrix,
-    PhotonPairState,
-    PostselectionError,
     _check_states,
     _marginals,
+    _purities,
     dump_density_matrix,
     load_density_matrix,
-    purity,
 )
 from .tomo import (
     DEFAULT_CHSH_ANGLES,
@@ -71,9 +69,10 @@ from .tomo import (
     simulate_counts,
 )
 from .transfer import (
+    FRANSON_POSTSELECTION_FRACTION,
     InterferometerConfig,
-    TransferOutcome,
     _blocked,
+    _check_ports,
     _transfer_mask,
     _transferred,
     fringe_visibility,
@@ -114,25 +113,6 @@ GAP_NOTE = (
     "its figures will exceed measured ones unless extra imperfections are "
     "configured."
 )
-
-
-def _count_nonconverged(node) -> tuple[int, int]:
-    """Non-converged (bootstrap, point) MLE fits in a report's nested stages.
-
-    Bootstrap fits are the sum of every ``n_nonconverged``; a point fit is a
-    reconstruction block whose ``converged`` is false.
-    """
-    bootstrap = point = 0
-    if isinstance(node, dict):
-        bootstrap = node.get("n_nonconverged", 0)
-        point = int(node.get("converged") is False)
-        node = list(node.values())
-    if isinstance(node, list):
-        for child in node:
-            more_bootstrap, more_point = _count_nonconverged(child)
-            bootstrap += more_bootstrap
-            point += more_point
-    return bootstrap, point
 
 
 class ConfigError(Exception):
@@ -517,20 +497,48 @@ def config_to_raw(cfg: ExperimentConfig) -> dict:
 STAGE_NAMES = ("source", "channel", "transfer", "counts", "resample", "fit", "metrics")
 
 
-def _physics(cfg: ExperimentConfig, source_cfgs, stage_s: dict) -> tuple[list, list]:
-    """Source, channel, blocked input and transfer of all points, as one stack.
+# The source field that each sweep parameter sets.
+_SWEPT = {"p": "balance_p", "visibility": "franson_visibility", "sum_phase": "sum_phase"}
 
-    Each stage acts on the (B, 16, 16) stack of the B ``source_cfgs``, and
-    its stack, then all marginals, are checked by one
-    :func:`~fransonsim.qcore._state_errors` call, which raises the first
-    failing row's error. Returns per point the source state, the blocked
-    state and the transfer outcome, and the branch states: per point, the
-    polarization of the blocked input, then that of the output. Their
-    matrices are rows of the checked stacks.
+
+def _sweep_points(cfg: ExperimentConfig, sweep: SweepConfig | None) -> list:
+    """Each sweep point's source config and seed key ``(index,)``; one point without a sweep.
+
+    A ``p`` sweep runs the ``bell_p`` input, whatever ``source.pol_input`` says.
     """
-    n, checked = len(source_cfgs), DensityMatrix._checked
+    if sweep is None:
+        return [(cfg.source, (0,))]
+    source = replace(cfg.source, pol_input="bell_p") if sweep.parameter == "p" else cfg.source
+    return [
+        (replace(source, **{_SWEPT[sweep.parameter]: value}), (index,))
+        for index, value in enumerate(sweep.values)
+    ]
+
+
+def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> tuple:
+    """The physics of all points as one stack, then one tomography pass over their branches.
+
+    ``points`` gives each point's source config and seed key. Source,
+    channel, blocked input and transfer each act on the (B, 16, 16) stack of
+    all points, and each stage's stack, then all marginals, are checked by
+    one :func:`~fransonsim.qcore._state_errors` call, which raises the first
+    failing row's error; the port probabilities meet the bounds of
+    :class:`~fransonsim.transfer.TransferOutcome`. Sampled counts of branch
+    ``b`` (1 input, 2 output) are drawn from ``derive_seed(cfg.seed, b,
+    *key)`` and its resamples from ``derive_seed`` of that seed and 1;
+    analytic counts derive no seed. One batch fits every branch
+    (:func:`~fransonsim.tomo._bootstrap_reports`).
+
+    Returns the checked source stack, each point's blocked input weight, the
+    (B, 4) port probabilities (the diagonal of each path marginal) and per
+    point ``{"input" | "output": (rho, counts, metrics, truth)}``, with
+    ``rho`` the polarization state of the blocked input or of the output
+    and ``truth`` its metrics by name. The time of each of the STAGE_NAMES
+    is added to ``stage_s``.
+    """
+    tcfg, n, checked = cfg.tomography, len(points), DensityMatrix._checked
     with _stage(stage_s, "source"):
-        sources = _check_states(_source_stack(source_cfgs))
+        sources = _check_states(_source_stack([source for source, _ in points]))
     with _stage(stage_s, "channel"):
         after = _channel_stack(sources, cfg.channel)
         if cfg.channel.stages:
@@ -538,39 +546,16 @@ def _physics(cfg: ExperimentConfig, source_cfgs, stage_s: dict) -> tuple[list, l
     with _stage(stage_s, "transfer"):
         blocked, kept = _blocked(after)
         joints = _transferred(after, _transfer_mask(cfg.interferometer))
-        del after  # no state keeps a row of it
         _check_states(blocked)
         _check_states(joints)
-        marginals = _check_states(np.concatenate([
+        pol_in, pol_out, paths = _check_states(np.concatenate([
             _marginals(blocked, _POL_MARGINAL),
             _marginals(joints, _POL_MARGINAL),
             _marginals(joints, _ET_MARGINAL),
-        ]))
-    physics, states = [], []
-    for i, (pol_in, pol_out, path_out) in enumerate(zip(*marginals.reshape(3, n, 4, 4))):
-        pol_out, path_out = checked(pol_out), checked(path_out)
-        outcome = TransferOutcome(PhotonPairState(checked(joints[i])), pol_out, path_out,
-                                  np.diag(path_out.data).real.copy())
-        physics.append((PhotonPairState(checked(sources[i])),
-                        PhotonPairState(checked(blocked[i], kept[i])), outcome))
-        states += [checked(pol_in, kept[i]), pol_out]
-    return physics, states
-
-
-def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> list:
-    """The physics of all points as one stack, then one tomography pass over their branches.
-
-    ``points`` gives each point's source config and seed key. Sampled counts
-    of branch ``b`` (1 input, 2 output) are drawn from
-    ``derive_seed(cfg.seed, b, *key)`` and its resamples from ``derive_seed``
-    of that seed and 1; analytic counts derive no seed. One batch fits every
-    branch (:func:`~fransonsim.tomo._bootstrap_reports`). Returns, per point,
-    the three :func:`_physics` states and ``{"input" | "output": (rho,
-    counts, metrics, truth)}``, with ``truth`` the metrics of ``rho`` by
-    name. The time of each of the STAGE_NAMES is added to ``stage_s``.
-    """
-    tcfg = cfg.tomography
-    physics, states = _physics(cfg, [source for source, _ in points], stage_s)
+        ])).reshape(3, n, 4, 4)
+        del after, blocked, joints  # only the marginals are kept
+        ports = _check_ports(paths.diagonal(axis1=1, axis2=2).real)
+    states = [rho for i in range(n) for rho in (checked(pol_in[i], kept[i]), checked(pol_out[i]))]
     with _stage(stage_s, "counts"):
         if cfg.count_mode == "analytic":
             datas = [analytic_counts(rho, tcfg.pairs_per_setting) for rho in states]
@@ -592,9 +577,8 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> list:
         (rho, data, metrics, dict(zip(METRIC_NAMES, truth.tolist())))
         for rho, data, metrics, truth in zip(states, datas, reports, truths)
     ]
-    return [
-        (*point, {"input": branches[2 * i], "output": branches[2 * i + 1]})
-        for i, point in enumerate(physics)
+    return sources, [rho.weight for rho in states[::2]], ports, [
+        {"input": branches[2 * i], "output": branches[2 * i + 1]} for i in range(n)
     ]
 
 
@@ -618,15 +602,18 @@ def _reconstruction_block(recon: ReconstructionResult) -> dict:
     }
 
 
-def _finish(experiment, cfg, stages, t0, out_dir, report_name, stage_s=None) -> RunReport:
+def _finish(experiment, cfg, stages, t0, out_dir, report_name, stage_s, branches=()) -> RunReport:
     """The run report; written with its plot tables when ``out_dir`` is given.
 
-    A report with notes gains one more when any bootstrap or point MLE fit
-    did not converge. ``stage_s``, the pipeline's seconds per stage, goes
-    into the run block.
+    ``branches`` are those of :func:`_run_points`; when any of their
+    bootstrap or point MLE fits did not converge, the report's notes gain
+    one more. ``stage_s``, the pipeline's seconds per stage, goes into the
+    run block.
     """
-    bootstrap, point = _count_nonconverged(stages)
-    if (bootstrap or point) and "notes" in stages:
+    metrics = [branch[2] for point in branches for branch in point.values()]
+    bootstrap = sum(m.n_nonconverged for m in metrics)
+    point = sum(not m.point_fit.converged for m in metrics)
+    if bootstrap or point:
         stages["notes"].append(
             f"Non-converged fits: {bootstrap} bootstrap MLE fit(s) and {point} "
             "point fit(s) stopped at mle_max_iter without converging; the "
@@ -640,7 +627,7 @@ def _finish(experiment, cfg, stages, t0, out_dir, report_name, stage_s=None) -> 
         run={
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "elapsed_s": time.perf_counter() - t0,
-            **({} if stage_s is None else {"stage_s": stage_s}),
+            "stage_s": stage_s,
         },
         versions={
             "fransonsim": __version__,
@@ -666,9 +653,12 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """
     t0 = time.perf_counter()
     stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
-    [(src, blocked, outcome, branches)] = _run_points(cfg, [(cfg.source, ())], stage_s)
+    sources, [kept], [ports], branches = _run_points(cfg, [(cfg.source, ())], stage_s)
+    pol_purity, et_purity = _purities(_check_states(np.concatenate([
+        _marginals(sources, _POL_MARGINAL), _marginals(sources, _ET_MARGINAL)
+    ]))).tolist()
     tomography = {}
-    for name, (rho, data, metrics, truth) in branches.items():
+    for name, (rho, data, metrics, truth) in branches[0].items():
         payload = _branch_payload(metrics, truth, state_weight=rho.weight)
         if out_dir is not None:
             out = Path(out_dir)
@@ -679,30 +669,20 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
             dump_density_matrix(metrics.point_fit.rho, out / payload["dump"])
         tomography[name] = payload
 
+    # The source is prepared whole, and neither the channel nor the transfer
+    # postselects, so the source and the transferred pair keep weight 1.0.
     stages = {
-        "source": {
-            "weight": src.weight,
-            "pol_purity": purity(src.pol_marginal()),
-            "et_purity": purity(src.et_marginal()),
-        },
-        "blocked_input_weight": blocked.weight,
+        "source": {"weight": 1.0, "pol_purity": pol_purity, "et_purity": et_purity},
+        "blocked_input_weight": kept,
         "transfer": {
-            "port_probs": [float(p) for p in outcome.port_probs],
-            "franson_postselection_fraction": outcome.franson_postselection_fraction,
-            "joint_weight": outcome.joint_out.weight,
+            "port_probs": ports.tolist(),
+            "franson_postselection_fraction": FRANSON_POSTSELECTION_FRACTION,
+            "joint_weight": 1.0,
         },
         "tomography": tomography,
         "notes": [GAP_NOTE],
     }
-    return _finish("purify", cfg, stages, t0, out_dir, "report_purify.json", stage_s)
-
-
-def _sweep_source(cfg: ExperimentConfig, parameter: str, value: float) -> SourceConfig:
-    if parameter == "p":
-        return replace(cfg.source, pol_input="bell_p", balance_p=value)
-    if parameter == "visibility":
-        return replace(cfg.source, franson_visibility=value)
-    return replace(cfg.source, sum_phase=value)
+    return _finish("purify", cfg, stages, t0, out_dir, "report_purify.json", stage_s, branches)
 
 
 def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
@@ -715,16 +695,14 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     the CHSH values of the model states.
     """
     t0 = time.perf_counter()
-    if cfg.sweep is not None and cfg.sweep.parameter != "p":
-        raise ConfigError(
-            [f"sweep.parameter: chsh-sweep scans 'p', got {cfg.sweep.parameter!r}"]
-        )
+    sweep = cfg.sweep or SweepConfig("p", DEFAULT_SWEEP_VALUES)
+    if sweep.parameter != "p":
+        raise ConfigError([f"sweep.parameter: chsh-sweep scans 'p', got {sweep.parameter!r}"])
     stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
-    values = cfg.sweep.values if cfg.sweep is not None else DEFAULT_SWEEP_VALUES
-    points = [(_sweep_source(cfg, "p", p), (index,)) for index, p in enumerate(values)]
+    *_, branches = _run_points(cfg, _sweep_points(cfg, sweep), stage_s)
     rows = []
-    for p, (*_, branches) in zip(values, _run_points(cfg, points, stage_s)):
-        (_, _, m_in, t_in), (_, _, m_out, t_out) = branches["input"], branches["output"]
+    for p, point in zip(sweep.values, branches):
+        (_, _, m_in, t_in), (_, _, m_out, t_out) = point["input"], point["output"]
         rows.append({
             "p": p,
             "s_in": m_in.s_value,
@@ -740,7 +718,7 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
         })
     stages = {"sweep_rows": rows, "notes": [GAP_NOTE]}
     report = _finish(
-        "chsh-sweep", cfg, stages, t0, out_dir, "report_chsh_sweep.json", stage_s
+        "chsh-sweep", cfg, stages, t0, out_dir, "report_chsh_sweep.json", stage_s, branches
     )
     if out_dir is not None:
         csv_path = Path(out_dir) / "chsh_sweep.csv"
@@ -757,25 +735,21 @@ def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     t0 = time.perf_counter()
     sweep = cfg.sweep
     stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
-    values = [None] if sweep is None else sweep.values
-    points = [
-        (cfg.source if sweep is None else _sweep_source(cfg, sweep.parameter, value), (index,))
-        for index, value in enumerate(values)
-    ]
+    _, kept, ports, branches = _run_points(cfg, _sweep_points(cfg, sweep), stage_s)
     rows = []
-    for value, (_, blocked, outcome, branches) in zip(values, _run_points(cfg, points, stage_s)):
+    for i, point in enumerate(branches):
         row = {
             name: _branch_payload(metrics, truth)
-            for name, (_, _, metrics, truth) in branches.items()
+            for name, (_, _, metrics, truth) in point.items()
         }
-        row["port_probs"] = [float(p) for p in outcome.port_probs]
-        row["blocked_input_weight"] = blocked.weight
+        row["port_probs"] = ports[i].tolist()
+        row["blocked_input_weight"] = kept[i]
         if sweep is not None:
             row["parameter"] = sweep.parameter
-            row["value"] = float(value)
+            row["value"] = sweep.values[i]
         rows.append(row)
     stages = {"points": rows, "notes": [GAP_NOTE]}
-    return _finish("custom", cfg, stages, t0, out_dir, "report_custom.json", stage_s)
+    return _finish("custom", cfg, stages, t0, out_dir, "report_custom.json", stage_s, branches)
 
 
 def run_fringe_scan(cfg: ExperimentConfig, out_dir=None, n_points: int = 25) -> RunReport:
@@ -867,8 +841,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.analytic:
         cfg = replace(cfg, count_mode="analytic")
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
     if args.mc_samples is not None:
         cfg = replace(cfg, tomography=replace(cfg.tomography, n_mc_samples=args.mc_samples))
     return cfg
@@ -898,7 +870,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--analytic", action="store_true",
             help="use exact probabilities instead of Poisson counts",
         )
-        sp.add_argument("--out", default=None, help="output directory")
+        sp.add_argument("--out", default=None, help="output directory in place of output_dir")
         sp.add_argument(
             "--mc-samples", type=int, default=None,
             help="override the bootstrap sample count",
@@ -925,10 +897,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             target = args.config
-            if target is None:
-                diags = validate(config_to_raw(default_config("purify")))
-            else:
-                diags = validate(target)
+            diags = validate(config_to_raw(default_config()) if target is None else target)
             for diag in diags:
                 print(diag)
             if diags:
@@ -936,15 +905,12 @@ def main(argv=None) -> int:
             print("config ok")
             return 0
 
-        if args.config is not None:
-            cfg = load_config(args.config)
-        else:
-            cfg = default_config(args.command)
+        cfg = default_config(args.command) if args.config is None else load_config(args.config)
         try:
             cfg = _apply_overrides(cfg, args)
         except ValueError as exc:
             raise ConfigError([f"overrides: {exc}"]) from exc
-        out_dir = Path(cfg.output_dir)
+        out_dir = Path(cfg.output_dir if args.out is None else args.out)
 
         if args.command == "purify":
             report = run_purification(cfg, out_dir)
@@ -967,14 +933,12 @@ def main(argv=None) -> int:
                 f"visibility = {fringe['visibility']:.6f} "
                 f"(configured {fringe['configured_visibility']:.6f})"
             )
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
         return 0
     except ConfigError as exc:
         for diag in exc.diagnostics:
             print(diag, file=sys.stderr)
         return 1
-    except (PostselectionError, RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

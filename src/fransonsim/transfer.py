@@ -105,12 +105,19 @@ class TransferOutcome:
         probs = np.array(self.port_probs, dtype=float, copy=True)
         if probs.shape != (4,):
             raise ValueError(f"port_probs must have shape (4,), got {probs.shape}")
-        if probs.min() < -1e-12:
-            raise ValueError(f"negative port probability: {probs.min():.3e}")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"port probabilities sum to {probs.sum():.12g}, not 1")
+        _check_ports(probs[None])
         probs.setflags(write=False)
         object.__setattr__(self, "port_probs", probs)
+
+
+def _check_ports(probs: np.ndarray) -> np.ndarray:
+    """(B, 4) port probabilities after the bounds of :class:`TransferOutcome`, row by row."""
+    for row in probs:
+        if row.min() < -1e-12:
+            raise ValueError(f"negative port probability: {row.min():.3e}")
+        if abs(row.sum() - 1.0) > 1e-9:
+            raise ValueError(f"port probabilities sum to {row.sum():.12g}, not 1")
+    return probs
 
 
 # Bits (a, x, b, y) of each index of the pair register

@@ -752,6 +752,21 @@ class TestMainEntry:
         assert main(["purify", "--config", str(path), "--out", str(dest)]) == 0
         assert (dest / "report_purify.json").exists()
 
+    def test_out_does_not_change_the_report_body(self, tmp_path):
+        """Two runs of one config and seed into two --out directories give one report body.
+
+        The config echo keeps the config's output_dir; only the run block differs.
+        """
+        path = write_config(tmp_path, count_mode="sampled")
+        bodies = []
+        for name in ("a", "b"):
+            assert main(["purify", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            report = json.loads((tmp_path / name / "report_purify.json").read_text())
+            del report["run"]
+            assert report["config"]["output_dir"] == "."
+            bodies.append(json.dumps(report))
+        assert bodies[0] == bodies[1]
+
     def test_bad_override_is_config_error(self, tmp_path, capsys):
         """An out-of-range --mc-samples exits with code 1."""
         path = write_config(tmp_path)

@@ -1,11 +1,11 @@
 """The stacked physics of ``cli._run_points`` against the one-state public calls.
 
 ``_run_points`` runs source, channel, blocked input and transfer once on the
-stack of all sweep points. Every per-point state, weight and port
-probability it returns must be bitwise what ``make_source_state``,
+stack of all sweep points. Its source stack, blocked weights, port
+probabilities and branch states must be bitwise what ``make_source_state``,
 ``apply_noisy_channel``, ``block_long_arms``, ``transfer`` and the
-marginals give for that point alone, and its number of state validations
-must not depend on the number of points.
+marginals give for each point alone. Its number of state validations must
+not depend on the number of points, and it builds no per-point state object.
 """
 
 import math
@@ -23,8 +23,8 @@ from fransonsim.optics import (
     apply_noisy_channel,
     make_source_state,
 )
-from fransonsim.qcore import DensityMatrix
-from fransonsim.transfer import InterferometerConfig, block_long_arms, transfer
+from fransonsim.qcore import DensityMatrix, PhotonPairState
+from fransonsim.transfer import InterferometerConfig, TransferOutcome, block_long_arms, transfer
 
 # rotating plates on both arms, then coherent plates on both arms
 CHANNEL = NoisyChannelSpec((
@@ -55,10 +55,7 @@ def config(jitter_deg=0.0, channel=CHANNEL):
 
 
 def points(cfg, parameter, n):
-    return [
-        (cli._sweep_source(cfg, parameter, float(value)), (index,))
-        for index, value in enumerate(SWEEPS[parameter](n))
-    ]
+    return cli._sweep_points(cfg, cli.SweepConfig(parameter, SWEEPS[parameter](n)))
 
 
 def run(cfg, pts):
@@ -77,41 +74,42 @@ def same(got: DensityMatrix, want: DensityMatrix) -> bool:
 def test_stacked_points_match_the_one_state_calls_bitwise(parameter, jitter_deg, n):
     cfg = config(jitter_deg)
     pts = points(cfg, parameter, n)
-    results = run(cfg, pts)
-    assert len(results) == n
-    for (source_cfg, _), (src, blocked, outcome, branches) in zip(pts, results):
+    sources, kept, ports, branches = run(cfg, pts)
+    assert sources.shape == (n, 16, 16) and ports.shape == (n, 4)
+    assert len(kept) == len(branches) == n
+    for i, (source_cfg, _) in enumerate(pts):
         want_src = make_source_state(source_cfg)
         after = apply_noisy_channel(want_src, cfg.channel)
         want_blocked = block_long_arms(after)
         want = transfer(after, cfg.interferometer)
-        assert same(src.rho, want_src.rho)
-        assert same(blocked.rho, want_blocked.rho)
-        assert same(outcome.joint_out.rho, want.joint_out.rho)
-        assert same(outcome.pol_out, want.pol_out)
-        assert same(outcome.path_out, want.path_out)
-        assert outcome.port_probs.tobytes() == want.port_probs.tobytes()
-        assert same(branches["input"][0], want_blocked.pol_marginal())
-        assert same(branches["output"][0], want.pol_out)
-        assert want_blocked.weight < 1.0  # the blocked weight is carried, not reset
+        assert sources[i].tobytes() == want_src.rho.data.tobytes()
+        assert kept[i] == want_blocked.weight < 1.0  # the blocked weight is carried, not reset
+        assert ports[i].tobytes() == want.port_probs.tobytes()
+        assert same(branches[i]["input"][0], want_blocked.pol_marginal())
+        assert same(branches[i]["output"][0], want.pol_out)
+
+
+STATE_TYPES = (DensityMatrix, PhotonPairState, TransferOutcome)
 
 
 @pytest.fixture
 def validations(monkeypatch):
-    """Counts of ``_state_errors`` calls and of checked ``DensityMatrix`` constructions."""
-    counts = {"_state_errors": 0, "__post_init__": 0}
-    state_errors, post_init = qcore._state_errors, DensityMatrix.__post_init__
+    """Counts of ``_state_errors`` calls and of checked constructions of each state type."""
+    counts = dict.fromkeys(["_state_errors", *(cls.__name__ for cls in STATE_TYPES)], 0)
+    state_errors = qcore._state_errors
 
     def spy_state_errors(stack):
         counts["_state_errors"] += 1
         return state_errors(stack)
 
-    def spy_post_init(self):
-        counts["__post_init__"] += 1
-        post_init(self)
-
     monkeypatch.setattr(qcore, "_state_errors", spy_state_errors)
     monkeypatch.setattr(tomo, "_state_errors", spy_state_errors)
-    monkeypatch.setattr(DensityMatrix, "__post_init__", spy_post_init)
+    for cls in STATE_TYPES:
+        def spy_post_init(self, post_init=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy_post_init)
     return counts
 
 
@@ -126,7 +124,8 @@ def test_validations_do_not_depend_on_the_number_of_points(validations, channel,
     for n in (1, 6, 24):
         validations.update(dict.fromkeys(validations, 0))
         run(cfg, points(cfg, "sum_phase", n))
-        assert validations == {"_state_errors": stacks, "__post_init__": 0}, n
+        assert validations == {"_state_errors": stacks, "DensityMatrix": 0,
+                               "PhotonPairState": 0, "TransferOutcome": 0}, n
 
 
 def test_a_failing_row_raises_its_error(monkeypatch):
@@ -138,3 +137,17 @@ def test_a_failing_row_raises_its_error(monkeypatch):
     monkeypatch.setattr(cli, "_source_stack", lambda cfgs: bad)
     with pytest.raises(ValueError, match="matrix trace is 1.000001"):
         run(cfg, pts)
+
+
+def test_a_port_probability_below_the_outcome_bound_is_refused(monkeypatch):
+    """A path marginal that passes the state check keeps TransferOutcome's port bounds.
+
+    The eigenvalue floor of the state check is -1e-10; a port probability
+    must not be below -1e-12.
+    """
+    cfg = config()
+    joint = np.zeros((16, 16), dtype=complex)
+    joint[0, 0], joint[5, 5] = 1.0 + 5e-11, -5e-11  # |H S H S> and |H L H L>
+    monkeypatch.setattr(cli, "_transferred", lambda stack, mask: np.stack([joint] * len(stack)))
+    with pytest.raises(ValueError, match="negative port probability: -5.000e-11"):
+        run(cfg, points(cfg, "p", 3))
