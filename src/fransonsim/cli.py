@@ -643,14 +643,27 @@ def _finish(experiment, cfg, stages, t0, out_dir, report_name, stage_s, branches
     return report
 
 
+def _refuse_sweep(experiment: str, sweep: SweepConfig | None, scans: str | None) -> None:
+    """Refuse, naming ``sweep.parameter``, a sweep that ``experiment`` would ignore.
+
+    ``scans`` is the one parameter the experiment sweeps, or None if it runs
+    the one ``source`` point.
+    """
+    if sweep is not None and sweep.parameter != scans:
+        what = f"scans {scans!r}" if scans else "runs the one source point and takes no sweep"
+        raise ConfigError([f"sweep.parameter: {experiment} {what}, got {sweep.parameter!r}"])
+
+
 def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """Experiment A: tomography of the state before and after transfer.
 
     The input branch blocks both long arms and measures the polarization
     state that survives; the output branch runs the full transfer and
     measures the polarization state it produces. When ``out_dir`` is given,
-    counts, reconstructed matrices, and the report are written there.
+    counts, reconstructed matrices, and the report are written there. A
+    config with a sweep is refused.
     """
+    _refuse_sweep("purify", cfg.sweep, None)
     t0 = time.perf_counter()
     stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
     sources, [kept], [ports], branches = _run_points(cfg, [(cfg.source, ())], stage_s)
@@ -696,8 +709,7 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """
     t0 = time.perf_counter()
     sweep = cfg.sweep or SweepConfig("p", DEFAULT_SWEEP_VALUES)
-    if sweep.parameter != "p":
-        raise ConfigError([f"sweep.parameter: chsh-sweep scans 'p', got {sweep.parameter!r}"])
+    _refuse_sweep("chsh-sweep", sweep, "p")
     stage_s = dict.fromkeys(STAGE_NAMES, 0.0)
     *_, branches = _run_points(cfg, _sweep_points(cfg, sweep), stage_s)
     rows = []
@@ -753,9 +765,14 @@ def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
 
 
 def run_fringe_scan(cfg: ExperimentConfig, out_dir=None, n_points: int = 25) -> RunReport:
-    """Scan the interferometer sum phase and read off the fringe visibility."""
+    """Scan the interferometer sum phase and read off the fringe visibility.
+
+    A ``sum_phase`` sweep gives the scan phases; without a sweep, ``n_points``
+    phases span 0 to 2 pi. A sweep of any other parameter is refused.
+    """
+    _refuse_sweep("fringe-scan", cfg.sweep, "sum_phase")
     t0 = time.perf_counter()
-    if cfg.sweep is not None and cfg.sweep.parameter == "sum_phase":
+    if cfg.sweep is not None:
         phases = list(cfg.sweep.values)
     else:
         phases = list(np.linspace(0.0, 2.0 * math.pi, n_points))

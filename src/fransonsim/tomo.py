@@ -576,19 +576,20 @@ def _newton_step(
 
     Y moves along the 15 traceless Pauli directions E_k, so it keeps unit
     trace; each row's step is halved until Y + t dY passes the test that its
-    smallest eigenvalue is positive. Returns the new stack and each row's
-    Newton decrement.
+    smallest eigenvalue is positive, and each halving tests only the rows
+    still outside. Returns the new stack and each row's step length t.
     """
     grad, hess = _newton_system(design, freqs, y, mu)
     step = np.linalg.solve(hess, -grad[..., None])[..., 0]
     dy = (step @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
-    t = np.ones(len(y))
+    t, outside = np.ones(len(y)), np.arange(len(y))
     for _ in range(60):
-        inside = np.linalg.eigvalsh(y + t[:, None, None] * dy)[:, 0] > 0.0
-        if inside.all():
+        trial = y[outside] + t[outside, None, None] * dy[outside]
+        outside = outside[~(np.linalg.eigvalsh(trial)[:, 0] > 0.0)]
+        if len(outside) == 0:
             break
-        t[~inside] *= 0.5
-    return y + t[:, None, None] * dy, -np.einsum("bk,bk->b", grad, step)
+        t[outside] *= 0.5
+    return y + t[:, None, None] * dy, t
 
 
 def _mle_fits(
@@ -626,9 +627,10 @@ def _mle_fits(
     Rows still open after _RRR_ITERATIONS switch to damped Newton steps on
     the log-barrier problem (see :func:`_newton_step`), started from their
     iterate mixed with a share g / sum_j f_j of I/4. The barrier weight mu starts at
-    max(g / 10, tol / 16). It is cut tenfold only once a step's Newton
-    decrement is below mu / 4, and never below max(g / 10, tol / 16) for
-    the current g; on the central path g is at most 3 mu. Iterations of
+    max(g / 10, tol / 16). It is cut tenfold after every step that needed
+    no damping (Boyd and Vandenberghe, Convex Optimization, 11.3), never
+    below max(g / 10, tol / 16) for the current g, and a damped step leaves
+    it unchanged; on the central path g is at most 3 mu. Iterations of
     both phases count against ``max_iter``; a row stopped by it reports
     ``converged=False``. Stopped rows leave the batch. Probabilities are
     floored at PROBABILITY_FLOOR so empty settings cannot blow up the
@@ -697,7 +699,7 @@ def _fit_batch(
                 share = np.minimum(gap / total, 1.0)[:, None, None]
                 y = (1.0 - share) * _unembed(y) + share * np.eye(4) / 4.0
                 mu = np.maximum(0.1 * gap, tol / 16.0)
-            y, decrement = _newton_step(design, freqs, y, mu)
+            y, step_length = _newton_step(design, freqs, y, mu)
             y_now, (r_op, floored) = y, _r_operator(design, freqs, y)
         floor_hits += floored.sum(axis=1)
         if history:
@@ -710,7 +712,7 @@ def _fit_batch(
         gap[exact] = np.linalg.eigvalsh(r_exact)[:, -1] - total[exact]
         if iteration > _RRR_ITERATIONS:
             lowest = np.maximum(0.1 * gap, tol / 16.0)
-            mu = np.where(decrement < mu / 4.0, np.maximum(mu / 10.0, lowest), mu)
+            mu = np.where(step_length == 1.0, np.maximum(mu / 10.0, lowest), mu)
         converged = gap <= tol
         stopped = converged if iteration < max_iter else np.ones_like(converged)
         done = np.flatnonzero(stopped)

@@ -14,8 +14,10 @@ import pytest
 import fransonsim
 
 ROOT = Path(__file__).resolve().parents[1]
+# every module but __main__, the entry point of ``python -m fransonsim``, which exports nothing
 MODULES = sorted(
     f"fransonsim.{info.name}" for info in pkgutil.iter_modules(fransonsim.__path__)
+    if info.name != "__main__"
 )
 
 

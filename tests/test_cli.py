@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
 import random
 import shutil
+import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,6 +557,27 @@ class TestSweepPipelines:
         with pytest.raises(ConfigError, match="parameter"):
             run_chsh_sweep(cfg)
 
+    @pytest.mark.parametrize("command, sweep", [
+        ("purify", {"parameter": "visibility", "values": [0.5, 0.9]}),
+        ("purify", {"parameter": "sum_phase", "values": [0.0]}),
+        ("fringe-scan", {"parameter": "p", "values": [0.1]}),
+        ("fringe-scan", {"parameter": "visibility", "values": [0.5, 0.9]}),
+    ])
+    def test_a_sweep_the_experiment_ignores_is_refused_by_name(
+        self, tmp_path, capsys, command, sweep
+    ):
+        """purify takes no sweep and fringe-scan only a sum_phase one; the rest are refused.
+
+        The refusal names sweep.parameter and comes before any output.
+        """
+        path, out = write_config(tmp_path, sweep=sweep), tmp_path / "out"
+        assert validate(str(path)) == []
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sweep.parameter: {command} "), err
+        assert repr(sweep["parameter"]) in err
+        assert not out.exists()
+
     def test_custom_visibility_sweep(self):
         """Output concurrence tracks the swept source visibility."""
         cfg = analytic_cfg(
@@ -577,12 +601,15 @@ class TestSweepPipelines:
 class TestStageTimes:
     @pytest.mark.parametrize("run", [run_purification, run_chsh_sweep, run_custom])
     def test_run_block_times_every_stage(self, run):
-        """The run block gives each stage's seconds; together they fit in elapsed_s."""
+        """The run block gives each stage's seconds; together they fit in elapsed_s.
+
+        purify runs its one source point; the sweeps run two points.
+        """
         cfg = analytic_cfg(
             count_mode="sampled",
             source=SourceConfig(pol_input="bell_p"),
             tomography=TomographyConfig(pairs_per_setting=2_000, n_mc_samples=10),
-            sweep=SweepConfig("p", (0.1, 0.5)),
+            sweep=None if run is run_purification else SweepConfig("p", (0.1, 0.5)),
         )
         block = run(cfg).as_dict()["run"]
         stage_s = block["stage_s"]
@@ -767,6 +794,20 @@ class TestMainEntry:
             bodies.append(json.dumps(report))
         assert bodies[0] == bodies[1]
 
+    def test_python_m_fransonsim_runs_the_command(self, tmp_path):
+        """``python -m fransonsim validate`` exits 0, with no warning on stderr.
+
+        RuntimeWarnings are errors in the child, as in this suite.
+        """
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fransonsim", "validate"],
+            capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == "config ok\n"
+
     def test_bad_override_is_config_error(self, tmp_path, capsys):
         """An out-of-range --mc-samples exits with code 1."""
         path = write_config(tmp_path)
@@ -934,9 +975,11 @@ class TestConfigFuzz:
     def test_every_config_is_refused_by_name_or_runs(self, tmp_path, capsys):
         """Edge configs: validate names a field they set, or main runs them to finite reports.
 
-        The one refusal left to run time is chsh-sweep's, of a sweep over
-        another parameter than p, which names sweep.parameter.
+        The one refusal left to run time is of a sweep that the experiment
+        would ignore (purify takes none, chsh-sweep scans p and fringe-scan
+        sum_phase), which names sweep.parameter.
         """
+        scans = {"purify": None, "chsh-sweep": "p", "fringe-scan": "sum_phase"}
         rng = random.Random(20211008)
         outcomes = {"refused": 0, "ran": 0}
         for i in range(400):
@@ -951,8 +994,9 @@ class TestConfigFuzz:
             path.write_text(json.dumps(raw))
             code = main([command, "--config", str(path), "--out", str(out)])
             err = capsys.readouterr().err
-            if code == 1 and command == "chsh-sweep" and raw["sweep"]["parameter"] != "p":
-                assert err.startswith("sweep.parameter: chsh-sweep scans 'p'"), err
+            sweep = raw["sweep"]
+            if code == 1 and sweep and command in scans and sweep["parameter"] != scans[command]:
+                assert err.startswith(f"sweep.parameter: {command} "), err
                 continue
             assert code == 0, (err, raw)
             floats = []  # every float token of the reports, NaN and Infinity included
