@@ -226,9 +226,7 @@ class RunReport:
         }
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n", encoding="ascii")
 
 
 def derive_seed(base: int, *key: int) -> int:
@@ -301,13 +299,28 @@ def _parse(cls, raw, section, errors, **given):
         return None
 
 
+def _degrees(x: float) -> float:
+    """The degree value nearest ``math.degrees(x)`` that ``math.radians`` maps back to x.
+
+    ``math.radians(math.degrees(x))`` misses x by an ulp for some x; one
+    step to a neighbour finds an exact value for angles read from a file.
+    Where no neighbour is exact, ``math.degrees(x)`` is kept.
+    """
+    deg = math.degrees(x)
+    if math.radians(deg) == x:
+        return deg
+    steps = (math.nextafter(deg, -math.inf), math.nextafter(deg, math.inf))
+    exact = [d for d in steps if math.radians(d) == x]
+    return min(exact, key=lambda d: abs(d - deg), default=deg)
+
+
 def _echo(obj) -> dict:
     """The scalar and wave-plate fields of a config dataclass, in file units."""
     raw = {}
     for f in fields(obj):
         val = getattr(obj, f.name)
         if f.name in _ANGLES:
-            val = math.degrees(val)
+            val = _degrees(val)
         elif isinstance(val, tuple):
             val = [_echo(plate) for plate in val]
         elif f.type not in _TYPES:
@@ -470,7 +483,7 @@ def config_to_raw(cfg: ExperimentConfig) -> dict:
     if cfg.sweep is not None:
         values = list(cfg.sweep.values)
         if cfg.sweep.parameter == "sum_phase":
-            values = [math.degrees(v) for v in values]
+            values = [_degrees(v) for v in values]
         sweep = {"parameter": cfg.sweep.parameter, "values": values}
     stage_names = {cls: name for name, cls in _STAGE_TYPES.items()}
     # Scalars first, then the sections: this order is part of the report bytes.

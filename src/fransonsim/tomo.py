@@ -542,6 +542,24 @@ def _rrr_step(r8: np.ndarray, y8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return step, 0.25 * trace
 
 
+def _pivots_positive(m: np.ndarray) -> np.ndarray:
+    """False for each matrix of a Hermitian (B, 4, 4) stack that has an LDL^H pivot <= 0.
+
+    Three Schur-complement steps give the four pivots, the ratios of the
+    leading principal minors, which are all positive exactly when the
+    matrix is positive definite. A NaN pivot rules nothing out, so a NaN
+    row stays True.
+    """
+    pivots = np.empty((len(m), 4))
+    with np.errstate(all="ignore"):  # rows past a pivot <= 0 are already ruled out
+        for j in range(3):
+            pivots[:, j] = m[:, 0, 0].real
+            col = m[:, 1:, :1]
+            m = m[:, 1:, 1:] - col * (col.conj().transpose(0, 2, 1) / pivots[:, j, None, None])
+        pivots[:, 3] = m[:, 0, 0].real
+        return ~(pivots <= 0.0).any(axis=1)
+
+
 def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho = Y / tr(Y) of every Y, complex or in real form, and its tr(rho Pi_j)."""
     if not np.iscomplexobj(y):
@@ -620,10 +638,13 @@ def _mle_fits(
     does not check that bound). R and Y are PSD and Y has unit trace, so
     lambda_max(R) >= tr(RYR) / tr(RY) >= tr(RYR) / sum_j f_j, and
     tr(RYR) is the normaliser of the next RrhoR step: an RrhoR row whose
-    bound already exceeds sum_j f_j + ``tol`` skips the eigensolve, which
-    leaves the certificate and the iterates unchanged; when every row skips
-    it, no eigensolve runs. Every row gets the exact gap at the last RrhoR
-    iteration and in every Newton iteration.
+    bound already exceeds sum_j f_j + ``tol`` skips the eigensolve. So does
+    one for which c I - R, c = (sum_j f_j + ``tol``)(1 + 1e-12), has an
+    LDL^H pivot <= 0 (:func:`_pivots_positive`), since then lambda_max(R)
+    >= c. Both screens leave the certificate and the iterates unchanged;
+    when they rule out every row, no eigensolve runs. Every row gets the
+    exact gap at the last RrhoR iteration and in every Newton iteration.
+    The fitted states are validated once, after the iteration.
     Rows still open after _RRR_ITERATIONS switch to damped Newton steps on
     the log-barrier problem (see :func:`_newton_step`), started from their
     iterate mixed with a share g / sum_j f_j of I/4. The barrier weight mu starts at
@@ -668,7 +689,8 @@ def _fit_batch(
 ) -> _Fits:
     """The iteration of :func:`_mle_fits`; ``y``, the one stack carried, is real until Newton.
 
-    Each row is written into the preallocated record when it stops.
+    Each row is written into the preallocated record when it stops, and
+    the record's states are validated once, after the loop.
     """
     fits = _Fits.blank(len(counts))
     rows = np.arange(len(counts))  # input row of each batch row
@@ -681,19 +703,20 @@ def _fit_batch(
     if history:
         logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])]
     y, _ = _rrr_step(_real_r_operator(design, freqs, y)[0], y)
-    # lambda_max(R) >= tr(RYR) / total: an RrhoR row whose tr(RYR) is above this
-    # bound cannot stop yet. The margin covers rounding; a NaN row fails the test
-    # and reaches eigvalsh, whose LinAlgError refits the rows alone. A huge tol
-    # overflows the bound to inf, which rules no row out.
+    # A row can stop only if lambda_max(R) <= ceiling / (1 + 1e-12), and
+    # lambda_max(R) >= tr(RYR) / total: an RrhoR row whose tr(RYR) is above
+    # ``bound`` cannot stop yet, nor can one whose ceiling I - R has an LDL^H
+    # pivot <= 0. The margin covers rounding; a NaN row passes both screens and
+    # reaches eigvalsh, whose LinAlgError refits the rows alone. A huge tol
+    # overflows both to inf, which rules no row out.
     with np.errstate(over="ignore"):
-        bound = total * (total + tol) * (1.0 + 1e-12)
+        ceiling = (total + tol) * (1.0 + 1e-12)
+        bound = total * ceiling
+    diagonal = np.arange(4)
     for iteration in range(1, max_iter + 1):
-        exact, y_now = np.ones(len(rows), dtype=bool), y  # y_now: the iterate gap certifies
+        y_now = y  # the iterate gap certifies
         if iteration <= _RRR_ITERATIONS:
             r_op, floored = _real_r_operator(design, freqs, y)
-            if iteration < min(_RRR_ITERATIONS, max_iter):
-                y, norm = _rrr_step(r_op, y)
-                exact = ~(norm > bound)
         else:
             if iteration == _RRR_ITERATIONS + 1:
                 share = np.minimum(gap / total, 1.0)[:, None, None]
@@ -701,12 +724,21 @@ def _fit_batch(
                 mu = np.maximum(0.1 * gap, tol / 16.0)
             y, step_length = _newton_step(design, freqs, y, mu)
             y_now, (r_op, floored) = y, _r_operator(design, freqs, y)
-        floor_hits += floored.sum(axis=1)
+        if floored.any():
+            floor_hits += floored.sum(axis=1)
         if history:
             for i, ll in zip(rows, _loglike(counts[rows], _states(design, y_now)[1])):
                 logs[i].append(float(ll))
-        if not exact.any():  # no row can stop, so no certificate is needed
-            continue
+        exact = slice(None)  # the rows whose gap is computed
+        if iteration < min(_RRR_ITERATIONS, max_iter):
+            y, norm = _rrr_step(r_op, y)
+            exact = np.flatnonzero(~(norm > bound))
+            if len(exact) > 0:
+                m = -1j * r_op[exact, 4:, :4] - r_op[exact, :4, :4]  # -R, from one copy
+                m[:, diagonal, diagonal] += ceiling[exact, None]
+                exact = exact[_pivots_positive(m)]
+            if len(exact) == 0:  # no row can stop, so no certificate is needed
+                continue
         gap = np.full(len(rows), np.inf)
         r_exact = _unembed(r_op[exact]) if iteration <= _RRR_ITERATIONS else r_op
         gap[exact] = np.linalg.eigvalsh(r_exact)[:, -1] - total[exact]
@@ -718,19 +750,20 @@ def _fit_batch(
         done = np.flatnonzero(stopped)
         if len(done) == 0:
             continue
-        rhos, probs = _states(design, y_now[done])
         stop = rows[done]
-        fits.put(stop, _Fits(
-            rhos, np.full(len(done), iteration), _loglike(counts[stop], probs),
-            converged[done], floor_hits[done], gap[done], _state_errors(rhos),
-            [tuple(logs[i]) for i in stop] if history else [()] * len(done),
-        ))
+        fits.rho[stop], probs = _states(design, y_now[done])
+        fits.iterations[stop], fits.loglike[stop] = iteration, _loglike(counts[stop], probs)
+        fits.converged[stop], fits.floor_hits[stop] = converged[done], floor_hits[done]
+        fits.gap[stop] = gap[done]
         keep = ~stopped
         if not keep.any():
             break
-        rows, freqs, total, bound, y, gap, mu, floor_hits = (
-            a[keep] for a in (rows, freqs, total, bound, y, gap, mu, floor_hits)
+        rows, freqs, total, ceiling, bound, y, gap, mu, floor_hits = (
+            a[keep] for a in (rows, freqs, total, ceiling, bound, y, gap, mu, floor_hits)
         )
+    fits.errors = _state_errors(fits.rho)
+    if history:
+        fits.history = [tuple(log) for log in logs]
     return fits
 
 

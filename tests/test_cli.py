@@ -279,6 +279,46 @@ class TestConfigParsing:
         assert back == cfg
         assert json.dumps(config_to_raw(back), indent=1) == echo
 
+    def test_degree_echo_reloads_to_the_same_radians(self, tmp_path):
+        """An angle read from a file echoes as a degree value that reloads bit for bit.
+
+        ``math.degrees(math.radians(105.0))`` is 105.00000000000001, whose
+        radians miss those of 105 by an ulp; the echo gives 105.0 back.
+        """
+        assert math.degrees(math.radians(105.0)) != 105.0
+        raw = {
+            "interferometer": {"phase_a_deg": 105.0},
+            "channel": {"stages": [{"type": "coherent", "plates_a": [
+                {"kind": "half", "angle_deg": 105.0}], "plates_b": []}]},
+            "sweep": {"parameter": "sum_phase", "values": [105.0, 210.0]},
+        }
+        path = tmp_path / "angles.json"
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+        echo = config_to_raw(cfg)
+        assert echo["interferometer"]["phase_a_deg"] == 105.0
+        assert echo["channel"]["stages"][0]["plates_a"][0]["angle_deg"] == 105.0
+        assert echo["sweep"]["values"] == [105.0, 210.0]
+        path.write_text(json.dumps(echo))
+        assert load_config(path) == cfg
+        rng = random.Random(11)
+        for deg in [rng.uniform(-720.0, 720.0) for _ in range(2000)] + [1e300, 5e-324]:
+            x = math.radians(deg)
+            assert math.radians(cli._degrees(x)) == x, deg
+
+    def test_degree_echo_stays_within_an_ulp_of_math_degrees(self):
+        """Any radian float echoes within one step of math.degrees, or as it if none is exact."""
+        rng = random.Random(12)
+        inexact = 0
+        for x in [rng.uniform(-10.0, 10.0) for _ in range(2000)]:
+            deg, echo = math.degrees(x), cli._degrees(x)
+            if math.radians(echo) == x:
+                assert echo in (deg, math.nextafter(deg, -math.inf), math.nextafter(deg, math.inf))
+            else:
+                assert echo == deg
+                inexact += 1
+        assert 0 < inexact < 400  # some radian floats have no exact degree value
+
     def test_derive_seed_is_stable_and_distinct(self):
         """Stage seeds are deterministic and separated by their path."""
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
@@ -678,6 +718,12 @@ class TestDeterminism:
         b.pop("run")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_report_file_is_one_indented_json_dump(self, tmp_path):
+        """A report file holds json.dumps of its dict with indent 2 and a newline."""
+        report = run_purification(analytic_cfg(), tmp_path)
+        want = json.dumps(report.as_dict(), indent=2) + "\n"
+        assert (tmp_path / "report_purify.json").read_bytes() == want.encode("ascii")
+
     def test_worker_count_does_not_change_outputs(self, tmp_path):
         """The workers setting must not leak into results."""
         base = dict(
@@ -1003,6 +1049,10 @@ class TestConfigFuzz:
             for report in out.glob("report_*.json"):
                 json.loads(report.read_text(), parse_float=floats.append,
                            parse_constant=floats.append)
+                # the config echo reloads to the config the run used, bit for bit
+                echo = tmp_path / "echo.json"
+                echo.write_text(json.dumps(json.loads(report.read_text())["config"]))
+                assert load_config(echo) == load_config(path), raw
             assert floats and all(math.isfinite(float(x)) for x in floats), raw
             shutil.rmtree(out)
             outcomes["ran"] += 1

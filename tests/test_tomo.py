@@ -967,6 +967,78 @@ class TestMle:
         assert 0 < len(sizes) < fits.iterations.max()
         assert min(sizes) > 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pivot_test_agrees_with_the_smallest_eigenvalue(self, seed):
+        """The LDL^H pivot test is eigvalsh(m)[:, 0] > 0 on Hermitian stacks near singular.
+
+        The stacks are PSD matrices of rank 1 to 4 shifted by -1e-13 and
+        +1e-13 times I, so every rank-deficient one sits just outside or just
+        inside the cone, and random full-rank Hermitian matrices of both
+        signs. A NaN pivot rules no row out.
+        """
+        rng = np.random.default_rng(seed)
+        stacks = []
+        for rank in range(1, 5):
+            g = rng.normal(size=(200, 4, rank)) + 1j * rng.normal(size=(200, 4, rank))
+            psd = g @ g.conj().transpose(0, 2, 1)
+            psd /= np.trace(psd, axis1=1, axis2=2).real[:, None, None]
+            stacks += [psd + shift * np.eye(4) for shift in (-1e-13, 1e-13)]
+        h = rng.normal(size=(400, 4, 4)) + 1j * rng.normal(size=(400, 4, 4))
+        stacks.append(0.5 * (h + h.conj().transpose(0, 2, 1)) + rng.normal(size=(400, 1, 1)))
+        m = np.concatenate(stacks)
+        want = np.linalg.eigvalsh(m)[:, 0] > 0.0
+        assert want.any() and not want.all()
+        np.testing.assert_array_equal(tomo._pivots_positive(m), want)
+        nan = np.stack([np.full((4, 4), np.nan + 0j), np.eye(4, dtype=complex)])
+        nan[1, 3, 2] = nan[1, 2, 3] = np.nan  # only the last pivot is NaN
+        assert tomo._pivots_positive(nan).all()
+
+    def test_only_rows_that_can_stop_reach_the_eigensolve(self, monkeypatch):
+        """Before the last RrhoR iteration every row eigensolved has gap <= tol + 1e-12 (sum f + tol).
+
+        That is the ceiling of the LDL^H screen, so on the default purify
+        batch nearly every RrhoR eigensolve is of a row that stops there.
+        """
+        batches = []
+        screened = tomo._fit_batch
+
+        def keep(design, counts, *args):
+            batches.append((design, counts, args))
+            return screened(design, counts, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tomo, "_fit_batch", keep)
+            cli.run_purification(cli.default_config("purify"))
+        [(design, counts, args)] = batches
+        tol = args[1]
+        solved, gaps = [0], []
+        real = np.linalg.eigvalsh
+
+        def spy(a, *rest, **kwargs):
+            values = real(a, *rest, **kwargs)
+            frame = sys._getframe(1)
+            if frame.f_code is screened.__code__:
+                fit = frame.f_locals
+                if fit["iteration"] < tomo._RRR_ITERATIONS:
+                    total = fit["total"][fit["exact"]]
+                    gaps.append(values[:, -1] - total - (tol + 1e-12 * (total + tol)))
+                    solved[0] += len(a)
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        fits = screened(design, counts, *args)
+        assert fits.converged.all() and fits.iterations.max() < tomo._RRR_ITERATIONS
+        assert np.concatenate(gaps).max() <= 0.0
+        assert len(counts) <= solved[0] <= 1.25 * len(counts)
+
+    def test_a_huge_tol_rules_out_no_row(self):
+        """With tol at the float maximum the screen's ceiling is inf, and every row stops at once."""
+        counts = np.stack([
+            simulate_counts(tilted_bell(p), 3_000, seed=0).counts for p in (0.5, 0.1)
+        ])
+        fits = tomo._mle_fits(counts, 3_000, tol=sys.float_info.max)
+        assert fits.converged.all() and (fits.iterations == 1).all()
+
     def test_newton_system_matches_the_einsum_oracle(self):
         """The tabled gradient and Hessian equal the einsum forms to 1e-10, per row.
 
