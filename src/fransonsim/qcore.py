@@ -54,6 +54,9 @@ __all__ = [
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_EIGEN_FLOOR = -1e-10
+# The shift of the Cholesky test in _state_errors, 1e-13 inside the floor:
+# a shift of exactly -PSD_EIGEN_FLOOR passes some rows the floor refuses.
+_PSD_SHIFT = 0.999e-10
 UNITARITY_ATOL = 1e-12
 EMPTY_POSTSELECTION_TRACE = 1e-14
 
@@ -90,18 +93,26 @@ def _state_errors(stack: np.ndarray) -> list[ValueError | None]:
     The checks, in order: finite entries, Hermitian within HERMITICITY_ATOL,
     unit trace within TRACE_ATOL, smallest eigenvalue at least
     PSD_EIGEN_FLOOR. A row's entry is the ``ValueError`` of the first check
-    it fails. The Hermiticity residual, the trace and the eigenvalues are
+    it fails. The Hermiticity residual, the trace and the last check are
     each one pass over the stack. A non-finite entry makes its row's
     residual NaN or infinite, so the row fails there and its entries then
-    tell which message it gets. Only rows that pass the first three checks
-    reach the eigensolver. :class:`DensityMatrix` runs this on a stack of
-    one.
+    tell which message it gets. :class:`DensityMatrix` runs this on a stack
+    of one.
+
+    The rows that pass the first three checks go through one stacked
+    Cholesky factorisation of rho + s I, s = 0.999e-10, a margin of 1e-13
+    inside the floor. It succeeds only if every row's smallest eigenvalue
+    is above -s less the factorisation's backward error (Higham 1990), at
+    most a few 1e-14 for a trace-one state of d <= 16, so then every row
+    passes. If it fails, ``eigvalsh`` runs on those rows to decide which of
+    them are below the floor and to name each smallest eigenvalue; it never
+    runs on a stack that passes.
     """
     with np.errstate(invalid="ignore"):  # inf - inf, in rows refused as non-finite
         herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)).tolist()
         trace = stack.trace(axis1=1, axis2=2).tolist()
     errors = [None] * len(stack)
-    rows = []  # the rows that reach the eigensolver
+    rows = []  # the rows that reach the eigenvalue check
     # written as "ok" and "not (ok)" so that NaN, which fails every comparison, is refused
     for i, (res, tr) in enumerate(zip(herm, trace)):
         if res <= HERMITICITY_ATOL and abs(tr - 1.0) <= TRACE_ATOL:
@@ -114,9 +125,12 @@ def _state_errors(stack: np.ndarray) -> list[ValueError | None]:
             errors[i] = ValueError(f"matrix trace is {tr:.15g}, expected 1")
     if rows:
         checked = stack if len(rows) == len(stack) else stack[rows]
-        for i, eigmin in zip(rows, np.linalg.eigvalsh(checked)[:, 0].tolist()):
-            if not eigmin >= PSD_EIGEN_FLOOR:
-                errors[i] = ValueError(f"matrix has negative eigenvalue {eigmin:.3e}")
+        try:
+            np.linalg.cholesky(checked + _PSD_SHIFT * np.eye(checked.shape[-1]))
+        except np.linalg.LinAlgError:  # some row may be below the floor
+            for i, eigmin in zip(rows, np.linalg.eigvalsh(checked)[:, 0].tolist()):
+                if not eigmin >= PSD_EIGEN_FLOOR:
+                    errors[i] = ValueError(f"matrix has negative eigenvalue {eigmin:.3e}")
     return errors
 
 

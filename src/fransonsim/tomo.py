@@ -893,7 +893,11 @@ class MetricsReport:
             )
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return {name: getattr(self, name) for name in _METRICS_REPORT_FIELDS}
+
+
+# The fields of MetricsReport.as_dict: every compared field, in order.
+_METRICS_REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport) if f.compare)
 
 
 def _metric_rows(stack: np.ndarray, angles: ChshAngles) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Config handling, experiment pipelines, artifacts, and exit codes."""
 
+import enum
 import json
 import math
 import os
@@ -757,6 +758,66 @@ class TestDeterminism:
         ).read_bytes()
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**65
+
+
+# Values whose json text takes each branch of the report writer.
+JSON_EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, sys.float_info.max, 0.1, 1e22, 1e-7,
+    0, -1, 2**70, -(2**70), True, False, None, "", "plain",
+    'quote " backslash \\ slash / tab \t newline \n nul \x00 del \x7f',
+    "caf\u00e9 \u2603 \U0001d11e \ud800", [], {}, [[]], [{}], {"a": []}, {"a": {}},
+    [[[], {}], {"b": [{}]}], (), (1, (2.5, ())), [None, True, [False]],
+    np.float64(0.1), np.float64(math.nan), np.float64(-math.inf), Level.LOW, Level.HIGH,
+    {1: "int", 2.5: "float", None: "none", -0.0: "zero", math.inf: "inf"},
+    {True: 1, False: 0}, {math.nan: [], 2**70: {}}, {Level.HIGH: 1, np.float64(0.5): 2},
+    {"\u00e9\n": ["nested", {"deep": [1, 2.0, "3"]}]},
+)
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("experiment", ["purify", "chsh-sweep", "custom", "fringe-scan"])
+    @pytest.mark.parametrize("count_mode", ["analytic", "sampled"])
+    def test_report_files_are_json_dumps_with_indent_2(self, tmp_path, experiment, count_mode):
+        """Every experiment writes json.dumps(as_dict(), indent=2) and a newline."""
+        tomography = TomographyConfig(pairs_per_setting=2_000, method="mle",
+                                      n_mc_samples=10, mle_max_iter=30)
+        cfg = analytic_cfg(count_mode=count_mode, tomography=tomography)
+        if experiment == "chsh-sweep":
+            report = run_chsh_sweep(replace(cfg, sweep=SweepConfig("p", (0.0, 0.3))), tmp_path)
+        elif experiment == "custom":
+            report = run_custom(replace(cfg, sweep=SweepConfig("visibility", (0.5, 0.9))),
+                                tmp_path)
+        elif experiment == "fringe-scan":
+            report = run_fringe_scan(cfg, tmp_path, n_points=9)
+        else:
+            report = run_purification(cfg, tmp_path)
+        [path] = tmp_path.glob("report_*.json")
+        want = json.dumps(report.as_dict(), indent=2) + "\n"
+        assert path.read_bytes() == want.encode("ascii")
+
+    def test_edge_values_are_written_as_json_writes_them(self):
+        """Each edge value alone, in a list and in a dict gives json.dumps(indent=2)."""
+        for value in JSON_EDGE_VALUES:
+            assert cli._json_dumps(value) == json.dumps(value, indent=2), value
+        every = list(JSON_EDGE_VALUES)
+        assert cli._json_dumps(every) == json.dumps(every, indent=2)
+        keyed = {f"k{i}": value for i, value in enumerate(every)}
+        assert cli._json_dumps(keyed) == json.dumps(keyed, indent=2)
+
+    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, [1, {"a": np.int64(3)}],
+                                       {np.int64(1): 1}, {(1, 2): 3}, {"a": {3j}}])
+    def test_what_json_refuses_is_refused_with_its_type_error(self, value):
+        """A numpy integer, a set or a tuple key raises the TypeError json raises."""
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json_dumps(value)
+        assert str(got.value) == str(want.value)
+
+
 class TestEmitPlotData:
     def test_emit_from_report_dict(self, tmp_path):
         """emit_plot_data works from the serialized report too."""
@@ -937,7 +998,7 @@ class TestMainEntry:
 # small, so that each accepted config runs in milliseconds.
 FUZZ_FLOATS = (
     0.0, -0.0, 5e-324, 1e-300, 1e-9, 0.5, 0.5000000000000001, 0.9999999999999999, 1.0,
-    1.0000000001, 2.6, 360.0, -1.0, 1e300, -1e300, sys.float_info.max,
+    1.0000000001, 2.6, 105.0, 360.0, -1.0, 1e300, -1e300, sys.float_info.max,
 )
 FUZZ_INTS = {
     "pairs_per_setting": (-1, 0, 1, 2, 1000, 10**18, 10**18 + 1, 2**63),

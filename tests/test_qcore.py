@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from fransonsim.qcore import (
+    HERMITICITY_ATOL,
+    PSD_EIGEN_FLOOR,
+    TRACE_ATOL,
     DensityMatrix,
     PAIR_LABELS,
     PAULI_Y,
@@ -175,6 +178,83 @@ class TestBatchedStateCheck:
         stack = np.stack([random_state(4, "mixed", seed=k).data for k in range(5)])
         assert _state_errors(stack) == [None] * 5
         assert _state_errors(stack[:1]) == [None]
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_near_the_floor_each_verdict_is_the_eigensolvers(self, dim):
+        """Rows a hair either side of the eigenvalue floor get the eigvalsh oracle's verdicts.
+
+        Each state is checked alone, in a stack of its own kind, and mixed
+        into valid states with a NaN, a non-Hermitian and an off-trace row.
+        """
+        rng = np.random.default_rng(dim)
+        near = [near_floor_state(rng, dim, delta)
+                for delta in NEAR_FLOOR_DELTAS for _ in range(40)]
+        want = [state_error_oracle(m) for m in near]
+        # both verdicts occur, so the check is tested on each side of the floor
+        assert None in want and any(w and "negative eigenvalue" in w for w in want)
+        assert [messages(_state_errors(m[None]))[0] for m in near] == want
+        assert messages(_state_errors(np.stack(near))) == want
+        good = [random_density(rng, dim).data for _ in range(3)]
+        nan = good[0].copy()
+        nan[0, 1] = nan[1, 0] = np.nan
+        skew = good[1].copy()
+        skew[0, 1] += 1e-9
+        heavy = good[2] * (1 + 1e-9)
+        for m in near[::7]:
+            stack = np.stack([good[0], m, nan, good[1], skew, heavy, good[2]])
+            assert messages(_state_errors(stack)) == [state_error_oracle(r) for r in stack]
+
+    def test_a_stack_that_passes_never_reaches_the_eigensolver(self, monkeypatch):
+        """Valid stacks, near-floor rows included, pass on the factorisation alone."""
+        rng = np.random.default_rng(7)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a stack of valid states")
+
+        stacks = []
+        for dim in (4, 16):
+            rows = [random_density(rng, dim).data for _ in range(5)]
+            rows += [near_floor_state(rng, dim, 1e-12) for _ in range(5)]
+            stacks.append(np.stack(rows))
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for stack in stacks:
+            assert _state_errors(stack) == [None] * len(stack)
+            assert _state_errors(stack[:1]) == [None]
+        DensityMatrix(stacks[1][-1])
+
+
+# The smallest eigenvalue of a near-floor state is PSD_EIGEN_FLOOR + delta.
+NEAR_FLOOR_DELTAS = (0.0, 1e-14, -1e-14, 1e-13, -1e-13, 1e-12, -1e-12)
+
+
+def near_floor_state(rng, dim, delta):
+    """A Hermitian unit-trace matrix in a random basis with smallest eigenvalue -1e-10 + delta."""
+    low = PSD_EIGEN_FLOOR + delta
+    eigs = np.concatenate([[low], rng.dirichlet(np.ones(dim - 1)) * (1.0 - low)])
+    u = random_unitary(rng, dim)
+    m = (u * eigs) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def state_error_oracle(m):
+    """The refusal message of one matrix, or None: the checks in order, eigvalsh for the last."""
+    with np.errstate(invalid="ignore"):
+        residual = float(np.abs(m - m.conj().T).max())
+    trace = complex(np.trace(m))
+    if not np.isfinite(m).all():
+        return "matrix has non-finite entries"
+    if not residual <= HERMITICITY_ATOL:
+        return f"matrix is not Hermitian (residual {residual:.3e})"
+    if not abs(trace - 1.0) <= TRACE_ATOL:
+        return f"matrix trace is {trace:.15g}, expected 1"
+    eigmin = float(np.linalg.eigvalsh(m)[0])
+    if not eigmin >= PSD_EIGEN_FLOOR:
+        return f"matrix has negative eigenvalue {eigmin:.3e}"
+    return None
+
+
+def messages(errors):
+    return [None if e is None else str(e) for e in errors]
 
 
 def metric_stack():
