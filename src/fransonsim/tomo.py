@@ -496,10 +496,11 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
 
 
 # RrhoR iterations after which a fit still open switches to Newton steps.
-# The fits of a default purify run certify within about 110; RrhoR slows
-# to a sublinear crawl only near rank-deficient states, where Newton steps
-# take over.
-_RRR_ITERATIONS = 200
+# The fits of the default purify and custom runs certify within 110; RrhoR
+# slows to a sublinear crawl only near rank-deficient states, where Newton
+# steps take over. The same rows of the default chsh-sweep reach Newton
+# at a switch of 120, 150 or 200, and the earliest is the fastest.
+_RRR_ITERATIONS = 120
 
 
 def _frame_probabilities(design: _Design, y: np.ndarray) -> np.ndarray:
@@ -587,18 +588,50 @@ def _newton_system(design: _Design, freqs: np.ndarray, y: np.ndarray, mu: np.nda
     return grad, hess.reshape(-1, 15, 15) + mu[:, None, None] * barrier
 
 
+# Eigenvalues of a scaled Newton system below this share of its largest
+# count as zero.
+_PINV_RCOND = 1e-12
+
+
 def _newton_step(
     design: _Design, freqs: np.ndarray, y: np.ndarray, mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One damped Newton step per row on the problem of :func:`_newton_system`.
 
-    Y moves along the 15 traceless Pauli directions E_k, so it keeps unit
-    trace; each row's step is halved until Y + t dY passes the test that its
-    smallest eigenvalue is positive, and each halving tests only the rows
-    still outside. Returns the new stack and each row's step length t.
+    Each row solves its Jacobi-scaled system D^-1/2 H D^-1/2 z = -D^-1/2 g,
+    D the diagonal of its Hessian H (an entry that is not a positive finite
+    number scales by 1), and steps by D^-1/2 z. A row whose scaled Hessian
+    is singular takes the minimum-norm z of its pseudo-inverse, cut off at
+    _PINV_RCOND, instead. Singular means that its LU factorisation meets an
+    exact zero pivot, or that the solve's z is longer than the right-hand
+    side over _PINV_RCOND: with a unit diagonal the largest eigenvalue is at
+    least 1, so only a smallest eigenvalue below _PINV_RCOND of it gives
+    such a z. Both tests look at the row alone, so a row's step does not
+    depend on its batch. Y moves along the 15 traceless Pauli directions
+    E_k, so it keeps unit trace; each row's step is halved until Y + t dY
+    passes the test that its smallest eigenvalue is positive, and each
+    halving tests only the rows still outside. A row that passes within 60
+    halvings gets that t; any other keeps its iterate, with t = 0, so no
+    row leaves the cone. Returns the new stack and each row's t.
     """
     grad, hess = _newton_system(design, freqs, y, mu)
-    step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+    diag = np.diagonal(hess, axis1=1, axis2=2)
+    scale = 1.0 / np.sqrt(np.where((diag > 0.0) & (diag < np.inf), diag, 1.0))
+    scaled = scale[:, :, None] * hess * scale[:, None, :]
+    rhs = -scale * grad
+    singular = np.zeros(len(y), dtype=bool)
+    try:
+        step = np.linalg.solve(scaled, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # a row has an exactly zero LU pivot
+        singular = np.linalg.slogdet(scaled)[0] == 0.0
+        step = np.zeros_like(rhs)
+        step[~singular] = np.linalg.solve(scaled[~singular], rhs[~singular, :, None])[..., 0]
+    with np.errstate(over="ignore"):  # an overflowing length is singular too
+        singular |= ~(np.linalg.norm(step, axis=1) * _PINV_RCOND <= np.linalg.norm(rhs, axis=1))
+    if singular.any():
+        pinv = np.linalg.pinv(scaled[singular], rcond=_PINV_RCOND, hermitian=True)
+        step[singular] = (pinv @ rhs[singular, :, None])[..., 0]
+    step *= scale
     dy = (step @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
     t, outside = np.ones(len(y)), np.arange(len(y))
     for _ in range(60):
@@ -607,6 +640,7 @@ def _newton_step(
         if len(outside) == 0:
             break
         t[outside] *= 0.5
+    t[outside] = 0.0
     return y + t[:, None, None] * dy, t
 
 
@@ -648,10 +682,12 @@ def _mle_fits(
     Rows still open after _RRR_ITERATIONS switch to damped Newton steps on
     the log-barrier problem (see :func:`_newton_step`), started from their
     iterate mixed with a share g / sum_j f_j of I/4. The barrier weight mu starts at
-    max(g / 10, tol / 16). It is cut tenfold after every step that needed
-    no damping (Boyd and Vandenberghe, Convex Optimization, 11.3), never
-    below max(g / 10, tol / 16) for the current g, and a damped step leaves
-    it unchanged; on the central path g is at most 3 mu. Iterations of
+    max(g / 10, tol / 16). It is cut tenfold after every step (Boyd and
+    Vandenberghe, Convex Optimization, 11.3), never below max(g / 10,
+    tol / 16) for the current g; on the central path g is at most 3 mu.
+    A singular Newton system takes a minimum-norm step and a row with no
+    step inside the cone keeps its iterate, so sparse count sets stay in
+    the batch. Iterations of
     both phases count against ``max_iter``; a row stopped by it reports
     ``converged=False``. Stopped rows leave the batch. Probabilities are
     floored at PROBABILITY_FLOOR so empty settings cannot blow up the
@@ -722,7 +758,7 @@ def _fit_batch(
                 share = np.minimum(gap / total, 1.0)[:, None, None]
                 y = (1.0 - share) * _unembed(y) + share * np.eye(4) / 4.0
                 mu = np.maximum(0.1 * gap, tol / 16.0)
-            y, step_length = _newton_step(design, freqs, y, mu)
+            y, _ = _newton_step(design, freqs, y, mu)
             y_now, (r_op, floored) = y, _r_operator(design, freqs, y)
         if floored.any():
             floor_hits += floored.sum(axis=1)
@@ -744,7 +780,7 @@ def _fit_batch(
         gap[exact] = np.linalg.eigvalsh(r_exact)[:, -1] - total[exact]
         if iteration > _RRR_ITERATIONS:
             lowest = np.maximum(0.1 * gap, tol / 16.0)
-            mu = np.where(step_length == 1.0, np.maximum(mu / 10.0, lowest), mu)
+            mu = np.maximum(mu / 10.0, lowest)
         converged = gap <= tol
         stopped = converged if iteration < max_iter else np.ones_like(converged)
         done = np.flatnonzero(stopped)
@@ -776,7 +812,7 @@ def mle_reconstruct(
 
     The fit of :func:`_mle_fits` for one count set: RrhoR iterations on rho
     against Pi_j / 9 from the maximally mixed state, then Newton steps on the
-    log-barrier problem if the fit is still open after 200 iterations. It
+    log-barrier problem if the fit is still open after 120 iterations. It
     stops once the certified gap between -sum_j f_j log p_j and its minimum,
     in frequencies f_j = counts_j / pairs_per_setting, is at most ``tol``
     (``converged=True``, ``gap`` the certificate), or after ``max_iter``

@@ -97,8 +97,8 @@ def mle_oracle(data, tol=tomo.MLE_DEFAULT_TOL, max_iter=tomo.MLE_DEFAULT_MAX_ITE
 
     It weighs Pi_j / 9, rebuilt per call, as ``tomo._mle_fits`` does. It
     stops when the trace distance between successive iterates drops to
-    ``tol``. Within the first 200 iterations it is the iteration of
-    ``tomo._mle_fits``; run long, it is the likelihood reference.
+    ``tol``. Within the first ``tomo._RRR_ITERATIONS`` iterations it is the
+    iteration of ``tomo._mle_fits``; run long, it is the likelihood reference.
     """
     pis = setting_projectors() / 9.0
     rho = np.eye(4, dtype=complex) / 4.0
@@ -145,13 +145,13 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
                 share = np.minimum(gap / total, 1.0)[:, None, None]
                 y = (1.0 - share) * tomo._unembed(y) + share * np.eye(4) / 4.0
                 mu = np.maximum(0.1 * gap, tol / 16.0)
-            y, step_length = tomo._newton_step(design, freqs, y, mu)
+            y, _ = tomo._newton_step(design, freqs, y, mu)
             r_plain, floored = tomo._r_operator(design, freqs, y)
         floor_hits += floored.sum(axis=1)
         gap = np.linalg.eigvalsh(r_plain)[:, -1] - total
         if iteration > tomo._RRR_ITERATIONS:
             lowest = np.maximum(0.1 * gap, tol / 16.0)
-            mu = np.where(step_length == 1.0, np.maximum(mu / 10.0, lowest), mu)
+            mu = np.maximum(mu / 10.0, lowest)
         converged = gap <= tol
         stopped = converged if iteration < max_iter else np.ones_like(converged)
         if not stopped.any():
@@ -171,6 +171,28 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
             a[keep] for a in (rows, freqs, total, y, r_op, gap, mu, floor_hits)
         )
     return fits
+
+
+def sparse_count_sets(n_base, seed=20261019):
+    """Seeded bootstrap-style count sets with only 2 or 3 non-zero settings, as a (B, 36) stack.
+
+    Each of ``n_base`` base sets has counts 1 to 3 on 2 or 3 random
+    settings; 20 Poisson resamples are drawn from each, and the resamples
+    that kept 2 or 3 non-zero settings are returned, base set by base set.
+    They are fitted at 3 pairs per setting: their likelihood is flat along
+    most of the 15 directions of a Newton step.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(n_base):
+        base = np.zeros(36)
+        k = rng.integers(2, 4)
+        settings = rng.choice(36, size=k, replace=False)
+        base[settings] = rng.integers(1, 4, size=k)
+        draws = rng.poisson(base, size=(20, 36)).astype(float)
+        nonzero = np.count_nonzero(draws, axis=1)
+        blocks.append(draws[(nonzero >= 2) & (nonzero <= 3)])
+    return np.concatenate(blocks)
 
 
 def newton_system_oracle(freqs, y, mu):
@@ -692,11 +714,13 @@ class TestMle:
         assert np.abs(tomo._unembed(r8) - r_op).max() <= 1e-15 * np.abs(r_op).max()
 
     def test_a_long_real_form_fit_unembeds_to_an_exactly_hermitian_state(self):
-        """After 200 RrhoR steps on a nearly rank-1 row, rho is exactly Hermitian.
+        """After many RrhoR steps on a nearly rank-1 row, rho is exactly Hermitian.
 
         The two copies of Re Y and of Im Y in the real form drift apart by
         rounding; the unembedding averages them, so the fitted state has
-        an exactly real diagonal all the same.
+        an exactly real diagonal all the same. The hand-run iteration takes
+        200 steps, by which the state is nearly rank 1; the fit stops at its
+        last RrhoR iteration, before any Newton step.
         """
         design = tomo._design()
         counts = simulate_counts(tilted_bell(0.1), 2_600_000, seed=4).counts
@@ -706,10 +730,12 @@ class TestMle:
             y8, _ = tomo._rrr_step(tomo._real_r_operator(design, freqs, y8)[0], y8)
         assert np.abs(y8[:, :4, :4] - y8[:, 4:, 4:]).max() < 1e-13
         assert np.abs(y8[:, 4:, :4] + y8[:, :4, 4:]).max() < 1e-13
-        [fit] = fit_rows(tomo._mle_fits(counts[None], 2_600_000, tol=1e-14, max_iter=200), "mle")
-        assert (fit.iterations, fit.converged) == (200, False)
-        assert np.linalg.eigvalsh(fit.rho.data)[:-1].max() < 1e-3  # nearly rank 1
-        for rho in (fit.rho.data, tomo._states(design, y8)[0][0]):
+        hand_run = tomo._states(design, y8)[0][0]
+        assert np.linalg.eigvalsh(hand_run)[:-1].max() < 1e-3  # nearly rank 1
+        budget = tomo._RRR_ITERATIONS
+        [fit] = fit_rows(tomo._mle_fits(counts[None], 2_600_000, tol=1e-14, max_iter=budget), "mle")
+        assert (fit.iterations, fit.converged) == (budget, False)
+        for rho in (fit.rho.data, hand_run):
             np.testing.assert_array_equal(rho, rho.conj().T)
             assert not np.diag(rho).imag.any()
 
@@ -772,11 +798,12 @@ class TestMle:
         rows = [simulate_counts(tilted_bell(0.5), 3_000, seed=s) for s in (0, 1)]
         rows += [simulate_counts(tilted_bell(0.3), 3_000, seed=s) for s in (0, 1, 2)]
         counts = np.stack([d.counts for d in rows])
+        switch = tomo._RRR_ITERATIONS
         short, full = (
             fit_rows(tomo._mle_fits(counts, 3_000, max_iter=budget), "mle")
-            for budget in (212, 1_000)
+            for budget in (switch + 5, 1_000)
         )
-        for budget, fits in ((212, short), (1_000, full)):
+        for budget, fits in ((switch + 5, short), (1_000, full)):
             for row, fit in zip(counts, fits):
                 [alone] = fit_rows(tomo._mle_fits(row[None], 3_000, max_iter=budget), "mle")
                 assert (fit.iterations, fit.converged) == (alone.iterations, alone.converged)
@@ -785,9 +812,9 @@ class TestMle:
         # two rows certify in the RrhoR phase; three need Newton steps, and
         # stop at the shorter budget without a certificate
         assert [f.iterations for f in short[:2]] == [f.iterations for f in full[:2]]
-        assert all(f.iterations < 200 for f in full[:2])
-        assert [(f.iterations, f.converged) for f in short[2:]] == [(212, False)] * 3
-        assert all(f.converged and 212 < f.iterations < 1_000 for f in full[2:])
+        assert all(f.iterations < switch for f in full[:2])
+        assert [(f.iterations, f.converged) for f in short[2:]] == [(switch + 5, False)] * 3
+        assert all(f.converged and switch + 5 < f.iterations < 1_000 for f in full[2:])
 
     def test_fits_reach_the_likelihood_of_a_long_oracle_run(self):
         """No fit's -log L exceeds the RrhoR oracle's after 50 000 iterations by more than tol."""
@@ -813,9 +840,9 @@ class TestMle:
     def test_nearly_pure_fits_take_few_newton_steps(self):
         """Tilted Bell p = 0.1 at 2.6e5 pairs, 20 seeds in one batch: at most 20 Newton steps.
 
-        Every row needs Newton steps. Cutting mu tenfold after every undamped
-        step gives a median of 17; cutting it only once the Newton decrement
-        is below mu / 4 took 30.
+        Every row needs Newton steps. Cutting mu tenfold after every step
+        gives a median of 13; cutting it only after undamped steps took 17,
+        and only once the Newton decrement was below mu / 4, 30.
         """
         counts = np.stack([
             simulate_counts(tilted_bell(0.1), 260_000, seed=s).counts for s in range(20)
@@ -857,6 +884,113 @@ class TestMle:
         # both certify within tol of the optimum of sum_j f_j log p_j, f_j = counts_j / 3
         assert abs(fits[1].loglike - alone.loglike) <= 3 * tomo.MLE_DEFAULT_TOL
 
+    def test_sparse_count_sets_fit_in_one_batch(self, monkeypatch):
+        """310 count sets with 2 or 3 non-zero settings fit in one batch, and none is refused.
+
+        Their scaled Newton systems are often singular, exactly or to
+        rounding; a bare solve refused 20 of them, and the batch was then
+        refitted row by row.
+        """
+        counts = sparse_count_sets(20)
+        assert len(counts) == 310
+        batches = []
+        real = tomo._fit_batch
+
+        def spy(design, counts, *args):
+            batches.append(len(counts))
+            return real(design, counts, *args)
+
+        monkeypatch.setattr(tomo, "_fit_batch", spy)
+        fits = tomo._mle_fits(counts, 3)
+        assert batches == [310]
+        assert fits.errors == [None] * 310
+        assert qcore._state_errors(fits.rho) == [None] * 310
+        assert fits.converged.all()
+
+    def test_a_stalling_count_set_is_not_refused(self):
+        """Counts 1 and 4 on settings 4 and 35 at 1 pair per setting fit to a valid state.
+
+        A halving loop that gave up returned this row's last trial, which
+        has an eigenvalue near -1e5, and the state check refused it.
+        """
+        counts = np.zeros(36)
+        counts[[4, 35]] = 1.0, 4.0
+        [fit] = fit_rows(tomo._mle_fits(counts[None], 1, max_iter=400), "mle")
+        assert not isinstance(fit, Exception)
+        assert np.linalg.eigvalsh(fit.rho.data)[0] > -1e-10
+        assert fit.converged and fit.iterations > tomo._RRR_ITERATIONS
+
+    def test_a_row_with_no_step_inside_the_cone_keeps_its_iterate(self, monkeypatch):
+        """A row whose every halved step leaves the cone comes back unchanged, with t = 0.
+
+        The gradient of row 1 is blown up so that even the step after 59
+        halvings leaves the cone; row 0 steps as it does alone.
+        """
+        design = tomo._design()
+        y = full_rank_states(2, seed=8)
+        freqs = np.stack([
+            simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
+            for k, rho in enumerate(full_rank_states(2, seed=9))
+        ])
+        mu = np.array([1e-3, 1e-3])
+        real = tomo._newton_system
+
+        def steep(design, freqs, y, mu):
+            grad, hess = real(design, freqs, y, mu)
+            grad[-1:] *= 1e40  # the last row of the batch
+            return grad, hess
+
+        alone, t_alone = tomo._newton_step(design, freqs[:1], y[:1], mu[:1])
+        monkeypatch.setattr(tomo, "_newton_system", steep)
+        new, t = tomo._newton_step(design, freqs, y, mu)
+        assert t[1] == 0.0
+        np.testing.assert_array_equal(new[1], y[1])
+        assert t[0] == t_alone[0] > 0.0
+        np.testing.assert_allclose(new[0], alone[0], rtol=0, atol=1e-15)
+
+    def test_singular_newton_systems_take_the_minimum_norm_step_row_by_row(self, monkeypatch):
+        """Rows whose scaled Hessian is singular take the pseudo-inverse step; the others solve.
+
+        Row 1's Hessian has a zero row and column, so its LU factorisation
+        breaks down; row 2's has rank 14 up to rounding, which the solve
+        does not notice but the length of its step gives away. Each row
+        takes the same step as in a batch of its own, and the zero
+        diagonal raises no warning.
+        """
+        design = tomo._design()
+        y = full_rank_states(3, seed=10)
+        freqs = np.stack([
+            simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
+            for k, rho in enumerate(full_rank_states(3, seed=11))
+        ])
+        mu = np.full(3, 1e-3)
+        grad, hess = tomo._newton_system(design, freqs, y, mu)
+        hess[1, 4, :] = hess[1, :, 4] = 0.0
+        v = np.random.default_rng(12).normal(size=(15, 14))
+        hess[2] = v @ v.T  # rank 14
+
+        def step(rows):
+            """The step along each E_k of the rows ``rows``, fitted as one batch."""
+            monkeypatch.setattr(tomo, "_newton_system", lambda *args: (grad[rows], hess[rows]))
+            new, _ = tomo._newton_step(design, freqs[rows], y[rows], mu[rows])
+            return np.einsum("bij,kji->bk", new - y[rows], design.basis).real
+
+        together = step([0, 1, 2])
+        for i in range(3):
+            np.testing.assert_array_equal(step([i])[0], together[i])
+        wants = [np.linalg.solve(hess[0], -grad[0])]
+        for i in (1, 2):
+            d = np.diagonal(hess[i]).copy()
+            d[d <= 0.0] = 1.0
+            scale = 1.0 / np.sqrt(d)
+            scaled = scale[:, None] * hess[i] * scale
+            pinv = np.linalg.pinv(scaled, rcond=1e-12, hermitian=True)
+            wants.append(scale * (pinv @ (-scale * grad[i])))
+        # the halving may shorten a step, so compare directions
+        for got, want in zip(together, wants):
+            unit = got / np.linalg.norm(got) - want / np.linalg.norm(want)
+            assert np.abs(unit).max() < 1e-12
+
     def test_converged_exactly_when_the_gap_is_within_tol(self):
         """The convergence flag is the certificate gap <= tol, at any budget."""
         rows = [simulate_counts(tilted_bell(p), 3_000, seed=1) for p in (0.5, 0.3)]
@@ -869,7 +1003,12 @@ class TestMle:
         assert True in flags and False in flags
         assert linear_inversion(rows[0]).gap == 0.0
 
-    @pytest.mark.parametrize("max_iter", [1, 3, 199, 200, 201, 220])
+    # budgets that end in the RrhoR phase, around the switch to Newton steps,
+    # and deep in the Newton phase
+    @pytest.mark.parametrize("max_iter", [
+        1, 3, tomo._RRR_ITERATIONS - 1, tomo._RRR_ITERATIONS, tomo._RRR_ITERATIONS + 1,
+        199, 200, 201, 220,
+    ])
     @pytest.mark.parametrize("tol", [1e-2, 1e-10])
     def test_screened_fits_match_the_unscreened_loop_bitwise(self, monkeypatch, tol, max_iter):
         """Skipping eigvalsh where the tr(RYR) bound rules a stop out changes no bit of a fit."""
@@ -900,7 +1039,7 @@ class TestMle:
                 np.testing.assert_array_equal(getattr(screened, name), getattr(want, name))
             floor_hits += screened.floor_hits.sum()
         # the pure rows reach the floor once the fit runs long and tight
-        assert floor_hits > 0 or tol > 1e-6 or max_iter < 199
+        assert floor_hits > 0 or tol > 1e-6 or max_iter < tomo._RRR_ITERATIONS - 1
 
     def test_the_screen_skips_most_eigensolves(self, monkeypatch):
         """On the default purify output batch at most 35% of row-iterations reach eigvalsh.
@@ -1362,8 +1501,10 @@ class TestMonteCarloMetrics:
     def test_mle_bootstrap_matches_the_per_sample_oracle(self):
         """The batched MLE bootstrap equals one fit per resample, each fitted alone."""
         data = simulate_counts(tilted_bell(0.3), 3_000, seed=4)
-        report = monte_carlo_metrics(data, n_samples=12, seed=1, method="mle", max_iter=212)
-        fits = [mle_reconstruct(sample, max_iter=212) for sample in resamples(data, 12, 1)]
+        # a budget at which some of the fits certify and some do not
+        budget = tomo._RRR_ITERATIONS + 12
+        report = monte_carlo_metrics(data, n_samples=12, seed=1, method="mle", max_iter=budget)
+        fits = [mle_reconstruct(sample, max_iter=budget) for sample in resamples(data, 12, 1)]
         want = np.std(np.stack([metric_row(fit.rho) for fit in fits]), axis=0, ddof=1)
         # the states agree to about 1e-13; concurrence takes square roots of
         # near-zero eigenvalues, which lifts that in its sigma
