@@ -46,6 +46,7 @@ from .qcore import (
     _POL_MARGINAL,
     DensityMatrix,
     _check_states,
+    _integer_fields,
     _marginals,
     _purities,
     dump_density_matrix,
@@ -62,7 +63,6 @@ from .tomo import (
     ReconstructionResult,
     _bootstrap_reports,
     _check_pairs,
-    _integer_fields,
     _metric_rows,
     _stage,
     analytic_counts,
@@ -948,6 +948,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, help="JSON config file")
+        if name == "validate":
+            continue
         sp.add_argument("--seed", type=int, default=None, help="override the seed")
         sp.add_argument(
             "--analytic", action="store_true",

@@ -23,6 +23,7 @@ from .qcore import (
     PAULI_Z,
     DensityMatrix,
     PhotonPairState,
+    _integer_fields,
     kraus_map,
 )
 
@@ -100,8 +101,12 @@ class CoherentStage:
     plates_b: tuple[WaveplateSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "plates_a", tuple(self.plates_a))
-        object.__setattr__(self, "plates_b", tuple(self.plates_b))
+        for name in ("plates_a", "plates_b"):
+            value = getattr(self, name)
+            plates = tuple(value) if np.iterable(value) else None
+            if plates is None or not all(isinstance(plate, WaveplateSpec) for plate in plates):
+                raise ValueError(f"{name} must be a sequence of WaveplateSpec, got {value!r}")
+            object.__setattr__(self, name, plates)
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,7 @@ class RotatingPlateStage:
             raise ValueError(f"arm must be one of {ARMS}, got {self.arm!r}")
         if self.kind not in WAVEPLATE_KINDS:
             raise ValueError(f"kind must be one of {WAVEPLATE_KINDS}, got {self.kind!r}")
+        _integer_fields(self, "steps")
         if self.steps < 4 or self.steps % 2:
             raise ValueError(f"steps must be an even integer >= 4, got {self.steps}")
 

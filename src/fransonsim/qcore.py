@@ -77,6 +77,23 @@ class PostselectionError(RuntimeError):
     """Raised when a postselecting operation retains no probability mass."""
 
 
+def _integer_fields(obj, *names: str) -> None:
+    """Store each named field of a frozen dataclass as an int.
+
+    A value that is not integral (a fraction, NaN, infinity, a string) is
+    refused with the field named instead of being truncated.
+    """
+    for name in names:
+        val = getattr(obj, name)
+        try:
+            exact = int(val) == val
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"{name} must be an integer, got {val!r}")
+        object.__setattr__(obj, name, int(val))
+
+
 def _as_state_array(data: np.ndarray) -> np.ndarray:
     arr = np.array(data, dtype=complex, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

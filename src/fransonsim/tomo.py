@@ -32,6 +32,7 @@ from .qcore import (
     DensityMatrix,
     _concurrences,
     _fidelities,
+    _integer_fields,
     _purities,
     _state_errors,
 )
@@ -163,23 +164,6 @@ def expected_probabilities(rho: DensityMatrix) -> np.ndarray:
     probs = np.einsum("jab,ba->j", _design().projectors, rho.data).real
     # roundoff can leave probabilities a few ulp below zero
     return np.clip(probs, 0.0, None)
-
-
-def _integer_fields(obj, *names: str) -> None:
-    """Store each named field of a frozen dataclass as an int.
-
-    A value that is not integral (a fraction, NaN, infinity, a string) is
-    refused with the field named instead of being truncated.
-    """
-    for name in names:
-        val = getattr(obj, name)
-        try:
-            exact = int(val) == val
-        except (TypeError, ValueError, OverflowError):
-            exact = False
-        if not exact:
-            raise ValueError(f"{name} must be an integer, got {val!r}")
-        object.__setattr__(obj, name, int(val))
 
 
 def _check_pairs(pairs_per_setting: int) -> None:
@@ -503,18 +487,14 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
 _RRR_ITERATIONS = 120
 
 
-def _frame_probabilities(design: _Design, y: np.ndarray) -> np.ndarray:
-    """tr(Pi_j Y) / 9 of every Y of the stack: for Hermitian Y, a real dot product."""
-    return y.reshape(-1, 16).view(float) @ design.normalised.view(float).T
+def _r_operator(design: _Design, freqs: np.ndarray, y: np.ndarray) -> tuple:
+    """R = sum_j (f_j / p_j) Pi_j / 9 of every complex Y, which p_j the floor caught, and p_j.
 
-
-def _r_operator(
-    design: _Design, freqs: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """R = sum_j (f_j / p_j) Pi_j / 9 of every complex Y, and which p_j the floor caught."""
-    probs = _frame_probabilities(design, y)
+    p_j = tr(Pi_j Y) / 9 is, for Hermitian Y, a real dot product.
+    """
+    probs = y.reshape(-1, 16).view(float) @ design.normalised.view(float).T
     weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
-    return (weights @ design.normalised).reshape(-1, 4, 4), probs < PROBABILITY_FLOOR
+    return (weights @ design.normalised).reshape(-1, 4, 4), probs < PROBABILITY_FLOOR, probs
 
 
 def _embed(y: np.ndarray) -> np.ndarray:
@@ -528,7 +508,7 @@ def _unembed(y8: np.ndarray) -> np.ndarray:
 
 
 def _real_r_operator(design: _Design, freqs: np.ndarray, y8: np.ndarray) -> tuple:
-    """:func:`_r_operator` in real form; p_j is half the dot product of the real forms."""
+    """:func:`_r_operator` in real form, without p_j; p_j is half the dot product of real forms."""
     probs = 0.5 * (y8.reshape(-1, 64) @ design.frame8.T)
     weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
     return (weights @ design.frame8).reshape(-1, 8, 8), probs < PROBABILITY_FLOOR
@@ -569,15 +549,18 @@ def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, (rho.reshape(-1, 16) @ design.matrix.T).real
 
 
-def _newton_system(design: _Design, freqs: np.ndarray, y: np.ndarray, mu: np.ndarray) -> tuple:
+def _newton_system(
+    design: _Design, freqs: np.ndarray, y: np.ndarray, probs: np.ndarray, mu: np.ndarray
+) -> tuple:
     """Gradient and Hessian of -sum_j f_j log p_j - mu log det Y along the E_k, per row.
 
+    ``probs`` are the p_j of Y, as :func:`_r_operator` returns them.
     The likelihood Hessian T^T diag(f / p^2) T is f / p^2 times ``tangent_outer``.
     One product of Y^-1 with ``basis_row`` gives every W_k = Y^-1 E_k; the barrier
     adds -mu tr(W_k) to the gradient and mu tr(W_k W_l) to the Hessian. The Hessian's
     products are stacked or row by row, so their rounding does not depend on the batch.
     """
-    probs = np.maximum(_frame_probabilities(design, y), PROBABILITY_FLOOR)
+    probs = np.maximum(probs, PROBABILITY_FLOOR)
     weights = freqs / probs
     w = (np.linalg.inv(y) @ design.basis_row).reshape(-1, 4, 15, 4)  # W_k[a, c] at [a, k, c]
     w_rows = w.transpose(0, 2, 1, 3).reshape(-1, 15, 16)  # row k: W_k[a, c] at 4 a + c
@@ -594,8 +577,8 @@ _PINV_RCOND = 1e-12
 
 
 def _newton_step(
-    design: _Design, freqs: np.ndarray, y: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    design: _Design, freqs: np.ndarray, y: np.ndarray, probs: np.ndarray, mu: np.ndarray
+) -> np.ndarray:
     """One damped Newton step per row on the problem of :func:`_newton_system`.
 
     Each row solves its Jacobi-scaled system D^-1/2 H D^-1/2 z = -D^-1/2 g,
@@ -612,9 +595,9 @@ def _newton_step(
     passes the test that its smallest eigenvalue is positive, and each
     halving tests only the rows still outside. A row that passes within 60
     halvings gets that t; any other keeps its iterate, with t = 0, so no
-    row leaves the cone. Returns the new stack and each row's t.
+    row leaves the cone. Returns the new stack.
     """
-    grad, hess = _newton_system(design, freqs, y, mu)
+    grad, hess = _newton_system(design, freqs, y, probs, mu)
     diag = np.diagonal(hess, axis1=1, axis2=2)
     scale = 1.0 / np.sqrt(np.where((diag > 0.0) & (diag < np.inf), diag, 1.0))
     scaled = scale[:, :, None] * hess * scale[:, None, :]
@@ -641,7 +624,7 @@ def _newton_step(
             break
         t[outside] *= 0.5
     t[outside] = 0.0
-    return y + t[:, None, None] * dy, t
+    return y + t[:, None, None] * dy
 
 
 def _mle_fits(
@@ -687,7 +670,8 @@ def _mle_fits(
     tol / 16) for the current g; on the central path g is at most 3 mu.
     A singular Newton system takes a minimum-norm step and a row with no
     step inside the cone keeps its iterate, so sparse count sets stay in
-    the batch. Iterations of
+    the batch. Each Newton iterate's p_j are computed once, with its R, and
+    the next step reuses them. Iterations of
     both phases count against ``max_iter``; a row stopped by it reports
     ``converged=False``. Stopped rows leave the batch. Probabilities are
     floored at PROBABILITY_FLOOR so empty settings cannot blow up the
@@ -716,28 +700,45 @@ def _mle_fits(
 
 
 def _fit_batch(
-    design: _Design,
-    counts: np.ndarray,
-    pairs_per_setting: int,
-    tol: float,
-    max_iter: int,
+    design: _Design, counts: np.ndarray, pairs_per_setting: int, tol: float, max_iter: int,
     history: bool,
 ) -> _Fits:
-    """The iteration of :func:`_mle_fits`; ``y``, the one stack carried, is real until Newton.
+    """The iteration of :func:`_mle_fits`: an RrhoR loop on real forms, then a Newton loop.
 
-    Each row is written into the preallocated record when it stops, and
-    the record's states are validated once, after the loop.
+    Both loops hand every iterate to ``settle``, which writes each row into
+    the preallocated record when it stops; the record's states are
+    validated once, after both loops.
     """
     fits = _Fits.blank(len(counts))
     rows = np.arange(len(counts))  # input row of each batch row
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
     y = np.tile(np.eye(8) / 4.0, (len(counts), 1, 1))
-    mu = np.zeros(len(counts))
-    floor_hits = np.zeros(len(counts), dtype=int)
-    logs = None
-    if history:
-        logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])]
+    logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])] if history else None
+
+    def settle(iteration, y_now, floored, gap, carried):
+        """Count the floor hits of iterate ``y_now`` and log it. Write the rows that ``gap``
+        stops (None: none) into ``fits``; return ``carried``, the phase's arrays, without them."""
+        nonlocal rows, freqs, total
+        if floored.any():
+            fits.floor_hits[rows] += floored.sum(axis=1)
+        if history:
+            for i, ll in zip(rows, _loglike(counts[rows], _states(design, y_now)[1])):
+                logs[i].append(float(ll))
+        if gap is None:
+            return carried
+        stopped = (gap <= tol) | (iteration == max_iter)
+        done = np.flatnonzero(stopped)
+        if len(done) == 0:
+            return carried
+        stop = rows[done]
+        fits.rho[stop], fitted = _states(design, y_now[done])
+        fits.iterations[stop], fits.loglike[stop] = iteration, _loglike(counts[stop], fitted)
+        fits.converged[stop], fits.gap[stop] = gap[done] <= tol, gap[done]
+        keep = ~stopped
+        rows, freqs, total, *carried = (a[keep] for a in (rows, freqs, total, *carried))
+        return carried
+
     y, _ = _rrr_step(_real_r_operator(design, freqs, y)[0], y)
     # A row can stop only if lambda_max(R) <= ceiling / (1 + 1e-12), and
     # lambda_max(R) >= tr(RYR) / total: an RrhoR row whose tr(RYR) is above
@@ -749,54 +750,37 @@ def _fit_batch(
         ceiling = (total + tol) * (1.0 + 1e-12)
         bound = total * ceiling
     diagonal = np.arange(4)
-    for iteration in range(1, max_iter + 1):
+    last = min(_RRR_ITERATIONS, max_iter)  # the RrhoR iteration that certifies every row
+    for iteration in range(1, last + 1):
         y_now = y  # the iterate gap certifies
-        if iteration <= _RRR_ITERATIONS:
-            r_op, floored = _real_r_operator(design, freqs, y)
-        else:
-            if iteration == _RRR_ITERATIONS + 1:
-                share = np.minimum(gap / total, 1.0)[:, None, None]
-                y = (1.0 - share) * _unembed(y) + share * np.eye(4) / 4.0
-                mu = np.maximum(0.1 * gap, tol / 16.0)
-            y, _ = _newton_step(design, freqs, y, mu)
-            y_now, (r_op, floored) = y, _r_operator(design, freqs, y)
-        if floored.any():
-            floor_hits += floored.sum(axis=1)
-        if history:
-            for i, ll in zip(rows, _loglike(counts[rows], _states(design, y_now)[1])):
-                logs[i].append(float(ll))
-        exact = slice(None)  # the rows whose gap is computed
-        if iteration < min(_RRR_ITERATIONS, max_iter):
-            y, norm = _rrr_step(r_op, y)
+        r8, floored = _real_r_operator(design, freqs, y)
+        exact = np.arange(len(rows))  # the rows whose gap is computed
+        if iteration < last:
+            y, norm = _rrr_step(r8, y)
             exact = np.flatnonzero(~(norm > bound))
             if len(exact) > 0:
-                m = -1j * r_op[exact, 4:, :4] - r_op[exact, :4, :4]  # -R, from one copy
+                m = -1j * r8[exact, 4:, :4] - r8[exact, :4, :4]  # -R, from one copy
                 m[:, diagonal, diagonal] += ceiling[exact, None]
                 exact = exact[_pivots_positive(m)]
-            if len(exact) == 0:  # no row can stop, so no certificate is needed
-                continue
-        gap = np.full(len(rows), np.inf)
-        r_exact = _unembed(r_op[exact]) if iteration <= _RRR_ITERATIONS else r_op
-        gap[exact] = np.linalg.eigvalsh(r_exact)[:, -1] - total[exact]
-        if iteration > _RRR_ITERATIONS:
-            lowest = np.maximum(0.1 * gap, tol / 16.0)
-            mu = np.maximum(mu / 10.0, lowest)
-        converged = gap <= tol
-        stopped = converged if iteration < max_iter else np.ones_like(converged)
-        done = np.flatnonzero(stopped)
-        if len(done) == 0:
-            continue
-        stop = rows[done]
-        fits.rho[stop], probs = _states(design, y_now[done])
-        fits.iterations[stop], fits.loglike[stop] = iteration, _loglike(counts[stop], probs)
-        fits.converged[stop], fits.floor_hits[stop] = converged[done], floor_hits[done]
-        fits.gap[stop] = gap[done]
-        keep = ~stopped
-        if not keep.any():
+        gap = None  # no row can stop, so no certificate is needed
+        if len(exact) > 0:
+            gap = np.full(len(rows), np.inf)
+            gap[exact] = np.linalg.eigvalsh(_unembed(r8[exact]))[:, -1] - total[exact]
+        y, ceiling, bound, gap = settle(iteration, y_now, floored, gap, (y, ceiling, bound, gap))
+        if len(rows) == 0:
             break
-        rows, freqs, total, ceiling, bound, y, gap, mu, floor_hits = (
-            a[keep] for a in (rows, freqs, total, ceiling, bound, y, gap, mu, floor_hits)
-        )
+    if len(rows) > 0:  # open after _RRR_ITERATIONS: Newton steps from the iterate mixed with I/4
+        share = np.minimum(gap / total, 1.0)[:, None, None]
+        y = (1.0 - share) * _unembed(y) + share * np.eye(4) / 4.0
+        mu = np.maximum(0.1 * gap, tol / 16.0)
+        probs = _r_operator(design, freqs, y)[2]
+        while len(rows) > 0:  # settle stops every row at max_iter
+            iteration += 1
+            y = _newton_step(design, freqs, y, probs, mu)
+            r_op, floored, probs = _r_operator(design, freqs, y)
+            gap = np.linalg.eigvalsh(r_op)[:, -1] - total
+            mu = np.maximum(mu / 10.0, np.maximum(0.1 * gap, tol / 16.0))
+            y, probs, mu = settle(iteration, y, floored, gap, (y, probs, mu))
     fits.errors = _state_errors(fits.rho)
     if history:
         fits.history = [tuple(log) for log in logs]
@@ -810,13 +794,11 @@ def mle_reconstruct(
 ) -> ReconstructionResult:
     """Iterative maximum-likelihood reconstruction.
 
-    The fit of :func:`_mle_fits` for one count set: RrhoR iterations on rho
-    against Pi_j / 9 from the maximally mixed state, then Newton steps on the
-    log-barrier problem if the fit is still open after 120 iterations. It
-    stops once the certified gap between -sum_j f_j log p_j and its minimum,
-    in frequencies f_j = counts_j / pairs_per_setting, is at most ``tol``
-    (``converged=True``, ``gap`` the certificate), or after ``max_iter``
-    iterations of both phases together. ``loglike_history`` holds the
+    The fit of :func:`_mle_fits` for one count set; that function describes
+    the algorithm. It stops once the certified gap between -sum_j f_j log p_j
+    and its minimum, in frequencies f_j = counts_j / pairs_per_setting, is at
+    most ``tol`` (``converged=True``, ``gap`` the certificate), or after
+    ``max_iter`` iterations of both phases together. ``loglike_history`` holds the
     log-likelihood of every iterate, starting point included; the batched
     fit that :func:`monte_carlo_metrics` runs does not record it. Counts
     that are all zero and a failed validation are refused with a

@@ -345,6 +345,7 @@ class TestConfigParsing:
             (TomographyConfig, "mle_max_iter", {}),
             (ExperimentConfig, "seed", {}),
             (ExperimentConfig, "workers", {}),
+            (RotatingPlateStage, "steps", {}),
         ],
     )
     def test_python_configs_reject_nan(self, cls, field, extra):
@@ -362,6 +363,8 @@ class TestConfigParsing:
             (ExperimentConfig, "seed", 3.7),
             (ExperimentConfig, "workers", 2.7),
             (ExperimentConfig, "workers", "2"),
+            (RotatingPlateStage, "steps", "8"),
+            (RotatingPlateStage, "steps", 6.5),
         ],
     )
     def test_python_configs_reject_fractional_integers(self, cls, field, value):
@@ -373,8 +376,9 @@ class TestConfigParsing:
         """An integral float is accepted and stored as an int."""
         tcfg = TomographyConfig(pairs_per_setting=1000.0, mle_max_iter=np.int64(50))
         cfg = ExperimentConfig(workers=2.0, seed=7.0, tomography=tcfg)
+        stage = RotatingPlateStage(steps=6.0)
         for val, want in ((tcfg.pairs_per_setting, 1000), (tcfg.mle_max_iter, 50),
-                          (cfg.workers, 2), (cfg.seed, 7)):
+                          (cfg.workers, 2), (cfg.seed, 7), (stage.steps, 6)):
             assert val == want and type(val) is int
 
 
@@ -854,6 +858,16 @@ class TestMainEntry:
         )
         assert main(["validate", "--config", str(path)]) == 1
         assert "window" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["--seed", "--analytic", "--out", "--mc-samples"])
+    def test_validate_takes_only_a_config(self, capsys, option):
+        """validate refuses the run options it would ignore, with argparse's exit code 2."""
+        argv = ["validate", option] + ([] if option == "--analytic" else ["1"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert main(["validate"]) == 0
 
     def test_missing_config_file(self, tmp_path, capsys):
         """A nonexistent config path is a config error, not a crash."""

@@ -295,3 +295,16 @@ class TestNoisyChannelPipeline:
         """Stages address arms A and B only."""
         with pytest.raises(ValueError, match="arm"):
             RotatingPlateStage(arm="C")
+
+    @pytest.mark.parametrize("field, plates", [
+        ("plates_a", ("half",)),
+        ("plates_b", [WaveplateSpec(), None]),
+        ("plates_a", WaveplateSpec("quarter", 0.3)),
+        ("plates_b", 2),
+    ])
+    def test_coherent_plates_must_be_waveplates(self, field, plates):
+        """A coherent stage refuses plates that are not WaveplateSpecs, naming the arm's field."""
+        with pytest.raises(ValueError, match=f"{field} must be a sequence of WaveplateSpec"):
+            CoherentStage(**{field: plates})
+        stage = CoherentStage(plates_a=[WaveplateSpec()], plates_b=iter([WaveplateSpec()]))
+        assert stage.plates_a == stage.plates_b == (WaveplateSpec(),)

@@ -122,14 +122,16 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
 
     The fit loop without the gap screen, used as the oracle the screened
     loop must match bit for bit: RrhoR steps on the real 8x8 form of the
-    iterate, then complex Newton steps. It records no ``history``.
+    iterate, then complex Newton steps, each taking the p_j that
+    ``tomo._r_operator`` returned for its iterate, before the stopped rows
+    left the batch. It records no ``history``.
     """
     fits = tomo._Fits.blank(len(counts))
     rows = np.arange(len(counts))
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
     y = np.tile(np.eye(8) / 4.0, (len(counts), 1, 1))
-    mu = np.zeros(len(counts))
+    mu, probs = np.zeros(len(counts)), np.zeros((len(counts), 36))
     floor_hits = np.zeros(len(counts), dtype=int)
     r_op, _ = tomo._real_r_operator(design, freqs, y)
     for iteration in range(1, max_iter + 1):
@@ -145,8 +147,9 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
                 share = np.minimum(gap / total, 1.0)[:, None, None]
                 y = (1.0 - share) * tomo._unembed(y) + share * np.eye(4) / 4.0
                 mu = np.maximum(0.1 * gap, tol / 16.0)
-            y, _ = tomo._newton_step(design, freqs, y, mu)
-            r_plain, floored = tomo._r_operator(design, freqs, y)
+                probs = tomo._r_operator(design, freqs, y)[2]
+            y = tomo._newton_step(design, freqs, y, probs, mu)
+            r_plain, floored, probs = tomo._r_operator(design, freqs, y)
         floor_hits += floored.sum(axis=1)
         gap = np.linalg.eigvalsh(r_plain)[:, -1] - total
         if iteration > tomo._RRR_ITERATIONS:
@@ -157,18 +160,18 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
         if not stopped.any():
             continue
         done = np.flatnonzero(stopped)
-        rhos, probs = tomo._states(design, y[done])
+        rhos, fitted = tomo._states(design, y[done])
         fits.put(rows[done], tomo._Fits(
             rho=rhos, iterations=np.full(len(done), iteration),
-            loglike=tomo._loglike(counts[rows[done]], probs), converged=converged[done],
+            loglike=tomo._loglike(counts[rows[done]], fitted), converged=converged[done],
             floor_hits=floor_hits[done], gap=gap[done], errors=qcore._state_errors(rhos),
             history=[()] * len(done),
         ))
         keep = ~stopped
         if not keep.any():
             break
-        rows, freqs, total, y, r_op, gap, mu, floor_hits = (
-            a[keep] for a in (rows, freqs, total, y, r_op, gap, mu, floor_hits)
+        rows, freqs, total, y, r_op, gap, mu, probs, floor_hits = (
+            a[keep] for a in (rows, freqs, total, y, r_op, gap, mu, probs, floor_hits)
         )
     return fits
 
@@ -700,7 +703,7 @@ class TestMle:
             simulate_counts(tilted_bell(p), 3_000, seed=s).frequencies
             for p in (0.5, 0.1) for s in range(3)
         ])
-        r_op, floored = tomo._r_operator(design, freqs, y)
+        r_op, floored, _ = tomo._r_operator(design, freqs, y)
         want = r_op @ y @ r_op
         want = 0.5 * (want + want.conj().transpose(0, 2, 1))
         norm = np.trace(want, axis1=1, axis2=2).real
@@ -852,6 +855,41 @@ class TestMle:
         assert fits.converged.all() and (newton_steps > 0).all()
         assert np.median(newton_steps) <= 20
 
+    def test_each_newton_iterate_is_evaluated_once(self, monkeypatch):
+        """Every Newton step takes the p_j that _r_operator returned for its iterate.
+
+        Tilted Bell p = 0.1 at 2.6e5 pairs, 4 seeds in one batch: _r_operator
+        runs once at the switch and once per Newton iteration, and each
+        _newton_system call gets, row for row, the p_j of the previous
+        _r_operator call on the same iterate.
+        """
+        counts = np.stack([
+            simulate_counts(tilted_bell(0.1), 260_000, seed=s).counts for s in range(4)
+        ])
+        calls = []
+        real_r, real_system = tomo._r_operator, tomo._newton_system
+
+        def r_operator(design, freqs, y):
+            out = real_r(design, freqs, y)
+            calls.append(("r", y, out[2]))
+            return out
+
+        def newton_system(design, freqs, y, probs, mu):
+            calls.append(("system", y, probs))
+            return real_system(design, freqs, y, probs, mu)
+
+        monkeypatch.setattr(tomo, "_r_operator", r_operator)
+        monkeypatch.setattr(tomo, "_newton_system", newton_system)
+        fits = tomo._mle_fits(counts, 260_000)
+        newton_iterations = fits.iterations.max() - tomo._RRR_ITERATIONS
+        assert fits.converged.all() and fits.iterations.min() > tomo._RRR_ITERATIONS
+        assert len(set(fits.iterations)) > 1  # rows leave the batch between steps
+        assert [kind for kind, _, _ in calls] == ["r"] + ["system", "r"] * newton_iterations
+        for (_, y_before, probs_before), (_, y, probs) in zip(calls[::2], calls[1::2]):
+            for row, p in zip(y, probs):
+                [k] = [k for k, before in enumerate(y_before) if np.array_equal(before, row)]
+                np.testing.assert_array_equal(p, probs_before[k])
+
     def test_a_count_set_with_two_nonzero_settings_certifies(self, monkeypatch):
         """Counts 1 and 2 on settings 2 and 15 of 3 pairs each fit, alone and in one batch.
 
@@ -921,7 +959,7 @@ class TestMle:
         assert fit.converged and fit.iterations > tomo._RRR_ITERATIONS
 
     def test_a_row_with_no_step_inside_the_cone_keeps_its_iterate(self, monkeypatch):
-        """A row whose every halved step leaves the cone comes back unchanged, with t = 0.
+        """A row whose every halved step leaves the cone comes back unchanged.
 
         The gradient of row 1 is blown up so that even the step after 59
         halvings leaves the cone; row 0 steps as it does alone.
@@ -933,19 +971,19 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(2, seed=9))
         ])
         mu = np.array([1e-3, 1e-3])
+        probs = tomo._r_operator(design, freqs, y)[2]
         real = tomo._newton_system
 
-        def steep(design, freqs, y, mu):
-            grad, hess = real(design, freqs, y, mu)
+        def steep(design, freqs, y, probs, mu):
+            grad, hess = real(design, freqs, y, probs, mu)
             grad[-1:] *= 1e40  # the last row of the batch
             return grad, hess
 
-        alone, t_alone = tomo._newton_step(design, freqs[:1], y[:1], mu[:1])
+        alone = tomo._newton_step(design, freqs[:1], y[:1], probs[:1], mu[:1])
         monkeypatch.setattr(tomo, "_newton_system", steep)
-        new, t = tomo._newton_step(design, freqs, y, mu)
-        assert t[1] == 0.0
+        new = tomo._newton_step(design, freqs, y, probs, mu)
         np.testing.assert_array_equal(new[1], y[1])
-        assert t[0] == t_alone[0] > 0.0
+        assert np.abs(alone[0] - y[0]).max() > 1e-3  # row 0 does step
         np.testing.assert_allclose(new[0], alone[0], rtol=0, atol=1e-15)
 
     def test_singular_newton_systems_take_the_minimum_norm_step_row_by_row(self, monkeypatch):
@@ -964,7 +1002,8 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(3, seed=11))
         ])
         mu = np.full(3, 1e-3)
-        grad, hess = tomo._newton_system(design, freqs, y, mu)
+        probs = tomo._r_operator(design, freqs, y)[2]
+        grad, hess = tomo._newton_system(design, freqs, y, probs, mu)
         hess[1, 4, :] = hess[1, :, 4] = 0.0
         v = np.random.default_rng(12).normal(size=(15, 14))
         hess[2] = v @ v.T  # rank 14
@@ -972,7 +1011,7 @@ class TestMle:
         def step(rows):
             """The step along each E_k of the rows ``rows``, fitted as one batch."""
             monkeypatch.setattr(tomo, "_newton_system", lambda *args: (grad[rows], hess[rows]))
-            new, _ = tomo._newton_step(design, freqs[rows], y[rows], mu[rows])
+            new = tomo._newton_step(design, freqs[rows], y[rows], probs[rows], mu[rows])
             return np.einsum("bij,kji->bk", new - y[rows], design.basis).real
 
         together = step([0, 1, 2])
@@ -1197,9 +1236,9 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(len(y), seed=4))
         ])
         mu = 10.0 ** np.random.default_rng(5).uniform(-10.0, -1.0, size=len(y))
-        floored = tomo._frame_probabilities(design, y) < tomo.PROBABILITY_FLOOR
+        _, floored, probs = tomo._r_operator(design, freqs, y)
         assert not floored[:6].any() and floored[6:].any(axis=1).all()
-        got = tomo._newton_system(design, freqs, y, mu)
+        got = tomo._newton_system(design, freqs, y, probs, mu)
         for new, old in zip(got, newton_system_oracle(freqs, y, mu)):
             assert new.shape == old.shape
             scale = np.abs(old).reshape(len(y), -1).max(axis=1)
@@ -1220,10 +1259,13 @@ class TestMle:
         mu = np.array([1e-1, 1e-2, 1e-3, 1e-4])
 
         def objective(y):
-            probs = tomo._frame_probabilities(design, y)
+            probs = tomo._r_operator(design, freqs, y)[2]
             return -(freqs * np.log(probs)).sum(axis=1) - mu * np.linalg.slogdet(y)[1]
 
-        grad, hess = tomo._newton_system(design, freqs, y, mu)
+        def system(y):
+            return tomo._newton_system(design, freqs, y, tomo._r_operator(design, freqs, y)[2], mu)
+
+        grad, hess = system(y)
         # each row against its largest entry; the steps keep the truncation
         # and rounding errors of the differences near 5e-8 of it
         g_scale, h_scale = np.abs(grad).max(axis=1), np.abs(hess).max(axis=(1, 2))[:, None]
@@ -1232,8 +1274,7 @@ class TestMle:
             fd = (objective(y + h * direction) - objective(y - h * direction)) / (2.0 * h)
             assert (np.abs(grad[:, k] - fd) <= 1e-6 * g_scale).all()
             h = 1e-7
-            up, down = (tomo._newton_system(design, freqs, y + s * h * direction, mu)[0]
-                        for s in (1.0, -1.0))
+            up, down = (system(y + s * h * direction)[0] for s in (1.0, -1.0))
             assert (np.abs(hess[:, :, k] - (up - down) / (2.0 * h)) <= 1e-6 * h_scale).all()
 
     def test_zero_rows_are_refused_before_the_batch(self, monkeypatch):
