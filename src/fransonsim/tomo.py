@@ -557,14 +557,15 @@ def _newton_system(
     ``probs`` are the p_j of Y, as :func:`_r_operator` returns them.
     The likelihood Hessian T^T diag(f / p^2) T is f / p^2 times ``tangent_outer``.
     One product of Y^-1 with ``basis_row`` gives every W_k = Y^-1 E_k; the barrier
-    adds -mu tr(W_k) to the gradient and mu tr(W_k W_l) to the Hessian. The Hessian's
-    products are stacked or row by row, so their rounding does not depend on the batch.
+    adds -mu tr(W_k) to the gradient and mu tr(W_k W_l) to the Hessian. The products
+    are stacked or row by row, so their rounding does not depend on the batch.
     """
     probs = np.maximum(probs, PROBABILITY_FLOOR)
     weights = freqs / probs
     w = (np.linalg.inv(y) @ design.basis_row).reshape(-1, 4, 15, 4)  # W_k[a, c] at [a, k, c]
     w_rows = w.transpose(0, 2, 1, 3).reshape(-1, 15, 16)  # row k: W_k[a, c] at 4 a + c
-    grad = -(weights @ design.tangent) - mu[:, None] * w_rows[:, :, ::5].sum(axis=2).real
+    grad = -np.matmul(weights[:, None, :], design.tangent)[:, 0]
+    grad -= mu[:, None] * w_rows[:, :, ::5].sum(axis=2).real
     hess = np.matmul((weights / probs)[:, None, :], design.tangent_outer)[:, 0]
     # column l of the transposed stack holds W_l[c, a] at 4 a + c
     barrier = (w_rows @ w.transpose(0, 3, 1, 2).reshape(-1, 16, 15)).real
@@ -591,11 +592,11 @@ def _newton_step(
     least 1, so only a smallest eigenvalue below _PINV_RCOND of it gives
     such a z. Both tests look at the row alone, so a row's step does not
     depend on its batch. Y moves along the 15 traceless Pauli directions
-    E_k, so it keeps unit trace; each row's step is halved until Y + t dY
-    passes the test that its smallest eigenvalue is positive, and each
-    halving tests only the rows still outside. A row that passes within 60
-    halvings gets that t; any other keeps its iterate, with t = 0, so no
-    row leaves the cone. Returns the new stack.
+    E_k, so it keeps unit trace, by t = min(1, 0.99 / max(0, -lambda)),
+    lambda = lambda_min(Y^-1/2 dY Y^-1/2): 99 % of the way to the cone's
+    boundary (Nocedal and Wright, Numerical Optimization, 2nd ed., 19.2).
+    A row with a non-finite dY, or whose Y + t dY fails the test that its
+    smallest eigenvalue is positive, keeps its iterate. Returns the new stack.
     """
     grad, hess = _newton_system(design, freqs, y, probs, mu)
     diag = np.diagonal(hess, axis1=1, axis2=2)
@@ -616,15 +617,13 @@ def _newton_step(
         step[singular] = (pinv @ rhs[singular, :, None])[..., 0]
     step *= scale
     dy = (step @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
-    t, outside = np.ones(len(y)), np.arange(len(y))
-    for _ in range(60):
-        trial = y[outside] + t[outside, None, None] * dy[outside]
-        outside = outside[~(np.linalg.eigvalsh(trial)[:, 0] > 0.0)]
-        if len(outside) == 0:
-            break
-        t[outside] *= 0.5
-    t[outside] = 0.0
-    return y + t[:, None, None] * dy
+    dy[~np.isfinite(dy).all(axis=(1, 2))] = 0.0
+    vals, vecs = np.linalg.eigh(y)
+    root = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # Y^-1/2
+    lowest = np.linalg.eigvalsh(root @ dy @ root)[:, 0]
+    t = 0.99 / np.maximum(0.99, -lowest)  # min(1, 0.99 / max(0, -lambda))
+    new = y + t[:, None, None] * dy
+    return np.where((np.linalg.eigvalsh(new)[:, 0] > 0.0)[:, None, None], new, y)
 
 
 def _mle_fits(
@@ -668,14 +667,13 @@ def _mle_fits(
     max(g / 10, tol / 16). It is cut tenfold after every step (Boyd and
     Vandenberghe, Convex Optimization, 11.3), never below max(g / 10,
     tol / 16) for the current g; on the central path g is at most 3 mu.
-    A singular Newton system takes a minimum-norm step and a row with no
-    step inside the cone keeps its iterate, so sparse count sets stay in
+    A singular Newton system takes a minimum-norm step, and every step
+    stops short of the boundary of the cone, so sparse count sets stay in
     the batch. Each Newton iterate's p_j are computed once, with its R, and
-    the next step reuses them. Iterations of
-    both phases count against ``max_iter``; a row stopped by it reports
-    ``converged=False``. Stopped rows leave the batch. Probabilities are
-    floored at PROBABILITY_FLOOR so empty settings cannot blow up the
-    weights.
+    the next step reuses them. Iterations of both phases count against
+    ``max_iter``; a row stopped by it reports ``converged=False``. Stopped
+    rows leave the batch. Probabilities are floored at PROBABILITY_FLOOR so
+    empty settings cannot blow up the weights.
 
     Failures are per row: a row's entry of ``errors`` is the exception
     that rejected it (counts that are all zero, a failed validation or a

@@ -844,8 +844,9 @@ class TestMle:
         """Tilted Bell p = 0.1 at 2.6e5 pairs, 20 seeds in one batch: at most 20 Newton steps.
 
         Every row needs Newton steps. Cutting mu tenfold after every step
-        gives a median of 13; cutting it only after undamped steps took 17,
-        and only once the Newton decrement was below mu / 4, 30.
+        and each step 1 % short of the boundary gives a median of 9; a step
+        length halved until inside took 13, cutting mu only after undamped
+        steps 17, and only once the Newton decrement was below mu / 4, 30.
         """
         counts = np.stack([
             simulate_counts(tilted_bell(0.1), 260_000, seed=s).counts for s in range(20)
@@ -948,8 +949,8 @@ class TestMle:
     def test_a_stalling_count_set_is_not_refused(self):
         """Counts 1 and 4 on settings 4 and 35 at 1 pair per setting fit to a valid state.
 
-        A halving loop that gave up returned this row's last trial, which
-        has an eigenvalue near -1e5, and the state check refused it.
+        A step-length search that gave up returned this row's last trial,
+        which has an eigenvalue near -1e5, and the state check refused it.
         """
         counts = np.zeros(36)
         counts[[4, 35]] = 1.0, 4.0
@@ -959,10 +960,10 @@ class TestMle:
         assert fit.converged and fit.iterations > tomo._RRR_ITERATIONS
 
     def test_a_row_with_no_step_inside_the_cone_keeps_its_iterate(self, monkeypatch):
-        """A row whose every halved step leaves the cone comes back unchanged.
+        """A row whose gradient is not finite has no step and comes back unchanged.
 
-        The gradient of row 1 is blown up so that even the step after 59
-        halvings leaves the cone; row 0 steps as it does alone.
+        A finite gradient, however steep, gets a short step inside the cone;
+        an infinite one makes dY NaN. Row 0 steps as it does alone.
         """
         design = tomo._design()
         y = full_rank_states(2, seed=8)
@@ -976,15 +977,40 @@ class TestMle:
 
         def steep(design, freqs, y, probs, mu):
             grad, hess = real(design, freqs, y, probs, mu)
-            grad[-1:] *= 1e40  # the last row of the batch
+            grad[-1:] *= np.inf  # the last row of the batch
             return grad, hess
 
         alone = tomo._newton_step(design, freqs[:1], y[:1], probs[:1], mu[:1])
         monkeypatch.setattr(tomo, "_newton_system", steep)
-        new = tomo._newton_step(design, freqs, y, probs, mu)
+        with np.errstate(invalid="ignore"):  # inf meets the zeros of a pseudo-inverse
+            new = tomo._newton_step(design, freqs, y, probs, mu)
         np.testing.assert_array_equal(new[1], y[1])
         assert np.abs(alone[0] - y[0]).max() > 1e-3  # row 0 does step
         np.testing.assert_allclose(new[0], alone[0], rtol=0, atol=1e-15)
+
+    def test_a_step_is_cut_short_of_the_boundary_of_the_cone(self, monkeypatch):
+        """A full step inside the cone is taken whole; one that leaves it stops 1 % short.
+
+        With a unit Hessian the step is -g. Row 0's is short and lands on
+        Y + dY bit for bit. Row 1's leaves the cone and is cut to
+        t = 0.99 / -lambda, lambda = lambda_min(Y^-1/2 dY Y^-1/2), so the new
+        iterate has lambda_min(Y^-1/2 Y_new Y^-1/2) = 1 - 0.99.
+        """
+        design = tomo._design()
+        y = full_rank_states(2, seed=13)
+        grad = np.random.default_rng(14).normal(size=(2, 15))
+        grad[0] *= 1e-4 / np.linalg.norm(grad[0])
+        grad[1] *= 1e2 / np.linalg.norm(grad[1])
+        monkeypatch.setattr(
+            tomo, "_newton_system", lambda *args: (grad, np.tile(np.eye(15), (2, 1, 1)))
+        )
+        new = tomo._newton_step(design, None, y, None, None)
+        dy = (-grad @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
+        np.testing.assert_array_equal(new[0], y[0] + dy[0])
+        vals, vecs = np.linalg.eigh(y[1])
+        root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        assert np.linalg.eigvalsh(root @ dy[1] @ root)[0] < -1.0  # the full step leaves
+        assert abs(np.linalg.eigvalsh(root @ new[1] @ root)[0] - 0.01) <= 1e-12
 
     def test_singular_newton_systems_take_the_minimum_norm_step_row_by_row(self, monkeypatch):
         """Rows whose scaled Hessian is singular take the pseudo-inverse step; the others solve.
@@ -1025,7 +1051,7 @@ class TestMle:
             scaled = scale[:, None] * hess[i] * scale
             pinv = np.linalg.pinv(scaled, rcond=1e-12, hermitian=True)
             wants.append(scale * (pinv @ (-scale * grad[i])))
-        # the halving may shorten a step, so compare directions
+        # the cut at the boundary may shorten a step, so compare directions
         for got, want in zip(together, wants):
             unit = got / np.linalg.norm(got) - want / np.linalg.norm(want)
             assert np.abs(unit).max() < 1e-12
@@ -1243,6 +1269,27 @@ class TestMle:
             assert new.shape == old.shape
             scale = np.abs(old).reshape(len(y), -1).max(axis=1)
             assert (np.abs(new - old).reshape(len(y), -1).max(axis=1) <= 1e-10 * scale).all()
+
+    def test_newton_system_rows_do_not_depend_on_the_batch(self):
+        """Each row's gradient and Hessian are bitwise those of the row computed alone.
+
+        A 2-D product of the weights with the tangents rounds by row count;
+        here it moved the gradient by up to 1.8e-15.
+        """
+        design = tomo._design()
+        y = full_rank_states(24, seed=15)
+        freqs = np.stack([
+            simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
+            for k, rho in enumerate(full_rank_states(24, seed=16))
+        ])
+        mu = 10.0 ** np.random.default_rng(17).uniform(-10.0, -1.0, size=24)
+        probs = tomo._r_operator(design, freqs, y)[2]
+        grad, hess = tomo._newton_system(design, freqs, y, probs, mu)
+        for i in range(24):
+            rows = slice(i, i + 1)
+            alone = tomo._newton_system(design, freqs[rows], y[rows], probs[rows], mu[rows])
+            np.testing.assert_array_equal(alone[0][0], grad[i])
+            np.testing.assert_array_equal(alone[1][0], hess[i])
 
     def test_newton_system_is_the_derivative_of_the_barrier_problem(self):
         """Central differences along each E_k give the gradient, and of it the Hessian.
@@ -1543,7 +1590,7 @@ class TestMonteCarloMetrics:
         """The batched MLE bootstrap equals one fit per resample, each fitted alone."""
         data = simulate_counts(tilted_bell(0.3), 3_000, seed=4)
         # a budget at which some of the fits certify and some do not
-        budget = tomo._RRR_ITERATIONS + 12
+        budget = tomo._RRR_ITERATIONS + 8
         report = monte_carlo_metrics(data, n_samples=12, seed=1, method="mle", max_iter=budget)
         fits = [mle_reconstruct(sample, max_iter=budget) for sample in resamples(data, 12, 1)]
         want = np.std(np.stack([metric_row(fit.rho) for fit in fits]), axis=0, ddof=1)
