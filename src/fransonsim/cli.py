@@ -49,6 +49,7 @@ from .qcore import (
     _integer_fields,
     _marginals,
     _purities,
+    _roots,
     dump_density_matrix,
     load_density_matrix,
 )
@@ -637,7 +638,8 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> tuple:
         resample=(cfg.count_mode == "sampled"), stage_s=stage_s,
         tol=tcfg.mle_tol, max_iter=tcfg.mle_max_iter,
     )
-    truths = _metric_rows(np.stack([rho.data for rho in states]), DEFAULT_CHSH_ANGLES)
+    truths = np.stack([rho.data for rho in states])
+    truths = _metric_rows(truths, _roots(truths), DEFAULT_CHSH_ANGLES)
     branches = [
         (rho, data, metrics, dict(zip(METRIC_NAMES, truth.tolist())))
         for rho, data, metrics, truth in zip(states, datas, reports, truths)

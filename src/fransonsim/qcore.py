@@ -313,17 +313,21 @@ def apply_channel(
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
 
-def _concurrences(stack: np.ndarray) -> np.ndarray:
-    """Concurrence of every state of a (B, 4, 4) stack (Wootters, PRL 80, 2245, 1998).
-
-    max(0, l1 - l2 - l3 - l4) for the Wootters values l1 >= ... >= l4, read
-    as the singular values of A^T (sy x sy) A, with rho = A A^dag and
-    A = V sqrt(w) from eigh(rho) (w clipped at 0). Unlike square roots of
-    the eigenvalues of rho (sy x sy) rho* (sy x sy), this keeps full
-    precision on rank-deficient states.
-    """
+def _roots(stack: np.ndarray) -> np.ndarray:
+    """A = V sqrt(w), rho = A A^dag, of every state of a stack, from eigh(rho) (w clipped at 0)."""
     eigvals, eigvecs = np.linalg.eigh(stack)
-    roots = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+
+
+def _concurrences(roots: np.ndarray) -> np.ndarray:
+    """Concurrence of every rho = A A^dag, from a (B, 4, 4) stack of factors A.
+
+    max(0, l1 - l2 - l3 - l4) for the Wootters values l1 >= ... >= l4
+    (Wootters, PRL 80, 2245, 1998), read as the singular values of
+    A^T (sy x sy) A. Unlike square roots of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy), this keeps full precision on
+    rank-deficient states.
+    """
     lams = np.linalg.svd(roots.transpose(0, 2, 1) @ _YY @ roots, compute_uv=False)
     excess = lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3]
     return np.where(excess > 0.0, excess, 0.0)
@@ -344,7 +348,7 @@ def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence, the one-state call of :func:`_concurrences`."""
     if rho.dim != 4:
         raise ValueError(f"concurrence is defined for two qubits, got dim {rho.dim}")
-    return float(_concurrences(rho.data[None])[0])
+    return float(_concurrences(_roots(rho.data[None]))[0])
 
 
 def fidelity_to(rho: DensityMatrix, psi: np.ndarray) -> float:

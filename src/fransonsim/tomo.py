@@ -34,6 +34,7 @@ from .qcore import (
     _fidelities,
     _integer_fields,
     _purities,
+    _roots,
     _state_errors,
 )
 from .optics import WaveplateSpec, jones
@@ -371,15 +372,16 @@ def _loglike(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
 class _Fits:
     """The fits of a (B, 36) count stack as one record: row i of every field is row i's.
 
-    ``rho`` is (B, 4, 4); ``iterations``, ``loglike``, ``converged``,
-    ``floor_hits`` and ``gap`` are (B,) arrays of the
-    :class:`ReconstructionResult` fields; ``errors`` holds None or the
-    exception that refused the row, whose arrays then hold no fit.
+    ``rho`` is (B, 4, 4) and ``roots`` its factors A, rho = A A^dag, from the fitter's
+    own eigendecomposition; ``iterations``, ``loglike``, ``converged``, ``floor_hits``
+    and ``gap`` are (B,) arrays of the :class:`ReconstructionResult` fields; ``errors``
+    holds None or the exception that refused the row, whose arrays then hold no fit.
     ``history`` is each row's log-likelihood per iterate, recorded only by
     :func:`mle_reconstruct`.
     """
 
     rho: np.ndarray
+    roots: np.ndarray
     iterations: np.ndarray
     loglike: np.ndarray
     converged: np.ndarray
@@ -392,12 +394,12 @@ class _Fits:
     def blank(cls, n: int, error: Exception | None = None) -> "_Fits":
         """``n`` rows with no fit, each refused with ``error``."""
         ints, floats = np.zeros(n, dtype=int), np.zeros(n)
-        return cls(np.zeros((n, 4, 4), dtype=complex), ints, floats, ints.astype(bool),
+        return cls(*np.zeros((2, n, 4, 4), dtype=complex), ints, floats, ints.astype(bool),
                    ints.copy(), floats.copy(), [error] * n, [()] * n)
 
     def put(self, rows, fits: "_Fits") -> None:
         """Write every row of ``fits`` into the rows ``rows`` of this record."""
-        for name in ("rho", "iterations", "loglike", "converged", "floor_hits", "gap"):
+        for name in ("rho", "roots", "iterations", "loglike", "converged", "floor_hits", "gap"):
             getattr(self, name)[rows] = getattr(fits, name)
         for i, error, history in zip(rows, fits.errors, fits.history):
             self.errors[i], self.history[i] = error, history
@@ -445,7 +447,8 @@ def _linear_fits(counts: np.ndarray, pairs_per_setting: int) -> _Fits:
 
 
 def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -> _Fits:
-    """The solve of :func:`_linear_fits`, row by row in real arithmetic."""
+    """The solve of :func:`_linear_fits` in real arithmetic; each row's clipped, renormalised
+    spectrum w gives its state V w V^dag, then its factor V sqrt(w), written over V."""
     freqs = counts / float(pairs_per_setting)
     raw = np.matmul(freqs[:, None, :], design.pinv).view(complex).reshape(-1, 4, 4)
     raw = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
@@ -456,14 +459,16 @@ def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -
         vals, totals[:, None], out=np.zeros_like(vals), where=totals[:, None] > 0.0
     )
     rhos = (eigvecs * shares[:, None, :]) @ eigvecs.conj().transpose(0, 2, 1)
+    roots = np.multiply(eigvecs, np.sqrt(shares)[:, None, :], out=eigvecs)
     frame = design.projectors.reshape(_N_SETTINGS, 16).view(float).T
     probs = np.matmul(rhos.reshape(-1, 1, 16).view(float), frame)[:, 0]
     n = len(counts)
     errors = _state_errors(rhos)
     for i in np.flatnonzero(totals <= 0.0):
         errors[i] = ValueError("reconstruction collapsed to the zero matrix")
-    return _Fits(rhos, np.ones(n, dtype=int), _loglike(counts, probs), np.ones(n, dtype=bool),
-                 (probs < PROBABILITY_FLOOR).sum(axis=1), np.zeros(n), errors, [()] * n)
+    return _Fits(rhos, roots, np.ones(n, dtype=int), _loglike(counts, probs),
+                 np.ones(n, dtype=bool), (probs < PROBABILITY_FLOOR).sum(axis=1), np.zeros(n),
+                 errors, [()] * n)
 
 
 def linear_inversion(data: CountData) -> ReconstructionResult:
@@ -686,14 +691,15 @@ def _mle_fits(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    rows = np.flatnonzero(counts.any(axis=1))
+    fitted = _batch_or_rows(
+        _fit_batch, _design(), counts[rows], pairs_per_setting, tol, max_iter, history
+    )
+    # the record of every row is made after the fit, so the fit's peak memory does not hold it
     fits = _Fits.blank(
         len(counts), ValueError("the counts are all zero, there is nothing to fit")
     )
-    rows = np.flatnonzero(counts.any(axis=1))
-    if len(rows) > 0:
-        fits.put(rows, _batch_or_rows(
-            _fit_batch, _design(), counts[rows], pairs_per_setting, tol, max_iter, history
-        ))
+    fits.put(rows, fitted)
     return fits
 
 
@@ -704,8 +710,8 @@ def _fit_batch(
     """The iteration of :func:`_mle_fits`: an RrhoR loop on real forms, then a Newton loop.
 
     Both loops hand every iterate to ``settle``, which writes each row into
-    the preallocated record when it stops; the record's states are
-    validated once, after both loops.
+    the preallocated record when it stops. After both loops the states are
+    validated once, and the valid ones factored by one stacked ``_roots``.
     """
     fits = _Fits.blank(len(counts))
     rows = np.arange(len(counts))  # input row of each batch row
@@ -780,6 +786,8 @@ def _fit_batch(
             mu = np.maximum(mu / 10.0, np.maximum(0.1 * gap, tol / 16.0))
             y, probs, mu = settle(iteration, y, floored, gap, (y, probs, mu))
     fits.errors = _state_errors(fits.rho)
+    ok = [i for i, error in enumerate(fits.errors) if error is None]
+    fits.roots[ok] = _roots(fits.rho[ok])
     if history:
         fits.history = [tuple(log) for log in logs]
     return fits
@@ -916,15 +924,16 @@ class MetricsReport:
 _METRICS_REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport) if f.compare)
 
 
-def _metric_rows(stack: np.ndarray, angles: ChshAngles) -> np.ndarray:
+def _metric_rows(stack: np.ndarray, roots: np.ndarray, angles: ChshAngles) -> np.ndarray:
     """The metrics of every state of a (B, 4, 4) stack, one row each in METRIC_NAMES order.
 
-    Fidelity is against the |HH>+|VV> Bell target and the CHSH value uses
-    ``angles``; each metric is one stacked pass over the states.
+    Concurrence is read from ``roots``, the factors A, rho = A A^dag, of a fit or of
+    ``_roots``. Fidelity is against the |HH>+|VV> Bell target and the CHSH value uses
+    ``angles``; each metric is one stacked pass.
     """
     columns = {
         "fidelity": _fidelities(stack, PHI_PLUS_KET),
-        "concurrence": _concurrences(stack),
+        "concurrence": _concurrences(roots),
         "purity": _purities(stack),
         "s_value": _chsh_values(stack, angles),
     }
@@ -1040,7 +1049,7 @@ def _bootstrap_reports(
         fits = fitter(batch[keep], pairs)
     with _stage(stage_s, "metrics"):
         ok = np.array([error is None for error in fits.errors])
-        rows = _metric_rows(fits.rho[ok], angles)
+        rows = _metric_rows(fits.rho[ok], fits.roots[ok], angles)
         reports = []
         start = first = 0  # the block's first fitted row and its first metric row
         for size in keep.sum(axis=1).tolist():

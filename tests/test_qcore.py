@@ -25,6 +25,7 @@ from fransonsim.qcore import (
     _concurrences,
     _fidelities,
     _purities,
+    _roots,
     _state_errors,
 )
 
@@ -285,7 +286,7 @@ class TestStackedMetrics:
         """Each stacked metric equals, bit for bit, its one-state call and one-matrix form."""
         stack = metric_stack()
         fid = _fidelities(stack, PHI_PLUS_KET)
-        con = _concurrences(stack)
+        con = _concurrences(_roots(stack))
         pur = _purities(stack)
         for k, rho in enumerate(stack):
             state = DensityMatrix(rho)
@@ -304,15 +305,16 @@ class TestStackedMetrics:
         p |Phi+><Phi+| + (1 - p) I / 4 has C = max(0, (3p - 1) / 2). Linear
         inversion of the exact counts of a pure tilted Bell state leaves a
         state of rank 1 up to eigenvalues of order 1e-16, whose concurrence
-        is that of the ket. Square roots of those rounded eigenvalues put
-        the spin-flip eigenvalue form off by up to about 1e-8 here.
+        is that of the ket, both from the state and from the factor that
+        the fit carries. Square roots of those rounded eigenvalues put the
+        spin-flip eigenvalue form off by up to about 1e-8 here.
         """
-        from fransonsim.tomo import analytic_counts, linear_inversion
+        from fransonsim.tomo import _linear_fits, analytic_counts, linear_inversion
 
         rng = np.random.default_rng(8)
         kets = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
         kets /= np.linalg.norm(kets, axis=1)[:, None]
-        got = _concurrences(kets[:, :, None] * kets.conj()[:, None, :])
+        got = _concurrences(_roots(kets[:, :, None] * kets.conj()[:, None, :]))
         want = 2.0 * np.abs(kets[:, 0] * kets[:, 3] - kets[:, 1] * kets[:, 2])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -320,13 +322,16 @@ class TestStackedMetrics:
         bell = np.outer(PHI_PLUS_KET, PHI_PLUS_KET.conj())
         werner = weights[:, None, None] * bell + (1.0 - weights[:, None, None]) * np.eye(4) / 4
         want = np.maximum(0.0, (3.0 * weights - 1.0) / 2.0)
-        np.testing.assert_allclose(_concurrences(werner), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_concurrences(_roots(werner)), want, rtol=0, atol=1e-13)
 
         for p in (0.5, 0.3, 0.1, 0.02):
             ket = np.array([np.sqrt(p), 0.0, 0.0, np.sqrt(1.0 - p)])
-            fit = linear_inversion(analytic_counts(DensityMatrix.pure(ket), 260_000))
+            data = analytic_counts(DensityMatrix.pure(ket), 260_000)
+            fit = linear_inversion(data)
             assert np.linalg.eigvalsh(fit.rho.data)[:3].max() < 1e-15
             assert concurrence(fit.rho) == pytest.approx(2.0 * np.sqrt(p * (1.0 - p)), abs=1e-13)
+            [got] = _concurrences(_linear_fits(data.counts[None], 260_000).roots)
+            assert got == pytest.approx(2.0 * np.sqrt(p * (1.0 - p)), abs=1e-13)
 
 
 class TestTensorAndPermutation:

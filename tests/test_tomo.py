@@ -79,7 +79,9 @@ def linear_state_oracle(data):
 
     The least-squares solution is the pseudo-inverse applied to the
     frequencies, in real arithmetic: the frequencies are real, so the real
-    and imaginary parts of the solution are two real products.
+    and imaginary parts of the solution are two real products. Returns the
+    state V w V^dag and its factor V sqrt(w), both from the clipped,
+    renormalised spectrum w.
     """
     pis = setting_projectors()
     design = pis.transpose(0, 2, 1).reshape(36, 16)
@@ -88,8 +90,9 @@ def linear_state_oracle(data):
     raw = sol.view(complex).reshape(4, 4)
     raw = 0.5 * (raw + raw.conj().T)
     eigvals, eigvecs = np.linalg.eigh(raw)
-    eigvals = np.clip(eigvals, 0.0, None)
-    return DensityMatrix((eigvecs * (eigvals / eigvals.sum())) @ eigvecs.conj().T)
+    shares = np.clip(eigvals, 0.0, None)
+    shares = shares / shares.sum()
+    return DensityMatrix((eigvecs * shares) @ eigvecs.conj().T), eigvecs * np.sqrt(shares)
 
 
 def mle_oracle(data, tol=tomo.MLE_DEFAULT_TOL, max_iter=tomo.MLE_DEFAULT_MAX_ITER):
@@ -162,7 +165,7 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
         done = np.flatnonzero(stopped)
         rhos, fitted = tomo._states(design, y[done])
         fits.put(rows[done], tomo._Fits(
-            rho=rhos, iterations=np.full(len(done), iteration),
+            rho=rhos, roots=qcore._roots(rhos), iterations=np.full(len(done), iteration),
             loglike=tomo._loglike(counts[rows[done]], fitted), converged=converged[done],
             floor_hits=floor_hits[done], gap=gap[done], errors=qcore._state_errors(rhos),
             history=[()] * len(done),
@@ -278,14 +281,16 @@ def reject_second(replacement=None):
     return check
 
 
-def metric_row(rho):
-    return [fidelity_to(rho, PHI_PLUS_KET), concurrence(rho), purity(rho), chsh_uncached(rho)]
+def metric_row(rho, root=None):
+    """The four metrics of one state; concurrence from its factor ``root``, if given."""
+    con = concurrence(rho) if root is None else float(qcore._concurrences(root[None])[0])
+    return [fidelity_to(rho, PHI_PLUS_KET), con, purity(rho), chsh_uncached(rho)]
 
 
 def linear_sigmas_oracle(data, n_samples, seed, skip=()):
     """Bootstrap sigmas from one linear inversion per resample, in sample order."""
     rows = [
-        metric_row(linear_state_oracle(sample))
+        metric_row(*linear_state_oracle(sample))
         for s, sample in enumerate(resamples(data, n_samples, seed))
         if s not in skip
     ]
@@ -637,7 +642,7 @@ class TestLinearInversion:
         for seed in range(10):
             data = simulate_counts(rho, 1_000, seed=seed)
             np.testing.assert_array_equal(
-                linear_inversion(data).rho.data, linear_state_oracle(data).data
+                linear_inversion(data).rho.data, linear_state_oracle(data)[0].data
             )
 
     def test_batch_rows_match_one_row_fits(self):
@@ -1091,7 +1096,7 @@ class TestMle:
                 simulate_counts(tilted_bell(0.5), 3, seed=0).counts,
             ]),
         ]
-        fields = ("iterations", "converged", "gap", "floor_hits", "loglike", "rho")
+        fields = ("iterations", "converged", "gap", "floor_hits", "loglike", "rho", "roots")
         floor_hits = 0
         for pairs, rows in batches:
             counts = np.stack(rows)
@@ -1428,7 +1433,8 @@ class TestChsh:
             random_state(2, kind="mixed" if seed % 2 else "pure", seed=seed)
             for seed in range(40)
         ] + [DensityMatrix(np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex))]
-        rows = tomo._metric_rows(np.stack([rho.data for rho in states]), angles)
+        stack = np.stack([rho.data for rho in states])
+        rows = tomo._metric_rows(stack, qcore._roots(stack), angles)
         assert rows.shape == (len(states), len(tomo.METRIC_NAMES))
         for row, rho in zip(rows, states):
             assert row.tolist() == [
@@ -1524,10 +1530,7 @@ class TestMonteCarloMetrics:
             )
 
     def test_batch_solver_failure_falls_back_per_sample(self, monkeypatch):
-        """A LinAlgError from the batched eigensolve retries the samples one by one.
-
-        Only the fit's eigensolve fails: the concurrence kernel calls eigh too.
-        """
+        """A LinAlgError from the batched eigensolve retries the samples one by one."""
         data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         want = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
         real = np.linalg.eigh
@@ -1549,7 +1552,7 @@ class TestMonteCarloMetrics:
 
         def fails_but_the_point(a, *args, **kwargs):
             if sys._getframe(1).f_code is not tomo._linear_batch.__code__:
-                return real(a, *args, **kwargs)  # the concurrence kernel's
+                return real(a, *args, **kwargs)  # none in a linear bootstrap; others pass
             if len(a) == 1:
                 alone.append(a)
                 if len(alone) == 1:
@@ -1832,3 +1835,63 @@ class TestBootstrapReports:
             tomo._bootstrap_reports([data, data, fainter], [0, 1, 2], n_samples=10)
         with pytest.raises(ValueError, match="as many seeds"):
             tomo._bootstrap_reports([data, data], [0], n_samples=10)
+
+
+class TestFitFactors:
+    """Each fit carries a factor A of its state, rho = A A^dag, for the concurrence."""
+
+    def test_a_linear_bootstrap_eigendecomposes_once(self, monkeypatch):
+        """The linear fit's one batched eigh serves the metrics too: none runs on a fitted state."""
+        data = simulate_counts(tilted_bell(0.3), 3_000, seed=5)
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        report = monte_carlo_metrics(data, n_samples=20, seed=1, method="linear")
+        assert report.n_failed == 0
+        assert calls == [21]
+
+    @pytest.mark.parametrize("method", ["linear", "mle"])
+    def test_the_factors_rebuild_every_fitted_state(self, method):
+        """roots @ roots^dag is rho within 1e-15 on every row, clipped and refused rows included.
+
+        Pure states at 300 pairs per setting give linear estimates with
+        negative eigenvalues, which the clip sets to zero: their factors
+        have a zero column. The last row is all zeros, which linear
+        inversion refuses as a collapse to the zero matrix and the MLE
+        before its iteration; its state and factor are both zero.
+        """
+        counts = np.stack([
+            simulate_counts(tilted_bell(p), 300, seed=s).counts
+            for p in (0.5, 0.3, 0.1, 0.02) for s in range(5)
+        ] + [np.zeros(36)])
+        fits = tomo._linear_fits(counts, 300) if method == "linear" else tomo._mle_fits(counts, 300)
+        assert fits.errors[:-1] == [None] * (len(counts) - 1)
+        assert fits.errors[-1] is not None
+        assert not fits.rho[-1].any() and not fits.roots[-1].any()
+        if method == "linear":
+            clipped = (np.abs(fits.roots).max(axis=1) == 0.0).any(axis=1)
+            assert clipped[:-1].sum() >= 10
+        rebuilt = fits.roots @ fits.roots.conj().transpose(0, 2, 1)
+        assert np.abs(rebuilt - fits.rho).max() <= 1e-15
+
+    def test_mle_metric_rows_keep_the_eigendecomposition_of_the_state(self, monkeypatch):
+        """The MLE factors are eigh(rho)'s: the metric rows equal those from _roots(rho), bitwise."""
+        datas = [simulate_counts(tilted_bell(p), 3_000, seed=4) for p in (0.5, 0.3, 0.1)]
+        seen = []
+        real = tomo._metric_rows
+
+        def spy(stack, roots, angles):
+            seen.append((stack, angles, real(stack, roots, angles)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(tomo, "_metric_rows", spy)
+        reports = tomo._bootstrap_reports(datas, [0, 1, 2], n_samples=20, method="mle")
+        assert [r.n_failed for r in reports] == [0, 0, 0]
+        [(stack, angles, rows)] = seen
+        assert len(rows) == 63
+        np.testing.assert_array_equal(rows, real(stack, qcore._roots(stack), angles))
