@@ -54,20 +54,25 @@ from .tomo import (
     monte_carlo_metrics,
     simulate_counts,
 )
-from .cli import (
-    ConfigError,
-    ExperimentConfig,
-    RunReport,
-    SweepConfig,
-    TomographyConfig,
-    default_config,
-    load_config,
-    run_chsh_sweep,
-    run_custom,
-    run_fringe_scan,
-    run_purification,
-    validate,
+# ``cli`` is imported on first use of one of its names, not here, so that
+# ``python -m fransonsim.cli`` runs the module once, without runpy's warning
+# that the package had already imported it.
+_CLI_NAMES = (
+    "ConfigError", "ExperimentConfig", "RunReport", "SweepConfig", "TomographyConfig",
+    "default_config", "load_config", "run_chsh_sweep", "run_custom", "run_fringe_scan",
+    "run_purification", "validate",
 )
+
+
+def __getattr__(name: str):
+    """Import ``cli`` on first use of one of its exported names, and keep them all here."""
+    if name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cli
+
+    globals().update((key, getattr(cli, key)) for key in _CLI_NAMES)
+    return globals()[name]
+
 
 __all__ = [
     "__version__",
@@ -85,8 +90,5 @@ __all__ = [
     "ReconstructionResult", "analytic_counts", "chsh_value", "counts_from_csv",
     "counts_to_csv", "expected_probabilities", "linear_inversion",
     "mle_reconstruct", "monte_carlo_metrics", "simulate_counts",
-    # cli
-    "ConfigError", "ExperimentConfig", "RunReport", "SweepConfig",
-    "TomographyConfig", "default_config", "load_config", "run_chsh_sweep",
-    "run_custom", "run_fringe_scan", "run_purification", "validate",
+    *_CLI_NAMES,  # cli, imported on first use
 ]

@@ -528,22 +528,14 @@ def _rrr_step(r8: np.ndarray, y8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return step, 0.25 * trace
 
 
-def _pivots_positive(m: np.ndarray) -> np.ndarray:
-    """False for each matrix of a Hermitian (B, 4, 4) stack that has an LDL^H pivot <= 0.
+def _quotient_screen(v: np.ndarray, r8: np.ndarray, ceiling: np.ndarray) -> np.ndarray:
+    """False for each row whose Rayleigh quotient v^T R8 v is above its ``ceiling``.
 
-    Three Schur-complement steps give the four pivots, the ratios of the
-    leading principal minors, which are all positive exactly when the
-    matrix is positive definite. A NaN pivot rules nothing out, so a NaN
-    row stays True.
+    For the real form v of a unit vector, v^T R8 v = v^H R v <= lambda_max(R),
+    so a row ruled out has lambda_max(R) above the ceiling too. A zero v, or
+    a NaN quotient, rules nothing out.
     """
-    pivots = np.empty((len(m), 4))
-    with np.errstate(all="ignore"):  # rows past a pivot <= 0 are already ruled out
-        for j in range(3):
-            pivots[:, j] = m[:, 0, 0].real
-            col = m[:, 1:, :1]
-            m = m[:, 1:, 1:] - col * (col.conj().transpose(0, 2, 1) / pivots[:, j, None, None])
-        pivots[:, 3] = m[:, 0, 0].real
-        return ~(pivots <= 0.0).any(axis=1)
+    return ~((v[:, None, :] @ r8 @ v[:, :, None])[:, 0, 0] > ceiling)
 
 
 def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -660,12 +652,13 @@ def _mle_fits(
     lambda_max(R) >= tr(RYR) / tr(RY) >= tr(RYR) / sum_j f_j, and
     tr(RYR) is the normaliser of the next RrhoR step: an RrhoR row whose
     bound already exceeds sum_j f_j + ``tol`` skips the eigensolve. So does
-    one for which c I - R, c = (sum_j f_j + ``tol``)(1 + 1e-12), has an
-    LDL^H pivot <= 0 (:func:`_pivots_positive`), since then lambda_max(R)
-    >= c. Both screens leave the certificate and the iterates unchanged;
-    when they rule out every row, no eigensolve runs. Every row gets the
-    exact gap at the last RrhoR iteration and in every Newton iteration.
-    The fitted states are validated once, after the iteration.
+    one whose v^H R v, a lower bound on lambda_max(R), exceeds (sum_j f_j +
+    ``tol``)(1 + 1e-12); v is the top eigenvector from the row's last
+    eigensolve, one stacked ``eigh`` of the rows that pass both screens.
+    Neither screen changes the certificate or the iterates. Every row gets
+    the exact gap, by ``eigvalsh``, at the last RrhoR iteration and in every
+    Newton iteration. The fitted states are validated once, after the
+    iteration.
     Rows still open after _RRR_ITERATIONS switch to damped Newton steps on
     the log-barrier problem (see :func:`_newton_step`), started from their
     iterate mixed with a share g / sum_j f_j of I/4. The barrier weight mu starts at
@@ -744,33 +737,36 @@ def _fit_batch(
         return carried
 
     y, _ = _rrr_step(_real_r_operator(design, freqs, y)[0], y)
-    # A row can stop only if lambda_max(R) <= ceiling / (1 + 1e-12), and
-    # lambda_max(R) >= tr(RYR) / total: an RrhoR row whose tr(RYR) is above
-    # ``bound`` cannot stop yet, nor can one whose ceiling I - R has an LDL^H
-    # pivot <= 0. The margin covers rounding; a NaN row passes both screens and
-    # reaches eigvalsh, whose LinAlgError refits the rows alone. A huge tol
-    # overflows both to inf, which rules no row out.
+    # A row can stop only if lambda_max(R) <= ceiling / (1 + 1e-12), the margin
+    # for rounding, and lambda_max(R) >= tr(RYR) / total: an RrhoR row whose
+    # tr(RYR) is above ``bound`` cannot stop yet, nor can one that
+    # _quotient_screen rules out on ``top``, the real form of its R's top
+    # eigenvector at its last eigensolve (zeros before it). A NaN row passes
+    # both; _state_errors refuses its state. A huge tol overflows both to inf.
     with np.errstate(over="ignore"):
         ceiling = (total + tol) * (1.0 + 1e-12)
         bound = total * ceiling
-    diagonal = np.arange(4)
+    top = np.zeros((len(rows), 8))
     last = min(_RRR_ITERATIONS, max_iter)  # the RrhoR iteration that certifies every row
     for iteration in range(1, last + 1):
         y_now = y  # the iterate gap certifies
         r8, floored = _real_r_operator(design, freqs, y)
-        exact = np.arange(len(rows))  # the rows whose gap is computed
-        if iteration < last:
-            y, norm = _rrr_step(r8, y)
-            exact = np.flatnonzero(~(norm > bound))
-            if len(exact) > 0:
-                m = -1j * r8[exact, 4:, :4] - r8[exact, :4, :4]  # -R, from one copy
-                m[:, diagonal, diagonal] += ceiling[exact, None]
-                exact = exact[_pivots_positive(m)]
         gap = None  # no row can stop, so no certificate is needed
-        if len(exact) > 0:
-            gap = np.full(len(rows), np.inf)
-            gap[exact] = np.linalg.eigvalsh(_unembed(r8[exact]))[:, -1] - total[exact]
-        y, ceiling, bound, gap = settle(iteration, y_now, floored, gap, (y, ceiling, bound, gap))
+        if iteration == last:
+            gap = np.linalg.eigvalsh(_unembed(r8))[:, -1] - total
+        else:
+            y, norm = _rrr_step(r8, y)
+            exact = np.flatnonzero(~(norm > bound))  # the rows whose gap is computed
+            if len(exact) > 0:
+                exact = exact[_quotient_screen(top[exact], r8[exact], ceiling[exact])]
+            if len(exact) > 0:
+                vals, vecs = np.linalg.eigh(_unembed(r8[exact]))
+                gap = np.full(len(rows), np.inf)
+                gap[exact] = vals[:, -1] - total[exact]
+                top[exact] = np.concatenate((vecs[:, :, -1].real, vecs[:, :, -1].imag), axis=1)
+        y, ceiling, bound, top, gap = settle(
+            iteration, y_now, floored, gap, (y, ceiling, bound, top, gap)
+        )
         if len(rows) == 0:
             break
     if len(rows) > 0:  # open after _RRR_ITERATIONS: Newton steps from the iterate mixed with I/4

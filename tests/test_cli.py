@@ -929,6 +929,21 @@ class TestMainEntry:
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout == "config ok\n"
 
+    def test_python_m_fransonsim_cli_runs_without_runpy_warning(self, tmp_path):
+        """``python -m fransonsim.cli validate`` exits 0 with RuntimeWarnings as errors.
+
+        The package imports ``cli`` only on first use of one of its names,
+        so runpy does not find ``fransonsim.cli`` already imported.
+        """
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fransonsim.cli", "validate"],
+            capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == "config ok\n"
+
     def test_bad_override_is_config_error(self, tmp_path, capsys):
         """An out-of-range --mc-samples exits with code 1."""
         path = write_config(tmp_path)
