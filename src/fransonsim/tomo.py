@@ -375,7 +375,10 @@ class _Fits:
     ``rho`` is (B, 4, 4) and ``roots`` its factors A, rho = A A^dag, from the fitter's
     own eigendecomposition; ``iterations``, ``loglike``, ``converged``, ``floor_hits``
     and ``gap`` are (B,) arrays of the :class:`ReconstructionResult` fields; ``errors``
-    holds None or the exception that refused the row, whose arrays then hold no fit.
+    holds None or the ``ValueError`` that refused the row, whose arrays then hold no
+    valid fit. A row is refused only if its counts are all zero (a linear fit then
+    collapses to the zero matrix) or its fitted state fails ``_state_errors``; a
+    ``LinAlgError`` in a fit is raised, not recorded.
     ``history`` is each row's log-likelihood per iterate, recorded only by
     :func:`mle_reconstruct`.
     """
@@ -416,39 +419,17 @@ class _Fits:
         )
 
 
-def _batch_or_rows(fit, design: _Design, counts: np.ndarray, *args) -> _Fits:
-    """``fit(design, counts, *args)``, or each row alone if the batch raises.
-
-    A ``LinAlgError`` in one row fails the whole stacked solve, so the rows
-    are then fitted one by one and their one-row records joined; a row that
-    raises on its own is refused with that error.
-    """
-    try:
-        return fit(design, counts, *args)
-    except np.linalg.LinAlgError as exc:
-        if len(counts) == 1:
-            return _Fits.blank(1, exc)
-    fits = _Fits.blank(len(counts))
-    for i, row in enumerate(counts):
-        fits.put([i], _batch_or_rows(fit, design, row[None], *args))
-    return fits
-
-
 def _linear_fits(counts: np.ndarray, pairs_per_setting: int) -> _Fits:
     """Linear inversion of every row of ``counts`` (B, 36) in one batched solve.
 
-    The cached pseudo-inverse solves each row, and every later step is a
-    stacked pass that acts on each row alone, so a row's fit does not
-    depend on its batch. Failures are per row: a row's entry of
-    ``errors`` is the exception that rejected it (a collapse to the zero
-    matrix, a failed validation or a ``LinAlgError``).
+    The cached pseudo-inverse solves each row in real arithmetic, and every
+    later step is a stacked pass that acts on each row alone, so a row's fit
+    does not depend on its batch: each row's clipped, renormalised spectrum w
+    gives its state V w V^dag, then its factor V sqrt(w), written over V. A row
+    is refused, its entry of ``errors`` the reason, if its state collapses to
+    the zero matrix or fails validation.
     """
-    return _batch_or_rows(_linear_batch, _design(), counts, pairs_per_setting)
-
-
-def _linear_batch(design: _Design, counts: np.ndarray, pairs_per_setting: int) -> _Fits:
-    """The solve of :func:`_linear_fits` in real arithmetic; each row's clipped, renormalised
-    spectrum w gives its state V w V^dag, then its factor V sqrt(w), written over V."""
+    design = _design()
     freqs = counts / float(pairs_per_setting)
     raw = np.matmul(freqs[:, None, :], design.pinv).view(complex).reshape(-1, 4, 4)
     raw = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
@@ -673,21 +654,18 @@ def _mle_fits(
     rows leave the batch. Probabilities are floored at PROBABILITY_FLOOR so
     empty settings cannot blow up the weights.
 
-    Failures are per row: a row's entry of ``errors`` is the exception
-    that rejected it (counts that are all zero, a failed validation or a
-    ``LinAlgError``; the latter fails the whole batch, which is then
-    refitted row by row). Rows of zeros are refused before the iteration,
-    so the other rows stay one batch. Only with ``history`` does the record
-    carry the log-likelihood of every iterate.
+    A row is refused, its entry of ``errors`` the reason, for two reasons
+    only: its counts are all zero, or its fitted state fails validation.
+    Rows of zeros are refused before the iteration, so the other rows stay
+    one batch. Only with ``history`` does the record carry the
+    log-likelihood of every iterate.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     rows = np.flatnonzero(counts.any(axis=1))
-    fitted = _batch_or_rows(
-        _fit_batch, _design(), counts[rows], pairs_per_setting, tol, max_iter, history
-    )
+    fitted = _fit_batch(_design(), counts[rows], pairs_per_setting, tol, max_iter, history)
     # the record of every row is made after the fit, so the fit's peak memory does not hold it
     fits = _Fits.blank(
         len(counts), ValueError("the counts are all zero, there is nothing to fit")

@@ -112,10 +112,11 @@ class TransferOutcome:
 
 def _check_ports(probs: np.ndarray) -> np.ndarray:
     """(B, 4) port probabilities after the bounds of :class:`TransferOutcome`, row by row."""
+    # written as "not (ok)" so that NaN, which fails every comparison, is refused
     for row in probs:
-        if row.min() < -1e-12:
+        if not row.min() >= -1e-12:
             raise ValueError(f"negative port probability: {row.min():.3e}")
-        if abs(row.sum() - 1.0) > 1e-9:
+        if not abs(row.sum() - 1.0) <= 1e-9:
             raise ValueError(f"port probabilities sum to {row.sum():.12g}, not 1")
     return probs
 
@@ -263,6 +264,9 @@ def fringe_visibility(points: Sequence[tuple[float, float]]) -> float:
     probs = [p for _, p in points]
     if not probs:
         raise ValueError("empty fringe scan")
+    bad = [p for p in probs if not math.isfinite(p)]
+    if bad:
+        raise ValueError(f"fringe probability must be finite, got {bad[0]}")
     top, bottom = max(probs), min(probs)
     if top + bottom <= 0.0:
         raise ValueError("fringe has no counts, visibility undefined")

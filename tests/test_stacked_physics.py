@@ -143,9 +143,12 @@ def test_a_port_probability_below_the_outcome_bound_is_refused(monkeypatch):
     """A path marginal that passes the state check keeps TransferOutcome's port bounds.
 
     The eigenvalue floor of the state check is -1e-10; a port probability
-    must not be below -1e-12.
+    must not be below -1e-12. NaN port probabilities are refused too.
     """
     cfg = config()
+    outcome = transfer(make_source_state(cfg.source), cfg.interferometer)
+    with pytest.raises(ValueError, match="negative port probability: nan"):
+        replace(outcome, port_probs=[np.nan] * 4)
     joint = np.zeros((16, 16), dtype=complex)
     joint[0, 0], joint[5, 5] = 1.0 + 5e-11, -5e-11  # |H S H S> and |H L H L>
     monkeypatch.setattr(cli, "_transferred", lambda stack, mask: np.stack([joint] * len(stack)))

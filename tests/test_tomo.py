@@ -938,7 +938,11 @@ class TestMle:
 
         Their scaled Newton systems are often singular, exactly or to
         rounding; a bare solve refused 20 of them, and the batch was then
-        refitted row by row.
+        refitted row by row. So do stacks at the extremes of flux that
+        CountData accepts: one setting at the ceiling of 50 pairs per
+        setting, at 1 and at 1e18 pairs, and 1 count on setting 0 beside
+        the ceiling on one other setting, at 1e18 pairs. A LinAlgError in
+        any of these fits would fail the run.
         """
         counts = sparse_count_sets(20)
         assert len(counts) == 310
@@ -955,6 +959,19 @@ class TestMle:
         assert fits.errors == [None] * 310
         assert qcore._state_errors(fits.rho) == [None] * 310
         assert fits.converged.all()
+
+        ceiling = 50.0 * np.eye(36)
+        pairs = np.zeros((35, 36))
+        pairs[:, 0], pairs[np.arange(35), np.arange(1, 36)] = 1.0, 5e19
+        for stack, pairs_per_setting in ((ceiling, 1), (ceiling * 1e18, 10**18),
+                                         (pairs, 10**18)):
+            for row in stack:
+                CountData(row, pairs_per_setting)
+            batches.clear()
+            fits = tomo._mle_fits(stack, pairs_per_setting)
+            assert batches == [len(stack)]
+            assert fits.errors == [None] * len(stack) and fits.converged.all()
+            assert tomo._linear_fits(stack, pairs_per_setting).errors == [None] * len(stack)
 
     def test_a_stalling_count_set_is_not_refused(self):
         """Counts 1 and 4 on settings 4 and 35 at 1 pair per setting fit to a valid state.
@@ -1549,40 +1566,6 @@ class TestMonteCarloMetrics:
                 sigmas(report), linear_sigmas_oracle(data, n_samples, seed)
             )
 
-    def test_batch_solver_failure_falls_back_per_sample(self, monkeypatch):
-        """A LinAlgError from the batched eigensolve retries the samples one by one."""
-        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
-        want = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
-        real = np.linalg.eigh
-
-        def batch_fails(a, *args, **kwargs):
-            if len(a) > 1 and sys._getframe(1).f_code is tomo._linear_batch.__code__:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", batch_fails)
-        got = monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
-        assert got == want
-
-    def test_solver_failures_are_counted_not_raised(self, monkeypatch):
-        """If every resample's solve fails, the report aborts on the failure count."""
-        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
-        real = np.linalg.eigh
-        alone = []  # one-row eigensolves; the row-by-row refit starts with the point
-
-        def fails_but_the_point(a, *args, **kwargs):
-            if sys._getframe(1).f_code is not tomo._linear_batch.__code__:
-                return real(a, *args, **kwargs)  # none in a linear bootstrap; others pass
-            if len(a) == 1:
-                alone.append(a)
-                if len(alone) == 1:
-                    return real(a, *args, **kwargs)
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", fails_but_the_point)
-        with pytest.raises(RuntimeError, match="20/20"):
-            monte_carlo_metrics(data, n_samples=20, seed=2, method="linear")
-
     def test_invalid_sample_state_is_dropped_and_counted(self, monkeypatch):
         """A resample whose state fails validation counts in n_failed."""
         data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
@@ -1653,37 +1636,6 @@ class TestMonteCarloMetrics:
         assert empty == 2  # some, but within the 10% the report tolerates
         report = monte_carlo_metrics(data, n_samples=20, seed=3, method="mle")
         assert (report.n_failed, report.n_nonconverged) == (empty, 0)
-
-    def test_mle_batch_failure_falls_back_per_row(self, monkeypatch):
-        """A LinAlgError in the stacked iteration refits the rows one by one."""
-        data = simulate_counts(tilted_bell(0.3), 3_000, seed=4)
-        opts = dict(n_samples=12, seed=2, method="mle", max_iter=800)
-        want = monte_carlo_metrics(data, **opts)
-        real = np.linalg.eigvalsh
-
-        def batch_fails(a, *args, **kwargs):
-            if a.ndim == 3 and a.shape[0] > 1:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", batch_fails)
-        got = monte_carlo_metrics(data, **opts)
-        np.testing.assert_allclose(sigmas(got), sigmas(want), rtol=1e-6)
-        assert (got.n_failed, got.n_nonconverged) == (want.n_failed, want.n_nonconverged)
-
-    def test_mle_iteration_failures_are_counted_not_raised(self, monkeypatch):
-        """If every resample's iteration fails, the report aborts on the failure count."""
-        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
-        real = tomo._fit_batch
-
-        def fails_but_the_point(design, counts, *args):
-            if len(counts) == 1 and np.array_equal(counts[0], data.counts):
-                return real(design, counts, *args)
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(tomo, "_fit_batch", fails_but_the_point)
-        with pytest.raises(RuntimeError, match="20/20"):
-            monte_carlo_metrics(data, n_samples=20, seed=2, method="mle")
 
     def test_unknown_method_is_refused(self):
         """A method name other than mle or linear is a ValueError, not a failed bootstrap."""

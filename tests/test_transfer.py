@@ -326,9 +326,13 @@ class TestFringe:
                 sum_phase_scan(state, InterferometerConfig(), [0.0, bad, 1.0])
 
     def test_visibility_input_validation(self):
-        """Empty scans and dark scans are rejected."""
+        """Empty scans, dark scans and non-finite probabilities are rejected."""
         with pytest.raises(ValueError, match="empty"):
             fringe_visibility([])
+        for points in ([(0.0, np.nan), (1.0, 0.5), (2.0, 0.2)],
+                       [(0.0, 0.5), (1.0, np.nan), (2.0, 0.2)]):
+            with pytest.raises(ValueError, match="fringe probability must be finite, got nan"):
+                fringe_visibility(points)
         with pytest.raises(ValueError, match="no counts"):
             fringe_visibility([(0.0, 0.0), (1.0, 0.0)])
 
