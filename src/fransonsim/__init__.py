@@ -39,9 +39,7 @@ from .transfer import (
     transfer,
 )
 from .tomo import (
-    ChshAngles,
     CountData,
-    DEFAULT_CHSH_ANGLES,
     MetricsReport,
     ReconstructionResult,
     analytic_counts,
@@ -86,9 +84,8 @@ __all__ = [
     "InterferometerConfig", "TransferOutcome", "block_long_arms",
     "fringe_visibility", "sum_phase_scan", "transfer",
     # tomo
-    "ChshAngles", "CountData", "DEFAULT_CHSH_ANGLES", "MetricsReport",
-    "ReconstructionResult", "analytic_counts", "chsh_value", "counts_from_csv",
-    "counts_to_csv", "expected_probabilities", "linear_inversion",
-    "mle_reconstruct", "monte_carlo_metrics", "simulate_counts",
+    "CountData", "MetricsReport", "ReconstructionResult", "analytic_counts",
+    "chsh_value", "counts_from_csv", "counts_to_csv", "expected_probabilities",
+    "linear_inversion", "mle_reconstruct", "monte_carlo_metrics", "simulate_counts",
     *_CLI_NAMES,  # cli, imported on first use
 ]

@@ -54,7 +54,6 @@ from .qcore import (
     load_density_matrix,
 )
 from .tomo import (
-    DEFAULT_CHSH_ANGLES,
     DEFAULT_PAIRS_PER_SETTING,
     MAX_PAIRS_PER_SETTING,
     METRIC_NAMES,
@@ -639,7 +638,7 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> tuple:
         tol=tcfg.mle_tol, max_iter=tcfg.mle_max_iter,
     )
     truths = np.stack([rho.data for rho in states])
-    truths = _metric_rows(truths, _roots(truths), DEFAULT_CHSH_ANGLES)
+    truths = _metric_rows(truths, _roots(truths))
     branches = [
         (rho, data, metrics, dict(zip(METRIC_NAMES, truth.tolist())))
         for rho, data, metrics, truth in zip(states, datas, reports, truths)

@@ -77,21 +77,25 @@ class PostselectionError(RuntimeError):
     """Raised when a postselecting operation retains no probability mass."""
 
 
-def _integer_fields(obj, *names: str) -> None:
-    """Store each named field of a frozen dataclass as an int.
+def _as_integer(name: str, val) -> int:
+    """``val`` as an int, or a ``ValueError`` naming ``name``.
 
     A value that is not integral (a fraction, NaN, infinity, a string) is
-    refused with the field named instead of being truncated.
+    refused instead of being truncated.
     """
+    try:
+        exact = int(val) == val
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{name} must be an integer, got {val!r}")
+    return int(val)
+
+
+def _integer_fields(obj, *names: str) -> None:
+    """Store each named field of a frozen dataclass as an int (see :func:`_as_integer`)."""
     for name in names:
-        val = getattr(obj, name)
-        try:
-            exact = int(val) == val
-        except (TypeError, ValueError, OverflowError):
-            exact = False
-        if not exact:
-            raise ValueError(f"{name} must be an integer, got {val!r}")
-        object.__setattr__(obj, name, int(val))
+        object.__setattr__(obj, name, _as_integer(name, getattr(obj, name)))
 
 
 def _as_state_array(data: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .qcore import (
     PAULI_Z,
     PHI_PLUS_KET,
     DensityMatrix,
+    _as_integer,
     _concurrences,
     _fidelities,
     _integer_fields,
@@ -42,9 +43,7 @@ from .optics import WaveplateSpec, jones
 __all__ = [
     "CountData",
     "ReconstructionResult",
-    "ChshAngles",
     "MetricsReport",
-    "DEFAULT_CHSH_ANGLES",
     "DEFAULT_PAIRS_PER_SETTING",
     "MAX_PAIRS_PER_SETTING",
     "setting_projectors",
@@ -650,9 +649,10 @@ def _mle_fits(
     stops short of the boundary of the cone, so sparse count sets stay in
     the batch. Each Newton iterate's p_j are computed once, with its R, and
     the next step reuses them. Iterations of both phases count against
-    ``max_iter``; a row stopped by it reports ``converged=False``. Stopped
-    rows leave the batch. Probabilities are floored at PROBABILITY_FLOOR so
-    empty settings cannot blow up the weights.
+    ``max_iter``, which must be integral; a row stopped by it reports
+    ``converged=False``. Stopped rows leave the batch. Probabilities are
+    floored at PROBABILITY_FLOOR so empty settings cannot blow up the
+    weights.
 
     A row is refused, its entry of ``errors`` the reason, for two reasons
     only: its counts are all zero, or its fitted state fails validation.
@@ -662,6 +662,7 @@ def _mle_fits(
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    max_iter = _as_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     rows = np.flatnonzero(counts.any(axis=1))
@@ -788,58 +789,41 @@ def mle_reconstruct(
     return fits.result(0, "mle")
 
 
-@dataclass(frozen=True)
-class ChshAngles:
-    """Analyzer angles (radians) for the four CHSH correlators.
-
-    Measurement operators are sigma(theta) = cos(2 theta) Z + sin(2 theta) X,
-    i.e. linear-polarization analyzers rotated in the H/V great circle. The
-    defaults are the optimal settings for a |HH>+|VV> target.
-    """
-
-    alpha: float = 0.0
-    alpha_prime: float = math.pi / 4
-    beta: float = math.pi / 8
-    beta_prime: float = 3 * math.pi / 8
-
-
-DEFAULT_CHSH_ANGLES = ChshAngles()
-
-
 def _analyzer(theta: float) -> np.ndarray:
+    """sigma(theta) = cos(2 theta) Z + sin(2 theta) X, a linear polarizer at theta."""
     return math.cos(2 * theta) * PAULI_Z + math.sin(2 * theta) * PAULI_X
 
 
-@functools.lru_cache(maxsize=16)
-def _chsh_operators(angles: ChshAngles) -> tuple[np.ndarray, ...]:
-    """The correlator operators of E(a,b), E(a,b'), E(a',b), E(a',b')."""
+@functools.cache
+def _chsh_operators() -> tuple[np.ndarray, ...]:
+    """The correlator operators of E(a,b), E(a,b'), E(a',b), E(a',b'), built on first use."""
+    a, a_prime, b, b_prime = 0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8
     ops = tuple(
         np.kron(_analyzer(ta), _analyzer(tb))
-        for ta, tb in (
-            (angles.alpha, angles.beta),
-            (angles.alpha, angles.beta_prime),
-            (angles.alpha_prime, angles.beta),
-            (angles.alpha_prime, angles.beta_prime),
-        )
+        for ta, tb in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
     )
     for op in ops:
         op.setflags(write=False)
     return ops
 
 
-def _chsh_values(stack: np.ndarray, angles: ChshAngles) -> np.ndarray:
+def _chsh_values(stack: np.ndarray) -> np.ndarray:
     """E(a,b) - E(a,b') + E(a',b) + E(a',b') of every state of a (B, 4, 4) stack."""
     e_ab, e_abp, e_apb, e_apbp = (
-        np.einsum("ab,nba->n", op, stack).real for op in _chsh_operators(angles)
+        np.einsum("ab,nba->n", op, stack).real for op in _chsh_operators()
     )
     return e_ab - e_abp + e_apb + e_apbp
 
 
-def chsh_value(rho: DensityMatrix, angles: ChshAngles = DEFAULT_CHSH_ANGLES) -> float:
-    """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
+def chsh_value(rho: DensityMatrix) -> float:
+    """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b') at fixed analyzers.
+
+    Photon A is analyzed at a = 0 and a' = 45 deg, photon B at b = 22.5 and
+    b' = 67.5 deg: the optimal settings for a |HH>+|VV> target.
+    """
     if rho.dim != 4:
         raise ValueError(f"CHSH needs a two-qubit state, got dim {rho.dim}")
-    return float(_chsh_values(rho.data[None], angles)[0])
+    return float(_chsh_values(rho.data[None])[0])
 
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -852,8 +836,8 @@ METRIC_NAMES = ("fidelity", "concurrence", "purity", "s_value")
 class MetricsReport:
     """Point estimates and bootstrap uncertainties of the headline metrics.
 
-    Fidelity is against the |HH>+|VV> Bell target; the CHSH value uses the
-    angles the report was built with (defaults unless stated otherwise).
+    Fidelity is against the |HH>+|VV> Bell target; the CHSH value is that of
+    :func:`chsh_value`, at its fixed analyzers.
     ``point_fit`` is the reconstruction the point values come from; it is
     not part of :meth:`as_dict` or of equality.
     """
@@ -898,18 +882,18 @@ class MetricsReport:
 _METRICS_REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport) if f.compare)
 
 
-def _metric_rows(stack: np.ndarray, roots: np.ndarray, angles: ChshAngles) -> np.ndarray:
+def _metric_rows(stack: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """The metrics of every state of a (B, 4, 4) stack, one row each in METRIC_NAMES order.
 
     Concurrence is read from ``roots``, the factors A, rho = A A^dag, of a fit or of
-    ``_roots``. Fidelity is against the |HH>+|VV> Bell target and the CHSH value uses
-    ``angles``; each metric is one stacked pass.
+    ``_roots``. Fidelity is against the |HH>+|VV> Bell target and the CHSH value is
+    :func:`chsh_value`'s; each metric is one stacked pass.
     """
     columns = {
         "fidelity": _fidelities(stack, PHI_PLUS_KET),
         "concurrence": _concurrences(roots),
         "purity": _purities(stack),
-        "s_value": _chsh_values(stack, angles),
+        "s_value": _chsh_values(stack),
     }
     return np.stack([columns[name] for name in METRIC_NAMES], axis=1)
 
@@ -919,7 +903,6 @@ def monte_carlo_metrics(
     n_samples: int = 100,
     seed: int = 0,
     method: str = "mle",
-    angles: ChshAngles = DEFAULT_CHSH_ANGLES,
     resample: bool = True,
     **mle_opts,
 ) -> MetricsReport:
@@ -934,21 +917,21 @@ def monte_carlo_metrics(
     solve, or one stacked likelihood fit (see :func:`_mle_fits`;
     ``mle_opts`` are its ``tol`` and ``max_iter``, and linear inversion
     ignores them) into one stacked record, and the four metrics of every
-    kept row are one stacked pass over it (:func:`_metric_rows`). Row 0 is
-    the point estimate: the point values come from it, it alone becomes a
+    kept row, the CHSH value at :func:`chsh_value`'s fixed analyzers, are
+    one stacked pass over it (:func:`_metric_rows`). Row 0 is the point
+    estimate: the point values come from it, it alone becomes a
     :class:`ReconstructionResult`, ``point_fit``, and its failure is
     raised. Sigmas are the standard deviations over the resamples. With
     ``resample=False`` (the analytic, zero-noise path) only row 0 is fitted
-    and all sigmas are exactly 0. Samples whose counts or reconstruction
-    fail are dropped and counted in ``n_failed``; more than 10% failures
-    aborts the report. MLE fits whose certified gap is still above ``tol``
-    at ``max_iter`` stay in the sigmas and are counted in
+    and all sigmas are exactly 0. ``n_samples`` and the MLE ``max_iter``
+    must be integral (20.0 is taken as 20). Samples whose counts or
+    reconstruction fail are dropped and counted in ``n_failed``; more than
+    10% failures aborts the report. MLE fits whose certified gap is still
+    above ``tol`` at ``max_iter`` stay in the sigmas and are counted in
     ``n_nonconverged``. This is the one-branch call of
     :func:`_bootstrap_reports`, which fits many count sets in one batch.
     """
-    [report] = _bootstrap_reports(
-        [data], [seed], n_samples, method, angles, resample, **mle_opts
-    )
+    [report] = _bootstrap_reports([data], [seed], n_samples, method, resample, **mle_opts)
     return report
 
 
@@ -965,7 +948,6 @@ def _bootstrap_reports(
     seeds: Sequence[int],
     n_samples: int = 100,
     method: str = "mle",
-    angles: ChshAngles = DEFAULT_CHSH_ANGLES,
     resample: bool = True,
     stage_s: dict | None = None,
     **mle_opts,
@@ -977,10 +959,11 @@ def _bootstrap_reports(
     count check, exactly the rows :func:`monte_carlo_metrics` would fit for
     it alone. The blocks are stacked in branch order, one call of the
     fitter reconstructs them all into one record (:class:`_Fits`), and one
-    :func:`_metric_rows` pass scores every row it did not refuse. The rest
-    is per block: row 0 is the branch's point fit, the only row that
-    becomes a :class:`ReconstructionResult`, and its failure is raised in
-    branch order; ``n_failed``, the 10% abort and ``n_nonconverged`` count
+    :func:`_metric_rows` pass scores every row it did not refuse, at the
+    fixed CHSH analyzers of :func:`chsh_value`. The rest is per block: row
+    0 is the branch's point fit, the only row that becomes a
+    :class:`ReconstructionResult`, and its failure is raised in branch
+    order; ``n_failed``, the 10% abort and ``n_nonconverged`` count
     the ``errors`` and ``converged`` entries of the block's resamples; the
     sigmas are the block's standard deviations. The count sets must share
     their ``pairs_per_setting``, or a ``ValueError`` says which differs.
@@ -988,6 +971,7 @@ def _bootstrap_reports(
     ``metrics`` stages are added to ``stage_s`` when it is given.
     """
     stage_s = {} if stage_s is None else stage_s
+    n_samples = _as_integer("n_samples", n_samples)
     if n_samples < 10:
         raise ValueError(f"n_samples must be at least 10, got {n_samples}")
     if method == "mle":
@@ -1023,7 +1007,7 @@ def _bootstrap_reports(
         fits = fitter(batch[keep], pairs)
     with _stage(stage_s, "metrics"):
         ok = np.array([error is None for error in fits.errors])
-        rows = _metric_rows(fits.rho[ok], fits.roots[ok], angles)
+        rows = _metric_rows(fits.rho[ok], fits.roots[ok])
         reports = []
         start = first = 0  # the block's first fitted row and its first metric row
         for size in keep.sum(axis=1).tolist():

@@ -52,6 +52,8 @@ REMOVED_NAMES = (
     "rotating_plate_channel",
     # the 36 settings are one fixed table
     "PartySetting", "MeasurementSetting", "projector", "standard_settings",
+    # the CHSH analyzers are fixed: A at 0 and 45 deg, B at 22.5 and 67.5 deg
+    "ChshAngles", "DEFAULT_CHSH_ANGLES",
 )
 
 
@@ -68,6 +70,12 @@ def test_transfer_takes_no_rng():
     """Jitter is always the ensemble average: transfer has no random generator."""
     params = inspect.signature(fransonsim.transfer).parameters
     assert list(params) == ["state", "cfg"]
+
+
+def test_chsh_takes_no_angles():
+    """The CHSH analyzers are fixed: no metric entry point takes angles."""
+    assert list(inspect.signature(fransonsim.chsh_value).parameters) == ["rho"]
+    assert "angles" not in inspect.signature(fransonsim.monte_carlo_metrics).parameters
 
 
 def test_benchmark_trace_targets_exist():

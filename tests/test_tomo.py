@@ -1,5 +1,6 @@
 """Measurement simulation, reconstruction, metrics, and CHSH checks."""
 
+import math
 import os
 import re
 import subprocess
@@ -20,9 +21,7 @@ from fransonsim.qcore import (
 )
 from fransonsim.tomo import (
     METRIC_NAMES,
-    ChshAngles,
     CountData,
-    DEFAULT_CHSH_ANGLES,
     MetricsReport,
     analytic_counts,
     chsh_value,
@@ -50,7 +49,7 @@ ANALYZER_PROJECTORS = [
 
 
 def s_formula(p):
-    # closed form for the tilted Bell ket at the default analyzer angles
+    # closed form for the tilted Bell ket at the fixed CHSH analyzers
     return np.sqrt(2.0) * (1.0 + 2.0 * np.sqrt(p * (1.0 - p)))
 
 
@@ -59,18 +58,21 @@ def tilted_bell(p):
     return DensityMatrix.pure(ket)
 
 
-def chsh_uncached(rho, angles=DEFAULT_CHSH_ANGLES):
-    """CHSH value with the correlator operators rebuilt on every call."""
+def chsh_uncached(rho):
+    """CHSH value with the correlator operators rebuilt on every call.
+
+    A at 0 and pi/4, B at pi/8 and 3 pi/8: the standard settings for |HH>+|VV>.
+    """
 
     def corr(ta, tb):
         op = np.kron(tomo._analyzer(ta), tomo._analyzer(tb))
         return float(np.einsum("ab,ba->", op, rho.data).real)
 
     return (
-        corr(angles.alpha, angles.beta)
-        - corr(angles.alpha, angles.beta_prime)
-        + corr(angles.alpha_prime, angles.beta)
-        + corr(angles.alpha_prime, angles.beta_prime)
+        corr(0.0, np.pi / 8)
+        - corr(0.0, 3 * np.pi / 8)
+        + corr(np.pi / 4, np.pi / 8)
+        + corr(np.pi / 4, 3 * np.pi / 8)
     )
 
 
@@ -1396,18 +1398,26 @@ class TestMle:
             monte_carlo_metrics(data, n_samples=10, method="mle")
 
     def test_parameter_validation(self):
-        """Non-positive tolerances and budgets are refused."""
+        """Non-positive tolerances and budgets, and budgets that are not integers, are refused."""
         rho = tilted_bell(0.5)
         data = analytic_counts(rho, 100)
         with pytest.raises(ValueError, match="tol"):
             mle_reconstruct(data, tol=0.0)
         with pytest.raises(ValueError, match="max_iter"):
             mle_reconstruct(data, max_iter=0)
+        # no iteration equals 130.5, so such a budget would never stop a row
+        for bad in (130.5, math.nan, math.inf, "50"):
+            with pytest.raises(ValueError, match="max_iter"):
+                mle_reconstruct(data, tol=1e-300, max_iter=bad)
+        # an integral float is the int budget, as for the config's mle_max_iter
+        whole, exact = (mle_reconstruct(data, tol=1e-300, max_iter=n) for n in (50.0, 50))
+        assert whole.iterations == exact.iterations == 50 and not whole.converged
+        np.testing.assert_array_equal(whole.rho.data, exact.rho.data)
 
 
 class TestChsh:
     def test_tilted_bell_closed_form(self):
-        """S follows sqrt(2)(1 + 2 sqrt(p(1-p))) at the default angles."""
+        """S follows sqrt(2)(1 + 2 sqrt(p(1-p))) at the fixed analyzers."""
         for p in (0.0, 0.1, 0.25, 0.4, 0.5):
             assert chsh_value(tilted_bell(p)) == pytest.approx(
                 s_formula(p), abs=1e-10
@@ -1444,47 +1454,28 @@ class TestChsh:
             rho = random_state(2, kind="mixed" if seed % 2 else "pure", seed=seed)
             assert abs(chsh_value(rho)) <= 2.0 * np.sqrt(2.0) + 1e-10
 
-    def test_custom_angles(self):
-        """Explicit default angles reproduce the default result."""
-        rho = tilted_bell(0.5)
-        angles = ChshAngles(0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
-        assert chsh_value(rho, angles) == pytest.approx(chsh_value(rho), abs=1e-12)
-        assert DEFAULT_CHSH_ANGLES.alpha == pytest.approx(0.0)
-
-    @pytest.mark.parametrize(
-        "angles", [DEFAULT_CHSH_ANGLES, ChshAngles(0.1, 0.7, 0.3, 1.1)]
-    )
-    def test_cached_operators_match_uncached_value(self, angles):
+    def test_cached_operators_match_uncached_value(self):
         """The cached correlators give the rebuilt-per-call value bit for bit."""
         for seed in range(50):
             rho = random_state(2, kind="mixed" if seed % 2 else "pure", seed=seed)
-            assert chsh_value(rho, angles) == chsh_uncached(rho, angles)
-            assert chsh_value(rho, angles) == chsh_uncached(rho, angles)
+            assert chsh_value(rho) == chsh_uncached(rho)
+            assert chsh_value(rho) == chsh_uncached(rho)
 
-    @pytest.mark.parametrize(
-        "angles", [DEFAULT_CHSH_ANGLES, ChshAngles(0.1, 0.7, 0.3, 1.1)]
-    )
-    def test_stacked_metric_rows_match_the_one_state_metrics(self, angles):
+    def test_stacked_metric_rows_match_the_one_state_metrics(self):
         """One stacked metric pass gives every state its one-state metrics bit for bit."""
         states = [
             random_state(2, kind="mixed" if seed % 2 else "pure", seed=seed)
             for seed in range(40)
         ] + [DensityMatrix(np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex))]
         stack = np.stack([rho.data for rho in states])
-        rows = tomo._metric_rows(stack, qcore._roots(stack), angles)
+        rows = tomo._metric_rows(stack, qcore._roots(stack))
         assert rows.shape == (len(states), len(tomo.METRIC_NAMES))
         for row, rho in zip(rows, states):
             assert row.tolist() == [
                 fidelity_to(rho, PHI_PLUS_KET), concurrence(rho), purity(rho),
-                chsh_uncached(rho, angles),
+                chsh_uncached(rho),
             ]
-            assert chsh_value(rho, angles) == row[3]
-
-    def test_misaligned_angles_lose_violation(self):
-        """Measuring along a single shared axis cannot violate the bound."""
-        rho = tilted_bell(0.5)
-        aligned = ChshAngles(0.0, 0.0, 0.0, 0.0)
-        assert abs(chsh_value(rho, aligned)) <= 2.0 + 1e-10
+            assert chsh_value(rho) == row[3]
 
 
 class TestMonteCarloMetrics:
@@ -1545,6 +1536,14 @@ class TestMonteCarloMetrics:
         data = analytic_counts(rho, 100)
         with pytest.raises(ValueError, match="n_samples"):
             monte_carlo_metrics(data, n_samples=5, seed=0, method="linear")
+        for bad in (20.5, math.nan, "20"):
+            with pytest.raises(ValueError, match="n_samples"):
+                monte_carlo_metrics(data, n_samples=bad, seed=0, method="linear")
+        # an integral float is the int sample count
+        whole, exact = (
+            monte_carlo_metrics(data, n_samples=n, seed=0, method="linear") for n in (20.0, 20)
+        )
+        assert whole == exact and type(whole.n_samples) is int
 
     def test_pervasive_failures_raise(self):
         """If most bootstrap samples fail, the run aborts loudly."""
@@ -1857,13 +1856,13 @@ class TestFitFactors:
         seen = []
         real = tomo._metric_rows
 
-        def spy(stack, roots, angles):
-            seen.append((stack, angles, real(stack, roots, angles)))
-            return seen[-1][2]
+        def spy(stack, roots):
+            seen.append((stack, real(stack, roots)))
+            return seen[-1][1]
 
         monkeypatch.setattr(tomo, "_metric_rows", spy)
         reports = tomo._bootstrap_reports(datas, [0, 1, 2], n_samples=20, method="mle")
         assert [r.n_failed for r in reports] == [0, 0, 0]
-        [(stack, angles, rows)] = seen
+        [(stack, rows)] = seen
         assert len(rows) == 63
-        np.testing.assert_array_equal(rows, real(stack, qcore._roots(stack), angles))
+        np.testing.assert_array_equal(rows, real(stack, qcore._roots(stack)))
