@@ -63,6 +63,7 @@ from .tomo import (
     ReconstructionResult,
     _bootstrap_reports,
     _check_pairs,
+    _check_tol,
     _metric_rows,
     _stage,
     analytic_counts,
@@ -148,8 +149,7 @@ class TomographyConfig:
             raise ValueError(
                 f"n_mc_samples must be in [10, {MAX_MC_SAMPLES}], got {self.n_mc_samples}"
             )
-        if not self.mle_tol > 0.0:
-            raise ValueError(f"mle_tol must be positive, got {self.mle_tol}")
+        _check_tol(self.mle_tol, "mle_tol")
         if self.mle_max_iter < 1:
             raise ValueError(f"mle_max_iter must be >= 1, got {self.mle_max_iter}")
 

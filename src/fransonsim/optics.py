@@ -24,7 +24,8 @@ from .qcore import (
     DensityMatrix,
     PhotonPairState,
     _integer_fields,
-    kraus_map,
+    _liouville_map,
+    _superoperator,
 )
 
 __all__ = [
@@ -207,7 +208,6 @@ def make_source_state(cfg: SourceConfig) -> PhotonPairState:
     return PhotonPairState(DensityMatrix(_source_stack([cfg])[0]))
 
 
-@lru_cache(maxsize=None)
 def _plate_channel(kind: str) -> tuple[np.ndarray, ...]:
     """Kraus operators of one wave plate averaged over a revolution of its fast axis.
 
@@ -219,8 +219,10 @@ def _plate_channel(kind: str) -> tuple[np.ndarray, ...]:
     cos 2t or sin 2t and the cross term cos 2t sin 2t, and leaves cos^2 and
     sin^2 at 1/2 each, for every even ``steps`` >= 4. The average is thus
     the continuous one, and its minimal Kraus form has Choi rank 2 (half:
-    Z/sqrt 2, X/sqrt 2) or 3 (quarter: I/sqrt 2, Z/2, X/2); a stage's
-    ``steps`` is only validated and changes neither the cost nor the result.
+    Z/sqrt 2, X/sqrt 2) or 3 (quarter: I/sqrt 2, Z/2, X/2). A stage's
+    ``steps`` is only validated: the stage's superoperator is built from
+    these operators alone, so ``steps`` changes neither the cost nor the
+    result.
 
     A spinning half-wave plate takes any linear polarization to the
     maximally mixed state; circular components survive with flipped
@@ -232,24 +234,46 @@ def _plate_channel(kind: str) -> tuple[np.ndarray, ...]:
     return (PAULI_I / math.sqrt(2.0), PAULI_Z / 2.0, PAULI_X / 2.0)
 
 
+@lru_cache(maxsize=None)
+def _plate_superoperator(kind: str, arm: str) -> np.ndarray:
+    """The read-only 16x16 Liouville matrix on (pol_A, pol_B) of a rotating plate on ``arm``."""
+    ops = [np.kron(op, PAULI_I) if arm == "A" else np.kron(PAULI_I, op)
+           for op in _plate_channel(kind)]
+    sop = _superoperator(np.array(ops))
+    sop.setflags(write=False)
+    return sop
+
+
+def _plates_unitary(plates: tuple[WaveplateSpec, ...]) -> np.ndarray:
+    """The Jones matrix of plates traversed in listed order; the identity for none."""
+    u = np.eye(2, dtype=complex)
+    for plate in plates:
+        u = jones(plate) @ u
+    return u
+
+
 def _channel_stack(stack: np.ndarray, spec: NoisyChannelSpec) -> np.ndarray:
     """The noise pipeline on every state of a (B, 16, 16) stack, unchecked.
 
-    Each plate or plate stack is one :func:`~fransonsim.qcore.kraus_map`
-    contraction over the whole stack.
+    Every stage acts on (pol_A, pol_B) alone, so the pipeline is one CPTP
+    map there: the product, last stage leftmost, of one 16x16 Liouville
+    matrix per stage (:func:`~fransonsim.qcore._superoperator`), U x conj(U)
+    with U = U_A x U_B for a coherent stage, and the cached matrix of
+    :func:`_plate_superoperator` for a rotating plate. It is applied to the
+    whole stack by one :func:`~fransonsim.qcore._liouville_map`, one 16x16
+    product per state. Without stages the stack is returned as it is.
     """
+    if not spec.stages:
+        return stack
+    sop = None
     for stage in spec.stages:
         if isinstance(stage, CoherentStage):
-            for arm, plates in (("A", stage.plates_a), ("B", stage.plates_b)):
-                if not plates:
-                    continue
-                u = np.eye(2, dtype=complex)
-                for plate in plates:
-                    u = jones(plate) @ u
-                stack = kraus_map(stack, (u,), (f"pol_{arm}",))
+            u = np.kron(_plates_unitary(stage.plates_a), _plates_unitary(stage.plates_b))
+            step = _superoperator(u[None])
         else:
-            stack = kraus_map(stack, _plate_channel(stage.kind), (f"pol_{stage.arm}",))
-    return stack
+            step = _plate_superoperator(stage.kind, stage.arm)
+        sop = step if sop is None else step @ sop
+    return _liouville_map(stack, sop, ("pol_A", "pol_B"))
 
 
 def apply_noisy_channel(state: PhotonPairState, spec: NoisyChannelSpec) -> PhotonPairState:

@@ -233,10 +233,9 @@ def kraus_map(
     and ``targets`` are labels from :data:`PAIR_LABELS`, in the order the
     operators see them; the operators share one shape. Works on the raw
     matrices and returns the same shape; nothing is validated or
-    renormalized. The target axes of every ``(2,)*8`` tensor are moved to
-    the front, each operator is contracted with them by one stacked matmul
-    per side over the whole stack, and the axes are moved back, so no 16x16
-    operator is ever built.
+    renormalized. The operators are summed into one Liouville matrix
+    sum_k K x conj(K) on the targets (:func:`_superoperator`), (t^2, t^2)
+    for t = 2 ** len(targets), and :func:`_liouville_map` applies it.
     """
     ops = np.asarray(kraus, dtype=complex)
     targets = tuple(targets)
@@ -250,16 +249,38 @@ def kraus_map(
         raise ValueError(
             f"operator shape {ops.shape[1:]} does not match {len(targets)} target qubit(s)"
         )
+    return _liouville_map(data, _superoperator(ops), targets)
+
+
+def _superoperator(kraus: np.ndarray) -> np.ndarray:
+    """sum_k K_k x conj(K_k) of a (k, t, t) stack: the (t^2, t^2) Liouville matrix of the map.
+
+    vec(K rho K^dag) = (K x conj(K)) vec(rho) for the row-major vec
+    (Wood, Biamonte and Cory, QIC 15, 759 (2015)), so the map of a Kraus
+    set, or the composition of several maps, is one matrix on vec(rho).
+    """
+    t = kraus.shape[-1]
+    return np.einsum("kij,kab->iajb", kraus, kraus.conj()).reshape(t * t, t * t)
+
+
+def _liouville_map(data: np.ndarray, sop: np.ndarray, targets: Sequence[str]) -> np.ndarray:
+    """The Liouville matrix ``sop`` applied to ``targets`` of every matrix of ``data``.
+
+    ``data`` is a 16x16 pair-register matrix or a (B, 16, 16) stack of
+    them, returned in the same shape. The row and column axes of the
+    targets of every ``(2,)*8`` tensor are moved to the front, so each
+    state is a (t^2, 256 / t^2) matrix whose columns are the vec of its
+    target block at one setting of the other qubits; one stacked
+    ``sop @ x``, one product per state, maps them all, and the axes are
+    moved back. A state's bits do not depend on its batch.
+    """
     data = np.asarray(data)
-    n, rest = data.size // _PAIR_DIM**2, _PAIR_DIM // t
+    n = data.size // _PAIR_DIM**2
     positions = [PAIR_LABELS.index(label) for label in targets]
-    order = positions + [q for q in range(4) if q not in positions]
-    axes = [0] + [1 + q for q in order] + [5 + q for q in order]
-    front = data.reshape((n,) + (2,) * 8).transpose(axes).reshape(n, t, -1)
-    # one operator at a time, added in order to the +0 that a numpy sum starts from
-    out = np.zeros((n, t * rest, t, rest), dtype=complex)
-    for op in ops:
-        out += np.matmul(op.conj(), np.matmul(op, front).reshape(n, t * rest, t, rest))
+    rest = [q for q in range(4) if q not in positions]
+    axes = [0] + [1 + q for q in positions] + [5 + q for q in positions]
+    axes += [1 + q for q in rest] + [5 + q for q in rest]
+    out = sop @ data.reshape((n,) + (2,) * 8).transpose(axes).reshape(n, len(sop), -1)
     return out.reshape((n,) + (2,) * 8).transpose(np.argsort(axes)).reshape(data.shape)
 
 

@@ -69,6 +69,12 @@ _N_SETTINGS = 36
 
 PROBABILITY_FLOOR = 1e-12
 MLE_DEFAULT_TOL = 1e-10
+# The smallest MLE tol: the gap g = lambda_max(R) - sum_j f_j rounds by a few
+# ulps of sum_j f_j, at most 36 * 50 = 1800 for counts that CountData
+# accepts (ulp 2.3e-13). Analytic fits certified at tol 1e-300 read |g| up
+# to 3.6e-15 at sum_j f_j = 9 and 2.8e-13 at 450, and the first iterate of a
+# count set at the ceiling reads 6.8e-13; 1e-11 is 44 ulps of 1800.
+MLE_TOL_FLOOR = 1e-11
 MLE_DEFAULT_MAX_ITER = 10_000
 
 _CSV_HEADER = "setting_index,theta_a,qwp_a,qwp_theta_a,theta_b,qwp_b,qwp_theta_b,count"
@@ -627,8 +633,9 @@ def _mle_fits(
     g = lambda_max(R) - sum_j f_j drops to ``tol``. The gap bounds how far
     -sum_j f_j log p_j is above its minimum, so ``converged`` is a
     certificate. ``tol`` is absolute: counts that pass :class:`CountData`
-    give f_j <= 50, so the rounding of g stays far below it (this function
-    does not check that bound). R and Y are PSD and Y has unit trace, so
+    give f_j <= 50, and a finite ``tol`` of at least MLE_TOL_FLOOR keeps the
+    rounding of g below it (this function does not check the counts'
+    bound). R and Y are PSD and Y has unit trace, so
     lambda_max(R) >= tr(RYR) / tr(RY) >= tr(RYR) / sum_j f_j, and
     tr(RYR) is the normaliser of the next RrhoR step: an RrhoR row whose
     bound already exceeds sum_j f_j + ``tol`` skips the eigensolve. So does
@@ -660,8 +667,7 @@ def _mle_fits(
     one batch. Only with ``history`` does the record carry the
     log-likelihood of every iterate.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     max_iter = _as_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -673,6 +679,16 @@ def _mle_fits(
     )
     fits.put(rows, fitted)
     return fits
+
+
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Refuse, naming ``name``, a tolerance that is not finite or is below MLE_TOL_FLOOR."""
+    if not math.isfinite(tol):
+        raise ValueError(f"{name} must be finite, got {tol}")
+    if not tol >= MLE_TOL_FLOOR:
+        raise ValueError(
+            f"{name} must be at least {MLE_TOL_FLOOR:g}, the rounding floor of the gap, got {tol}"
+        )
 
 
 def _fit_batch(
@@ -782,8 +798,8 @@ def mle_reconstruct(
     ``max_iter`` iterations of both phases together. ``loglike_history`` holds the
     log-likelihood of every iterate, starting point included; the batched
     fit that :func:`monte_carlo_metrics` runs does not record it. Counts
-    that are all zero and a failed validation are refused with a
-    ``ValueError``.
+    that are all zero, a failed validation and a ``tol`` that is not finite
+    or is below MLE_TOL_FLOOR are refused with a ``ValueError``.
     """
     fits = _mle_fits(data.counts[None], data.pairs_per_setting, tol, max_iter, history=True)
     return fits.result(0, "mle")
@@ -915,10 +931,11 @@ def monte_carlo_metrics(
     resamples are checked as one stack (:func:`_count_errors`). One call of
     the chosen fitter reconstructs every row the same way: one linear
     solve, or one stacked likelihood fit (see :func:`_mle_fits`;
-    ``mle_opts`` are its ``tol`` and ``max_iter``, and linear inversion
-    ignores them) into one stacked record, and the four metrics of every
-    kept row, the CHSH value at :func:`chsh_value`'s fixed analyzers, are
-    one stacked pass over it (:func:`_metric_rows`). Row 0 is the point
+    ``mle_opts`` are its ``tol``, finite and at least MLE_TOL_FLOOR, and
+    ``max_iter``; linear inversion ignores them) into one stacked record,
+    and the four metrics of every kept row, the CHSH value at
+    :func:`chsh_value`'s fixed analyzers, are one stacked pass over it
+    (:func:`_metric_rows`). Row 0 is the point
     estimate: the point values come from it, it alone becomes a
     :class:`ReconstructionResult`, ``point_fit``, and its failure is
     raised. Sigmas are the standard deviations over the resamples. With

@@ -111,13 +111,20 @@ class TransferOutcome:
 
 
 def _check_ports(probs: np.ndarray) -> np.ndarray:
-    """(B, 4) port probabilities after the bounds of :class:`TransferOutcome`, row by row."""
+    """(B, 4) port probabilities after the bounds of :class:`TransferOutcome`, in one pass.
+
+    The first row that breaks a bound raises: its smallest entry is checked
+    before its sum.
+    """
+    low, total = probs.min(axis=1), probs.sum(axis=1)
     # written as "not (ok)" so that NaN, which fails every comparison, is refused
-    for row in probs:
-        if not row.min() >= -1e-12:
-            raise ValueError(f"negative port probability: {row.min():.3e}")
-        if not abs(row.sum() - 1.0) <= 1e-9:
-            raise ValueError(f"port probabilities sum to {row.sum():.12g}, not 1")
+    negative = ~(low >= -1e-12)
+    bad = np.flatnonzero(negative | ~(np.abs(total - 1.0) <= 1e-9))
+    if bad.size:
+        i = bad[0]
+        if negative[i]:
+            raise ValueError(f"negative port probability: {low[i]:.3e}")
+        raise ValueError(f"port probabilities sum to {total[i]:.12g}, not 1")
     return probs
 
 

@@ -326,6 +326,21 @@ class TestConfigParsing:
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
         assert derive_seed(7, 1) != derive_seed(8, 1)
 
+    @pytest.mark.parametrize("tol", [1e-300, 1e-15, 5e-12])
+    def test_validate_rejects_mle_tol_below_the_rounding_of_the_gap(self, tol):
+        """An mle_tol below tomo.MLE_TOL_FLOOR is refused by name; the floor is accepted."""
+        diags = validate({"tomography": {"mle_tol": tol}})
+        assert len(diags) == 1, diags
+        assert diags[0].startswith("tomography: mle_tol must be at least 1e-11"), diags
+        assert validate({"tomography": {"mle_tol": 1e-11}}) == []
+        with pytest.raises(ValueError, match="mle_tol must be at least"):
+            TomographyConfig(mle_tol=tol)
+
+    def test_python_tomography_config_rejects_an_infinite_mle_tol(self):
+        """The config file refuses Infinity, and so does the dataclass built in Python."""
+        with pytest.raises(ValueError, match="mle_tol must be finite"):
+            TomographyConfig(mle_tol=math.inf)
+
     @pytest.mark.parametrize(
         "cls, field, extra",
         [

@@ -9,6 +9,7 @@ not depend on the number of points, and it builds no per-point state object.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,8 @@ import pytest
 from fransonsim import cli, qcore, tomo
 from fransonsim.optics import (
     CoherentStage,
+    _channel_stack,
+    _source_stack,
     NoisyChannelSpec,
     RotatingPlateStage,
     WaveplateSpec,
@@ -154,3 +157,26 @@ def test_a_port_probability_below_the_outcome_bound_is_refused(monkeypatch):
     monkeypatch.setattr(cli, "_transferred", lambda stack, mask: np.stack([joint] * len(stack)))
     with pytest.raises(ValueError, match="negative port probability: -5.000e-11"):
         run(cfg, points(cfg, "p", 3))
+
+
+@pytest.mark.parametrize("n", [24, 96])
+def test_the_channel_stage_holds_at_most_three_stacks(n):
+    """The channel's traced peak above its input stack is at most 3 stacks, at any size.
+
+    CHANNEL has the stages of the physics-analytic benchmark workload. The
+    stacked channel is one product per state, so at most two stack-sized
+    arrays live at once: the permuted input and the product, then the
+    product and the stack returned. One Kraus contraction per stage holds 5.
+    """
+    cfg = config()
+    stack = _source_stack([source for source, _ in points(cfg, "sum_phase", n)])
+    _channel_stack(stack, cfg.channel)  # builds the cached plate superoperators
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _channel_stack(stack, cfg.channel)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == stack.shape
+    assert peak <= 3 * stack.nbytes, peak / stack.nbytes

@@ -748,7 +748,8 @@ class TestMle:
         hand_run = tomo._states(design, y8)[0][0]
         assert np.linalg.eigvalsh(hand_run)[:-1].max() < 1e-3  # nearly rank 1
         budget = tomo._RRR_ITERATIONS
-        [fit] = fit_rows(tomo._mle_fits(counts[None], 2_600_000, tol=1e-14, max_iter=budget), "mle")
+        fits = tomo._mle_fits(counts[None], 2_600_000, tol=tomo.MLE_TOL_FLOOR, max_iter=budget)
+        [fit] = fit_rows(fits, "mle")
         assert (fit.iterations, fit.converged) == (budget, False)
         for rho in (fit.rho.data, hand_run):
             np.testing.assert_array_equal(rho, rho.conj().T)
@@ -1408,11 +1409,41 @@ class TestMle:
         # no iteration equals 130.5, so such a budget would never stop a row
         for bad in (130.5, math.nan, math.inf, "50"):
             with pytest.raises(ValueError, match="max_iter"):
-                mle_reconstruct(data, tol=1e-300, max_iter=bad)
+                mle_reconstruct(data, tol=tomo.MLE_TOL_FLOOR, max_iter=bad)
         # an integral float is the int budget, as for the config's mle_max_iter
-        whole, exact = (mle_reconstruct(data, tol=1e-300, max_iter=n) for n in (50.0, 50))
+        floor = tomo.MLE_TOL_FLOOR
+        whole, exact = (mle_reconstruct(data, tol=floor, max_iter=n) for n in (50.0, 50))
         assert whole.iterations == exact.iterations == 50 and not whole.converged
         np.testing.assert_array_equal(whole.rho.data, exact.rho.data)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_a_tol_that_is_not_finite_is_refused(self, tol):
+        """At tol = inf the first iterate would be reported converged."""
+        data = analytic_counts(tilted_bell(0.5), 100)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            mle_reconstruct(data, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            monte_carlo_metrics(data, n_samples=10, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            tomo._mle_fits(data.counts[None], 100, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-15, tomo.MLE_TOL_FLOOR / 2])
+    def test_a_tol_below_the_rounding_of_the_gap_is_refused(self, tol):
+        """Below MLE_TOL_FLOOR, gap <= tol would certify what rounding cannot resolve.
+
+        At tol 1e-300 a Bell state's analytic fit stops with gap exactly 0.0.
+        The floor itself is accepted.
+        """
+        data = analytic_counts(tilted_bell(0.5), 100)
+        want = f"tol must be at least {tomo.MLE_TOL_FLOOR:g}"
+        with pytest.raises(ValueError, match=want):
+            mle_reconstruct(data, tol=tol)
+        with pytest.raises(ValueError, match=want):
+            monte_carlo_metrics(data, n_samples=10, tol=tol)
+        with pytest.raises(ValueError, match=want):
+            tomo._mle_fits(data.counts[None], 100, tol=tol)
+        fit = mle_reconstruct(data, tol=tomo.MLE_TOL_FLOOR)
+        assert fit.converged and 0.0 < fit.gap <= tomo.MLE_TOL_FLOOR
 
 
 class TestChsh:

@@ -20,6 +20,7 @@ from fransonsim.optics import (
 )
 from fransonsim.transfer import (
     InterferometerConfig,
+    _check_ports,
     block_long_arms,
     fringe_visibility,
     sum_phase_scan,
@@ -218,6 +219,22 @@ class TestPorts:
         outcome = transfer(make_source_state(SourceConfig()), InterferometerConfig())
         assert outcome.port_probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert outcome.franson_postselection_fraction == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("rows, want", [
+        # row 1 has a negative entry and row 2 a bad sum, then the other way round
+        ([[1.0 + 5e-11, -5e-11, 0.0, 0.0], [0.3] * 4], "negative port probability: -5.000e-11"),
+        ([[0.3] * 4, [1.0 + 5e-11, -5e-11, 0.0, 0.0]], "port probabilities sum to 1.2, not 1"),
+        # row 1 breaks both bounds, and its smallest entry is named
+        ([[-0.5, 0.25, 0.25, 0.25], [0.3] * 4], "negative port probability: -5.000e-01"),
+        ([[0.3, np.nan, 0.3, 0.3], [1.0 + 5e-11, -5e-11, 0.0, 0.0]],
+         "negative port probability: nan"),
+    ])
+    def test_the_first_bad_row_raises(self, rows, want):
+        """Of two bad rows, the first one's error is raised, whichever bound each breaks."""
+        probs = np.array([[0.25] * 4] + rows)
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            _check_ports(probs)
+        assert _check_ports(probs[:1]) is not None
 
 
 class TestPhaseJitter:
