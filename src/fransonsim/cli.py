@@ -63,8 +63,8 @@ from .tomo import (
     ReconstructionResult,
     _bootstrap_reports,
     _check_pairs,
-    _check_tol,
     _metric_rows,
+    _mle_options,
     _stage,
     analytic_counts,
     counts_to_csv,
@@ -149,9 +149,7 @@ class TomographyConfig:
             raise ValueError(
                 f"n_mc_samples must be in [10, {MAX_MC_SAMPLES}], got {self.n_mc_samples}"
             )
-        _check_tol(self.mle_tol, "mle_tol")
-        if self.mle_max_iter < 1:
-            raise ValueError(f"mle_max_iter must be >= 1, got {self.mle_max_iter}")
+        _mle_options(self.mle_tol, self.mle_max_iter, "mle_")
 
 
 @dataclass(frozen=True)

@@ -218,11 +218,6 @@ class DensityMatrix:
         vec = vec / norm
         return cls(np.outer(vec, vec.conj()), weight=weight)
 
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int, weight: float = 1.0) -> "DensityMatrix":
-        dim = 2**n_qubits
-        return cls(np.eye(dim, dtype=complex) / dim, weight=weight)
-
 
 def kraus_map(
     data: np.ndarray, kraus: Sequence[np.ndarray], targets: Sequence[str]

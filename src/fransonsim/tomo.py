@@ -114,28 +114,38 @@ def setting_projectors() -> np.ndarray:
 class _Design:
     """The constant measurement design of the standard settings.
 
-    ``projectors`` is the (36, 4, 4) stack of :func:`setting_projectors`;
-    row j of the (36, 16) ``matrix`` is vec(Pi_j^T), so that
-    ``matrix @ vec(rho)`` gives tr(rho Pi_j). The 36 projectors sum to 9 I,
-    so the maximum-likelihood fit weighs Pi_j / 9: row j of the (36, 16)
-    ``normalised`` is vec(Pi_j / 9). ``basis`` is the (15, 4, 4)
-    orthonormal traceless Pauli basis E_k and ``basis_row`` the (4, 60)
-    [E_1 ... E_15]. ``tangent`` is the real (36, 15) tr(Pi_j E_k) / 9, the
-    derivative of the fitted probabilities along E_k, and row j of the
-    (36, 225) ``tangent_outer`` is tangent_j x tangent_j; ``frame8`` holds the
-    real forms of Pi_j / 9 and f @ ``pinv`` the least-squares vec(rho) of
-    frequencies f, both as reals. The arrays are read-only and shared.
+    ``projectors`` is the (36, 4, 4) stack of :func:`setting_projectors`. The
+    36 projectors sum to 9 I, so the maximum-likelihood fit weighs Pi_j / 9.
+    ``basis`` is the (15, 4, 4) orthonormal traceless Pauli basis E_k and
+    ``basis_row`` the (4, 60) [E_1 ... E_15]. ``tangent`` is the real (36, 15)
+    tr(Pi_j E_k) / 9, the derivative of the fitted probabilities along E_k, and
+    row j of the (36, 225) ``tangent_outer`` is tangent_j x tangent_j; f @
+    ``pinv`` is the least-squares vec(rho) of frequencies f, as reals. The
+    likelihood fit carries each Hermitian Y as its 16 real coordinates y: Re
+    Y_aa, then Re Y_ab and Im Y_ab for each a < b. y @ ``to_probs`` is p_j =
+    tr(Pi_j Y) / 9, and the rows of ``frame_coords`` and ``basis_coords`` hold
+    Pi_j / 9 and E_k. y @ ``to_real`` is the real form [[Re Y, -Im Y], [Im Y,
+    Re Y]] and y @ ``to_complex`` is vec(Y), both exact; x @ ``from_real``
+    reads a real form x back, each coordinate the mean of its copies. The
+    arrays are read-only and shared.
     """
 
     projectors: np.ndarray
-    matrix: np.ndarray
-    normalised: np.ndarray
     basis: np.ndarray
     basis_row: np.ndarray
     tangent: np.ndarray
     tangent_outer: np.ndarray
-    frame8: np.ndarray
     pinv: np.ndarray
+    to_probs: np.ndarray
+    frame_coords: np.ndarray
+    to_real: np.ndarray
+    from_real: np.ndarray
+    to_complex: np.ndarray
+    basis_coords: np.ndarray
+
+    def hermitian(self, y: np.ndarray) -> np.ndarray:
+        """The (B, 4, 4) Hermitian matrices of a (B, 16) stack of coordinates."""
+        return (y @ self.to_complex).reshape(-1, 4, 4)
 
 
 @functools.cache
@@ -147,16 +157,29 @@ def _design() -> _Design:
     basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
     matrix = pis.transpose(0, 2, 1).reshape(_N_SETTINGS, 16)
     tangent = np.einsum("jab,kba->jk", frame, basis).real
+    # Y = sum_c y_c units[c], and coordinate c of X is tr(units[c] X) / norms[c]
+    a, b = np.triu_indices(4, 1)
+    units = np.zeros((16, 4, 4), dtype=complex)
+    units[range(4), range(4), range(4)] = 1.0
+    units[range(4, 16, 2), a, b] = units[range(4, 16, 2), b, a] = 1.0
+    units[range(5, 16, 2), a, b], units[range(5, 16, 2), b, a] = 1j, -1j
+    to_probs = np.einsum("cab,jba->cj", units, frame).real
+    to_real = np.block([[units.real, -units.imag], [units.imag, units.real]]).reshape(16, 64)
+    norms = np.abs(units).sum(axis=(1, 2))
     design = _Design(
         projectors=pis,
-        matrix=matrix,
-        normalised=frame.reshape(_N_SETTINGS, 16),
         basis=basis,
         basis_row=np.concatenate(basis, axis=1),
         tangent=tangent,
         tangent_outer=(tangent[:, :, None] * tangent[:, None, :]).reshape(_N_SETTINGS, 225),
-        frame8=_embed(frame).reshape(_N_SETTINGS, 64),
         pinv=np.ascontiguousarray(np.linalg.pinv(matrix).T).view(float),
+        # the layouts in which the products of _r_coordinates round alike at 2 rows and more
+        to_probs=np.asfortranarray(to_probs),
+        frame_coords=np.ascontiguousarray(to_probs.T / norms),
+        to_real=to_real,
+        from_real=np.ascontiguousarray((to_real / np.abs(to_real).sum(axis=1)[:, None]).T),
+        to_complex=units.reshape(16, 16),
+        basis_coords=np.einsum("cab,kba->kc", units, basis).real / norms,
     )
     for arr in vars(design).values():
         arr.setflags(write=False)
@@ -478,40 +501,30 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
 _RRR_ITERATIONS = 120
 
 
-def _r_operator(design: _Design, freqs: np.ndarray, y: np.ndarray) -> tuple:
-    """R = sum_j (f_j / p_j) Pi_j / 9 of every complex Y, which p_j the floor caught, and p_j.
+def _r_coordinates(design: _Design, freqs: np.ndarray, y: np.ndarray) -> tuple:
+    """R = sum_j (f_j / p_j) Pi_j / 9 of every coordinate row y, the floored p_j, and p_j.
 
-    p_j = tr(Pi_j Y) / 9 is, for Hermitian Y, a real dot product.
+    Both products round alike at every row count but 1 (gemv; OpenBLAS ``SkylakeX``),
+    so a lone row is computed as two, and a row's R does not depend on its batch.
     """
-    probs = y.reshape(-1, 16).view(float) @ design.normalised.view(float).T
+    lone = len(y) == 1
+    if lone:
+        y, freqs = np.repeat(y, 2, axis=0), np.repeat(freqs, 2, axis=0)
+    probs = y @ design.to_probs
     weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
-    return (weights @ design.normalised).reshape(-1, 4, 4), probs < PROBABILITY_FLOOR, probs
+    r, floored = weights @ design.frame_coords, probs < PROBABILITY_FLOOR
+    return (r[:1], floored[:1], probs[:1]) if lone else (r, floored, probs)
 
 
-def _embed(y: np.ndarray) -> np.ndarray:
-    """The real 8x8 form [[Re Y, -Im Y], [Im Y, Re Y]] of every Y of a (..., 4, 4) stack."""
-    return np.block([[y.real, -y.imag], [y.imag, y.real]])
+def _rrr_next(design: _Design, r: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R Y R / tr(R Y R) of every coordinate row y, Hermitian by construction, and tr(R Y R).
 
-
-def _unembed(y8: np.ndarray) -> np.ndarray:
-    """Y of every real form of a (B, 8, 8) stack, each block the mean of its two copies."""
-    return 0.5 * (y8[:, :4, :4] + y8[:, 4:, 4:]) + 0.5j * (y8[:, 4:, :4] - y8[:, :4, 4:])
-
-
-def _real_r_operator(design: _Design, freqs: np.ndarray, y8: np.ndarray) -> tuple:
-    """:func:`_r_operator` in real form, without p_j; p_j is half the dot product of real forms."""
-    probs = 0.5 * (y8.reshape(-1, 64) @ design.frame8.T)
-    weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
-    return (weights @ design.frame8).reshape(-1, 8, 8), probs < PROBABILITY_FLOOR
-
-
-def _rrr_step(r8: np.ndarray, y8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The next real-form iterate, sym(R8 Y8 R8) over half its trace, and tr(R Y R)."""
-    step = r8 @ y8 @ r8
-    step = step + step.transpose(0, 2, 1)
-    trace = np.trace(step, axis1=1, axis2=2)
-    step /= 0.5 * trace[:, None, None]
-    return step, 0.25 * trace
+    R Y R is two products of exact real forms, read back as the mean of each coordinate's copies.
+    """
+    r8 = (r @ design.to_real).reshape(-1, 8, 8)
+    step = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64) @ design.from_real
+    norm = step[:, :4].sum(axis=1)
+    return step / norm[:, None], norm
 
 
 def _quotient_screen(v: np.ndarray, r8: np.ndarray, ceiling: np.ndarray) -> np.ndarray:
@@ -525,11 +538,9 @@ def _quotient_screen(v: np.ndarray, r8: np.ndarray, ceiling: np.ndarray) -> np.n
 
 
 def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho = Y / tr(Y) of every Y, complex or in real form, and its tr(rho Pi_j)."""
-    if not np.iscomplexobj(y):
-        y = _unembed(y)
-    rho = y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
-    return rho, (rho.reshape(-1, 16) @ design.matrix.T).real
+    """rho = Y / tr(Y) of every coordinate row y, and its tr(rho Pi_j)."""
+    rho = y / y[:, :4].sum(axis=1)[:, None]
+    return design.hermitian(rho), 9.0 * (rho @ design.to_probs)
 
 
 def _newton_system(
@@ -537,7 +548,7 @@ def _newton_system(
 ) -> tuple:
     """Gradient and Hessian of -sum_j f_j log p_j - mu log det Y along the E_k, per row.
 
-    ``probs`` are the p_j of Y, as :func:`_r_operator` returns them.
+    ``probs`` are the p_j of Y, as :func:`_r_coordinates` returns them.
     The likelihood Hessian T^T diag(f / p^2) T is f / p^2 times ``tangent_outer``.
     One product of Y^-1 with ``basis_row`` gives every W_k = Y^-1 E_k; the barrier
     adds -mu tr(W_k) to the gradient and mu tr(W_k W_l) to the Hessian. The products
@@ -579,9 +590,10 @@ def _newton_step(
     lambda = lambda_min(Y^-1/2 dY Y^-1/2): 99 % of the way to the cone's
     boundary (Nocedal and Wright, Numerical Optimization, 2nd ed., 19.2).
     A row with a non-finite dY, or whose Y + t dY fails the test that its
-    smallest eigenvalue is positive, keeps its iterate. Returns the new stack.
+    smallest eigenvalue is positive, keeps its iterate. Y and the returned
+    stack are (B, 16) coordinates (see :class:`_Design`).
     """
-    grad, hess = _newton_system(design, freqs, y, probs, mu)
+    grad, hess = _newton_system(design, freqs, design.hermitian(y), probs, mu)
     diag = np.diagonal(hess, axis1=1, axis2=2)
     scale = 1.0 / np.sqrt(np.where((diag > 0.0) & (diag < np.inf), diag, 1.0))
     scaled = scale[:, :, None] * hess * scale[:, None, :]
@@ -598,15 +610,14 @@ def _newton_step(
     if singular.any():
         pinv = np.linalg.pinv(scaled[singular], rcond=_PINV_RCOND, hermitian=True)
         step[singular] = (pinv @ rhs[singular, :, None])[..., 0]
-    step *= scale
-    dy = (step @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
-    dy[~np.isfinite(dy).all(axis=(1, 2))] = 0.0
-    vals, vecs = np.linalg.eigh(y)
+    dy = (scale * step) @ design.basis_coords
+    dy[~np.isfinite(dy).all(axis=1)] = 0.0
+    vals, vecs = np.linalg.eigh(design.hermitian(y))
     root = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # Y^-1/2
-    lowest = np.linalg.eigvalsh(root @ dy @ root)[:, 0]
+    lowest = np.linalg.eigvalsh(root @ design.hermitian(dy) @ root)[:, 0]
     t = 0.99 / np.maximum(0.99, -lowest)  # min(1, 0.99 / max(0, -lambda))
-    new = y + t[:, None, None] * dy
-    return np.where((np.linalg.eigvalsh(new)[:, 0] > 0.0)[:, None, None], new, y)
+    new = y + t[:, None] * dy
+    return np.where((np.linalg.eigvalsh(design.hermitian(new))[:, 0] > 0.0)[:, None], new, y)
 
 
 def _mle_fits(
@@ -624,42 +635,38 @@ def _mle_fits(
     f_j = counts_j / pairs_per_setting, which is the Poisson likelihood
     with the flux fitted too.
 
-    All rows start from the maximally mixed state and iterate
-    Y -> N[R Y R], R = sum_j (f_j / p_j) Pi_j / 9 (Rehacek, Hradil, Knill
-    and Lvovsky, PRA 75, 042108 (2007)) on one stack of the real 8x8 forms
-    [[Re, -Im], [Im, Re]] of Y and R, so a step is two real stacked matrix
-    products; only the certificate's eigensolve, stopped rows, ``history``
-    and Newton steps unembed them. A row stops when its convexity gap
-    g = lambda_max(R) - sum_j f_j drops to ``tol``. The gap bounds how far
-    -sum_j f_j log p_j is above its minimum, so ``converged`` is a
-    certificate. ``tol`` is absolute: counts that pass :class:`CountData`
-    give f_j <= 50, and a finite ``tol`` of at least MLE_TOL_FLOOR keeps the
-    rounding of g below it (this function does not check the counts'
-    bound). R and Y are PSD and Y has unit trace, so
-    lambda_max(R) >= tr(RYR) / tr(RY) >= tr(RYR) / sum_j f_j, and
-    tr(RYR) is the normaliser of the next RrhoR step: an RrhoR row whose
-    bound already exceeds sum_j f_j + ``tol`` skips the eigensolve. So does
-    one whose v^H R v, a lower bound on lambda_max(R), exceeds (sum_j f_j +
-    ``tol``)(1 + 1e-12); v is the top eigenvector from the row's last
+    All rows start from the maximally mixed state and iterate Y -> N[R Y R], R
+    = sum_j (f_j / p_j) Pi_j / 9 (Rehacek, Hradil, Knill and Lvovsky, PRA 75,
+    042108 (2007)) on the 16 real coordinates of each Y (see :class:`_Design`),
+    so a step is a few real products and every iterate is exactly Hermitian;
+    only the certificate's eigensolve, stopped rows, ``history`` and Newton
+    steps form complex matrices. A row stops when its convexity gap g =
+    lambda_max(R) - sum_j f_j drops to ``tol``. The gap bounds how far -sum_j
+    f_j log p_j is above its minimum, so ``converged`` is a certificate.
+    ``tol`` is absolute: counts that pass :class:`CountData` give f_j <= 50,
+    and a finite ``tol`` of at least MLE_TOL_FLOOR keeps the rounding of g
+    below it (this function does not check the counts' bound). R and Y are PSD
+    and Y has unit trace, so lambda_max(R) >= tr(RYR) / tr(RY) >= tr(RYR) /
+    sum_j f_j, and tr(RYR) is the normaliser of the next RrhoR step: an RrhoR
+    row whose bound already exceeds sum_j f_j + ``tol`` skips the eigensolve.
+    So does one whose v^H R v, a lower bound on lambda_max(R), exceeds (sum_j
+    f_j + ``tol``)(1 + 1e-12); v is the top eigenvector from the row's last
     eigensolve, one stacked ``eigh`` of the rows that pass both screens.
-    Neither screen changes the certificate or the iterates. Every row gets
-    the exact gap, by ``eigvalsh``, at the last RrhoR iteration and in every
-    Newton iteration. The fitted states are validated once, after the
-    iteration.
-    Rows still open after _RRR_ITERATIONS switch to damped Newton steps on
-    the log-barrier problem (see :func:`_newton_step`), started from their
-    iterate mixed with a share g / sum_j f_j of I/4. The barrier weight mu starts at
+    Neither screen changes the certificate or the iterates. Every row gets the
+    exact gap, by ``eigvalsh``, at the last RrhoR iteration and in every Newton
+    iteration. The fitted states are validated once, after the iteration. Rows
+    still open after _RRR_ITERATIONS switch to damped Newton steps on the
+    log-barrier problem (see :func:`_newton_step`), started from their iterate
+    mixed with a share g / sum_j f_j of I/4. The barrier weight mu starts at
     max(g / 10, tol / 16). It is cut tenfold after every step (Boyd and
-    Vandenberghe, Convex Optimization, 11.3), never below max(g / 10,
-    tol / 16) for the current g; on the central path g is at most 3 mu.
-    A singular Newton system takes a minimum-norm step, and every step
-    stops short of the boundary of the cone, so sparse count sets stay in
-    the batch. Each Newton iterate's p_j are computed once, with its R, and
-    the next step reuses them. Iterations of both phases count against
-    ``max_iter``, which must be integral; a row stopped by it reports
-    ``converged=False``. Stopped rows leave the batch. Probabilities are
-    floored at PROBABILITY_FLOOR so empty settings cannot blow up the
-    weights.
+    Vandenberghe, Convex Optimization, 11.3), never below max(g / 10, tol / 16)
+    for the current g; on the central path g is at most 3 mu. A singular system
+    takes a minimum-norm step, so sparse count sets stay in the batch. Each
+    Newton iterate's p_j are computed once, with its R, and the next step
+    reuses them. Iterations of both phases count against ``max_iter``, which
+    must be integral; a row stopped by it reports ``converged=False``. Stopped
+    rows leave the batch. Probabilities are floored at PROBABILITY_FLOOR so
+    empty settings cannot blow up the weights.
 
     A row is refused, its entry of ``errors`` the reason, for two reasons
     only: its counts are all zero, or its fitted state fails validation.
@@ -667,10 +674,7 @@ def _mle_fits(
     one batch. Only with ``history`` does the record carry the
     log-likelihood of every iterate.
     """
-    _check_tol(tol)
-    max_iter = _as_integer("max_iter", max_iter)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    tol, max_iter = _mle_options(tol, max_iter)
     rows = np.flatnonzero(counts.any(axis=1))
     fitted = _fit_batch(_design(), counts[rows], pairs_per_setting, tol, max_iter, history)
     # the record of every row is made after the fit, so the fit's peak memory does not hold it
@@ -681,21 +685,29 @@ def _mle_fits(
     return fits
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
-    """Refuse, naming ``name``, a tolerance that is not finite or is below MLE_TOL_FLOOR."""
+def _mle_options(
+    tol: float = MLE_DEFAULT_TOL, max_iter: int = MLE_DEFAULT_MAX_ITER, prefix: str = ""
+) -> tuple[float, int]:
+    """``tol``, finite and at least MLE_TOL_FLOOR, and ``max_iter``, an integer >= 1, checked.
+
+    A refusal names the option after ``prefix``; any other name is a ``TypeError``.
+    """
     if not math.isfinite(tol):
-        raise ValueError(f"{name} must be finite, got {tol}")
+        raise ValueError(f"{prefix}tol must be finite, got {tol}")
     if not tol >= MLE_TOL_FLOOR:
-        raise ValueError(
-            f"{name} must be at least {MLE_TOL_FLOOR:g}, the rounding floor of the gap, got {tol}"
-        )
+        raise ValueError(f"{prefix}tol must be at least {MLE_TOL_FLOOR:g}, the rounding floor "
+                         f"of the gap, got {tol}")
+    max_iter = _as_integer(prefix + "max_iter", max_iter)
+    if max_iter < 1:
+        raise ValueError(f"{prefix}max_iter must be at least 1, got {max_iter}")
+    return tol, max_iter
 
 
 def _fit_batch(
     design: _Design, counts: np.ndarray, pairs_per_setting: int, tol: float, max_iter: int,
     history: bool,
 ) -> _Fits:
-    """The iteration of :func:`_mle_fits`: an RrhoR loop on real forms, then a Newton loop.
+    """The iteration of :func:`_mle_fits`: an RrhoR loop on coordinates, then a Newton loop.
 
     Both loops hand every iterate to ``settle``, which writes each row into
     the preallocated record when it stops. After both loops the states are
@@ -705,7 +717,8 @@ def _fit_batch(
     rows = np.arange(len(counts))  # input row of each batch row
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
-    y = np.tile(np.eye(8) / 4.0, (len(counts), 1, 1))
+    mixed = np.repeat([0.25, 0.0], [4, 12])  # I / 4 as coordinates
+    y = np.tile(mixed, (len(counts), 1))
     logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])] if history else None
 
     def settle(iteration, y_now, floored, gap, carried):
@@ -731,7 +744,7 @@ def _fit_batch(
         rows, freqs, total, *carried = (a[keep] for a in (rows, freqs, total, *carried))
         return carried
 
-    y, _ = _rrr_step(_real_r_operator(design, freqs, y)[0], y)
+    y = _rrr_next(design, _r_coordinates(design, freqs, y)[0], y)[0]
     # A row can stop only if lambda_max(R) <= ceiling / (1 + 1e-12), the margin
     # for rounding, and lambda_max(R) >= tr(RYR) / total: an RrhoR row whose
     # tr(RYR) is above ``bound`` cannot stop yet, nor can one that
@@ -745,17 +758,18 @@ def _fit_batch(
     last = min(_RRR_ITERATIONS, max_iter)  # the RrhoR iteration that certifies every row
     for iteration in range(1, last + 1):
         y_now = y  # the iterate gap certifies
-        r8, floored = _real_r_operator(design, freqs, y)
+        r, floored, _ = _r_coordinates(design, freqs, y)
         gap = None  # no row can stop, so no certificate is needed
         if iteration == last:
-            gap = np.linalg.eigvalsh(_unembed(r8))[:, -1] - total
+            gap = np.linalg.eigvalsh(design.hermitian(r))[:, -1] - total
         else:
-            y, norm = _rrr_step(r8, y)
+            y, norm = _rrr_next(design, r, y)
             exact = np.flatnonzero(~(norm > bound))  # the rows whose gap is computed
             if len(exact) > 0:
-                exact = exact[_quotient_screen(top[exact], r8[exact], ceiling[exact])]
+                r8 = (r[exact] @ design.to_real).reshape(-1, 8, 8)
+                exact = exact[_quotient_screen(top[exact], r8, ceiling[exact])]
             if len(exact) > 0:
-                vals, vecs = np.linalg.eigh(_unembed(r8[exact]))
+                vals, vecs = np.linalg.eigh(design.hermitian(r[exact]))
                 gap = np.full(len(rows), np.inf)
                 gap[exact] = vals[:, -1] - total[exact]
                 top[exact] = np.concatenate((vecs[:, :, -1].real, vecs[:, :, -1].imag), axis=1)
@@ -765,15 +779,15 @@ def _fit_batch(
         if len(rows) == 0:
             break
     if len(rows) > 0:  # open after _RRR_ITERATIONS: Newton steps from the iterate mixed with I/4
-        share = np.minimum(gap / total, 1.0)[:, None, None]
-        y = (1.0 - share) * _unembed(y) + share * np.eye(4) / 4.0
+        share = np.minimum(gap / total, 1.0)[:, None]
+        y = (1.0 - share) * y + share * mixed
         mu = np.maximum(0.1 * gap, tol / 16.0)
-        probs = _r_operator(design, freqs, y)[2]
+        probs = _r_coordinates(design, freqs, y)[2]
         while len(rows) > 0:  # settle stops every row at max_iter
             iteration += 1
             y = _newton_step(design, freqs, y, probs, mu)
-            r_op, floored, probs = _r_operator(design, freqs, y)
-            gap = np.linalg.eigvalsh(r_op)[:, -1] - total
+            r, floored, probs = _r_coordinates(design, freqs, y)
+            gap = np.linalg.eigvalsh(design.hermitian(r))[:, -1] - total
             mu = np.maximum(mu / 10.0, np.maximum(0.1 * gap, tol / 16.0))
             y, probs, mu = settle(iteration, y, floored, gap, (y, probs, mu))
     fits.errors = _state_errors(fits.rho)
@@ -924,28 +938,27 @@ def monte_carlo_metrics(
 ) -> MetricsReport:
     """Metrics with parametric-bootstrap error bars, from one batched fit.
 
-    The observed counts are row 0 of the batch and the ``n_samples``
-    resamples, drawn as Poisson(observed) in one (n_samples, n) call of
-    ``default_rng(seed)``, are the rows after it. The generator fills the
-    stack row by row, so resample k does not depend on ``n_samples``. The
-    resamples are checked as one stack (:func:`_count_errors`). One call of
-    the chosen fitter reconstructs every row the same way: one linear
-    solve, or one stacked likelihood fit (see :func:`_mle_fits`;
-    ``mle_opts`` are its ``tol``, finite and at least MLE_TOL_FLOOR, and
-    ``max_iter``; linear inversion ignores them) into one stacked record,
-    and the four metrics of every kept row, the CHSH value at
-    :func:`chsh_value`'s fixed analyzers, are one stacked pass over it
-    (:func:`_metric_rows`). Row 0 is the point
-    estimate: the point values come from it, it alone becomes a
-    :class:`ReconstructionResult`, ``point_fit``, and its failure is
-    raised. Sigmas are the standard deviations over the resamples. With
-    ``resample=False`` (the analytic, zero-noise path) only row 0 is fitted
-    and all sigmas are exactly 0. ``n_samples`` and the MLE ``max_iter``
-    must be integral (20.0 is taken as 20). Samples whose counts or
-    reconstruction fail are dropped and counted in ``n_failed``; more than
-    10% failures aborts the report. MLE fits whose certified gap is still
-    above ``tol`` at ``max_iter`` stay in the sigmas and are counted in
-    ``n_nonconverged``. This is the one-branch call of
+    The observed counts are row 0 of the batch and the ``n_samples`` resamples,
+    drawn as Poisson(observed) in one (n_samples, n) call of
+    ``default_rng(seed)``, are the rows after it. The generator fills the stack
+    row by row, so resample k does not depend on ``n_samples``. The resamples
+    are checked as one stack (:func:`_count_errors`). One call of the chosen
+    fitter reconstructs every row the same way: one linear solve, or one
+    stacked likelihood fit (see :func:`_mle_fits`; ``mle_opts`` are its
+    ``tol``, finite and at least MLE_TOL_FLOOR, and ``max_iter``; both methods
+    check them, any other name is a ``TypeError``, and linear inversion ignores
+    them) into one stacked record, and the four metrics of every kept row, the
+    CHSH value at :func:`chsh_value`'s fixed analyzers, are one stacked pass
+    over it (:func:`_metric_rows`). Row 0 is the point estimate: the point
+    values come from it, it alone becomes a :class:`ReconstructionResult`,
+    ``point_fit``, and its failure is raised. Sigmas are the standard
+    deviations over the resamples. With ``resample=False`` (the analytic,
+    zero-noise path) only row 0 is fitted and all sigmas are exactly 0.
+    ``n_samples`` and the MLE ``max_iter`` must be integral (20.0 is taken as
+    20). Samples whose counts or reconstruction fail are dropped and counted in
+    ``n_failed``; more than 10% failures aborts the report. MLE fits whose
+    certified gap is still above ``tol`` at ``max_iter`` stay in the sigmas and
+    are counted in ``n_nonconverged``. This is the one-branch call of
     :func:`_bootstrap_reports`, which fits many count sets in one batch.
     """
     [report] = _bootstrap_reports([data], [seed], n_samples, method, resample, **mle_opts)
@@ -974,29 +987,23 @@ def _bootstrap_reports(
     Count set i is one branch: its block of rows is its observed counts,
     then the resamples drawn from ``default_rng(seeds[i])`` that pass the
     count check, exactly the rows :func:`monte_carlo_metrics` would fit for
-    it alone. The blocks are stacked in branch order, one call of the
-    fitter reconstructs them all into one record (:class:`_Fits`), and one
-    :func:`_metric_rows` pass scores every row it did not refuse, at the
-    fixed CHSH analyzers of :func:`chsh_value`. The rest is per block: row
-    0 is the branch's point fit, the only row that becomes a
-    :class:`ReconstructionResult`, and its failure is raised in branch
-    order; ``n_failed``, the 10% abort and ``n_nonconverged`` count
-    the ``errors`` and ``converged`` entries of the block's resamples; the
-    sigmas are the block's standard deviations. The count sets must share
-    their ``pairs_per_setting``, or a ``ValueError`` says which differs.
-    The seconds of the ``resample`` (draw and count check), ``fit`` and
+    it alone. The blocks are stacked in branch order into one fit call and
+    one :func:`_metric_rows` pass; the rest is per block, and a point fit's
+    failure is raised in branch order. The count sets must share their
+    ``pairs_per_setting``, or a ``ValueError`` says which differs. The
+    seconds of the ``resample`` (draw and count check), ``fit`` and
     ``metrics`` stages are added to ``stage_s`` when it is given.
     """
     stage_s = {} if stage_s is None else stage_s
     n_samples = _as_integer("n_samples", n_samples)
     if n_samples < 10:
         raise ValueError(f"n_samples must be at least 10, got {n_samples}")
-    if method == "mle":
-        fitter = functools.partial(_mle_fits, **mle_opts)
-    elif method == "linear":
-        fitter = _linear_fits
-    else:
+    if method not in ("mle", "linear"):
         raise ValueError(f"method must be 'mle' or 'linear', got {method!r}")
+    tol, max_iter = _mle_options(**mle_opts)  # checked for linear inversion too, which ignores them
+    fitter = _linear_fits
+    if method == "mle":
+        fitter = functools.partial(_mle_fits, tol=tol, max_iter=max_iter)
     if not datas:
         raise ValueError("the batch needs at least one count set")
     if len(seeds) != len(datas):

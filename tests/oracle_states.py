@@ -1,7 +1,8 @@
-"""Test-only states and distances: seeded random states, hyperentangled inputs.
+"""Test-only states and distances: seeded random, maximally mixed and hyperentangled states.
 
-No pipeline draws a random state or measures a trace distance, so these
-live beside the tests that use them rather than in the package.
+No pipeline draws a random or maximally mixed state or measures a trace
+distance, so these live beside the tests that use them rather than in the
+package.
 """
 
 import numpy as np
@@ -15,6 +16,12 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     eigs = np.linalg.eigvalsh(a.data - b.data)
     return float(0.5 * np.abs(eigs).sum())
+
+
+def maximally_mixed(n_qubits: int, weight: float = 1.0) -> DensityMatrix:
+    """I / 2**n_qubits, of the given weight."""
+    dim = 2**n_qubits
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim, weight=weight)
 
 
 def _haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,7 +29,7 @@ from fransonsim.qcore import (
     _state_errors,
 )
 
-from oracle_states import random_state, trace_distance
+from oracle_states import maximally_mixed, random_state, trace_distance
 
 
 def random_density(rng, dim):
@@ -121,7 +121,7 @@ class TestDensityMatrixValidation:
 
     def test_data_is_frozen(self):
         """The stored array cannot be mutated in place."""
-        rho = DensityMatrix.maximally_mixed(1)
+        rho = maximally_mixed(1)
         with pytest.raises(ValueError):
             rho.data[0, 0] = 2.0
 
@@ -141,7 +141,7 @@ class TestDensityMatrixValidation:
                 expected[i, j] = 0.5
         np.testing.assert_allclose(rho.data, expected, atol=1e-15)
         np.testing.assert_allclose(
-            DensityMatrix.maximally_mixed(2).data, np.eye(4) / 4, atol=1e-15
+            maximally_mixed(2).data, np.eye(4) / 4, atol=1e-15
         )
 
 
@@ -376,13 +376,13 @@ class TestUnitaries:
 
     def test_apply_unitary_rejects_non_unitary(self):
         """A matrix failing u u+ = 1 is refused."""
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         with pytest.raises(ValueError, match="unitary"):
             apply_unitary(rho, np.array([[1.0, 0.0], [0.0, 0.5]]), ("pol_A",))
 
     def test_targets_are_register_labels(self):
         """Targets resolve in PAIR_LABELS; unknown, repeated or mis-sized ones fail."""
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         with pytest.raises(ValueError, match="unknown label"):
             apply_unitary(rho, np.eye(2), ("pol_C",))
         with pytest.raises(ValueError, match="duplicate"):
@@ -390,7 +390,7 @@ class TestUnitaries:
         with pytest.raises(ValueError, match="shape"):
             apply_unitary(rho, np.eye(4), ("et_A",))
         with pytest.raises(ValueError, match="pair register"):
-            apply_unitary(DensityMatrix.maximally_mixed(2), np.eye(2), ("pol_A",))
+            apply_unitary(maximally_mixed(2), np.eye(2), ("pol_A",))
 
 
 class TestChannels:
@@ -401,14 +401,14 @@ class TestChannels:
         stays below the identity postselects: the state is renormalized and
         the weight multiplied by the kept probability.
         """
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         with pytest.raises(ValueError, match=r"sum\(K\^H K\) > I \(largest eigenvalue 1\.25\)"):
             apply_channel(rho, (np.diag([1.0, 0.5]), np.diag([0.0, 1.0])), ("pol_A",))
         with pytest.raises(ValueError, match="largest eigenvalue 1.0000000001"):
             apply_channel(rho, (np.sqrt(1.0 + 1e-10) * np.eye(2),), ("et_B",))
         # the identity plus rounding is a complete set, not a refused one
         apply_channel(rho, (np.sqrt(1.0 + 1e-13) * np.eye(2),), ("et_B",))
-        half = DensityMatrix.maximally_mixed(4, weight=0.5)
+        half = maximally_mixed(4, weight=0.5)
         out = apply_channel(half, (np.diag([1.0, 0.5]),), ("pol_A",))
         assert out.weight == pytest.approx(0.5 * 0.625, abs=1e-15)
         assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-12)
@@ -430,7 +430,7 @@ class TestChannels:
 
     def test_postselection_weights_multiply(self):
         """Chained lossy channels multiply their survival probabilities."""
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         keep_h = (np.diag([1.0, 0.0]),)
         damp = (np.diag([np.sqrt(0.5), np.sqrt(0.5)]),)
         once = apply_channel(rho, keep_h, ("pol_B",))
@@ -514,7 +514,7 @@ class TestMetrics:
     def test_purity_range(self):
         """Purity is 1 on pure states and 1/d on the maximally mixed state."""
         assert purity(DensityMatrix.pure(PHI_PLUS_KET)) == pytest.approx(1.0, abs=1e-12)
-        assert purity(DensityMatrix.maximally_mixed(2)) == pytest.approx(0.25, abs=1e-12)
+        assert purity(maximally_mixed(2)) == pytest.approx(0.25, abs=1e-12)
 
     def test_trace_distance_axioms(self):
         """Trace distance is symmetric, bounded, zero only at equality."""
@@ -574,7 +574,7 @@ class TestPairState:
     def test_rejects_other_dimensions(self):
         """A pair state covers exactly the 16-dimensional register."""
         with pytest.raises(ValueError, match="pair register"):
-            PhotonPairState(DensityMatrix.maximally_mixed(3))
+            PhotonPairState(maximally_mixed(3))
 
 
 class TestDumpFormat:
@@ -596,7 +596,7 @@ class TestDumpFormat:
 
         Lines count every line of the text, blank ones too, from 1.
         """
-        dump = dumps_density_matrix(DensityMatrix.maximally_mixed(1))
+        dump = dumps_density_matrix(maximally_mixed(1))
         lines = dump.splitlines()
         entry = "\n".join([lines[0], "", lines[1], lines[2].split()[0] + " abc"])
         want = "density-matrix dump line 4, column 2: expected a complex number, got 'abc'"

@@ -1,5 +1,6 @@
 """Measurement simulation, reconstruction, metrics, and CHSH checks."""
 
+import json
 import math
 import os
 import re
@@ -126,37 +127,38 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
     """``tomo._fit_batch`` with the exact gap on every row at every iteration.
 
     The fit loop without the gap screens, used as the oracle the screened
-    loop must match bit for bit: RrhoR steps on the real 8x8 form of the
-    iterate, then complex Newton steps, each taking the p_j that
-    ``tomo._r_operator`` returned for its iterate, before the stopped rows
-    left the batch. As in the fit, the gap is the top eigenvalue of ``eigh``
-    before the last RrhoR iteration and of ``eigvalsh`` from it on. It
-    records no ``history``.
+    loop must match bit for bit: RrhoR steps on the 16 real coordinates of
+    the iterate, written out here from the design's maps, then Newton steps,
+    each taking the p_j that ``tomo._r_coordinates`` returned for its
+    iterate, before the stopped rows left the batch. As in the fit,
+    the gap is the top eigenvalue of ``eigh`` before the last RrhoR
+    iteration and of ``eigvalsh`` from it on. It records no ``history``.
     """
     fits = tomo._Fits.blank(len(counts))
     rows = np.arange(len(counts))
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
-    y = np.tile(np.eye(8) / 4.0, (len(counts), 1, 1))
+    y = np.tile(coordinates(np.eye(4)[None] / 4.0), (len(counts), 1))
     mu, probs = np.zeros(len(counts)), np.zeros((len(counts), 36))
     floor_hits = np.zeros(len(counts), dtype=int)
-    r_op, _ = tomo._real_r_operator(design, freqs, y)
+    r_op, _, _ = tomo._r_coordinates(design, freqs, y)
     for iteration in range(1, max_iter + 1):
         if iteration <= tomo._RRR_ITERATIONS:
-            y = r_op @ y @ r_op
-            y += y.transpose(0, 2, 1)
-            y *= 0.5
-            y /= 0.5 * np.trace(y, axis1=1, axis2=2)[:, None, None]
-            r_op, floored = tomo._real_r_operator(design, freqs, y)
-            r_plain = tomo._unembed(r_op)
+            r8 = (r_op @ design.to_real).reshape(-1, 8, 8)
+            y = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64)
+            y = y @ design.from_real
+            y /= y[:, :4].sum(axis=1)[:, None]
+            r_op, floored, _ = tomo._r_coordinates(design, freqs, y)
+            r_plain = design.hermitian(r_op)
         else:
             if iteration == tomo._RRR_ITERATIONS + 1:
-                share = np.minimum(gap / total, 1.0)[:, None, None]
-                y = (1.0 - share) * tomo._unembed(y) + share * np.eye(4) / 4.0
+                share = np.minimum(gap / total, 1.0)[:, None]
+                y = (1.0 - share) * y + share * coordinates(np.eye(4)[None] / 4.0)
                 mu = np.maximum(0.1 * gap, tol / 16.0)
-                probs = tomo._r_operator(design, freqs, y)[2]
+                probs = tomo._r_coordinates(design, freqs, y)[2]
             y = tomo._newton_step(design, freqs, y, probs, mu)
-            r_plain, floored, probs = tomo._r_operator(design, freqs, y)
+            r_op, floored, probs = tomo._r_coordinates(design, freqs, y)
+            r_plain = design.hermitian(r_op)
         floor_hits += floored.sum(axis=1)
         if iteration < min(tomo._RRR_ITERATIONS, max_iter):
             gap = np.linalg.eigh(r_plain)[0][:, -1] - total
@@ -228,6 +230,27 @@ def newton_system_oracle(freqs, y, mu):
     hess = (tangent.T * (weights / probs)[:, None, :]) @ tangent
     hess += mu[:, None, None] * np.einsum("bkij,blji->bkl", y_inv_e, y_inv_e).real
     return grad, hess
+
+
+def real_form(y):
+    """The real 8x8 form [[Re Y, -Im Y], [Im Y, Re Y]] of every Y of a (B, 4, 4) stack."""
+    return np.block([[y.real, -y.imag], [y.imag, y.real]])
+
+
+def coordinates(y):
+    """The 16 real coordinates of every Hermitian Y of a (B, 4, 4) stack, read off its entries.
+
+    Re Y_aa, then Re Y_ab and Im Y_ab for each of the six a < b in row order.
+    """
+    a, b = np.triu_indices(4, 1)
+    pairs = np.stack([y[:, a, b].real, y[:, a, b].imag], axis=2).reshape(-1, 12)
+    return np.concatenate([np.diagonal(y, axis1=1, axis2=2).real, pairs], axis=1)
+
+
+def r_operator(design, freqs, y):
+    """R of every complex Hermitian Y as a complex stack, which p_j the floor caught, and p_j."""
+    r, floored, probs = tomo._r_coordinates(design, freqs, coordinates(y))
+    return design.hermitian(r), floored, probs
 
 
 def full_rank_states(n, seed):
@@ -379,10 +402,7 @@ class TestProjectors:
         design = tomo._design()
         fresh = setting_projectors()
         np.testing.assert_array_equal(design.projectors, fresh)
-        np.testing.assert_array_equal(
-            design.matrix, fresh.transpose(0, 2, 1).reshape(36, 16)
-        )
-        np.testing.assert_array_equal(design.normalised, fresh.reshape(36, 16) / 9.0)
+        np.testing.assert_array_equal(design.hermitian(design.frame_coords), fresh / 9.0)
         assert tomo._design() is design
         for arr in vars(design).values():
             assert not arr.flags.writeable
@@ -403,6 +423,29 @@ class TestProjectors:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert out.stdout.split() == ["0", "0"]
+
+    def test_loading_the_built_in_configs_builds_no_design(self, tmp_path):
+        """``import fransonsim`` and ``load_config`` of the built-in configs build no design.
+
+        That pair is what the benchmark's ``setup_s`` times, so the design's
+        maps must be built on a fit's first use, not at import or load.
+        """
+        paths = []
+        for name in ("purify", "chsh-sweep", "fringe-scan", "custom"):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(cli.config_to_raw(cli.default_config(name))))
+        code = (
+            "import sys, fransonsim; from fransonsim import tomo; "
+            "[fransonsim.load_config(path) for path in sys.argv[1:]]; "
+            "print(tomo._design.cache_info().currsize)"
+        )
+        src = str(Path(tomo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, *map(str, paths)], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.split() == ["0"]
 
     def test_expected_probabilities_sum_within_bases(self):
         """The four projectors of one local basis pair resolve identity."""
@@ -692,60 +735,83 @@ class TestLinearInversion:
         assert fits[0].loglike == fits[2].loglike
 
 class TestMle:
-    def test_real_form_round_trips_a_hermitian_stack_exactly(self):
-        """_unembed(_embed(Y)) is Y bit for bit, and _embed maps products to products."""
+    def test_coordinates_round_trip_through_the_real_form_exactly(self):
+        """Coordinates -> real form -> coordinates is bitwise on Hermitian stacks.
+
+        The real form is the 8x8 [[Re Y, -Im Y], [Im Y, Re Y]] bit for bit,
+        and the complex form gives Y back bit for bit.
+        """
+        design = tomo._design()
         rng = np.random.default_rng(5)
         a = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
         y = 0.5 * (a + a.conj().transpose(0, 2, 1))
-        y8 = tomo._embed(y)
-        assert y8.shape == (7, 8, 8) and y8.dtype == float
-        np.testing.assert_array_equal(y8, y8.transpose(0, 2, 1))
-        np.testing.assert_array_equal(tomo._unembed(y8), y)
-        np.testing.assert_array_equal(tomo._embed(tomo._unembed(y8)), y8)
-        np.testing.assert_allclose(y8 @ y8, tomo._embed(y @ y), rtol=0, atol=1e-13)
+        coords = coordinates(y)
+        y8 = coords @ design.to_real
+        assert y8.shape == (7, 64) and y8.dtype == float
+        np.testing.assert_array_equal(y8.reshape(-1, 8, 8), real_form(y))
+        np.testing.assert_array_equal(y8 @ design.from_real, coords)
+        np.testing.assert_array_equal(design.hermitian(coords), y)
 
-    def test_real_form_step_is_the_complex_step(self):
-        """One real-form RrhoR step equals herm(R Y R) / tr(R Y R) to 1e-15 relative."""
+    def test_coordinates_give_the_probabilities_of_the_state(self):
+        """y @ to_probs is tr(Pi_j rho) / 9 to 1e-15 of the row's largest; R's map is Pi_j / 9."""
         design = tomo._design()
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-        y = a @ a.conj().transpose(0, 2, 1)
-        y /= np.trace(y, axis1=1, axis2=2).real[:, None, None]
+        rhos = full_rank_states(50, seed=12)
+        probs = coordinates(rhos) @ design.to_probs
+        for rho, got in zip(rhos, probs):
+            want = expected_probabilities(DensityMatrix(rho)) / 9.0
+            assert np.abs(got - want).max() <= 1e-15 * want.max()
+        np.testing.assert_array_equal(
+            design.hermitian(design.frame_coords), setting_projectors() / 9.0
+        )
+
+    def test_the_complex_form_is_exactly_hermitian(self):
+        """Any 16 real coordinates give an exactly Hermitian matrix with a real diagonal."""
+        rng = np.random.default_rng(6)
+        coords = rng.normal(size=(40, 16)) * 10.0 ** rng.integers(-8, 8, (40, 16))
+        y = tomo._design().hermitian(coords)
+        np.testing.assert_array_equal(y, y.conj().transpose(0, 2, 1))
+        assert not np.diagonal(y, axis1=1, axis2=2).imag.any()
+
+    def test_coordinate_step_is_the_complex_step(self):
+        """One RrhoR step on coordinates equals herm(R Y R) / tr(R Y R) to 1e-15 relative."""
+        design = tomo._design()
+        y = full_rank_states(6, seed=2)
         freqs = np.stack([
             simulate_counts(tilted_bell(p), 3_000, seed=s).frequencies
             for p in (0.5, 0.1) for s in range(3)
         ])
-        r_op, floored, _ = tomo._r_operator(design, freqs, y)
+        frame = setting_projectors() / 9.0
+        probs = np.einsum("jab,nba->nj", frame, y).real
+        floored = probs < tomo.PROBABILITY_FLOOR
+        r_op = np.einsum("nj,jab->nab", freqs / np.maximum(probs, tomo.PROBABILITY_FLOOR), frame)
         want = r_op @ y @ r_op
         want = 0.5 * (want + want.conj().transpose(0, 2, 1))
         norm = np.trace(want, axis1=1, axis2=2).real
-        r8, floored8 = tomo._real_r_operator(design, freqs, tomo._embed(y))
-        step, norm8 = tomo._rrr_step(r8, tomo._embed(y))
-        np.testing.assert_array_equal(floored8, floored)
-        np.testing.assert_allclose(norm8, norm, rtol=1e-15, atol=0)
+        r, floored16, _ = tomo._r_coordinates(design, freqs, coordinates(y))
+        step, norm16 = tomo._rrr_next(design, r, coordinates(y))
+        np.testing.assert_array_equal(floored16, floored)
+        np.testing.assert_allclose(norm16, norm, rtol=1e-15, atol=0)
         scale = np.abs(want / norm[:, None, None]).max()
-        got = tomo._unembed(step)
+        got = design.hermitian(step)
         assert np.abs(got - want / norm[:, None, None]).max() <= 1e-15 * scale
-        assert np.abs(tomo._unembed(r8) - r_op).max() <= 1e-15 * np.abs(r_op).max()
+        assert np.abs(design.hermitian(r) - r_op).max() <= 1e-15 * np.abs(r_op).max()
 
-    def test_a_long_real_form_fit_unembeds_to_an_exactly_hermitian_state(self):
+    def test_a_long_coordinate_fit_gives_an_exactly_hermitian_state(self):
         """After many RrhoR steps on a nearly rank-1 row, rho is exactly Hermitian.
 
-        The two copies of Re Y and of Im Y in the real form drift apart by
-        rounding; the unembedding averages them, so the fitted state has
-        an exactly real diagonal all the same. The hand-run iteration takes
-        200 steps, by which the state is nearly rank 1; the fit stops at its
-        last RrhoR iteration, before any Newton step.
+        The iterate is carried as coordinates, so it is Hermitian by
+        construction, and the fitted state has an exactly real diagonal.
+        The hand-run iteration takes 200 steps, by which the state is nearly
+        rank 1; the fit stops at its last RrhoR iteration, before any Newton
+        step.
         """
         design = tomo._design()
         counts = simulate_counts(tilted_bell(0.1), 2_600_000, seed=4).counts
         freqs = counts[None] / 2_600_000
-        y8 = np.eye(8)[None] / 4.0
+        y = coordinates(np.eye(4)[None] / 4.0)
         for _ in range(200):
-            y8, _ = tomo._rrr_step(tomo._real_r_operator(design, freqs, y8)[0], y8)
-        assert np.abs(y8[:, :4, :4] - y8[:, 4:, 4:]).max() < 1e-13
-        assert np.abs(y8[:, 4:, :4] + y8[:, :4, 4:]).max() < 1e-13
-        hand_run = tomo._states(design, y8)[0][0]
+            y, _ = tomo._rrr_next(design, tomo._r_coordinates(design, freqs, y)[0], y)
+        hand_run = tomo._states(design, y)[0][0]
         assert np.linalg.eigvalsh(hand_run)[:-1].max() < 1e-3  # nearly rank 1
         budget = tomo._RRR_ITERATIONS
         fits = tomo._mle_fits(counts[None], 2_600_000, tol=tomo.MLE_TOL_FLOOR, max_iter=budget)
@@ -870,36 +936,38 @@ class TestMle:
         assert np.median(newton_steps) <= 20
 
     def test_each_newton_iterate_is_evaluated_once(self, monkeypatch):
-        """Every Newton step takes the p_j that _r_operator returned for its iterate.
+        """Every Newton step takes the p_j that _r_coordinates returned for its iterate.
 
-        Tilted Bell p = 0.1 at 2.6e5 pairs, 4 seeds in one batch: _r_operator
-        runs once at the switch and once per Newton iteration, and each
-        _newton_system call gets, row for row, the p_j of the previous
-        _r_operator call on the same iterate.
+        Tilted Bell p = 0.1 at 2.6e5 pairs, 4 seeds in one batch: after the
+        RrhoR phase, _r_coordinates runs once at the switch and once per
+        Newton iteration, and each _newton_system call gets, row for row,
+        the p_j of the previous _r_coordinates call on the same iterate.
         """
         counts = np.stack([
             simulate_counts(tilted_bell(0.1), 260_000, seed=s).counts for s in range(4)
         ])
         calls = []
-        real_r, real_system = tomo._r_operator, tomo._newton_system
+        real_r, real_system = tomo._r_coordinates, tomo._newton_system
 
-        def r_operator(design, freqs, y):
+        def r_coordinates(design, freqs, y):
             out = real_r(design, freqs, y)
-            calls.append(("r", y, out[2]))
+            calls.append(("r", design.hermitian(y), out[2]))
             return out
 
         def newton_system(design, freqs, y, probs, mu):
             calls.append(("system", y, probs))
             return real_system(design, freqs, y, probs, mu)
 
-        monkeypatch.setattr(tomo, "_r_operator", r_operator)
+        monkeypatch.setattr(tomo, "_r_coordinates", r_coordinates)
         monkeypatch.setattr(tomo, "_newton_system", newton_system)
         fits = tomo._mle_fits(counts, 260_000)
         newton_iterations = fits.iterations.max() - tomo._RRR_ITERATIONS
         assert fits.converged.all() and fits.iterations.min() > tomo._RRR_ITERATIONS
         assert len(set(fits.iterations)) > 1  # rows leave the batch between steps
-        assert [kind for kind, _, _ in calls] == ["r"] + ["system", "r"] * newton_iterations
-        for (_, y_before, probs_before), (_, y, probs) in zip(calls[::2], calls[1::2]):
+        newton = calls[-2 * newton_iterations - 1:]
+        assert [kind for kind, _, _ in newton] == ["r"] + ["system", "r"] * newton_iterations
+        assert all(kind == "r" for kind, _, _ in calls[:-len(newton)])
+        for (_, y_before, probs_before), (_, y, probs) in zip(newton[::2], newton[1::2]):
             for row, p in zip(y, probs):
                 [k] = [k for k, before in enumerate(y_before) if np.array_equal(before, row)]
                 np.testing.assert_array_equal(p, probs_before[k])
@@ -996,13 +1064,13 @@ class TestMle:
         an infinite one makes dY NaN. Row 0 steps as it does alone.
         """
         design = tomo._design()
-        y = full_rank_states(2, seed=8)
+        y = coordinates(full_rank_states(2, seed=8))
         freqs = np.stack([
             simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
             for k, rho in enumerate(full_rank_states(2, seed=9))
         ])
         mu = np.array([1e-3, 1e-3])
-        probs = tomo._r_operator(design, freqs, y)[2]
+        probs = tomo._r_coordinates(design, freqs, y)[2]
         real = tomo._newton_system
 
         def steep(design, freqs, y, probs, mu):
@@ -1034,9 +1102,13 @@ class TestMle:
         monkeypatch.setattr(
             tomo, "_newton_system", lambda *args: (grad, np.tile(np.eye(15), (2, 1, 1)))
         )
-        new = tomo._newton_step(design, None, y, None, None)
-        dy = (-grad @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
-        np.testing.assert_array_equal(new[0], y[0] + dy[0])
+        new = tomo._newton_step(design, None, coordinates(y), None, None)
+        dy = -grad @ design.basis_coords
+        np.testing.assert_array_equal(new[0], coordinates(y)[0] + dy[0])
+        np.testing.assert_array_equal(
+            design.hermitian(dy), (-grad @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
+        )
+        dy, new = design.hermitian(dy), design.hermitian(new)
         vals, vecs = np.linalg.eigh(y[1])
         root = (vecs / np.sqrt(vals)) @ vecs.conj().T
         assert np.linalg.eigvalsh(root @ dy[1] @ root)[0] < -1.0  # the full step leaves
@@ -1052,14 +1124,14 @@ class TestMle:
         diagonal raises no warning.
         """
         design = tomo._design()
-        y = full_rank_states(3, seed=10)
+        y = coordinates(full_rank_states(3, seed=10))
         freqs = np.stack([
             simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
             for k, rho in enumerate(full_rank_states(3, seed=11))
         ])
         mu = np.full(3, 1e-3)
-        probs = tomo._r_operator(design, freqs, y)[2]
-        grad, hess = tomo._newton_system(design, freqs, y, probs, mu)
+        probs = tomo._r_coordinates(design, freqs, y)[2]
+        grad, hess = tomo._newton_system(design, freqs, design.hermitian(y), probs, mu)
         hess[1, 4, :] = hess[1, :, 4] = 0.0
         v = np.random.default_rng(12).normal(size=(15, 14))
         hess[2] = v @ v.T  # rank 14
@@ -1068,7 +1140,7 @@ class TestMle:
             """The step along each E_k of the rows ``rows``, fitted as one batch."""
             monkeypatch.setattr(tomo, "_newton_system", lambda *args: (grad[rows], hess[rows]))
             new = tomo._newton_step(design, freqs[rows], y[rows], probs[rows], mu[rows])
-            return np.einsum("bij,kji->bk", new - y[rows], design.basis).real
+            return np.einsum("bij,kji->bk", design.hermitian(new - y[rows]), design.basis).real
 
         together = step([0, 1, 2])
         for i in range(3):
@@ -1218,7 +1290,7 @@ class TestMle:
 
         def spy(v, r8, ceiling):
             passed = screen(v, r8, ceiling)
-            top = np.linalg.eigvalsh(tomo._unembed(r8[~passed]))[:, -1]
+            top = np.linalg.eigvalsh(r8[~passed])[:, -1]  # the real form's spectrum is R's, doubled
             ruled_out.append(top - ceiling[~passed])
             fresh.append(passed[~v.any(axis=1)])
             return passed
@@ -1271,7 +1343,7 @@ class TestMle:
         """
         rng = np.random.default_rng(5)
         g = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
-        r8 = tomo._embed(1e3 * (g @ g.conj().transpose(0, 2, 1)))
+        r8 = real_form(1e3 * (g @ g.conj().transpose(0, 2, 1)))
         r8[:2, 0, 0] = np.nan
         ceiling = np.full(50, 1e-300)
         assert tomo._quotient_screen(np.zeros((50, 8)), r8, ceiling).all()
@@ -1307,7 +1379,7 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(len(y), seed=4))
         ])
         mu = 10.0 ** np.random.default_rng(5).uniform(-10.0, -1.0, size=len(y))
-        _, floored, probs = tomo._r_operator(design, freqs, y)
+        _, floored, probs = r_operator(design, freqs, y)
         assert not floored[:6].any() and floored[6:].any(axis=1).all()
         got = tomo._newton_system(design, freqs, y, probs, mu)
         for new, old in zip(got, newton_system_oracle(freqs, y, mu)):
@@ -1328,7 +1400,7 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(24, seed=16))
         ])
         mu = 10.0 ** np.random.default_rng(17).uniform(-10.0, -1.0, size=24)
-        probs = tomo._r_operator(design, freqs, y)[2]
+        probs = r_operator(design, freqs, y)[2]
         grad, hess = tomo._newton_system(design, freqs, y, probs, mu)
         for i in range(24):
             rows = slice(i, i + 1)
@@ -1351,11 +1423,11 @@ class TestMle:
         mu = np.array([1e-1, 1e-2, 1e-3, 1e-4])
 
         def objective(y):
-            probs = tomo._r_operator(design, freqs, y)[2]
+            probs = r_operator(design, freqs, y)[2]
             return -(freqs * np.log(probs)).sum(axis=1) - mu * np.linalg.slogdet(y)[1]
 
         def system(y):
-            return tomo._newton_system(design, freqs, y, tomo._r_operator(design, freqs, y)[2], mu)
+            return tomo._newton_system(design, freqs, y, r_operator(design, freqs, y)[2], mu)
 
         grad, hess = system(y)
         # each row against its largest entry; the steps keep the truncation
@@ -1672,6 +1744,34 @@ class TestMonteCarloMetrics:
         data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
         with pytest.raises(ValueError, match="method"):
             monte_carlo_metrics(data, n_samples=10, method="lsq")
+
+    def test_linear_inversion_refuses_an_unknown_option_by_name(self):
+        """A misspelt MLE option is a TypeError naming it with method="linear" too."""
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
+        with pytest.raises(TypeError, match="'tolerance'"):
+            monte_carlo_metrics(data, n_samples=10, method="linear", tolerance=1e-6)
+        with pytest.raises(TypeError, match="'bogus'"):
+            tomo._bootstrap_reports([data, data], [0, 1], 10, "linear", bogus=3)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 1e-300])
+    def test_linear_inversion_refuses_the_tols_the_fit_refuses(self, tol):
+        """A tol that the MLE refuses is refused with method="linear" too, by the same message."""
+        want = "tol must be at least" if math.isfinite(tol) else "tol must be finite"
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
+        with pytest.raises(ValueError, match=want):
+            monte_carlo_metrics(data, n_samples=10, method="linear", tol=tol)
+        with pytest.raises(ValueError, match=want):
+            tomo._bootstrap_reports([data, data], [0, 1], 10, "linear", tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 0])
+    def test_linear_inversion_refuses_the_max_iters_the_fit_refuses(self, max_iter):
+        """A fractional or non-positive max_iter is refused with method="linear" too."""
+        want = "max_iter must be at least 1" if max_iter == 0 else "max_iter must be an integer"
+        data = simulate_counts(tilted_bell(0.5), 2_000, seed=3)
+        with pytest.raises(ValueError, match=want):
+            monte_carlo_metrics(data, n_samples=10, method="linear", max_iter=max_iter)
+        with pytest.raises(ValueError, match=want):
+            tomo._bootstrap_reports([data, data], [0, 1], 10, "linear", max_iter=max_iter)
 
     def test_report_validation(self):
         """Out-of-range metric values are refused."""

@@ -27,7 +27,12 @@ from fransonsim.transfer import (
     transfer,
 )
 
-from oracle_states import hyperentangled_input, random_state, trace_distance
+from oracle_states import (
+    hyperentangled_input,
+    maximally_mixed,
+    random_state,
+    trace_distance,
+)
 
 IDEAL_ET = DensityMatrix.pure(PHI_PLUS_KET)
 
@@ -290,7 +295,7 @@ class TestBlocking:
 
     def test_blocking_without_support_raises(self):
         """A state with no short-short component cannot be postselected."""
-        pol = DensityMatrix.maximally_mixed(2)
+        pol = maximally_mixed(2)
         et = DensityMatrix.pure(np.array([0.0, 0.0, 0.0, 1.0]))
         with pytest.raises(PostselectionError):
             block_long_arms(hyperentangled_input(pol, et))
