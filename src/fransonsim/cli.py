@@ -149,7 +149,7 @@ class TomographyConfig:
             raise ValueError(
                 f"n_mc_samples must be in [10, {MAX_MC_SAMPLES}], got {self.n_mc_samples}"
             )
-        _mle_options(self.mle_tol, self.mle_max_iter, "mle_")
+        _mle_options("mle_", tol=self.mle_tol, max_iter=self.mle_max_iter)
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,7 @@ def _design() -> _Design:
         tangent=tangent,
         tangent_outer=(tangent[:, :, None] * tangent[:, None, :]).reshape(_N_SETTINGS, 225),
         pinv=np.ascontiguousarray(np.linalg.pinv(matrix).T).view(float),
-        # the layouts in which the products of _r_coordinates round alike at 2 rows and more
+        # column-major: a row-major copy rounds p_j otherwise and moves fitted states by ulps
         to_probs=np.asfortranarray(to_probs),
         frame_coords=np.ascontiguousarray(to_probs.T / norms),
         to_real=to_real,
@@ -501,19 +501,24 @@ def linear_inversion(data: CountData) -> ReconstructionResult:
 _RRR_ITERATIONS = 120
 
 
-def _r_coordinates(design: _Design, freqs: np.ndarray, y: np.ndarray) -> tuple:
-    """R = sum_j (f_j / p_j) Pi_j / 9 of every coordinate row y, the floored p_j, and p_j.
+def _rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m, its rows computed in whole blocks of 8, the last padded with zero rows.
 
-    Both products round alike at every row count but 1 (gemv; OpenBLAS ``SkylakeX``),
-    so a lone row is computed as two, and a row's R does not depend on its batch.
+    A BLAS kernel computes rows in blocks, and a row in a short block can round
+    differently. In blocks of 8, no row's rounding depends on its batch on the SkylakeX,
+    Haswell, Sandybridge and Prescott kernels of OpenBLAS; in blocks of 4, Haswell's does.
     """
-    lone = len(y) == 1
-    if lone:
-        y, freqs = np.repeat(y, 2, axis=0), np.repeat(freqs, 2, axis=0)
-    probs = y @ design.to_probs
+    n = len(x)
+    padded = np.zeros((n - n % -8, x.shape[1]))
+    padded[:n] = x
+    return (padded @ m)[:n]
+
+
+def _r_coordinates(design: _Design, freqs: np.ndarray, y: np.ndarray) -> tuple:
+    """R = sum_j (f_j / p_j) Pi_j / 9 of every coordinate row y, the floored p_j, and p_j."""
+    probs = _rows(y, design.to_probs)
     weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
-    r, floored = weights @ design.frame_coords, probs < PROBABILITY_FLOOR
-    return (r[:1], floored[:1], probs[:1]) if lone else (r, floored, probs)
+    return _rows(weights, design.frame_coords), probs < PROBABILITY_FLOOR, probs
 
 
 def _rrr_next(design: _Design, r: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -522,7 +527,8 @@ def _rrr_next(design: _Design, r: np.ndarray, y: np.ndarray) -> tuple[np.ndarray
     R Y R is two products of exact real forms, read back as the mean of each coordinate's copies.
     """
     r8 = (r @ design.to_real).reshape(-1, 8, 8)
-    step = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64) @ design.from_real
+    step = _rows((r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64),
+                 design.from_real)
     norm = step[:, :4].sum(axis=1)
     return step / norm[:, None], norm
 
@@ -540,7 +546,7 @@ def _quotient_screen(v: np.ndarray, r8: np.ndarray, ceiling: np.ndarray) -> np.n
 def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho = Y / tr(Y) of every coordinate row y, and its tr(rho Pi_j)."""
     rho = y / y[:, :4].sum(axis=1)[:, None]
-    return design.hermitian(rho), 9.0 * (rho @ design.to_probs)
+    return design.hermitian(rho), 9.0 * _rows(rho, design.to_probs)
 
 
 def _newton_system(
@@ -610,7 +616,7 @@ def _newton_step(
     if singular.any():
         pinv = np.linalg.pinv(scaled[singular], rcond=_PINV_RCOND, hermitian=True)
         step[singular] = (pinv @ rhs[singular, :, None])[..., 0]
-    dy = (scale * step) @ design.basis_coords
+    dy = _rows(scale * step, design.basis_coords)
     dy[~np.isfinite(dy).all(axis=1)] = 0.0
     vals, vecs = np.linalg.eigh(design.hermitian(y))
     root = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # Y^-1/2
@@ -665,8 +671,8 @@ def _mle_fits(
     Newton iterate's p_j are computed once, with its R, and the next step
     reuses them. Iterations of both phases count against ``max_iter``, which
     must be integral; a row stopped by it reports ``converged=False``. Stopped
-    rows leave the batch. Probabilities are floored at PROBABILITY_FLOOR so
-    empty settings cannot blow up the weights.
+    rows leave the batch, which moves no bit of the others (see :func:`_rows`).
+    Probabilities are floored at PROBABILITY_FLOOR so empty settings cannot blow up the weights.
 
     A row is refused, its entry of ``errors`` the reason, for two reasons
     only: its counts are all zero, or its fitted state fails validation.
@@ -674,7 +680,7 @@ def _mle_fits(
     one batch. Only with ``history`` does the record carry the
     log-likelihood of every iterate.
     """
-    tol, max_iter = _mle_options(tol, max_iter)
+    tol, max_iter = _mle_options(tol=tol, max_iter=max_iter)
     rows = np.flatnonzero(counts.any(axis=1))
     fitted = _fit_batch(_design(), counts[rows], pairs_per_setting, tol, max_iter, history)
     # the record of every row is made after the fit, so the fit's peak memory does not hold it
@@ -686,11 +692,11 @@ def _mle_fits(
 
 
 def _mle_options(
-    tol: float = MLE_DEFAULT_TOL, max_iter: int = MLE_DEFAULT_MAX_ITER, prefix: str = ""
+    prefix: str = "", /, tol: float = MLE_DEFAULT_TOL, max_iter: int = MLE_DEFAULT_MAX_ITER
 ) -> tuple[float, int]:
     """``tol``, finite and at least MLE_TOL_FLOOR, and ``max_iter``, an integer >= 1, checked.
 
-    A refusal names the option after ``prefix``; any other name is a ``TypeError``.
+    A refusal names the option after ``prefix``, positional only; other names are a ``TypeError``.
     """
     if not math.isfinite(tol):
         raise ValueError(f"{prefix}tol must be finite, got {tol}")

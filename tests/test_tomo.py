@@ -59,6 +59,47 @@ def tilted_bell(p):
     return DensityMatrix.pure(ket)
 
 
+# The x86 kernels of OpenBLAS that a fit's independence of its batch is
+# checked on: the name that forces each, the CPU flag it needs, and the name
+# OpenBLAS reads back for it (its Prescott kernel answers to the alias Katmai).
+BLAS_KERNELS = [
+    ("SkylakeX", "avx512f", "SkylakeX"),
+    ("Haswell", "avx2", "Haswell"),
+    ("Sandybridge", "avx", "Sandybridge"),
+    ("Prescott", "pni", "Katmai"),
+]
+
+# Prints the BLAS core name (empty if it cannot be read), then fits the five
+# rows of the per-sample oracle test in one batch and one by one, at a budget
+# that stops in the Newton phase and at one that certifies every row, and
+# exits non-zero unless each row is bitwise the same both ways.
+BATCH_AND_ALONE = """
+import ctypes, glob, os
+import numpy as np
+name = ""
+libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+for lib in glob.glob(libs):
+    so = ctypes.CDLL(lib)
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+        if hasattr(so, symbol):
+            getattr(so, symbol).restype = ctypes.c_char_p
+            name = getattr(so, symbol)().decode()
+print(name, flush=True)
+from fransonsim import DensityMatrix, simulate_counts, tomo
+rows = [(0.5, 0), (0.5, 1), (0.3, 0), (0.3, 1), (0.3, 2)]
+counts = np.stack([
+    simulate_counts(DensityMatrix.pure(np.sqrt([p, 0.0, 0.0, 1.0 - p])), 3000, seed=s).counts
+    for p, s in rows
+])
+for budget in (tomo._RRR_ITERATIONS + 5, 1000):
+    batch = tomo._mle_fits(counts, 3000, max_iter=budget)
+    for i, row in enumerate(counts):
+        alone = tomo._mle_fits(row[None], 3000, max_iter=budget)
+        assert batch.iterations[i] == alone.iterations[0], (budget, i)
+        assert np.array_equal(batch.rho[i], alone.rho[0]), (budget, i)
+"""
+
+
 def chsh_uncached(rho):
     """CHSH value with the correlator operators rebuilt on every call.
 
@@ -146,7 +187,7 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
         if iteration <= tomo._RRR_ITERATIONS:
             r8 = (r_op @ design.to_real).reshape(-1, 8, 8)
             y = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64)
-            y = y @ design.from_real
+            y = tomo._rows(y, design.from_real)
             y /= y[:, :4].sum(axis=1)[:, None]
             r_op, floored, _ = tomo._r_coordinates(design, freqs, y)
             r_plain = design.hermitian(r_op)
@@ -897,6 +938,32 @@ class TestMle:
         assert all(f.iterations < switch for f in full[:2])
         assert [(f.iterations, f.converged) for f in short[2:]] == [(switch + 5, False)] * 3
         assert all(f.converged and switch + 5 < f.iterations < 1_000 for f in full[2:])
+
+    @pytest.mark.parametrize("kernel, flag, read_back", BLAS_KERNELS)
+    def test_a_fit_alone_is_bitwise_its_batch_row_on_each_blas_kernel(
+        self, kernel, flag, read_back
+    ):
+        """With OpenBLAS forced to each x86 kernel, a row fitted alone equals its batch row bitwise.
+
+        Each kernel runs in a child process; the check is skipped where the CPU
+        lacks the kernel's instructions or the BLAS core cannot be forced.
+        """
+        try:
+            cpu = Path("/proc/cpuinfo").read_text().split()
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to read the CPU flags from")
+        if flag not in cpu:
+            pytest.skip(f"the CPU lacks {flag}, so the {kernel} kernel cannot run")
+        src = str(Path(tomo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": kernel}
+        out = subprocess.run(
+            [sys.executable, "-c", BATCH_AND_ALONE], capture_output=True, text=True, env=env,
+        )
+        name = out.stdout.split("\n")[0]
+        if name != read_back:
+            pytest.skip(f"OpenBLAS {kernel} could not be forced (core read back: {name!r})")
+        assert out.returncode == 0, out.stderr
 
     def test_fits_reach_the_likelihood_of_a_long_oracle_run(self):
         """No fit's -log L exceeds the RrhoR oracle's after 50 000 iterations by more than tol."""
@@ -1752,6 +1819,12 @@ class TestMonteCarloMetrics:
             monte_carlo_metrics(data, n_samples=10, method="linear", tolerance=1e-6)
         with pytest.raises(TypeError, match="'bogus'"):
             tomo._bootstrap_reports([data, data], [0, 1], 10, "linear", bogus=3)
+        # the prefix of the option names in a refusal is not an option
+        for method in ("linear", "mle"):
+            with pytest.raises(TypeError, match="'prefix'"):
+                monte_carlo_metrics(data, n_samples=10, method=method, prefix="x")
+            with pytest.raises(TypeError, match="'prefix'"):
+                tomo._bootstrap_reports([data, data], [0, 1], 10, method, prefix="x")
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 1e-300])
     def test_linear_inversion_refuses_the_tols_the_fit_refuses(self, tol):
@@ -1851,10 +1924,10 @@ def sweep_branches(seed, count_mode, method):
 
 
 def assert_reports_match(got, want):
-    """Stacked and per-branch reports agree: counts and flags exactly, metrics to rounding.
+    """Stacked and per-branch reports agree exactly: counts, flags, metrics and sigmas.
 
-    The batch shape changes the rounding of the stacked solves and products,
-    by well under 1e-10 in every metric and sigma, concurrence included.
+    Every fit, linear or MLE, computes each row alone or in whole blocks of
+    rows, so the shape of the batch changes no bit of a branch's report.
     """
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -1866,7 +1939,7 @@ def assert_reports_match(got, want):
         )
         for name in METRIC_NAMES:
             for key in (name, name + "_sigma"):
-                assert getattr(g, key) == pytest.approx(getattr(w, key), rel=0, abs=1e-10), key
+                assert getattr(g, key) == getattr(w, key), key
 
 
 class TestBootstrapReports:
