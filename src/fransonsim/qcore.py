@@ -210,8 +210,10 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, ket: np.ndarray, weight: float = 1.0) -> "DensityMatrix":
-        """Projector onto a ket; the ket is normalized first."""
+        """Projector onto a ket; the ket is normalized first, and a non-finite one refused."""
         vec = np.asarray(ket, dtype=complex).ravel()
+        if not np.isfinite(vec).all():
+            raise ValueError(f"ket has non-finite entries: {vec}")
         norm = np.linalg.norm(vec)
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero ket")
@@ -353,12 +355,6 @@ def _concurrences(roots: np.ndarray) -> np.ndarray:
     return np.where(excess > 0.0, excess, 0.0)
 
 
-def _fidelities(stack: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """<ket|rho|ket> of every state of a (B, d, d) stack, for a normalized ket."""
-    bra_rho = np.matmul(ket.conj()[None, None, :], stack)
-    return np.matmul(bra_rho, ket[None, :, None])[:, 0, 0].real
-
-
 def _purities(stack: np.ndarray) -> np.ndarray:
     """tr(rho^2) of every state of a (B, d, d) stack."""
     return (stack @ stack).trace(axis1=1, axis2=2).real
@@ -372,14 +368,19 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def fidelity_to(rho: DensityMatrix, psi: np.ndarray) -> float:
-    """Fidelity <psi|rho|psi> against a normalized pure target."""
+    """Fidelity <psi|rho|psi> against a pure target ket of any dimension.
+
+    A ket of the wrong dimension, non-finite, or not of unit norm within 1e-12 is refused.
+    """
     vec = np.asarray(psi, dtype=complex).ravel()
     if vec.shape[0] != rho.dim:
         raise ValueError(f"ket dim {vec.shape[0]} does not match state dim {rho.dim}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"target ket has non-finite entries: {vec}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"target ket is not normalized (norm {norm:.15g})")
-    return float(_fidelities(rho.data[None], vec)[0])
+    return float((vec.conj() @ rho.data @ vec).real)
 
 
 def purity(rho: DensityMatrix) -> float:

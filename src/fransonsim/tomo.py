@@ -32,7 +32,6 @@ from .qcore import (
     DensityMatrix,
     _as_integer,
     _concurrences,
-    _fidelities,
     _integer_fields,
     _purities,
     _roots,
@@ -127,7 +126,11 @@ class _Design:
     Pi_j / 9 and E_k. y @ ``to_real`` is the real form [[Re Y, -Im Y], [Im Y,
     Re Y]] and y @ ``to_complex`` is vec(Y), both exact; x @ ``from_real``
     reads a real form x back, each coordinate the mean of its copies. The
-    arrays are read-only and shared.
+    columns of the real (32, 2) ``readout`` are vec(O), in the interleaved
+    real view of a complex vec(rho), of the two Hermitian operators whose
+    expectations are reported: |Phi+><Phi+| and the CHSH operator B. Since
+    tr(rho O) = Re sum_ab rho_ab conj(O_ab), each is one real dot product.
+    The arrays are read-only and shared.
     """
 
     projectors: np.ndarray
@@ -142,6 +145,7 @@ class _Design:
     from_real: np.ndarray
     to_complex: np.ndarray
     basis_coords: np.ndarray
+    readout: np.ndarray
 
     def hermitian(self, y: np.ndarray) -> np.ndarray:
         """The (B, 4, 4) Hermitian matrices of a (B, 16) stack of coordinates."""
@@ -166,6 +170,13 @@ def _design() -> _Design:
     to_probs = np.einsum("cab,jba->cj", units, frame).real
     to_real = np.block([[units.real, -units.imag], [units.imag, units.real]]).reshape(16, 64)
     norms = np.abs(units).sum(axis=(1, 2))
+    # the polarizers sigma(t) = cos 2t Z + sin 2t X of chsh_value, and its operator B
+    a, a_prime, b, b_prime = (
+        math.cos(2 * t) * PAULI_Z + math.sin(2 * t) * PAULI_X
+        for t in (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
+    )
+    bell = np.kron(a, b - b_prime) + np.kron(a_prime, b + b_prime)
+    target = np.outer(PHI_PLUS_KET, PHI_PLUS_KET.conj())
     design = _Design(
         projectors=pis,
         basis=basis,
@@ -180,6 +191,7 @@ def _design() -> _Design:
         from_real=np.ascontiguousarray((to_real / np.abs(to_real).sum(axis=1)[:, None]).T),
         to_complex=units.reshape(16, 16),
         basis_coords=np.einsum("cab,kba->kc", units, basis).real / norms,
+        readout=np.ascontiguousarray(np.stack([target, bell]).reshape(2, 16).view(float).T),
     )
     for arr in vars(design).values():
         arr.setflags(write=False)
@@ -825,41 +837,16 @@ def mle_reconstruct(
     return fits.result(0, "mle")
 
 
-def _analyzer(theta: float) -> np.ndarray:
-    """sigma(theta) = cos(2 theta) Z + sin(2 theta) X, a linear polarizer at theta."""
-    return math.cos(2 * theta) * PAULI_Z + math.sin(2 * theta) * PAULI_X
-
-
-@functools.cache
-def _chsh_operators() -> tuple[np.ndarray, ...]:
-    """The correlator operators of E(a,b), E(a,b'), E(a',b), E(a',b'), built on first use."""
-    a, a_prime, b, b_prime = 0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8
-    ops = tuple(
-        np.kron(_analyzer(ta), _analyzer(tb))
-        for ta, tb in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
-    )
-    for op in ops:
-        op.setflags(write=False)
-    return ops
-
-
-def _chsh_values(stack: np.ndarray) -> np.ndarray:
-    """E(a,b) - E(a,b') + E(a',b) + E(a',b') of every state of a (B, 4, 4) stack."""
-    e_ab, e_abp, e_apb, e_apbp = (
-        np.einsum("ab,nba->n", op, stack).real for op in _chsh_operators()
-    )
-    return e_ab - e_abp + e_apb + e_apbp
-
-
 def chsh_value(rho: DensityMatrix) -> float:
     """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b') at fixed analyzers.
 
     Photon A is analyzed at a = 0 and a' = 45 deg, photon B at b = 22.5 and
-    b' = 67.5 deg: the optimal settings for a |HH>+|VV> target.
+    b' = 67.5 deg: the optimal settings for a |HH>+|VV> target. This is tr(rho B),
+    B = a x (b - b') + a' x (b + b'), the one-state call of :func:`_metric_rows`' product.
     """
     if rho.dim != 4:
         raise ValueError(f"CHSH needs a two-qubit state, got dim {rho.dim}")
-    return float(_chsh_values(rho.data[None])[0])
+    return float(np.matmul(rho.data.reshape(1, 1, 16).view(float), _design().readout)[0, 0, 1])
 
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -873,7 +860,8 @@ class MetricsReport:
     """Point estimates and bootstrap uncertainties of the headline metrics.
 
     Fidelity is against the |HH>+|VV> Bell target; the CHSH value is that of
-    :func:`chsh_value`, at its fixed analyzers.
+    :func:`chsh_value`, at its fixed analyzers. Both are linear in the state,
+    read with one product from the design's cached ``readout`` table.
     ``point_fit`` is the reconstruction the point values come from; it is
     not part of :meth:`as_dict` or of equality.
     """
@@ -922,16 +910,12 @@ def _metric_rows(stack: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """The metrics of every state of a (B, 4, 4) stack, one row each in METRIC_NAMES order.
 
     Concurrence is read from ``roots``, the factors A, rho = A A^dag, of a fit or of
-    ``_roots``. Fidelity is against the |HH>+|VV> Bell target and the CHSH value is
-    :func:`chsh_value`'s; each metric is one stacked pass.
+    ``_roots``. Fidelity against the |HH>+|VV> Bell target and the CHSH value of
+    :func:`chsh_value` are one product with the design's ``readout`` table, row-stacked
+    as in :func:`_newton_system`, so a row's bits do not depend on its batch.
     """
-    columns = {
-        "fidelity": _fidelities(stack, PHI_PLUS_KET),
-        "concurrence": _concurrences(roots),
-        "purity": _purities(stack),
-        "s_value": _chsh_values(stack),
-    }
-    return np.stack([columns[name] for name in METRIC_NAMES], axis=1)
+    fidelity, s_value = np.matmul(stack.reshape(-1, 1, 16).view(float), _design().readout)[:, 0].T
+    return np.stack([fidelity, _concurrences(roots), _purities(stack), s_value], axis=1)
 
 
 def monte_carlo_metrics(

@@ -23,7 +23,6 @@ from fransonsim.qcore import (
     loads_density_matrix,
     purity,
     _concurrences,
-    _fidelities,
     _purities,
     _roots,
     _state_errors,
@@ -131,6 +130,12 @@ class TestDensityMatrixValidation:
         np.testing.assert_allclose(rho.data, np.full((2, 2), 0.5), atol=1e-15)
         with pytest.raises(ValueError, match="zero"):
             DensityMatrix.pure(np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pure_refuses_a_non_finite_ket(self, bad):
+        """pure() refuses a ket with a NaN or infinite entry by name, before normalizing it."""
+        with pytest.raises(ValueError, match="ket has non-finite entries"):
+            DensityMatrix.pure(np.array([bad, 0.0, 0.0, 1.0]))
 
     def test_pure_and_maximally_mixed(self):
         """Constructors produce the expected matrices."""
@@ -285,13 +290,10 @@ class TestStackedMetrics:
     def test_kernels_match_the_one_state_forms_bitwise(self):
         """Each stacked metric equals, bit for bit, its one-state call and one-matrix form."""
         stack = metric_stack()
-        fid = _fidelities(stack, PHI_PLUS_KET)
         con = _concurrences(_roots(stack))
         pur = _purities(stack)
         for k, rho in enumerate(stack):
             state = DensityMatrix(rho)
-            assert fid[k] == fidelity_to(state, PHI_PLUS_KET)
-            assert fid[k] == float((PHI_PLUS_KET.conj() @ rho @ PHI_PLUS_KET).real)
             assert con[k] == concurrence(state) == concurrence_oracle(rho)
             assert pur[k] == purity(state) == float((rho @ rho).trace().real)
         # the product states sit at concurrence 0, some of them at the clip itself
@@ -510,6 +512,12 @@ class TestMetrics:
             kb /= np.linalg.norm(kb)
             got = fidelity_to(DensityMatrix.pure(ka), kb)
             assert got == pytest.approx(abs(np.vdot(kb, ka)) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fidelity_refuses_a_non_finite_ket(self, bad):
+        """fidelity_to refuses a target ket with a NaN or infinite entry by name."""
+        with pytest.raises(ValueError, match="target ket has non-finite entries"):
+            fidelity_to(DensityMatrix.pure(PHI_PLUS_KET), np.array([bad, 0.0, 0.0, 1.0]))
 
     def test_purity_range(self):
         """Purity is 1 on pure states and 1/d on the maximally mixed state."""

@@ -100,14 +100,20 @@ for budget in (tomo._RRR_ITERATIONS + 5, 1000):
 """
 
 
+def polarizer(theta):
+    """sigma(theta) = cos(2 theta) Z + sin(2 theta) X, a linear polarizer at theta."""
+    c, s = math.cos(2 * theta), math.sin(2 * theta)
+    return np.array([[c, s], [s, -c]], dtype=complex)
+
+
 def chsh_uncached(rho):
-    """CHSH value with the correlator operators rebuilt on every call.
+    """CHSH value with the four correlator operators rebuilt on every call.
 
     A at 0 and pi/4, B at pi/8 and 3 pi/8: the standard settings for |HH>+|VV>.
     """
 
     def corr(ta, tb):
-        op = np.kron(tomo._analyzer(ta), tomo._analyzer(tb))
+        op = np.kron(polarizer(ta), polarizer(tb))
         return float(np.einsum("ab,ba->", op, rho.data).real)
 
     return (
@@ -352,10 +358,16 @@ def reject_second(replacement=None):
     return check
 
 
+def readout_row(rho):
+    """(F, S) of one state: the one-row call of the readout product of ``tomo._metric_rows``."""
+    return np.matmul(rho.data.reshape(1, 1, 16).view(float), tomo._design().readout)[0, 0]
+
+
 def metric_row(rho, root=None):
     """The four metrics of one state; concurrence from its factor ``root``, if given."""
     con = concurrence(rho) if root is None else float(qcore._concurrences(root[None])[0])
-    return [fidelity_to(rho, PHI_PLUS_KET), con, purity(rho), chsh_uncached(rho)]
+    fid, s_value = readout_row(rho)
+    return [fid, con, purity(rho), s_value]
 
 
 def linear_sigmas_oracle(data, n_samples, seed, skip=()):
@@ -454,7 +466,7 @@ class TestProjectors:
         """Importing the package builds no projectors."""
         code = (
             "import fransonsim.tomo as t; "
-            "print(t._design.cache_info().currsize, t._chsh_operators.cache_info().currsize)"
+            "print(t._design.cache_info().currsize)"
         )
         # the child imports this checkout's package, not an installed one
         src = str(Path(tomo.__file__).resolve().parents[1])
@@ -463,7 +475,7 @@ class TestProjectors:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert out.stdout.split() == ["0", "0"]
+        assert out.stdout.split() == ["0"]
 
     def test_loading_the_built_in_configs_builds_no_design(self, tmp_path):
         """``import fransonsim`` and ``load_config`` of the built-in configs build no design.
@@ -1625,11 +1637,22 @@ class TestChsh:
             assert abs(chsh_value(rho)) <= 2.0 * np.sqrt(2.0) + 1e-10
 
     def test_cached_operators_match_uncached_value(self):
-        """The cached correlators give the rebuilt-per-call value bit for bit."""
+        """The cached readout table is its rebuild from the literals, and reads F and S."""
+        a, a_prime, b, b_prime = (
+            polarizer(t) for t in (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
+        )
+        ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+        operators = (np.outer(ket, ket), np.kron(a, b - b_prime) + np.kron(a_prime, b + b_prime))
+        want = np.zeros((32, 2))
+        for column, op in enumerate(operators):
+            want[0::2, column], want[1::2, column] = op.real.ravel(), op.imag.ravel()
+        np.testing.assert_array_equal(tomo._design().readout, want)
         for seed in range(50):
             rho = random_state(2, kind="mixed" if seed % 2 else "pure", seed=seed)
-            assert chsh_value(rho) == chsh_uncached(rho)
-            assert chsh_value(rho) == chsh_uncached(rho)
+            assert chsh_value(rho) == pytest.approx(chsh_uncached(rho), rel=0, abs=2e-15)
+            assert readout_row(rho)[0] == pytest.approx(
+                (ket @ rho.data @ ket).real, rel=0, abs=4e-16
+            )
 
     def test_stacked_metric_rows_match_the_one_state_metrics(self):
         """One stacked metric pass gives every state its one-state metrics bit for bit."""
@@ -1641,10 +1664,8 @@ class TestChsh:
         rows = tomo._metric_rows(stack, qcore._roots(stack))
         assert rows.shape == (len(states), len(tomo.METRIC_NAMES))
         for row, rho in zip(rows, states):
-            assert row.tolist() == [
-                fidelity_to(rho, PHI_PLUS_KET), concurrence(rho), purity(rho),
-                chsh_uncached(rho),
-            ]
+            fid, s_value = readout_row(rho)
+            assert row.tolist() == [fid, concurrence(rho), purity(rho), s_value]
             assert chsh_value(rho) == row[3]
 
 
@@ -1678,7 +1699,7 @@ class TestMonteCarloMetrics:
         report = monte_carlo_metrics(data, n_samples=20, seed=1, method="linear")
         recon = linear_inversion(data)
         np.testing.assert_array_equal(report.point_fit.rho.data, recon.rho.data)
-        assert report.fidelity == fidelity_to(recon.rho, PHI_PLUS_KET)
+        assert report.fidelity == readout_row(recon.rho)[0]
         report = monte_carlo_metrics(data, n_samples=20, seed=1, method="mle")
         recon = mle_reconstruct(data)
         fit = report.point_fit
@@ -1734,6 +1755,32 @@ class TestMonteCarloMetrics:
             np.testing.assert_array_equal(
                 sigmas(report), linear_sigmas_oracle(data, n_samples, seed)
             )
+
+    @pytest.mark.parametrize("visibility", [0.5, 0.9])
+    def test_linear_sigmas_match_the_delta_method(self, visibility):
+        """Linear bootstrap sigmas of F and S meet their delta-method sigmas within 6 %.
+
+        An unclipped linear estimate reads value = (f . c) / tau: c = pinv @ readout, and
+        tau = f . t the trace of the raw estimate, t = pinv @ vec(I). Poisson counts n_j
+        then give sigma = sqrt(sum_j g_j^2 n_j) / N, g = (c - value t) / tau. The bound is
+        about 5 sampling sds of a 4 000-draw sd.
+        """
+        bell = np.outer(PHI_PLUS_KET, PHI_PLUS_KET.conj())
+        werner = DensityMatrix(visibility * bell + (1.0 - visibility) * np.eye(4) / 4.0)
+        data = simulate_counts(werner, 26_000, seed=0)
+        report = monte_carlo_metrics(data, n_samples=4000, seed=0, method="linear")
+        design = tomo._design()
+        c = design.pinv @ design.readout
+        t = design.pinv @ np.eye(4, dtype=complex).reshape(16).view(float)
+        np.testing.assert_allclose(t, 1.0 / 9.0, rtol=1e-14)
+        tau = data.frequencies @ t
+        values = data.frequencies @ c / tau
+        # full rank, so no eigenvalue was clipped: the point values are the formula's
+        np.testing.assert_allclose([report.fidelity, report.s_value], values, rtol=0, atol=1e-14)
+        g = (c - values * t[:, None]) / tau
+        want = np.sqrt((g**2 * data.counts[:, None]).sum(axis=0)) / data.pairs_per_setting
+        got = np.array([report.fidelity_sigma, report.s_value_sigma])
+        np.testing.assert_array_less(np.abs(got / want - 1.0), 0.06)
 
     def test_invalid_sample_state_is_dropped_and_counted(self, monkeypatch):
         """A resample whose state fails validation counts in n_failed."""
