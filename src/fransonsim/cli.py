@@ -59,16 +59,16 @@ from .tomo import (
     METRIC_NAMES,
     MLE_DEFAULT_MAX_ITER,
     MLE_DEFAULT_TOL,
+    CountData,
     MetricsReport,
     ReconstructionResult,
     _bootstrap_reports,
     _check_pairs,
     _metric_rows,
     _mle_options,
+    _probabilities,
     _stage,
-    analytic_counts,
     counts_to_csv,
-    simulate_counts,
 )
 from .transfer import (
     FRANSON_POSTSELECTION_FRACTION,
@@ -586,18 +586,21 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> tuple:
     all points, and each stage's stack, then all marginals, are checked by
     one :func:`~fransonsim.qcore._state_errors` call, which raises the first
     failing row's error; the port probabilities meet the bounds of
-    :class:`~fransonsim.transfer.TransferOutcome`. Sampled counts of branch
-    ``b`` (1 input, 2 output) are drawn from ``derive_seed(cfg.seed, b,
-    *key)`` and its resamples from ``derive_seed`` of that seed and 1;
-    analytic counts derive no seed. One batch fits every branch
+    :class:`~fransonsim.transfer.TransferOutcome`. The branch states, each
+    point's input then output, are one stack; one product gives all their
+    mean counts, which are the analytic counts (:func:`~fransonsim.tomo._probabilities`).
+    Sampled counts of branch ``b`` (1 input, 2 output) are drawn from its means
+    by ``default_rng(derive_seed(cfg.seed, b, *key))`` and its resamples from
+    ``derive_seed`` of that seed and 1. The count stack and the one flux go to
+    one batch that checks and fits every branch
     (:func:`~fransonsim.tomo._bootstrap_reports`).
 
     Returns the checked source stack, each point's blocked input weight, the
     (B, 4) port probabilities (the diagonal of each path marginal) and per
     point ``{"input" | "output": (rho, counts, metrics, truth)}``, with
-    ``rho`` the polarization state of the blocked input or of the output
-    and ``truth`` its metrics by name. The time of each of the STAGE_NAMES
-    is added to ``stage_s``.
+    ``rho`` the polarization state of the blocked input or of the output,
+    ``counts`` its row of the count stack and ``truth`` its metrics by name.
+    The time of each of the STAGE_NAMES is added to ``stage_s``.
     """
     tcfg, n, checked = cfg.tomography, len(points), DensityMatrix._checked
     with _stage(stage_s, "source"):
@@ -618,29 +621,24 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> tuple:
         ])).reshape(3, n, 4, 4)
         del after, blocked, joints  # only the marginals are kept
         ports = _check_ports(paths.diagonal(axis1=1, axis2=2).real)
-    states = [rho for i in range(n) for rho in (checked(pol_in[i], kept[i]), checked(pol_out[i]))]
+    stack = np.stack([pol_in, pol_out], axis=1).reshape(2 * n, 4, 4)  # the branches in order
+    weights = [w for k in kept for w in (k, 1.0)]  # an input keeps its blocked weight
+    states = [checked(rho, w) for rho, w in zip(stack, weights)]
     with _stage(stage_s, "counts"):
-        if cfg.count_mode == "analytic":
-            datas = [analytic_counts(rho, tcfg.pairs_per_setting) for rho in states]
-            seeds = [None] * len(states)  # nothing is drawn
-        else:
+        counts = tcfg.pairs_per_setting * _probabilities(stack)
+        seeds = [None] * len(counts)  # analytic counts are the means; nothing is drawn
+        if cfg.count_mode == "sampled":
             seeds = [derive_seed(cfg.seed, b, *key) for _, key in points for b in (1, 2)]
-            datas = [
-                simulate_counts(rho, tcfg.pairs_per_setting, seed=seed)
-                for rho, seed in zip(states, seeds)
-            ]
+            for row, seed in zip(counts, seeds):
+                row[:] = np.random.default_rng(seed).poisson(row)
             seeds = [derive_seed(seed, 1) for seed in seeds]
     reports = _bootstrap_reports(
-        datas, seeds, n_samples=tcfg.n_mc_samples, method=tcfg.method,
+        counts, tcfg.pairs_per_setting, seeds, n_samples=tcfg.n_mc_samples, method=tcfg.method,
         resample=(cfg.count_mode == "sampled"), stage_s=stage_s,
         tol=tcfg.mle_tol, max_iter=tcfg.mle_max_iter,
     )
-    truths = np.stack([rho.data for rho in states])
-    truths = _metric_rows(truths, _roots(truths))
-    branches = [
-        (rho, data, metrics, dict(zip(METRIC_NAMES, truth.tolist())))
-        for rho, data, metrics, truth in zip(states, datas, reports, truths)
-    ]
+    truths = [dict(zip(METRIC_NAMES, row)) for row in _metric_rows(stack, _roots(stack)).tolist()]
+    branches = list(zip(states, counts, reports, truths))
     return sources, [rho.weight for rho in states[::2]], ports, [
         {"input": branches[2 * i], "output": branches[2 * i + 1]} for i in range(n)
     ]
@@ -735,14 +733,15 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
         _marginals(sources, _POL_MARGINAL), _marginals(sources, _ET_MARGINAL)
     ]))).tolist()
     tomography = {}
-    for name, (rho, data, metrics, truth) in branches[0].items():
+    for name, (rho, counts, metrics, truth) in branches[0].items():
         payload = _branch_payload(metrics, truth, state_weight=rho.weight)
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             payload["counts_csv"] = f"counts_{name}.csv"
             payload["dump"] = f"rho_{name}_reconstructed.txt"
-            counts_to_csv(data, out / payload["counts_csv"])
+            counts_to_csv(CountData(counts, cfg.tomography.pairs_per_setting),
+                          out / payload["counts_csv"])
             dump_density_matrix(metrics.point_fit.rho, out / payload["dump"])
         tomography[name] = payload
 

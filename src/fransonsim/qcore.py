@@ -18,6 +18,7 @@ energy-time (equivalently path) qubits order theirs as {S = 0, L = 1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -214,7 +215,7 @@ class DensityMatrix:
         vec = np.asarray(ket, dtype=complex).ravel()
         if not np.isfinite(vec).all():
             raise ValueError(f"ket has non-finite entries: {vec}")
-        norm = np.linalg.norm(vec)
+        norm = math.hypot(*vec.view(float))  # scaled by the largest part, so no square overflows
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero ket")
         vec = vec / norm
@@ -377,7 +378,7 @@ def fidelity_to(rho: DensityMatrix, psi: np.ndarray) -> float:
         raise ValueError(f"ket dim {vec.shape[0]} does not match state dim {rho.dim}")
     if not np.isfinite(vec).all():
         raise ValueError(f"target ket has non-finite entries: {vec}")
-    norm = np.linalg.norm(vec)
+    norm = math.hypot(*vec.view(float))  # scaled by the largest part, so no square overflows
     if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"target ket is not normalized (norm {norm:.15g})")
     return float((vec.conj() @ rho.data @ vec).real)

@@ -113,8 +113,8 @@ def setting_projectors() -> np.ndarray:
 class _Design:
     """The constant measurement design of the standard settings.
 
-    ``projectors`` is the (36, 4, 4) stack of :func:`setting_projectors`. The
-    36 projectors sum to 9 I, so the maximum-likelihood fit weighs Pi_j / 9.
+    The 36 projectors Pi_j of :func:`setting_projectors` sum to 9 I, so the
+    maximum-likelihood fit weighs Pi_j / 9.
     ``basis`` is the (15, 4, 4) orthonormal traceless Pauli basis E_k and
     ``basis_row`` the (4, 60) [E_1 ... E_15]. ``tangent`` is the real (36, 15)
     tr(Pi_j E_k) / 9, the derivative of the fitted probabilities along E_k, and
@@ -126,14 +126,15 @@ class _Design:
     Pi_j / 9 and E_k. y @ ``to_real`` is the real form [[Re Y, -Im Y], [Im Y,
     Re Y]] and y @ ``to_complex`` is vec(Y), both exact; x @ ``from_real``
     reads a real form x back, each coordinate the mean of its copies. The
-    columns of the real (32, 2) ``readout`` are vec(O), in the interleaved
-    real view of a complex vec(rho), of the two Hermitian operators whose
-    expectations are reported: |Phi+><Phi+| and the CHSH operator B. Since
-    tr(rho O) = Re sum_ab rho_ab conj(O_ab), each is one real dot product.
-    The arrays are read-only and shared.
+    columns of the real (32, 36) ``frame`` and (32, 2) ``readout`` are
+    vec(O), in the interleaved real view of a complex vec(rho), of Hermitian
+    operators O: the 36 projectors Pi_j, and the two operators whose
+    expectations are reported, |Phi+><Phi+| and the CHSH operator B. Since
+    tr(rho O) = Re sum_ab rho_ab conj(O_ab), each is one real dot product
+    (:func:`_probabilities`, :func:`_metric_rows`). The arrays are read-only
+    and shared.
     """
 
-    projectors: np.ndarray
     basis: np.ndarray
     basis_row: np.ndarray
     tangent: np.ndarray
@@ -145,6 +146,7 @@ class _Design:
     from_real: np.ndarray
     to_complex: np.ndarray
     basis_coords: np.ndarray
+    frame: np.ndarray
     readout: np.ndarray
 
     def hermitian(self, y: np.ndarray) -> np.ndarray:
@@ -156,18 +158,18 @@ class _Design:
 def _design() -> _Design:
     """Build the design on first use; later calls reuse it."""
     pis = setting_projectors()
-    frame = pis / 9.0
+    ninths = pis / 9.0
     paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
     basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
     matrix = pis.transpose(0, 2, 1).reshape(_N_SETTINGS, 16)
-    tangent = np.einsum("jab,kba->jk", frame, basis).real
+    tangent = np.einsum("jab,kba->jk", ninths, basis).real
     # Y = sum_c y_c units[c], and coordinate c of X is tr(units[c] X) / norms[c]
     a, b = np.triu_indices(4, 1)
     units = np.zeros((16, 4, 4), dtype=complex)
     units[range(4), range(4), range(4)] = 1.0
     units[range(4, 16, 2), a, b] = units[range(4, 16, 2), b, a] = 1.0
     units[range(5, 16, 2), a, b], units[range(5, 16, 2), b, a] = 1j, -1j
-    to_probs = np.einsum("cab,jba->cj", units, frame).real
+    to_probs = np.einsum("cab,jba->cj", units, ninths).real
     to_real = np.block([[units.real, -units.imag], [units.imag, units.real]]).reshape(16, 64)
     norms = np.abs(units).sum(axis=(1, 2))
     # the polarizers sigma(t) = cos 2t Z + sin 2t X of chsh_value, and its operator B
@@ -178,7 +180,6 @@ def _design() -> _Design:
     bell = np.kron(a, b - b_prime) + np.kron(a_prime, b + b_prime)
     target = np.outer(PHI_PLUS_KET, PHI_PLUS_KET.conj())
     design = _Design(
-        projectors=pis,
         basis=basis,
         basis_row=np.concatenate(basis, axis=1),
         tangent=tangent,
@@ -191,6 +192,7 @@ def _design() -> _Design:
         from_real=np.ascontiguousarray((to_real / np.abs(to_real).sum(axis=1)[:, None]).T),
         to_complex=units.reshape(16, 16),
         basis_coords=np.einsum("cab,kba->kc", units, basis).real / norms,
+        frame=pis.reshape(_N_SETTINGS, 16).view(float).T,
         readout=np.ascontiguousarray(np.stack([target, bell]).reshape(2, 16).view(float).T),
     )
     for arr in vars(design).values():
@@ -198,13 +200,18 @@ def _design() -> _Design:
     return design
 
 
+def _probabilities(stack: np.ndarray) -> np.ndarray:
+    """tr(rho Pi_j) of a (B, 4, 4) stack, (B, 36): a row-stacked product with the design's
+    ``frame``, as in :func:`_metric_rows`, so a row's bits do not depend on its batch."""
+    probs = np.matmul(stack.reshape(-1, 1, 16).view(float), _design().frame)[:, 0]
+    return np.clip(probs, 0.0, None)  # roundoff can leave a few ulp below zero
+
+
 def expected_probabilities(rho: DensityMatrix) -> np.ndarray:
-    """tr(rho Pi_j) for every standard setting j."""
+    """tr(rho Pi_j) for every standard setting j, the one-state call of :func:`_probabilities`."""
     if rho.dim != 4:
         raise ValueError(f"tomography operates on two qubits, got dim {rho.dim}")
-    probs = np.einsum("jab,ba->j", _design().projectors, rho.data).real
-    # roundoff can leave probabilities a few ulp below zero
-    return np.clip(probs, 0.0, None)
+    return _probabilities(rho.data[None])[0]
 
 
 def _check_pairs(pairs_per_setting: int) -> None:
@@ -298,21 +305,22 @@ def analytic_counts(
     return CountData(pairs_per_setting * expected_probabilities(rho), pairs_per_setting)
 
 
-def _csv_columns(j: int) -> list[str]:
-    """The six analyzer columns of CSV row j, angles in degrees with six decimals."""
-    cols = []
-    for angle, plate_in in (_ANALYZERS[j // 6], _ANALYZERS[j % 6]):
-        # polarizer angle, plate flag, plate angle (always 0 deg)
-        cols += [f"{math.degrees(angle):.6f}", f"{int(plate_in)}", "0.000000"]
-    return cols
+# The first seven columns of CSV row j: the setting index, then per photon
+# the polarizer angle in degrees with six decimals, the plate flag and the
+# plate angle (always 0 deg).
+_CSV_ROWS = tuple(
+    (str(j), *(col for angle, plate_in in (_ANALYZERS[j // 6], _ANALYZERS[j % 6])
+               for col in (f"{math.degrees(angle):.6f}", f"{int(plate_in)}", "0.000000")))
+    for j in range(_N_SETTINGS)
+)
 
 
 def counts_to_csv(data: CountData, path) -> None:
     """Write counts as CSV, one row per standard setting with its analyzer columns."""
     lines = [_CSV_HEADER]
-    for j, count in enumerate(data.counts):
+    for cols, count in zip(_CSV_ROWS, data.counts):
         cnt = f"{int(count)}" if float(count).is_integer() else f"{count:.17g}"
-        lines.append(f"{j},{','.join(_csv_columns(j))},{cnt}")
+        lines.append(f"{','.join(cols)},{cnt}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -350,7 +358,7 @@ def counts_from_csv(path, pairs_per_setting: int) -> CountData:
         cols = ln.split(",")
         if len(cols) != 8:
             raise ValueError(f"expected 8 columns, got {len(cols)}: {ln!r}")
-        for k, want in enumerate([str(row - 1), *_csv_columns(row - 1)]):
+        for k, want in enumerate(_CSV_ROWS[row - 1]):
             got = cols[k].strip()
             if k in (2, 5) and got not in ("0", "1"):
                 raise ValueError(
@@ -481,8 +489,7 @@ def _linear_fits(counts: np.ndarray, pairs_per_setting: int) -> _Fits:
     )
     rhos = (eigvecs * shares[:, None, :]) @ eigvecs.conj().transpose(0, 2, 1)
     roots = np.multiply(eigvecs, np.sqrt(shares)[:, None, :], out=eigvecs)
-    frame = design.projectors.reshape(_N_SETTINGS, 16).view(float).T
-    probs = np.matmul(rhos.reshape(-1, 1, 16).view(float), frame)[:, 0]
+    probs = _probabilities(rhos)
     n = len(counts)
     errors = _state_errors(rhos)
     for i in np.flatnonzero(totals <= 0.0):
@@ -928,30 +935,26 @@ def monte_carlo_metrics(
 ) -> MetricsReport:
     """Metrics with parametric-bootstrap error bars, from one batched fit.
 
-    The observed counts are row 0 of the batch and the ``n_samples`` resamples,
-    drawn as Poisson(observed) in one (n_samples, n) call of
-    ``default_rng(seed)``, are the rows after it. The generator fills the stack
-    row by row, so resample k does not depend on ``n_samples``. The resamples
-    are checked as one stack (:func:`_count_errors`). One call of the chosen
-    fitter reconstructs every row the same way: one linear solve, or one
-    stacked likelihood fit (see :func:`_mle_fits`; ``mle_opts`` are its
-    ``tol``, finite and at least MLE_TOL_FLOOR, and ``max_iter``; both methods
-    check them, any other name is a ``TypeError``, and linear inversion ignores
-    them) into one stacked record, and the four metrics of every kept row, the
-    CHSH value at :func:`chsh_value`'s fixed analyzers, are one stacked pass
-    over it (:func:`_metric_rows`). Row 0 is the point estimate: the point
-    values come from it, it alone becomes a :class:`ReconstructionResult`,
-    ``point_fit``, and its failure is raised. Sigmas are the standard
-    deviations over the resamples. With ``resample=False`` (the analytic,
-    zero-noise path) only row 0 is fitted and all sigmas are exactly 0.
-    ``n_samples`` and the MLE ``max_iter`` must be integral (20.0 is taken as
-    20). Samples whose counts or reconstruction fail are dropped and counted in
-    ``n_failed``; more than 10% failures aborts the report. MLE fits whose
-    certified gap is still above ``tol`` at ``max_iter`` stay in the sigmas and
-    are counted in ``n_nonconverged``. This is the one-branch call of
-    :func:`_bootstrap_reports`, which fits many count sets in one batch.
+    Row 0 of the batch is the observed counts, and the ``n_samples`` resamples
+    after it are drawn as Poisson(observed) in one (n_samples, 36) call of
+    ``default_rng(seed)``, filled row by row, so resample k does not depend on
+    ``n_samples``. One fit call, linear or likelihood (:func:`_mle_fits`),
+    reconstructs every row, and one :func:`_metric_rows` pass reads the kept
+    rows. ``mle_opts`` are the fit's ``tol``, finite and at least
+    MLE_TOL_FLOOR, and ``max_iter``; both methods check them, any other name
+    is a ``TypeError``, and linear inversion ignores them. Row 0 gives the
+    point values and alone becomes a :class:`ReconstructionResult`,
+    ``point_fit``; its failure is raised. Sigmas are the standard deviations
+    over the resamples, and exactly 0 with ``resample=False`` (the analytic,
+    zero-noise path), which fits row 0 alone. ``n_samples`` and the MLE
+    ``max_iter`` must be integral (20.0 is taken as 20). Resamples whose
+    counts or fit fail are dropped and counted in ``n_failed``; more than 10%
+    aborts the report. MLE fits whose certified gap is still above ``tol`` at
+    ``max_iter`` stay in the sigmas and are counted in ``n_nonconverged``.
+    This is the one-branch call of :func:`_bootstrap_reports`.
     """
-    [report] = _bootstrap_reports([data], [seed], n_samples, method, resample, **mle_opts)
+    [report] = _bootstrap_reports(data.counts[None], data.pairs_per_setting, [seed], n_samples,
+                                  method, resample, **mle_opts)
     return report
 
 
@@ -964,25 +967,26 @@ def _stage(stage_s: dict, name: str):
 
 
 def _bootstrap_reports(
-    datas: Sequence[CountData],
-    seeds: Sequence[int],
+    counts: np.ndarray,
+    pairs_per_setting: int,
+    seeds: Sequence[int | None],
     n_samples: int = 100,
     method: str = "mle",
     resample: bool = True,
     stage_s: dict | None = None,
     **mle_opts,
 ) -> list[MetricsReport]:
-    """The :func:`monte_carlo_metrics` report of every count set, from one fit call.
+    """The :func:`monte_carlo_metrics` report of every row of a (B, 36) count stack, in one fit.
 
-    Count set i is one branch: its block of rows is its observed counts,
-    then the resamples drawn from ``default_rng(seeds[i])`` that pass the
-    count check, exactly the rows :func:`monte_carlo_metrics` would fit for
-    it alone. The blocks are stacked in branch order into one fit call and
-    one :func:`_metric_rows` pass; the rest is per block, and a point fit's
-    failure is raised in branch order. The count sets must share their
-    ``pairs_per_setting``, or a ``ValueError`` says which differs. The
-    seconds of the ``resample`` (draw and count check), ``fit`` and
-    ``metrics`` stages are added to ``stage_s`` when it is given.
+    Row i, branch i's observed counts at the one ``pairs_per_setting``, heads
+    its block of fitted rows; the resamples of ``default_rng(seeds[i])`` that
+    pass the count check follow it, the rows :func:`monte_carlo_metrics` fits
+    for it alone. One :func:`_count_errors` pass first raises the first
+    failing row's error. One pass over the fit's record counts each block's
+    kept, failed and non-converged rows, and raises a point fit's failure or
+    too many failed resamples in branch order, before any metric is read. The
+    seconds of the ``resample`` (checks and draws), ``fit`` and ``metrics``
+    stages are added to ``stage_s`` when it is given.
     """
     stage_s = {} if stage_s is None else stage_s
     n_samples = _as_integer("n_samples", n_samples)
@@ -994,53 +998,45 @@ def _bootstrap_reports(
     fitter = _linear_fits
     if method == "mle":
         fitter = functools.partial(_mle_fits, tol=tol, max_iter=max_iter)
-    if not datas:
-        raise ValueError("the batch needs at least one count set")
-    if len(seeds) != len(datas):
-        raise ValueError(f"{len(datas)} count sets need as many seeds, got {len(seeds)}")
-    pairs = datas[0].pairs_per_setting
-    for i, data in enumerate(datas):
-        if data.pairs_per_setting != pairs:
-            raise ValueError(
-                f"count set {i} has pairs_per_setting {data.pairs_per_setting}, "
-                f"count set 0 has {pairs}"
-            )
+    n = len(counts)
+    if n == 0 or len(seeds) != n:
+        raise ValueError(f"need one count set or more and a seed each, got {n} and {len(seeds)}")
     draws = n_samples if resample else 0
     with _stage(stage_s, "resample"):
-        # per branch: observed, then resamples
-        batch = np.empty((len(datas), 1 + draws, _N_SETTINGS))
-        for block, data, seed in zip(batch, datas, seeds):
-            block[0] = data.counts
-            if resample:
-                block[1:] = np.random.default_rng(seed).poisson(data.counts, size=block[1:].shape)
+        for error in _count_errors(counts, pairs_per_setting):
+            if error is not None:
+                raise error
+        batch = np.repeat(counts[:, None], 1 + draws, axis=1)  # per branch: observed, resamples
         keep = np.ones(batch.shape[:2], dtype=bool)
         if resample:
-            errors = _count_errors(batch[:, 1:].reshape(-1, _N_SETTINGS), pairs)
-            keep[:, 1:] = np.reshape([error is None for error in errors], (len(datas), draws))
+            for block, seed in zip(batch, seeds):
+                block[1:] = np.random.default_rng(seed).poisson(block[0], size=block[1:].shape)
+            errors = _count_errors(batch[:, 1:].reshape(-1, _N_SETTINGS), pairs_per_setting)
+            keep[:, 1:] = np.reshape([error is None for error in errors], (n, draws))
     with _stage(stage_s, "fit"):
-        fits = fitter(batch[keep], pairs)
+        fits = fitter(batch[keep], pairs_per_setting)
     with _stage(stage_s, "metrics"):
+        starts = np.cumsum(keep.sum(axis=1)) - keep.sum(axis=1)  # each block's point row
         ok = np.array([error is None for error in fits.errors])
+        sample = ok.copy()
+        sample[starts] = False  # the resamples whose fit is kept
+        kept, nonconv = (np.add.reduceat(m, starts) for m in (sample, sample & ~fits.converged))
+        for start, size in zip(starts.tolist(), kept.tolist()):
+            if fits.errors[start] is not None:
+                raise fits.errors[start]
+            if draws - size > 0.1 * n_samples:
+                raise RuntimeError(f"{draws - size}/{n_samples} bootstrap reconstructions failed")
         rows = _metric_rows(fits.rho[ok], fits.roots[ok])
+        firsts = np.cumsum(1 + kept) - (1 + kept)  # each block's point row among the metric rows
         reports = []
-        start = first = 0  # the block's first fitted row and its first metric row
-        for size in keep.sum(axis=1).tolist():
-            point_fit = fits.result(start, method)
-            samples = slice(start + 1, start + size)
-            kept = int(np.count_nonzero(ok[samples]))
-            failed = draws - kept
-            if failed > 0.1 * n_samples:
-                raise RuntimeError(f"{failed}/{n_samples} bootstrap reconstructions failed")
-            block = rows[first:first + 1 + kept]
-            sigmas = np.std(block[1:], axis=0, ddof=1) if resample else np.zeros(4)
+        for values, first, size, nonconverged, start in zip(
+            rows[firsts].tolist(), firsts.tolist(), kept.tolist(), nonconv.tolist(), starts.tolist()
+        ):
+            sigmas = np.std(rows[first + 1:first + size + 1], 0, ddof=1) if resample else [0] * 4
             reports.append(MetricsReport(
-                **{name: float(value) for name, value in zip(METRIC_NAMES, block[0])},
+                **dict(zip(METRIC_NAMES, values)),
                 **{name + "_sigma": float(sd) for name, sd in zip(METRIC_NAMES, sigmas)},
-                n_samples=draws,
-                n_failed=failed,
-                n_nonconverged=int(np.count_nonzero(ok[samples] & ~fits.converged[samples])),
-                point_fit=point_fit,
+                n_samples=draws, n_failed=draws - size, n_nonconverged=nonconverged,
+                point_fit=fits.result(start, method),
             ))
-            start += size
-            first += len(block)
-    return reports
+        return reports

@@ -691,7 +691,8 @@ class TestStageTimes:
         """The resample, fit and metrics seconds add to what the accumulator holds."""
         data = tomo.analytic_counts(DensityMatrix.pure(PHI_PLUS_KET), 2_000)
         stage_s = {"fit": 1.0}
-        tomo._bootstrap_reports([data], [0], n_samples=10, method="linear", stage_s=stage_s)
+        tomo._bootstrap_reports(data.counts[None], data.pairs_per_setting, [0], n_samples=10,
+                                method="linear", stage_s=stage_s)
         assert tuple(stage_s) == ("fit", "resample", "metrics")
         assert stage_s["fit"] > 1.0
 

@@ -137,6 +137,11 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="ket has non-finite entries"):
             DensityMatrix.pure(np.array([bad, 0.0, 0.0, 1.0]))
 
+    def test_pure_normalizes_a_ket_whose_squares_overflow(self):
+        """pure() scales a ket by its largest entry first: [1e308, 1e308] gives |+><+|."""
+        rho = DensityMatrix.pure(np.array([1e308, 1e308]))
+        np.testing.assert_allclose(rho.data, np.full((2, 2), 0.5), rtol=0.0, atol=1e-15)
+
     def test_pure_and_maximally_mixed(self):
         """Constructors produce the expected matrices."""
         rho = DensityMatrix.pure(PHI_PLUS_KET)
@@ -518,6 +523,11 @@ class TestMetrics:
         """fidelity_to refuses a target ket with a NaN or infinite entry by name."""
         with pytest.raises(ValueError, match="target ket has non-finite entries"):
             fidelity_to(DensityMatrix.pure(PHI_PLUS_KET), np.array([bad, 0.0, 0.0, 1.0]))
+
+    def test_fidelity_names_the_norm_of_a_ket_whose_squares_overflow(self):
+        """fidelity_to refuses a ket of norm 1.41e308 by its norm, not with an overflow warning."""
+        with pytest.raises(ValueError, match=r"not normalized \(norm 1\.414213562373\d*e\+308\)"):
+            fidelity_to(DensityMatrix.pure(PHI_PLUS_KET), np.array([1e308, 0.0, 0.0, 1e308]))
 
     def test_purity_range(self):
         """Purity is 1 on pure states and 1/d on the maximally mixed state."""

@@ -4,8 +4,10 @@
 stack of all sweep points. Its source stack, blocked weights, port
 probabilities and branch states must be bitwise what ``make_source_state``,
 ``apply_noisy_channel``, ``block_long_arms``, ``transfer`` and the
-marginals give for each point alone. Its number of state validations must
-not depend on the number of points, and it builds no per-point state object.
+marginals give for each point alone, and each branch's counts bitwise what
+``analytic_counts`` and ``simulate_counts`` give for its state alone. Its
+number of state validations must not depend on the number of points, and it
+builds no per-point state object.
 """
 
 import math
@@ -80,7 +82,16 @@ def test_stacked_points_match_the_one_state_calls_bitwise(parameter, jitter_deg,
     sources, kept, ports, branches = run(cfg, pts)
     assert sources.shape == (n, 16, 16) and ports.shape == (n, 4)
     assert len(kept) == len(branches) == n
-    for i, (source_cfg, _) in enumerate(pts):
+    sampled = run(replace(cfg, count_mode="sampled"), pts)[3]
+    pairs = cfg.tomography.pairs_per_setting
+    for i, (source_cfg, key) in enumerate(pts):
+        # branch b = 1 is the blocked input, b = 2 the output; each count row is its state's alone
+        for b, name in ((1, "input"), (2, "output")):
+            rho, means = branches[i][name][:2]
+            assert means.tobytes() == tomo.analytic_counts(rho, pairs).counts.tobytes()
+            want = tomo.simulate_counts(rho, pairs, seed=cli.derive_seed(cfg.seed, b, *key))
+            assert same(sampled[i][name][0], rho)
+            assert sampled[i][name][1].tobytes() == want.counts.tobytes()
         want_src = make_source_state(source_cfg)
         after = apply_noisy_channel(want_src, cfg.channel)
         want_blocked = block_long_arms(after)

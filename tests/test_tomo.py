@@ -437,12 +437,13 @@ class TestProjectors:
             want = np.kron(ANALYZER_PROJECTORS[j // 6], ANALYZER_PROJECTORS[j % 6])
             np.testing.assert_allclose(pi, want, atol=1e-12)
         # setting 1 changes party B only, setting 6 party A only, setting 4 puts in B's plate
-        zero = ["0.000000", "0", "0.000000"]
-        assert tomo._csv_columns(0) == zero + zero
-        assert tomo._csv_columns(1) == zero + ["90.000000", "0", "0.000000"]
-        assert tomo._csv_columns(6) == ["90.000000", "0", "0.000000"] + zero
-        assert tomo._csv_columns(4) == zero + ["45.000000", "1", "0.000000"]
-        assert tomo._csv_columns(35) == ["135.000000", "1", "0.000000"] * 2
+        zero = ("0.000000", "0", "0.000000")
+        assert len(tomo._CSV_ROWS) == 36
+        assert tomo._CSV_ROWS[0] == ("0", *zero, *zero)
+        assert tomo._CSV_ROWS[1] == ("1", *zero, "90.000000", "0", "0.000000")
+        assert tomo._CSV_ROWS[6] == ("6", "90.000000", "0", "0.000000", *zero)
+        assert tomo._CSV_ROWS[4] == ("4", *zero, "45.000000", "1", "0.000000")
+        assert tomo._CSV_ROWS[35] == ("35", *("135.000000", "1", "0.000000") * 2)
 
     def test_design_matrix_has_full_rank(self):
         """The 36 joint projectors span the full operator space."""
@@ -454,7 +455,7 @@ class TestProjectors:
         """The memoised design equals a fresh build of the standard settings and is read-only."""
         design = tomo._design()
         fresh = setting_projectors()
-        np.testing.assert_array_equal(design.projectors, fresh)
+        np.testing.assert_array_equal(design.frame, fresh.reshape(36, 16).view(float).T)
         np.testing.assert_array_equal(design.hermitian(design.frame_coords), fresh / 9.0)
         assert tomo._design() is design
         for arr in vars(design).values():
@@ -510,6 +511,15 @@ class TestProjectors:
 
 
 class TestCounting:
+    def test_each_row_of_the_stacked_kernel_is_its_one_state_call(self):
+        """expected_probabilities of a state is bitwise its row of _probabilities, at any batch."""
+        rows = np.stack([random_state(2, kind="mixed", seed=s).data for s in range(50)])
+        want = [expected_probabilities(DensityMatrix(rho)).tobytes() for rho in rows]
+        for size in range(1, 51):
+            got = tomo._probabilities(rows[:size])
+            assert got.shape == (size, 36)
+            assert [row.tobytes() for row in got] == want[:size], size
+
     def test_analytic_counts_are_exact_expectations(self):
         """Analytic mode stores pairs x probability with no rounding."""
         rho = tilted_bell(0.3)
@@ -1865,13 +1875,13 @@ class TestMonteCarloMetrics:
         with pytest.raises(TypeError, match="'tolerance'"):
             monte_carlo_metrics(data, n_samples=10, method="linear", tolerance=1e-6)
         with pytest.raises(TypeError, match="'bogus'"):
-            tomo._bootstrap_reports([data, data], [0, 1], 10, "linear", bogus=3)
+            tomo._bootstrap_reports(*stacked([data, data]), [0, 1], 10, "linear", bogus=3)
         # the prefix of the option names in a refusal is not an option
         for method in ("linear", "mle"):
             with pytest.raises(TypeError, match="'prefix'"):
                 monte_carlo_metrics(data, n_samples=10, method=method, prefix="x")
             with pytest.raises(TypeError, match="'prefix'"):
-                tomo._bootstrap_reports([data, data], [0, 1], 10, method, prefix="x")
+                tomo._bootstrap_reports(*stacked([data, data]), [0, 1], 10, method, prefix="x")
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 1e-300])
     def test_linear_inversion_refuses_the_tols_the_fit_refuses(self, tol):
@@ -1881,7 +1891,7 @@ class TestMonteCarloMetrics:
         with pytest.raises(ValueError, match=want):
             monte_carlo_metrics(data, n_samples=10, method="linear", tol=tol)
         with pytest.raises(ValueError, match=want):
-            tomo._bootstrap_reports([data, data], [0, 1], 10, "linear", tol=tol)
+            tomo._bootstrap_reports(*stacked([data, data]), [0, 1], 10, "linear", tol=tol)
 
     @pytest.mark.parametrize("max_iter", [2.5, 0])
     def test_linear_inversion_refuses_the_max_iters_the_fit_refuses(self, max_iter):
@@ -1891,7 +1901,8 @@ class TestMonteCarloMetrics:
         with pytest.raises(ValueError, match=want):
             monte_carlo_metrics(data, n_samples=10, method="linear", max_iter=max_iter)
         with pytest.raises(ValueError, match=want):
-            tomo._bootstrap_reports([data, data], [0, 1], 10, "linear", max_iter=max_iter)
+            tomo._bootstrap_reports(*stacked([data, data]), [0, 1], 10, "linear",
+                                    max_iter=max_iter)
 
     def test_report_validation(self):
         """Out-of-range metric values are refused."""
@@ -1949,6 +1960,12 @@ class _Captured(Exception):
     pass
 
 
+def stacked(datas):
+    """The count stack and the one shared flux of count sets, as _bootstrap_reports takes them."""
+    [pairs] = {data.pairs_per_setting for data in datas}
+    return np.stack([data.counts for data in datas]), pairs
+
+
 def sweep_branches(seed, count_mode, method):
     """The count sets, bootstrap seeds and options of every branch of the default chsh-sweep.
 
@@ -1956,8 +1973,9 @@ def sweep_branches(seed, count_mode, method):
     """
     captured = {}
 
-    def capture(datas, seeds, **options):
-        captured.update(datas=datas, seeds=seeds, options=options)
+    def capture(counts, pairs, seeds, **options):
+        captured.update(datas=[CountData(row, pairs) for row in counts], seeds=seeds,
+                        options=options)
         raise _Captured
 
     cfg = cli.default_config("chsh-sweep")
@@ -1996,7 +2014,7 @@ class TestBootstrapReports:
         """All ten branches of the default chsh-sweep in one batch equal ten separate reports."""
         datas, seeds, options = sweep_branches(seed, count_mode, method)
         assert len(datas) == 10
-        got = tomo._bootstrap_reports(datas, seeds, **options)
+        got = tomo._bootstrap_reports(*stacked(datas), seeds, **options)
         want = [monte_carlo_metrics(d, seed=s, **options) for d, s in zip(datas, seeds)]
         assert_reports_match(got, want)
 
@@ -2015,7 +2033,7 @@ class TestBootstrapReports:
             return datas, [seed, seed + 1, seed + 2]
 
         datas, seeds = branches(1)
-        got = tomo._bootstrap_reports(datas, seeds, n_samples=20, method=method)
+        got = tomo._bootstrap_reports(*stacked(datas), seeds, n_samples=20, method=method)
         want = [monte_carlo_metrics(d, 20, s, method) for d, s in zip(datas, seeds)]
         assert [r.n_failed for r in got] == [0, 2, 0]
         assert_reports_match(got, want)
@@ -2024,7 +2042,28 @@ class TestBootstrapReports:
         with pytest.raises(RuntimeError, match="3/20"):
             monte_carlo_metrics(datas[1], 20, seeds[1], method)
         with pytest.raises(RuntimeError, match="3/20"):
-            tomo._bootstrap_reports(datas, seeds, n_samples=20, method=method)
+            tomo._bootstrap_reports(*stacked(datas), seeds, n_samples=20, method=method)
+
+    @pytest.mark.parametrize("method", ["mle", "linear"])
+    def test_errors_are_raised_in_branch_order_before_any_metric(self, monkeypatch, method):
+        """An all-zero point and a branch with too many failed resamples raise, whichever is first.
+
+        Either is raised before the metric pass: a refused point fit is not a
+        metric row, so no block's rows are located before the checks.
+        """
+        good = simulate_counts(tilted_bell(0.5), 100, seed=0).counts
+        lossy = simulate_counts(tilted_bell(0.3), 100, seed=1).counts.copy()
+        lossy[0] = 4_900  # seed 1 draws 3 of 20 resamples above the ceiling
+        zero = np.zeros(36)
+
+        def forbidden(stack, roots):
+            raise AssertionError("metrics read before the block checks")
+
+        monkeypatch.setattr(tomo, "_metric_rows", forbidden)
+        with pytest.raises(ValueError, match="zero"):
+            tomo._bootstrap_reports(np.stack([good, zero, lossy]), 100, [0, 2, 1], 20, method)
+        with pytest.raises(RuntimeError, match="3/20"):
+            tomo._bootstrap_reports(np.stack([good, lossy, zero]), 100, [0, 1, 2], 20, method)
 
     @pytest.mark.parametrize("method", ["mle", "linear"])
     def test_only_the_point_fits_become_results(self, monkeypatch, method):
@@ -2042,21 +2081,18 @@ class TestBootstrapReports:
             return real(rho, *fields, **named)
 
         monkeypatch.setattr(tomo, "ReconstructionResult", counted)
-        reports = tomo._bootstrap_reports(datas, [0, 1, 2], n_samples=20, method=method)
+        reports = tomo._bootstrap_reports(*stacked(datas), [0, 1, 2], n_samples=20, method=method)
         assert [(r.n_samples, r.n_failed) for r in reports] == [(20, 0)] * 3
         assert len(built) == 3
         for report, rho in zip(reports, built):
             assert report.point_fit.rho is rho
             assert rho.data.base is None and rho.data.shape == (4, 4)
 
-    def test_branches_must_share_flux(self):
-        """Count sets of another pairs_per_setting are refused by name."""
+    def test_branches_need_as_many_seeds(self):
+        """A count stack and a seed list of another length are refused."""
         data = simulate_counts(tilted_bell(0.5), 1_000, seed=0)
-        fainter = CountData(data.counts, 2_000)
-        with pytest.raises(ValueError, match="count set 2 has pairs_per_setting 2000"):
-            tomo._bootstrap_reports([data, data, fainter], [0, 1, 2], n_samples=10)
-        with pytest.raises(ValueError, match="as many seeds"):
-            tomo._bootstrap_reports([data, data], [0], n_samples=10)
+        with pytest.raises(ValueError, match="a seed each, got 2 and 1"):
+            tomo._bootstrap_reports(*stacked([data, data]), [0], n_samples=10)
 
 
 class TestFitFactors:
@@ -2112,7 +2148,7 @@ class TestFitFactors:
             return seen[-1][1]
 
         monkeypatch.setattr(tomo, "_metric_rows", spy)
-        reports = tomo._bootstrap_reports(datas, [0, 1, 2], n_samples=20, method="mle")
+        reports = tomo._bootstrap_reports(*stacked(datas), [0, 1, 2], n_samples=20, method="mle")
         assert [r.n_failed for r in reports] == [0, 0, 0]
         [(stack, rows)] = seen
         assert len(rows) == 63
