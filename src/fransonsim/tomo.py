@@ -125,8 +125,10 @@ class _Design:
     tr(Pi_j Y) / 9, and the rows of ``frame_coords`` and ``basis_coords`` hold
     Pi_j / 9 and E_k. y @ ``to_real`` is the real form [[Re Y, -Im Y], [Im Y,
     Re Y]] and y @ ``to_complex`` is vec(Y), both exact; x @ ``from_real``
-    reads a real form x back, each coordinate the mean of its copies. The
-    columns of the real (32, 36) ``frame`` and (32, 2) ``readout`` are
+    reads a real form x back, each coordinate the mean of its copies. Each
+    column of ``to_real`` holds one +-1 or none, so w @ ``frame_real``, the (36, 64)
+    ``frame_coords`` @ ``to_real``, is the real form of w @ ``frame_coords``, bitwise.
+    The columns of the real (32, 36) ``frame`` and (32, 2) ``readout`` are
     vec(O), in the interleaved real view of a complex vec(rho), of Hermitian
     operators O: the 36 projectors Pi_j, and the two operators whose
     expectations are reported, |Phi+><Phi+| and the CHSH operator B. Since
@@ -142,6 +144,7 @@ class _Design:
     pinv: np.ndarray
     to_probs: np.ndarray
     frame_coords: np.ndarray
+    frame_real: np.ndarray
     to_real: np.ndarray
     from_real: np.ndarray
     to_complex: np.ndarray
@@ -188,6 +191,7 @@ def _design() -> _Design:
         # column-major: a row-major copy rounds p_j otherwise and moves fitted states by ulps
         to_probs=np.asfortranarray(to_probs),
         frame_coords=np.ascontiguousarray(to_probs.T / norms),
+        frame_real=(to_probs.T / norms) @ to_real,
         to_real=to_real,
         from_real=np.ascontiguousarray((to_real / np.abs(to_real).sum(axis=1)[:, None]).T),
         to_complex=units.reshape(16, 16),
@@ -521,7 +525,7 @@ _RRR_ITERATIONS = 120
 
 
 def _rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m, its rows computed in whole blocks of 8, the last padded with zero rows.
+    """x @ m of a row subset, computed in whole blocks of 8 rows, the last padded with zero rows.
 
     A BLAS kernel computes rows in blocks, and a row in a short block can round
     differently. In blocks of 8, no row's rounding depends on its batch on the SkylakeX,
@@ -538,18 +542,6 @@ def _r_coordinates(design: _Design, freqs: np.ndarray, y: np.ndarray) -> tuple:
     probs = _rows(y, design.to_probs)
     weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
     return _rows(weights, design.frame_coords), probs < PROBABILITY_FLOOR, probs
-
-
-def _rrr_next(design: _Design, r: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R Y R / tr(R Y R) of every coordinate row y, Hermitian by construction, and tr(R Y R).
-
-    R Y R is two products of exact real forms, read back as the mean of each coordinate's copies.
-    """
-    r8 = (r @ design.to_real).reshape(-1, 8, 8)
-    step = _rows((r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64),
-                 design.from_real)
-    norm = step[:, :4].sum(axis=1)
-    return step / norm[:, None], norm
 
 
 def _quotient_screen(v: np.ndarray, r8: np.ndarray, ceiling: np.ndarray) -> np.ndarray:
@@ -734,26 +726,25 @@ def _fit_batch(
 ) -> _Fits:
     """The iteration of :func:`_mle_fits`: an RrhoR loop on coordinates, then a Newton loop.
 
-    Both loops hand every iterate to ``settle``, which writes each row into
-    the preallocated record when it stops. After both loops the states are
-    validated once, and the valid ones factored by one stacked ``_roots``.
+    RrhoR steps carry the open rows in whole blocks of 8 (see :func:`_rows`), re-padded only
+    when rows stop, so p_j, R8 = (f_j / p_j) @ ``frame_real`` and R8 Y8 R8 are one ``@`` each.
+    Padding rows hold Y = I/4 and f_j = 1/36, so p_j = 1/36 and R = I: a fixed point that
+    nothing reads. Both loops hand every iterate to ``settle``, which records each row when
+    it stops; the states are then validated once, the valid ones factored by one ``_roots``.
     """
     fits = _Fits.blank(len(counts))
-    rows = np.arange(len(counts))  # input row of each batch row
+    rows = np.arange(len(counts))  # input row of each open row
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
     mixed = np.repeat([0.25, 0.0], [4, 12])  # I / 4 as coordinates
     y = np.tile(mixed, (len(counts), 1))
     logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])] if history else None
 
-    def settle(iteration, y_now, floored, gap, carried):
-        """Count the floor hits of iterate ``y_now`` and log it. Write the rows that ``gap``
-        stops (None: none) into ``fits``; return ``carried``, the phase's arrays, without them."""
+    def settle(iteration, y_now, gap, carried):
+        """Log ``y_now``. Record the rows ``gap`` stops (None: none); drop them and the padding."""
         nonlocal rows, freqs, total
-        if floored.any():
-            fits.floor_hits[rows] += floored.sum(axis=1)
         if history:
-            for i, ll in zip(rows, _loglike(counts[rows], _states(design, y_now)[1])):
+            for i, ll in zip(rows, _loglike(counts[rows], _states(design, y_now[:len(rows)])[1])):
                 logs[i].append(float(ll))
         if gap is None:
             return carried
@@ -765,11 +756,10 @@ def _fit_batch(
         fits.rho[stop], fitted = _states(design, y_now[done])
         fits.iterations[stop], fits.loglike[stop] = iteration, _loglike(counts[stop], fitted)
         fits.converged[stop], fits.gap[stop] = gap[done] <= tol, gap[done]
-        keep = ~stopped
+        keep = np.flatnonzero(~stopped)
         rows, freqs, total, *carried = (a[keep] for a in (rows, freqs, total, *carried))
         return carried
 
-    y = _rrr_next(design, _r_coordinates(design, freqs, y)[0], y)[0]
     # A row can stop only if lambda_max(R) <= ceiling / (1 + 1e-12), the margin
     # for rounding, and lambda_max(R) >= tr(RYR) / total: an RrhoR row whose
     # tr(RYR) is above ``bound`` cannot stop yet, nor can one that
@@ -781,40 +771,50 @@ def _fit_batch(
         bound = total * ceiling
     top = np.zeros((len(rows), 8))
     last = min(_RRR_ITERATIONS, max_iter)  # the RrhoR iteration that certifies every row
-    for iteration in range(1, last + 1):
-        y_now = y  # the iterate gap certifies
-        r, floored, _ = _r_coordinates(design, freqs, y)
+    for iteration in range(last + 1):  # iteration 0 only steps from I/4
+        y_now, n, pad = y, len(rows), -len(y) % 8  # y_now: the iterate gap certifies
+        if pad:  # at the start, and after rows stopped
+            y = np.vstack((y, np.tile(mixed, (pad, 1))))
+            freqs = np.vstack((freqs, np.full((pad, _N_SETTINGS), 1 / 36)))
+        weights = y @ design.to_probs
+        if not weights.min(initial=np.inf) >= PROBABILITY_FLOOR:  # NaN too; no rows: none
+            fits.floor_hits[rows] += (weights[:n] < PROBABILITY_FLOOR).sum(axis=1)
+            np.maximum(weights, PROBABILITY_FLOOR, out=weights)
+        r8 = (np.divide(freqs, weights, out=weights) @ design.frame_real).reshape(-1, 8, 8)
         gap = None  # no row can stop, so no certificate is needed
         if iteration == last:
-            gap = np.linalg.eigvalsh(design.hermitian(r))[:, -1] - total
+            gap = np.linalg.eigvalsh(r8[:n, :4, :4] + 1j * r8[:n, 4:, :4])[:, -1] - total
         else:
-            y, norm = _rrr_next(design, r, y)
-            exact = np.flatnonzero(~(norm > bound))  # the rows whose gap is computed
+            y = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64)
+            y = y @ design.from_real
+            norm = y[:, :4].sum(axis=1)
+            y /= norm[:, None]
+            if iteration == 0:
+                continue
+            exact = np.flatnonzero(~(norm[:n] > bound))  # the rows whose gap is computed
             if len(exact) > 0:
-                r8 = (r[exact] @ design.to_real).reshape(-1, 8, 8)
-                exact = exact[_quotient_screen(top[exact], r8, ceiling[exact])]
+                exact = exact[_quotient_screen(top[exact], r8[exact], ceiling[exact])]
             if len(exact) > 0:
-                vals, vecs = np.linalg.eigh(design.hermitian(r[exact]))
-                gap = np.full(len(rows), np.inf)
+                vals, vecs = np.linalg.eigh(r8[exact, :4, :4] + 1j * r8[exact, 4:, :4])
+                gap = np.full(n, np.inf)
                 gap[exact] = vals[:, -1] - total[exact]
                 top[exact] = np.concatenate((vecs[:, :, -1].real, vecs[:, :, -1].imag), axis=1)
-        y, ceiling, bound, top, gap = settle(
-            iteration, y_now, floored, gap, (y, ceiling, bound, top, gap)
-        )
+        y, ceiling, bound, top, gap = settle(iteration, y_now, gap, (y, ceiling, bound, top, gap))
         if len(rows) == 0:
             break
     if len(rows) > 0:  # open after _RRR_ITERATIONS: Newton steps from the iterate mixed with I/4
         share = np.minimum(gap / total, 1.0)[:, None]
-        y = (1.0 - share) * y + share * mixed
+        y, freqs = (1.0 - share) * y[:len(rows)] + share * mixed, freqs[:len(rows)]
         mu = np.maximum(0.1 * gap, tol / 16.0)
         probs = _r_coordinates(design, freqs, y)[2]
         while len(rows) > 0:  # settle stops every row at max_iter
             iteration += 1
             y = _newton_step(design, freqs, y, probs, mu)
             r, floored, probs = _r_coordinates(design, freqs, y)
+            fits.floor_hits[rows] += floored.sum(axis=1)
             gap = np.linalg.eigvalsh(design.hermitian(r))[:, -1] - total
             mu = np.maximum(mu / 10.0, np.maximum(0.1 * gap, tol / 16.0))
-            y, probs, mu = settle(iteration, y, floored, gap, (y, probs, mu))
+            y, probs, mu = settle(iteration, y, gap, (y, probs, mu))
     fits.errors = _state_errors(fits.rho)
     ok = [i for i, error in enumerate(fits.errors) if error is None]
     fits.roots[ok] = _roots(fits.rho[ok])

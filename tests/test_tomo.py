@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -298,6 +299,26 @@ def r_operator(design, freqs, y):
     """R of every complex Hermitian Y as a complex stack, which p_j the floor caught, and p_j."""
     r, floored, probs = tomo._r_coordinates(design, freqs, coordinates(y))
     return design.hermitian(r), floored, probs
+
+
+def rrr_step(design, freqs, y):
+    """One RrhoR step of every coordinate row y, with the products ``tomo._fit_batch`` takes.
+
+    The rows are padded to whole blocks of 8 with Y = I/4 and f_j = 1/36, as in
+    the fit, and each product is one ``@`` on the padded stack: p_j, the real form
+    R8 of R from the weights f_j / p_j by ``frame_real``, and R8 Y8 R8 read back by
+    ``from_real``. Returns R8, R Y R / tr(R Y R), tr(R Y R) and which p_j the floor
+    caught, each for the given rows only.
+    """
+    n, pad = len(y), -len(y) % 8
+    y = np.vstack((y, np.tile(coordinates(np.eye(4)[None] / 4.0), (pad, 1))))
+    freqs = np.vstack((freqs, np.full((pad, 36), 1 / 36)))
+    probs = y @ design.to_probs
+    weights = freqs / np.maximum(probs, tomo.PROBABILITY_FLOOR)
+    r8 = (weights @ design.frame_real).reshape(-1, 8, 8)
+    step = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64) @ design.from_real
+    norm = step[:, :4].sum(axis=1)
+    return r8[:n], (step / norm[:, None])[:n], norm[:n], (probs < tomo.PROBABILITY_FLOOR)[:n]
 
 
 def full_rank_states(n, seed):
@@ -835,6 +856,22 @@ class TestMle:
         np.testing.assert_array_equal(y, y.conj().transpose(0, 2, 1))
         assert not np.diagonal(y, axis1=1, axis2=2).imag.any()
 
+    def test_the_real_frame_is_the_real_form_of_the_frame(self):
+        """``frame_real`` is bitwise ``frame_coords @ to_real``, read-only, and R8 gives R exactly.
+
+        Each column of ``to_real`` holds one +-1 or none, so the table is exact;
+        the complex R read off R8 is bitwise the complex form of R's coordinates.
+        """
+        design = tomo._design()
+        assert design.frame_real.shape == (36, 64) and not design.frame_real.flags.writeable
+        assert (np.abs(design.to_real).sum(axis=0) <= 1.0).all()
+        np.testing.assert_array_equal(design.frame_real, design.frame_coords @ design.to_real)
+        weights = np.random.default_rng(7).random((13, 36))
+        r8 = (np.vstack((weights, np.ones((3, 36)))) @ design.frame_real)[:13].reshape(-1, 8, 8)
+        r = tomo._rows(weights, design.frame_coords)
+        np.testing.assert_array_equal(r8, (r @ design.to_real).reshape(-1, 8, 8))
+        np.testing.assert_array_equal(r8[:, :4, :4] + 1j * r8[:, 4:, :4], design.hermitian(r))
+
     def test_coordinate_step_is_the_complex_step(self):
         """One RrhoR step on coordinates equals herm(R Y R) / tr(R Y R) to 1e-15 relative."""
         design = tomo._design()
@@ -850,14 +887,14 @@ class TestMle:
         want = r_op @ y @ r_op
         want = 0.5 * (want + want.conj().transpose(0, 2, 1))
         norm = np.trace(want, axis1=1, axis2=2).real
-        r, floored16, _ = tomo._r_coordinates(design, freqs, coordinates(y))
-        step, norm16 = tomo._rrr_next(design, r, coordinates(y))
+        r8, step, norm16, floored16 = rrr_step(design, freqs, coordinates(y))
         np.testing.assert_array_equal(floored16, floored)
         np.testing.assert_allclose(norm16, norm, rtol=1e-15, atol=0)
         scale = np.abs(want / norm[:, None, None]).max()
         got = design.hermitian(step)
         assert np.abs(got - want / norm[:, None, None]).max() <= 1e-15 * scale
-        assert np.abs(design.hermitian(r) - r_op).max() <= 1e-15 * np.abs(r_op).max()
+        r = r8[:, :4, :4] + 1j * r8[:, 4:, :4]
+        assert np.abs(r - r_op).max() <= 1e-15 * np.abs(r_op).max()
 
     def test_a_long_coordinate_fit_gives_an_exactly_hermitian_state(self):
         """After many RrhoR steps on a nearly rank-1 row, rho is exactly Hermitian.
@@ -866,20 +903,23 @@ class TestMle:
         construction, and the fitted state has an exactly real diagonal.
         The hand-run iteration takes 200 steps, by which the state is nearly
         rank 1; the fit stops at its last RrhoR iteration, before any Newton
-        step.
+        step, on the state of the hand-run's step 120, bit for bit.
         """
         design = tomo._design()
         counts = simulate_counts(tilted_bell(0.1), 2_600_000, seed=4).counts
         freqs = counts[None] / 2_600_000
         y = coordinates(np.eye(4)[None] / 4.0)
-        for _ in range(200):
-            y, _ = tomo._rrr_next(design, tomo._r_coordinates(design, freqs, y)[0], y)
+        budget = tomo._RRR_ITERATIONS
+        for step in range(1, 201):
+            y = rrr_step(design, freqs, y)[1]
+            if step == budget:
+                at_budget = tomo._states(design, y)[0][0]
         hand_run = tomo._states(design, y)[0][0]
         assert np.linalg.eigvalsh(hand_run)[:-1].max() < 1e-3  # nearly rank 1
-        budget = tomo._RRR_ITERATIONS
         fits = tomo._mle_fits(counts[None], 2_600_000, tol=tomo.MLE_TOL_FLOOR, max_iter=budget)
         [fit] = fit_rows(fits, "mle")
         assert (fit.iterations, fit.converged) == (budget, False)
+        np.testing.assert_array_equal(fit.rho.data, at_budget)
         for rho in (fit.rho.data, hand_run):
             np.testing.assert_array_equal(rho, rho.conj().T)
             assert not np.diag(rho).imag.any()
@@ -960,6 +1000,43 @@ class TestMle:
         assert all(f.iterations < switch for f in full[:2])
         assert [(f.iterations, f.converged) for f in short[2:]] == [(switch + 5, False)] * 3
         assert all(f.converged and switch + 5 < f.iterations < 1_000 for f in full[2:])
+
+    def test_padding_rows_are_inert(self, monkeypatch):
+        """In batches of 1 to 17 rows, each row is bitwise its one-row fit and its unscreened fit.
+
+        The RrhoR loop pads its batch to whole blocks of 8 with rows Y = I/4 and
+        f_j = 1/36, and pads it again whenever rows stop. The rows here stop at
+        at least ten different RrhoR iterations, and four or more need Newton
+        steps, among them the first, a nearly pure state at 2.6e7 pairs. A
+        padding row that warned, as 0 / 0 does, would fail the fit: a
+        RuntimeWarning is an error here.
+        """
+        data = [simulate_counts(tilted_bell(0.1), 26_000_000, seed=0)]
+        data += [simulate_counts(tilted_bell(p), 300, seed=s) for s in range(4)
+                 for p in (0.5, 0.45, 0.4)]
+        data += [simulate_counts(tilted_bell(p), 3_000, seed=s) for p in (0.5, 0.3)
+                 for s in range(2)]
+        # frequencies fitted at 1 pair per setting, so that rows of any flux share a batch
+        counts = np.stack([d.frequencies for d in data])
+        fields = ("iterations", "converged", "gap", "floor_hits", "loglike", "rho", "roots")
+        alone = [tomo._mle_fits(row[None], 1) for row in counts]
+        stops = [int(fit.iterations[0]) for fit in alone]
+        assert len({i for i in stops if i < tomo._RRR_ITERATIONS}) >= 10
+        assert stops[0] > tomo._RRR_ITERATIONS
+        assert sum(i > tomo._RRR_ITERATIONS for i in stops) >= 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for size in range(1, 18):
+                batch = tomo._mle_fits(counts[:size], 1)
+                with monkeypatch.context() as patch:
+                    patch.setattr(tomo, "_fit_batch", unscreened_fit_batch)
+                    want = tomo._mle_fits(counts[:size], 1)
+                assert batch.errors == want.errors == [None] * size
+                for name in fields:
+                    np.testing.assert_array_equal(getattr(batch, name), getattr(want, name))
+                    for i in range(size):
+                        np.testing.assert_array_equal(getattr(batch, name)[i],
+                                                      getattr(alone[i], name)[0])
 
     @pytest.mark.parametrize("kernel, flag, read_back", BLAS_KERNELS)
     def test_a_fit_alone_is_bitwise_its_batch_row_on_each_blas_kernel(
