@@ -1,7 +1,8 @@
-"""Test-only states and distances: seeded random, maximally mixed and hyperentangled states.
+"""Test-only states, count sets and distances: seeded random, maximally mixed and hyperentangled
+states, and sparse count sets.
 
-No pipeline draws a random or maximally mixed state or measures a trace
-distance, so these live beside the tests that use them rather than in the
+No pipeline draws a random or maximally mixed state, a sparse count set or
+measures a trace distance, so these live beside the tests that use them rather than in the
 package.
 """
 
@@ -58,3 +59,25 @@ def hyperentangled_input(pol: DensityMatrix, et: DensityMatrix) -> PhotonPairSta
     joint = np.kron(pol.data, et.data).reshape((2,) * 8)
     data = joint.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
     return PhotonPairState(DensityMatrix(data, weight=pol.weight * et.weight))
+
+
+def sparse_count_sets(n_base, seed=20261019):
+    """Seeded bootstrap-style count sets with only 2 or 3 non-zero settings, as a (B, 36) stack.
+
+    Each of ``n_base`` base sets has counts 1 to 3 on 2 or 3 random
+    settings; 20 Poisson resamples are drawn from each, and the resamples
+    that kept 2 or 3 non-zero settings are returned, base set by base set.
+    They are fitted at 3 pairs per setting: their likelihood is flat along
+    most of the 15 directions of a Newton step.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(n_base):
+        base = np.zeros(36)
+        k = rng.integers(2, 4)
+        settings = rng.choice(36, size=k, replace=False)
+        base[settings] = rng.integers(1, 4, size=k)
+        draws = rng.poisson(base, size=(20, 36)).astype(float)
+        nonzero = np.count_nonzero(draws, axis=1)
+        blocks.append(draws[(nonzero >= 2) & (nonzero <= 3)])
+    return np.concatenate(blocks)

@@ -37,7 +37,7 @@ from fransonsim.tomo import (
     simulate_counts,
 )
 
-from oracle_states import random_state, trace_distance
+from oracle_states import random_state, sparse_count_sets, trace_distance
 
 # The analyzer projectors of the basis states H, V, D, A, R, L, in that order.
 ANALYZER_PROJECTORS = [
@@ -234,28 +234,6 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
             a[keep] for a in (rows, freqs, total, y, r_op, gap, mu, probs, floor_hits)
         )
     return fits
-
-
-def sparse_count_sets(n_base, seed=20261019):
-    """Seeded bootstrap-style count sets with only 2 or 3 non-zero settings, as a (B, 36) stack.
-
-    Each of ``n_base`` base sets has counts 1 to 3 on 2 or 3 random
-    settings; 20 Poisson resamples are drawn from each, and the resamples
-    that kept 2 or 3 non-zero settings are returned, base set by base set.
-    They are fitted at 3 pairs per setting: their likelihood is flat along
-    most of the 15 directions of a Newton step.
-    """
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(n_base):
-        base = np.zeros(36)
-        k = rng.integers(2, 4)
-        settings = rng.choice(36, size=k, replace=False)
-        base[settings] = rng.integers(1, 4, size=k)
-        draws = rng.poisson(base, size=(20, 36)).astype(float)
-        nonzero = np.count_nonzero(draws, axis=1)
-        blocks.append(draws[(nonzero >= 2) & (nonzero <= 3)])
-    return np.concatenate(blocks)
 
 
 def newton_system_oracle(freqs, y, mu):
