@@ -115,19 +115,18 @@ class _Design:
 
     The 36 projectors Pi_j of :func:`setting_projectors` sum to 9 I, so the
     maximum-likelihood fit weighs Pi_j / 9.
-    ``basis`` is the (15, 4, 4) orthonormal traceless Pauli basis E_k and
-    ``basis_row`` the (4, 60) [E_1 ... E_15]. ``tangent`` is the real (36, 15)
+    ``basis_row`` is the (4, 60) [E_1 ... E_15] of the orthonormal traceless
+    Pauli basis E_k. ``tangent`` is the real (36, 15)
     tr(Pi_j E_k) / 9, the derivative of the fitted probabilities along E_k, and
     row j of the (36, 225) ``tangent_outer`` is tangent_j x tangent_j; f @
     ``pinv`` is the least-squares vec(rho) of frequencies f, as reals. The
     likelihood fit carries each Hermitian Y as its 16 real coordinates y: Re
     Y_aa, then Re Y_ab and Im Y_ab for each a < b. y @ ``to_probs`` is p_j =
-    tr(Pi_j Y) / 9, and the rows of ``frame_coords`` and ``basis_coords`` hold
-    Pi_j / 9 and E_k. y @ ``to_real`` is the real form [[Re Y, -Im Y], [Im Y,
-    Re Y]] and y @ ``to_complex`` is vec(Y), both exact; x @ ``from_real``
-    reads a real form x back, each coordinate the mean of its copies. Each
-    column of ``to_real`` holds one +-1 or none, so w @ ``frame_real``, the (36, 64)
-    ``frame_coords`` @ ``to_real``, is the real form of w @ ``frame_coords``, bitwise.
+    tr(Pi_j Y) / 9, and the rows of ``basis_coords`` hold the E_k. y @ ``to_real``
+    is the real form [[Re Y, -Im Y], [Im Y, Re Y]] and y @ ``to_complex`` is
+    vec(Y), both exact; x @ ``from_real`` reads a real form x back, each
+    coordinate the mean of its copies. Row j of the (36, 64) ``frame_real`` is
+    the real form of Pi_j / 9, so w @ ``frame_real`` is that of sum_j w_j Pi_j / 9.
     The columns of the real (32, 36) ``frame`` and (32, 2) ``readout`` are
     vec(O), in the interleaved real view of a complex vec(rho), of Hermitian
     operators O: the 36 projectors Pi_j, and the two operators whose
@@ -137,13 +136,11 @@ class _Design:
     and shared.
     """
 
-    basis: np.ndarray
     basis_row: np.ndarray
     tangent: np.ndarray
     tangent_outer: np.ndarray
     pinv: np.ndarray
     to_probs: np.ndarray
-    frame_coords: np.ndarray
     frame_real: np.ndarray
     to_real: np.ndarray
     from_real: np.ndarray
@@ -183,14 +180,12 @@ def _design() -> _Design:
     bell = np.kron(a, b - b_prime) + np.kron(a_prime, b + b_prime)
     target = np.outer(PHI_PLUS_KET, PHI_PLUS_KET.conj())
     design = _Design(
-        basis=basis,
         basis_row=np.concatenate(basis, axis=1),
         tangent=tangent,
         tangent_outer=(tangent[:, :, None] * tangent[:, None, :]).reshape(_N_SETTINGS, 225),
         pinv=np.ascontiguousarray(np.linalg.pinv(matrix).T).view(float),
         # column-major: a row-major copy rounds p_j otherwise and moves fitted states by ulps
         to_probs=np.asfortranarray(to_probs),
-        frame_coords=np.ascontiguousarray(to_probs.T / norms),
         frame_real=(to_probs.T / norms) @ to_real,
         to_real=to_real,
         from_real=np.ascontiguousarray((to_real / np.abs(to_real).sum(axis=1)[:, None]).T),
@@ -452,13 +447,6 @@ class _Fits:
         return cls(*np.zeros((2, n, 4, 4), dtype=complex), ints, floats, ints.astype(bool),
                    ints.copy(), floats.copy(), [error] * n, [()] * n)
 
-    def put(self, rows, fits: "_Fits") -> None:
-        """Write every row of ``fits`` into the rows ``rows`` of this record."""
-        for name in ("rho", "roots", "iterations", "loglike", "converged", "floor_hits", "gap"):
-            getattr(self, name)[rows] = getattr(fits, name)
-        for i, error, history in zip(rows, fits.errors, fits.history):
-            self.errors[i], self.history[i] = error, history
-
     def result(self, i: int, method: str) -> ReconstructionResult:
         """Row ``i`` as a result holding a copy of its state; a refused row raises its error."""
         if self.errors[i] is not None:
@@ -537,13 +525,6 @@ def _rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (padded @ m)[:n]
 
 
-def _r_coordinates(design: _Design, freqs: np.ndarray, y: np.ndarray) -> tuple:
-    """R = sum_j (f_j / p_j) Pi_j / 9 of every coordinate row y, the floored p_j, and p_j."""
-    probs = _rows(y, design.to_probs)
-    weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
-    return _rows(weights, design.frame_coords), probs < PROBABILITY_FLOOR, probs
-
-
 def _quotient_screen(v: np.ndarray, r8: np.ndarray, ceiling: np.ndarray) -> np.ndarray:
     """False for each row whose Rayleigh quotient v^T R8 v is above its ``ceiling``.
 
@@ -565,7 +546,7 @@ def _newton_system(
 ) -> tuple:
     """Gradient and Hessian of -sum_j f_j log p_j - mu log det Y along the E_k, per row.
 
-    ``probs`` are the p_j of Y, as :func:`_r_coordinates` returns them.
+    ``probs`` are the p_j of Y, as the Newton loop of :func:`_mle_fits` computes them.
     The likelihood Hessian T^T diag(f / p^2) T is f / p^2 times ``tangent_outer``.
     One product of Y^-1 with ``basis_row`` gives every W_k = Y^-1 E_k; the barrier
     adds -mu tr(W_k) to the gradient and mu tr(W_k W_l) to the Hessian. The products
@@ -679,66 +660,35 @@ def _mle_fits(
     Vandenberghe, Convex Optimization, 11.3), never below max(g / 10, tol / 16)
     for the current g; on the central path g is at most 3 mu. A singular system
     takes a minimum-norm step, so sparse count sets stay in the batch. Each
-    Newton iterate's p_j are computed once, with its R, and the next step
-    reuses them. Iterations of both phases count against ``max_iter``, which
+    Newton iterate's p_j are computed once, and give its floor hits, its R and
+    the next step. Iterations of both phases count against ``max_iter``, which
     must be integral; a row stopped by it reports ``converged=False``. Stopped
     rows leave the batch, which moves no bit of the others (see :func:`_rows`).
     Probabilities are floored at PROBABILITY_FLOOR so empty settings cannot blow up the weights.
 
+    Both phases read R as its 8x8 real form R8 = (f_j / p_j) @ ``frame_real`` and take
+    the gap's eigensolve of R8's complex form. RrhoR steps carry the open rows in whole
+    blocks of 8, re-padded only when rows stop, so p_j, R8 and R8 Y8 R8 are one ``@``
+    each. Padding rows hold Y = I/4 and f_j = 1/36, so p_j = 1/36 and R = I: a fixed
+    point that nothing reads. Both loops hand every iterate to ``settle``, which records
+    each row in the one record when it stops; the states are then validated once, the
+    valid ones factored by one ``_roots``.
+
     A row is refused, its entry of ``errors`` the reason, for two reasons
     only: its counts are all zero, or its fitted state fails validation.
-    Rows of zeros are refused before the iteration, so the other rows stay
-    one batch. Only with ``history`` does the record carry the
-    log-likelihood of every iterate.
+    Rows of zeros never enter the iteration, so the other rows stay one
+    batch. Only with ``history`` does the record carry the log-likelihood of
+    every iterate.
     """
     tol, max_iter = _mle_options(tol=tol, max_iter=max_iter)
-    rows = np.flatnonzero(counts.any(axis=1))
-    fitted = _fit_batch(_design(), counts[rows], pairs_per_setting, tol, max_iter, history)
-    # the record of every row is made after the fit, so the fit's peak memory does not hold it
-    fits = _Fits.blank(
-        len(counts), ValueError("the counts are all zero, there is nothing to fit")
-    )
-    fits.put(rows, fitted)
-    return fits
-
-
-def _mle_options(
-    prefix: str = "", /, tol: float = MLE_DEFAULT_TOL, max_iter: int = MLE_DEFAULT_MAX_ITER
-) -> tuple[float, int]:
-    """``tol``, finite and at least MLE_TOL_FLOOR, and ``max_iter``, an integer >= 1, checked.
-
-    A refusal names the option after ``prefix``, positional only; other names are a ``TypeError``.
-    """
-    if not math.isfinite(tol):
-        raise ValueError(f"{prefix}tol must be finite, got {tol}")
-    if not tol >= MLE_TOL_FLOOR:
-        raise ValueError(f"{prefix}tol must be at least {MLE_TOL_FLOOR:g}, the rounding floor "
-                         f"of the gap, got {tol}")
-    max_iter = _as_integer(prefix + "max_iter", max_iter)
-    if max_iter < 1:
-        raise ValueError(f"{prefix}max_iter must be at least 1, got {max_iter}")
-    return tol, max_iter
-
-
-def _fit_batch(
-    design: _Design, counts: np.ndarray, pairs_per_setting: int, tol: float, max_iter: int,
-    history: bool,
-) -> _Fits:
-    """The iteration of :func:`_mle_fits`: an RrhoR loop on coordinates, then a Newton loop.
-
-    RrhoR steps carry the open rows in whole blocks of 8 (see :func:`_rows`), re-padded only
-    when rows stop, so p_j, R8 = (f_j / p_j) @ ``frame_real`` and R8 Y8 R8 are one ``@`` each.
-    Padding rows hold Y = I/4 and f_j = 1/36, so p_j = 1/36 and R = I: a fixed point that
-    nothing reads. Both loops hand every iterate to ``settle``, which records each row when
-    it stops; the states are then validated once, the valid ones factored by one ``_roots``.
-    """
-    fits = _Fits.blank(len(counts))
-    rows = np.arange(len(counts))  # input row of each open row
-    freqs = counts / float(pairs_per_setting)
+    design = _design()
+    fits = _Fits.blank(len(counts), ValueError("the counts are all zero, there is nothing to fit"))
+    nonzero = rows = np.flatnonzero(counts.any(axis=1))  # input row of each open row
+    freqs = counts[rows] / float(pairs_per_setting)
     total = freqs.sum(axis=1)
     mixed = np.repeat([0.25, 0.0], [4, 12])  # I / 4 as coordinates
-    y = np.tile(mixed, (len(counts), 1))
-    logs = [[float(ll)] for ll in _loglike(counts, _states(design, y)[1])] if history else None
+    y = np.tile(mixed, (len(rows), 1))
+    logs = [[] for _ in counts] if history else None
 
     def settle(iteration, y_now, gap, carried):
         """Log ``y_now``. Record the rows ``gap`` stops (None: none); drop them and the padding."""
@@ -760,6 +710,7 @@ def _fit_batch(
         rows, freqs, total, *carried = (a[keep] for a in (rows, freqs, total, *carried))
         return carried
 
+    settle(0, y, None, ())  # logs the start
     # A row can stop only if lambda_max(R) <= ceiling / (1 + 1e-12), the margin
     # for rounding, and lambda_max(R) >= tr(RYR) / total: an RrhoR row whose
     # tr(RYR) is above ``bound`` cannot stop yet, nor can one that
@@ -806,21 +757,42 @@ def _fit_batch(
         share = np.minimum(gap / total, 1.0)[:, None]
         y, freqs = (1.0 - share) * y[:len(rows)] + share * mixed, freqs[:len(rows)]
         mu = np.maximum(0.1 * gap, tol / 16.0)
-        probs = _r_coordinates(design, freqs, y)[2]
+        probs = _rows(y, design.to_probs)
         while len(rows) > 0:  # settle stops every row at max_iter
             iteration += 1
             y = _newton_step(design, freqs, y, probs, mu)
-            r, floored, probs = _r_coordinates(design, freqs, y)
-            fits.floor_hits[rows] += floored.sum(axis=1)
-            gap = np.linalg.eigvalsh(design.hermitian(r))[:, -1] - total
+            probs = _rows(y, design.to_probs)
+            fits.floor_hits[rows] += (probs < PROBABILITY_FLOOR).sum(axis=1)
+            weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
+            r8 = _rows(weights, design.frame_real).reshape(-1, 8, 8)
+            gap = np.linalg.eigvalsh(r8[:, :4, :4] + 1j * r8[:, 4:, :4])[:, -1] - total
             mu = np.maximum(mu / 10.0, np.maximum(0.1 * gap, tol / 16.0))
             y, probs, mu = settle(iteration, y, gap, (y, probs, mu))
-    fits.errors = _state_errors(fits.rho)
+    for i, error in zip(nonzero, _state_errors(fits.rho[nonzero])):
+        fits.errors[i] = error
     ok = [i for i, error in enumerate(fits.errors) if error is None]
     fits.roots[ok] = _roots(fits.rho[ok])
     if history:
         fits.history = [tuple(log) for log in logs]
     return fits
+
+
+def _mle_options(
+    prefix: str = "", /, tol: float = MLE_DEFAULT_TOL, max_iter: int = MLE_DEFAULT_MAX_ITER
+) -> tuple[float, int]:
+    """``tol``, finite and at least MLE_TOL_FLOOR, and ``max_iter``, an integer >= 1, checked.
+
+    A refusal names the option after ``prefix``, positional only; other names are a ``TypeError``.
+    """
+    if not math.isfinite(tol):
+        raise ValueError(f"{prefix}tol must be finite, got {tol}")
+    if not tol >= MLE_TOL_FLOOR:
+        raise ValueError(f"{prefix}tol must be at least {MLE_TOL_FLOOR:g}, the rounding floor "
+                         f"of the gap, got {tol}")
+    max_iter = _as_integer(prefix + "max_iter", max_iter)
+    if max_iter < 1:
+        raise ValueError(f"{prefix}max_iter must be at least 1, got {max_iter}")
+    return tol, max_iter
 
 
 def mle_reconstruct(

@@ -1,5 +1,5 @@
 """Test-only states, count sets and distances: seeded random, maximally mixed and hyperentangled
-states, and sparse count sets.
+states, sparse count sets, and the fit batch of a default run.
 
 No pipeline draws a random or maximally mixed state, a sparse count set or
 measures a trace distance, so these live beside the tests that use them rather than in the
@@ -8,6 +8,7 @@ package.
 
 import numpy as np
 
+from fransonsim import cli, tomo
 from fransonsim.qcore import PAIR_LABELS, DensityMatrix, PhotonPairState
 
 
@@ -81,3 +82,21 @@ def sparse_count_sets(n_base, seed=20261019):
         nonzero = np.count_nonzero(draws, axis=1)
         blocks.append(draws[(nonzero >= 2) & (nonzero <= 3)])
     return np.concatenate(blocks)
+
+
+def default_fit_batch(monkeypatch, experiment):
+    """The counts, flux, options and fit record of the one likelihood fit of a default run."""
+    seen = []
+    real = tomo._mle_fits
+
+    def spy(counts, pairs_per_setting, **opts):
+        fits = real(counts, pairs_per_setting, **opts)
+        seen.append((counts, pairs_per_setting, opts, fits))
+        return fits
+
+    runs = {"purify": cli.run_purification, "chsh-sweep": cli.run_chsh_sweep}
+    with monkeypatch.context() as patch:
+        patch.setattr(tomo, "_mle_fits", spy)
+        runs[experiment](cli.default_config(experiment))
+    [fit] = seen
+    return fit

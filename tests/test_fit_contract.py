@@ -12,11 +12,11 @@ PSD.
 import numpy as np
 import pytest
 
-from fransonsim import cli, tomo
+from fransonsim import tomo
 from fransonsim.qcore import DensityMatrix
 from fransonsim.tomo import MLE_DEFAULT_TOL, PROBABILITY_FLOOR, setting_projectors, simulate_counts
 
-from oracle_states import sparse_count_sets
+from oracle_states import default_fit_batch, sparse_count_sets
 
 # Rounding bounds. The two gaps each carry the error of an eigvalsh of a 4x4 R,
 # of order 4 eps ||R|| with ||R|| = lambda_max(R) near sum_j f_j, plus that of
@@ -52,27 +52,9 @@ def check_contract(counts, pairs_per_setting, fits, tol=MLE_DEFAULT_TOL):
     assert np.linalg.eigvalsh(rho)[:, 0].min() >= -SLACK
 
 
-def captured_fit(monkeypatch, run, experiment):
-    """The count stack, flux and fit record of the one likelihood fit of a default run."""
-    seen = []
-    real = tomo._mle_fits
-
-    def spy(counts, pairs_per_setting, **opts):
-        fits = real(counts, pairs_per_setting, **opts)
-        seen.append((counts, pairs_per_setting, fits))
-        return fits
-
-    monkeypatch.setattr(tomo, "_mle_fits", spy)
-    run(cli.default_config(experiment))
-    [fit] = seen
-    return fit
-
-
-@pytest.mark.parametrize("run, experiment", [
-    (cli.run_chsh_sweep, "chsh-sweep"), (cli.run_purification, "purify"),
-])
-def test_the_default_fit_batches_keep_the_contract(monkeypatch, run, experiment):
-    counts, pairs_per_setting, fits = captured_fit(monkeypatch, run, experiment)
+@pytest.mark.parametrize("experiment", ["chsh-sweep", "purify"])
+def test_the_default_fit_batches_keep_the_contract(monkeypatch, experiment):
+    counts, pairs_per_setting, _, fits = default_fit_batch(monkeypatch, experiment)
     assert len(counts) > 200
     check_contract(counts, pairs_per_setting, fits)
 

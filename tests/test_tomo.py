@@ -37,7 +37,7 @@ from fransonsim.tomo import (
     simulate_counts,
 )
 
-from oracle_states import random_state, sparse_count_sets, trace_distance
+from oracle_states import default_fit_batch, random_state, sparse_count_sets, trace_distance
 
 # The analyzer projectors of the basis states H, V, D, A, R, L, in that order.
 ANALYZER_PROJECTORS = [
@@ -171,43 +171,49 @@ def mle_oracle(data, tol=tomo.MLE_DEFAULT_TOL, max_iter=tomo.MLE_DEFAULT_MAX_ITE
     return rho, max_iter, False
 
 
-def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, history):
-    """``tomo._fit_batch`` with the exact gap on every row at every iteration.
+def unscreened_fit_batch(counts, pairs_per_setting, tol, max_iter):
+    """``tomo._mle_fits`` with the exact gap on every row at every iteration.
 
     The fit loop without the gap screens, used as the oracle the screened
     loop must match bit for bit: RrhoR steps on the 16 real coordinates of
     the iterate, written out here from the design's maps, then Newton steps,
-    each taking the p_j that ``tomo._r_coordinates`` returned for its
-    iterate, before the stopped rows left the batch. As in the fit,
-    the gap is the top eigenvalue of ``eigh`` before the last RrhoR
-    iteration and of ``eigvalsh`` from it on. It records no ``history``.
+    each taking the p_j computed for its iterate before the stopped rows left
+    the batch. R is read as its real form R8, from the weights f_j / p_j by
+    ``frame_real``. As in the fit, the gap is the top eigenvalue of ``eigh``
+    before the last RrhoR iteration and of ``eigvalsh`` from it on. The counts
+    hold no row of zeros, and it records no ``history``.
     """
+    design = tomo._design()
     fits = tomo._Fits.blank(len(counts))
     rows = np.arange(len(counts))
     freqs = counts / float(pairs_per_setting)
     total = freqs.sum(axis=1)
     y = np.tile(coordinates(np.eye(4)[None] / 4.0), (len(counts), 1))
-    mu, probs = np.zeros(len(counts)), np.zeros((len(counts), 36))
+    mu = np.zeros(len(counts))
     floor_hits = np.zeros(len(counts), dtype=int)
-    r_op, _, _ = tomo._r_coordinates(design, freqs, y)
+
+    def evaluate(y):
+        """The p_j of every row of y, and the real form R8 of its R, each row alone."""
+        probs = tomo._rows(y, design.to_probs)
+        weights = freqs / np.maximum(probs, tomo.PROBABILITY_FLOOR)
+        return probs, tomo._rows(weights, design.frame_real).reshape(-1, 8, 8)
+
+    probs, r8 = evaluate(y)
     for iteration in range(1, max_iter + 1):
         if iteration <= tomo._RRR_ITERATIONS:
-            r8 = (r_op @ design.to_real).reshape(-1, 8, 8)
             y = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64)
             y = tomo._rows(y, design.from_real)
             y /= y[:, :4].sum(axis=1)[:, None]
-            r_op, floored, _ = tomo._r_coordinates(design, freqs, y)
-            r_plain = design.hermitian(r_op)
         else:
             if iteration == tomo._RRR_ITERATIONS + 1:
                 share = np.minimum(gap / total, 1.0)[:, None]
                 y = (1.0 - share) * y + share * coordinates(np.eye(4)[None] / 4.0)
                 mu = np.maximum(0.1 * gap, tol / 16.0)
-                probs = tomo._r_coordinates(design, freqs, y)[2]
+                probs = tomo._rows(y, design.to_probs)
             y = tomo._newton_step(design, freqs, y, probs, mu)
-            r_op, floored, probs = tomo._r_coordinates(design, freqs, y)
-            r_plain = design.hermitian(r_op)
-        floor_hits += floored.sum(axis=1)
+        probs, r8 = evaluate(y)
+        floor_hits += (probs < tomo.PROBABILITY_FLOOR).sum(axis=1)
+        r_plain = r8[:, :4, :4] + 1j * r8[:, 4:, :4]
         if iteration < min(tomo._RRR_ITERATIONS, max_iter):
             gap = np.linalg.eigh(r_plain)[0][:, -1] - total
         else:
@@ -220,20 +226,28 @@ def unscreened_fit_batch(design, counts, pairs_per_setting, tol, max_iter, histo
         if not stopped.any():
             continue
         done = np.flatnonzero(stopped)
+        stop = rows[done]
         rhos, fitted = tomo._states(design, y[done])
-        fits.put(rows[done], tomo._Fits(
-            rho=rhos, roots=qcore._roots(rhos), iterations=np.full(len(done), iteration),
-            loglike=tomo._loglike(counts[rows[done]], fitted), converged=converged[done],
-            floor_hits=floor_hits[done], gap=gap[done], errors=qcore._state_errors(rhos),
-            history=[()] * len(done),
-        ))
+        fits.rho[stop], fits.roots[stop], fits.iterations[stop] = rhos, qcore._roots(rhos), iteration
+        fits.loglike[stop] = tomo._loglike(counts[stop], fitted)
+        fits.converged[stop], fits.floor_hits[stop], fits.gap[stop] = (
+            converged[done], floor_hits[done], gap[done]
+        )
+        for i, error in zip(stop, qcore._state_errors(rhos)):
+            fits.errors[i] = error
         keep = ~stopped
         if not keep.any():
             break
-        rows, freqs, total, y, r_op, gap, mu, probs, floor_hits = (
-            a[keep] for a in (rows, freqs, total, y, r_op, gap, mu, probs, floor_hits)
+        rows, freqs, total, y, r8, gap, mu, probs, floor_hits = (
+            a[keep] for a in (rows, freqs, total, y, r8, gap, mu, probs, floor_hits)
         )
     return fits
+
+
+def pauli_basis():
+    """The (15, 4, 4) orthonormal traceless Pauli basis E_k of the Newton steps, rebuilt."""
+    paulis = (qcore.PAULI_I, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z)
+    return np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
 
 
 def newton_system_oracle(freqs, y, mu):
@@ -245,8 +259,7 @@ def newton_system_oracle(freqs, y, mu):
     tr(Y^-1 E_k Y^-1 E_l) for the Hessian, to which the likelihood adds
     T^T diag(f / p^2) T. p_j is floored at PROBABILITY_FLOOR.
     """
-    paulis = (qcore.PAULI_I, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z)
-    basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
+    basis = pauli_basis()
     frame = setting_projectors() / 9.0
     tangent = np.einsum("jab,kba->jk", frame, basis).real
     probs = np.maximum(np.einsum("jab,nba->nj", frame, y).real, tomo.PROBABILITY_FLOOR)
@@ -273,14 +286,13 @@ def coordinates(y):
     return np.concatenate([np.diagonal(y, axis1=1, axis2=2).real, pairs], axis=1)
 
 
-def r_operator(design, freqs, y):
-    """R of every complex Hermitian Y as a complex stack, which p_j the floor caught, and p_j."""
-    r, floored, probs = tomo._r_coordinates(design, freqs, coordinates(y))
-    return design.hermitian(r), floored, probs
+def probabilities(design, y):
+    """p_j = tr(Pi_j Y) / 9 of every complex Hermitian Y, with the product the fit takes."""
+    return tomo._rows(coordinates(y), design.to_probs)
 
 
 def rrr_step(design, freqs, y):
-    """One RrhoR step of every coordinate row y, with the products ``tomo._fit_batch`` takes.
+    """One RrhoR step of every coordinate row y, with the products ``tomo._mle_fits`` takes.
 
     The rows are padded to whole blocks of 8 with Y = I/4 and f_j = 1/36, as in
     the fit, and each product is one ``@`` on the padded stack: p_j, the real form
@@ -305,6 +317,19 @@ def full_rank_states(n, seed):
     a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
     y = a @ a.conj().transpose(0, 2, 1)
     return y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
+
+
+def fit_batches(monkeypatch):
+    """The row count of every call of ``tomo._mle_fits`` from now on, in a list that grows."""
+    batches = []
+    real = tomo._mle_fits
+
+    def spy(counts, *args, **kwargs):
+        batches.append(len(counts))
+        return real(counts, *args, **kwargs)
+
+    monkeypatch.setattr(tomo, "_mle_fits", spy)
+    return batches
 
 
 def fit_rows(fits, method):
@@ -455,7 +480,7 @@ class TestProjectors:
         design = tomo._design()
         fresh = setting_projectors()
         np.testing.assert_array_equal(design.frame, fresh.reshape(36, 16).view(float).T)
-        np.testing.assert_array_equal(design.hermitian(design.frame_coords), fresh / 9.0)
+        np.testing.assert_array_equal(design.frame_real.reshape(36, 8, 8), real_form(fresh / 9.0))
         assert tomo._design() is design
         for arr in vars(design).values():
             assert not arr.flags.writeable
@@ -823,7 +848,7 @@ class TestMle:
             want = expected_probabilities(DensityMatrix(rho)) / 9.0
             assert np.abs(got - want).max() <= 1e-15 * want.max()
         np.testing.assert_array_equal(
-            design.hermitian(design.frame_coords), setting_projectors() / 9.0
+            design.frame_real.reshape(36, 8, 8), real_form(setting_projectors() / 9.0)
         )
 
     def test_the_complex_form_is_exactly_hermitian(self):
@@ -835,18 +860,19 @@ class TestMle:
         assert not np.diagonal(y, axis1=1, axis2=2).imag.any()
 
     def test_the_real_frame_is_the_real_form_of_the_frame(self):
-        """``frame_real`` is bitwise ``frame_coords @ to_real``, read-only, and R8 gives R exactly.
+        """``frame_real`` is bitwise the coordinates of Pi_j / 9 @ ``to_real``, read-only, and exact.
 
         Each column of ``to_real`` holds one +-1 or none, so the table is exact;
         the complex R read off R8 is bitwise the complex form of R's coordinates.
         """
         design = tomo._design()
+        frame_coords = coordinates(setting_projectors() / 9.0)
         assert design.frame_real.shape == (36, 64) and not design.frame_real.flags.writeable
         assert (np.abs(design.to_real).sum(axis=0) <= 1.0).all()
-        np.testing.assert_array_equal(design.frame_real, design.frame_coords @ design.to_real)
+        np.testing.assert_array_equal(design.frame_real, frame_coords @ design.to_real)
         weights = np.random.default_rng(7).random((13, 36))
         r8 = (np.vstack((weights, np.ones((3, 36)))) @ design.frame_real)[:13].reshape(-1, 8, 8)
-        r = tomo._rows(weights, design.frame_coords)
+        r = tomo._rows(weights, frame_coords)
         np.testing.assert_array_equal(r8, (r @ design.to_real).reshape(-1, 8, 8))
         np.testing.assert_array_equal(r8[:, :4, :4] + 1j * r8[:, 4:, :4], design.hermitian(r))
 
@@ -979,7 +1005,7 @@ class TestMle:
         assert [(f.iterations, f.converged) for f in short[2:]] == [(switch + 5, False)] * 3
         assert all(f.converged and switch + 5 < f.iterations < 1_000 for f in full[2:])
 
-    def test_padding_rows_are_inert(self, monkeypatch):
+    def test_padding_rows_are_inert(self):
         """In batches of 1 to 17 rows, each row is bitwise its one-row fit and its unscreened fit.
 
         The RrhoR loop pads its batch to whole blocks of 8 with rows Y = I/4 and
@@ -1006,9 +1032,8 @@ class TestMle:
             warnings.simplefilter("error", RuntimeWarning)
             for size in range(1, 18):
                 batch = tomo._mle_fits(counts[:size], 1)
-                with monkeypatch.context() as patch:
-                    patch.setattr(tomo, "_fit_batch", unscreened_fit_batch)
-                    want = tomo._mle_fits(counts[:size], 1)
+                want = unscreened_fit_batch(counts[:size], 1, tomo.MLE_DEFAULT_TOL,
+                                            tomo.MLE_DEFAULT_MAX_ITER)
                 assert batch.errors == want.errors == [None] * size
                 for name in fields:
                     np.testing.assert_array_equal(getattr(batch, name), getattr(want, name))
@@ -1080,38 +1105,38 @@ class TestMle:
         assert np.median(newton_steps) <= 20
 
     def test_each_newton_iterate_is_evaluated_once(self, monkeypatch):
-        """Every Newton step takes the p_j that _r_coordinates returned for its iterate.
+        """Every Newton step takes the p_j that the fit computed for its iterate.
 
-        Tilted Bell p = 0.1 at 2.6e5 pairs, 4 seeds in one batch: after the
-        RrhoR phase, _r_coordinates runs once at the switch and once per
-        Newton iteration, and each _newton_system call gets, row for row,
-        the p_j of the previous _r_coordinates call on the same iterate.
+        Tilted Bell p = 0.1 at 2.6e5 pairs, 4 seeds in one batch: the fit
+        computes p_j by ``_rows`` only in the Newton phase, once at the switch
+        and once per Newton iteration, and each _newton_system call gets, row
+        for row, the p_j of the previous such call on the same iterate.
         """
         counts = np.stack([
             simulate_counts(tilted_bell(0.1), 260_000, seed=s).counts for s in range(4)
         ])
         calls = []
-        real_r, real_system = tomo._r_coordinates, tomo._newton_system
+        real_rows, real_system = tomo._rows, tomo._newton_system
+        design = tomo._design()
 
-        def r_coordinates(design, freqs, y):
-            out = real_r(design, freqs, y)
-            calls.append(("r", design.hermitian(y), out[2]))
+        def rows(x, m):
+            out = real_rows(x, m)
+            if m is design.to_probs and sys._getframe(1).f_code is tomo._mle_fits.__code__:
+                calls.append(("r", design.hermitian(x), out))
             return out
 
         def newton_system(design, freqs, y, probs, mu):
             calls.append(("system", y, probs))
             return real_system(design, freqs, y, probs, mu)
 
-        monkeypatch.setattr(tomo, "_r_coordinates", r_coordinates)
+        monkeypatch.setattr(tomo, "_rows", rows)
         monkeypatch.setattr(tomo, "_newton_system", newton_system)
         fits = tomo._mle_fits(counts, 260_000)
         newton_iterations = fits.iterations.max() - tomo._RRR_ITERATIONS
         assert fits.converged.all() and fits.iterations.min() > tomo._RRR_ITERATIONS
         assert len(set(fits.iterations)) > 1  # rows leave the batch between steps
-        newton = calls[-2 * newton_iterations - 1:]
-        assert [kind for kind, _, _ in newton] == ["r"] + ["system", "r"] * newton_iterations
-        assert all(kind == "r" for kind, _, _ in calls[:-len(newton)])
-        for (_, y_before, probs_before), (_, y, probs) in zip(newton[::2], newton[1::2]):
+        assert [kind for kind, _, _ in calls] == ["r"] + ["system", "r"] * newton_iterations
+        for (_, y_before, probs_before), (_, y, probs) in zip(calls[::2], calls[1::2]):
             for row, p in zip(y, probs):
                 [k] = [k for k, before in enumerate(y_before) if np.array_equal(before, row)]
                 np.testing.assert_array_equal(p, probs_before[k])
@@ -1134,14 +1159,7 @@ class TestMle:
             sparse,
             simulate_counts(tilted_bell(0.5), 3, seed=0).counts,
         ])
-        batches = []
-        real = tomo._fit_batch
-
-        def spy(design, counts, *args):
-            batches.append(len(counts))
-            return real(design, counts, *args)
-
-        monkeypatch.setattr(tomo, "_fit_batch", spy)
+        batches = fit_batches(monkeypatch)
         fits = fit_rows(tomo._mle_fits(counts, 3), "mle")
         assert batches == [3]  # no row was refitted alone
         assert all(fit.converged for fit in fits)
@@ -1161,14 +1179,7 @@ class TestMle:
         """
         counts = sparse_count_sets(20)
         assert len(counts) == 310
-        batches = []
-        real = tomo._fit_batch
-
-        def spy(design, counts, *args):
-            batches.append(len(counts))
-            return real(design, counts, *args)
-
-        monkeypatch.setattr(tomo, "_fit_batch", spy)
+        batches = fit_batches(monkeypatch)
         fits = tomo._mle_fits(counts, 3)
         assert batches == [310]
         assert fits.errors == [None] * 310
@@ -1214,7 +1225,7 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(2, seed=9))
         ])
         mu = np.array([1e-3, 1e-3])
-        probs = tomo._r_coordinates(design, freqs, y)[2]
+        probs = tomo._rows(y, design.to_probs)
         real = tomo._newton_system
 
         def steep(design, freqs, y, probs, mu):
@@ -1250,7 +1261,7 @@ class TestMle:
         dy = -grad @ design.basis_coords
         np.testing.assert_array_equal(new[0], coordinates(y)[0] + dy[0])
         np.testing.assert_array_equal(
-            design.hermitian(dy), (-grad @ design.basis.reshape(15, 16)).reshape(-1, 4, 4)
+            design.hermitian(dy), (-grad @ pauli_basis().reshape(15, 16)).reshape(-1, 4, 4)
         )
         dy, new = design.hermitian(dy), design.hermitian(new)
         vals, vecs = np.linalg.eigh(y[1])
@@ -1274,7 +1285,7 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(3, seed=11))
         ])
         mu = np.full(3, 1e-3)
-        probs = tomo._r_coordinates(design, freqs, y)[2]
+        probs = tomo._rows(y, design.to_probs)
         grad, hess = tomo._newton_system(design, freqs, design.hermitian(y), probs, mu)
         hess[1, 4, :] = hess[1, :, 4] = 0.0
         v = np.random.default_rng(12).normal(size=(15, 14))
@@ -1284,7 +1295,7 @@ class TestMle:
             """The step along each E_k of the rows ``rows``, fitted as one batch."""
             monkeypatch.setattr(tomo, "_newton_system", lambda *args: (grad[rows], hess[rows]))
             new = tomo._newton_step(design, freqs[rows], y[rows], probs[rows], mu[rows])
-            return np.einsum("bij,kji->bk", design.hermitian(new - y[rows]), design.basis).real
+            return np.einsum("bij,kji->bk", design.hermitian(new - y[rows]), pauli_basis()).real
 
         together = step([0, 1, 2])
         for i in range(3):
@@ -1321,7 +1332,7 @@ class TestMle:
         199, 200, 201, 220,
     ])
     @pytest.mark.parametrize("tol", [1e-2, 1e-10])
-    def test_screened_fits_match_the_unscreened_loop_bitwise(self, monkeypatch, tol, max_iter):
+    def test_screened_fits_match_the_unscreened_loop_bitwise(self, tol, max_iter):
         """Skipping eigvalsh where the tr(RYR) bound rules a stop out changes no bit of a fit."""
         horizontal = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
         batches = [
@@ -1342,9 +1353,7 @@ class TestMle:
         for pairs, rows in batches:
             counts = np.stack(rows)
             screened = tomo._mle_fits(counts, pairs, tol, max_iter)
-            with monkeypatch.context() as patch:
-                patch.setattr(tomo, "_fit_batch", unscreened_fit_batch)
-                want = tomo._mle_fits(counts, pairs, tol, max_iter)
+            want = unscreened_fit_batch(counts, pairs, tol, max_iter)
             assert screened.errors == want.errors == [None] * len(counts)
             for name in fields:
                 np.testing.assert_array_equal(getattr(screened, name), getattr(want, name))
@@ -1359,20 +1368,11 @@ class TestMle:
         ``eigvalsh`` at every iteration, which is the sum of the rows'
         iterations.
         """
-        batches = []
-        screened = tomo._fit_batch
-
-        def keep(design, counts, *args):
-            batches.append((design, counts, args))
-            return screened(design, counts, *args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(tomo, "_fit_batch", keep)
-            cli.run_purification(cli.default_config("purify"))
-        [(design, counts, args)] = batches  # one batch: input rows, then output rows
+        # one batch: input rows, then output rows
+        counts, pairs, opts, _ = default_fit_batch(monkeypatch, "purify")
         assert len(counts) == 202
         counts = counts[101:]
-        fitters = (screened.__code__, unscreened_fit_batch.__code__)
+        fitters = (tomo._mle_fits.__code__, unscreened_fit_batch.__code__)
         solved = [0]  # rows the fitters passed to eigh or eigvalsh
         for name in ("eigh", "eigvalsh"):
             def spy(a, *rest, real=getattr(np.linalg, name), **kwargs):
@@ -1382,9 +1382,9 @@ class TestMle:
 
             monkeypatch.setattr(np.linalg, name, spy)
         counted = []
-        for fit in (unscreened_fit_batch, screened):
+        for fit in (unscreened_fit_batch, tomo._mle_fits):
             solved[0] = 0
-            iterations = int(fit(design, counts, *args).iterations.sum())
+            iterations = int(fit(counts, pairs, **opts).iterations.sum())
             counted.append((solved[0], iterations))
         (plain, plain_iterations), (rows, iterations) = counted
         assert plain == plain_iterations == iterations
@@ -1401,7 +1401,7 @@ class TestMle:
             simulate_counts(tilted_bell(p), 3_000, seed=s).counts
             for p in (0.5, 0.3) for s in range(3)
         ] + [analytic_counts(tilted_bell(0.1), 3_000).counts])
-        code = tomo._fit_batch.__code__
+        code = tomo._mle_fits.__code__
         sizes = []  # stack sizes of the eigh and eigvalsh calls made by the fit loop
         for name in ("eigh", "eigvalsh"):
             def spy(a, *rest, real=getattr(np.linalg, name), **kwargs):
@@ -1455,27 +1455,17 @@ class TestMle:
         a vector, so the eigensolves are about the rows' first solve and
         the one that stops them.
         """
-        batches = []
-        screened = tomo._fit_batch
-
-        def keep(design, counts, *args):
-            batches.append((design, counts, args))
-            return screened(design, counts, *args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(tomo, "_fit_batch", keep)
-            cli.run_purification(cli.default_config("purify"))
-        [(design, counts, args)] = batches
+        counts, pairs, opts, _ = default_fit_batch(monkeypatch, "purify")
         solved = [0]  # rows passed to eigh by the fit loop
         real = np.linalg.eigh
 
         def spy(a, *rest, **kwargs):
-            if sys._getframe(1).f_code is screened.__code__:
+            if sys._getframe(1).f_code is tomo._mle_fits.__code__:
                 solved[0] += len(a)
             return real(a, *rest, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        fits = screened(design, counts, *args)
+        fits = tomo._mle_fits(counts, pairs, **opts)
         assert fits.converged.all() and fits.iterations.max() < tomo._RRR_ITERATIONS
         assert len(counts) <= solved[0] <= 2.5 * len(counts)
 
@@ -1523,7 +1513,8 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(len(y), seed=4))
         ])
         mu = 10.0 ** np.random.default_rng(5).uniform(-10.0, -1.0, size=len(y))
-        _, floored, probs = r_operator(design, freqs, y)
+        probs = probabilities(design, y)
+        floored = probs < tomo.PROBABILITY_FLOOR
         assert not floored[:6].any() and floored[6:].any(axis=1).all()
         got = tomo._newton_system(design, freqs, y, probs, mu)
         for new, old in zip(got, newton_system_oracle(freqs, y, mu)):
@@ -1544,7 +1535,7 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(24, seed=16))
         ])
         mu = 10.0 ** np.random.default_rng(17).uniform(-10.0, -1.0, size=24)
-        probs = r_operator(design, freqs, y)[2]
+        probs = probabilities(design, y)
         grad, hess = tomo._newton_system(design, freqs, y, probs, mu)
         for i in range(24):
             rows = slice(i, i + 1)
@@ -1567,17 +1558,17 @@ class TestMle:
         mu = np.array([1e-1, 1e-2, 1e-3, 1e-4])
 
         def objective(y):
-            probs = r_operator(design, freqs, y)[2]
+            probs = probabilities(design, y)
             return -(freqs * np.log(probs)).sum(axis=1) - mu * np.linalg.slogdet(y)[1]
 
         def system(y):
-            return tomo._newton_system(design, freqs, y, r_operator(design, freqs, y)[2], mu)
+            return tomo._newton_system(design, freqs, y, probabilities(design, y), mu)
 
         grad, hess = system(y)
         # each row against its largest entry; the steps keep the truncation
         # and rounding errors of the differences near 5e-8 of it
         g_scale, h_scale = np.abs(grad).max(axis=1), np.abs(hess).max(axis=(1, 2))[:, None]
-        for k, direction in enumerate(design.basis):
+        for k, direction in enumerate(pauli_basis()):
             h = 1e-6
             fd = (objective(y + h * direction) - objective(y - h * direction)) / (2.0 * h)
             assert (np.abs(grad[:, k] - fd) <= 1e-6 * g_scale).all()
@@ -1585,23 +1576,14 @@ class TestMle:
             up, down = (system(y + s * h * direction)[0] for s in (1.0, -1.0))
             assert (np.abs(hess[:, :, k] - (up - down) / (2.0 * h)) <= 1e-6 * h_scale).all()
 
-    def test_zero_rows_are_refused_before_the_batch(self, monkeypatch):
-        """A row of zeros is refused by name; the other rows stay one batch."""
+    def test_zero_rows_are_refused_before_the_batch(self):
+        """A row of zeros is refused by name; the other row's fit is bitwise its fit alone."""
         good = simulate_counts(tilted_bell(0.5), 3_000, seed=1).counts
         [alone] = fit_rows(tomo._mle_fits(good[None], 3_000), "mle")
-        batches = []
-        real = tomo._fit_batch
-
-        def spy(design, counts, *args):
-            batches.append(len(counts))
-            return real(design, counts, *args)
-
-        monkeypatch.setattr(tomo, "_fit_batch", spy)
         empty, fit = fit_rows(tomo._mle_fits(np.stack([np.zeros(36), good]), 3_000), "mle")
-        assert batches == [1]
         assert isinstance(empty, ValueError) and "all zero" in str(empty)
-        assert (fit.iterations, fit.converged, fit.loglike) == (
-            alone.iterations, alone.converged, alone.loglike
+        assert (fit.iterations, fit.converged, fit.loglike, fit.gap, fit.floor_hits) == (
+            alone.iterations, alone.converged, alone.loglike, alone.gap, alone.floor_hits
         )
         np.testing.assert_array_equal(fit.rho.data, alone.rho.data)
 
