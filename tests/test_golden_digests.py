@@ -63,8 +63,9 @@ def simd_level() -> str:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
-    on = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
-    return (on or umath.__cpu_baseline__ or ["none"])[-1]
+    features = getattr(umath, "__cpu_features__", {})
+    on = [t for t in getattr(umath, "__cpu_dispatch__", []) if features.get(t)]
+    return (on or getattr(umath, "__cpu_baseline__", []) or ["unknown"])[-1]
 
 
 def machine_key() -> str:
