@@ -595,14 +595,14 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> tuple:
     one batch that checks and fits every branch
     (:func:`~fransonsim.tomo._bootstrap_reports`).
 
-    Returns the checked source stack, each point's blocked input weight, the
-    (B, 4) port probabilities (the diagonal of each path marginal) and per
-    point ``{"input" | "output": (rho, counts, metrics, truth)}``, with
-    ``rho`` the polarization state of the blocked input or of the output,
-    ``counts`` its row of the count stack and ``truth`` its metrics by name.
+    Returns the checked source stack, each point's blocked input weight (the
+    trace that :func:`~fransonsim.transfer._blocked` kept), the (B, 4) port
+    probabilities (the diagonal of each path marginal) and per point
+    ``{"input" | "output": (counts, metrics, truth)}``, with ``counts`` the
+    branch's row of the count stack and ``truth`` its metrics by name.
     The time of each of the STAGE_NAMES is added to ``stage_s``.
     """
-    tcfg, n, checked = cfg.tomography, len(points), DensityMatrix._checked
+    tcfg, n = cfg.tomography, len(points)
     with _stage(stage_s, "source"):
         sources = _check_states(_source_stack([source for source, _ in points]))
     with _stage(stage_s, "channel"):
@@ -622,8 +622,6 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> tuple:
         del after, blocked, joints  # only the marginals are kept
         ports = _check_ports(paths.diagonal(axis1=1, axis2=2).real)
     stack = np.stack([pol_in, pol_out], axis=1).reshape(2 * n, 4, 4)  # the branches in order
-    weights = [w for k in kept for w in (k, 1.0)]  # an input keeps its blocked weight
-    states = [checked(rho, w) for rho, w in zip(stack, weights)]
     with _stage(stage_s, "counts"):
         counts = tcfg.pairs_per_setting * _probabilities(stack)
         seeds = [None] * len(counts)  # analytic counts are the means; nothing is drawn
@@ -638,8 +636,8 @@ def _run_points(cfg: ExperimentConfig, points, stage_s: dict) -> tuple:
         tol=tcfg.mle_tol, max_iter=tcfg.mle_max_iter,
     )
     truths = [dict(zip(METRIC_NAMES, row)) for row in _metric_rows(stack, _roots(stack)).tolist()]
-    branches = list(zip(states, counts, reports, truths))
-    return sources, [rho.weight for rho in states[::2]], ports, [
+    branches = list(zip(counts, reports, truths))
+    return sources, kept, ports, [
         {"input": branches[2 * i], "output": branches[2 * i + 1]} for i in range(n)
     ]
 
@@ -672,7 +670,7 @@ def _finish(experiment, cfg, stages, t0, out_dir, report_name, stage_s, branches
     one more. ``stage_s``, the pipeline's seconds per stage, goes into the
     run block.
     """
-    metrics = [branch[2] for point in branches for branch in point.values()]
+    metrics = [branch[1] for point in branches for branch in point.values()]
     bootstrap = sum(m.n_nonconverged for m in metrics)
     point = sum(not m.point_fit.converged for m in metrics)
     if bootstrap or point:
@@ -733,8 +731,9 @@ def run_purification(cfg: ExperimentConfig, out_dir=None) -> RunReport:
         _marginals(sources, _POL_MARGINAL), _marginals(sources, _ET_MARGINAL)
     ]))).tolist()
     tomography = {}
-    for name, (rho, counts, metrics, truth) in branches[0].items():
-        payload = _branch_payload(metrics, truth, state_weight=rho.weight)
+    for name, (counts, metrics, truth) in branches[0].items():
+        # the input keeps the weight of its blocked long arms; the output is not postselected
+        payload = _branch_payload(metrics, truth, state_weight=kept if name == "input" else 1.0)
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -777,7 +776,7 @@ def run_chsh_sweep(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     *_, branches = _run_points(cfg, _sweep_points(cfg, sweep), stage_s)
     rows = []
     for p, point in zip(sweep.values, branches):
-        (_, _, m_in, t_in), (_, _, m_out, t_out) = point["input"], point["output"]
+        (_, m_in, t_in), (_, m_out, t_out) = point["input"], point["output"]
         rows.append({
             "p": p,
             "s_in": m_in.s_value,
@@ -815,7 +814,7 @@ def run_custom(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     for i, point in enumerate(branches):
         row = {
             name: _branch_payload(metrics, truth)
-            for name, (_, _, metrics, truth) in point.items()
+            for name, (_, metrics, truth) in point.items()
         }
         row["port_probs"] = ports[i].tolist()
         row["blocked_input_weight"] = kept[i]
@@ -831,7 +830,9 @@ def run_fringe_scan(cfg: ExperimentConfig, out_dir=None, n_points: int = 25) -> 
     """Scan the interferometer sum phase and read off the fringe visibility.
 
     A ``sum_phase`` sweep gives the scan phases; without a sweep, ``n_points``
-    phases span 0 to 2 pi. A sweep of any other parameter is refused.
+    phases span 0 to 2 pi. A sweep of any other parameter is refused, and so
+    is one whose phases all fall on the dark fringe, where the visibility is
+    undefined; without a sweep the scan covers a full period.
     """
     _refuse_sweep("fringe-scan", cfg.sweep, "sum_phase")
     t0 = time.perf_counter()
@@ -846,11 +847,15 @@ def run_fringe_scan(cfg: ExperimentConfig, out_dir=None, n_points: int = 25) -> 
         state = apply_noisy_channel(state, cfg.channel)
     with _stage(stage_s, "scan"):
         points = sum_phase_scan(state, cfg.interferometer, phases)
+        probs = [q for _, q in points]
+        if cfg.sweep is not None and max(probs) + min(probs) <= 0.0:
+            raise ConfigError(["sweep.values: fringe-scan reads no light at any of these phases, "
+                               "so the visibility is undefined; scan a phase off the dark fringe"])
         vis = fringe_visibility(points)
     stages = {
         "fringe": {
             "phases_rad": [p for p, _ in points],
-            "probabilities": [q for _, q in points],
+            "probabilities": probs,
             "visibility": vis,
             "configured_visibility": cfg.source.franson_visibility,
         }

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -234,14 +233,19 @@ def _plate_channel(kind: str) -> tuple[np.ndarray, ...]:
     return (PAULI_I / math.sqrt(2.0), PAULI_Z / 2.0, PAULI_X / 2.0)
 
 
-@lru_cache(maxsize=None)
-def _plate_superoperator(kind: str, arm: str) -> np.ndarray:
-    """The read-only 16x16 Liouville matrix on (pol_A, pol_B) of a rotating plate on ``arm``."""
-    ops = [np.kron(op, PAULI_I) if arm == "A" else np.kron(PAULI_I, op)
-           for op in _plate_channel(kind)]
-    sop = _superoperator(np.array(ops))
-    sop.setflags(write=False)
-    return sop
+def _plate_superoperators() -> dict[tuple[str, str], np.ndarray]:
+    """The read-only 16x16 Liouville matrix on (pol_A, pol_B) of a rotating plate per (kind, arm)."""
+    table = {}
+    for kind in WAVEPLATE_KINDS:
+        for arm in ARMS:
+            ops = [np.kron(op, PAULI_I) if arm == "A" else np.kron(PAULI_I, op)
+                   for op in _plate_channel(kind)]
+            table[kind, arm] = sop = _superoperator(np.array(ops))
+            sop.setflags(write=False)
+    return table
+
+
+_PLATE_SUPEROPERATORS = _plate_superoperators()
 
 
 def _plates_unitary(plates: tuple[WaveplateSpec, ...]) -> np.ndarray:
@@ -258,10 +262,10 @@ def _channel_stack(stack: np.ndarray, spec: NoisyChannelSpec) -> np.ndarray:
     Every stage acts on (pol_A, pol_B) alone, so the pipeline is one CPTP
     map there: the product, last stage leftmost, of one 16x16 Liouville
     matrix per stage (:func:`~fransonsim.qcore._superoperator`), U x conj(U)
-    with U = U_A x U_B for a coherent stage, and the cached matrix of
-    :func:`_plate_superoperator` for a rotating plate. It is applied to the
-    whole stack by one :func:`~fransonsim.qcore._liouville_map`, one 16x16
-    product per state. Without stages the stack is returned as it is.
+    with U = U_A x U_B for a coherent stage, and ``_PLATE_SUPEROPERATORS[kind,
+    arm]``, built at import, for a rotating plate. It is applied to the whole
+    stack by one :func:`~fransonsim.qcore._liouville_map`, one 16x16 product
+    per state. Without stages the stack is returned as it is.
     """
     if not spec.stages:
         return stack
@@ -271,7 +275,7 @@ def _channel_stack(stack: np.ndarray, spec: NoisyChannelSpec) -> np.ndarray:
             u = np.kron(_plates_unitary(stage.plates_a), _plates_unitary(stage.plates_b))
             step = _superoperator(u[None])
         else:
-            step = _plate_superoperator(stage.kind, stage.arm)
+            step = _PLATE_SUPEROPERATORS[stage.kind, stage.arm]
         sop = step if sop is None else step @ sop
     return _liouville_map(stack, sop, ("pol_A", "pol_B"))
 

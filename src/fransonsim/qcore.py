@@ -209,18 +209,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    @classmethod
-    def pure(cls, ket: np.ndarray, weight: float = 1.0) -> "DensityMatrix":
-        """Projector onto a ket; the ket is normalized first, and a non-finite one refused."""
-        vec = np.asarray(ket, dtype=complex).ravel()
-        if not np.isfinite(vec).all():
-            raise ValueError(f"ket has non-finite entries: {vec}")
-        norm = math.hypot(*vec.view(float))  # scaled by the largest part, so no square overflows
-        if norm < 1e-12:
-            raise ValueError("cannot normalize a zero ket")
-        vec = vec / norm
-        return cls(np.outer(vec, vec.conj()), weight=weight)
-
 
 def kraus_map(
     data: np.ndarray, kraus: Sequence[np.ndarray], targets: Sequence[str]

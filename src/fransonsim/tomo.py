@@ -98,7 +98,8 @@ def setting_projectors() -> np.ndarray:
     operator space, so both estimators below are well posed, and they sum
     to 9 I, which the likelihood fit relies on.
     """
-    # Only _design calls this; it stays public because bench/spans.py traces it.
+    # _fixed_tables calls this once at import, and tests/test_fit_contract.py rebuilds the
+    # gap from it; it stays public because bench/spans.py traces it.
     plate = jones(WaveplateSpec("quarter", 0.0)).conj().T
     singles = []
     for angle, plate_in in _ANALYZERS:
@@ -106,61 +107,42 @@ def setting_projectors() -> np.ndarray:
         if plate_in:
             ket = plate @ ket
         singles.append(np.outer(ket, ket.conj()))
-    return np.stack([np.kron(a, b) for a in singles for b in singles])
+    singles = np.stack(singles)
+    # Pi_A x Pi_B of every pair at once: entry [i, k, j, l] is Pi_A[i, j] Pi_B[k, l]
+    pairs = singles[:, None, :, None, :, None] * singles[None, :, None, :, None, :]
+    return pairs.reshape(-1, 4, 4)
 
 
-@dataclass(frozen=True)
-class _Design:
-    """The constant measurement design of the standard settings.
+def _fixed_tables() -> tuple[np.ndarray, ...]:
+    """The read-only tables of the fixed design, in the order of the module constants below.
 
     The 36 projectors Pi_j of :func:`setting_projectors` sum to 9 I, so the
     maximum-likelihood fit weighs Pi_j / 9.
-    ``basis_row`` is the (4, 60) [E_1 ... E_15] of the orthonormal traceless
-    Pauli basis E_k. ``tangent`` is the real (36, 15)
+    ``_BASIS_ROW`` is the (4, 60) [E_1 ... E_15] of the orthonormal traceless
+    Pauli basis E_k. ``_TANGENT`` is the real (36, 15)
     tr(Pi_j E_k) / 9, the derivative of the fitted probabilities along E_k, and
-    row j of the (36, 225) ``tangent_outer`` is tangent_j x tangent_j; f @
-    ``pinv`` is the least-squares vec(rho) of frequencies f, as reals. The
+    row j of the (36, 225) ``_TANGENT_OUTER`` is tangent_j x tangent_j; f @
+    ``_PINV`` is the least-squares vec(rho) of frequencies f, as reals. The
     likelihood fit carries each Hermitian Y as its 16 real coordinates y: Re
-    Y_aa, then Re Y_ab and Im Y_ab for each a < b. y @ ``to_probs`` is p_j =
-    tr(Pi_j Y) / 9, and the rows of ``basis_coords`` hold the E_k. y @ ``to_real``
-    is the real form [[Re Y, -Im Y], [Im Y, Re Y]] and y @ ``to_complex`` is
-    vec(Y), both exact; x @ ``from_real`` reads a real form x back, each
-    coordinate the mean of its copies. Row j of the (36, 64) ``frame_real`` is
-    the real form of Pi_j / 9, so w @ ``frame_real`` is that of sum_j w_j Pi_j / 9.
-    The columns of the real (32, 36) ``frame`` and (32, 2) ``readout`` are
+    Y_aa, then Re Y_ab and Im Y_ab for each a < b. y @ ``_TO_PROBS`` is p_j =
+    tr(Pi_j Y) / 9, and the rows of ``_BASIS_COORDS`` hold the E_k. y @ ``_TO_REAL``
+    is the real form [[Re Y, -Im Y], [Im Y, Re Y]] and y @ ``_TO_COMPLEX`` is
+    vec(Y), both exact (:func:`_hermitian`); x @ ``_FROM_REAL`` reads a real form x
+    back, each coordinate the mean of its copies. Row j of the (36, 64) ``_FRAME_REAL``
+    is the real form of Pi_j / 9, so w @ ``_FRAME_REAL`` is that of sum_j w_j Pi_j / 9.
+    The columns of the real (32, 36) ``_FRAME`` and (32, 2) ``_READOUT`` are
     vec(O), in the interleaved real view of a complex vec(rho), of Hermitian
     operators O: the 36 projectors Pi_j, and the two operators whose
     expectations are reported, |Phi+><Phi+| and the CHSH operator B. Since
     tr(rho O) = Re sum_ab rho_ab conj(O_ab), each is one real dot product
-    (:func:`_probabilities`, :func:`_metric_rows`). The arrays are read-only
-    and shared.
+    (:func:`_probabilities`, :func:`_metric_rows`).
     """
-
-    basis_row: np.ndarray
-    tangent: np.ndarray
-    tangent_outer: np.ndarray
-    pinv: np.ndarray
-    to_probs: np.ndarray
-    frame_real: np.ndarray
-    to_real: np.ndarray
-    from_real: np.ndarray
-    to_complex: np.ndarray
-    basis_coords: np.ndarray
-    frame: np.ndarray
-    readout: np.ndarray
-
-    def hermitian(self, y: np.ndarray) -> np.ndarray:
-        """The (B, 4, 4) Hermitian matrices of a (B, 16) stack of coordinates."""
-        return (y @ self.to_complex).reshape(-1, 4, 4)
-
-
-@functools.cache
-def _design() -> _Design:
-    """Build the design on first use; later calls reuse it."""
     pis = setting_projectors()
     ninths = pis / 9.0
-    paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-    basis = np.stack([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2.0
+    paulis = np.stack((PAULI_I, PAULI_X, PAULI_Y, PAULI_Z))
+    # the 16 Pauli products P_a x P_b, as in setting_projectors; the first is I x I
+    products = paulis[:, None, :, None, :, None] * paulis[None, :, None, :, None, :]
+    basis = products.reshape(16, 4, 4)[1:] / 2.0
     matrix = pis.transpose(0, 2, 1).reshape(_N_SETTINGS, 16)
     tangent = np.einsum("jab,kba->jk", ninths, basis).real
     # Y = sum_c y_c units[c], and coordinate c of X is tr(units[c] X) / norms[c]
@@ -179,30 +161,39 @@ def _design() -> _Design:
     )
     bell = np.kron(a, b - b_prime) + np.kron(a_prime, b + b_prime)
     target = np.outer(PHI_PLUS_KET, PHI_PLUS_KET.conj())
-    design = _Design(
-        basis_row=np.concatenate(basis, axis=1),
-        tangent=tangent,
-        tangent_outer=(tangent[:, :, None] * tangent[:, None, :]).reshape(_N_SETTINGS, 225),
-        pinv=np.ascontiguousarray(np.linalg.pinv(matrix).T).view(float),
+    tables = (
+        np.concatenate(basis, axis=1),
+        tangent,
+        (tangent[:, :, None] * tangent[:, None, :]).reshape(_N_SETTINGS, 225),
+        np.ascontiguousarray(np.linalg.pinv(matrix).T).view(float),
         # column-major: a row-major copy rounds p_j otherwise and moves fitted states by ulps
-        to_probs=np.asfortranarray(to_probs),
-        frame_real=(to_probs.T / norms) @ to_real,
-        to_real=to_real,
-        from_real=np.ascontiguousarray((to_real / np.abs(to_real).sum(axis=1)[:, None]).T),
-        to_complex=units.reshape(16, 16),
-        basis_coords=np.einsum("cab,kba->kc", units, basis).real / norms,
-        frame=pis.reshape(_N_SETTINGS, 16).view(float).T,
-        readout=np.ascontiguousarray(np.stack([target, bell]).reshape(2, 16).view(float).T),
+        np.asfortranarray(to_probs),
+        (to_probs.T / norms) @ to_real,
+        to_real,
+        np.ascontiguousarray((to_real / np.abs(to_real).sum(axis=1)[:, None]).T),
+        units.reshape(16, 16),
+        np.einsum("cab,kba->kc", units, basis).real / norms,
+        pis.reshape(_N_SETTINGS, 16).view(float).T,
+        np.ascontiguousarray(np.stack([target, bell]).reshape(2, 16).view(float).T),
     )
-    for arr in vars(design).values():
+    for arr in tables:
         arr.setflags(write=False)
-    return design
+    return tables
+
+
+(_BASIS_ROW, _TANGENT, _TANGENT_OUTER, _PINV, _TO_PROBS, _FRAME_REAL, _TO_REAL, _FROM_REAL,
+ _TO_COMPLEX, _BASIS_COORDS, _FRAME, _READOUT) = _fixed_tables()
+
+
+def _hermitian(y: np.ndarray) -> np.ndarray:
+    """The (B, 4, 4) Hermitian matrices of a (B, 16) stack of coordinates."""
+    return (y @ _TO_COMPLEX).reshape(-1, 4, 4)
 
 
 def _probabilities(stack: np.ndarray) -> np.ndarray:
-    """tr(rho Pi_j) of a (B, 4, 4) stack, (B, 36): a row-stacked product with the design's
-    ``frame``, as in :func:`_metric_rows`, so a row's bits do not depend on its batch."""
-    probs = np.matmul(stack.reshape(-1, 1, 16).view(float), _design().frame)[:, 0]
+    """tr(rho Pi_j) of a (B, 4, 4) stack, (B, 36): a row-stacked product with ``_FRAME``,
+    as in :func:`_metric_rows`, so a row's bits do not depend on its batch."""
+    probs = np.matmul(stack.reshape(-1, 1, 16).view(float), _FRAME)[:, 0]
     return np.clip(probs, 0.0, None)  # roundoff can leave a few ulp below zero
 
 
@@ -462,16 +453,15 @@ class _Fits:
 def _linear_fits(counts: np.ndarray, pairs_per_setting: int) -> _Fits:
     """Linear inversion of every row of ``counts`` (B, 36) in one batched solve.
 
-    The cached pseudo-inverse solves each row in real arithmetic, and every
+    The pseudo-inverse ``_PINV`` solves each row in real arithmetic, and every
     later step is a stacked pass that acts on each row alone, so a row's fit
     does not depend on its batch: each row's clipped, renormalised spectrum w
     gives its state V w V^dag, then its factor V sqrt(w), written over V. A row
     is refused, its entry of ``errors`` the reason, if its state collapses to
     the zero matrix or fails validation.
     """
-    design = _design()
     freqs = counts / float(pairs_per_setting)
-    raw = np.matmul(freqs[:, None, :], design.pinv).view(complex).reshape(-1, 4, 4)
+    raw = np.matmul(freqs[:, None, :], _PINV).view(complex).reshape(-1, 4, 4)
     raw = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
     eigvals, eigvecs = np.linalg.eigh(raw)
     vals = np.clip(eigvals, 0.0, None)
@@ -535,30 +525,30 @@ def _quotient_screen(v: np.ndarray, r8: np.ndarray, ceiling: np.ndarray) -> np.n
     return ~((v[:, None, :] @ r8 @ v[:, :, None])[:, 0, 0] > ceiling)
 
 
-def _states(design: _Design, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _states(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho = Y / tr(Y) of every coordinate row y, and its tr(rho Pi_j)."""
     rho = y / y[:, :4].sum(axis=1)[:, None]
-    return design.hermitian(rho), 9.0 * _rows(rho, design.to_probs)
+    return _hermitian(rho), 9.0 * _rows(rho, _TO_PROBS)
 
 
 def _newton_system(
-    design: _Design, freqs: np.ndarray, y: np.ndarray, probs: np.ndarray, mu: np.ndarray
+    freqs: np.ndarray, y: np.ndarray, probs: np.ndarray, mu: np.ndarray
 ) -> tuple:
     """Gradient and Hessian of -sum_j f_j log p_j - mu log det Y along the E_k, per row.
 
     ``probs`` are the p_j of Y, as the Newton loop of :func:`_mle_fits` computes them.
-    The likelihood Hessian T^T diag(f / p^2) T is f / p^2 times ``tangent_outer``.
-    One product of Y^-1 with ``basis_row`` gives every W_k = Y^-1 E_k; the barrier
+    The likelihood Hessian T^T diag(f / p^2) T is f / p^2 times ``_TANGENT_OUTER``.
+    One product of Y^-1 with ``_BASIS_ROW`` gives every W_k = Y^-1 E_k; the barrier
     adds -mu tr(W_k) to the gradient and mu tr(W_k W_l) to the Hessian. The products
     are stacked or row by row, so their rounding does not depend on the batch.
     """
     probs = np.maximum(probs, PROBABILITY_FLOOR)
     weights = freqs / probs
-    w = (np.linalg.inv(y) @ design.basis_row).reshape(-1, 4, 15, 4)  # W_k[a, c] at [a, k, c]
+    w = (np.linalg.inv(y) @ _BASIS_ROW).reshape(-1, 4, 15, 4)  # W_k[a, c] at [a, k, c]
     w_rows = w.transpose(0, 2, 1, 3).reshape(-1, 15, 16)  # row k: W_k[a, c] at 4 a + c
-    grad = -np.matmul(weights[:, None, :], design.tangent)[:, 0]
+    grad = -np.matmul(weights[:, None, :], _TANGENT)[:, 0]
     grad -= mu[:, None] * w_rows[:, :, ::5].sum(axis=2).real
-    hess = np.matmul((weights / probs)[:, None, :], design.tangent_outer)[:, 0]
+    hess = np.matmul((weights / probs)[:, None, :], _TANGENT_OUTER)[:, 0]
     # column l of the transposed stack holds W_l[c, a] at 4 a + c
     barrier = (w_rows @ w.transpose(0, 3, 1, 2).reshape(-1, 16, 15)).real
     return grad, hess.reshape(-1, 15, 15) + mu[:, None, None] * barrier
@@ -570,7 +560,7 @@ _PINV_RCOND = 1e-12
 
 
 def _newton_step(
-    design: _Design, freqs: np.ndarray, y: np.ndarray, probs: np.ndarray, mu: np.ndarray
+    freqs: np.ndarray, y: np.ndarray, probs: np.ndarray, mu: np.ndarray
 ) -> np.ndarray:
     """One damped Newton step per row on the problem of :func:`_newton_system`.
 
@@ -589,9 +579,9 @@ def _newton_step(
     boundary (Nocedal and Wright, Numerical Optimization, 2nd ed., 19.2).
     A row with a non-finite dY, or whose Y + t dY fails the test that its
     smallest eigenvalue is positive, keeps its iterate. Y and the returned
-    stack are (B, 16) coordinates (see :class:`_Design`).
+    stack are (B, 16) coordinates (see :func:`_fixed_tables`).
     """
-    grad, hess = _newton_system(design, freqs, design.hermitian(y), probs, mu)
+    grad, hess = _newton_system(freqs, _hermitian(y), probs, mu)
     diag = np.diagonal(hess, axis1=1, axis2=2)
     scale = 1.0 / np.sqrt(np.where((diag > 0.0) & (diag < np.inf), diag, 1.0))
     scaled = scale[:, :, None] * hess * scale[:, None, :]
@@ -608,14 +598,14 @@ def _newton_step(
     if singular.any():
         pinv = np.linalg.pinv(scaled[singular], rcond=_PINV_RCOND, hermitian=True)
         step[singular] = (pinv @ rhs[singular, :, None])[..., 0]
-    dy = _rows(scale * step, design.basis_coords)
+    dy = _rows(scale * step, _BASIS_COORDS)
     dy[~np.isfinite(dy).all(axis=1)] = 0.0
-    vals, vecs = np.linalg.eigh(design.hermitian(y))
+    vals, vecs = np.linalg.eigh(_hermitian(y))
     root = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # Y^-1/2
-    lowest = np.linalg.eigvalsh(root @ design.hermitian(dy) @ root)[:, 0]
+    lowest = np.linalg.eigvalsh(root @ _hermitian(dy) @ root)[:, 0]
     t = 0.99 / np.maximum(0.99, -lowest)  # min(1, 0.99 / max(0, -lambda))
     new = y + t[:, None] * dy
-    return np.where((np.linalg.eigvalsh(design.hermitian(new))[:, 0] > 0.0)[:, None], new, y)
+    return np.where((np.linalg.eigvalsh(_hermitian(new))[:, 0] > 0.0)[:, None], new, y)
 
 
 def _mle_fits(
@@ -628,14 +618,14 @@ def _mle_fits(
     """Maximum-likelihood fits of every row of ``counts`` (B, 36) in one batch.
 
     The 36 standard projectors sum to 9 I, so each row fits the unit-trace
-    state Y = rho itself against the operators Pi_j / 9 of the cached
+    state Y = rho itself against the operators Pi_j / 9 of the fixed
     design. It minimises -sum_j f_j log p_j, with p_j = tr(Pi_j Y) / 9 and
     f_j = counts_j / pairs_per_setting, which is the Poisson likelihood
     with the flux fitted too.
 
     All rows start from the maximally mixed state and iterate Y -> N[R Y R], R
     = sum_j (f_j / p_j) Pi_j / 9 (Rehacek, Hradil, Knill and Lvovsky, PRA 75,
-    042108 (2007)) on the 16 real coordinates of each Y (see :class:`_Design`),
+    042108 (2007)) on the 16 real coordinates of each Y (see :func:`_fixed_tables`),
     so a step is a few real products and every iterate is exactly Hermitian;
     only the certificate's eigensolve, stopped rows, ``history`` and Newton
     steps form complex matrices. A row stops when its convexity gap g =
@@ -666,7 +656,7 @@ def _mle_fits(
     rows leave the batch, which moves no bit of the others (see :func:`_rows`).
     Probabilities are floored at PROBABILITY_FLOOR so empty settings cannot blow up the weights.
 
-    Both phases read R as its 8x8 real form R8 = (f_j / p_j) @ ``frame_real`` and take
+    Both phases read R as its 8x8 real form R8 = (f_j / p_j) @ ``_FRAME_REAL`` and take
     the gap's eigensolve of R8's complex form. RrhoR steps carry the open rows in whole
     blocks of 8, re-padded only when rows stop, so p_j, R8 and R8 Y8 R8 are one ``@``
     each. Padding rows hold Y = I/4 and f_j = 1/36, so p_j = 1/36 and R = I: a fixed
@@ -681,7 +671,6 @@ def _mle_fits(
     every iterate.
     """
     tol, max_iter = _mle_options(tol=tol, max_iter=max_iter)
-    design = _design()
     fits = _Fits.blank(len(counts), ValueError("the counts are all zero, there is nothing to fit"))
     nonzero = rows = np.flatnonzero(counts.any(axis=1))  # input row of each open row
     freqs = counts[rows] / float(pairs_per_setting)
@@ -694,7 +683,7 @@ def _mle_fits(
         """Log ``y_now``. Record the rows ``gap`` stops (None: none); drop them and the padding."""
         nonlocal rows, freqs, total
         if history:
-            for i, ll in zip(rows, _loglike(counts[rows], _states(design, y_now[:len(rows)])[1])):
+            for i, ll in zip(rows, _loglike(counts[rows], _states(y_now[:len(rows)])[1])):
                 logs[i].append(float(ll))
         if gap is None:
             return carried
@@ -703,7 +692,7 @@ def _mle_fits(
         if len(done) == 0:
             return carried
         stop = rows[done]
-        fits.rho[stop], fitted = _states(design, y_now[done])
+        fits.rho[stop], fitted = _states(y_now[done])
         fits.iterations[stop], fits.loglike[stop] = iteration, _loglike(counts[stop], fitted)
         fits.converged[stop], fits.gap[stop] = gap[done] <= tol, gap[done]
         keep = np.flatnonzero(~stopped)
@@ -727,17 +716,17 @@ def _mle_fits(
         if pad:  # at the start, and after rows stopped
             y = np.vstack((y, np.tile(mixed, (pad, 1))))
             freqs = np.vstack((freqs, np.full((pad, _N_SETTINGS), 1 / 36)))
-        weights = y @ design.to_probs
+        weights = y @ _TO_PROBS
         if not weights.min(initial=np.inf) >= PROBABILITY_FLOOR:  # NaN too; no rows: none
             fits.floor_hits[rows] += (weights[:n] < PROBABILITY_FLOOR).sum(axis=1)
             np.maximum(weights, PROBABILITY_FLOOR, out=weights)
-        r8 = (np.divide(freqs, weights, out=weights) @ design.frame_real).reshape(-1, 8, 8)
+        r8 = (np.divide(freqs, weights, out=weights) @ _FRAME_REAL).reshape(-1, 8, 8)
         gap = None  # no row can stop, so no certificate is needed
         if iteration == last:
             gap = np.linalg.eigvalsh(r8[:n, :4, :4] + 1j * r8[:n, 4:, :4])[:, -1] - total
         else:
-            y = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64)
-            y = y @ design.from_real
+            y = (r8 @ (y @ _TO_REAL).reshape(-1, 8, 8) @ r8).reshape(-1, 64)
+            y = y @ _FROM_REAL
             norm = y[:, :4].sum(axis=1)
             y /= norm[:, None]
             if iteration == 0:
@@ -757,14 +746,14 @@ def _mle_fits(
         share = np.minimum(gap / total, 1.0)[:, None]
         y, freqs = (1.0 - share) * y[:len(rows)] + share * mixed, freqs[:len(rows)]
         mu = np.maximum(0.1 * gap, tol / 16.0)
-        probs = _rows(y, design.to_probs)
+        probs = _rows(y, _TO_PROBS)
         while len(rows) > 0:  # settle stops every row at max_iter
             iteration += 1
-            y = _newton_step(design, freqs, y, probs, mu)
-            probs = _rows(y, design.to_probs)
+            y = _newton_step(freqs, y, probs, mu)
+            probs = _rows(y, _TO_PROBS)
             fits.floor_hits[rows] += (probs < PROBABILITY_FLOOR).sum(axis=1)
             weights = freqs / np.maximum(probs, PROBABILITY_FLOOR)
-            r8 = _rows(weights, design.frame_real).reshape(-1, 8, 8)
+            r8 = _rows(weights, _FRAME_REAL).reshape(-1, 8, 8)
             gap = np.linalg.eigvalsh(r8[:, :4, :4] + 1j * r8[:, 4:, :4])[:, -1] - total
             mu = np.maximum(mu / 10.0, np.maximum(0.1 * gap, tol / 16.0))
             y, probs, mu = settle(iteration, y, gap, (y, probs, mu))
@@ -821,11 +810,12 @@ def chsh_value(rho: DensityMatrix) -> float:
 
     Photon A is analyzed at a = 0 and a' = 45 deg, photon B at b = 22.5 and
     b' = 67.5 deg: the optimal settings for a |HH>+|VV> target. This is tr(rho B),
-    B = a x (b - b') + a' x (b + b'), the one-state call of :func:`_metric_rows`' product.
+    B = a x (b - b') + a' x (b + b'), read from column 1 of ``_READOUT``: the one-state call of
+    :func:`_metric_rows`' product.
     """
     if rho.dim != 4:
         raise ValueError(f"CHSH needs a two-qubit state, got dim {rho.dim}")
-    return float(np.matmul(rho.data.reshape(1, 1, 16).view(float), _design().readout)[0, 0, 1])
+    return float(np.matmul(rho.data.reshape(1, 1, 16).view(float), _READOUT)[0, 0, 1])
 
 
 _TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -840,7 +830,7 @@ class MetricsReport:
 
     Fidelity is against the |HH>+|VV> Bell target; the CHSH value is that of
     :func:`chsh_value`, at its fixed analyzers. Both are linear in the state,
-    read with one product from the design's cached ``readout`` table.
+    read with one product from the design's ``_READOUT`` table.
     ``point_fit`` is the reconstruction the point values come from; it is
     not part of :meth:`as_dict` or of equality.
     """
@@ -890,10 +880,10 @@ def _metric_rows(stack: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
     Concurrence is read from ``roots``, the factors A, rho = A A^dag, of a fit or of
     ``_roots``. Fidelity against the |HH>+|VV> Bell target and the CHSH value of
-    :func:`chsh_value` are one product with the design's ``readout`` table, row-stacked
+    :func:`chsh_value` are one product with the design's ``_READOUT`` table, row-stacked
     as in :func:`_newton_system`, so a row's bits do not depend on its batch.
     """
-    fidelity, s_value = np.matmul(stack.reshape(-1, 1, 16).view(float), _design().readout)[:, 0].T
+    fidelity, s_value = np.matmul(stack.reshape(-1, 1, 16).view(float), _READOUT)[:, 0].T
     return np.stack([fidelity, _concurrences(roots), _purities(stack), s_value], axis=1)
 
 

@@ -1,10 +1,12 @@
-"""Test-only states, count sets and distances: seeded random, maximally mixed and hyperentangled
-states, sparse count sets, and the fit batch of a default run.
+"""Test-only states, count sets and distances: pure, seeded random, maximally mixed and
+hyperentangled states, sparse count sets, and the fit batch of a default run.
 
-No pipeline draws a random or maximally mixed state, a sparse count set or
-measures a trace distance, so these live beside the tests that use them rather than in the
-package.
+No pipeline builds a state from a ket, draws a random or maximally mixed
+state or a sparse count set, or measures a trace distance, so these live
+beside the tests that use them rather than in the package.
 """
+
+import math
 
 import numpy as np
 
@@ -18,6 +20,16 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     eigs = np.linalg.eigvalsh(a.data - b.data)
     return float(0.5 * np.abs(eigs).sum())
+
+
+def pure(ket: np.ndarray, weight: float = 1.0) -> DensityMatrix:
+    """The projector onto a ket, normalized first, of the given weight; a zero ket is refused."""
+    vec = np.asarray(ket, dtype=complex).ravel()
+    norm = math.hypot(*vec.view(float))
+    if norm < 1e-12:
+        raise ValueError("cannot normalize a zero ket")
+    vec = vec / norm
+    return DensityMatrix(np.outer(vec, vec.conj()), weight=weight)
 
 
 def maximally_mixed(n_qubits: int, weight: float = 1.0) -> DensityMatrix:
@@ -38,7 +50,7 @@ def random_state(n_qubits: int, kind: str = "pure", seed: int = 0) -> DensityMat
     rng = np.random.default_rng(seed)
     dim = 2**n_qubits
     if kind == "pure":
-        return DensityMatrix.pure(_haar_ket(dim, rng))
+        return pure(_haar_ket(dim, rng))
     if kind == "mixed":
         weights = rng.dirichlet(np.ones(dim))
         data = np.zeros((dim, dim), dtype=complex)

@@ -46,10 +46,10 @@ from fransonsim.transfer import (
     transfer,
 )
 
-from oracle_states import hyperentangled_input, random_state, trace_distance
+from oracle_states import hyperentangled_input, pure, random_state, trace_distance
 
 V_CAL = 0.979
-IDEAL_ET = DensityMatrix.pure(PHI_PLUS_KET)
+IDEAL_ET = pure(PHI_PLUS_KET)
 
 
 def s_formula(p):
@@ -65,7 +65,7 @@ class TestAcceptance:
         """Ideal-coherence transfer swaps polarization and path exactly."""
         t0 = time.perf_counter()
         cfg = InterferometerConfig()
-        bell = DensityMatrix.pure(PHI_PLUS_KET)
+        bell = pure(PHI_PLUS_KET)
         for seed in range(200):
             kind = "pure" if seed % 2 == 0 else "mixed"
             pol = random_state(2, kind=kind, seed=seed)
@@ -195,7 +195,7 @@ class TestAcceptance:
 
     def test_criterion_6_tomography_consistency(self):
         """MLE is monotone, accurate at 1e4 pairs, and always physical."""
-        truth = DensityMatrix.pure(PHI_PLUS_KET)
+        truth = pure(PHI_PLUS_KET)
         good = 0
         for seed in range(100):
             data = simulate_counts(truth, 10_000, seed=seed)

@@ -49,6 +49,8 @@ from fransonsim.optics import (
 from fransonsim.qcore import PHI_PLUS_KET, DensityMatrix, load_density_matrix, fidelity_to
 from fransonsim.transfer import InterferometerConfig
 
+from oracle_states import pure
+
 
 def s_formula(p):
     return math.sqrt(2.0) * (1.0 + 2.0 * math.sqrt(p * (1.0 - p)))
@@ -638,6 +640,32 @@ class TestSweepPipelines:
         assert repr(sweep["parameter"]) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", [[180.0], [180.0, -180.0]])
+    def test_a_sum_phase_sweep_on_the_dark_fringe_is_refused_by_name(
+        self, tmp_path, capsys, values
+    ):
+        """A fringe scan whose phases all read no light names sweep.values and exits 1.
+
+        At V = 1 the fringe (1 + cos phi) / 2 is 0 at +-180 deg, so no
+        visibility can be read from those phases. The config passes
+        validate, the refusal comes before any output, and the same scan
+        with a phase off the dark fringe added runs.
+        """
+        dark = {"parameter": "sum_phase", "values": values}
+        path = write_config(tmp_path, source={"pol_input": "bell_p"}, channel={"stages": []},
+                            sweep=dark)
+        out = tmp_path / "out"
+        assert validate(str(path)) == []
+        assert main(["fringe-scan", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sweep.values: fringe-scan "), err
+        assert not out.exists()
+        cfg = load_config(path)
+        with pytest.raises(ConfigError, match="sweep.values"):
+            run_fringe_scan(cfg)
+        lit = replace(cfg, sweep=SweepConfig("sum_phase", (*cfg.sweep.values, 0.0)))
+        assert run_fringe_scan(lit).stages["fringe"]["visibility"] == pytest.approx(1.0, abs=1e-12)
+
     def test_custom_visibility_sweep(self):
         """Output concurrence tracks the swept source visibility."""
         cfg = analytic_cfg(
@@ -689,7 +717,7 @@ class TestStageTimes:
 
     def test_the_bootstrap_adds_its_stages_to_a_given_accumulator(self):
         """The resample, fit and metrics seconds add to what the accumulator holds."""
-        data = tomo.analytic_counts(DensityMatrix.pure(PHI_PLUS_KET), 2_000)
+        data = tomo.analytic_counts(pure(PHI_PLUS_KET), 2_000)
         stage_s = {"fit": 1.0}
         tomo._bootstrap_reports(data.counts[None], data.pairs_per_setting, [0], n_samples=10,
                                 method="linear", stage_s=stage_s)
@@ -852,7 +880,7 @@ class TestEmitPlotData:
 
     def test_bars_text_format(self):
         """Bar tables carry row, column, magnitude, and phase columns."""
-        text = density_matrix_bars(DensityMatrix.pure(PHI_PLUS_KET))
+        text = density_matrix_bars(pure(PHI_PLUS_KET))
         lines = text.strip().splitlines()
         assert len(lines) == 17
         row = lines[1].split()

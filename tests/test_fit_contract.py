@@ -16,7 +16,7 @@ from fransonsim import tomo
 from fransonsim.qcore import DensityMatrix
 from fransonsim.tomo import MLE_DEFAULT_TOL, PROBABILITY_FLOOR, setting_projectors, simulate_counts
 
-from oracle_states import default_fit_batch, sparse_count_sets
+from oracle_states import default_fit_batch, pure, sparse_count_sets
 
 # Rounding bounds. The two gaps each carry the error of an eigvalsh of a 4x4 R,
 # of order 4 eps ||R|| with ||R|| = lambda_max(R) near sum_j f_j, plus that of
@@ -70,6 +70,6 @@ def test_sparse_count_sets_keep_the_contract(max_iter):
 
 def test_a_count_set_at_the_flux_ceiling_keeps_the_contract():
     ket = np.sqrt([0.3, 0.0, 0.0, 0.7])
-    data = simulate_counts(DensityMatrix.pure(ket), tomo.MAX_PAIRS_PER_SETTING, seed=0)
+    data = simulate_counts(pure(ket), tomo.MAX_PAIRS_PER_SETTING, seed=0)
     check_contract(data.counts[None], data.pairs_per_setting,
                    tomo._mle_fits(data.counts[None], data.pairs_per_setting))

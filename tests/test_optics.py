@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fransonsim import optics
+from fransonsim import optics, qcore
 from fransonsim.qcore import (
     DensityMatrix,
     PhotonPairState,
@@ -185,6 +185,24 @@ class TestRotatingPlateChannel:
         ket = np.array([1.0, 0.0])
         out = sum(k @ np.outer(ket, ket) @ k.conj().T for k in channel)
         np.testing.assert_allclose(out, np.diag([0.75, 0.25]), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["half", "quarter"])
+    @pytest.mark.parametrize("arm", ["A", "B"])
+    def test_the_plate_table_is_the_superoperator_of_its_kind_and_arm(self, kind, arm):
+        """The table's entry is bitwise the Liouville matrix of the plate's Kraus set, read-only.
+
+        The table holds exactly the four (kind, arm) pairs.
+        """
+        assert len(optics._PLATE_SUPEROPERATORS) == 4
+        sop = optics._PLATE_SUPEROPERATORS[kind, arm]
+        ops = [np.kron(op, qcore.PAULI_I) if arm == "A" else np.kron(qcore.PAULI_I, op)
+               for op in optics._plate_channel(kind)]
+        built = qcore._superoperator(np.array(ops, dtype=complex))
+        assert (sop.shape, sop.dtype, sop.strides) == (built.shape, built.dtype, built.strides)
+        assert sop.tobytes() == built.tobytes()
+        assert not sop.flags.writeable
+        with pytest.raises(ValueError):
+            sop[0, 0] = 1.0
 
     def test_step_count_validation(self):
         """Step counts must be even and at least four."""

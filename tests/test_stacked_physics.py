@@ -1,11 +1,12 @@
 """The stacked physics of ``cli._run_points`` against the one-state public calls.
 
 ``_run_points`` runs source, channel, blocked input and transfer once on the
-stack of all sweep points. Its source stack, blocked weights, port
-probabilities and branch states must be bitwise what ``make_source_state``,
-``apply_noisy_channel``, ``block_long_arms``, ``transfer`` and the
-marginals give for each point alone, and each branch's counts bitwise what
-``analytic_counts`` and ``simulate_counts`` give for its state alone. Its
+stack of all sweep points. Its source stack, blocked weights and port
+probabilities must be bitwise what ``make_source_state``,
+``apply_noisy_channel``, ``block_long_arms`` and ``transfer`` give for each
+point alone, and each branch's counts bitwise what ``analytic_counts`` and
+``simulate_counts`` give for that point's marginal alone, its truths equal
+to the marginal's metrics. Its
 number of state validations must not depend on the number of points, and it
 builds no per-point state object.
 """
@@ -67,12 +68,6 @@ def run(cfg, pts):
     return cli._run_points(cfg, pts, dict.fromkeys(cli.STAGE_NAMES, 0.0))
 
 
-def same(got: DensityMatrix, want: DensityMatrix) -> bool:
-    """Bitwise equal matrices (signed zeros included) and equal weights."""
-    return (got.data.tobytes() == want.data.tobytes()
-            and got.data.shape == want.data.shape and got.weight == want.weight)
-
-
 @pytest.mark.parametrize("n", [1, 24])
 @pytest.mark.parametrize("jitter_deg", [0.0, 10.0])
 @pytest.mark.parametrize("parameter", sorted(SWEEPS))
@@ -85,13 +80,6 @@ def test_stacked_points_match_the_one_state_calls_bitwise(parameter, jitter_deg,
     sampled = run(replace(cfg, count_mode="sampled"), pts)[3]
     pairs = cfg.tomography.pairs_per_setting
     for i, (source_cfg, key) in enumerate(pts):
-        # branch b = 1 is the blocked input, b = 2 the output; each count row is its state's alone
-        for b, name in ((1, "input"), (2, "output")):
-            rho, means = branches[i][name][:2]
-            assert means.tobytes() == tomo.analytic_counts(rho, pairs).counts.tobytes()
-            want = tomo.simulate_counts(rho, pairs, seed=cli.derive_seed(cfg.seed, b, *key))
-            assert same(sampled[i][name][0], rho)
-            assert sampled[i][name][1].tobytes() == want.counts.tobytes()
         want_src = make_source_state(source_cfg)
         after = apply_noisy_channel(want_src, cfg.channel)
         want_blocked = block_long_arms(after)
@@ -99,8 +87,17 @@ def test_stacked_points_match_the_one_state_calls_bitwise(parameter, jitter_deg,
         assert sources[i].tobytes() == want_src.rho.data.tobytes()
         assert kept[i] == want_blocked.weight < 1.0  # the blocked weight is carried, not reset
         assert ports[i].tobytes() == want.port_probs.tobytes()
-        assert same(branches[i]["input"][0], want_blocked.pol_marginal())
-        assert same(branches[i]["output"][0], want.pol_out)
+        # branch b = 1 is the blocked input, b = 2 the output; each count row and each
+        # truth is its one-state marginal's alone
+        marginals = {"input": want_blocked.pol_marginal(), "output": want.pol_out}
+        for b, name in ((1, "input"), (2, "output")):
+            rho = marginals[name]
+            means, _, truth = branches[i][name]
+            assert means.tobytes() == tomo.analytic_counts(rho, pairs).counts.tobytes()
+            drawn = tomo.simulate_counts(rho, pairs, seed=cli.derive_seed(cfg.seed, b, *key))
+            assert sampled[i][name][0].tobytes() == drawn.counts.tobytes()
+            [row] = tomo._metric_rows(rho.data[None], qcore._roots(rho.data[None])).tolist()
+            assert truth == dict(zip(tomo.METRIC_NAMES, row))
 
 
 STATE_TYPES = (DensityMatrix, PhotonPairState, TransferOutcome)

@@ -1,6 +1,5 @@
 """Measurement simulation, reconstruction, metrics, and CHSH checks."""
 
-import json
 import math
 import os
 import re
@@ -21,6 +20,7 @@ from fransonsim.qcore import (
     fidelity_to,
     purity,
 )
+from fransonsim.optics import WaveplateSpec, jones
 from fransonsim.tomo import (
     METRIC_NAMES,
     CountData,
@@ -37,7 +37,7 @@ from fransonsim.tomo import (
     simulate_counts,
 )
 
-from oracle_states import default_fit_batch, random_state, sparse_count_sets, trace_distance
+from oracle_states import default_fit_batch, pure, random_state, sparse_count_sets, trace_distance
 
 # The analyzer projectors of the basis states H, V, D, A, R, L, in that order.
 ANALYZER_PROJECTORS = [
@@ -57,7 +57,7 @@ def s_formula(p):
 
 def tilted_bell(p):
     ket = np.array([np.sqrt(p), 0.0, 0.0, np.sqrt(1.0 - p)])
-    return DensityMatrix.pure(ket)
+    return pure(ket)
 
 
 # The x86 kernels of OpenBLAS that a fit's independence of its batch is
@@ -86,10 +86,11 @@ for lib in glob.glob(libs):
             getattr(so, symbol).restype = ctypes.c_char_p
             name = getattr(so, symbol)().decode()
 print(name, flush=True)
-from fransonsim import DensityMatrix, simulate_counts, tomo
+from fransonsim import simulate_counts, tomo
+from oracle_states import pure
 rows = [(0.5, 0), (0.5, 1), (0.3, 0), (0.3, 1), (0.3, 2)]
 counts = np.stack([
-    simulate_counts(DensityMatrix.pure(np.sqrt([p, 0.0, 0.0, 1.0 - p])), 3000, seed=s).counts
+    simulate_counts(pure(np.sqrt([p, 0.0, 0.0, 1.0 - p])), 3000, seed=s).counts
     for p, s in rows
 ])
 for budget in (tomo._RRR_ITERATIONS + 5, 1000):
@@ -99,6 +100,13 @@ for budget in (tomo._RRR_ITERATIONS + 5, 1000):
         assert batch.iterations[i] == alone.iterations[0], (budget, i)
         assert np.array_equal(batch.rho[i], alone.rho[0]), (budget, i)
 """
+
+
+# The module constants of the fixed design, in the order _fixed_tables returns them.
+DESIGN_CONSTANTS = (
+    "_BASIS_ROW", "_TANGENT", "_TANGENT_OUTER", "_PINV", "_TO_PROBS", "_FRAME_REAL", "_TO_REAL",
+    "_FROM_REAL", "_TO_COMPLEX", "_BASIS_COORDS", "_FRAME", "_READOUT",
+)
 
 
 def polarizer(theta):
@@ -183,7 +191,6 @@ def unscreened_fit_batch(counts, pairs_per_setting, tol, max_iter):
     before the last RrhoR iteration and of ``eigvalsh`` from it on. The counts
     hold no row of zeros, and it records no ``history``.
     """
-    design = tomo._design()
     fits = tomo._Fits.blank(len(counts))
     rows = np.arange(len(counts))
     freqs = counts / float(pairs_per_setting)
@@ -194,23 +201,23 @@ def unscreened_fit_batch(counts, pairs_per_setting, tol, max_iter):
 
     def evaluate(y):
         """The p_j of every row of y, and the real form R8 of its R, each row alone."""
-        probs = tomo._rows(y, design.to_probs)
+        probs = tomo._rows(y, tomo._TO_PROBS)
         weights = freqs / np.maximum(probs, tomo.PROBABILITY_FLOOR)
-        return probs, tomo._rows(weights, design.frame_real).reshape(-1, 8, 8)
+        return probs, tomo._rows(weights, tomo._FRAME_REAL).reshape(-1, 8, 8)
 
     probs, r8 = evaluate(y)
     for iteration in range(1, max_iter + 1):
         if iteration <= tomo._RRR_ITERATIONS:
-            y = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64)
-            y = tomo._rows(y, design.from_real)
+            y = (r8 @ (y @ tomo._TO_REAL).reshape(-1, 8, 8) @ r8).reshape(-1, 64)
+            y = tomo._rows(y, tomo._FROM_REAL)
             y /= y[:, :4].sum(axis=1)[:, None]
         else:
             if iteration == tomo._RRR_ITERATIONS + 1:
                 share = np.minimum(gap / total, 1.0)[:, None]
                 y = (1.0 - share) * y + share * coordinates(np.eye(4)[None] / 4.0)
                 mu = np.maximum(0.1 * gap, tol / 16.0)
-                probs = tomo._rows(y, design.to_probs)
-            y = tomo._newton_step(design, freqs, y, probs, mu)
+                probs = tomo._rows(y, tomo._TO_PROBS)
+            y = tomo._newton_step(freqs, y, probs, mu)
         probs, r8 = evaluate(y)
         floor_hits += (probs < tomo.PROBABILITY_FLOOR).sum(axis=1)
         r_plain = r8[:, :4, :4] + 1j * r8[:, 4:, :4]
@@ -227,7 +234,7 @@ def unscreened_fit_batch(counts, pairs_per_setting, tol, max_iter):
             continue
         done = np.flatnonzero(stopped)
         stop = rows[done]
-        rhos, fitted = tomo._states(design, y[done])
+        rhos, fitted = tomo._states(y[done])
         fits.rho[stop], fits.roots[stop], fits.iterations[stop] = rhos, qcore._roots(rhos), iteration
         fits.loglike[stop] = tomo._loglike(counts[stop], fitted)
         fits.converged[stop], fits.floor_hits[stop], fits.gap[stop] = (
@@ -286,12 +293,12 @@ def coordinates(y):
     return np.concatenate([np.diagonal(y, axis1=1, axis2=2).real, pairs], axis=1)
 
 
-def probabilities(design, y):
+def probabilities(y):
     """p_j = tr(Pi_j Y) / 9 of every complex Hermitian Y, with the product the fit takes."""
-    return tomo._rows(coordinates(y), design.to_probs)
+    return tomo._rows(coordinates(y), tomo._TO_PROBS)
 
 
-def rrr_step(design, freqs, y):
+def rrr_step(freqs, y):
     """One RrhoR step of every coordinate row y, with the products ``tomo._mle_fits`` takes.
 
     The rows are padded to whole blocks of 8 with Y = I/4 and f_j = 1/36, as in
@@ -303,10 +310,10 @@ def rrr_step(design, freqs, y):
     n, pad = len(y), -len(y) % 8
     y = np.vstack((y, np.tile(coordinates(np.eye(4)[None] / 4.0), (pad, 1))))
     freqs = np.vstack((freqs, np.full((pad, 36), 1 / 36)))
-    probs = y @ design.to_probs
+    probs = y @ tomo._TO_PROBS
     weights = freqs / np.maximum(probs, tomo.PROBABILITY_FLOOR)
-    r8 = (weights @ design.frame_real).reshape(-1, 8, 8)
-    step = (r8 @ (y @ design.to_real).reshape(-1, 8, 8) @ r8).reshape(-1, 64) @ design.from_real
+    r8 = (weights @ tomo._FRAME_REAL).reshape(-1, 8, 8)
+    step = (r8 @ (y @ tomo._TO_REAL).reshape(-1, 8, 8) @ r8).reshape(-1, 64) @ tomo._FROM_REAL
     norm = step[:, :4].sum(axis=1)
     return r8[:n], (step / norm[:, None])[:n], norm[:n], (probs < tomo.PROBABILITY_FLOOR)[:n]
 
@@ -384,7 +391,7 @@ def reject_second(replacement=None):
 
 def readout_row(rho):
     """(F, S) of one state: the one-row call of the readout product of ``tomo._metric_rows``."""
-    return np.matmul(rho.data.reshape(1, 1, 16).view(float), tomo._design().readout)[0, 0]
+    return np.matmul(rho.data.reshape(1, 1, 16).view(float), tomo._READOUT)[0, 0]
 
 
 def metric_row(rho, root=None):
@@ -475,55 +482,37 @@ class TestProjectors:
         design = pis.reshape(36, 16)
         assert np.linalg.matrix_rank(design, tol=1e-10) == 16
 
+    def test_the_broadcast_products_are_bitwise_the_kron_loops(self):
+        """The projectors and the Pauli basis are bitwise one ``np.kron`` per pair of factors."""
+        plate = jones(WaveplateSpec("quarter", 0.0)).conj().T
+        singles = []
+        for angle, plate_in in tomo._ANALYZERS:
+            ket = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
+            if plate_in:
+                ket = plate @ ket
+            singles.append(np.outer(ket, ket.conj()))
+        want = np.stack([np.kron(a, b) for a in singles for b in singles])
+        assert setting_projectors().tobytes() == want.tobytes()
+        assert tomo._BASIS_ROW.tobytes() == np.concatenate(pauli_basis(), axis=1).tobytes()
+
     def test_cached_design_matches_a_fresh_build(self):
-        """The memoised design equals a fresh build of the standard settings and is read-only."""
-        design = tomo._design()
-        fresh = setting_projectors()
-        np.testing.assert_array_equal(design.frame, fresh.reshape(36, 16).view(float).T)
-        np.testing.assert_array_equal(design.frame_real.reshape(36, 8, 8), real_form(fresh / 9.0))
-        assert tomo._design() is design
-        for arr in vars(design).values():
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
+        """Every design constant is bitwise its fresh build, in its memory order, and read-only.
 
-    def test_design_is_not_built_at_import(self):
-        """Importing the package builds no projectors."""
-        code = (
-            "import fransonsim.tomo as t; "
-            "print(t._design.cache_info().currsize)"
-        )
-        # the child imports this checkout's package, not an installed one
-        src = str(Path(tomo.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert out.stdout.split() == ["0"]
-
-    def test_loading_the_built_in_configs_builds_no_design(self, tmp_path):
-        """``import fransonsim`` and ``load_config`` of the built-in configs build no design.
-
-        That pair is what the benchmark's ``setup_s`` times, so the design's
-        maps must be built on a fit's first use, not at import or load.
+        The two tables that the probabilities and R read also equal their
+        rebuild from the standard settings.
         """
-        paths = []
-        for name in ("purify", "chsh-sweep", "fringe-scan", "custom"):
-            paths.append(tmp_path / f"{name}.json")
-            paths[-1].write_text(json.dumps(cli.config_to_raw(cli.default_config(name))))
-        code = (
-            "import sys, fransonsim; from fransonsim import tomo; "
-            "[fransonsim.load_config(path) for path in sys.argv[1:]]; "
-            "print(tomo._design.cache_info().currsize)"
-        )
-        src = str(Path(tomo.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code, *map(str, paths)], capture_output=True, text=True,
-            check=True, env={**os.environ, "PYTHONPATH": path},
-        )
-        assert out.stdout.split() == ["0"]
+        fresh = setting_projectors()
+        np.testing.assert_array_equal(tomo._FRAME, fresh.reshape(36, 16).view(float).T)
+        np.testing.assert_array_equal(tomo._FRAME_REAL.reshape(36, 8, 8), real_form(fresh / 9.0))
+        tables = tomo._fixed_tables()
+        assert len(tables) == len(DESIGN_CONSTANTS)
+        for name, built in zip(DESIGN_CONSTANTS, tables):
+            arr = getattr(tomo, name)
+            assert (arr.shape, arr.dtype, arr.strides) == (built.shape, built.dtype, built.strides)
+            assert arr.tobytes() == built.tobytes(), name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
 
     def test_expected_probabilities_sum_within_bases(self):
         """The four projectors of one local basis pair resolve identity."""
@@ -715,7 +704,7 @@ class TestCounting:
     @pytest.mark.parametrize("pairs", [0, tomo.MAX_PAIRS_PER_SETTING + 1, 10**19])
     def test_flux_outside_the_bound_is_refused_by_name(self, pairs):
         """A flux numpy cannot draw is refused before the draw, naming pairs_per_setting."""
-        horizontal = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
+        horizontal = pure(np.array([1.0, 0.0, 0.0, 0.0]))
         want = "pairs_per_setting must be in [1, 1e+18]"
         with pytest.raises(ValueError, match=re.escape(want)):
             simulate_counts(horizontal, pairs)
@@ -796,7 +785,7 @@ class TestLinearInversion:
 
     def test_a_row_fits_the_same_alone_and_in_a_batch(self):
         """A one-row linear fit equals its row of a batch bit for bit: rho, log L, floor hits."""
-        horizontal = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
+        horizontal = pure(np.array([1.0, 0.0, 0.0, 0.0]))
         counts = np.stack([
             analytic_counts(horizontal, 1_000).counts,  # fitted probabilities at zero
             *(simulate_counts(tilted_bell(p), 1_000, seed=s).counts
@@ -828,34 +817,32 @@ class TestMle:
         The real form is the 8x8 [[Re Y, -Im Y], [Im Y, Re Y]] bit for bit,
         and the complex form gives Y back bit for bit.
         """
-        design = tomo._design()
         rng = np.random.default_rng(5)
         a = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
         y = 0.5 * (a + a.conj().transpose(0, 2, 1))
         coords = coordinates(y)
-        y8 = coords @ design.to_real
+        y8 = coords @ tomo._TO_REAL
         assert y8.shape == (7, 64) and y8.dtype == float
         np.testing.assert_array_equal(y8.reshape(-1, 8, 8), real_form(y))
-        np.testing.assert_array_equal(y8 @ design.from_real, coords)
-        np.testing.assert_array_equal(design.hermitian(coords), y)
+        np.testing.assert_array_equal(y8 @ tomo._FROM_REAL, coords)
+        np.testing.assert_array_equal(tomo._hermitian(coords), y)
 
     def test_coordinates_give_the_probabilities_of_the_state(self):
         """y @ to_probs is tr(Pi_j rho) / 9 to 1e-15 of the row's largest; R's map is Pi_j / 9."""
-        design = tomo._design()
         rhos = full_rank_states(50, seed=12)
-        probs = coordinates(rhos) @ design.to_probs
+        probs = coordinates(rhos) @ tomo._TO_PROBS
         for rho, got in zip(rhos, probs):
             want = expected_probabilities(DensityMatrix(rho)) / 9.0
             assert np.abs(got - want).max() <= 1e-15 * want.max()
         np.testing.assert_array_equal(
-            design.frame_real.reshape(36, 8, 8), real_form(setting_projectors() / 9.0)
+            tomo._FRAME_REAL.reshape(36, 8, 8), real_form(setting_projectors() / 9.0)
         )
 
     def test_the_complex_form_is_exactly_hermitian(self):
         """Any 16 real coordinates give an exactly Hermitian matrix with a real diagonal."""
         rng = np.random.default_rng(6)
         coords = rng.normal(size=(40, 16)) * 10.0 ** rng.integers(-8, 8, (40, 16))
-        y = tomo._design().hermitian(coords)
+        y = tomo._hermitian(coords)
         np.testing.assert_array_equal(y, y.conj().transpose(0, 2, 1))
         assert not np.diagonal(y, axis1=1, axis2=2).imag.any()
 
@@ -865,20 +852,18 @@ class TestMle:
         Each column of ``to_real`` holds one +-1 or none, so the table is exact;
         the complex R read off R8 is bitwise the complex form of R's coordinates.
         """
-        design = tomo._design()
         frame_coords = coordinates(setting_projectors() / 9.0)
-        assert design.frame_real.shape == (36, 64) and not design.frame_real.flags.writeable
-        assert (np.abs(design.to_real).sum(axis=0) <= 1.0).all()
-        np.testing.assert_array_equal(design.frame_real, frame_coords @ design.to_real)
+        assert tomo._FRAME_REAL.shape == (36, 64) and not tomo._FRAME_REAL.flags.writeable
+        assert (np.abs(tomo._TO_REAL).sum(axis=0) <= 1.0).all()
+        np.testing.assert_array_equal(tomo._FRAME_REAL, frame_coords @ tomo._TO_REAL)
         weights = np.random.default_rng(7).random((13, 36))
-        r8 = (np.vstack((weights, np.ones((3, 36)))) @ design.frame_real)[:13].reshape(-1, 8, 8)
+        r8 = (np.vstack((weights, np.ones((3, 36)))) @ tomo._FRAME_REAL)[:13].reshape(-1, 8, 8)
         r = tomo._rows(weights, frame_coords)
-        np.testing.assert_array_equal(r8, (r @ design.to_real).reshape(-1, 8, 8))
-        np.testing.assert_array_equal(r8[:, :4, :4] + 1j * r8[:, 4:, :4], design.hermitian(r))
+        np.testing.assert_array_equal(r8, (r @ tomo._TO_REAL).reshape(-1, 8, 8))
+        np.testing.assert_array_equal(r8[:, :4, :4] + 1j * r8[:, 4:, :4], tomo._hermitian(r))
 
     def test_coordinate_step_is_the_complex_step(self):
         """One RrhoR step on coordinates equals herm(R Y R) / tr(R Y R) to 1e-15 relative."""
-        design = tomo._design()
         y = full_rank_states(6, seed=2)
         freqs = np.stack([
             simulate_counts(tilted_bell(p), 3_000, seed=s).frequencies
@@ -891,11 +876,11 @@ class TestMle:
         want = r_op @ y @ r_op
         want = 0.5 * (want + want.conj().transpose(0, 2, 1))
         norm = np.trace(want, axis1=1, axis2=2).real
-        r8, step, norm16, floored16 = rrr_step(design, freqs, coordinates(y))
+        r8, step, norm16, floored16 = rrr_step(freqs, coordinates(y))
         np.testing.assert_array_equal(floored16, floored)
         np.testing.assert_allclose(norm16, norm, rtol=1e-15, atol=0)
         scale = np.abs(want / norm[:, None, None]).max()
-        got = design.hermitian(step)
+        got = tomo._hermitian(step)
         assert np.abs(got - want / norm[:, None, None]).max() <= 1e-15 * scale
         r = r8[:, :4, :4] + 1j * r8[:, 4:, :4]
         assert np.abs(r - r_op).max() <= 1e-15 * np.abs(r_op).max()
@@ -909,16 +894,15 @@ class TestMle:
         rank 1; the fit stops at its last RrhoR iteration, before any Newton
         step, on the state of the hand-run's step 120, bit for bit.
         """
-        design = tomo._design()
         counts = simulate_counts(tilted_bell(0.1), 2_600_000, seed=4).counts
         freqs = counts[None] / 2_600_000
         y = coordinates(np.eye(4)[None] / 4.0)
         budget = tomo._RRR_ITERATIONS
         for step in range(1, 201):
-            y = rrr_step(design, freqs, y)[1]
+            y = rrr_step(freqs, y)[1]
             if step == budget:
-                at_budget = tomo._states(design, y)[0][0]
-        hand_run = tomo._states(design, y)[0][0]
+                at_budget = tomo._states(y)[0][0]
+        hand_run = tomo._states(y)[0][0]
         assert np.linalg.eigvalsh(hand_run)[:-1].max() < 1e-3  # nearly rank 1
         fits = tomo._mle_fits(counts[None], 2_600_000, tol=tomo.MLE_TOL_FLOOR, max_iter=budget)
         [fit] = fit_rows(fits, "mle")
@@ -1056,8 +1040,10 @@ class TestMle:
             pytest.skip("no /proc/cpuinfo to read the CPU flags from")
         if flag not in cpu:
             pytest.skip(f"the CPU lacks {flag}, so the {kernel} kernel cannot run")
+        # the child imports this checkout's package, and the test helpers beside this file
         src = str(Path(tomo.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        helpers = str(Path(__file__).resolve().parent)
+        path = os.pathsep.join(filter(None, [src, helpers, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": kernel}
         out = subprocess.run(
             [sys.executable, "-c", BATCH_AND_ALONE], capture_output=True, text=True, env=env,
@@ -1117,17 +1103,16 @@ class TestMle:
         ])
         calls = []
         real_rows, real_system = tomo._rows, tomo._newton_system
-        design = tomo._design()
 
         def rows(x, m):
             out = real_rows(x, m)
-            if m is design.to_probs and sys._getframe(1).f_code is tomo._mle_fits.__code__:
-                calls.append(("r", design.hermitian(x), out))
+            if m is tomo._TO_PROBS and sys._getframe(1).f_code is tomo._mle_fits.__code__:
+                calls.append(("r", tomo._hermitian(x), out))
             return out
 
-        def newton_system(design, freqs, y, probs, mu):
+        def newton_system(freqs, y, probs, mu):
             calls.append(("system", y, probs))
-            return real_system(design, freqs, y, probs, mu)
+            return real_system(freqs, y, probs, mu)
 
         monkeypatch.setattr(tomo, "_rows", rows)
         monkeypatch.setattr(tomo, "_newton_system", newton_system)
@@ -1153,7 +1138,7 @@ class TestMle:
         alone = mle_reconstruct(CountData(sparse, 3))
         assert alone.converged and alone.gap <= tomo.MLE_DEFAULT_TOL
         assert alone.iterations > tomo._RRR_ITERATIONS
-        horizontal = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
+        horizontal = pure(np.array([1.0, 0.0, 0.0, 0.0]))
         counts = np.stack([
             analytic_counts(horizontal, 3).counts,
             sparse,
@@ -1218,25 +1203,24 @@ class TestMle:
         A finite gradient, however steep, gets a short step inside the cone;
         an infinite one makes dY NaN. Row 0 steps as it does alone.
         """
-        design = tomo._design()
         y = coordinates(full_rank_states(2, seed=8))
         freqs = np.stack([
             simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
             for k, rho in enumerate(full_rank_states(2, seed=9))
         ])
         mu = np.array([1e-3, 1e-3])
-        probs = tomo._rows(y, design.to_probs)
+        probs = tomo._rows(y, tomo._TO_PROBS)
         real = tomo._newton_system
 
-        def steep(design, freqs, y, probs, mu):
-            grad, hess = real(design, freqs, y, probs, mu)
+        def steep(freqs, y, probs, mu):
+            grad, hess = real(freqs, y, probs, mu)
             grad[-1:] *= np.inf  # the last row of the batch
             return grad, hess
 
-        alone = tomo._newton_step(design, freqs[:1], y[:1], probs[:1], mu[:1])
+        alone = tomo._newton_step(freqs[:1], y[:1], probs[:1], mu[:1])
         monkeypatch.setattr(tomo, "_newton_system", steep)
         with np.errstate(invalid="ignore"):  # inf meets the zeros of a pseudo-inverse
-            new = tomo._newton_step(design, freqs, y, probs, mu)
+            new = tomo._newton_step(freqs, y, probs, mu)
         np.testing.assert_array_equal(new[1], y[1])
         assert np.abs(alone[0] - y[0]).max() > 1e-3  # row 0 does step
         np.testing.assert_allclose(new[0], alone[0], rtol=0, atol=1e-15)
@@ -1249,7 +1233,6 @@ class TestMle:
         t = 0.99 / -lambda, lambda = lambda_min(Y^-1/2 dY Y^-1/2), so the new
         iterate has lambda_min(Y^-1/2 Y_new Y^-1/2) = 1 - 0.99.
         """
-        design = tomo._design()
         y = full_rank_states(2, seed=13)
         grad = np.random.default_rng(14).normal(size=(2, 15))
         grad[0] *= 1e-4 / np.linalg.norm(grad[0])
@@ -1257,13 +1240,13 @@ class TestMle:
         monkeypatch.setattr(
             tomo, "_newton_system", lambda *args: (grad, np.tile(np.eye(15), (2, 1, 1)))
         )
-        new = tomo._newton_step(design, None, coordinates(y), None, None)
-        dy = -grad @ design.basis_coords
+        new = tomo._newton_step(None, coordinates(y), None, None)
+        dy = -grad @ tomo._BASIS_COORDS
         np.testing.assert_array_equal(new[0], coordinates(y)[0] + dy[0])
         np.testing.assert_array_equal(
-            design.hermitian(dy), (-grad @ pauli_basis().reshape(15, 16)).reshape(-1, 4, 4)
+            tomo._hermitian(dy), (-grad @ pauli_basis().reshape(15, 16)).reshape(-1, 4, 4)
         )
-        dy, new = design.hermitian(dy), design.hermitian(new)
+        dy, new = tomo._hermitian(dy), tomo._hermitian(new)
         vals, vecs = np.linalg.eigh(y[1])
         root = (vecs / np.sqrt(vals)) @ vecs.conj().T
         assert np.linalg.eigvalsh(root @ dy[1] @ root)[0] < -1.0  # the full step leaves
@@ -1278,15 +1261,14 @@ class TestMle:
         takes the same step as in a batch of its own, and the zero
         diagonal raises no warning.
         """
-        design = tomo._design()
         y = coordinates(full_rank_states(3, seed=10))
         freqs = np.stack([
             simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
             for k, rho in enumerate(full_rank_states(3, seed=11))
         ])
         mu = np.full(3, 1e-3)
-        probs = tomo._rows(y, design.to_probs)
-        grad, hess = tomo._newton_system(design, freqs, design.hermitian(y), probs, mu)
+        probs = tomo._rows(y, tomo._TO_PROBS)
+        grad, hess = tomo._newton_system(freqs, tomo._hermitian(y), probs, mu)
         hess[1, 4, :] = hess[1, :, 4] = 0.0
         v = np.random.default_rng(12).normal(size=(15, 14))
         hess[2] = v @ v.T  # rank 14
@@ -1294,8 +1276,8 @@ class TestMle:
         def step(rows):
             """The step along each E_k of the rows ``rows``, fitted as one batch."""
             monkeypatch.setattr(tomo, "_newton_system", lambda *args: (grad[rows], hess[rows]))
-            new = tomo._newton_step(design, freqs[rows], y[rows], probs[rows], mu[rows])
-            return np.einsum("bij,kji->bk", design.hermitian(new - y[rows]), pauli_basis()).real
+            new = tomo._newton_step(freqs[rows], y[rows], probs[rows], mu[rows])
+            return np.einsum("bij,kji->bk", tomo._hermitian(new - y[rows]), pauli_basis()).real
 
         together = step([0, 1, 2])
         for i in range(3):
@@ -1334,7 +1316,7 @@ class TestMle:
     @pytest.mark.parametrize("tol", [1e-2, 1e-10])
     def test_screened_fits_match_the_unscreened_loop_bitwise(self, tol, max_iter):
         """Skipping eigvalsh where the tr(RYR) bound rules a stop out changes no bit of a fit."""
-        horizontal = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
+        horizontal = pure(np.array([1.0, 0.0, 0.0, 0.0]))
         batches = [
             (3_000, [
                 simulate_counts(tilted_bell(p), 3_000, seed=s).counts
@@ -1502,7 +1484,6 @@ class TestMle:
         p_j below PROBABILITY_FLOOR. Each row is compared relative to its
         largest entry.
         """
-        design = tomo._design()
         kets = [np.array([1.0, 0.0, 0.0, 0.0]), tilted_bell(0.1).data[:, 0] / np.sqrt(0.1)]
         pure = np.stack([
             (1.0 - 1e-12) * np.outer(ket, ket.conj()) + 1e-12 * np.eye(4) / 4.0 for ket in kets
@@ -1513,10 +1494,10 @@ class TestMle:
             for k, rho in enumerate(full_rank_states(len(y), seed=4))
         ])
         mu = 10.0 ** np.random.default_rng(5).uniform(-10.0, -1.0, size=len(y))
-        probs = probabilities(design, y)
+        probs = probabilities(y)
         floored = probs < tomo.PROBABILITY_FLOOR
         assert not floored[:6].any() and floored[6:].any(axis=1).all()
-        got = tomo._newton_system(design, freqs, y, probs, mu)
+        got = tomo._newton_system(freqs, y, probs, mu)
         for new, old in zip(got, newton_system_oracle(freqs, y, mu)):
             assert new.shape == old.shape
             scale = np.abs(old).reshape(len(y), -1).max(axis=1)
@@ -1528,18 +1509,17 @@ class TestMle:
         A 2-D product of the weights with the tangents rounds by row count;
         here it moved the gradient by up to 1.8e-15.
         """
-        design = tomo._design()
         y = full_rank_states(24, seed=15)
         freqs = np.stack([
             simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
             for k, rho in enumerate(full_rank_states(24, seed=16))
         ])
         mu = 10.0 ** np.random.default_rng(17).uniform(-10.0, -1.0, size=24)
-        probs = probabilities(design, y)
-        grad, hess = tomo._newton_system(design, freqs, y, probs, mu)
+        probs = probabilities(y)
+        grad, hess = tomo._newton_system(freqs, y, probs, mu)
         for i in range(24):
             rows = slice(i, i + 1)
-            alone = tomo._newton_system(design, freqs[rows], y[rows], probs[rows], mu[rows])
+            alone = tomo._newton_system(freqs[rows], y[rows], probs[rows], mu[rows])
             np.testing.assert_array_equal(alone[0][0], grad[i])
             np.testing.assert_array_equal(alone[1][0], hess[i])
 
@@ -1549,7 +1529,6 @@ class TestMle:
         The objective is -sum_j f_j log p_j - mu log det Y on full-rank
         states, where no p_j reaches the floor.
         """
-        design = tomo._design()
         y = full_rank_states(4, seed=6)
         freqs = np.stack([
             simulate_counts(DensityMatrix(rho), 3_000, seed=k).frequencies
@@ -1558,11 +1537,11 @@ class TestMle:
         mu = np.array([1e-1, 1e-2, 1e-3, 1e-4])
 
         def objective(y):
-            probs = probabilities(design, y)
+            probs = probabilities(y)
             return -(freqs * np.log(probs)).sum(axis=1) - mu * np.linalg.slogdet(y)[1]
 
         def system(y):
-            return tomo._newton_system(design, freqs, y, probabilities(design, y), mu)
+            return tomo._newton_system(freqs, y, probabilities(y), mu)
 
         grad, hess = system(y)
         # each row against its largest entry; the steps keep the truncation
@@ -1693,7 +1672,7 @@ class TestChsh:
         want = np.zeros((32, 2))
         for column, op in enumerate(operators):
             want[0::2, column], want[1::2, column] = op.real.ravel(), op.imag.ravel()
-        np.testing.assert_array_equal(tomo._design().readout, want)
+        np.testing.assert_array_equal(tomo._READOUT, want)
         for seed in range(50):
             rho = random_state(2, kind="mixed" if seed % 2 else "pure", seed=seed)
             assert chsh_value(rho) == pytest.approx(chsh_uncached(rho), rel=0, abs=2e-15)
@@ -1816,9 +1795,8 @@ class TestMonteCarloMetrics:
         werner = DensityMatrix(visibility * bell + (1.0 - visibility) * np.eye(4) / 4.0)
         data = simulate_counts(werner, 26_000, seed=0)
         report = monte_carlo_metrics(data, n_samples=4000, seed=0, method="linear")
-        design = tomo._design()
-        c = design.pinv @ design.readout
-        t = design.pinv @ np.eye(4, dtype=complex).reshape(16).view(float)
+        c = tomo._PINV @ tomo._READOUT
+        t = tomo._PINV @ np.eye(4, dtype=complex).reshape(16).view(float)
         np.testing.assert_allclose(t, 1.0 / 9.0, rtol=1e-14)
         tau = data.frequencies @ t
         values = data.frequencies @ c / tau

@@ -30,11 +30,12 @@ from fransonsim.transfer import (
 from oracle_states import (
     hyperentangled_input,
     maximally_mixed,
+    pure,
     random_state,
     trace_distance,
 )
 
-IDEAL_ET = DensityMatrix.pure(PHI_PLUS_KET)
+IDEAL_ET = pure(PHI_PLUS_KET)
 
 
 def ideal_input(pol):
@@ -61,10 +62,10 @@ class TestBasisAction:
                         ket[(a << 3) | (x << 2) | (b << 1) | y] = 1.0
                         out = transfer(
                             hyperentangled_input(
-                                DensityMatrix.pure(
+                                pure(
                                     np.eye(4)[(a << 1) | b].astype(float)
                                 ),
-                                DensityMatrix.pure(
+                                pure(
                                     np.eye(4)[(x << 1) | y].astype(float)
                                 ),
                             ),
@@ -84,7 +85,7 @@ class TestBasisAction:
         # |H>_pol x (|SS> + |LL>)/sqrt(2) per photon pair: output coherence
         # between the x = y = 0 and x = y = 1 images carries e^{i(phi_a+phi_b)}
         phase_a, phase_b = 0.9, 0.4
-        pol = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 0.0]))
+        pol = pure(np.array([1.0, 0.0, 0.0, 0.0]))
         out = transfer(
             ideal_input(pol),
             InterferometerConfig(phase_a=phase_a, phase_b=phase_b),
@@ -102,7 +103,7 @@ class TestSwapAction:
         for seed in range(200):
             pol = random_state(2, kind="mixed", seed=seed)
             outcome = transfer(ideal_input(pol), cfg)
-            assert trace_distance(outcome.pol_out, DensityMatrix.pure(PHI_PLUS_KET)) < 1e-10
+            assert trace_distance(outcome.pol_out, pure(PHI_PLUS_KET)) < 1e-10
             assert trace_distance(outcome.path_out, pol) < 1e-10
 
     def test_pure_inputs_swap_exactly(self):
@@ -296,7 +297,7 @@ class TestBlocking:
     def test_blocking_without_support_raises(self):
         """A state with no short-short component cannot be postselected."""
         pol = maximally_mixed(2)
-        et = DensityMatrix.pure(np.array([0.0, 0.0, 0.0, 1.0]))
+        et = pure(np.array([0.0, 0.0, 0.0, 1.0]))
         with pytest.raises(PostselectionError):
             block_long_arms(hyperentangled_input(pol, et))
 
